@@ -297,15 +297,13 @@ def _cmd_phase(args) -> int:
             a_vals = np.array([args.a])
 
         def row(a):
-            problem = phase_transition.ExponentProblem(
-                float(a), args.q_steps, args.t_steps, args.theta_steps)
+            problem = phase_transition.ExponentProblem(float(a), args.q_steps)
             return [float(a), phase_transition.error_exponent(problem)]
 
         rows = _map_indexed(row, a_vals, _threads(args))
     elif sub == "estimator":
         header = ["q", "theta_hat"]
-        _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(
-            args.a, n_q=args.q_steps, n_t=args.t_steps, n_theta=args.theta_steps)
+        _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a, n_q=args.q_steps)
         rows = [[float(q), float(t)] for q, t in zip(q_grid, curve)]
     elif sub == "roots":
         header = ["m", "stable", "dominant"]
@@ -500,7 +498,7 @@ _DEFAULTS = {
         es_over_n0=0.0, corr=0.0, omega0=2 * math.pi, alpha_vec="1.0",
         theta=0.0, lnb=0.5, rho_gauss=4.0, range="0,1",
     ),
-    "phase": dict(a=1.0, mu=0.0, q_steps=201, t_steps=401, theta_steps=401),
+    "phase": dict(a=1.0, mu=0.0, q_steps=201),
     "verify": dict(
         model="lin-gauss", estimator="cond-mean", alpha_frac=0.5, a=1.0,
         samples=100_000, seed=0, sigma2=1.0, es=1.0, n0=1.0, n=200, theta=0.3,
@@ -577,8 +575,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--mu", type=float)
     pp.add_argument("--mu-sweep")
     pp.add_argument("--q-steps", type=int)
-    pp.add_argument("--t-steps", type=int)
-    pp.add_argument("--theta-steps", type=int)
     common(pp)
     pp.set_defaults(func=_cmd_phase)
 

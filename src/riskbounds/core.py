@@ -214,6 +214,8 @@ def maximize_scalar(
         grid = np.linspace(lo, hi, coarse)
     vals = np.array([f(x) for x in grid])
     n_eval = coarse
+    if np.isnan(vals).all():
+        raise DomainError("objective is NaN at every point of the bracket")
     k = int(np.nanargmax(vals))
     if math.isinf(vals[k]) and vals[k] > 0:
         return float(grid[k]), float(vals[k]), n_eval
@@ -221,8 +223,13 @@ def maximize_scalar(
     bhi = grid[min(k + 1, coarse - 1)]
     if blo == bhi:
         return float(grid[k]), float(vals[k]), n_eval
-    x, fx = golden_section_max(f, blo, bhi, tol=tol)
-    n_eval += 90
+
+    def counted(x: float) -> float:
+        nonlocal n_eval
+        n_eval += 1
+        return f(x)
+
+    x, fx = golden_section_max(counted, blo, bhi, tol=tol)
     if fx < vals[k]:
         x, fx = float(grid[k]), float(vals[k])
     return x, fx, n_eval

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainError
+from .core import GOLDEN, DomainError
 from .divergences import binary_entropy
 
 __all__ = [
@@ -41,25 +40,25 @@ __all__ = [
     "a_zero",
 ]
 
-_THETA_INSET = 1e-6    # keeps the divergence finite off the matched endpoints
 _BOUNDARY_BAND = 1e-9
-_REFINE_POINTS = 21    # a 10x local refinement window per level
 
 
 @dataclass(frozen=True)
 class ExponentProblem:
-    """Risk scale a (alpha = a n) and grid resolutions for (q, t, theta)."""
+    """Risk scale a (alpha = a n) and the q grid of the outer max.
+
+    The inner max over theta and the min over t are solved exactly; only
+    the max over q runs on a grid (plus one local refinement).
+    """
 
     a: float
     n_q: int = 201
-    n_t: int = 401
-    n_theta: int = 401
 
     def __post_init__(self):
         if self.a < 0:
             raise DomainError("a must be nonnegative")
-        if min(self.n_q, self.n_t, self.n_theta) < 101:
-            raise DomainError("grid resolutions must be at least 101 points")
+        if self.n_q < 101:
+            raise DomainError("the q grid must have at least 101 points")
 
 
 @dataclass(frozen=True)
@@ -110,118 +109,114 @@ class MagnetizationRoot:
     dominant: bool
 
 
-def _divergence_to(q: float, thetas: np.ndarray) -> np.ndarray:
-    """D(q || theta) over an array of thetas, 0 ln 0 = 0."""
-    out = np.zeros_like(thetas)
-    if q > 0.0:
-        out += q * (math.log(q) - np.log(thetas))
-    if q < 1.0:
-        out += (1.0 - q) * (math.log1p(-q) - np.log1p(-thetas))
-    return out
+def _inner_max(a: float, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """max over theta in [0, 1] of a (t - theta)^2 - D(q || theta), elementwise.
+
+    Interior maximizers solve the stationarity cubic
+    -2a theta^3 + 2a(1+t) theta^2 - (2at+1) theta + q = 0, whose roots come
+    in closed form (trigonometric with three real roots, Cardano with one).
+    theta = q (value a (t - q)^2) is always a candidate too: it covers the
+    endpoint maximizers theta = 0 at q = 0 and theta = 1 at q = 1, and
+    stands in for roots outside (0, 1).
+    """
+    # depressed form x^3 + p x + r = 0 of the monic cubic, theta = x + (1+t)/3;
+    # overflow at extreme a only loses roots, and theta = q stands in for them
+    with np.errstate(all="ignore"):
+        b, c, d = -(1.0 + t), t + 0.5 / a, -0.5 * q / a
+        p = c - b * b / 3.0
+        r = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+        three = 4.0 * p ** 3 + 27.0 * r * r < 0.0
+        amp = 2.0 * np.sqrt(np.where(three, -p / 3.0, 0.0))
+        phi = np.arccos(np.clip(np.where(three, 3.0 * r / (p * amp), 0.0), -1.0, 1.0)) / 3.0
+        s = np.sqrt(np.where(three, 0.0, r * r / 4.0 + p ** 3 / 27.0))
+        single = np.cbrt(-0.5 * r + s) + np.cbrt(-0.5 * r - s)
+        x = np.where(three, amp * np.cos(phi - 2.0 * math.pi / 3.0 * np.arange(3)[:, None]),
+                     single)
+        theta = x - b / 3.0
+        theta = np.vstack([np.where((theta > 0.0) & (theta < 1.0), theta, q), q])
+        # D(q || theta) through log1p of theta - q, so it stays accurate near theta = q
+        gap = theta - q
+        div = -(np.where(q > 0.0, q * np.log1p(gap / q), 0.0)
+                + np.where(q < 1.0, (1.0 - q) * np.log1p(-gap / (1.0 - q)), 0.0))
+        return (a * (t - theta) ** 2 - div).max(axis=0)
 
 
-def _inner_max(a: float, q: float, t_vals: np.ndarray, thetas: np.ndarray,
-               d_row: np.ndarray, refine: bool) -> np.ndarray:
-    """max over theta of a (t - theta)^2 - D(q || theta), one value per t."""
-    obj = a * (t_vals[:, None] - thetas[None, :]) ** 2 - d_row[None, :]
-    best = obj.max(axis=1)
-    if not refine:
-        return best
-    arg = obj.argmax(axis=1)
-    lo = thetas[np.maximum(arg - 1, 0)]
-    hi = thetas[np.minimum(arg + 1, thetas.size - 1)]
-    w = np.linspace(0.0, 1.0, _REFINE_POINTS)
-    local = lo[:, None] + (hi - lo)[:, None] * w[None, :]
-    refined = (a * (t_vals[:, None] - local) ** 2 - _divergence_to(q, local)).max(axis=1)
-    return np.maximum(best, refined)
+def _saddle(a: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min over t of the inner max, minimizing t), elementwise over q.
 
-
-def _solve_single_q(a: float, q: float, t_grid: np.ndarray, thetas: np.ndarray
-                    ) -> tuple[float, float]:
-    """(min over t of the inner max, minimizing t) at empirical frequency q.
-
-    The a = 0 game is degenerate in t; it is resolved by continuity from
-    a -> 0, where the minimizer collapses onto the divergence minimizer
-    t = q.
+    The inner max is convex in t (a max of parabolas), so one golden-section
+    search, batched over q, runs until its bracket reaches machine
+    precision.  The a = 0 game is degenerate in t; it is resolved by
+    continuity from a -> 0, where the minimizer collapses onto the
+    divergence minimizer t = q.
     """
     if a == 0.0:
-        return 0.0, q
-    d_row = _divergence_to(q, thetas)
-    coarse = _inner_max(a, q, t_grid, thetas, d_row, refine=False)
-    k = int(coarse.argmin())
-    dt = t_grid[1] - t_grid[0]
-    lo = max(0.0, t_grid[k] - dt)
-    hi = min(1.0, t_grid[k] + dt)
-    t_fine = np.linspace(lo, hi, _REFINE_POINTS)
-    fine = _inner_max(a, q, t_fine, thetas, d_row, refine=True)
-    j = int(fine.argmin())  # argmin takes the first hit: smallest t on ties
-    return float(fine[j]), float(t_fine[j])
+        return np.zeros_like(q), q.copy()
+    lo, hi = np.zeros_like(q), np.ones_like(q)
+    c, d = hi - GOLDEN, lo + GOLDEN
+    fc, fd = _inner_max(a, q, c), _inner_max(a, q, d)
+    while np.max(hi - lo) > 4.0 * np.finfo(float).eps:
+        left = fc <= fd                     # the minimum lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
+        fx = _inner_max(a, q, x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    left = fc <= fd
+    return np.where(left, fc, fd), np.where(left, c, d)
 
 
-@lru_cache(maxsize=16)
-def _nested_solve(a: float, n_q: int, n_t: int, n_theta: int):
+def _solve(a: float, n_q: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Full saddle solve: E(a), the q grid and the estimator curve on it."""
     q_grid = np.linspace(0.0, 1.0, n_q)
-    t_grid = np.linspace(0.0, 1.0, n_t)
-    thetas = np.linspace(_THETA_INSET, 1.0 - _THETA_INSET, n_theta)
-    values = np.empty(n_q)
-    t_stars = np.empty(n_q)
-    for i, q in enumerate(q_grid):
-        values[i], t_stars[i] = _solve_single_q(a, float(q), t_grid, thetas)
+    values, t_stars = _saddle(a, q_grid)
     k = int(values.argmax())
-    best_val = float(values[k])
-    # one local refinement pass over q around the incumbent
-    dq = q_grid[1] - q_grid[0]
-    lo = max(0.0, q_grid[k] - dq)
-    hi = min(1.0, q_grid[k] + dq)
-    for q in np.linspace(lo, hi, _REFINE_POINTS):
-        v, _ = _solve_single_q(a, float(q), t_grid, thetas)
-        best_val = max(best_val, v)
-    return best_val, q_grid, t_stars
+    # one local refinement of the max over q, on the two cells around the incumbent
+    fine, _ = _saddle(a, np.linspace(q_grid[max(k - 1, 0)], q_grid[min(k + 1, n_q - 1)], n_q))
+    return max(float(values[k]), float(fine.max())), q_grid, t_stars
 
 
 def error_exponent(problem: ExponentProblem) -> float:
-    """Saddle value E(a); zero to grid tolerance on a <= 2, positive beyond."""
-    value, _, _ = _nested_solve(problem.a, problem.n_q, problem.n_t, problem.n_theta)
+    """Saddle value E(a); zero on a <= 2 (to rounding), positive beyond."""
+    value, _, _ = _solve(problem.a, problem.n_q)
     return value
 
 
-def asymptotic_estimator(q: float, a: float, *, n_t: int = 401, n_theta: int = 401) -> float:
+def asymptotic_estimator(q: float, a: float) -> float:
     """Minimizing t of the inner game at empirical frequency q.
 
-    Ties break toward the smallest t.  The curve is symmetric,
-    that(q) + that(1 - q) = 1 up to grid noise, and nondecreasing in q.
+    The curve is symmetric, that(q) + that(1 - q) = 1 to rounding, and
+    nondecreasing in q.
     """
     if not (0.0 <= q <= 1.0):
         raise DomainError("q must lie in [0, 1]")
     if a < 0:
         raise DomainError("a must be nonnegative")
-    t_grid = np.linspace(0.0, 1.0, n_t)
-    thetas = np.linspace(_THETA_INSET, 1.0 - _THETA_INSET, n_theta)
-    _, t_star = _solve_single_q(a, q, t_grid, thetas)
-    return t_star
+    _, t_star = _saddle(a, np.array([float(q)]))
+    return float(t_star[0])
 
 
-def bernoulli_bayes_exponent(
-    a: float, *, n_q: int = 201, n_t: int = 401, n_theta: int = 401
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """E(a) together with the estimator curve on the q grid (one cached solve)."""
+def bernoulli_bayes_exponent(a: float, *, n_q: int = 201) -> tuple[float, np.ndarray, np.ndarray]:
+    """E(a) together with the estimator curve on the q grid (one solve)."""
     if a < 0:
         raise DomainError("a must be nonnegative")
-    value, q_grid, t_stars = _nested_solve(a, n_q, n_t, n_theta)
-    return value, q_grid, t_stars.copy()
+    if n_q < 2:
+        raise DomainError("the q grid must have at least 2 points")
+    return _solve(a, n_q)
 
 
 def _dominance_score(m: float, b: float, j: float) -> float:
     return binary_entropy((1.0 + m) / 2.0) + b * m + 0.5 * j * m * m
 
 
-def magnetization_roots(params: CurieWeissParams, n_scan: int = 10_000,
-                        tol: float = 1e-12) -> list[MagnetizationRoot]:
+def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
     """All fixed points of m = tanh(J m + B) on [-1, 1].
 
-    Sign-change scan plus bisection; fixed-point iteration would skip the
-    unstable middle root.  Stability is judged by the slope of the tanh
+    f(m) = m - tanh(J m + B) has f' = 0 only at m = (+-arccosh(sqrt J) - B) / J,
+    which exist when J > 1, so those points cut [-1, 1] into at most three
+    pieces on which f is monotone; each piece holds at most one root, found
+    by bisection to machine precision.  Fixed-point iteration would skip
+    the unstable middle root.  Stability is judged by the slope of the tanh
     map.  The dominant root maximizes h((1+m)/2) + B m + (J/2) m^2; on an
     exact tie (the zero-field coexistence line) the positive root wins by
     convention.
@@ -231,38 +226,36 @@ def magnetization_roots(params: CurieWeissParams, n_scan: int = 10_000,
     def f(m: float) -> float:
         return m - math.tanh(j * m + b)
 
-    nodes = np.linspace(-1.0, 1.0, n_scan + 1)
-    fvals = nodes - np.tanh(j * nodes + b)
+    nodes = [-1.0, 1.0]
+    if j > 1.0:
+        w = math.acosh(math.sqrt(j))
+        nodes[1:1] = [m for m in ((-w - b) / j, (w - b) / j) if -1.0 < m < 1.0]
     roots: list[float] = []
-    for i in range(n_scan):
-        f0, f1 = fvals[i], fvals[i + 1]
-        if f0 == 0.0:
-            roots.append(float(nodes[i]))
+    for lo, hi in zip(nodes, nodes[1:]):
+        flo, fhi = f(lo), f(hi)
+        if flo == 0.0:
+            roots.append(lo)
             continue
-        if f0 * f1 < 0.0:
-            lo, hi = float(nodes[i]), float(nodes[i + 1])
-            flo = f0
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
+        if flo * fhi < 0.0:
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
                 fmid = f(mid)
-                if flo * fmid <= 0.0:
+                if fmid == 0.0:
+                    break
+                if flo * fmid < 0.0:
                     hi = mid
                 else:
                     lo, flo = mid, fmid
-            roots.append(0.5 * (lo + hi))
-    if fvals[-1] == 0.0:
+                mid = 0.5 * (lo + hi)
+            roots.append(mid)
+    if f(1.0) == 0.0:
         roots.append(1.0)
 
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or abs(r - deduped[-1]) > 10.0 * tol:
-            deduped.append(r)
-    scores = np.array([_dominance_score(m, b, j) for m in deduped])
+    scores = np.array([_dominance_score(m, b, j) for m in roots])
     near_top = scores >= scores.max() - 1e-13
-    candidates = [m for m, top in zip(deduped, near_top) if top]
-    dominant_m = max(candidates)
+    dominant_m = max(m for m, top in zip(roots, near_top) if top)
     out = []
-    for m in deduped:
+    for m in roots:
         slope = j / math.cosh(j * m + b) ** 2
         out.append(MagnetizationRoot(m=m, stable=abs(slope) < 1.0, dominant=(m == dominant_m)))
     return out

@@ -93,9 +93,9 @@ def test_criterion_2_exponent_zeros_and_rise(acceptance):
 def test_criterion_3_estimator_curve_range(acceptance):
     """Estimator curve at sharp risk: target range windows.
 
-    Known red: the exact saddle minimizer at zero frequency is 0.32277
-    (stationary-point oracle, finite-sample limit and the grid solver all
-    agree), which sits 0.003 outside the target window [0.326, 0.336].
+    Known red: the exact saddle minimizer at zero frequency is 0.32280
+    (the stationary-point oracle and the library's cubic kernel agree),
+    which sits 0.003 outside the target window [0.326, 0.336].
     The assertion is kept as stated rather than loosened; the module tests
     pin the independently verified value.
     """

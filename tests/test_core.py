@@ -88,6 +88,20 @@ class TestOptimizers:
         with pytest.raises(DomainError):
             maximize_scalar(lambda u: u, 1.0, 1.0)
 
+    def test_all_nan_profile_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            maximize_scalar(lambda u: math.nan, 0.0, 1.0)
+
+    def test_evaluation_count_is_the_real_one(self):
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return -(u - 0.37) ** 2
+
+        _, _, n_eval = maximize_scalar(f, 0.0, 1.0, coarse=64)
+        assert n_eval == len(calls)
+
 
 class TestDivergenceOnset:
     def test_threshold_recovery(self):

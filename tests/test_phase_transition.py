@@ -31,11 +31,13 @@ class TestErrorExponent:
 
     def test_matches_stationary_point_oracle(self):
         # frozen values from the cubic-stationarity oracle on an 801-point
-        # q scan; the grid solver carries ~1e-3 kink-quantization error
+        # q scan; the library solves the same cubic, so only rounding differs
         assert error_exponent(ExponentProblem(2.5)) == pytest.approx(
-            0.01342822, abs=2.5e-3)
+            0.01342822, abs=1e-6)
+        assert error_exponent(ExponentProblem(6.0)) == pytest.approx(
+            0.45069386, abs=1e-6)
         assert error_exponent(ExponentProblem(10.0)) == pytest.approx(
-            1.19528104, abs=2.5e-3)
+            1.19528104, abs=1e-6)
 
     def test_zero_risk_scale(self):
         assert error_exponent(ExponentProblem(0.0)) == 0.0
@@ -57,11 +59,16 @@ class TestAsymptoticEstimator:
             assert asymptotic_estimator(0.5, a) == pytest.approx(0.5, abs=1e-12)
 
     def test_extreme_frequency_values_match_exact_solver(self):
-        # the exact stationarity solver puts the q = 0 minimizer at 0.32277
+        # the exact stationarity solver puts the q = 0 minimizer at 0.32280
         # for risk scale 10 (and its mirror at one)
         _, t0 = saddle_value_and_argmin(10.0, 0.0)
-        assert asymptotic_estimator(0.0, 10.0) == pytest.approx(t0, abs=5e-4)
-        assert asymptotic_estimator(1.0, 10.0) == pytest.approx(1.0 - t0, abs=5e-4)
+        assert asymptotic_estimator(0.0, 10.0) == pytest.approx(t0, abs=1e-6)
+        assert asymptotic_estimator(1.0, 10.0) == pytest.approx(1.0 - t0, abs=1e-6)
+
+    def test_curve_matches_exact_argmins(self):
+        _, q_grid, curve = bernoulli_bayes_exponent(10.0)
+        for q, t in zip(q_grid[::10], curve[::10]):
+            assert t == pytest.approx(saddle_value_and_argmin(10.0, float(q))[1], abs=1e-6)
 
     def test_symmetry_on_grid(self):
         for q in np.linspace(0.0, 1.0, 21):
@@ -104,6 +111,19 @@ class TestBernoulliBayesExponent:
         value, _, _ = bernoulli_bayes_exponent(3.0)
         assert value == error_exponent(ExponentProblem(3.0))
 
+    def test_empty_q_grid_rejected(self):
+        with pytest.raises(DomainError):
+            bernoulli_bayes_exponent(3.0, n_q=0)
+
+    def test_returned_arrays_are_not_shared_between_calls(self):
+        _, q_grid, curve = bernoulli_bayes_exponent(4.0)
+        want_q, want_curve = q_grid.copy(), curve.copy()
+        q_grid[:] = 7.0
+        curve[:] = 7.0
+        _, q_again, curve_again = bernoulli_bayes_exponent(4.0)
+        np.testing.assert_array_equal(q_again, want_q)
+        np.testing.assert_array_equal(curve_again, want_curve)
+
 
 class TestMagnetizationRoots:
     def test_single_root_below_coupling_threshold(self):
@@ -140,11 +160,33 @@ class TestMagnetizationRoots:
         dominant = next(r for r in roots if r.dominant)
         assert dominant.m > 0
 
-    def test_dominant_invariant_under_scan_refinement(self):
-        params = CurieWeissParams(0.2, 0.7)
-        coarse = next(r.m for r in magnetization_roots(params) if r.dominant)
-        fine = next(r.m for r in magnetization_roots(params, n_scan=100_000) if r.dominant)
-        assert coarse == pytest.approx(fine, abs=1e-9)
+    @pytest.mark.parametrize("mu, a", [(0.2, 0.7), (0.1, 0.8), (-0.3, 1.2), (0.6, 0.55),
+                                       (0.05, 0.45), (0.9, 1.5)])
+    def test_roots_match_dense_scan(self, mu, a):
+        params = CurieWeissParams(mu, a)
+        b, j = params.field, params.coupling
+        nodes = np.linspace(-1.0, 1.0, 200_001)
+        fvals = nodes - np.tanh(j * nodes + b)
+        # m = mu is always a fixed point and may fall on a node: a cell holds a
+        # root when f changes sign across it or vanishes at its left end
+        cells = np.flatnonzero((fvals[:-1] * fvals[1:] < 0.0) | (fvals[:-1] == 0.0))
+        ms = [r.m for r in magnetization_roots(params)]
+        assert len(ms) == cells.size
+        for m, i in zip(ms, cells):
+            assert nodes[i] - 1e-12 <= m <= nodes[i + 1] + 1e-12
+
+    def test_three_roots_just_above_coupling_threshold(self):
+        # 3e-9 above a = 1/2 the outer roots sit near +-1.34e-4, far inside
+        # any fixed scan cell around zero; the point is outside the boundary band
+        roots = magnetization_roots(CurieWeissParams(0.0, 0.5 + 3e-9))
+        ms = [r.m for r in roots]
+        assert len(ms) == 3
+        assert ms[0] == pytest.approx(-1.3416e-4, rel=1e-3)
+        assert ms[1] == pytest.approx(0.0, abs=1e-15)
+        assert ms[2] == pytest.approx(1.3416e-4, rel=1e-3)
+        dominant = next(r for r in roots if r.dominant)
+        assert dominant.m == ms[2]
+        assert classify_phase(0.0, 0.5 + 3e-9).dominant_m == dominant.m
 
     def test_symmetric_roots_at_zero_field(self):
         roots = magnetization_roots(CurieWeissParams(0.0, 0.9))
