@@ -27,17 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    STATUS_DIVERGENT,
-    STATUS_OK,
     STATUS_OUT_OF_WINDOW,
-    STATUS_USELESS,
     BoundValue,
     DegenerateSignalError,
     DomainError,
     GridDensity,
     Waveform,
+    classify,
     divergence_onset,
-    coordinate_descent_max,
     maximize_scalar,
 )
 from .divergences import (
@@ -199,15 +196,6 @@ class LpcbChain:
             raise DomainError("all chain measures must share the noise density")
 
 
-def _finish(value: float, argmax: dict, diagnostics: dict | None = None) -> BoundValue:
-    diag = diagnostics or {}
-    if value == math.inf:
-        return BoundValue(value, argmax, STATUS_DIVERGENT, diag)
-    if value == -math.inf:
-        return BoundValue(value, argmax, STATUS_USELESS, diag)
-    return BoundValue(value, argmax, STATUS_OK, diag)
-
-
 def generic_bayes_bound(alpha: float, mse_lb: float, divergence: float) -> BoundValue:
     """Change-of-measure bound alpha * mse_lb - divergence.
 
@@ -222,9 +210,9 @@ def generic_bayes_bound(alpha: float, mse_lb: float, divergence: float) -> Bound
     if divergence < 0:
         raise DomainError("divergence must be nonnegative")
     if math.isinf(divergence):
-        return BoundValue(-math.inf, {}, STATUS_USELESS, {"reason": "infinite divergence"})
+        return classify(-math.inf, {}, {"reason": "infinite divergence"})
     value = alpha * mse_lb - divergence
-    return _finish(value, {})
+    return classify(value, {})
 
 
 def linear_gaussian_min_lambda(model: LinearGaussianModel, alpha: float) -> BoundValue:
@@ -238,10 +226,10 @@ def linear_gaussian_min_lambda(model: LinearGaussianModel, alpha: float) -> Boun
     ac = model.alpha_c()
     coef = model.estimator_coefficient()
     if alpha >= ac:
-        return BoundValue(math.inf, {"estimator_coef": coef, "alpha_c": ac},
-                          STATUS_DIVERGENT, {"witness": "alpha >= alpha_c"})
+        return classify(math.inf, {"estimator_coef": coef, "alpha_c": ac},
+                        {"witness": "alpha >= alpha_c"})
     value = 0.5 * math.log(1.0 / (1.0 - alpha / ac))
-    return BoundValue(value, {"estimator_coef": coef, "alpha_c": ac}, STATUS_OK, {})
+    return classify(value, {"estimator_coef": coef, "alpha_c": ac})
 
 
 def _q_weighted_correlation(model: NonlinearBayesModel, q_prior: GridDensity) -> np.ndarray:
@@ -344,7 +332,7 @@ def nonlinear_linear_ref_bound(
             lambda s: profiled(s)[0], 1e-3 * prior_var, coverage_cap,
             log_spaced=True, coarse=48)
         val, lam_star = profiled(s2q)
-        return _finish(val, {"sigma2_q": s2q, "lambda": lam_star})
+        return classify(val, {"sigma2_q": s2q, "lambda": lam_star})
 
     s2q = prior_var if sigma2_q is None else float(sigma2_q)
     if s2q <= 0:
@@ -356,7 +344,7 @@ def nonlinear_linear_ref_bound(
     if lam < 0:
         raise DomainError("lam must be nonnegative")
     val = value_at(s2q, lam)
-    return _finish(val, {"sigma2_q": s2q, "lambda": float(lam)})
+    return classify(val, {"sigma2_q": s2q, "lambda": float(lam)})
 
 
 def phase_model_bound(
@@ -375,7 +363,7 @@ def phase_model_bound(
     damp = sigma2_q * math.exp(-sigma2_q)
     kl = gaussian_kl(GaussianPriorPair(sigma2_p=sigma2, sigma2_q=sigma2_q))
     value = alpha * sigma2_q / (1.0 + 2.0 * ex_over_n0 * damp) - ex_over_n0 * (1.0 - damp) - kl
-    return _finish(value, {"sigma2_q": sigma2_q})
+    return classify(value, {"sigma2_q": sigma2_q})
 
 
 def phase_bound_large_sigma(alpha: float, sigma2: float, ex_over_n0: float) -> BoundValue:
@@ -390,11 +378,10 @@ def phase_bound_large_sigma(alpha: float, sigma2: float, ex_over_n0: float) -> B
         raise DomainError("parameters out of range")
     ac = 1.0 / (2.0 * sigma2)
     if alpha >= ac:
-        return BoundValue(math.inf, {"alpha_c": ac}, STATUS_DIVERGENT,
-                          {"witness": "alpha >= 1/(2 sigma2)"})
+        return classify(math.inf, {"alpha_c": ac}, {"witness": "alpha >= 1/(2 sigma2)"})
     s2q = sigma2 / (1.0 - 2.0 * alpha * sigma2)
     value = 0.5 * math.log(1.0 / (1.0 - 2.0 * alpha * sigma2)) - ex_over_n0
-    return BoundValue(value, {"sigma2_q": s2q, "alpha_c": ac}, STATUS_OK, {})
+    return classify(value, {"sigma2_q": s2q, "alpha_c": ac})
 
 
 def tilted_prior_bound(
@@ -426,7 +413,7 @@ def tilted_prior_bound(
             "does not apply to this tilt"
         )
     value = alpha / info - tilted.kl_to_base() - corr_term
-    return _finish(value, {"beta": beta, "fisher_info": tilted.fisher_info})
+    return classify(value, {"beta": beta, "fisher_info": tilted.fisher_info})
 
 
 def alpha_c_upper(
@@ -507,12 +494,7 @@ def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
     value = alpha * _WW_CONST * tau_tilde ** 2 / gamma ** 2 - 2.0 * gamma * (
         1.0 - math.sqrt(tau / tau_tilde)
     )
-    return BoundValue(
-        value,
-        {"tau_tilde": tau_tilde},
-        STATUS_OK,
-        {"nontrivial": value >= 0.0},
-    )
+    return classify(value, {"tau_tilde": tau_tilde}, {"nontrivial": value >= 0.0})
 
 
 def _lpcb_value(
@@ -583,7 +565,7 @@ def lpcb_bound(
     if beta is not None:
         if not (0.0 < beta < alpha):
             raise DomainError("beta must lie strictly inside (0, alpha)")
-        return _finish(f(beta), {"beta": beta})
+        return classify(f(beta), {"beta": beta})
 
     alpha_c_ref = 1.0 / (2.0 * s2q) + es / n0
     lo = _BETA_EDGE * alpha
@@ -591,10 +573,10 @@ def lpcb_bound(
     if alpha - lo >= alpha_c_ref:
         witness = max(lo, (alpha - alpha_c_ref) * (1.0 + 1e-9) + 1e-300)
         if witness < hi and math.isinf(f(witness)):
-            return BoundValue(math.inf, {"beta": witness}, STATUS_DIVERGENT,
-                              {"witness": "residual reaches the reference critical factor"})
+            return classify(math.inf, {"beta": witness},
+                            {"witness": "residual reaches the reference critical factor"})
     b_star, val, n_eval = maximize_scalar(f, lo, hi, log_spaced=True, coarse=96)
-    return _finish(val, {"beta": b_star}, {"n_eval": n_eval})
+    return classify(val, {"beta": b_star}, {"n_eval": n_eval})
 
 
 def iterated_lpcb(
@@ -651,8 +633,7 @@ def iterated_lpcb(
             raise DomainError("infeasible split: Renyi order must exceed 1")
         d_a = evaluator(i, order)
         if math.isinf(d_a):
-            return BoundValue(-math.inf, {"betas": betas}, STATUS_USELESS,
-                              {"transition": i})
+            return classify(-math.inf, {"betas": betas}, {"transition": i})
         penalty += alpha / b * d_a
         consumed += b
 
@@ -660,10 +641,10 @@ def iterated_lpcb(
     final = chain.measures[-1]
     head = linear_gaussian_min_lambda(final, residual)
     if not head.is_finite:
-        return BoundValue(math.inf, {"betas": betas}, STATUS_DIVERGENT,
-                          {"witness": "residual reaches the final reference critical factor"})
+        return classify(math.inf, {"betas": betas},
+                        {"witness": "residual reaches the final reference critical factor"})
     value = alpha / residual * head.value - penalty
-    return _finish(value, {"betas": betas, "residual": residual})
+    return classify(value, {"betas": betas, "residual": residual})
 
 
 def alpha_c_estimate(

@@ -1,14 +1,18 @@
 """Shared value types, grid containers and scalar optimizers.
 
 Everything here is deliberately small: extended reals (``+inf`` for a
-divergent bound, ``-inf`` for a useless one) are ordinary floats, grid
-functions are plain numpy arrays wrapped with their abscissae, and the
+divergent bound, ``-inf`` for a useless one) are ordinary floats and
+``classify`` is the one place that turns them into a status, grid
+functions are plain numpy arrays wrapped with their abscissae (a
+``GridDensity`` caches its trapezoid weights and log density), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
-descent built on top of it.
+descent built on top of it.  ``logsumexp`` is the package's only
+log-sum-exp.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,6 +56,15 @@ class ResolutionError(RiskBoundsError):
     """A grid supremum failed to stabilize under refinement."""
 
 
+def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
+    """ln sum w exp(x), shifted by the maximum; -inf for an empty or all -inf x."""
+    m = float(np.max(x, initial=-math.inf))
+    if not math.isfinite(m):
+        return m
+    e = np.exp(x - m)
+    return m + math.log(float(np.sum(e if w is None else w * e)))
+
+
 @dataclass(frozen=True)
 class BoundValue:
     """Outcome of a lower-bound evaluation.
@@ -70,6 +83,17 @@ class BoundValue:
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.value)
+
+
+def classify(value: float, argmax: dict, diagnostics: dict | None = None) -> BoundValue:
+    """BoundValue whose status follows the value: +inf divergent, -inf useless."""
+    if value == math.inf:
+        status = STATUS_DIVERGENT
+    elif value == -math.inf:
+        status = STATUS_USELESS
+    else:
+        status = STATUS_OK
+    return BoundValue(value, argmax, status, diagnostics or {})
 
 
 @dataclass(frozen=True)
@@ -102,16 +126,25 @@ class Waveform:
         return self.t.size == other.t.size and np.allclose(self.t, other.t, rtol=rtol, atol=0.0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridDensity:
-    """A probability density sampled on a uniform-enough 1-D grid."""
+    """A probability density sampled on a uniform-enough 1-D grid.
+
+    theta and density are read-only copies of the caller's arrays, so the
+    cached quadrature weights and log density can never go stale.
+    """
 
     theta: np.ndarray
     density: np.ndarray
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        p = np.asarray(self.density, dtype=float)
+        th = np.array(self.theta, dtype=float)
+        p = np.array(self.density, dtype=float)
         if th.ndim != 1 or p.ndim != 1 or th.size != p.size:
             raise GridError("density needs matching 1-D grids")
         if th.size < 8:
@@ -120,8 +153,24 @@ class GridDensity:
             raise GridError("theta grid must be strictly increasing")
         if np.any(p < 0):
             raise DomainError("density must be nonnegative")
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "density", p)
+        object.__setattr__(self, "theta", _read_only(th))
+        object.__setattr__(self, "density", _read_only(p))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights: sum(weights * f) integrates f over theta."""
+        th = self.theta
+        w = np.empty_like(th)
+        w[1:-1] = 0.5 * (th[2:] - th[:-2])
+        w[0] = 0.5 * (th[1] - th[0])
+        w[-1] = 0.5 * (th[-1] - th[-2])
+        return _read_only(w)
+
+    @functools.cached_property
+    def log_density(self) -> np.ndarray:
+        """ln density, -inf where the density vanishes."""
+        with np.errstate(divide="ignore"):
+            return _read_only(np.log(self.density))
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, self.theta))

@@ -19,16 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .core import (
-    STATUS_DIVERGENT,
-    STATUS_OK,
     BoundValue,
     ConditioningError,
     DomainError,
     GridDensity,
     Waveform,
+    classify,
     coordinate_descent_max,
     maximize_scalar,
 )
@@ -97,6 +95,8 @@ def solve_reference_ode(problem: DelayDesignProblem) -> Waveform:
     directly.  The discrete residual and an estimate of the conditioning
     are checked before returning.
     """
+    from scipy.linalg import solveh_banded  # imported here to keep it off the CLI path
+
     t = problem.x.t
     x = problem.x.values
     n = t.size
@@ -204,24 +204,19 @@ def nu_bound(
             return -math.inf
         return bv.value
 
-    def finish(val: float, argmax: dict, diag: dict | None = None) -> BoundValue:
-        if val == math.inf:
-            return BoundValue(val, argmax, STATUS_DIVERGENT, diag or {})
-        return BoundValue(val, argmax, STATUS_OK, diag or {})
-
     if optimize:
         nu_star, beta_star, val = coordinate_descent_max(
             value_at, (0.0, 1.0), beta_bracket, log_y=True, restarts=3
         )
-        return finish(val, {"nu": nu_star, "beta": beta_star})
+        return classify(val, {"nu": nu_star, "beta": beta_star})
     if nu is None:
         raise DomainError("supply nu or set optimize=True")
     if beta is None:
         beta_star, val, n_eval = maximize_scalar(
             lambda b: value_at(nu, b), *beta_bracket, log_spaced=True, coarse=64
         )
-        return finish(val, {"nu": nu, "beta": beta_star}, {"n_eval": n_eval})
+        return classify(val, {"nu": nu, "beta": beta_star}, {"n_eval": n_eval})
     val = value_at(nu, beta)
     if val == -math.inf:
         raise DomainError("infeasible (nu, beta) point")
-    return finish(val, {"nu": nu, "beta": beta})
+    return classify(val, {"nu": nu, "beta": beta})

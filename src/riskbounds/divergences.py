@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import DomainError, GridDensity, GridError, Waveform
+from .core import DomainError, GridDensity, GridError, Waveform, logsumexp
 
 __all__ = [
     "GaussianPriorPair",
@@ -37,7 +35,6 @@ __all__ = [
     "tilt_prior",
 ]
 
-_PHI_STEP = 1e-5          # relative step for the centered difference on beta
 _NORM_TOL = 1e-6          # quadrature tolerance for density normalization
 
 # A tilt escapes the grid window when the base density decays at the edge
@@ -91,10 +88,10 @@ class RenyiOrder:
 class TiltedPrior:
     """A base prior raised to power beta and renormalized.
 
-    Exposes the normalizer Z(beta), phi = ln Z, its derivative phi' and
-    the Fisher information of the tilted density, all computed on the
-    base grid.  kl_to_base() gives D(tilted || base) in closed form
-    (beta - 1) phi'(beta) - phi(beta).
+    Exposes the normalizer Z(beta), phi = ln Z, its exact derivative
+    phi' = E_Q[ln p] and the Fisher information of the tilted density,
+    all computed with the base grid's trapezoid weights.  kl_to_base()
+    gives D(tilted || base) in closed form (beta - 1) phi'(beta) - phi(beta).
     """
 
     base: GridDensity
@@ -237,33 +234,13 @@ def renyi_gaussian_pair(
     return (0.5 * a * math.log(sigma2_from / sigma2_to) - 0.5 * math.log(denom)) / (a - 1.0)
 
 
-def _log_z(base: GridDensity, beta: float) -> float:
-    """ln integral of base^beta by trapezoid weights, in log space."""
-    p = base.density
-    th = base.theta
-    w = np.empty_like(th)
-    w[1:-1] = 0.5 * (th[2:] - th[:-2])
-    w[0] = 0.5 * (th[1] - th[0])
-    w[-1] = 0.5 * (th[-1] - th[-2])
-    mask = p > 0.0
-    if not np.any(mask):
-        raise DomainError("density is identically zero")
-    logp = np.log(p[mask])
-    return float(logsumexp(beta * logp, b=w[mask]))
-
-
-def tilt_prior(
-    base: GridDensity,
-    beta: float,
-    phi_prime: Callable[[float], float] | None = None,
-    norm_tol: float = _NORM_TOL,
-) -> TiltedPrior:
+def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     """Raise a normalized grid prior to power beta and renormalize.
 
-    phi'(beta) defaults to a centered finite difference of ln Z with step
-    1e-5 * max(1, beta); pass an analytic derivative to override.  The
-    Fisher information of the tilted density uses second-order differences
-    on the theta grid, one-sided at the support endpoints.  A density that
+    Z(beta) is the trapezoid sum of base^beta, and phi'(beta) is the exact
+    derivative of that same discrete ln Z, E_Q[ln p].  The Fisher
+    information of the tilted density uses second-order differences on
+    the theta grid, one-sided at the support endpoints.  A density that
     vanishes at an interior grid point is rejected: the information
     integral is not trustworthy there.  A tilt that flattens a density
     which decays at the grid edges is also rejected, because the grid
@@ -272,32 +249,22 @@ def tilt_prior(
     """
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
-    base.check_normalized(norm_tol)
-    log_z = _log_z(base, beta)
+    base.check_normalized(_NORM_TOL)
+    log_p = base.log_density
+    log_z = logsumexp(beta * log_p, base.weights)
     if not math.isfinite(log_z):
         raise DomainError("tilted density is not integrable on this grid")
-    z = math.exp(log_z)
-    if phi_prime is not None:
-        dphi = float(phi_prime(beta))
-    else:
-        h = _PHI_STEP * max(1.0, beta)
-        if beta - h <= 0:
-            h = 0.5 * beta
-        dphi = (_log_z(base, beta + h) - _log_z(base, beta - h)) / (2.0 * h)
-
+    q = np.exp(beta * log_p - log_z)
     p = base.density
-    interior_zero = np.any(p[1:-1] <= 0.0) and np.any(p > 0.0)
-    if interior_zero and p[0] == 0.0 and p[-1] == 0.0:
-        # trim exact zero padding at the edges before declaring a hole
-        nz = np.nonzero(p > 0.0)[0]
-        core = p[nz[0]: nz[-1] + 1]
-        interior_zero = bool(np.any(core <= 0.0))
-    if interior_zero:
+    positive = p > 0.0
+    dphi = float(np.dot((base.weights * q)[positive], log_p[positive]))
+
+    nz = np.nonzero(positive)[0]
+    # exact zero padding at both edges is trimmed before looking for a hole
+    inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
+    if np.any(inner <= 0.0):
         raise DomainError("density vanishes at an interior grid point")
 
-    with np.errstate(divide="ignore"):
-        q = np.where(p > 0.0, np.exp(beta * np.log(np.where(p > 0.0, p, 1.0)) - log_z), 0.0)
-    nz = np.nonzero(p > 0.0)[0]
     base_edge = max(p[nz[0]], p[nz[-1]]) / np.max(p)
     tilt_edge = max(q[nz[0]], q[nz[-1]]) / np.max(q)
     if base_edge < _EDGE_DECAY and tilt_edge > _EDGE_ESCAPE:
@@ -314,11 +281,11 @@ def tilt_prior(
     tilted = TiltedPrior(
         base=base,
         beta=float(beta),
-        z_beta=z,
+        z_beta=math.exp(log_z),
         phi=log_z,
         phi_prime=dphi,
         fisher_info=fisher,
         q_density=q_density,
     )
-    q_density.check_normalized(10.0 * norm_tol)
+    q_density.check_normalized(10.0 * _NORM_TOL)
     return tilted

@@ -21,12 +21,11 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    STATUS_DIVERGENT,
-    STATUS_OK,
     BoundValue,
     ConditioningError,
     DomainError,
     ResolutionError,
+    classify,
 )
 
 __all__ = [
@@ -136,8 +135,8 @@ def scalar_linear_bound(alpha: float, es: float, n0: float) -> BoundValue:
         raise DomainError("alpha, es, n0 must be positive")
     alpha_c = es / n0
     if alpha > alpha_c:
-        return BoundValue(math.inf, {"alpha_c": alpha_c}, STATUS_DIVERGENT, dict(_META))
-    return BoundValue(alpha * n0 / (2.0 * es), {"alpha_c": alpha_c}, STATUS_OK, dict(_META))
+        return classify(math.inf, {"alpha_c": alpha_c}, dict(_META))
+    return classify(alpha * n0 / (2.0 * es), {"alpha_c": alpha_c}, dict(_META))
 
 
 def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
@@ -163,8 +162,8 @@ def vector_linear_bound(model: VectorLinearModel, alpha_vec: np.ndarray) -> Boun
     threshold = model.es / model.n0
     diag = dict(_META, quad_form=quad, threshold=threshold)
     if quad >= threshold and quad > 0.0:
-        return BoundValue(math.inf, {}, STATUS_DIVERGENT, diag)
-    return BoundValue(model.n0 * quad / (2.0 * model.es), {}, STATUS_OK, diag)
+        return classify(math.inf, {}, diag)
+    return classify(model.n0 * quad / (2.0 * model.es), {}, diag)
 
 
 def vector_ml_lambda(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
@@ -236,18 +235,16 @@ def nonlinear_bound(
 
     if profile.unbounded:
         delta = 1.0
-        value = f(theta)
+        value, best_tt = f(theta), theta
         for _ in range(80):
-            value = max(value, f(theta + delta), f(theta - delta))
+            for tt in (theta + delta, theta - delta):
+                ft = f(tt)
+                if ft > value:
+                    value, best_tt = ft, tt
             if value > _DIVERGENCE_DECLARE:
-                return BoundValue(
-                    math.inf,
-                    {"theta_tilde": theta + delta},
-                    STATUS_DIVERGENT,
-                    dict(_META, probe_delta=delta),
-                )
+                return classify(math.inf, {"theta_tilde": best_tt}, dict(_META, probe_delta=delta))
             delta *= 2.0
-        return BoundValue(value, {"theta_tilde": theta}, STATUS_OK, dict(_META))
+        return classify(value, {"theta_tilde": best_tt}, dict(_META))
 
     lo, hi = profile.theta_range
     if profile.theta_grid is not None:
@@ -273,4 +270,4 @@ def nonlinear_bound(
             prev = best
         else:
             raise ResolutionError("supremum failed to stabilize under refinement")
-    return BoundValue(best, {"theta_tilde": center}, STATUS_OK, dict(_META))
+    return classify(best, {"theta_tilde": center}, dict(_META))

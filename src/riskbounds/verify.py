@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .core import DivergenceRiskError, DomainError, GridDensity
+from .core import DivergenceRiskError, DomainError, GridDensity, logsumexp
 
 __all__ = [
     "MCRun",
@@ -230,42 +229,30 @@ def bernoulli_exact_lambda(spec: BernoulliExact) -> float:
     """
     n, a, theta = spec.n, spec.a, spec.theta
     k = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     log_pmf = (
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        log_fact[n] - log_fact - log_fact[::-1]
         + k * math.log(theta) + (n - k) * math.log1p(-theta)
     )
-    check = float(logsumexp(log_pmf))
+    check = logsumexp(log_pmf)
     if abs(check) > 1e-12 * n:
         raise DomainError(f"binomial mass sums to exp({check:.3g}), not 1")
     estimates = np.array([spec.estimator(ki / n) for ki in k], dtype=float)
     log_terms = log_pmf + a * n * (estimates - theta) ** 2
-    return float(logsumexp(log_terms))
+    return logsumexp(log_terms)
 
 
 def _tilted_moments(post: GridDensity, alpha: float, eta: float) -> tuple[float, float]:
     """(log normalizer, tilted mean) of p(theta) exp(alpha (theta - eta)^2)."""
-    log_w = alpha * (post.theta - eta) ** 2
-    with np.errstate(divide="ignore"):
-        log_p = np.where(post.density > 0.0, np.log(np.where(post.density > 0.0, post.density, 1.0)), -np.inf)
-    log_f = log_p + log_w
-    th = post.theta
-    w = np.empty_like(th)
-    w[1:-1] = 0.5 * (th[2:] - th[:-2])
-    w[0] = 0.5 * (th[1] - th[0])
-    w[-1] = 0.5 * (th[-1] - th[-2])
-    log_z = float(logsumexp(log_f, b=w))
-    shifted = np.exp(log_f - log_z)
-    mean = float(np.sum(w * shifted * th))
+    log_f = post.log_density + alpha * (post.theta - eta) ** 2
+    log_z = logsumexp(log_f, post.weights)
+    mean = float(np.sum(post.weights * np.exp(log_f - log_z) * post.theta))
     return log_z, mean
 
 
 def _tail_probe(post: GridDensity, alpha: float) -> None:
     """Reject tilts whose mass concentrates at the grid edges."""
-    eta0 = post.mean()
-    log_w = alpha * (post.theta - eta0) ** 2
-    with np.errstate(divide="ignore"):
-        log_p = np.where(post.density > 0.0, np.log(np.where(post.density > 0.0, post.density, 1.0)), -np.inf)
-    log_f = log_p + log_w
+    log_f = post.log_density + alpha * (post.theta - post.mean()) ** 2
     total = logsumexp(log_f)
     edge = max(post.theta.size // 50, 2)
     edge_mass = math.exp(logsumexp(np.concatenate([log_f[:edge], log_f[-edge:]])) - total)

@@ -1,10 +1,14 @@
 """CSV schemas, determinism, config merging and exit codes of the CLI."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import riskbounds
 from riskbounds.cli import main
 
 
@@ -149,6 +153,15 @@ class TestDeterminismAndConfig:
                                 "--es", "1", "--n0", "1", "--out", str(out_path)], capsys)
         assert code == 0 and out == ""
         assert out_path.read_text().startswith("alpha,bound")
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed by solve_reference_ode; importing the CLI must not pay for it
+    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import riskbounds.cli, sys; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestExitCodes:

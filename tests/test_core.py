@@ -7,8 +7,10 @@ import pytest
 
 from riskbounds import DomainError, GridDensity, GridError, Waveform
 from riskbounds.core import (
+    classify,
     divergence_onset,
     golden_section_max,
+    logsumexp,
     maximize_scalar,
 )
 
@@ -54,6 +56,61 @@ class TestGridDensity:
         dens[3] = -0.1
         with pytest.raises(DomainError):
             GridDensity(theta, dens)
+
+    def test_weights_and_log_density(self):
+        theta = np.sort(np.random.default_rng(3).uniform(-2.0, 3.0, 257))
+        dens = np.exp(-theta ** 2)
+        dens[:5] = 0.0
+        d = GridDensity(theta, dens)
+        f = np.cos(theta)
+        assert np.dot(d.weights, f) == pytest.approx(np.trapezoid(f, theta), rel=1e-13)
+        assert np.all(d.log_density[:5] == -np.inf)
+        np.testing.assert_allclose(d.log_density[5:], -theta[5:] ** 2, rtol=1e-13, atol=1e-15)
+        assert d.weights is d.weights and d.log_density is d.log_density
+
+    def test_arrays_are_read_only(self):
+        theta = np.linspace(-1.0, 1.0, 33)
+        d = GridDensity(theta, np.full(33, 0.5))
+        for arr in (d.theta, d.density, d.weights, d.log_density):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    def test_caller_arrays_are_copied(self):
+        theta = np.linspace(-1.0, 1.0, 33)
+        dens = np.full(33, 0.5)
+        d = GridDensity(theta, dens)
+        weights = d.weights.copy()
+        theta[3] = 5.0
+        dens[:] = 9.0
+        assert d.theta[3] == pytest.approx(-1.0 + 3.0 / 16.0)
+        assert np.all(d.density == 0.5)
+        np.testing.assert_array_equal(d.weights, weights)
+        assert theta.flags.writeable and dens.flags.writeable
+
+
+class TestLogSumExp:
+    def test_matches_direct_sum(self):
+        x = np.random.default_rng(5).normal(size=200)
+        w = np.random.default_rng(6).uniform(0.0, 2.0, 200)
+        assert logsumexp(x) == pytest.approx(math.log(np.sum(np.exp(x))), rel=1e-14)
+        assert logsumexp(x, w) == pytest.approx(math.log(np.sum(w * np.exp(x))), rel=1e-14)
+
+    def test_large_and_infinite_entries(self):
+        assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
+        assert logsumexp(np.array([-np.inf, 0.0])) == 0.0
+        assert logsumexp(np.array([-np.inf, -np.inf])) == -math.inf
+        assert logsumexp(np.array([])) == -math.inf
+        assert logsumexp(np.array([0.0, np.inf])) == math.inf
+
+
+class TestClassify:
+    @pytest.mark.parametrize("value, status", [
+        (math.inf, "divergent"), (-math.inf, "useless"), (0.3, "ok"), (-2.0, "ok"),
+    ])
+    def test_status_follows_value(self, value, status):
+        bv = classify(value, {"beta": 1.0})
+        assert bv.status == status
+        assert bv.value == value and bv.argmax == {"beta": 1.0} and bv.diagnostics == {}
 
 
 class TestOptimizers:

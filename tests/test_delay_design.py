@@ -15,6 +15,7 @@ from riskbounds import (
     raised_cosine_pulse,
     raised_cosine_reference,
     solve_reference_ode,
+    uniform_density,
 )
 
 OMEGA0 = 2.0 * math.pi
@@ -173,3 +174,10 @@ class TestNuBound:
         again = nu_bound(prior, 0.3, beta=joint.argmax["beta"], nu=joint.argmax["nu"],
                          omega0=OMEGA0, ex=1.5, n0=20.0)
         assert again.value == pytest.approx(joint.value, abs=1e-9)
+
+    def test_profile_infeasible_everywhere_is_useless(self):
+        # a flat prior has zero information for every tilt, so with nu = 0
+        # no beta is feasible and the bound is -inf: useless, not ok
+        bv = nu_bound(uniform_density(0.0, 1.0), 0.5, nu=0.0, omega0=OMEGA0, ex=1.0, n0=1.0)
+        assert bv.value == -math.inf
+        assert bv.status == "useless"

@@ -219,6 +219,19 @@ class TestNonlinearBound:
         assert bv.value == math.inf
         assert bv.status == "divergent"
 
+    def test_unbounded_range_reports_the_maximizing_probe(self):
+        # the floor cancels the quadratic shift and peaks one unit right of
+        # theta, so the probe theta + 1 attains the supremum
+        theta, alpha = 0.25, 0.5
+        profile = CorrelationProfile(
+            ex=0.01, theta_range=(-math.inf, math.inf), unbounded=True,
+            rho_fn=lambda t, tt: math.exp(-4.0 * (t - tt) ** 2))
+        bv = nonlinear_bound(profile, alpha, theta=theta, n0=1.0,
+                             l_nb=lambda tt: -(tt - theta) ** 2 - (tt - theta - 1.0) ** 2)
+        assert bv.status == "ok"
+        assert bv.argmax["theta_tilde"] == theta + 1.0
+        assert bv.value == pytest.approx(-0.02 * (1.0 - math.exp(-4.0)), rel=1e-12)
+
     def test_matched_reference_recovers_mse_floor(self):
         profile = self._gauss_profile()
         alpha, floor = 0.8, 0.5
