@@ -33,6 +33,7 @@ from .divergences import (
     renyi_gaussian_linear,
     renyi_gaussian_pair,
     tilt_prior,
+    tilt_terms,
 )
 from .bayes_bounds import (
     LinearGaussianModel,

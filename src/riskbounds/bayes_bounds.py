@@ -42,7 +42,7 @@ from .divergences import (
     gaussian_kl,
     renyi_gaussian_linear,
     renyi_gaussian_pair,
-    tilt_prior,
+    tilt_terms,
 )
 
 __all__ = [
@@ -397,7 +397,9 @@ def tilted_prior_bound(
     where es_over_n0 carries the reference signal's (derivative) energy and
     corr_term the signal-distance penalty supplied by the caller's
     geometry.  Tilts whose total information sits below the regularity
-    floor are rejected: the MSE floor 1/I is meaningless there.
+    floor are rejected: the MSE floor 1/I is meaningless there.  I and D
+    come from ``tilt_terms``, so the prior caches its tilt scalars and a
+    repeated beta costs no new tilt.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -405,15 +407,15 @@ def tilted_prior_bound(
         raise DomainError("beta must be positive")
     if es_over_n0 < 0 or corr_term < 0:
         raise DomainError("energies must be nonnegative")
-    tilted = tilt_prior(prior, beta)
-    info = tilted.fisher_info + 2.0 * es_over_n0
+    fisher_info, kl = tilt_terms(prior, beta)
+    info = fisher_info + 2.0 * es_over_n0
     if info <= _FISHER_FLOOR:
         raise DomainError(
             "total information below regularity floor; the reference MSE bound "
             "does not apply to this tilt"
         )
-    value = alpha / info - tilted.kl_to_base() - corr_term
-    return classify(value, {"beta": beta, "fisher_info": tilted.fisher_info})
+    value = alpha / info - kl - corr_term
+    return classify(value, {"beta": beta, "fisher_info": fisher_info})
 
 
 def alpha_c_upper(
@@ -442,14 +444,14 @@ def alpha_c_upper(
     products: list[float] = []
     for b in betas:
         try:
-            t = tilt_prior(prior, float(b))
+            info, kl = tilt_terms(prior, float(b))
         except DomainError:
             continue
-        if t.fisher_info <= _FISHER_FLOOR:
+        if info <= _FISHER_FLOOR:
             continue
         ok_beta.append(float(b))
-        infos.append(t.fisher_info)
-        products.append(t.fisher_info * t.kl_to_base())
+        infos.append(info)
+        products.append(info * kl)
     if len(ok_beta) < 4:
         return math.inf
     info_arr = np.array(infos)

@@ -4,7 +4,8 @@ Everything here is deliberately small: extended reals (``+inf`` for a
 divergent bound, ``-inf`` for a useless one) are ordinary floats and
 ``classify`` is the one place that turns them into a status, grid
 functions are plain numpy arrays wrapped with their abscissae (a
-``GridDensity`` caches its trapezoid weights and log density), and the
+``GridDensity`` caches its trapezoid weights, log density and integral,
+and ``divergences.tilt_terms`` the scalars of its power tilts), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
 descent built on top of it.  ``logsumexp`` is the package's only
 log-sum-exp.
@@ -131,12 +132,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _density_on(theta: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Read-only float copy of a nonnegative density sampled on theta."""
+    p = np.array(density, dtype=float)
+    if p.shape != theta.shape:
+        raise GridError("density needs matching 1-D grids")
+    if np.any(p < 0):
+        raise DomainError("density must be nonnegative")
+    return _read_only(p)
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """A probability density sampled on a uniform-enough 1-D grid.
 
     theta and density are read-only copies of the caller's arrays, so the
-    cached quadrature weights and log density can never go stale.
+    cached quadrature weights, log density and integral can never go stale.
     """
 
     theta: np.ndarray
@@ -144,17 +155,21 @@ class GridDensity:
 
     def __post_init__(self):
         th = np.array(self.theta, dtype=float)
-        p = np.array(self.density, dtype=float)
-        if th.ndim != 1 or p.ndim != 1 or th.size != p.size:
+        if th.ndim != 1:
             raise GridError("density needs matching 1-D grids")
         if th.size < 8:
             raise GridError("density grid too coarse")
         if np.any(np.diff(th) <= 0):
             raise GridError("theta grid must be strictly increasing")
-        if np.any(p < 0):
-            raise DomainError("density must be nonnegative")
         object.__setattr__(self, "theta", _read_only(th))
-        object.__setattr__(self, "density", _read_only(p))
+        object.__setattr__(self, "density", _density_on(th, self.density))
+
+    def with_density(self, density: np.ndarray) -> "GridDensity":
+        """A density on this grid, sharing the already checked read-only theta."""
+        out = object.__new__(GridDensity)
+        object.__setattr__(out, "theta", self.theta)
+        object.__setattr__(out, "density", _density_on(self.theta, density))
+        return out
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -172,8 +187,12 @@ class GridDensity:
         with np.errstate(divide="ignore"):
             return _read_only(np.log(self.density))
 
-    def integral(self) -> float:
+    @functools.cached_property
+    def _integral(self) -> float:
         return float(np.trapezoid(self.density, self.theta))
+
+    def integral(self) -> float:
+        return self._integral
 
     def check_normalized(self, tol: float = 1e-6) -> None:
         z = self.integral()
@@ -181,7 +200,7 @@ class GridDensity:
             raise DomainError(f"density integrates to {z:.6g}, not 1 within {tol:g}")
 
     def normalized(self) -> "GridDensity":
-        return GridDensity(self.theta, self.density / self.integral())
+        return self.with_density(self.density / self.integral())
 
     def mean(self) -> float:
         return float(np.trapezoid(self.theta * self.density, self.theta))

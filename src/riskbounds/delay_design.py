@@ -177,7 +177,10 @@ def nu_bound(
     information-versus-divergence form used for critical-factor estimates;
     nu = 1 makes the reference equal the pulse at maximal derivative
     energy.  With ``optimize`` the (nu, beta) pair is maximized jointly by
-    coordinate descent with restarts.
+    coordinate descent with restarts.  Only beta moves the tilt: the prior
+    caches its tilt scalars (``divergences.tilt_terms``), so the nu passes
+    and every revisited beta cost scalar arithmetic, not a new tilt.  A
+    bound that is -inf for every beta reports beta = nan.
 
     The prior must already be restricted to the valid delay window; edge
     effects of delays near the observation horizon are the caller's
@@ -215,6 +218,8 @@ def nu_bound(
         beta_star, val, n_eval = maximize_scalar(
             lambda b: value_at(nu, b), *beta_bracket, log_spaced=True, coarse=64
         )
+        if val == -math.inf:
+            beta_star = math.nan  # no feasible beta: the grid point is not a maximizer
         return classify(val, {"nu": nu, "beta": beta_star}, {"n_eval": n_eval})
     val = value_at(nu, beta)
     if val == -math.inf:

@@ -5,7 +5,9 @@ zero-mean Gaussian priors, the path divergence between two signals in
 white noise, the Gaussian quadratic-exponential moment, the Renyi
 divergence between a nonlinear signal model and a linear-Gaussian
 reference, and power-tilted priors with their normalizer, log-normalizer
-derivative and Fisher information.
+derivative and Fisher information.  ``tilt_terms`` memoizes a tilt's
+information and divergence on the prior, so each (prior, beta) is tilted
+once however often an optimizer revisits it.
 
 All returns are extended reals: a legitimately divergent quantity comes
 back as ``+inf`` rather than raising.
@@ -33,6 +35,7 @@ __all__ = [
     "renyi_gaussian_linear",
     "renyi_gaussian_pair",
     "tilt_prior",
+    "tilt_terms",
 ]
 
 _NORM_TOL = 1e-6          # quadrature tolerance for density normalization
@@ -272,7 +275,7 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
             f"tilted density escapes the grid window (edge ratio {tilt_edge:.3g}); "
             "supply a wider grid for this beta"
         )
-    q_density = GridDensity(base.theta, q)
+    q_density = base.with_density(q)
     dq = np.gradient(q, base.theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(q > 0.0, dq * dq / np.where(q > 0.0, q, 1.0), 0.0)
@@ -289,3 +292,30 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     )
     q_density.check_normalized(10.0 * _NORM_TOL)
     return tilted
+
+
+def tilt_terms(prior: GridDensity, beta: float) -> tuple[float, float]:
+    """(I(Q_beta), D(Q_beta || P)) of ``tilt_prior(prior, beta)``, tilted once per beta.
+
+    The prior caches these two floats per beta in its instance dict, where
+    ``functools.cached_property`` keeps its weights, so a hit returns the
+    very floats the first tilt computed.  A rejected tilt caches its
+    ``DomainError`` message and raises a fresh ``DomainError`` with that
+    text on every call.  No array is cached: callers that need Q_beta
+    itself call ``tilt_prior``, which always builds fresh arrays.  Threads
+    sharing a prior may race on a missing beta; both compute and store the
+    same floats.
+    """
+    memo = vars(prior).setdefault("_tilt_terms", {})
+    beta = float(beta)
+    terms = memo.get(beta)
+    if terms is None:
+        try:
+            tilted = tilt_prior(prior, beta)
+            terms = (tilted.fisher_info, tilted.kl_to_base())
+        except DomainError as exc:
+            terms = str(exc)
+        memo[beta] = terms
+    if isinstance(terms, str):
+        raise DomainError(terms)
+    return terms

@@ -116,6 +116,13 @@ class TestDeterminismAndConfig:
         _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
         assert data_rows(out1) == data_rows(out4)
 
+    def test_joint_delay_sweep_threads_share_the_tilt_memo(self, capsys):
+        base = ["bound", "bayes-delay", "--prior", "gaussian:1.0", "--alpha-sweep", "0.1:1:4"]
+        _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
+        _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
+        assert len(data_rows(out1)) == 4
+        assert data_rows(out1) == data_rows(out2)
+
     def test_mc_threads_bit_identical(self, capsys):
         base = ["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
                 "--alpha", "0.3", "--samples", "50000", "--seed", "5"]
@@ -231,6 +238,12 @@ class TestSweeps:
                                 "--alpha-c"], capsys)
         assert code == 0
         assert data_rows(out)[0][0] == "inf"
+
+    def test_delay_bound_useless_row_has_no_beta(self, capsys):
+        code, out, _ = run_cli(["bound", "bayes-delay", "--prior", "uniform:0,1",
+                                "--nu", "0", "--alpha", "0.5"], capsys)
+        assert code == 0
+        assert data_rows(out) == [["0.5", "-inf", "0", "nan", "useless"]]
 
     def test_delay_bound_fixed_point(self, capsys):
         code, out, _ = run_cli(["bound", "bayes-delay", "--prior", "gaussian:1.0",

@@ -181,3 +181,4 @@ class TestNuBound:
         bv = nu_bound(uniform_density(0.0, 1.0), 0.5, nu=0.0, omega0=OMEGA0, ex=1.0, n0=1.0)
         assert bv.value == -math.inf
         assert bv.status == "useless"
+        assert math.isnan(bv.argmax["beta"])

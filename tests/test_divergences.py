@@ -1,6 +1,9 @@
 """Closed-form information measures against quadrature and identity oracles."""
 
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +24,10 @@ from riskbounds import (
     gaussian_quad_mgf,
     path_divergence,
     renyi_gaussian_linear,
+    nu_bound,
     tilt_prior,
+    tilt_terms,
+    tilted_prior_bound,
     uniform_density,
 )
 
@@ -320,3 +326,101 @@ class TestTiltPrior:
     def test_nonpositive_beta_rejected(self, gaussian_prior_grid):
         with pytest.raises(DomainError):
             tilt_prior(gaussian_prior_grid(1.0), 0.0)
+
+    def test_tilted_density_shares_the_base_grid(self, gaussian_prior_grid):
+        prior = gaussian_prior_grid(1.0)
+        tilted = tilt_prior(prior, 2.0)
+        assert tilted.q_density.theta is prior.theta
+        assert not tilted.q_density.density.flags.writeable
+
+    def test_unnormalized_base_rejected_every_time(self):
+        base = GridDensity(np.linspace(0.0, 1.0, 65), np.full(65, 2.0))
+        for _ in range(2):  # the cached integral still fails the check
+            with pytest.raises(DomainError, match="integrates to 2"):
+                tilt_prior(base, 1.5)
+
+
+class TestTiltTerms:
+    def test_hit_returns_the_fresh_bound(self, gaussian_prior_grid):
+        prior = gaussian_prior_grid(1.0)
+        first = tilted_prior_bound(prior, 0.3, 1.7, 0.5, 0.1)
+        hit = tilted_prior_bound(prior, 0.3, 1.7, 0.5, 0.1)
+        fresh = tilted_prior_bound(gaussian_prior_grid(1.0), 0.3, 1.7, 0.5, 0.1)
+        assert hit == first == fresh
+        tilted = tilt_prior(prior, 1.7)
+        assert tilt_terms(prior, 1.7) == (tilted.fisher_info, tilted.kl_to_base())
+
+    def test_rejected_tilt_raises_the_same_message_on_every_call(self, gaussian_prior_grid):
+        prior = gaussian_prior_grid(1.0)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError, match="escapes the grid window") as info:
+                tilt_terms(prior, 0.01)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(DomainError, match="escapes the grid window"):
+            tilted_prior_bound(prior, 0.3, 0.01, 0.5)
+
+    def test_joint_delay_search_tilts_each_beta_once(self, gaussian_prior_grid, monkeypatch):
+        import riskbounds.divergences as divergences
+
+        tilted = Counter()
+        original = divergences.tilt_prior
+
+        def counting(base, beta):
+            tilted[beta] += 1
+            return original(base, beta)
+
+        monkeypatch.setattr(divergences, "tilt_prior", counting)
+        prior = gaussian_prior_grid(1.0)
+        bv = nu_bound(prior, 0.6, omega0=2.0 * math.pi, ex=1.5, n0=20.0, optimize=True)
+        assert math.isfinite(bv.value)
+        assert tilted and max(tilted.values()) == 1
+        assert set(tilted) == set(vars(prior)["_tilt_terms"])
+
+    def test_memo_holds_no_arrays(self, gaussian_prior_grid):
+        prior = gaussian_prior_grid(1.0)
+        for beta in (0.01, 0.5, 1.0, 2.0):
+            try:
+                tilt_terms(prior, beta)
+            except DomainError:
+                pass
+        memo = vars(prior)["_tilt_terms"]
+        assert len(memo) == 4
+        for entry in memo.values():
+            assert not isinstance(entry, np.ndarray)
+            assert isinstance(entry, str) or all(type(x) is float for x in entry)
+
+    def test_threads_sharing_a_prior_get_the_serial_floats(self, gaussian_prior_grid):
+        betas = [0.5, 0.8, 1.0, 1.7, 2.5, 0.01]
+        serial = {}
+        for b in betas:
+            try:
+                serial[b] = tilt_terms(gaussian_prior_grid(1.0, n=513), b)
+            except DomainError as exc:
+                serial[b] = str(exc)
+        prior = gaussian_prior_grid(1.0, n=513)
+        results = []
+
+        def work(offset):
+            for i in range(60):
+                b = betas[(i + offset) % len(betas)]
+                try:
+                    results.append((b, tilt_terms(prior, b)))
+                except DomainError as exc:
+                    results.append((b, str(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 * 60
+        assert all(serial[b] == got for b, got in results)
+        assert set(vars(prior)["_tilt_terms"]) == set(betas)
