@@ -406,6 +406,10 @@ def _cmd_verify(args) -> int:
                            n_samples=args.samples, master_seed=args.seed,
                            sigma2=args.sigma2, es=args.es, n0=args.n0)
         res = verify.mc_lambda(run, workers=_threads(args))
+        if res.heavy_tail:
+            print(f"warning: tail-dominated estimate: max_share {res.max_share:.6g} exceeds "
+                  f"{verify._MAX_SHARE_WARN:g}; divergence threshold {res.threshold:.6g}",
+                  file=sys.stderr)
         header = ["model", "estimator", "alpha", "n_samples", "seed",
                   "lambda_hat", "se", "max_share"]
         rows = [[args.model, args.estimator, alpha, args.samples, args.seed,

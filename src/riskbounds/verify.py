@@ -18,6 +18,7 @@ a damped fixed-point iteration on the tilted posterior mean with a direct
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,10 +70,14 @@ class MCRun:
     def __post_init__(self):
         if self.n_samples < 1000:
             raise DomainError("n_samples must be at least 1e3")
+        if not all(math.isfinite(v) for v in (self.alpha, self.sigma2, self.es, self.n0)):
+            raise DomainError("alpha and the model parameters must be finite")
         if self.alpha <= 0:
             raise DomainError("alpha must be positive")
         if self.sigma2 <= 0 or self.n0 <= 0 or self.es < 0:
             raise DomainError("model parameters out of range")
+        if not 0 <= self.master_seed < 2 ** 128:
+            raise DomainError("master_seed must lie in [0, 2**128)")
 
 
 @dataclass(frozen=True)
@@ -109,28 +114,30 @@ MODEL_THRESHOLDS: dict[tuple[str, str], Callable[[MCRun], float]] = {
 
 
 def _errors_for_block(run: MCRun, block_index: int, m: int) -> np.ndarray:
-    """Estimation errors for one counter block, in a fixed draw order."""
+    """Estimation errors for one counter block, in a fixed draw order.
+
+    The block's normals come in order: m for the parameter, then m for
+    the observation noise when the estimator sees the observation (nb-ml
+    draws only its m noise normals).  Two draws of m give the same stream
+    as one of 2m, so a run that needs no noise stops after the first m.
+    """
     bitgen = np.random.Philox(
         key=run.master_seed,
         counter=np.array([0, 0, block_index, 0], dtype=np.uint64),
     )
     gen = np.random.Generator(bitgen)
-    if run.model_id in ("lin-gauss",):
-        z = gen.standard_normal(2 * m)
-        theta = math.sqrt(run.sigma2) * z[:m]
-        if run.estimator_id == "zero" or run.es == 0.0:
-            return -theta
-        noise = math.sqrt(run.es * run.n0 / 2.0) * z[m:]
-        stat = theta * run.es + noise
-        coef = run.sigma2 / (run.sigma2 * run.es + run.n0 / 2.0)
-        return coef * stat - theta
-    if run.model_id == "phase-trivial":
-        theta = math.sqrt(run.sigma2) * gen.standard_normal(m)
-        return -theta
     if run.model_id == "nb-ml":
         scale = math.sqrt(run.n0 / (2.0 * run.es))
         return scale * gen.standard_normal(m)
-    raise DomainError(f"unknown model_id {run.model_id!r}")
+    if run.model_id not in ("lin-gauss", "phase-trivial"):
+        raise DomainError(f"unknown model_id {run.model_id!r}")
+    theta = math.sqrt(run.sigma2) * gen.standard_normal(m)
+    if run.model_id == "phase-trivial" or run.estimator_id == "zero" or run.es == 0.0:
+        return -theta
+    noise = math.sqrt(run.es * run.n0 / 2.0) * gen.standard_normal(m)
+    stat = theta * run.es + noise
+    coef = run.sigma2 / (run.sigma2 * run.es + run.n0 / 2.0)
+    return coef * stat - theta
 
 
 def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
@@ -140,6 +147,11 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     threshold: the estimator's variance blows up there before its mean
     does.  Identical master seeds give bit-identical results for any
     worker count; blocks are reduced in index order by log-sum-exp.
+
+    The batch means come from contiguous slices of each block, cut at the
+    batch edges: a block that lies inside one batch reuses its own
+    log-sum-exp, and one that straddles edges (at n = 1000 a single block
+    covers all 20 batches) adds one slice per batch it touches.
     """
     key = (run.model_id, run.estimator_id)
     if key not in MODEL_THRESHOLDS:
@@ -153,20 +165,22 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
 
     n = run.n_samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
-    batch_edges = np.array([i * n // _N_BATCHES for i in range(_N_BATCHES + 1)])
+    batch_edges = [i * n // _N_BATCHES for i in range(_N_BATCHES + 1)]
 
     def block_stats(b: int):
         start = b * _BLOCK
-        m = min(_BLOCK, n - start)
-        errors = _errors_for_block(run, b, m)
+        stop = min(start + _BLOCK, n)
+        errors = _errors_for_block(run, b, stop - start)
         log_terms = run.alpha * errors * errors
-        idx = np.arange(start, start + m)
-        batch_ids = np.searchsorted(batch_edges, idx, side="right") - 1
+        lse = logsumexp(log_terms)
         per_batch = []
-        for j in np.unique(batch_ids):
-            sel = log_terms[batch_ids == j]
-            per_batch.append((int(j), logsumexp(sel), sel.size))
-        return logsumexp(log_terms), float(np.max(log_terms)), per_batch
+        lo, j = start, bisect_right(batch_edges, start) - 1
+        while lo < stop:
+            hi = min(stop, batch_edges[j + 1])
+            sel = log_terms[lo - start:hi - start]
+            per_batch.append((j, lse if sel.size == log_terms.size else logsumexp(sel), sel.size))
+            lo, j = hi, j + 1
+        return lse, float(np.max(log_terms)), per_batch
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -91,6 +91,23 @@ class TestSchemas:
         row = data_rows(out)[0]
         assert float(row[5]) == pytest.approx(0.5 * math.log(2), abs=0.05)
 
+    def test_verify_mc_heavy_tail_goes_to_stderr(self, capsys):
+        base = ["verify", "mc", "--model", "phase-trivial", "--estimator", "zero",
+                "--sigma2", "0.5", "--samples", "1000"]
+        code, out, err = run_cli(base + ["--alpha-frac", "0.5", "--seed", "4"], capsys)
+        assert code == 0
+        row = data_rows(out)[0]
+        assert float(row[7]) > 0.01
+        assert err.count("\n") == 1
+        assert "tail-dominated" in err and "exceeds 0.01" in err
+        assert f"max_share {float(row[7]):.6g}" in err
+        assert "divergence threshold 1" in err
+        assert len(data_rows(out)) == 1 and header(out).endswith(",se,max_share")
+        code, out, err = run_cli(base + ["--alpha-frac", "0.3", "--seed", "0"], capsys)
+        assert code == 0
+        assert float(data_rows(out)[0][7]) < 0.01
+        assert err == ""
+
     def test_verify_bernoulli_schema(self, capsys):
         code, out, _ = run_cli(["verify", "bernoulli-exact", "--n", "200",
                                 "--a", "1.0", "--theta", "0.3"], capsys)
@@ -102,8 +119,6 @@ class TestSchemas:
 class TestDeterminismAndConfig:
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ["bound", "bayes-lpcb", "--alpha-sweep", "0.1:0.9:7",
-                "--sigma2", "0.5", "--snr", "0.01", "--seed"] if False else \
-               ["bound", "bayes-lpcb", "--alpha-sweep", "0.1:0.9:7",
                 "--sigma2", "0.5", "--snr", "0.01"]
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
@@ -195,6 +210,17 @@ class TestExitCodes:
                                 "--sigma2", "0.5", "--es", "0"], capsys)
         assert code == 3
         assert "threshold" in err
+
+    @pytest.mark.parametrize("bad", [["--seed", "-1"],
+                                     ["--seed", "1", "--alpha-frac", "nan"],
+                                     ["--seed", "1", "--sigma2", "nan"]])
+    def test_bad_mc_inputs_are_three(self, capsys, bad):
+        argv = ["verify", "mc", "--model", "lin-gauss", "--estimator", "zero",
+                "--sigma2", "0.5", "--alpha-frac", "0.3", "--samples", "1000"]
+        code, out, err = run_cli(argv + bad, capsys)
+        assert code == 3
+        assert err.strip().startswith("error:")
+        assert out == ""
 
     def test_certify_passes_cleanly(self, capsys):
         code, out, err = run_cli(["verify", "certify", "--samples", "20000",

@@ -24,6 +24,59 @@ from oracles import bernoulli_nonbayes_exponent
 
 LN2 = math.log(2.0)
 
+# Runs whose (lambda_hat, se, max_share) are pinned bit for bit below.  The
+# alphas are half of each model's divergence threshold; the es = 0 entry
+# takes the cond-mean estimator down its prior-only path.
+_PINNED_RUNS = {
+    "lin-gauss/cond-mean": dict(model_id="lin-gauss", estimator_id="cond-mean", alpha=1.0,
+                                master_seed=11, sigma2=0.5, es=1.0, n0=1.0),
+    "lin-gauss/cond-mean/es0": dict(model_id="lin-gauss", estimator_id="cond-mean",
+                                    alpha=0.35714285714285715, master_seed=12,
+                                    sigma2=0.7, es=0.0, n0=1.0),
+    "lin-gauss/zero": dict(model_id="lin-gauss", estimator_id="zero", alpha=0.4166666666666667,
+                           master_seed=13, sigma2=0.6, es=2.0, n0=1.0),
+    "phase-trivial/zero": dict(model_id="phase-trivial", estimator_id="zero", alpha=0.3125,
+                               master_seed=14, sigma2=0.8),
+    "nb-ml/ml": dict(model_id="nb-ml", estimator_id="ml", alpha=1.0, master_seed=15,
+                     es=2.0, n0=1.0),
+}
+
+# n = 1000: one block covers all 20 batches; n = 81 921: the batch edges fall
+# on block edges and a one-sample last block joins the last batch;
+# n = 123 457: blocks straddle batch edges and the last block is ragged.
+_PINNED_VALUES = {
+    ("lin-gauss/cond-mean", 1_000):
+        (0.3367919316120389, 0.0204430094966705, 0.012743752310618894),
+    ("lin-gauss/cond-mean", 81_921):
+        (0.34281785926312835, 0.0026148563176244953, 0.0007816463363506149),
+    ("lin-gauss/cond-mean", 123_457):
+        (0.34258991344179357, 0.0018717416066393552, 0.0005187866811563628),
+    ("lin-gauss/cond-mean/es0", 1_000):
+        (0.3592723964507325, 0.02228543882804914, 0.012274668358815632),
+    ("lin-gauss/cond-mean/es0", 81_921):
+        (0.34810595861257276, 0.002633592743720811, 0.0010090813375074172),
+    ("lin-gauss/cond-mean/es0", 123_457):
+        (0.3469601817163035, 0.00177174042626898, 0.0006703526096095228),
+    ("lin-gauss/zero", 1_000):
+        (0.31851366106320533, 0.014253422637138987, 0.005417415101047099),
+    ("lin-gauss/zero", 81_921):
+        (0.34886409898048676, 0.0024261298715000153, 0.000796298406553772),
+    ("lin-gauss/zero", 123_457):
+        (0.3494313320939, 0.0020897202683597023, 0.0005280913161629542),
+    ("phase-trivial/zero", 1_000):
+        (0.3509720158550369, 0.022604233712797784, 0.010574927182934514),
+    ("phase-trivial/zero", 81_921):
+        (0.34572422228700717, 0.003881955784724699, 0.001888831332056686),
+    ("phase-trivial/zero", 123_457):
+        (0.34707244607357346, 0.0027473330923033523, 0.0012516623178869591),
+    ("nb-ml/ml", 1_000):
+        (0.3736144854717729, 0.027996113107128077, 0.019979302977393934),
+    ("nb-ml/ml", 81_921):
+        (0.3431232922876468, 0.0031410590258637303, 0.0009517529486664778),
+    ("nb-ml/ml", 123_457):
+        (0.3468576120104707, 0.0028628368023205578, 0.001087616547997791),
+}
+
 
 class TestMcLambda:
     def test_conditional_mean_matches_exact_minimum(self):
@@ -73,6 +126,27 @@ class TestMcLambda:
         assert serial.lambda_hat == threaded.lambda_hat
         assert serial.se == threaded.se
         assert serial.max_share == threaded.max_share
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", list(_PINNED_VALUES), ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_bits_match_pinned_values(self, case, workers):
+        name, n = case
+        res = mc_lambda(MCRun(n_samples=n, **_PINNED_RUNS[name]), workers=workers)
+        assert (res.lambda_hat, res.se, res.max_share) == _PINNED_VALUES[case]
+
+    @pytest.mark.parametrize("field", ["alpha", "sigma2", "es", "n0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        params = dict(alpha=0.3, n_samples=1000, master_seed=1, sigma2=0.5, es=1.0, n0=1.0)
+        params[field] = value
+        with pytest.raises(DomainError):
+            MCRun("lin-gauss", "zero", **params)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        with pytest.raises(DomainError):
+            MCRun("nb-ml", "ml", alpha=0.1, n_samples=1000, master_seed=seed)
+        MCRun("nb-ml", "ml", alpha=0.1, n_samples=1000, master_seed=2 ** 128 - 1)
 
     def test_seed_reproducibility_and_sensitivity(self):
         base = MCRun("nb-ml", "ml", alpha=0.3, n_samples=10 ** 4, master_seed=2)
