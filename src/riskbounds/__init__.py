@@ -45,6 +45,7 @@ from .bayes_bounds import (
     iterated_lpcb,
     linear_gaussian_min_lambda,
     lpcb_bound,
+    lpcb_sweep,
     make_phase_model,
     nonlinear_linear_ref_bound,
     optimal_reference_signal,

@@ -35,7 +35,9 @@ from .core import (
     Waveform,
     classify,
     divergence_onset,
+    float_or_array,
     maximize_scalar,
+    select,
 )
 from .divergences import (
     GaussianPriorPair,
@@ -60,6 +62,7 @@ __all__ = [
     "alpha_c_upper",
     "ww_rect_delay_bound",
     "lpcb_bound",
+    "lpcb_sweep",
     "iterated_lpcb",
     "alpha_c_estimate",
 ]
@@ -500,8 +503,8 @@ def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
 
 
 def _lpcb_value(
-    alpha: float,
-    beta: float,
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
     *,
     sigma2: float,
     ex: float,
@@ -510,8 +513,11 @@ def _lpcb_value(
     es: float,
     q_const: float,
     t_horizon: float,
-) -> float:
-    """One point of the Renyi-divergence bound; -inf when vacuous, +inf when divergent."""
+) -> float | np.ndarray:
+    """Points of the Renyi-divergence bound; -inf when vacuous, +inf when divergent.
+
+    alpha and beta broadcast against each other; floats give a float.
+    """
     renyi = renyi_gaussian_linear(
         alpha / beta,
         sigma2=sigma2,
@@ -522,15 +528,101 @@ def _lpcb_value(
         q_const=q_const,
         t_horizon=t_horizon,
     )
-    if math.isinf(renyi):
-        return -math.inf
     residual = alpha - beta
     alpha_c_ref = 1.0 / (2.0 * sigma2_q) + es / n0
     ratio = residual / alpha_c_ref
-    if ratio >= 1.0:
-        return math.inf
-    first = -alpha / (2.0 * residual) * math.log1p(-ratio)
-    return first - renyi
+    below = ratio < 1.0
+    value = -alpha / (2.0 * residual) * np.log1p(-select(below, ratio, 0.0)) - renyi
+    return float_or_array(select(renyi == math.inf, -math.inf, select(below, value, math.inf)))
+
+
+def _lpcb_model(
+    sigma2: float,
+    ex: float,
+    n0: float,
+    sigma2_q: float | None,
+    es: float,
+    q_const: float,
+    t_horizon: float,
+) -> dict:
+    """Checked keyword arguments of ``_lpcb_value``; sigma2_q defaults to sigma2."""
+    model = dict(sigma2=sigma2, ex=ex, n0=n0, sigma2_q=sigma2 if sigma2_q is None else sigma2_q,
+                 es=es, q_const=q_const, t_horizon=t_horizon)
+    model = {key: float(value) for key, value in model.items()}
+    if not all(math.isfinite(value) for value in model.values()):
+        raise DomainError("lpcb parameters must be finite")
+    if min(model["sigma2"], model["sigma2_q"], model["n0"], model["t_horizon"]) <= 0.0:
+        raise DomainError("sigma2, sigma2_q, n0 and t_horizon must be positive")
+    if min(model["es"], model["ex"]) < 0.0:
+        raise DomainError("es and ex must be nonnegative")
+    return model
+
+
+def lpcb_sweep(
+    alphas: Sequence[float] | np.ndarray,
+    beta: float | None = None,
+    *,
+    sigma2: float,
+    ex: float,
+    n0: float = 1.0,
+    sigma2_q: float | None = None,
+    es: float = 0.0,
+    q_const: float = 0.0,
+    t_horizon: float = 1.0,
+) -> list[BoundValue]:
+    """``lpcb_bound`` at every alpha of a sequence, one BoundValue per alpha.
+
+    The alphas are evaluated together: a fixed split is one array
+    evaluation, and the optimized splits are one batched
+    ``maximize_scalar`` over the whole sequence.  Each row's diagnostics
+    ``n_eval`` counts the points its search evaluated (every row of a
+    batch evaluates the same number).
+    """
+    model = _lpcb_model(sigma2, ex, n0, sigma2_q, es, q_const, t_horizon)
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(alphas) & (alphas > 0.0)):
+        raise DomainError("alpha must be positive and finite")
+
+    def f(a, b):
+        return _lpcb_value(a, b, **model)
+
+    if beta is not None:
+        if not np.all((0.0 < beta) & (beta < alphas)):
+            raise DomainError("beta must lie strictly inside (0, alpha)")
+        return [classify(v, {"beta": beta}) for v in f(alphas, beta).tolist()]
+
+    # the largest split whose residual alpha - beta reaches the reference
+    # critical factor: the bound is +inf there unless the Renyi term
+    # diverges too, and then it diverges at every smaller split (every
+    # higher order) as well, so this one probe decides divergence
+    alpha_c_ref = 1.0 / (2.0 * model["sigma2_q"]) + model["es"] / model["n0"]
+    lo = _BETA_EDGE * alphas
+    hi = (1.0 - _BETA_EDGE) * alphas
+    witness = np.maximum(lo, (alphas - alpha_c_ref) * (1.0 - 1e-9))
+    probe = (alphas - lo >= alpha_c_ref) & (witness < hi)
+    divergent = np.zeros_like(probe)
+    if probe.any():
+        divergent[probe] = f(alphas[probe], witness[probe]) == math.inf
+    search = ~divergent
+    a, lo, hi = alphas[search], lo[search], hi[search]
+    if a.size == 1:
+        # float brackets run the pure-Python golden loop, far cheaper than
+        # numpy for one search and the same to the bit
+        a, lo, hi = a.item(), lo.item(), hi.item()
+    found = iter(())
+    if search.any():
+        b_star, vals, n_eval = maximize_scalar(lambda b: f(a, b), lo, hi, log_spaced=True, coarse=96)
+        n_eval //= int(search.sum())
+        found = zip(np.atleast_1d(b_star).tolist(), np.atleast_1d(vals).tolist())
+    out = []
+    for w, div in zip(witness.tolist(), divergent.tolist()):
+        if div:
+            out.append(classify(math.inf, {"beta": w},
+                                {"witness": "residual reaches the reference critical factor"}))
+        else:
+            b, v = next(found)
+            out.append(classify(v, {"beta": b}, {"n_eval": n_eval}))
+    return out
 
 
 def lpcb_bound(
@@ -552,33 +644,10 @@ def lpcb_bound(
     (alpha / beta) Renyi divergence from reference to truth.  With beta
     omitted, the supremum over the split is taken by a log-bracketed
     golden-section search.  q_const defaults to zero, the orthogonal-
-    reference convention.
+    reference convention.  This is the one-alpha case of ``lpcb_sweep``.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    s2q = sigma2 if sigma2_q is None else float(sigma2_q)
-
-    def f(b: float) -> float:
-        return _lpcb_value(
-            alpha, b, sigma2=sigma2, ex=ex, n0=n0,
-            sigma2_q=s2q, es=es, q_const=q_const, t_horizon=t_horizon,
-        )
-
-    if beta is not None:
-        if not (0.0 < beta < alpha):
-            raise DomainError("beta must lie strictly inside (0, alpha)")
-        return classify(f(beta), {"beta": beta})
-
-    alpha_c_ref = 1.0 / (2.0 * s2q) + es / n0
-    lo = _BETA_EDGE * alpha
-    hi = (1.0 - _BETA_EDGE) * alpha
-    if alpha - lo >= alpha_c_ref:
-        witness = max(lo, (alpha - alpha_c_ref) * (1.0 + 1e-9) + 1e-300)
-        if witness < hi and math.isinf(f(witness)):
-            return classify(math.inf, {"beta": witness},
-                            {"witness": "residual reaches the reference critical factor"})
-    b_star, val, n_eval = maximize_scalar(f, lo, hi, log_spaced=True, coarse=96)
-    return classify(val, {"beta": b_star}, {"n_eval": n_eval})
+    return lpcb_sweep([alpha], beta, sigma2=sigma2, ex=ex, n0=n0, sigma2_q=sigma2_q,
+                      es=es, q_const=q_const, t_horizon=t_horizon)[0]
 
 
 def iterated_lpcb(

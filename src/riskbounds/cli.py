@@ -59,6 +59,13 @@ def _parse_sweep(text: str, log: bool = False) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in str(text).split(",")]
+    except ValueError as exc:
+        raise DomainError(f"bad {flag} value {text!r}, expected comma-separated numbers") from exc
+
+
 def _alpha_values(args) -> np.ndarray:
     if getattr(args, "alpha_sweep", None):
         return _parse_sweep(args.alpha_sweep, args.log)
@@ -225,18 +232,16 @@ def _cmd_bound(args) -> int:
         rows = _map_indexed(row, _alpha_values(args), n_threads)
 
     elif kind == "bayes-lpcb":
-        snrs = [float(s) for s in str(args.snr).split(",")]
         header = ["alpha", "snr", "bound", "beta_star", "status"]
         alphas = _alpha_values(args)
         rows = []
-        for snr in snrs:
-            def row(a, snr=snr):
-                bv = bayes_bounds.lpcb_bound(
-                    float(a), args.beta, sigma2=args.sigma2, ex=snr * args.n0, n0=args.n0,
-                    sigma2_q=args.sigma2q, es=args.es, q_const=args.q_const,
-                    t_horizon=args.t_horizon)
-                return [float(a), snr, bv.value, bv.argmax.get("beta", math.nan), bv.status]
-            rows.extend(_map_indexed(row, alphas, n_threads))
+        for snr in _float_list(args.snr, "--snr"):
+            bvs = bayes_bounds.lpcb_sweep(
+                alphas, args.beta, sigma2=args.sigma2, ex=snr * args.n0, n0=args.n0,
+                sigma2_q=args.sigma2q, es=args.es, q_const=args.q_const,
+                t_horizon=args.t_horizon)
+            rows.extend([float(a), snr, bv.value, bv.argmax.get("beta", math.nan), bv.status]
+                        for a, bv in zip(alphas, bvs))
 
     elif kind == "nonbayes-linear":
         header = ["alpha", "bound", "ml_lambda", "alpha_c", "status"]
@@ -250,7 +255,7 @@ def _cmd_bound(args) -> int:
         gamma = np.loadtxt(args.gamma_file, delimiter=",", ndmin=2)
         model = nonbayes_bounds.VectorLinearModel(gamma, args.es, args.n0)
         header = ["scale", "quad_form", "bound", "ml_lambda", "status"]
-        vec = np.array([float(v) for v in args.alpha_vec.split(",")])
+        vec = np.array(_float_list(args.alpha_vec, "--alpha-vec"))
         if args.scale_sweep:
             scales = _parse_sweep(args.scale_sweep, args.log)
         else:

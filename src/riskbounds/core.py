@@ -7,8 +7,12 @@ functions are plain numpy arrays wrapped with their abscissae (a
 ``GridDensity`` caches its trapezoid weights, log density and integral,
 and ``divergences.tilt_terms`` the scalars of its power tilts), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
-descent built on top of it.  ``logsumexp`` is the package's only
-log-sum-exp.
+descent built on top of it.  The 1-D searches also take arrays of
+brackets and then run every element as a search of its own in one numpy
+loop, with the same result per element as the scalar search; float
+brackets keep a plain Python loop.  ``logsumexp`` is the package's only
+log-sum-exp; ``select`` and ``float_or_array`` let one closed form take
+floats or arrays.
 """
 
 from __future__ import annotations
@@ -64,6 +68,26 @@ def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
         return m
     e = np.exp(x - m)
     return m + math.log(float(np.sum(e if w is None else w * e)))
+
+
+def float_or_array(x) -> float | np.ndarray:
+    """A float for a 0-d result, the array itself otherwise.
+
+    With ``select`` this lets one numpy formula serve float and array
+    arguments alike.
+    """
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def select(cond, x, y):
+    """``np.where(cond, x, y)``; a scalar condition picks x or y directly.
+
+    np.where costs microseconds even on floats, which a 1-D search that
+    evaluates a closed form point by point would pay at every point.
+    """
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
 
 
 @dataclass(frozen=True)
@@ -227,17 +251,27 @@ def uniform_density(lo: float, hi: float, n: int = 4097) -> GridDensity:
 
 
 def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 200,
-) -> tuple[float, float]:
+) -> tuple:
     """Maximize a unimodal scalar function on [lo, hi].
 
     Returns (argmax, value).  -inf function values are handled (they lose
     every comparison), so brackets may touch infeasible regions.
+
+    With equal-shape arrays lo and hi, f maps an array of points to the
+    array of their values and every element is a search of its own: it
+    stops moving once its bracket meets the stopping rule, and it returns
+    what a scalar call on its bracket returns.  Each step still evaluates
+    every element, stopped ones at a point of their bracket.  Float
+    brackets run a plain Python loop, about a hundred times faster than
+    numpy on a single element.
     """
+    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
+        return _golden_section_batch(f, lo, hi, tol, max_iter)
     a, b = float(lo), float(hi)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -257,49 +291,109 @@ def golden_section_max(
     return x, f(x)
 
 
+def _golden_section_batch(f, lo, hi, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar loop of ``golden_section_max`` run on every element at once."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if a.shape != b.shape:
+        raise DomainError("bracket arrays must have equal shapes")
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        live = np.abs(b - a) > tol * (1.0 + np.abs(a) + np.abs(b))
+        if not live.any():
+            break
+        gt = fc > fd
+        left, right = live & gt, live & ~gt
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
+                        np.where(left, c, d), np.where(left, fc, fd))
+        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+    x = np.where(fc > fd, c, d)
+    return x, f(x)
+
+
+# math.log, not np.log, on bracket ends: the two differ in the last bit for
+# about one input in a thousand, and a batched search must match its scalar one
+_math_log = np.vectorize(math.log, otypes=[float])
+
+
 def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     *,
     log_spaced: bool = False,
     coarse: int = 64,
     tol: float = 1e-10,
-) -> tuple[float, float, int]:
+) -> tuple:
     """Coarse grid sweep followed by golden-section polish.
 
     The coarse sweep guards against non-unimodal profiles; the polish runs
     on the bracket around the best coarse point.  Returns
-    (argmax, value, n_evaluations).
+    (argmax, value, n_evaluations), the last a Python int counting every
+    point passed to f.
+
+    With equal-shape arrays lo and hi, every element is a search of its
+    own and argmax and value are arrays: f maps an array of points to the
+    array of their values, the sweep is one call on the (coarse, *shape)
+    grid and the polish is one batched ``golden_section_max``.  Each
+    element returns what a scalar call on its bracket returns; an element
+    whose values are all NaN raises DomainError for the whole call.
     """
-    if not (hi > lo):
+    batched = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
+    lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo_a.shape != hi_a.shape:
+        raise DomainError("bracket arrays must have equal shapes")
+    if not np.all(hi_a > lo_a):
         raise DomainError("empty bracket")
     if log_spaced:
-        if lo <= 0:
+        if np.any(lo_a <= 0):
             raise DomainError("log-spaced bracket needs lo > 0")
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), coarse))
+        grid = np.exp(np.linspace(_math_log(lo_a), _math_log(hi_a), coarse))
     else:
-        grid = np.linspace(lo, hi, coarse)
-    vals = np.array([f(x) for x in grid])
-    n_eval = coarse
-    if np.isnan(vals).all():
+        grid = np.linspace(lo_a, hi_a, coarse)
+    if batched:
+        vals = np.asarray(f(grid), dtype=float)
+    else:
+        vals = np.array([f(x) for x in grid])
+    n_eval = grid.size
+    if np.isnan(vals).all(axis=0).any():
         raise DomainError("objective is NaN at every point of the bracket")
-    k = int(np.nanargmax(vals))
-    if math.isinf(vals[k]) and vals[k] > 0:
-        return float(grid[k]), float(vals[k]), n_eval
-    blo = grid[max(k - 1, 0)]
-    bhi = grid[min(k + 1, coarse - 1)]
-    if blo == bhi:
-        return float(grid[k]), float(vals[k]), n_eval
+    k = np.nanargmax(vals, axis=0)
 
-    def counted(x: float) -> float:
-        nonlocal n_eval
-        n_eval += 1
-        return f(x)
+    def at(idx):
+        return np.take_along_axis(grid, np.expand_dims(idx, 0), axis=0)[0]
 
-    x, fx = golden_section_max(counted, blo, bhi, tol=tol)
-    if fx < vals[k]:
-        x, fx = float(grid[k]), float(vals[k])
+    x, fx = at(k), np.take_along_axis(vals, np.expand_dims(k, 0), axis=0)[0]
+    blo, bhi = at(np.maximum(k - 1, 0)), at(np.minimum(k + 1, coarse - 1))
+    polish = (fx != math.inf) & (blo != bhi)
+    if not batched:
+        if not polish:
+            return float(x), float(fx), n_eval
+
+        def counted(u: float) -> float:
+            nonlocal n_eval
+            n_eval += 1
+            return f(u)
+
+        xp, fxp = golden_section_max(counted, float(blo), float(bhi), tol=tol)
+        if fxp < fx:
+            return float(x), float(fx), n_eval
+        return xp, fxp, n_eval
+    if polish.any():
+        def counted_batch(u: np.ndarray) -> np.ndarray:
+            nonlocal n_eval
+            n_eval += u.size
+            return f(u)
+
+        xp, fxp = golden_section_max(counted_batch, np.where(polish, blo, x),
+                                     np.where(polish, bhi, x), tol=tol)
+        keep = polish & ~(fxp < fx)
+        x, fx = np.where(keep, xp, x), np.where(keep, fxp, fx)
     return x, fx, n_eval
 
 

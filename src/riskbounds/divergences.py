@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, GridDensity, GridError, Waveform, logsumexp
+from .core import (
+    DomainError,
+    GridDensity,
+    GridError,
+    Waveform,
+    float_or_array,
+    logsumexp,
+    select,
+)
 
 __all__ = [
     "GaussianPriorPair",
@@ -163,29 +171,40 @@ def path_divergence(x1: Waveform, x2: Waveform, n0: float) -> float:
     return float(np.trapezoid(diff * diff, x1.t)) / n0
 
 
-def gaussian_quad_mgf(c: QuadMgfCoeffs) -> float:
+def _log_quad_mgf(a_coef, b_coef, sigma2: float):
+    """ln E exp{A Theta^2 - B Theta}; +inf where the moment diverges."""
+    denom = 1.0 - 2.0 * a_coef * sigma2
+    finite = denom > 0.0
+    denom = select(finite, denom, 1.0)
+    return select(finite, b_coef ** 2 * sigma2 / (2.0 * denom) - 0.5 * np.log(denom), math.inf)
+
+
+def gaussian_quad_mgf(c: QuadMgfCoeffs) -> float | np.ndarray:
     """E exp{A Theta^2 - B Theta} for Theta ~ N(0, sigma2).
 
     Closed form exp{B^2 sigma2 / (2 (1 - 2 A sigma2))} / sqrt(1 - 2 A sigma2)
-    when 1 - 2 A sigma2 > 0, +inf otherwise.
+    when 1 - 2 A sigma2 > 0, +inf otherwise.  A and B may be arrays; float
+    coefficients give a float.
     """
-    denom = 1.0 - 2.0 * c.a_coef * c.sigma2
-    if denom <= 0.0:
-        return math.inf
-    return math.exp(c.b_coef ** 2 * c.sigma2 / (2.0 * denom)) / math.sqrt(denom)
+    with np.errstate(over="ignore"):
+        return float_or_array(np.exp(_log_quad_mgf(c.a_coef, c.b_coef, c.sigma2)))
 
 
-def _order(order: RenyiOrder | float) -> float:
+def _order(order: RenyiOrder | float | np.ndarray) -> float | np.ndarray:
     if isinstance(order, RenyiOrder):
         return order.a
-    a = float(order)
-    if not (a > 1.0):
+    if isinstance(order, np.ndarray):
+        valid = (order > 1.0).all()
+    else:
+        order = float(order)
+        valid = order > 1.0
+    if not valid:
         raise DomainError("Renyi order must satisfy a > 1")
-    return a
+    return order
 
 
 def renyi_gaussian_linear(
-    order: RenyiOrder | float,
+    order: RenyiOrder | float | np.ndarray,
     *,
     sigma2: float,
     sigma2_q: float,
@@ -194,24 +213,25 @@ def renyi_gaussian_linear(
     n0: float,
     q_const: float = 0.0,
     t_horizon: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """a * D_a(Q || P) between a constant-energy signal model and a linear reference.
 
     P is the true joint law: Theta ~ N(0, sigma2), signal of energy ex whose
     time integral is q_const for every theta.  Q is the reference: Theta ~
     N(0, sigma2_q), signal theta * s(t) with a DC s of energy es on [0, T].
-    Returns +inf when the underlying Gaussian moment diverges.
+    Returns +inf when the underlying Gaussian moment diverges.  The order
+    may be an array of orders; a float order gives a float.
     """
     a = _order(order)
     if sigma2 <= 0 or sigma2_q <= 0 or n0 <= 0 or es < 0 or ex < 0 or t_horizon <= 0:
         raise DomainError("model parameters out of range")
-    a_coef = a / (2.0 * sigma2) - a / (2.0 * sigma2_q) + a * (a - 1.0) * es / n0
-    b_coef = 2.0 * a * (a - 1.0) * q_const * math.sqrt(es / t_horizon) / n0
-    mgf = gaussian_quad_mgf(QuadMgfCoeffs(a_coef, b_coef, sigma2))
-    if math.isinf(mgf):
-        return math.inf
-    log_integral = 0.5 * a * math.log(sigma2 / sigma2_q) + a * (a - 1.0) * ex / n0 + math.log(mgf)
-    return log_integral / (a - 1.0)
+    am1 = a - 1.0
+    aam1 = a * am1
+    a_coef = a / (2.0 * sigma2) - a / (2.0 * sigma2_q) + aam1 * es / n0
+    b_coef = aam1 * (2.0 * q_const * math.sqrt(es / t_horizon) / n0)
+    log_integral = (0.5 * a * math.log(sigma2 / sigma2_q) + aam1 * ex / n0
+                    + _log_quad_mgf(a_coef, b_coef, sigma2))
+    return float_or_array(log_integral / am1)
 
 
 def renyi_gaussian_pair(

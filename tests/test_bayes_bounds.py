@@ -19,6 +19,7 @@ from riskbounds import (
     iterated_lpcb,
     linear_gaussian_min_lambda,
     lpcb_bound,
+    lpcb_sweep,
     nonlinear_linear_ref_bound,
     optimal_reference_signal,
     phase_bound_large_sigma,
@@ -413,6 +414,81 @@ class TestLpcbBound:
             beta = rng.uniform(1e-3, alpha * (1 - 1e-3))
             probe = lpcb_bound(alpha, beta, sigma2=sigma2, ex=0.0, n0=1.0)
             assert probe.value <= exact + 1e-9
+
+
+_WITNESS = "residual reaches the reference critical factor"
+
+
+class TestLpcbSweep:
+    @pytest.mark.parametrize("model", [
+        dict(sigma2=0.5, ex=0.01),                             # divergent witness rows above 1
+        dict(sigma2=0.5, ex=0.1, sigma2_q=1.0),                # Renyi term infinite at some witnesses
+        dict(sigma2=0.5, ex=0.001, es=0.5),
+        dict(sigma2=1.0, ex=0.01, es=0.2, q_const=0.3, t_horizon=2.0),
+    ])
+    def test_rows_equal_per_alpha_bounds(self, model):
+        alphas = np.linspace(0.01, 3.0, 61)
+        rows = lpcb_sweep(alphas, **model)
+        singles = [lpcb_bound(float(a), **model) for a in alphas]
+        for row, single in zip(rows, singles):
+            assert (row.value, row.argmax, row.status) == (single.value, single.argmax, single.status)
+            assert type(row.value) is float and type(row.argmax["beta"]) is float
+        assert any(math.isfinite(r.value) for r in rows)
+        fixed = lpcb_sweep(alphas[alphas > 0.4], 0.4, **model)
+        assert fixed == [lpcb_bound(float(a), 0.4, **model) for a in alphas[alphas > 0.4]]
+
+    def test_divergent_rows_carry_a_real_witness(self):
+        # sigma2 = 0.5: the reference critical factor is 1, so every alpha
+        # above it splits off beta = (alpha - 1)(1 - 1e-9) and the residual
+        # alone diverges
+        alphas = [1.02, 1.5, 2.0, 3.0]
+        for alpha, row in zip(alphas, lpcb_sweep(alphas, sigma2=0.5, ex=0.01)):
+            assert row.value == math.inf and row.status == "divergent"
+            assert row.diagnostics == {"witness": _WITNESS}
+            assert row.argmax["beta"] == pytest.approx(alpha - 1.0, rel=1e-8)
+            assert lpcb_bound(alpha, row.argmax["beta"], sigma2=0.5, ex=0.01).value == math.inf
+
+    def test_infinite_renyi_term_is_no_witness(self):
+        # with sigma2_q = 1 > sigma2 = 0.5 the Renyi term diverges at the
+        # witness for alpha < 1; the bound must then stay below the prior-only
+        # estimator's exact value -0.5 ln(1 - 2 alpha sigma2), which is finite
+        alphas = np.linspace(0.55, 0.95, 9)
+        for alpha, row in zip(alphas, lpcb_sweep(alphas, sigma2=0.5, sigma2_q=1.0, ex=0.1)):
+            assert math.isfinite(row.value)
+            assert row.value <= -0.5 * math.log(1.0 - alpha) + 1e-12
+
+    def test_matches_beta_grid_oracle(self):
+        # where the best split is interior the search must meet the dense
+        # grid's supremum; at small alpha it sits on the split's upper edge,
+        # which the search stops at (1 - 1e-6) alpha and the grid at
+        # (1 - 1e-8) alpha, so there it may only fall short
+        alphas = np.linspace(0.05, 0.999, 12)
+        interior = 0
+        for snr in (0.001, 0.01, 0.1):
+            for alpha, row in zip(alphas, lpcb_sweep(alphas, sigma2=0.5, ex=snr)):
+                oracle = lpcb_beta_grid(alpha, snr, 0.5)
+                assert row.value <= oracle + 1e-7 * abs(oracle)
+                if row.argmax["beta"] < (1.0 - 2e-6) * alpha:
+                    interior += 1
+                    assert row.value == pytest.approx(oracle, rel=1e-7)
+        assert interior >= 24
+
+    @pytest.mark.parametrize("bad", [
+        dict(sigma2_q=0.0), dict(n0=0.0), dict(t_horizon=0.0), dict(sigma2=-1.0),
+        dict(es=-0.1), dict(ex=-0.1), dict(ex=math.nan), dict(sigma2=math.inf),
+        dict(q_const=math.nan), dict(n0=math.inf),
+    ])
+    def test_bad_parameters_rejected(self, bad):
+        model = dict(sigma2=0.5, ex=0.01) | bad
+        with pytest.raises(DomainError):
+            lpcb_sweep([0.3, 0.6], **model)
+        with pytest.raises(DomainError):
+            lpcb_bound(0.3, **model)
+
+    @pytest.mark.parametrize("alphas", [[0.3, math.nan], [0.3, 0.0], [math.inf]])
+    def test_bad_alphas_rejected(self, alphas):
+        with pytest.raises(DomainError):
+            lpcb_sweep(alphas, sigma2=0.5, ex=0.01)
 
 
 class TestIteratedLpcb:

@@ -131,6 +131,14 @@ class TestDeterminismAndConfig:
         _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
         assert data_rows(out1) == data_rows(out4)
 
+    def test_lpcb_thread_count_does_not_change_output(self, capsys):
+        base = ["bound", "bayes-lpcb", "--alpha-sweep", "0.01:2:40", "--sigma2", "0.5",
+                "--snr", "0.001,0.01,0.1"]
+        _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
+        _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
+        assert len(data_rows(out1)) == 120
+        assert data_rows(out1) == data_rows(out4)
+
     def test_joint_delay_sweep_threads_share_the_tilt_memo(self, capsys):
         base = ["bound", "bayes-delay", "--prior", "gaussian:1.0", "--alpha-sweep", "0.1:1:4"]
         _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
@@ -221,6 +229,30 @@ class TestExitCodes:
         assert code == 3
         assert err.strip().startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("bad", [["--sigma2q", "0"], ["--n0", "0"], ["--snr", "abc"],
+                                     ["--snr", "nan"], ["--alpha-sweep", "nan:1:3"]])
+    def test_bad_lpcb_inputs_are_three(self, capsys, bad):
+        argv = ["bound", "bayes-lpcb", "--alpha-sweep", "0.1:0.9:3", "--sigma2", "0.5"]
+        code, out, err = run_cli(argv + bad, capsys)
+        assert code == 3
+        assert err.strip().startswith("error:") and "NaN at every point" not in err
+        assert out == ""
+
+    def test_bad_alpha_vec_is_three(self, capsys, tmp_path):
+        gamma = tmp_path / "gamma.csv"
+        gamma.write_text("1.0,0.35\n0.35,1.0\n")
+        code, out, err = run_cli(["bound", "nonbayes-vector", "--gamma-file", str(gamma),
+                                  "--es", "1", "--alpha-vec", "0.7,abc"], capsys)
+        assert code == 3 and out == ""
+
+    def test_large_lpcb_signal_mean_is_a_row(self, capsys):
+        # the Renyi term's Gaussian moment exceeds the float range before its
+        # logarithm does; the bound is computed from the logarithm
+        code, out, _ = run_cli(["bound", "bayes-lpcb", "--alpha", "0.5", "--sigma2", "0.5",
+                                "--es", "1", "--q-const", "1000"], capsys)
+        assert code == 0
+        assert math.isfinite(float(data_rows(out)[0][2]))
 
     def test_certify_passes_cleanly(self, capsys):
         code, out, err = run_cli(["verify", "certify", "--samples", "20000",

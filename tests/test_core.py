@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import DomainError, GridDensity, GridError, Waveform
 from riskbounds.core import (
@@ -171,6 +173,115 @@ class TestOptimizers:
 
         _, _, n_eval = maximize_scalar(f, 0.0, 1.0, coarse=64)
         assert n_eval == len(calls)
+
+
+def _profile(kind: int, lo: float, hi: float, p: float, q: float):
+    """One scalar objective on [lo, hi]; p and q in [0, 1] place its features."""
+    u0, u1 = lo + p * (hi - lo), lo + q * (hi - lo)
+    scale = 1.0 / (hi - lo) ** 2 if hi > lo else 1.0
+    if kind == 0:       # unimodal
+        return lambda u: -(u - u0) * (u - u0)
+    if kind == 1:       # two humps, the taller one not always first
+        return lambda u: (1.0 / (1.0 + 80.0 * scale * (u - u0) * (u - u0))
+                          + 1.3 / (1.0 + 80.0 * scale * (u - u1) * (u - u1)))
+    if kind == 2:       # infeasible (-inf) on part of the bracket
+        return lambda u: -math.inf if u < u0 else -(u - u1) * (u - u1)
+    if kind == 3:       # divergent (+inf) on part of the bracket
+        return lambda u: math.inf if u > u0 else u
+    if kind == 4:       # flat: every comparison ties
+        return lambda u: 0.25
+    return lambda u: math.nan if u < u0 else -(u - u1) * (u - u1)   # NaN on part
+
+
+def _batched(profiles, points: list):
+    """Array objective applying column j's scalar profile to the last-axis column j."""
+    def f(x):
+        points.append(x.size)
+        cols = np.broadcast_to(np.arange(len(profiles)), x.shape)
+        return np.array([profiles[j](float(v)) for j, v in zip(cols.flat, x.flat)]).reshape(x.shape)
+    return f
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+_COLUMN = st.tuples(st.integers(0, 5), st.floats(1e-3, 5.0), st.floats(1e-9, 10.0),
+                    st.integers(0, 4), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def _brackets(columns):
+    """(lo, hi) per column; a column whose fourth entry is 1 gets a bracket 4 ulps wide."""
+    lo = np.array([c[1] for c in columns])
+    tiny = np.array([c[3] == 1 for c in columns])
+    return lo, np.where(tiny, lo + 4.0 * np.spacing(lo), lo + np.array([c[2] for c in columns]))
+
+
+class TestBatchedSearch:
+    """Array brackets: every element gives what a scalar search on it gives."""
+
+    @given(st.lists(_COLUMN, min_size=1, max_size=5), st.booleans(), st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_maximize_matches_scalar_calls(self, columns, log_spaced, coarse):
+        lo, hi = _brackets(columns)
+        profiles = [_profile(c[0], lo[j], hi[j], c[4], c[5]) for j, c in enumerate(columns)]
+        points: list = []
+        x, fx, n_eval = maximize_scalar(_batched(profiles, points), lo, hi,
+                                        log_spaced=log_spaced, coarse=coarse)
+        assert type(n_eval) is int and n_eval == sum(points)
+        assert x.shape == fx.shape == lo.shape
+        for j, g in enumerate(profiles):
+            xs, fs, _ = maximize_scalar(g, float(lo[j]), float(hi[j]),
+                                        log_spaced=log_spaced, coarse=coarse)
+            assert x[j] == xs and _same(fx[j], fs)
+
+    @given(st.lists(_COLUMN, min_size=1, max_size=5), st.sampled_from([1e-10, 1e-4]))
+    @settings(max_examples=60, deadline=None)
+    def test_golden_matches_scalar_calls(self, columns, tol):
+        lo, hi = _brackets(columns)
+        profiles = [_profile(c[0], lo[j], hi[j], c[4], c[5]) for j, c in enumerate(columns)]
+        x, fx = golden_section_max(_batched(profiles, []), lo, hi, tol=tol)
+        for j, g in enumerate(profiles):
+            xs, fs = golden_section_max(g, float(lo[j]), float(hi[j]), tol=tol)
+            assert x[j] == xs and _same(fx[j], fs)
+
+    def test_every_kind_in_one_batch(self):
+        # unimodal, two humps, -inf region, +inf region (returns at once),
+        # flat on a 4-ulp bracket (neighbouring grid points coincide, so the
+        # grid point is returned unpolished) and a partly NaN profile
+        columns = [(0, 0.5, 2.0, 0, 0.3, 0.0), (1, 1.0, 3.0, 0, 0.2, 0.85),
+                   (2, 0.1, 1.0, 0, 0.6, 0.9), (3, 2.0, 1.0, 0, 0.7, 0.0),
+                   (4, 1.5, 0.0, 1, 0.0, 0.0), (5, 0.2, 4.0, 0, 0.4, 0.75)]
+        lo, hi = _brackets(columns)
+        profiles = [_profile(c[0], lo[j], hi[j], c[4], c[5]) for j, c in enumerate(columns)]
+        points: list = []
+        x, fx, n_eval = maximize_scalar(_batched(profiles, points), lo, hi, coarse=32)
+        assert type(n_eval) is int and n_eval == sum(points)
+        assert fx[3] == math.inf and fx[2] > -math.inf
+        assert fx[1] > 1.3 and abs(x[1] - 3.55) < 0.1     # the taller, second hump
+        for j, g in enumerate(profiles):
+            xs, fs, _ = maximize_scalar(g, float(lo[j]), float(hi[j]), coarse=32)
+            assert x[j] == xs and _same(fx[j], fs)
+        assert x[4] == lo[4]
+
+    def test_all_nan_column_raises(self):
+        profiles = [lambda u: -u * u, lambda u: math.nan]
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 1.0])
+        with pytest.raises(DomainError):
+            maximize_scalar(_batched(profiles, []), lo, hi)
+        with pytest.raises(DomainError):
+            maximize_scalar(profiles[1], 0.0, 1.0)
+
+    def test_bad_brackets_rejected(self):
+        f = _batched([lambda u: -u * u] * 2, [])
+        with pytest.raises(DomainError):
+            maximize_scalar(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(DomainError):
+            maximize_scalar(f, np.array([0.0, 0.5]), np.array([1.0, 2.0]), log_spaced=True)
+        with pytest.raises(DomainError):
+            maximize_scalar(f, np.zeros(2), np.ones(3))
+        with pytest.raises(DomainError):
+            golden_section_max(f, np.zeros(2), np.ones(3))
 
 
 class TestDivergenceOnset:

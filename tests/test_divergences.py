@@ -178,6 +178,14 @@ class TestGaussianQuadMgf:
         assert c.diverges == (1.0 - 2.0 * a_coef * sigma2 <= 0.0)
         assert math.isinf(gaussian_quad_mgf(c)) == c.diverges
 
+    def test_array_coefficients_match_float_coefficients(self):
+        pairs = [(0.0, 1.0), (0.2, 0.5), (-1.0, 2.0), (1.0, 0.0)]
+        c = QuadMgfCoeffs(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), 0.5)
+        floats = [gaussian_quad_mgf(QuadMgfCoeffs(a, b, 0.5)) for a, b in pairs]
+        assert all(type(v) is float for v in floats)
+        assert gaussian_quad_mgf(c).tolist() == floats
+        assert floats[-1] == math.inf
+
     def test_against_quadrature_on_random_feasible_coefficients(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -234,6 +242,16 @@ class TestRenyiGaussianLinear:
                 for a in orders]
         finite = [v for v in vals if math.isfinite(v)]
         assert all(b >= a - 1e-10 for a, b in zip(finite, finite[1:]))
+
+    def test_array_orders_match_float_orders(self):
+        kw = dict(sigma2=1.0, sigma2_q=0.8, es=0.1, ex=0.3, n0=1.0, q_const=0.2, t_horizon=2.0)
+        orders = np.array([1.01, 1.5, 2.0, 3.0, 6.0])
+        floats = [renyi_gaussian_linear(float(a), **kw) for a in orders]
+        assert all(type(v) is float for v in floats)
+        assert renyi_gaussian_linear(orders, **kw).tolist() == floats
+        assert math.isfinite(floats[3]) and floats[4] == math.inf
+        with pytest.raises(DomainError):
+            renyi_gaussian_linear(np.array([2.0, 1.0]), **kw)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(DomainError):
