@@ -23,7 +23,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -142,26 +141,41 @@ def _threads(args) -> int:
 def _map_indexed(fn, values, n_threads: int) -> list:
     if n_threads <= 1 or len(values) < 4:
         return [fn(v) for v in values]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         return list(pool.map(fn, values))
+
+
+_PRIOR_USAGE = "gaussian:VAR[,SPAN,N] | uniform:LO,HI[,N] | CSV path"
+
+
+def _prior_params(text: str, n_min: int, n_max: int) -> tuple[list[float], int | None]:
+    """The n_min..n_max floats and the optional trailing grid size of ``kind:V1,...[,N]``."""
+    parts = text.split(":", 1)[1].split(",")
+    try:
+        values = [float(v) for v in parts[:n_max]]
+        n = int(parts[n_max]) if len(parts) > n_max else None
+    except ValueError:
+        values, n = [], None
+    if len(values) < n_min or len(parts) > n_max + 1 or (n is not None and n < 2):
+        raise DomainError(f"bad --prior {text!r}, expected {_PRIOR_USAGE}")
+    return values, n
 
 
 def _load_prior(args) -> GridDensity:
     text = args.prior
     if text.startswith("gaussian:"):
-        parts = text.split(":")[1].split(",")
-        sigma2 = float(parts[0])
-        span = float(parts[1]) if len(parts) > 1 else 10.0
-        n = int(parts[2]) if len(parts) > 2 else 8193
-        half = span * math.sqrt(sigma2)
-        theta = np.linspace(-half, half, n)
+        (sigma2, *span), n = _prior_params(text, 1, 2)
+        if not sigma2 > 0:
+            raise DomainError(f"bad --prior {text!r}: the variance must be positive")
+        half = (span[0] if span else 10.0) * math.sqrt(sigma2)
+        theta = np.linspace(-half, half, 8193 if n is None else n)
         dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
         return GridDensity(theta, dens / np.trapezoid(dens, theta))
     if text.startswith("uniform:"):
-        parts = text.split(":")[1].split(",")
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2]) if len(parts) > 2 else 4097
-        return uniform_density(lo, hi, n)
+        (lo, hi), n = _prior_params(text, 2, 2)
+        return uniform_density(lo, hi, 4097 if n is None else n)
     data = np.loadtxt(text, delimiter=",")
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError("prior file must have two columns: theta, density")
@@ -273,7 +287,10 @@ def _cmd_bound(args) -> int:
                 ex=args.ex, theta_range=(-math.inf, math.inf), unbounded=True,
                 rho_fn=lambda t, tt: math.exp(-args.rho_gauss * (t - tt) ** 2))
         else:
-            lo, hi = (float(v) for v in args.range.split(","))
+            bounds = _float_list(args.range, "--range")
+            if len(bounds) != 2:
+                raise DomainError(f"bad --range value {args.range!r}, expected lo,hi or 'unbounded'")
+            lo, hi = bounds
             profile = nonbayes_bounds.CorrelationProfile(
                 ex=args.ex, theta_range=(lo, hi),
                 rho_fn=lambda t, tt: math.exp(-args.rho_gauss * (t - tt) ** 2))
@@ -557,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--t-horizon", type=float)
     pb.add_argument("--gamma", type=float)
     pb.add_argument("--tau", type=float)
-    pb.add_argument("--prior", help="gaussian:VAR[,SPAN,N] | uniform:LO,HI[,N] | CSV path")
+    pb.add_argument("--prior", help=_PRIOR_USAGE)
     pb.add_argument("--es-over-n0", type=float)
     pb.add_argument("--corr", type=float)
     pb.add_argument("--alpha-c", action="store_true", default=None,

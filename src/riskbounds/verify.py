@@ -3,11 +3,14 @@
 Monte Carlo runs simulate the continuous-time models through their
 finite-dimensional sufficient statistics (the matched-filter output is
 Gaussian with known moments), never by waveform discretization.  Streams
-are counter-based so that serial and parallel execution produce identical
-bits, and every estimate ships with batch-means error bars and a
-heavy-tail diagnostic: near the critical risk factor the empirical moment
-is dominated by rare samples and the error bars stop being trustworthy,
-so runs above 80 percent of the known threshold are refused outright.
+are counter-based: each block of 4096 samples draws from its own Philox
+counter block, and a worker takes one contiguous span of blocks and works
+through it a chunk of blocks at a time with in-place numpy arithmetic, so
+serial and parallel execution produce identical bits.  Every estimate
+ships with batch-means error bars and a heavy-tail diagnostic: near the
+critical risk factor the empirical moment is dominated by rare samples
+and the error bars stop being trustworthy, so runs above 80 percent of
+the known threshold are refused outright.
 
 The Bernoulli model gets an exact finite-sample oracle (a log-space
 binomial sum), and the risk-sensitive posterior estimator is computed by
@@ -18,6 +21,7 @@ a damped fixed-point iteration on the tilted posterior mean with a direct
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +41,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096            # samples per counter block; fixed for reproducibility
+_CHUNK = 8               # blocks per in-place chunk; any size gives the same bits
 _N_BATCHES = 20
 _MAX_SHARE_WARN = 0.01
 _ALPHA_SAFETY = 0.8      # refuse runs above this fraction of the known threshold
@@ -113,31 +118,161 @@ MODEL_THRESHOLDS: dict[tuple[str, str], Callable[[MCRun], float]] = {
 }
 
 
-def _errors_for_block(run: MCRun, block_index: int, m: int) -> np.ndarray:
-    """Estimation errors for one counter block, in a fixed draw order.
+def _block_stream(master_seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
+    """A generator on the master seed's Philox key and ``reset(b)`` for it.
 
-    The block's normals come in order: m for the parameter, then m for
-    the observation noise when the estimator sees the observation (nb-ml
-    draws only its m noise normals).  Two draws of m give the same stream
-    as one of 2m, so a run that needs no noise stops after the first m.
+    ``reset(b)`` gives the bit generator the state of a freshly built
+    ``Philox(key=master_seed, counter=[0, 0, b, 0])`` (counter block b,
+    empty buffer, no pending 32-bit half), whatever was drawn before.  This
+    is the reproducibility contract of the counter blocks; a reset costs
+    about 1 us where a new Philox costs about 18 us.
     """
-    bitgen = np.random.Philox(
-        key=run.master_seed,
-        counter=np.array([0, 0, block_index, 0], dtype=np.uint64),
-    )
-    gen = np.random.Generator(bitgen)
+    bitgen = np.random.Philox(key=master_seed)
+    counter = [0, 0, 0, 0]
+    fresh = bitgen.state
+    # plain lists: the state setter reads them about twice as fast as arrays
+    fresh["state"] = {"counter": counter, "key": fresh["state"]["key"].tolist()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+
+    def reset(b: int) -> None:
+        counter[2] = b
+        bitgen.state = fresh
+
+    return np.random.Generator(bitgen), reset
+
+
+def _spans(n_blocks: int, workers: int) -> list[range]:
+    """Contiguous ranges of block indices, one per worker, never more than blocks."""
+    k = max(1, min(workers, n_blocks))
+    return [range(i * n_blocks // k, (i + 1) * n_blocks // k) for i in range(k)]
+
+
+def _in_threads(fn: Callable, items: list) -> list:
+    """[fn(item) for item in items], one thread per item after the first.
+
+    The calling thread takes the first item, so a single item starts no
+    thread.  Plain threads, not concurrent.futures: that module and the
+    logging module it imports cost about 10 ms per process.  The first
+    exception raised in any thread is raised here once all have ended.
+    """
+    results = [None] * len(items)
+    errors = []
+
+    def work(i: int) -> None:
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:      # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(items))]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple]:
+    """(log-sum-exp, max, batch pieces) of alpha error^2 for each block of a span.
+
+    Block b draws from counter block b: m normals for the parameter, then m
+    for the observation noise when the estimator sees the observation (nb-ml
+    draws only its m noise normals).  The blocks are processed _CHUNK at a
+    time as rows of buffers the span owns, with every arithmetic step in
+    place and in the order the per-block formulas fix, so the chunking
+    changes no bits.  A block's batch pieces are one (batch, log-sum-exp,
+    count) per batch it touches: its own log-sum-exp when it lies inside
+    one batch, a log-sum-exp of its slice per batch when it straddles edges
+    (at n = 1000 a single block covers all 20 batches).
+    """
+    n, alpha = run.n_samples, run.alpha
+    two_draws = not (run.model_id in ("nb-ml", "phase-trivial")
+                     or run.estimator_id == "zero" or run.es == 0.0)
     if run.model_id == "nb-ml":
         scale = math.sqrt(run.n0 / (2.0 * run.es))
-        return scale * gen.standard_normal(m)
-    if run.model_id not in ("lin-gauss", "phase-trivial"):
-        raise DomainError(f"unknown model_id {run.model_id!r}")
-    theta = math.sqrt(run.sigma2) * gen.standard_normal(m)
-    if run.model_id == "phase-trivial" or run.estimator_id == "zero" or run.es == 0.0:
-        return -theta
-    noise = math.sqrt(run.es * run.n0 / 2.0) * gen.standard_normal(m)
-    stat = theta * run.es + noise
+    else:
+        # the prior-only error is -theta; the sign drops out of (alpha e) e bit for bit
+        scale = math.sqrt(run.sigma2)
+    noise_scale = math.sqrt(run.es * run.n0 / 2.0)
     coef = run.sigma2 / (run.sigma2 * run.es + run.n0 / 2.0)
-    return coef * stat - theta
+
+    gen, reset = _block_stream(run.master_seed)
+    shape = (min(_CHUNK, len(blocks)), _BLOCK)
+    # every row is drawn in full or, in a ragged last block, zeroed past its
+    # samples, so no uninitialized value meets the arithmetic
+    draws, work = np.empty(shape), np.empty(shape)
+    noise = np.empty(shape) if two_draws else None
+    results = []
+    for first in range(blocks.start, blocks.stop, _CHUNK):
+        chunk = range(first, min(first + _CHUNK, blocks.stop))
+        k = len(chunk)
+        sizes = [min(_BLOCK, n - b * _BLOCK) for b in chunk]
+        ragged = int(sizes[-1] < _BLOCK)
+        for r, (b, m) in enumerate(zip(chunk, sizes)):
+            reset(b)
+            gen.standard_normal(out=draws[r, :m])
+            if two_draws:
+                gen.standard_normal(out=noise[r, :m])
+            if m < _BLOCK:
+                draws[r, m:] = 0.0
+                if two_draws:
+                    noise[r, m:] = 0.0
+
+        x = draws[:k]
+        np.multiply(x, scale, out=x)
+        if two_draws:        # error = coef (theta es + noise) - theta
+            z, stat = noise[:k], work[:k]
+            np.multiply(z, noise_scale, out=z)
+            np.multiply(x, run.es, out=stat)
+            np.add(stat, z, out=stat)
+            np.multiply(stat, coef, out=stat)
+            np.subtract(stat, x, out=stat)
+            x, log_terms = stat, z
+        else:
+            log_terms = work[:k]
+        np.multiply(x, alpha, out=log_terms)
+        np.multiply(log_terms, x, out=log_terms)
+
+        # straddling pieces and the ragged row come from the log terms, before
+        # the in-place exp; a ragged row keeps logsumexp on its own slice,
+        # since zero padding would change the pairwise sum
+        pieces = []
+        for r, (b, m) in enumerate(zip(chunk, sizes)):
+            start = b * _BLOCK
+            stop = start + m
+            j = bisect_right(batch_edges, start) - 1
+            if stop <= batch_edges[j + 1]:
+                pieces.append(j)     # inside batch j: its piece is the block's own value
+                continue
+            per_batch, lo = [], start
+            while lo < stop:
+                hi = min(stop, batch_edges[j + 1])
+                per_batch.append((j, logsumexp(log_terms[r, lo - start:hi - start]), hi - lo))
+                lo, j = hi, j + 1
+            pieces.append(per_batch)
+        if ragged:
+            row = log_terms[k - 1, :sizes[-1]]
+            tail = (logsumexp(row), float(np.max(row)))
+
+        full = log_terms[:k - ragged]
+        maxes = full.max(axis=1)
+        np.subtract(full, maxes[:, None], out=full)
+        np.exp(full, out=full)
+        sums = full.sum(axis=1).tolist()
+        maxes = maxes.tolist()
+        for r, (m, per_batch) in enumerate(zip(sizes, pieces)):
+            if r < k - ragged:
+                mx = maxes[r]
+                lse = mx + math.log(sums[r]) if math.isfinite(mx) else mx
+            else:
+                lse, mx = tail
+            if isinstance(per_batch, int):
+                per_batch = [(per_batch, lse, m)]
+            results.append((lse, mx, per_batch))
+    return results
 
 
 def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
@@ -146,12 +281,13 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     Refuses to run above 80 percent of the model's known divergence
     threshold: the estimator's variance blows up there before its mean
     does.  Identical master seeds give bit-identical results for any
-    worker count; blocks are reduced in index order by log-sum-exp.
-
+    worker count: the counter blocks are split into one contiguous span
+    per worker (never more spans than blocks, one when serial), each span
+    draws its blocks from their own Philox counters into chunk buffers of
+    its own, and the blocks are reduced in index order by log-sum-exp.
     The batch means come from contiguous slices of each block, cut at the
-    batch edges: a block that lies inside one batch reuses its own
-    log-sum-exp, and one that straddles edges (at n = 1000 a single block
-    covers all 20 batches) adds one slice per batch it touches.
+    batch edges.  Threads pay because the draws and the chunk arithmetic
+    run in numpy without the GIL.
     """
     key = (run.model_id, run.estimator_id)
     if key not in MODEL_THRESHOLDS:
@@ -166,40 +302,20 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     n = run.n_samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
     batch_edges = [i * n // _N_BATCHES for i in range(_N_BATCHES + 1)]
-
-    def block_stats(b: int):
-        start = b * _BLOCK
-        stop = min(start + _BLOCK, n)
-        errors = _errors_for_block(run, b, stop - start)
-        log_terms = run.alpha * errors * errors
-        lse = logsumexp(log_terms)
-        per_batch = []
-        lo, j = start, bisect_right(batch_edges, start) - 1
-        while lo < stop:
-            hi = min(stop, batch_edges[j + 1])
-            sel = log_terms[lo - start:hi - start]
-            per_batch.append((j, lse if sel.size == log_terms.size else logsumexp(sel), sel.size))
-            lo, j = hi, j + 1
-        return lse, float(np.max(log_terms)), per_batch
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_stats, range(n_blocks)))
-    else:
-        results = [block_stats(b) for b in range(n_blocks)]
+    per_span = _in_threads(lambda blocks: _span_stats(run, blocks, batch_edges),
+                           _spans(n_blocks, workers))
 
     total_lse = -math.inf
     max_log = -math.inf
     batch_lse = np.full(_N_BATCHES, -math.inf)
     batch_n = np.zeros(_N_BATCHES, dtype=int)
-    for lse, mx, per_batch in results:   # fixed block order keeps bits stable
-        total_lse = np.logaddexp(total_lse, lse)
-        max_log = max(max_log, mx)
-        for j, blse, cnt in per_batch:
-            batch_lse[j] = np.logaddexp(batch_lse[j], blse)
-            batch_n[j] += cnt
+    for results in per_span:
+        for lse, mx, per_batch in results:   # fixed block order keeps bits stable
+            total_lse = np.logaddexp(total_lse, lse)
+            max_log = max(max_log, mx)
+            for j, blse, cnt in per_batch:
+                batch_lse[j] = np.logaddexp(batch_lse[j], blse)
+                batch_n[j] += cnt
 
     lambda_hat = float(total_lse - math.log(n))
     mean = math.exp(lambda_hat)

@@ -194,6 +194,18 @@ def test_cli_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures is imported only by a run that starts threads
+    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import riskbounds.cli, sys; "
+            "riskbounds.cli.main(['verify', 'mc', '--model', 'nb-ml', '--estimator', 'ml', "
+            "'--alpha', '0.3', '--samples', '1000', '--threads', '8']); "
+            "assert 'concurrent' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True,
+                   timeout=120)
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +250,19 @@ class TestExitCodes:
         assert code == 3
         assert err.strip().startswith("error:") and "NaN at every point" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "nonbayes-nonlinear", "--alpha", "0.5", "--range", "abc"],
+        ["bound", "nonbayes-nonlinear", "--alpha", "0.5", "--range", "0,1,2"],
+        ["bound", "bayes-tilted", "--prior", "gaussian:abc", "--beta", "0.5", "--alpha", "0.3"],
+        ["bound", "bayes-tilted", "--prior", "gaussian:-1", "--beta", "0.5", "--alpha", "0.3"],
+        ["bound", "bayes-tilted", "--prior", "uniform:0,1,-3", "--beta", "0.5", "--alpha", "0.3"],
+        ["bound", "bayes-delay", "--prior", "uniform:0", "--alpha", "0.5"],
+    ])
+    def test_bad_range_and_prior_text_is_three(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_bad_alpha_vec_is_three(self, capsys, tmp_path):
         gamma = tmp_path / "gamma.csv"

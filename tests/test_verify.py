@@ -1,9 +1,13 @@
 """Monte Carlo harness, exact binomial oracle and the posterior fixed point."""
 
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskbounds import (
     BernoulliExact,
@@ -18,6 +22,7 @@ from riskbounds import (
     risk_sensitive_posterior_estimator,
     scalar_ml_lambda,
 )
+from riskbounds import verify
 from riskbounds.phase_transition import bernoulli_bayes_exponent
 
 from oracles import bernoulli_nonbayes_exponent
@@ -133,6 +138,75 @@ class TestMcLambda:
         name, n = case
         res = mc_lambda(MCRun(n_samples=n, **_PINNED_RUNS[name]), workers=workers)
         assert (res.lambda_hat, res.se, res.max_share) == _PINNED_VALUES[case]
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1000, 200_000), workers=st.sampled_from([1, 2, 3, 5]),
+           name=st.sampled_from(sorted(_PINNED_RUNS)))
+    @example(n=1000, workers=5, name="lin-gauss/cond-mean")
+    @example(n=8 * 4096, workers=3, name="nb-ml/ml")
+    @example(n=8 * 4096 + 1, workers=2, name="lin-gauss/cond-mean")
+    @example(n=8 * 4096 + 1, workers=5, name="phase-trivial/zero")
+    @example(n=123_457, workers=5, name="lin-gauss/zero")
+    @example(n=123_457, workers=2, name="lin-gauss/cond-mean/es0")
+    def test_any_worker_count_gives_the_serial_bits(self, n, workers, name):
+        # spans cut the blocks anywhere, chunks end anywhere and the last
+        # block may be ragged; none of it may move a bit or raise a warning
+        run = MCRun(n_samples=n, **_PINNED_RUNS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            serial = mc_lambda(run, workers=1)
+            spread = mc_lambda(run, workers=workers)
+        assert (spread.lambda_hat, spread.se, spread.max_share) == \
+            (serial.lambda_hat, serial.se, serial.max_share)
+
+    @pytest.mark.parametrize("n_blocks, workers", [(1, 10_000), (1, 1), (2, 3), (5, 2),
+                                                   (489, 2), (489, 7), (30, 30)])
+    def test_spans_partition_the_blocks(self, n_blocks, workers):
+        spans = verify._spans(n_blocks, workers)
+        assert len(spans) == min(workers, n_blocks)
+        assert all(len(s) > 0 for s in spans)
+        assert [b for s in spans for b in s] == list(range(n_blocks))
+
+    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
+        calls = []
+        span_stats = verify._span_stats
+
+        def recording(run, blocks, edges):
+            calls.append((blocks, threading.get_ident()))
+            return span_stats(run, blocks, edges)
+
+        monkeypatch.setattr(verify, "_span_stats", recording)
+        mc_lambda(MCRun("nb-ml", "ml", alpha=0.3, n_samples=1000, master_seed=4), workers=8)
+        assert calls == [(range(0, 1), threading.get_ident())]
+
+    def test_a_failing_span_raises_on_the_caller(self, monkeypatch):
+        span_stats = verify._span_stats
+
+        def failing(run, blocks, edges):
+            if blocks.start > 0:
+                raise MemoryError("span")
+            return span_stats(run, blocks, edges)
+
+        monkeypatch.setattr(verify, "_span_stats", failing)
+        with pytest.raises(MemoryError):
+            mc_lambda(MCRun("nb-ml", "ml", alpha=0.3, n_samples=20_000, master_seed=4), workers=3)
+
+    def test_block_reset_gives_a_fresh_philox(self):
+        # the reproducibility contract: whatever was drawn before, block b
+        # starts where Philox(key, counter=[0, 0, b, 0]) starts
+        key = 2 ** 100 + 12345
+        gen, reset = verify._block_stream(key)
+        for b in (0, 5, 2 ** 40):
+            gen.standard_normal(7)
+            gen.integers(0, 10, dtype=np.uint32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+            reset(b)
+            fresh = np.random.Generator(
+                np.random.Philox(key=key, counter=np.array([0, 0, b, 0], dtype=np.uint64)))
+            assert gen.bytes(20) == fresh.bytes(20)
+            reset(b)
+            fresh = np.random.Philox(key=key, counter=np.array([0, 0, b, 0], dtype=np.uint64))
+            assert gen.bit_generator.random_raw(9).tobytes() == fresh.random_raw(9).tobytes()
 
     @pytest.mark.parametrize("field", ["alpha", "sigma2", "es", "n0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
