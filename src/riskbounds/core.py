@@ -4,8 +4,9 @@ Everything here is deliberately small: extended reals (``+inf`` for a
 divergent bound, ``-inf`` for a useless one) are ordinary floats and
 ``classify`` is the one place that turns them into a status, grid
 functions are plain numpy arrays wrapped with their abscissae (a
-``GridDensity`` caches its trapezoid weights, log density and integral,
-and ``divergences.tilt_terms`` the scalars of its power tilts), and the
+``GridDensity`` caches its trapezoid weights, log density, integral and
+the beta-independent half of a power tilt, and ``divergences.tilt_terms``
+the scalars of its power tilts), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
 descent built on top of it.  The 1-D searches also take arrays of
 brackets and then run every element as a search of its own in one numpy
@@ -145,7 +146,7 @@ class Waveform:
         return float(self.t[-1] - self.t[0])
 
     def energy(self) -> float:
-        return float(np.trapezoid(self.values ** 2, self.t))
+        return _trapezoid(self.values ** 2, np.diff(self.t))
 
     def same_grid(self, other: "Waveform", rtol: float = 1e-12) -> bool:
         return self.t.size == other.t.size and np.allclose(self.t, other.t, rtol=rtol, atol=0.0)
@@ -154,6 +155,15 @@ class Waveform:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _trapezoid(y: np.ndarray, dx: np.ndarray) -> float:
+    """Trapezoid integral of y on a grid with spacings dx = np.diff(theta).
+
+    This is numpy's own expression, so it equals ``np.trapezoid(y, theta)``
+    bit for bit; it is the package's one trapezoid over a grid.
+    """
+    return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _density_on(theta: np.ndarray, density: np.ndarray) -> np.ndarray:
@@ -167,11 +177,51 @@ def _density_on(theta: np.ndarray, density: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TiltGrid:
+    """The beta-independent pieces of a power tilt of one grid density.
+
+    ``GridDensity.tilt_grid`` builds it once per density, and every array
+    in it is read-only.  ``dx`` is ``np.diff(theta)``.  The gradient
+    spacing is numpy's own: the scalar ``step`` when ``np.gradient`` finds
+    the grid uniform (all of ``dx`` equal to ``dx[0]``), otherwise its
+    interior coefficients ``coefs``.
+    """
+
+    dx: np.ndarray
+    step: float | None
+    coefs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    positive: np.ndarray       # density > 0
+    all_positive: bool
+    first: int                 # first and last index where the density is positive
+    last: int
+    has_hole: bool             # the density vanishes at an interior grid point
+    edge_ratio: float          # max(p[first], p[last]) / max(p)
+
+    def gradient(self, f: np.ndarray) -> np.ndarray:
+        """``np.gradient(f, theta)`` bit for bit: numpy's operations in numpy's order."""
+        out = np.empty_like(f)
+        inner = out[1:-1]
+        if self.step is not None:
+            np.subtract(f[2:], f[:-2], out=inner)
+            inner /= 2.0 * self.step
+        else:
+            a, b, c = self.coefs
+            np.multiply(a, f[:-2], out=inner)
+            inner += b * f[1:-1]
+            inner += c * f[2:]
+        out[0] = (f[1] - f[0]) / self.dx[0]
+        out[-1] = (f[-1] - f[-2]) / self.dx[-1]
+        return out
+
+
+@dataclass(frozen=True)
 class GridDensity:
     """A probability density sampled on a uniform-enough 1-D grid.
 
     theta and density are read-only copies of the caller's arrays, so the
-    cached quadrature weights, log density and integral can never go stale.
+    cached quadrature weights, log density, integral and ``tilt_grid`` can
+    never go stale.  Integrals over the grid (``integrate``, ``integral``,
+    ``mean``, ``variance``) are trapezoids on the cached ``tilt_grid.dx``.
     """
 
     theta: np.ndarray
@@ -190,9 +240,23 @@ class GridDensity:
 
     def with_density(self, density: np.ndarray) -> "GridDensity":
         """A density on this grid, sharing the already checked read-only theta."""
+        return self._on_grid(_density_on(self.theta, density))
+
+    def adopt_density(self, density: np.ndarray) -> "GridDensity":
+        """A density on this grid from a fresh nonnegative float array.
+
+        The array is made read-only and kept, not copied or re-checked; the
+        caller hands over its only reference.  Its integral is taken now,
+        on this grid's cached spacings.
+        """
+        out = self._on_grid(_read_only(density))
+        vars(out)["_integral"] = self.integrate(density)
+        return out
+
+    def _on_grid(self, density: np.ndarray) -> "GridDensity":
         out = object.__new__(GridDensity)
         object.__setattr__(out, "theta", self.theta)
-        object.__setattr__(out, "density", _density_on(self.theta, density))
+        object.__setattr__(out, "density", density)
         return out
 
     @functools.cached_property
@@ -212,8 +276,43 @@ class GridDensity:
             return _read_only(np.log(self.density))
 
     @functools.cached_property
+    def tilt_grid(self) -> TiltGrid:
+        """The beta-independent pieces of ``divergences.tilt_prior``, computed once."""
+        th, p = self.theta, self.density
+        dx = np.diff(th)
+        if (dx == dx[0]).all():
+            step, coefs = float(dx[0]), None
+        else:
+            step = None
+            dx1, dx2 = dx[:-1], dx[1:]
+            coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
+                     _read_only((dx2 - dx1) / (dx1 * dx2)),
+                     _read_only(dx1 / (dx2 * (dx1 + dx2))))
+        positive = p > 0.0
+        nz = np.flatnonzero(positive)
+        first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, p.size - 1)
+        # exact zero padding at both edges is trimmed before looking for a hole
+        inner = p[first: last + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
+        peak = np.max(p)
+        return TiltGrid(
+            dx=_read_only(dx),
+            step=step,
+            coefs=coefs,
+            positive=_read_only(positive),
+            all_positive=nz.size == p.size,
+            first=first,
+            last=last,
+            has_hole=bool(np.any(inner <= 0.0)),
+            edge_ratio=float(max(p[first], p[last]) / peak) if peak > 0.0 else math.nan,
+        )
+
+    def integrate(self, y: np.ndarray) -> float:
+        """Trapezoid integral over theta of y sampled on this grid."""
+        return _trapezoid(y, self.tilt_grid.dx)
+
+    @functools.cached_property
     def _integral(self) -> float:
-        return float(np.trapezoid(self.density, self.theta))
+        return self.integrate(self.density)
 
     def integral(self) -> float:
         return self._integral
@@ -227,11 +326,11 @@ class GridDensity:
         return self.with_density(self.density / self.integral())
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.theta * self.density, self.theta))
+        return self.integrate(self.theta * self.density)
 
     def variance(self) -> float:
         m = self.mean()
-        return float(np.trapezoid((self.theta - m) ** 2 * self.density, self.theta))
+        return self.integrate((self.theta - m) ** 2 * self.density)
 
 
 def gaussian_density(theta: np.ndarray, variance: float, mean: float = 0.0) -> GridDensity:

@@ -269,45 +269,48 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     which decays at the grid edges is also rejected, because the grid
     then truncates the tilted tails; callers needing smaller beta must
     supply a wider grid.
+
+    Everything that does not depend on beta comes from the base's cached
+    ``tilt_grid``: its support scan, hole flag and edge ratio, the grid
+    spacings of both trapezoids and the gradient's coefficients.  A tilt
+    then costs one log-sum-exp, one exponential and a few array passes,
+    with the bits of ``np.gradient`` and ``np.trapezoid`` on the same grid.
     """
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
     base.check_normalized(_NORM_TOL)
+    grid = base.tilt_grid
     log_p = base.log_density
-    log_z = logsumexp(beta * log_p, base.weights)
+    exponent = beta * log_p
+    log_z = logsumexp(exponent, base.weights)
     if not math.isfinite(log_z):
         raise DomainError("tilted density is not integrable on this grid")
-    q = np.exp(beta * log_p - log_z)
-    p = base.density
-    positive = p > 0.0
-    dphi = float(np.dot((base.weights * q)[positive], log_p[positive]))
-
-    nz = np.nonzero(positive)[0]
-    # exact zero padding at both edges is trimmed before looking for a hole
-    inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
-    if np.any(inner <= 0.0):
+    if grid.has_hole:
         raise DomainError("density vanishes at an interior grid point")
-
-    base_edge = max(p[nz[0]], p[nz[-1]]) / np.max(p)
-    tilt_edge = max(q[nz[0]], q[nz[-1]]) / np.max(q)
-    if base_edge < _EDGE_DECAY and tilt_edge > _EDGE_ESCAPE:
-        raise DomainError(
-            f"tilted density escapes the grid window (edge ratio {tilt_edge:.3g}); "
-            "supply a wider grid for this beta"
-        )
-    q_density = base.with_density(q)
-    dq = np.gradient(q, base.theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(q > 0.0, dq * dq / np.where(q > 0.0, q, 1.0), 0.0)
-    fisher = float(np.trapezoid(integrand, base.theta))
-
+    q = np.exp(exponent - log_z)
+    if grid.edge_ratio < _EDGE_DECAY:
+        tilt_edge = max(q[grid.first], q[grid.last]) / np.max(q)
+        if tilt_edge > _EDGE_ESCAPE:
+            raise DomainError(
+                f"tilted density escapes the grid window (edge ratio {tilt_edge:.3g}); "
+                "supply a wider grid for this beta"
+            )
+    wq = base.weights * q
+    if grid.all_positive:
+        dphi = float(np.dot(wq, log_p))
+    else:
+        dphi = float(np.dot(wq[grid.positive], log_p[grid.positive]))
+    dq = grid.gradient(q)
+    integrand = np.zeros_like(q)
+    np.divide(dq * dq, q, out=integrand, where=q > 0.0)
+    q_density = base.adopt_density(q)
     tilted = TiltedPrior(
         base=base,
         beta=float(beta),
         z_beta=math.exp(log_z),
         phi=log_z,
         phi_prime=dphi,
-        fisher_info=fisher,
+        fisher_info=base.integrate(integrand),
         q_density=q_density,
     )
     q_density.check_normalized(10.0 * _NORM_TOL)

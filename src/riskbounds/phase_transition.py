@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 _BOUNDARY_BAND = 1e-9
+_MIN_Q_STEPS = 101      # fewest q grid points for the outer max over q
+
+
+def _check_q_grid(n_q: int) -> None:
+    """The one check on the q grid of ``_solve``, shared by every entry point."""
+    if n_q < _MIN_Q_STEPS:
+        raise DomainError(f"the q grid must have at least {_MIN_Q_STEPS} points")
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,7 @@ class ExponentProblem:
     def __post_init__(self):
         if self.a < 0:
             raise DomainError("a must be nonnegative")
-        if self.n_q < 101:
-            raise DomainError("the q grid must have at least 101 points")
+        _check_q_grid(self.n_q)
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,7 @@ def bernoulli_bayes_exponent(a: float, *, n_q: int = 201) -> tuple[float, np.nda
     """E(a) together with the estimator curve on the q grid (one solve)."""
     if a < 0:
         raise DomainError("a must be nonnegative")
-    if n_q < 2:
-        raise DomainError("the q grid must have at least 2 points")
+    _check_q_grid(n_q)
     return _solve(a, n_q)
 
 

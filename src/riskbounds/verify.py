@@ -21,6 +21,7 @@ a damped fixed-point iteration on the tilted posterior mean with a direct
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ _CHUNK = 8               # blocks per in-place chunk; any size gives the same bi
 _N_BATCHES = 20
 _MAX_SHARE_WARN = 0.01
 _ALPHA_SAFETY = 0.8      # refuse runs above this fraction of the known threshold
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
 
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_DAMPING = 0.5
@@ -318,6 +320,11 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
                 batch_n[j] += cnt
 
     lambda_hat = float(total_lse - math.log(n))
+    if not lambda_hat <= _LOG_FLOAT_MAX:   # NaN, +inf, or an exp that overflows
+        raise DomainError(
+            f"Monte Carlo estimate lambda_hat = {lambda_hat:.6g} is beyond float range; "
+            "the sampled moment cannot be represented"
+        )
     mean = math.exp(lambda_hat)
     batch_means = np.exp(batch_lse - np.log(batch_n))
     se_mean = float(np.std(batch_means, ddof=1) / math.sqrt(_N_BATCHES))

@@ -242,6 +242,24 @@ class TestExitCodes:
         assert err.strip().startswith("error:")
         assert out == ""
 
+    def test_mc_statistic_beyond_float_range_is_three(self, capsys):
+        # theta * es overflows, so lambda_hat is far past ln(max float)
+        code, out, err = run_cli(["verify", "mc", "--model", "lin-gauss",
+                                  "--estimator", "cond-mean", "--sigma2", "0.5",
+                                  "--es", "1e300", "--n0", "1", "--samples", "50000"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "beyond float range" in err
+
+    @pytest.mark.parametrize("sub", ["exponent", "estimator"])
+    def test_phase_q_grid_has_one_minimum(self, capsys, sub):
+        code, out, err = run_cli(["phase", sub, "--a", "3", "--q-steps", "100"], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: the q grid must have at least 101 points\n"
+        code, out, _ = run_cli(["phase", sub, "--a", "3", "--q-steps", "101"], capsys)
+        assert code == 0
+        assert len(data_rows(out)) == (1 if sub == "exponent" else 101)
+
     @pytest.mark.parametrize("bad", [["--sigma2q", "0"], ["--n0", "0"], ["--snr", "abc"],
                                      ["--snr", "nan"], ["--alpha-sweep", "nan:1:3"]])
     def test_bad_lpcb_inputs_are_three(self, capsys, bad):

@@ -103,6 +103,81 @@ class TestGridDensity:
             d.with_density(np.full(33, -1.0))
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_GRIDS = {
+    "uniform": np.linspace(-3.0, 5.0, 513),
+    "sinh": 4.0 * np.sinh(np.linspace(-2.0, 2.0, 513)) / math.sinh(2.0),
+    # text round trip: a linspace whose spacings differ in the last bits
+    "from-text": np.array([float(f"{v:.9g}") for v in np.linspace(-3.1, 5.2, 513)]),
+}
+
+
+class TestGridTrapezoidAndGradient:
+    """One trapezoid and one gradient over a grid, bit for bit numpy's own."""
+
+    @pytest.mark.parametrize("name", sorted(_GRIDS))
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_match_numpy_bit_for_bit(self, name, seed):
+        theta = _GRIDS[name]
+        rng = np.random.default_rng(seed)
+        d = GridDensity(theta, rng.exponential(size=theta.size))
+        f = rng.normal(size=theta.size) * np.exp(rng.normal(0.0, 3.0))
+        assert _bits(d.integrate(f)) == _bits(np.trapezoid(f, theta))
+        assert _bits(d.integral()) == _bits(np.trapezoid(d.density, theta))
+        assert _bits(d.mean()) == _bits(np.trapezoid(theta * d.density, theta))
+        m = d.mean()
+        assert _bits(d.variance()) == _bits(np.trapezoid((theta - m) ** 2 * d.density, theta))
+        assert _bits(d.tilt_grid.gradient(f)) == _bits(np.gradient(f, theta))
+        w = Waveform(theta, f)
+        assert _bits(w.energy()) == _bits(np.trapezoid(f ** 2, theta))
+
+    def test_spacing_follows_numpys_uniformity_test(self):
+        uniform = GridDensity(_GRIDS["uniform"], np.ones(513)).tilt_grid
+        assert uniform.step == uniform.dx[0] and uniform.coefs is None
+        for name in ("sinh", "from-text"):
+            grid = GridDensity(_GRIDS[name], np.ones(513)).tilt_grid
+            assert grid.step is None and len(grid.coefs) == 3
+
+    def test_support_pieces(self):
+        theta = np.linspace(-2.0, 2.0, 101)
+        padded = np.where(np.abs(theta) <= 1.0, 1.0, 0.0)
+        grid = GridDensity(theta, padded).tilt_grid
+        assert (grid.first, grid.last) == (25, 75)
+        assert not grid.all_positive and not grid.has_hole and grid.edge_ratio == 1.0
+        np.testing.assert_array_equal(grid.positive, padded > 0.0)
+        holed = GridDensity(theta, np.abs(theta)).tilt_grid
+        assert holed.has_hole and holed.all_positive is False
+        left_pad = np.exp(-theta ** 2)
+        left_pad[:3] = 0.0   # padding at one edge only is an interior zero
+        assert GridDensity(theta, left_pad).tilt_grid.has_hole
+        smooth = GridDensity(theta, np.exp(-theta ** 2)).tilt_grid
+        assert smooth.all_positive and not smooth.has_hole
+        assert smooth.edge_ratio == pytest.approx(math.exp(-4.0), rel=1e-14)
+
+    def test_cached_arrays_are_read_only_and_never_shared(self):
+        d = GridDensity(_GRIDS["sinh"], np.ones(513))
+        grid = d.tilt_grid
+        assert d.tilt_grid is grid
+        for arr in (grid.dx, grid.positive, *grid.coefs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+        f = np.linspace(0.0, 1.0, 513)
+        first, second = grid.gradient(f), grid.gradient(f)
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        with pytest.raises(AttributeError):
+            grid.dx = np.ones(512)
+
+    def test_all_zero_density_fails_the_normalization_check(self):
+        d = GridDensity(np.linspace(0.0, 1.0, 33), np.zeros(33))
+        with pytest.raises(DomainError, match="integrates to 0"):
+            d.check_normalized()
+
+
 class TestLogSumExp:
     def test_matches_direct_sum(self):
         x = np.random.default_rng(5).normal(size=200)

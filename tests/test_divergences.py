@@ -1,5 +1,7 @@
 """Closed-form information measures against quadrature and identity oracles."""
 
+import functools
+import io
 import math
 import sys
 import threading
@@ -30,6 +32,7 @@ from riskbounds import (
     tilted_prior_bound,
     uniform_density,
 )
+from riskbounds.core import logsumexp
 
 from oracles import quad_mgf_by_quadrature, renyi_by_quadrature
 
@@ -442,3 +445,145 @@ class TestTiltTerms:
         assert len(results) == 8 * 60
         assert all(serial[b] == got for b, got in results)
         assert set(vars(prior)["_tilt_terms"]) == set(betas)
+
+
+# The tilt kernel before its beta-independent half was cached on the grid:
+# numpy's own gradient and trapezoid, a masked dot for phi' and a tilted
+# density re-validated through GridDensity.  tilt_prior must match it bit for bit.
+def _reference_tilt(base: GridDensity, beta: float) -> tuple:
+    """(I, phi, phi', Z, D, integral of q, q) of the tilt, or the DomainError it raises."""
+    tol = 1e-6
+    if beta <= 0:
+        raise DomainError("tilt exponent beta must be positive")
+    theta, p = base.theta, base.density
+    z = float(np.trapezoid(p, theta))
+    if abs(z - 1.0) > tol:
+        raise DomainError(f"density integrates to {z:.6g}, not 1 within {tol:g}")
+    w = np.empty_like(theta)
+    w[1:-1] = 0.5 * (theta[2:] - theta[:-2])
+    w[0] = 0.5 * (theta[1] - theta[0])
+    w[-1] = 0.5 * (theta[-1] - theta[-2])
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    log_z = logsumexp(beta * log_p, w)
+    if not math.isfinite(log_z):
+        raise DomainError("tilted density is not integrable on this grid")
+    q = np.exp(beta * log_p - log_z)
+    positive = p > 0.0
+    dphi = float(np.dot((w * q)[positive], log_p[positive]))
+    nz = np.nonzero(positive)[0]
+    inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
+    if np.any(inner <= 0.0):
+        raise DomainError("density vanishes at an interior grid point")
+    base_edge = max(p[nz[0]], p[nz[-1]]) / np.max(p)
+    tilt_edge = max(q[nz[0]], q[nz[-1]]) / np.max(q)
+    if base_edge < 1e-3 and tilt_edge > 1e-3:
+        raise DomainError(
+            f"tilted density escapes the grid window (edge ratio {tilt_edge:.3g}); "
+            "supply a wider grid for this beta"
+        )
+    q_density = GridDensity(theta, q)
+    dq = np.gradient(q, theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.where(q > 0.0, dq * dq / np.where(q > 0.0, q, 1.0), 0.0)
+    fisher = float(np.trapezoid(integrand, theta))
+    q_integral = float(np.trapezoid(q_density.density, theta))
+    if abs(q_integral - 1.0) > 10.0 * tol:
+        raise DomainError(f"density integrates to {q_integral:.6g}, not 1 within {10.0 * tol:g}")
+    return (fisher, log_z, dphi, math.exp(log_z), (beta - 1.0) * dphi - log_z, q_integral, q)
+
+
+def _normalized(theta, dens) -> GridDensity:
+    return GridDensity(theta, dens / np.trapezoid(dens, theta))
+
+
+@functools.cache
+def _battery_priors() -> dict[str, GridDensity]:
+    """The CLI's Gaussian grids, non-uniform grids, zero padding and a hole."""
+    def cli_gaussian(sigma2, span, n):
+        theta = np.linspace(-span * math.sqrt(sigma2), span * math.sqrt(sigma2), n)
+        return _normalized(theta, np.exp(-theta ** 2 / (2.0 * sigma2)))
+
+    sinh = 8.0 * np.sinh(np.linspace(-2.5, 2.5, 4097)) / math.sinh(2.5)
+    padded = np.linspace(-2.0, 2.0, 801)
+    holed = np.linspace(-1.0, 1.0, 513)
+    # a prior file as `--prior PATH` reads it: text round trip, then normalized()
+    laplace = np.linspace(-12.0, 12.0, 2001)
+    text = io.StringIO()
+    np.savetxt(text, np.column_stack([laplace, 0.5 * np.exp(-np.abs(laplace))]), delimiter=",")
+    data = np.loadtxt(io.StringIO(text.getvalue()), delimiter=",")
+    return {
+        "gaussian:1.0": cli_gaussian(1.0, 10.0, 8193),
+        "gaussian:0.5,30,8193": cli_gaussian(0.5, 30.0, 8193),
+        "sinh-spaced": _normalized(sinh, np.exp(-sinh ** 2 / 2.0)),
+        "zero-padded uniform": _normalized(padded, np.where(np.abs(padded) <= 1.0, 1.0, 0.0)),
+        "holed": _normalized(holed, np.abs(holed)),
+        "laplace file": GridDensity(data[:, 0], data[:, 1]).normalized(),
+    }
+
+
+def _assert_same_tilt(beta: float) -> None:
+    for name, prior in _battery_priors().items():
+        try:
+            want = _reference_tilt(prior, beta)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                tilt_prior(prior, beta)
+            assert str(info.value) == str(exc), name
+            continue
+        t = tilt_prior(prior, beta)
+        got = (t.fisher_info, t.phi, t.phi_prime, t.z_beta, t.kl_to_base(),
+               t.q_density.integral())
+        assert got == want[:6], name
+        assert t.q_density.density.tobytes() == want[6].tobytes(), name
+
+
+class TestTiltBits:
+    @given(beta=st.floats(1e-3, 60.0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_field_matches_the_uncached_formula(self, beta):
+        _assert_same_tilt(beta)
+
+    # window escapes: gaussian:1.0 below beta ~0.138, gaussian:0.5,30 below
+    # ~0.0154, the sinh grid below ~0.216 and the Laplace file below ~0.576
+    @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.0153, 0.0154, 0.1, 0.138, 0.139, 0.2,
+                                      0.215, 0.217, 0.5, 0.575, 0.577, 1.0, 60.0,
+                                      0.0, -1.0, math.nan])
+    def test_window_escapes_and_rejections(self, beta):
+        _assert_same_tilt(beta)
+
+    def test_battery_covers_both_gradient_spacings_and_every_rejection(self):
+        priors = _battery_priors()
+        assert priors["gaussian:1.0"].tilt_grid.step is not None
+        assert priors["gaussian:0.5,30,8193"].tilt_grid.coefs is not None
+        assert priors["laplace file"].tilt_grid.coefs is not None
+        assert not priors["zero-padded uniform"].tilt_grid.all_positive
+        messages = []
+        for beta in (0.01, 1.0, 0.0, math.nan):
+            for prior in priors.values():
+                try:
+                    tilt_prior(prior, beta)
+                except DomainError as exc:
+                    messages.append(str(exc))
+        for reason in ("escapes the grid window", "vanishes at an interior grid point",
+                       "must be positive", "not integrable"):
+            assert any(reason in m for m in messages), reason
+
+    def test_cached_grid_pieces_are_never_aliased(self):
+        for prior in _battery_priors().values():
+            if prior.tilt_grid.has_hole:
+                continue
+            grid = prior.tilt_grid
+            cached = [prior.theta, prior.density, prior.weights, prior.log_density,
+                      grid.dx, grid.positive, *(grid.coefs or ())]
+            assert not any(a.flags.writeable for a in cached)
+            first, second = tilt_prior(prior, 1.7), tilt_prior(prior, 1.7)
+            q = first.q_density.density
+            assert first.q_density.theta is prior.theta
+            assert not q.flags.writeable
+            assert not np.shares_memory(q, second.q_density.density)
+            assert not any(np.shares_memory(q, a) for a in cached)
+            assert first.q_density.integral() == np.trapezoid(q, prior.theta)
+            assert np.trapezoid(q, prior.theta).tobytes() == np.float64(
+                first.q_density.integral()).tobytes()
+            assert prior.tilt_grid is grid

@@ -115,6 +115,16 @@ class TestBernoulliBayesExponent:
         with pytest.raises(DomainError):
             bernoulli_bayes_exponent(3.0, n_q=0)
 
+    def test_q_grid_minimum_shared_with_error_exponent(self):
+        messages = []
+        for make in (lambda n: ExponentProblem(3.0, n_q=n),
+                     lambda n: bernoulli_bayes_exponent(3.0, n_q=n)):
+            with pytest.raises(DomainError) as info:
+                make(100)
+            messages.append(str(info.value))
+            make(101)
+        assert messages[0] == messages[1] == "the q grid must have at least 101 points"
+
     def test_returned_arrays_are_not_shared_between_calls(self):
         _, q_grid, curve = bernoulli_bayes_exponent(4.0)
         want_q, want_curve = q_grid.copy(), curve.copy()
