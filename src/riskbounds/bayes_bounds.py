@@ -166,7 +166,7 @@ def make_phase_model(
     theta = np.linspace(-half_width, half_width, n_theta)
     x = math.sqrt(2.0 * ex / t_horizon) * np.cos(omega * t[None, :] + theta[:, None])
     prior_raw = np.exp(-(theta ** 2) / (2.0 * sigma2))
-    prior = GridDensity(theta, prior_raw / np.trapezoid(prior_raw, theta))
+    prior = GridDensity(theta, prior_raw).normalized()
     return NonlinearBayesModel(t=t, theta=theta, x=x, ex=ex, n0=n0, prior=prior)
 
 
@@ -488,7 +488,12 @@ def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
     if gamma == 0.0:
         return BoundValue(math.nan, {"tau_tilde": math.nan}, STATUS_OUT_OF_WINDOW,
                           {"reason": "zero SNR"})
-    tau_tilde = (gamma ** 3 * math.sqrt(tau) / (2.0 * _WW_CONST * alpha)) ** 0.4
+    try:
+        tau_tilde = (gamma ** 3 * math.sqrt(tau) / (2.0 * _WW_CONST * alpha)) ** 0.4
+    except OverflowError:
+        tau_tilde = math.inf
+    if not math.isfinite(tau_tilde):
+        raise DomainError("gamma^3 sqrt(tau) / alpha is beyond float range")
     if tau_tilde < tau:
         return BoundValue(
             math.nan,

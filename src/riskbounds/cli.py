@@ -49,6 +49,8 @@ def _parse_sweep(text: str, log: bool = False) -> np.ndarray:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError as exc:
         raise DomainError(f"bad sweep spec {text!r}, expected start:stop:steps") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"bad sweep spec {text!r}: the endpoints must be finite")
     if steps < 2:
         raise DomainError("sweep needs at least 2 steps")
     if log:
@@ -60,9 +62,12 @@ def _parse_sweep(text: str, log: bool = False) -> np.ndarray:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in str(text).split(",")]
+        values = [float(v) for v in str(text).split(",")]
     except ValueError as exc:
         raise DomainError(f"bad {flag} value {text!r}, expected comma-separated numbers") from exc
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"bad {flag} value {text!r}: every number must be finite")
+    return values
 
 
 def _alpha_values(args) -> np.ndarray:
@@ -132,21 +137,6 @@ def _emit(args, header: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("RISKBOUNDS_THREADS", "1")))
-
-
-def _map_indexed(fn, values, n_threads: int) -> list:
-    if n_threads <= 1 or len(values) < 4:
-        return [fn(v) for v in values]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, values))
-
-
 _PRIOR_USAGE = "gaussian:VAR[,SPAN,N] | uniform:LO,HI[,N] | CSV path"
 
 
@@ -158,13 +148,17 @@ def _prior_params(text: str, n_min: int, n_max: int) -> tuple[list[float], int |
         n = int(parts[n_max]) if len(parts) > n_max else None
     except ValueError:
         values, n = [], None
-    if len(values) < n_min or len(parts) > n_max + 1 or (n is not None and n < 2):
+    if (len(values) < n_min or len(parts) > n_max + 1 or (n is not None and n < 2)
+            or not all(map(math.isfinite, values))):
         raise DomainError(f"bad --prior {text!r}, expected {_PRIOR_USAGE}")
     return values, n
 
 
 def _load_prior(args) -> GridDensity:
     text = args.prior
+    if text.startswith("uniform:"):
+        (lo, hi), n = _prior_params(text, 2, 2)
+        return uniform_density(lo, hi, 4097 if n is None else n)
     if text.startswith("gaussian:"):
         (sigma2, *span), n = _prior_params(text, 1, 2)
         if not sigma2 > 0:
@@ -172,179 +166,184 @@ def _load_prior(args) -> GridDensity:
         half = (span[0] if span else 10.0) * math.sqrt(sigma2)
         theta = np.linspace(-half, half, 8193 if n is None else n)
         dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
-        return GridDensity(theta, dens / np.trapezoid(dens, theta))
-    if text.startswith("uniform:"):
-        (lo, hi), n = _prior_params(text, 2, 2)
-        return uniform_density(lo, hi, 4097 if n is None else n)
-    data = np.loadtxt(text, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise DomainError("prior file must have two columns: theta, density")
-    dens = GridDensity(data[:, 0], data[:, 1])
-    return dens.normalized()
+    else:
+        data = np.loadtxt(text, delimiter=",")
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise DomainError("prior file must have two columns: theta, density")
+        theta, dens = data[:, 0], data[:, 1]
+    return GridDensity(theta, dens).normalized()
 
 
-# ---------------------------------------------------------------- bound ---
+# ------------------------------------------------------- bound and phase ---
+#
+# Each rows function takes the parsed arguments and returns the data rows of
+# one `bound` family or `phase` analysis; _COMMANDS pairs it with its header.
 
-def _cmd_bound(args) -> int:
-    kind = args.family
-    n_threads = _threads(args)
-
-    if kind == "bayes-linear":
-        model = bayes_bounds.LinearGaussianModel(args.sigma2, args.es, args.n0)
-        header = ["alpha", "bound", "estimator_coef", "alpha_c", "status"]
-        def row(a):
-            bv = bayes_bounds.linear_gaussian_min_lambda(model, float(a))
-            return [float(a), bv.value, bv.argmax["estimator_coef"], bv.argmax["alpha_c"], bv.status]
-        rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    elif kind == "bayes-phase":
-        header = ["alpha", "bound", "sigma2_q", "alpha_c", "status"]
-        def row(a):
-            bv = bayes_bounds.phase_bound_large_sigma(float(a), args.sigma2, args.ex / args.n0)
-            return [float(a), bv.value, bv.argmax.get("sigma2_q", math.nan),
-                    bv.argmax["alpha_c"], bv.status]
-        rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    elif kind == "bayes-tilted":
-        prior = _load_prior(args)
-        if args.alpha_c:
-            header = ["alpha_c_upper"]
-            rows = [[bayes_bounds.alpha_c_upper(prior)]]
-        else:
-            if args.beta is None:
-                raise DomainError("supply --beta for bayes-tilted")
-            header = ["alpha", "beta", "bound", "status"]
-            def row(a):
-                bv = bayes_bounds.tilted_prior_bound(
-                    prior, float(a), args.beta, args.es_over_n0, args.corr)
-                return [float(a), args.beta, bv.value, bv.status]
-            rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    elif kind == "bayes-delay":
-        prior = _load_prior(args)
-        header = ["alpha", "bound", "nu", "beta", "status"]
-        def row(a):
-            if args.nu is not None and args.beta is not None:
-                bv = delay_design.nu_bound(prior, float(a), beta=args.beta, nu=args.nu,
-                                           omega0=args.omega0, ex=args.ex, n0=args.n0)
-            elif args.nu is not None:
-                bv = delay_design.nu_bound(prior, float(a), nu=args.nu,
-                                           omega0=args.omega0, ex=args.ex, n0=args.n0)
-            else:
-                bv = delay_design.nu_bound(prior, float(a), omega0=args.omega0,
-                                           ex=args.ex, n0=args.n0, optimize=True)
-            return [float(a), bv.value, bv.argmax["nu"], bv.argmax["beta"], bv.status]
-        rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    elif kind == "bayes-ww":
-        header = ["alpha", "gamma", "tau", "bound", "tau_tilde", "nontrivial", "status"]
-        def row(a):
-            bv = bayes_bounds.ww_rect_delay_bound(float(a), args.gamma, args.tau)
-            return [float(a), args.gamma, args.tau, bv.value,
-                    bv.argmax.get("tau_tilde", math.nan),
-                    bv.diagnostics.get("nontrivial", False), bv.status]
-        rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    elif kind == "bayes-lpcb":
-        header = ["alpha", "snr", "bound", "beta_star", "status"]
-        alphas = _alpha_values(args)
-        rows = []
-        for snr in _float_list(args.snr, "--snr"):
-            bvs = bayes_bounds.lpcb_sweep(
-                alphas, args.beta, sigma2=args.sigma2, ex=snr * args.n0, n0=args.n0,
-                sigma2_q=args.sigma2q, es=args.es, q_const=args.q_const,
-                t_horizon=args.t_horizon)
-            rows.extend([float(a), snr, bv.value, bv.argmax.get("beta", math.nan), bv.status]
-                        for a, bv in zip(alphas, bvs))
-
-    elif kind == "nonbayes-linear":
-        header = ["alpha", "bound", "ml_lambda", "alpha_c", "status"]
-        def row(a):
-            bv = nonbayes_bounds.scalar_linear_bound(float(a), args.es, args.n0)
-            ml = nonbayes_bounds.scalar_ml_lambda(float(a), args.es, args.n0)
-            return [float(a), bv.value, ml, bv.argmax["alpha_c"], bv.status]
-        rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    elif kind == "nonbayes-vector":
-        gamma = np.loadtxt(args.gamma_file, delimiter=",", ndmin=2)
-        model = nonbayes_bounds.VectorLinearModel(gamma, args.es, args.n0)
-        header = ["scale", "quad_form", "bound", "ml_lambda", "status"]
-        vec = np.array(_float_list(args.alpha_vec, "--alpha-vec"))
-        if args.scale_sweep:
-            scales = _parse_sweep(args.scale_sweep, args.log)
-        else:
-            scales = np.array([1.0])
-        def row(t):
-            a = float(t) * vec
-            bv = nonbayes_bounds.vector_linear_bound(model, a)
-            ml = nonbayes_bounds.vector_ml_lambda(model, a)
-            return [float(t), bv.diagnostics["quad_form"], bv.value, ml, bv.status]
-        rows = _map_indexed(row, scales, n_threads)
-
-    elif kind == "nonbayes-nonlinear":
-        if args.range == "unbounded":
-            profile = nonbayes_bounds.CorrelationProfile(
-                ex=args.ex, theta_range=(-math.inf, math.inf), unbounded=True,
-                rho_fn=lambda t, tt: math.exp(-args.rho_gauss * (t - tt) ** 2))
-        else:
-            bounds = _float_list(args.range, "--range")
-            if len(bounds) != 2:
-                raise DomainError(f"bad --range value {args.range!r}, expected lo,hi or 'unbounded'")
-            lo, hi = bounds
-            profile = nonbayes_bounds.CorrelationProfile(
-                ex=args.ex, theta_range=(lo, hi),
-                rho_fn=lambda t, tt: math.exp(-args.rho_gauss * (t - tt) ** 2))
-        header = ["alpha", "bound", "theta_tilde", "status"]
-        def row(a):
-            bv = nonbayes_bounds.nonlinear_bound(profile, float(a), args.theta, args.lnb, args.n0)
-            return [float(a), bv.value, bv.argmax.get("theta_tilde", math.nan), bv.status]
-        rows = _map_indexed(row, _alpha_values(args), n_threads)
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown bound family {kind!r}")
-
-    _emit(args, header, rows)
-    return EXIT_OK
+def _alpha_rows(args, row) -> list[list]:
+    return [row(float(a)) for a in _alpha_values(args)]
 
 
-# ---------------------------------------------------------------- phase ---
+def _bayes_linear_rows(args) -> list[list]:
+    model = bayes_bounds.LinearGaussianModel(args.sigma2, args.es, args.n0)
+    def row(a):
+        bv = bayes_bounds.linear_gaussian_min_lambda(model, a)
+        return [a, bv.value, bv.argmax["estimator_coef"], bv.argmax["alpha_c"], bv.status]
+    return _alpha_rows(args, row)
 
-def _cmd_phase(args) -> int:
-    sub = args.analysis
-    if sub == "exponent":
-        header = ["a", "exponent"]
-        if args.a_sweep:
-            a_vals = _parse_sweep(args.a_sweep, args.log)
-        else:
-            a_vals = np.array([args.a])
 
-        def row(a):
-            problem = phase_transition.ExponentProblem(float(a), args.q_steps)
-            return [float(a), phase_transition.error_exponent(problem)]
+def _bayes_phase_rows(args) -> list[list]:
+    if not args.n0 > 0:
+        raise DomainError("n0 must be positive")
+    def row(a):
+        bv = bayes_bounds.phase_bound_large_sigma(a, args.sigma2, args.ex / args.n0)
+        return [a, bv.value, bv.argmax.get("sigma2_q", math.nan), bv.argmax["alpha_c"], bv.status]
+    return _alpha_rows(args, row)
 
-        rows = _map_indexed(row, a_vals, _threads(args))
-    elif sub == "estimator":
-        header = ["q", "theta_hat"]
-        _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a, n_q=args.q_steps)
-        rows = [[float(q), float(t)] for q, t in zip(q_grid, curve)]
-    elif sub == "roots":
-        header = ["m", "stable", "dominant"]
-        roots = phase_transition.magnetization_roots(
-            phase_transition.CurieWeissParams(args.mu, args.a))
-        rows = [[r.m, r.stable, r.dominant] for r in roots]
-    elif sub == "diagram":
-        header = ["mu", "a", "label", "dominant_m"]
-        mus = _parse_sweep(args.mu_sweep)
-        a_vals = _parse_sweep(args.a_sweep)
-        rows = []
-        for mu in mus:
-            for a in a_vals:
-                lab = phase_transition.classify_phase(float(mu), float(a))
-                name = "multicritical" if lab.multicritical else lab.phase.value
-                rows.append([float(mu), float(a), name, lab.dominant_m])
-    else:  # pragma: no cover
-        raise DomainError(f"unknown phase analysis {sub!r}")
-    _emit(args, header, rows)
+
+def _tilted_rows(args) -> list[list]:
+    prior = _load_prior(args)
+    if args.beta is None:
+        raise DomainError("supply --beta for bayes-tilted")
+    def row(a):
+        bv = bayes_bounds.tilted_prior_bound(prior, a, args.beta, args.es_over_n0, args.corr)
+        return [a, args.beta, bv.value, bv.status]
+    return _alpha_rows(args, row)
+
+
+def _delay_rows(args) -> list[list]:
+    prior = _load_prior(args)
+    def row(a):
+        bv = delay_design.nu_bound(prior, a, beta=args.beta, nu=args.nu, optimize=args.nu is None,
+                                   omega0=args.omega0, ex=args.ex, n0=args.n0)
+        return [a, bv.value, bv.argmax["nu"], bv.argmax["beta"], bv.status]
+    return _alpha_rows(args, row)
+
+
+def _ww_rows(args) -> list[list]:
+    def row(a):
+        bv = bayes_bounds.ww_rect_delay_bound(a, args.gamma, args.tau)
+        return [a, args.gamma, args.tau, bv.value, bv.argmax.get("tau_tilde", math.nan),
+                bv.diagnostics.get("nontrivial", False), bv.status]
+    return _alpha_rows(args, row)
+
+
+def _lpcb_rows(args) -> list[list]:
+    alphas = _alpha_values(args)
+    rows = []
+    for snr in _float_list(args.snr, "--snr"):
+        bvs = bayes_bounds.lpcb_sweep(
+            alphas, args.beta, sigma2=args.sigma2, ex=snr * args.n0, n0=args.n0,
+            sigma2_q=args.sigma2q, es=args.es, q_const=args.q_const, t_horizon=args.t_horizon)
+        rows.extend([float(a), snr, bv.value, bv.argmax.get("beta", math.nan), bv.status]
+                    for a, bv in zip(alphas, bvs))
+    return rows
+
+
+def _nonbayes_linear_rows(args) -> list[list]:
+    def row(a):
+        bv = nonbayes_bounds.scalar_linear_bound(a, args.es, args.n0)
+        ml = nonbayes_bounds.scalar_ml_lambda(a, args.es, args.n0)
+        return [a, bv.value, ml, bv.argmax["alpha_c"], bv.status]
+    return _alpha_rows(args, row)
+
+
+def _vector_rows(args) -> list[list]:
+    if args.gamma_file is None:
+        raise DomainError("supply --gamma-file for nonbayes-vector")
+    gamma = np.loadtxt(args.gamma_file, delimiter=",", ndmin=2)
+    model = nonbayes_bounds.VectorLinearModel(gamma, args.es, args.n0)
+    vec = np.array(_float_list(args.alpha_vec, "--alpha-vec"))
+    scales = _parse_sweep(args.scale_sweep, args.log) if args.scale_sweep else np.array([1.0])
+    def row(t):
+        a = t * vec
+        bv = nonbayes_bounds.vector_linear_bound(model, a)
+        ml = nonbayes_bounds.vector_ml_lambda(model, a)
+        return [t, bv.diagnostics["quad_form"], bv.value, ml, bv.status]
+    return [row(float(t)) for t in scales]
+
+
+def _nonlinear_rows(args) -> list[list]:
+    unbounded = args.range == "unbounded"
+    theta_range = (-math.inf, math.inf) if unbounded else tuple(_float_list(args.range, "--range"))
+    if len(theta_range) != 2:
+        raise DomainError(f"bad --range value {args.range!r}, expected lo,hi or 'unbounded'")
+    if args.rho_gauss < 0:
+        raise DomainError("--rho-gauss must be nonnegative, so that |rho| <= 1")
+    profile = nonbayes_bounds.CorrelationProfile(
+        ex=args.ex, theta_range=theta_range, unbounded=unbounded,
+        rho_fn=lambda t, tt: math.exp(-args.rho_gauss * (t - tt) ** 2))
+    def row(a):
+        bv = nonbayes_bounds.nonlinear_bound(profile, a, args.theta, args.lnb, args.n0)
+        return [a, bv.value, bv.argmax.get("theta_tilde", math.nan), bv.status]
+    return _alpha_rows(args, row)
+
+
+def _exponent_rows(args) -> list[list]:
+    a_vals = _parse_sweep(args.a_sweep, args.log) if args.a_sweep else np.array([args.a])
+    return [[a, phase_transition.error_exponent(phase_transition.ExponentProblem(a, args.q_steps))]
+            for a in map(float, a_vals)]
+
+
+def _estimator_rows(args) -> list[list]:
+    _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a, n_q=args.q_steps)
+    return [[float(q), float(t)] for q, t in zip(q_grid, curve)]
+
+
+def _roots_rows(args) -> list[list]:
+    params = phase_transition.CurieWeissParams(args.mu, args.a)
+    return [[r.m, r.stable, r.dominant] for r in phase_transition.magnetization_roots(params)]
+
+
+def _diagram_rows(args) -> list[list]:
+    if not (args.mu_sweep and args.a_sweep):
+        raise DomainError("supply --mu-sweep and --a-sweep for the phase diagram")
+    mus, a_vals = _parse_sweep(args.mu_sweep), _parse_sweep(args.a_sweep)
+    rows = []
+    for mu in map(float, mus):
+        for a in map(float, a_vals):
+            lab = phase_transition.classify_phase(mu, a)
+            rows.append([mu, a, "multicritical" if lab.multicritical else lab.phase.value,
+                         lab.dominant_m])
+    return rows
+
+
+# command -> choice -> (CSV header, rows function); the choices, the -h column
+# lists and the emit-plot schemas all come from this table
+_COMMANDS = {
+    "bound": {
+        "bayes-linear": (("alpha", "bound", "estimator_coef", "alpha_c", "status"),
+                         _bayes_linear_rows),
+        "bayes-phase": (("alpha", "bound", "sigma2_q", "alpha_c", "status"), _bayes_phase_rows),
+        "bayes-tilted": (("alpha", "beta", "bound", "status"), _tilted_rows),
+        "bayes-delay": (("alpha", "bound", "nu", "beta", "status"), _delay_rows),
+        "bayes-ww": (("alpha", "gamma", "tau", "bound", "tau_tilde", "nontrivial", "status"),
+                     _ww_rows),
+        "bayes-lpcb": (("alpha", "snr", "bound", "beta_star", "status"), _lpcb_rows),
+        "nonbayes-linear": (("alpha", "bound", "ml_lambda", "alpha_c", "status"),
+                            _nonbayes_linear_rows),
+        "nonbayes-vector": (("scale", "quad_form", "bound", "ml_lambda", "status"), _vector_rows),
+        "nonbayes-nonlinear": (("alpha", "bound", "theta_tilde", "status"), _nonlinear_rows),
+    },
+    "phase": {
+        "exponent": (("a", "exponent"), _exponent_rows),
+        "estimator": (("q", "theta_hat"), _estimator_rows),
+        "roots": (("m", "stable", "dominant"), _roots_rows),
+        "diagram": (("mu", "a", "label", "dominant_m"), _diagram_rows),
+    },
+}
+
+# `bound bayes-tilted --alpha-c` reports the critical-factor certificate instead
+_ALPHA_C = {
+    "bayes-tilted": (("alpha_c_upper",),
+                     lambda args: [[bayes_bounds.alpha_c_upper(_load_prior(args))]]),
+}
+
+
+def _run_table(table: dict, choice: str, args) -> int:
+    header, rows = table[choice]
+    if getattr(args, "alpha_c", False):
+        header, rows = _ALPHA_C.get(choice, (header, rows))
+    _emit(args, header, rows(args))
     return EXIT_OK
 
 
@@ -427,7 +426,11 @@ def _cmd_verify(args) -> int:
         run = verify.MCRun(args.model, args.estimator, alpha=alpha,
                            n_samples=args.samples, master_seed=args.seed,
                            sigma2=args.sigma2, es=args.es, n0=args.n0)
-        res = verify.mc_lambda(run, workers=_threads(args))
+        try:
+            workers = args.threads or int(os.environ.get("RISKBOUNDS_THREADS", "1"))
+        except ValueError as exc:
+            raise DomainError("RISKBOUNDS_THREADS must be an integer") from exc
+        res = verify.mc_lambda(run, workers=max(1, workers))
         if res.heavy_tail:
             print(f"warning: tail-dominated estimate: max_share {res.max_share:.6g} exceeds "
                   f"{verify._MAX_SHARE_WARN:g}; divergence threshold {res.threshold:.6g}",
@@ -463,11 +466,10 @@ def _cmd_verify(args) -> int:
 
 # ------------------------------------------------------------- emit-plot ---
 
-_PLOT_SCHEMAS = {
-    ("alpha", "snr", "bound", "beta_star", "status"): "lpcb",
-    ("a", "exponent"): "exponent",
-    ("q", "theta_hat"): "estimator",
-    ("mu", "a", "label", "dominant_m"): "diagram",
+_PLOT_SCHEMAS = {  # CSV header -> plot kind
+    _COMMANDS[command][choice][0]: kind for command, choice, kind in (
+        ("bound", "bayes-lpcb", "lpcb"), ("phase", "exponent", "exponent"),
+        ("phase", "estimator", "estimator"), ("phase", "diagram", "diagram"))
 }
 
 
@@ -522,7 +524,7 @@ _DEFAULTS = {
         sigma2=1.0, es=0.0, ex=1.0, n0=1.0, snr="0.1", q_const=0.0,
         t_horizon=1.0, gamma=1.0, tau=1.0, prior="gaussian:1.0",
         es_over_n0=0.0, corr=0.0, omega0=2 * math.pi, alpha_vec="1.0",
-        theta=0.0, lnb=0.5, rho_gauss=4.0, range="0,1",
+        theta=0.0, lnb=0.5, rho_gauss=4.0, range="0,1", alpha_c=False,
     ),
     "phase": dict(a=1.0, mu=0.0, q_steps=201),
     "verify": dict(
@@ -544,23 +546,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--config", help="key = value config file; flags win")
-        p.add_argument("--threads", type=int, help="worker cap for sweeps")
         p.add_argument("--log", action="store_true", default=None,
                        help="log-spaced sweeps")
 
-    pb = sub.add_parser(
-        "bound", help="evaluate a lower bound",
-        epilog="columns: bayes-linear/bayes-phase -> alpha,bound,...,alpha_c,"
-               "status; bayes-tilted -> alpha,beta,bound,status; bayes-delay ->"
-               " alpha,bound,nu,beta,status; bayes-ww -> alpha,gamma,tau,bound,"
-               "tau_tilde,nontrivial,status; bayes-lpcb -> alpha,snr,bound,"
-               "beta_star,status; nonbayes-linear -> alpha,bound,ml_lambda,"
-               "alpha_c,status; nonbayes-vector -> scale,quad_form,bound,"
-               "ml_lambda,status; nonbayes-nonlinear -> alpha,bound,theta_tilde,"
-               "status")
-    pb.add_argument("family", choices=[
-        "bayes-linear", "bayes-phase", "bayes-tilted", "bayes-delay", "bayes-ww",
-        "bayes-lpcb", "nonbayes-linear", "nonbayes-vector", "nonbayes-nonlinear"])
+    def table_parser(command, dest, help_text, extra_columns=()):
+        table = _COMMANDS[command]
+        columns = [(name, header) for name, (header, _) in table.items()] + list(extra_columns)
+        p = sub.add_parser(command, help=help_text, epilog="columns: " + "; ".join(
+            f"{name} -> {','.join(header)}" for name, header in columns))
+        p.add_argument(dest, choices=list(table))
+        p.set_defaults(func=lambda args: _run_table(table, getattr(args, dest), args))
+        return p
+
+    pb = table_parser("bound", "family", "evaluate a lower bound",
+                      [(f"{name} --alpha-c", header) for name, (header, _) in _ALPHA_C.items()])
     pb.add_argument("--alpha", type=float)
     pb.add_argument("--alpha-sweep")
     pb.add_argument("--sigma2", type=float)
@@ -589,20 +588,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--rho-gauss", type=float)
     pb.add_argument("--range", help="theta range lo,hi or 'unbounded'")
     common(pb)
-    pb.set_defaults(func=_cmd_bound)
 
-    pp = sub.add_parser(
-        "phase", help="saddle exponent and spin-model analysis",
-        epilog="columns: exponent -> a,exponent; estimator -> q,theta_hat; "
-               "roots -> m,stable,dominant; diagram -> mu,a,label,dominant_m")
-    pp.add_argument("analysis", choices=["exponent", "estimator", "roots", "diagram"])
+    pp = table_parser("phase", "analysis", "saddle exponent and spin-model analysis")
     pp.add_argument("--a", type=float)
     pp.add_argument("--a-sweep")
     pp.add_argument("--mu", type=float)
     pp.add_argument("--mu-sweep")
     pp.add_argument("--q-steps", type=int)
     common(pp)
-    pp.set_defaults(func=_cmd_phase)
 
     pv = sub.add_parser(
         "verify", help="Monte Carlo and exact verification",
@@ -625,6 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n0", type=float)
     pv.add_argument("--n", type=int)
     pv.add_argument("--theta", type=float)
+    pv.add_argument("--threads", type=int,
+                    help="worker threads for mc (default: RISKBOUNDS_THREADS, else 1)")
     common(pv)
     pv.set_defaults(func=_cmd_verify)
 
@@ -649,8 +644,9 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, key, value)
         if getattr(args, "log", None) is None:
             args.log = False
-        if getattr(args, "alpha_c", None) is None and args.command == "bound":
-            args.alpha_c = False
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except RiskBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)

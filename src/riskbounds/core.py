@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
 
 # BoundValue.status values
 STATUS_OK = "ok"

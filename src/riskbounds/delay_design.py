@@ -75,6 +75,8 @@ class NuTradeoff:
             raise DomainError("nu must lie in [0, 1]")
         if self.omega0 <= 0 or self.ex <= 0:
             raise DomainError("omega0 and ex must be positive")
+        if not math.isfinite(self.ex * (self.omega0 * self.omega0)):
+            raise DomainError("ex omega0^2 is beyond float range")
 
     def derivative_energy(self) -> float:
         """Energy of the reference derivative, (1/3) ex omega0^2 nu^2."""
@@ -190,6 +192,7 @@ def nu_bound(
         raise DomainError("alpha must be positive")
     if omega0 <= 0 or ex <= 0 or n0 <= 0:
         raise DomainError("omega0, ex, n0 must be positive")
+    NuTradeoff(0.0, omega0, ex)   # rejects an ex omega0^2 beyond float range once, up front
 
     def value_at(nu_val: float, beta_val: float) -> float:
         if not (0.0 <= nu_val <= 1.0) or beta_val <= 0:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    LOG_FLOAT_MAX,
     DomainError,
     GridDensity,
     GridError,
@@ -307,7 +308,7 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     tilted = TiltedPrior(
         base=base,
         beta=float(beta),
-        z_beta=math.exp(log_z),
+        z_beta=math.exp(log_z) if log_z <= LOG_FLOAT_MAX else math.inf,
         phi=log_z,
         phi_prime=dphi,
         fisher_info=base.integrate(integrand),

@@ -247,6 +247,9 @@ def nonlinear_bound(
         return classify(value, {"theta_tilde": best_tt}, dict(_META))
 
     lo, hi = profile.theta_range
+    span = max(abs(theta - lo), abs(theta - hi))
+    if not math.isfinite(span * span):
+        raise DomainError("(theta - theta_range end)^2 is beyond float range")
     if profile.theta_grid is not None:
         grid = profile.theta_grid
     else:

@@ -261,7 +261,10 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
     dominant_m = max(m for m, top in zip(roots, near_top) if top)
     out = []
     for m in roots:
-        slope = j / math.cosh(j * m + b) ** 2
+        try:
+            slope = j / math.cosh(j * m + b) ** 2
+        except OverflowError:   # cosh^2 past the float range: the map is flat there
+            slope = 0.0
         out.append(MagnetizationRoot(m=m, stable=abs(slope) < 1.0, dominant=(m == dominant_m)))
     return out
 

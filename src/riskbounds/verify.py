@@ -21,7 +21,6 @@ a damped fixed-point iteration on the tilted posterior mean with a direct
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DivergenceRiskError, DomainError, GridDensity, logsumexp
+from .core import LOG_FLOAT_MAX, DivergenceRiskError, DomainError, GridDensity, logsumexp
 
 __all__ = [
     "MCRun",
@@ -46,7 +45,6 @@ _CHUNK = 8               # blocks per in-place chunk; any size gives the same bi
 _N_BATCHES = 20
 _MAX_SHARE_WARN = 0.01
 _ALPHA_SAFETY = 0.8      # refuse runs above this fraction of the known threshold
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
 
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_DAMPING = 0.5
@@ -320,7 +318,7 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
                 batch_n[j] += cnt
 
     lambda_hat = float(total_lse - math.log(n))
-    if not lambda_hat <= _LOG_FLOAT_MAX:   # NaN, +inf, or an exp that overflows
+    if not lambda_hat <= LOG_FLOAT_MAX:   # NaN, +inf, or an exp that overflows
         raise DomainError(
             f"Monte Carlo estimate lambda_hat = {lambda_hat:.6g} is beyond float range; "
             "the sampled moment cannot be represented"

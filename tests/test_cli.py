@@ -1,5 +1,7 @@
 """CSV schemas, determinism, config merging and exit codes of the CLI."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import riskbounds
-from riskbounds.cli import main
+from riskbounds.cli import _COMMANDS, main
 
 
 def run_cli(argv, capsys):
@@ -124,27 +128,15 @@ class TestDeterminismAndConfig:
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
 
-    def test_thread_count_does_not_change_output(self, capsys):
-        base = ["bound", "nonbayes-linear", "--alpha-sweep", "0.05:0.95:12",
-                "--es", "1", "--n0", "1"]
-        _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-        _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
-        assert data_rows(out1) == data_rows(out4)
-
-    def test_lpcb_thread_count_does_not_change_output(self, capsys):
-        base = ["bound", "bayes-lpcb", "--alpha-sweep", "0.01:2:40", "--sigma2", "0.5",
-                "--snr", "0.001,0.01,0.1"]
-        _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-        _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
-        assert len(data_rows(out1)) == 120
-        assert data_rows(out1) == data_rows(out4)
-
-    def test_joint_delay_sweep_threads_share_the_tilt_memo(self, capsys):
-        base = ["bound", "bayes-delay", "--prior", "gaussian:1.0", "--alpha-sweep", "0.1:1:4"]
-        _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-        _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
-        assert len(data_rows(out1)) == 4
-        assert data_rows(out1) == data_rows(out2)
+    @pytest.mark.parametrize("argv", [
+        ["bound", "nonbayes-linear", "--alpha-sweep", "0.05:0.95:12", "--es", "1", "--n0", "1"],
+        ["phase", "exponent", "--a-sweep", "0:3:4"],
+    ])
+    def test_threads_flag_exists_only_on_verify(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_mc_threads_bit_identical(self, capsys):
         base = ["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
@@ -206,6 +198,20 @@ def test_cli_import_loads_no_thread_pool():
                    timeout=120)
 
 
+def test_sweeps_load_no_thread_pool():
+    # sweeps run serially whatever RISKBOUNDS_THREADS says; only verify mc reads it
+    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
+    env = dict(os.environ, RISKBOUNDS_THREADS="4",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import riskbounds.cli, sys; "
+            "riskbounds.cli.main(['bound', 'nonbayes-linear', '--alpha-sweep', '0.05:0.95:12', "
+            "'--es', '1', '--n0', '1']); "
+            "assert 'concurrent' not in sys.modules")
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True,
+                         text=True, timeout=120).stdout
+    assert len(data_rows(out)) == 12
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -241,6 +247,13 @@ class TestExitCodes:
         assert code == 3
         assert err.strip().startswith("error:")
         assert out == ""
+
+    def test_bad_thread_variable_is_three(self, capsys, monkeypatch):
+        monkeypatch.setenv("RISKBOUNDS_THREADS", "two")
+        code, out, err = run_cli(["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
+                                  "--alpha", "0.3", "--samples", "1000"], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: RISKBOUNDS_THREADS must be an integer\n"
 
     def test_mc_statistic_beyond_float_range_is_three(self, capsys):
         # theta * es overflows, so lambda_hat is far past ln(max float)
@@ -423,3 +436,60 @@ class TestEmitPlot:
         code, _, err = run_cli(["emit-plot", "--csv", str(bad),
                                 "--out-script", str(tmp_path / "o.gp")], capsys)
         assert code == 3
+
+
+# every table command with numeric flags drawn from zeros, signs, float-range
+# extremes, non-finite values and ordinary values
+_FLOAT_FLAGS = {
+    "bound": ["--alpha", "--sigma2", "--sigma2q", "--es", "--ex", "--n0", "--beta", "--q-const",
+              "--t-horizon", "--gamma", "--tau", "--es-over-n0", "--corr", "--nu", "--omega0",
+              "--theta", "--lnb", "--rho-gauss"],
+    "phase": ["--a", "--mu", "--q-steps"],
+}
+_NUMBERS = st.sampled_from(["0", "-1", "-0.25", "1e300", "-1e300", "1e-300", "-1e-300",
+                            "nan", "inf", "-inf", "0.3", "0.6", "1", "2.5"])
+_SMALL_PRIOR = "gaussian:1.0,10,513"
+
+
+@pytest.fixture(scope="module")
+def gamma_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("gamma") / "gamma.csv"
+    path.write_text("1.0,0.35\n0.35,1.0\n")
+    return str(path)
+
+
+@st.composite
+def _table_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    choice = draw(st.sampled_from(list(_COMMANDS[command])))
+    argv = [command, choice, "--alpha=0.3", "--prior", _SMALL_PRIOR] if command == "bound" else \
+        [command, choice, "--mu-sweep=-0.5:0.5:3", "--a-sweep=0.3:0.7:3"]
+    for flag in draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), unique=True, max_size=4)):
+        argv.append(f"{flag}={draw(_NUMBERS)}")
+    if draw(st.booleans()):
+        sweep = "--alpha-sweep" if command == "bound" else "--a-sweep"
+        argv.append(f"{sweep}={draw(_NUMBERS)}:{draw(_NUMBERS)}:3")
+    return argv
+
+
+@given(_table_argv())
+@example(["bound", "bayes-linear", "--alpha=nan", "--sigma2=inf"])
+@example(["bound", "bayes-ww", "--alpha=nan", "--gamma=1e-300"])
+@example(["bound", "bayes-phase", "--alpha", "0.3", "--n0", "0"])
+@example(["bound", "bayes-ww", "--alpha", "0.3", "--gamma", "1e300"])
+@example(["bound", "bayes-delay", "--prior", _SMALL_PRIOR, "--nu", "0.5", "--beta", "0.5",
+          "--alpha", "0.3", "--omega0", "1e300"])
+@example(["phase", "roots", "--mu", "0.1", "--a", "1e300"])
+@example(["bound", "bayes-tilted", "--prior", "gaussian:1e-6", "--beta", "200", "--alpha", "0.3"])
+@settings(max_examples=150, deadline=None)
+def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
+    if argv[1] == "nonbayes-vector":
+        argv = argv + ["--gamma-file", gamma_csv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the text of a flag
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or err.getvalue().startswith(("error:", "usage:"))
