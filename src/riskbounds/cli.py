@@ -23,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -167,8 +168,13 @@ def _load_prior(args) -> GridDensity:
         theta = np.linspace(-half, half, 8193 if n is None else n)
         dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
     else:
-        data = np.loadtxt(text, delimiter=",")
-        if data.ndim != 2 or data.shape[1] != 2:
+        try:
+            with warnings.catch_warnings():   # an empty file is reported below, not warned about
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(text, delimiter=",", ndmin=2)
+        except ValueError as exc:   # a cell that is not a number, e.g. a space-separated row
+            raise DomainError(f"bad prior file {text!r}: {str(exc).splitlines()[0]}") from exc
+        if data.shape[1:] != (2,):
             raise DomainError("prior file must have two columns: theta, density")
         theta, dens = data[:, 0], data[:, 1]
     return GridDensity(theta, dens).normalized()

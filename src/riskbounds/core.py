@@ -169,10 +169,12 @@ def _trapezoid(y: np.ndarray, dx: np.ndarray) -> float:
 
 
 def _density_on(theta: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Read-only float copy of a nonnegative density sampled on theta."""
+    """Read-only float copy of a finite nonnegative density sampled on theta."""
     p = np.array(density, dtype=float)
     if p.shape != theta.shape:
         raise GridError("density needs matching 1-D grids")
+    if not np.isfinite(p).all():
+        raise DomainError("density must be finite")
     if np.any(p < 0):
         raise DomainError("density must be nonnegative")
     return _read_only(p)
@@ -235,6 +237,8 @@ class GridDensity:
             raise GridError("density needs matching 1-D grids")
         if th.size < 8:
             raise GridError("density grid too coarse")
+        if not np.isfinite(th).all():
+            raise GridError("theta grid must be finite")
         if np.any(np.diff(th) <= 0):
             raise GridError("theta grid must be strictly increasing")
         object.__setattr__(self, "theta", _read_only(th))
@@ -325,7 +329,10 @@ class GridDensity:
             raise DomainError(f"density integrates to {z:.6g}, not 1 within {tol:g}")
 
     def normalized(self) -> "GridDensity":
-        return self.with_density(self.density / self.integral())
+        z = self.integral()
+        if not 0.0 < z < math.inf:
+            raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
+        return self.with_density(self.density / z)
 
     def mean(self) -> float:
         return self.integrate(self.theta * self.density)

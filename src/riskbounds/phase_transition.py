@@ -8,7 +8,12 @@ exponential moment is governed by the saddle value
 whose inner minimizer t = that(q) is the asymptotically optimal estimator.
 E vanishes on a <= 2 (the quadratic gain cannot beat the quadratic floor
 of the binary divergence) and turns positive beyond, a first phase
-transition.  The moment of the plug-in estimator maps onto a fully
+transition.  Both are solved without a search over q or t: E(a) has the
+closed form (u - ln(1 + u)) / 2 with u = a/2 - 1, and that(q) is where the
+two outer roots of the stationarity cubic in theta tie, found by Newton's
+method and accepted only under a subgradient certificate of optimality
+(a golden-section search over t is the fallback).  The moment of the
+plug-in estimator maps onto a fully
 connected spin model: the empirical mean plays the magnetization, solving
 m = tanh(J m + B) with coupling J = 2a and a field B set by the source
 bias, which yields a five-phase diagram with a multicritical point at
@@ -41,28 +46,39 @@ __all__ = [
 ]
 
 _BOUNDARY_BAND = 1e-9
-_MIN_Q_STEPS = 101      # fewest q grid points for the outer max over q
+_MIN_Q_STEPS = 101      # fewest points of the q grid
+_SERIES_CUTOFF = 0.1    # below it, u - ln(1 + u) is summed as its Taylor series
+_SERIES_TERMS = 16      # u^2/2 ... u^17/17: the first omitted term is < 2e-17 relative
+_NEWTON_STEPS = 50      # cap on Newton steps for the tie; about 5-10 are taken
+_STEP_TOL = 4.0 * np.finfo(float).eps    # a Newton step this small ends the iteration
+_CERT_EPS = 16.0 * np.finfo(float).eps   # rounding allowance of the certificate
 
 
 def _check_q_grid(n_q: int) -> None:
-    """The one check on the q grid of ``_solve``, shared by every entry point."""
+    """The one check on the q grid, shared by every entry point.
+
+    The exponent no longer reads the grid (E(a) is in closed form); the
+    check stays so that ``ExponentProblem`` and ``bernoulli_bayes_exponent``
+    accept the same grids as before.
+    """
     if n_q < _MIN_Q_STEPS:
         raise DomainError(f"the q grid must have at least {_MIN_Q_STEPS} points")
 
 
 @dataclass(frozen=True)
 class ExponentProblem:
-    """Risk scale a (alpha = a n) and the q grid of the outer max.
+    """Risk scale a (alpha = a n) and a q grid size.
 
-    The inner max over theta and the min over t are solved exactly; only
-    the max over q runs on a grid (plus one local refinement).
+    ``error_exponent`` evaluates E(a) in closed form and does not use the
+    grid; ``n_q`` is validated as before (at least 101 points) and echoed
+    by the CLI.
     """
 
     a: float
     n_q: int = 201
 
     def __post_init__(self):
-        if self.a < 0:
+        if not self.a >= 0:
             raise DomainError("a must be nonnegative")
         _check_q_grid(self.n_q)
 
@@ -115,14 +131,17 @@ class MagnetizationRoot:
     dominant: bool
 
 
-def _inner_max(a: float, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """max over theta in [0, 1] of a (t - theta)^2 - D(q || theta), elementwise.
+def _candidates(a: float, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate maximizers over theta in [0, 1] of f = a (t - theta)^2 - D(q || theta).
 
+    Returns (theta, f(theta), three) with four candidate rows per element.
     Interior maximizers solve the stationarity cubic
     -2a theta^3 + 2a(1+t) theta^2 - (2at+1) theta + q = 0, whose roots come
     in closed form (trigonometric with three real roots, Cardano with one).
-    theta = q (value a (t - q)^2) is always a candidate too: it covers the
-    endpoint maximizers theta = 0 at q = 0 and theta = 1 at q = 1, and
+    With three real roots (``three``) rows 0, 1, 2 hold them in decreasing
+    order: the outer two are the local maxima, the middle one a minimum.
+    theta = q (value a (t - q)^2) is row 3 and always a candidate: it covers
+    the endpoint maximizers theta = 0 at q = 0 and theta = 1 at q = 1, and
     stands in for roots outside (0, 1).
     """
     # depressed form x^3 + p x + r = 0 of the monic cubic, theta = x + (1+t)/3;
@@ -144,20 +163,21 @@ def _inner_max(a: float, q: np.ndarray, t: np.ndarray) -> np.ndarray:
         gap = theta - q
         div = -(np.where(q > 0.0, q * np.log1p(gap / q), 0.0)
                 + np.where(q < 1.0, (1.0 - q) * np.log1p(-gap / (1.0 - q)), 0.0))
-        return (a * (t - theta) ** 2 - div).max(axis=0)
+        return theta, a * (t - theta) ** 2 - div, three
+
+
+def _inner_max(a: float, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g(t) = max over theta in [0, 1] of a (t - theta)^2 - D(q || theta), elementwise."""
+    return _candidates(a, q, t)[1].max(axis=0)
 
 
 def _saddle(a: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min over t of the inner max, minimizing t), elementwise over q.
+    """(min over t of the inner max, minimizing t), elementwise over q, for a > 0.
 
     The inner max is convex in t (a max of parabolas), so one golden-section
     search, batched over q, runs until its bracket reaches machine
-    precision.  The a = 0 game is degenerate in t; it is resolved by
-    continuity from a -> 0, where the minimizer collapses onto the
-    divergence minimizer t = q.
+    precision.  It is the fallback of ``_estimator_curve``.
     """
-    if a == 0.0:
-        return np.zeros_like(q), q.copy()
     lo, hi = np.zeros_like(q), np.ones_like(q)
     c, d = hi - GOLDEN, lo + GOLDEN
     fc, fd = _inner_max(a, q, c), _inner_max(a, q, d)
@@ -172,20 +192,104 @@ def _saddle(a: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(left, fc, fd), np.where(left, c, d)
 
 
+def _certified(a: float, t: np.ndarray, theta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Where t minimizes g = max over theta of f, from the candidates of ``_candidates``.
+
+    g is convex in t and each maximizer theta_i gives it the subgradient
+    2a (t - theta_i), so t is optimal iff 0 lies in their hull: iff
+    maximizers lie on both sides of t, or one at t (theta = q at t = q,
+    where g(q) = 0).  A candidate counts as a maximizer when it attains g
+    to rounding, relative to a (theta_hi - theta_lo) + |g|: the size of the
+    terms of f and of the change of f over one ulp of t.
+    """
+    g = f.max(axis=0)
+    with np.errstate(invalid="ignore"):   # inf - inf past a ~ 1e16 certifies nothing
+        tol = _CERT_EPS * (a * (theta.max(axis=0) - theta.min(axis=0)) + np.abs(g))
+        top = f >= g - tol
+    return (top & (theta <= t)).any(axis=0) & (top & (theta >= t)).any(axis=0)
+
+
+def _estimator_curve(a: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(that(q), where the golden fallback ran), elementwise over q in [0, 1].
+
+    For a <= 2 the curve is exactly q: theta = q gives value 0 at t = q,
+    Pinsker's D(q || theta) >= 2 (q - theta)^2 keeps every other theta at
+    or below 0, and any t != q pays a (t - q)^2 at theta = q.  For a > 2,
+    t = q is kept where it is certified (g(q) = 0, near q = 0 and 1 for a
+    close to 2); elsewhere Newton's method runs from t = q on the tie
+    h(t) = f(theta_hi) - f(theta_lo) of the outer roots, whose derivative
+    2a (theta_lo - theta_hi) follows from the envelope theorem.  At q = 0
+    (or 1) theta = 0 (or 1) is an exact root, so the endpoints need no
+    special case.  Every Newton result must pass ``_certified``; the rest
+    fall back to the golden-section ``_saddle``.
+    """
+    t = q.copy()
+    if a <= 2.0:
+        return t, np.zeros(q.shape, dtype=bool)
+    theta, f, three = _candidates(a, q, t)
+    moving = ~_certified(a, t, theta, f)
+    for _ in range(_NEWTON_STEPS):
+        if not moving.any():
+            break
+        slope = 2.0 * a * (theta[2] - theta[0])
+        with np.errstate(all="ignore"):
+            step = np.where(moving & three & (slope != 0.0), (f[0] - f[2]) / slope, 0.0)
+        t -= step
+        moving &= np.abs(step) > _STEP_TOL
+        theta, f, three = _candidates(a, q, t)
+    fell_back = ~_certified(a, t, theta, f)
+    if fell_back.any():
+        _, t[fell_back] = _saddle(a, q[fell_back])
+    return t, fell_back
+
+
+def _u_minus_log1p(u: float) -> float:
+    """u - ln(1 + u) for u >= 0, without the cancellation of the direct form near 0.
+
+    Below ``_SERIES_CUTOFF`` the alternating Taylor series
+    u^2/2 - u^3/3 + ... is summed by Horner's rule.
+    """
+    if u < _SERIES_CUTOFF:
+        acc = 0.0
+        for k in range(_SERIES_TERMS + 1, 1, -1):
+            acc = 1.0 / k - u * acc
+        return u * u * acc
+    return u - math.log1p(u) if u < math.inf else math.inf
+
+
+def _exponent(a: float) -> float:
+    """E(a) = (u - ln(1 + u)) / 2 with u = a/2 - 1 for a > 2, and 0 otherwise."""
+    return 0.5 * _u_minus_log1p(0.5 * a - 1.0) if a > 2.0 else 0.0
+
+
 def _solve(a: float, n_q: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Full saddle solve: E(a), the q grid and the estimator curve on it."""
+    """E(a), the q grid and the estimator curve on it."""
     q_grid = np.linspace(0.0, 1.0, n_q)
-    values, t_stars = _saddle(a, q_grid)
-    k = int(values.argmax())
-    # one local refinement of the max over q, on the two cells around the incumbent
-    fine, _ = _saddle(a, np.linspace(q_grid[max(k - 1, 0)], q_grid[min(k + 1, n_q - 1)], n_q))
-    return max(float(values[k]), float(fine.max())), q_grid, t_stars
+    curve, _ = _estimator_curve(a, q_grid)
+    return _exponent(a), q_grid, curve
 
 
 def error_exponent(problem: ExponentProblem) -> float:
-    """Saddle value E(a); zero on a <= 2 (to rounding), positive beyond."""
-    value, _, _ = _solve(problem.a, problem.n_q)
-    return value
+    """Saddle value E(a) in closed form: 0 on a <= 2, positive beyond.
+
+    At q = 1/2 the game is symmetric about 1/2, so its minimizing t is 1/2,
+    and at t = 1/2 the stationarity cubic factors as
+    (theta - 1/2)(-2a theta^2 + 2a theta - 1).  For a > 2 its outer roots
+    theta = 1/2 +- sqrt(1/4 - 1/(2a)) tie, with theta (1 - theta) = 1/(2a)
+    and (theta - 1/2)^2 = 1/4 - 1/(2a); since D(1/2 || theta) =
+    -ln(4 theta (1 - theta)) / 2, the value there is
+    a/4 - 1/2 - ln(a/2) / 2 = (u - ln(1 + u)) / 2 with u = a/2 - 1.  For
+    a <= 2 the value is 0 at every q (Pinsker's inequality, see
+    ``_estimator_curve``).  That q = 1/2 maximizes the per-q value, so that
+    this is E(a) and not only a lower bound on it, is not proved here; it
+    is checked numerically: in a property test over a in (2, 1e4] no
+    golden-section per-q value on a 201-point q grid exceeds it and the
+    one at q = 1/2 equals it, and it equals the q scan of
+    ``tests/oracles.exponent_oracle`` at a = 2.5, 3, 4.5, 6 and 10.
+    Near a = 2 the value is about (a - 2)^2 / 16 and is computed without
+    cancellation (``_u_minus_log1p``).
+    """
+    return _exponent(problem.a)
 
 
 def asymptotic_estimator(q: float, a: float) -> float:
@@ -196,15 +300,15 @@ def asymptotic_estimator(q: float, a: float) -> float:
     """
     if not (0.0 <= q <= 1.0):
         raise DomainError("q must lie in [0, 1]")
-    if a < 0:
+    if not a >= 0:
         raise DomainError("a must be nonnegative")
-    _, t_star = _saddle(a, np.array([float(q)]))
+    t_star, _ = _estimator_curve(a, np.array([float(q)]))
     return float(t_star[0])
 
 
 def bernoulli_bayes_exponent(a: float, *, n_q: int = 201) -> tuple[float, np.ndarray, np.ndarray]:
-    """E(a) together with the estimator curve on the q grid (one solve)."""
-    if a < 0:
+    """E(a) (as ``error_exponent``) and the estimator curve on an n_q-point q grid."""
+    if not a >= 0:
         raise DomainError("a must be nonnegative")
     _check_q_grid(n_q)
     return _solve(a, n_q)

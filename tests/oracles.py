@@ -7,6 +7,7 @@ quadrature, dense grids, polynomial root finding and closed forms only.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -99,6 +100,16 @@ def exponent_oracle(a: float, n_q: int = 801) -> float:
     if a == 0.0:
         return 0.0
     return max(saddle_value_and_argmin(a, float(q))[0] for q in np.linspace(0, 1, n_q))
+
+
+def exponent_closed_form(a: float) -> float:
+    """(u - ln(1 + u)) / 2 with u = a/2 - 1 for a > 2 (0 otherwise), in 50-digit decimals."""
+    if a <= 2.0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(a) / 2 - 1
+        return float((u - (1 + u).ln()) / 2)
 
 
 def bernoulli_nonbayes_exponent(a: float, theta: float, n: int = 200001) -> float:

@@ -379,6 +379,48 @@ class TestSweeps:
         assert code == 0
         assert float(data_rows(out)[0][2]) == pytest.approx(0.15, rel=1e-4)
 
+    @pytest.mark.parametrize("defect, message", [
+        ("nan-theta", "theta grid must be finite"),
+        ("nan-density", "density must be finite"),
+        ("inf-density", "density must be finite"),
+        ("text-cell", "could not convert string 'abc'"),
+        ("whitespace", "bad prior file"),
+        ("one-column", "two columns"),
+        ("unsorted-theta", "strictly increasing"),
+        ("zero-density", "cannot be normalized"),
+        ("empty", "two columns"),
+    ])
+    def test_bad_prior_file_is_three(self, capsys, tmp_path, defect, message):
+        theta = np.linspace(-5.0, 5.0, 513)
+        dens = np.exp(-theta ** 2 / 2)
+        cells = [[repr(float(t)), repr(float(p))] for t, p in zip(theta, dens)]
+        sep = ","
+        if defect == "nan-theta":
+            cells[200][0] = "nan"
+        elif defect == "nan-density":
+            cells[200][1] = "nan"
+        elif defect == "inf-density":
+            cells[200][1] = "inf"
+        elif defect == "text-cell":
+            cells[7][1] = "abc"
+        elif defect == "whitespace":
+            sep = " "
+        elif defect == "one-column":
+            cells = [row[:1] for row in cells]
+        elif defect == "unsorted-theta":
+            cells[10], cells[11] = cells[11], cells[10]
+        elif defect == "zero-density":
+            cells = [[t, "0.0"] for t, _ in cells]
+        elif defect == "empty":
+            cells = []
+        path = tmp_path / "prior.csv"
+        path.write_text("".join(sep.join(row) + "\n" for row in cells))
+        code, out, err = run_cli(["bound", "bayes-tilted", "--prior", str(path), "--alpha-c"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert message in err
+
     def test_nonlinear_family_unbounded_range(self, capsys):
         code, out, _ = run_cli(["bound", "nonbayes-nonlinear", "--alpha", "0.001",
                                 "--theta", "0", "--lnb", "0.5", "--ex", "1",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import (
     CurieWeissParams,
@@ -18,7 +20,16 @@ from riskbounds import (
     magnetization_roots,
 )
 
-from oracles import exponent_oracle, saddle_value_and_argmin
+from riskbounds.phase_transition import (_candidates, _certified, _estimator_curve,
+                                         _saddle)
+
+from oracles import exponent_closed_form, exponent_oracle, saddle_value_and_argmin
+
+EPS = np.finfo(float).eps
+Q_GRID = np.linspace(0.0, 1.0, 201)
+# risk scales where Newton's method alone stalls on the q grid (q = 0.4;
+# 0.375 and 0.625; 0.25 and 0.75) and the certificate sends it to the fallback
+NEWTON_STALLS = (2.0833333333333335, 2.1333333333333333, 2.666666666666667)
 
 
 class TestErrorExponent:
@@ -51,6 +62,88 @@ class TestErrorExponent:
     def test_coarse_grids_rejected(self):
         with pytest.raises(DomainError):
             ExponentProblem(1.0, n_q=51)
+
+
+class TestClosedFormExponent:
+    @pytest.mark.parametrize("a", [2.5, 3.0, 4.5, 6.0, 10.0])
+    def test_equals_exponent_oracle(self, a):
+        # a 201-point q scan holds q = 1/2, where the oracle's maximum sits
+        want = exponent_oracle(a, n_q=201)
+        assert abs(error_exponent(ExponentProblem(a)) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("a", [2.0 + 10.0 ** -k for k in range(1, 13)]
+                             + [2.5, 3.0, 4.0, 10.0, 1e4, 1e300])
+    def test_matches_high_precision_closed_form(self, a):
+        want = exponent_closed_form(a)
+        tol = 5e-16 if a < 2.2 else 2e-15      # the series below u = 0.1, log1p above
+        assert abs(error_exponent(ExponentProblem(a)) - want) <= tol * want
+
+    @pytest.mark.parametrize("k", range(12, 16))
+    def test_leading_order_near_the_transition(self, k):
+        a = 2.0 + 10.0 ** -k
+        d = a - 2.0          # exact in floating point
+        value = error_exponent(ExponentProblem(a))
+        assert abs(value - d * d / 16.0) <= 1e-12 * (d * d / 16.0)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, math.nextafter(2.0, 0.0)])
+    def test_exactly_zero_up_to_the_transition(self, a):
+        assert error_exponent(ExponentProblem(a)) == 0.0
+
+    def test_unbounded_and_undefined_risk_scales(self):
+        assert error_exponent(ExponentProblem(math.inf)) == math.inf
+        with pytest.raises(DomainError):
+            ExponentProblem(math.nan)
+
+    @given(st.floats(min_value=2.0, max_value=1e4, exclude_min=True))
+    @settings(max_examples=40, deadline=None)
+    def test_no_q_beats_one_half(self, a):
+        # golden per-q values sit at or above the true per-q minima, so none
+        # of them may exceed E beyond rounding, and the one at q = 1/2 is E
+        value = error_exponent(ExponentProblem(a))
+        per_q, _ = _saddle(a, Q_GRID)
+        tol = 16.0 * EPS * (a + value)
+        assert per_q.max() <= value + tol
+        assert abs(per_q[100] - value) <= tol
+
+
+class TestCertifiedCurve:
+    A_GRID = np.concatenate([np.linspace(2.0, 3.0, 49)[1:], np.linspace(2.45, 2.5, 11),
+                             np.geomspace(3.0, 1e4, 16), NEWTON_STALLS])
+
+    def test_matches_golden_section_search(self):
+        for a in self.A_GRID:
+            curve, _ = _estimator_curve(float(a), Q_GRID)
+            _, golden = _saddle(float(a), Q_GRID)
+            assert np.max(np.abs(curve - golden)) <= 1e-15, a
+
+    @pytest.mark.parametrize("n_q", [201, 401])
+    def test_no_fallback_at_risk_scale_ten(self, n_q):
+        _, fell_back = _estimator_curve(10.0, np.linspace(0.0, 1.0, n_q))
+        assert not fell_back.any()
+
+    def test_fallback_runs_where_newton_stalls(self):
+        _, fell_back = _estimator_curve(NEWTON_STALLS[0], Q_GRID)
+        assert Q_GRID[fell_back].tolist() == [0.4]
+
+    @pytest.mark.parametrize("a", [2.5, 10.0, 1000.0])
+    def test_certificate_accepts_the_optimum_only(self, a):
+        q = np.array([0.0, 0.2, 0.5, 0.9])
+        _, t = _saddle(a, q)
+        for shift, want in ((0.0, True), (1e-9, False), (-1e-9, False)):
+            ts = t + shift
+            assert _certified(a, ts, *_candidates(a, q, ts)[:2]).tolist() == [want] * 4
+
+    def test_certificate_at_the_plugin_point(self):
+        # for a <= 2 the minimizer is t = q with g(q) = 0
+        q = np.array([0.0, 0.3, 0.5, 1.0])
+        assert _certified(1.5, q, *_candidates(1.5, q, q)[:2]).all()
+        shifted = q + np.array([1e-9, 1e-9, -1e-9, -1e-9])
+        assert not _certified(1.5, shifted, *_candidates(1.5, q, shifted)[:2]).any()
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
+    def test_plugin_curve_up_to_the_transition(self, a):
+        _, q_grid, curve = bernoulli_bayes_exponent(a)
+        np.testing.assert_array_equal(curve, q_grid)
 
 
 class TestAsymptoticEstimator:
