@@ -74,6 +74,11 @@ _FISHER_FLOOR = 1e-9
 
 _BETA_EDGE = 1e-6  # relative inset of the beta bracket from its feasibility limits
 
+# alpha_c_upper's sweep of beta, and the share of the median information
+# below which its lowest-beta tilt counts as heading to zero
+_AC_BETAS = np.exp(np.linspace(math.log(1e-4), math.log(1e2), 161))
+_AC_TREND_CUT = 0.05
+
 # Reference-pulse MSE floor constant for delay estimation of a rectangular
 # pulse: mse >= _WW_CONST * tau^2 / gamma^2.
 _WW_CONST = 0.324
@@ -280,21 +285,19 @@ def nonlinear_linear_ref_bound(
     alpha: float,
     sigma2_q: float | None = None,
     lam: float | None = None,
-    *,
-    auto_lambda: bool = False,
-    optimize: bool = False,
 ) -> BoundValue:
     """Bound for a constant-energy signal with a linear-Gaussian reference.
 
     The true prior is treated as Gaussian with the model prior's variance
     (the closed prior-divergence term needs it); the reference prior is
     N(0, sigma2_q) and the reference signal is the optimal one at energy
-    ratio lam = es / n0.  Modes:
+    ratio lam = es / n0.  An omitted parameter is chosen, not defaulted:
 
-    * explicit ``lam``: evaluate at that ratio,
-    * ``auto_lambda``: the closed choice lam = d^2 / (4 c^2), good when the
-      first term is small against the others,
-    * ``optimize``: joint maximization over (sigma2_q, lam); the lam
+    * ``lam`` given: evaluate at that ratio (sigma2_q defaults to the prior
+      variance),
+    * only ``sigma2_q`` given: the closed choice lam = d^2 / (4 c^2), good
+      when the first term is small against the others,
+    * neither given: joint maximization over (sigma2_q, lam); the lam
       profile needs no new quadrature once the correlation integral for a
       sigma2_q is known, so it is maximized inside a 1-D search over
       sigma2_q.
@@ -311,24 +314,15 @@ def nonlinear_linear_ref_bound(
         g = np.trapezoid((density * model.theta)[:, None] * model.x, model.theta, axis=0)
         return float(np.trapezoid(g * g, model.t))
 
-    def value_at(s2q: float, lam_val: float) -> float:
-        if s2q <= 0 or lam_val < 0:
-            return -math.inf
-        return _nonlinear_linear_ref_value(
-            alpha, prior_var, s2q, lam_val, g_sq(s2q), model.ex, model.n0
-        )
+    def value_at(s2q: float, lam_val: float, g2: float) -> float:
+        return _nonlinear_linear_ref_value(alpha, prior_var, s2q, lam_val, g2, model.ex, model.n0)
 
-    if optimize:
+    if sigma2_q is None and lam is None:
         def profiled(s2q: float) -> tuple[float, float]:
             g2 = g_sq(s2q)
-            lam_auto = g2 / (model.n0 * s2q ** 2)
-            lam_hi = 10.0 * (lam_auto + alpha)
-
-            def over_lam(lam_val: float) -> float:
-                return _nonlinear_linear_ref_value(
-                    alpha, prior_var, s2q, lam_val, g2, model.ex, model.n0)
-
-            lam_star, val, _ = maximize_scalar(over_lam, 0.0, lam_hi, coarse=33)
+            lam_hi = 10.0 * (g2 / (model.n0 * s2q ** 2) + alpha)
+            lam_star, val, _ = maximize_scalar(lambda lv: value_at(s2q, lv, g2), 0.0, lam_hi,
+                                               coarse=33)
             return val, lam_star
 
         s2q, val, _ = maximize_scalar(
@@ -340,14 +334,12 @@ def nonlinear_linear_ref_bound(
     s2q = prior_var if sigma2_q is None else float(sigma2_q)
     if s2q <= 0:
         raise DomainError("sigma2_q must be positive")
-    if auto_lambda:
-        lam = g_sq(s2q) / (model.n0 * s2q ** 2)
-    elif lam is None:
-        raise DomainError("supply lam, auto_lambda=True, or optimize=True")
+    g2 = g_sq(s2q)
+    if lam is None:
+        lam = g2 / (model.n0 * s2q ** 2)
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    val = value_at(s2q, lam)
-    return classify(val, {"sigma2_q": s2q, "lambda": float(lam)})
+    return classify(value_at(s2q, lam, g2), {"sigma2_q": s2q, "lambda": float(lam)})
 
 
 def phase_model_bound(
@@ -421,31 +413,26 @@ def tilted_prior_bound(
     return classify(value, {"beta": beta, "fisher_info": fisher_info})
 
 
-def alpha_c_upper(
-    prior: GridDensity,
-    beta_lo: float = 1e-4,
-    beta_hi: float = 1e2,
-    n_sweep: int = 161,
-    trend_cut: float = 0.05,
-) -> float:
+def alpha_c_upper(prior: GridDensity) -> float:
     """Upper bound on the critical risk factor from the tilted-prior family.
 
     The certificate is the limit of I(Q_beta) * D(Q_beta || P) along a
     path where the Fisher information vanishes.  The sweep runs beta over
-    a log grid, keeping only tilts that stay represented on the grid and
-    above the regularity floor; if the information trends to zero at the
-    low end, the product is extrapolated there by a least-squares fit in
-    the slowly vanishing basis {1, beta (ln beta - 1), beta}, which is
-    exact for Gaussian priors.  Returns +inf when no vanishing-information
-    tilt exists, the honest answer for compact-support priors.  The
-    accuracy is set by how small a beta the grid window can represent;
-    wide windows give tight certificates.
+    161 log-spaced points of [1e-4, 1e2], keeping only tilts that stay
+    represented on the grid and above the regularity floor; if the
+    information trends to zero at the low end (its least value sits at the
+    lowest kept beta and below 5% of the median), the product is
+    extrapolated there by a least-squares fit in the slowly vanishing
+    basis {1, beta (ln beta - 1), beta}, which is exact for Gaussian
+    priors.  Returns +inf when no vanishing-information tilt exists, the
+    honest answer for compact-support priors.  The accuracy is set by how
+    small a beta the grid window can represent; wide windows give tight
+    certificates.
     """
-    betas = np.exp(np.linspace(math.log(beta_lo), math.log(beta_hi), n_sweep))
     ok_beta: list[float] = []
     infos: list[float] = []
     products: list[float] = []
-    for b in betas:
+    for b in _AC_BETAS:
         try:
             info, kl = tilt_terms(prior, float(b))
         except DomainError:
@@ -460,7 +447,7 @@ def alpha_c_upper(
     info_arr = np.array(infos)
     # the information must head to zero at the low-beta end of the valid set
     k = int(np.argmin(info_arr))
-    if k != 0 or info_arr[0] > trend_cut * np.median(info_arr):
+    if k != 0 or info_arr[0] > _AC_TREND_CUT * np.median(info_arr):
         return math.inf
     # skip the two lowest points (noisiest: tilted tails graze the window
     # edge there) and fit the next stretch, long enough to condition the
@@ -655,18 +642,14 @@ def lpcb_bound(
                       es=es, q_const=q_const, t_horizon=t_horizon)[0]
 
 
-def iterated_lpcb(
-    chain: LpcbChain,
-    alpha: float,
-    renyi_evaluator: Callable[[int, float], float] | None = None,
-) -> BoundValue:
+def iterated_lpcb(chain: LpcbChain, alpha: float) -> BoundValue:
     """Chained Renyi comparison through intermediate reference measures.
 
     Transition i consumes split beta_i at Renyi order
     (alpha - sum of earlier splits) / beta_i; the final reference
-    contributes its exact minimum at the residual risk factor.  A custom
-    ``renyi_evaluator(i, order)`` may replace the built-in Gaussian one;
-    it must return the plain divergence D_a for transition i.
+    contributes its exact minimum at the residual risk factor.  The
+    divergences are the Gaussian closed forms: true model to the first
+    measure, then between consecutive linear-Gaussian measures.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -674,7 +657,7 @@ def iterated_lpcb(
     if sum(betas) >= alpha:
         raise DomainError("splits must sum strictly below alpha")
 
-    def default_renyi(i: int, order: float) -> float:
+    def renyi(i: int, order: float) -> float:
         if i == 0:
             target = chain.measures[0]
             a_d_a = renyi_gaussian_linear(
@@ -699,15 +682,13 @@ def iterated_lpcb(
             )
         return a_d_a / order
 
-    evaluator = renyi_evaluator or default_renyi
-
     penalty = 0.0
     consumed = 0.0
     for i, b in enumerate(betas):
         order = (alpha - consumed) / b
         if order <= 1.0:
             raise DomainError("infeasible split: Renyi order must exceed 1")
-        d_a = evaluator(i, order)
+        d_a = renyi(i, order)
         if math.isinf(d_a):
             return classify(-math.inf, {"betas": betas}, {"transition": i})
         penalty += alpha / b * d_a

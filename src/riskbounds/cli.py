@@ -219,7 +219,7 @@ def _tilted_rows(args) -> list[list]:
 def _delay_rows(args) -> list[list]:
     prior = _load_prior(args)
     def row(a):
-        bv = delay_design.nu_bound(prior, a, beta=args.beta, nu=args.nu, optimize=args.nu is None,
+        bv = delay_design.nu_bound(prior, a, beta=args.beta, nu=args.nu,
                                    omega0=args.omega0, ex=args.ex, n0=args.n0)
         return [a, bv.value, bv.argmax["nu"], bv.argmax["beta"], bv.status]
     return _alpha_rows(args, row)
@@ -276,7 +276,7 @@ def _nonlinear_rows(args) -> list[list]:
     if args.rho_gauss < 0:
         raise DomainError("--rho-gauss must be nonnegative, so that |rho| <= 1")
     profile = nonbayes_bounds.CorrelationProfile(
-        ex=args.ex, theta_range=theta_range, unbounded=unbounded,
+        ex=args.ex, theta_range=theta_range,
         rho_fn=lambda t, tt: math.exp(-args.rho_gauss * (t - tt) ** 2))
     def row(a):
         bv = nonbayes_bounds.nonlinear_bound(profile, a, args.theta, args.lnb, args.n0)

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
 
 # BoundValue.status values
@@ -150,8 +151,9 @@ class Waveform:
     def energy(self) -> float:
         return _trapezoid(self.values ** 2, np.diff(self.t))
 
-    def same_grid(self, other: "Waveform", rtol: float = 1e-12) -> bool:
-        return self.t.size == other.t.size and np.allclose(self.t, other.t, rtol=rtol, atol=0.0)
+    def same_grid(self, other: "Waveform") -> bool:
+        """Equal sample counts and times equal to a relative 1e-12."""
+        return self.t.size == other.t.size and np.allclose(self.t, other.t, rtol=1e-12, atol=0.0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -363,7 +365,6 @@ def golden_section_max(
     lo: float | np.ndarray,
     hi: float | np.ndarray,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> tuple:
     """Maximize a unimodal scalar function on [lo, hi].
 
@@ -379,13 +380,13 @@ def golden_section_max(
     numpy on a single element.
     """
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        return _golden_section_batch(f, lo, hi, tol, max_iter)
+        return _golden_section_batch(f, lo, hi, tol)
     a, b = float(lo), float(hi)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     it = 0
-    while abs(b - a) > tol * (1.0 + abs(a) + abs(b)) and it < max_iter:
+    while abs(b - a) > tol * (1.0 + abs(a) + abs(b)) and it < _GOLDEN_MAX_ITER:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -399,7 +400,7 @@ def golden_section_max(
     return x, f(x)
 
 
-def _golden_section_batch(f, lo, hi, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The scalar loop of ``golden_section_max`` run on every element at once."""
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if a.shape != b.shape:
@@ -407,7 +408,7 @@ def _golden_section_batch(f, lo, hi, tol: float, max_iter: int) -> tuple[np.ndar
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         live = np.abs(b - a) > tol * (1.0 + np.abs(a) + np.abs(b))
         if not live.any():
             break
@@ -509,20 +510,17 @@ def coordinate_descent_max(
     f: Callable[[float, float], float],
     bounds_x: tuple[float, float],
     bounds_y: tuple[float, float],
-    *,
-    log_x: bool = False,
-    log_y: bool = False,
-    restarts: int = 3,
-    sweeps: int = 12,
-    tol: float = 1e-9,
-    seed: int = 0,
 ) -> tuple[float, float, float]:
     """Maximize f(x, y) by alternating 1-D golden-section passes.
 
-    Runs ``restarts`` independent starts (first from the bracket centers,
-    the rest random) and keeps the best.  Returns (x, y, value).
+    x is searched on a linear scale and y on a log scale (bounds_y must be
+    positive).  Three starts run, the first from the bracket centers and
+    the rest drawn from a generator seeded with 0, each for at most 12
+    sweeps until a sweep gains less than 1e-9 relative; the best is kept.
+    Returns (x, y, value).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    tol = 1e-9
     best = (math.nan, math.nan, -math.inf)
 
     def _start(i: int) -> tuple[float, float]:
@@ -533,12 +531,13 @@ def coordinate_descent_max(
             bounds_y[0] + rng.random() * (bounds_y[1] - bounds_y[0]),
         )
 
-    for i in range(max(1, restarts)):
+    for i in range(3):
         x, y = _start(i)
         val = f(x, y)
-        for _ in range(sweeps):
-            x, _, _ = maximize_scalar(lambda u: f(u, y), *bounds_x, log_spaced=log_x, coarse=33, tol=tol)
-            y, new_val, _ = maximize_scalar(lambda v: f(x, v), *bounds_y, log_spaced=log_y, coarse=33, tol=tol)
+        for _ in range(12):
+            x, _, _ = maximize_scalar(lambda u: f(u, y), *bounds_x, coarse=33, tol=tol)
+            y, new_val, _ = maximize_scalar(lambda v: f(x, v), *bounds_y, log_spaced=True,
+                                            coarse=33, tol=tol)
             if new_val <= val + tol * (1.0 + abs(val)):
                 val = max(val, new_val)
                 break

@@ -43,6 +43,7 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-8
 _COND_CAP = 1e12
+_BETA_BRACKET = (1e-3, 50.0)   # tilt exponents searched by nu_bound
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,9 @@ def solve_reference_ode(problem: DelayDesignProblem) -> Waveform:
 
     Second-order central differences with ghost-point Neumann rows; the
     operator is symmetric positive definite for lam > 0 and is factored
-    directly.  The discrete residual and an estimate of the conditioning
-    are checked before returning.
+    directly by an LDL^T sweep.  The discrete residual and an estimate of
+    the conditioning are checked before returning.
     """
-    from scipy.linalg import solveh_banded  # imported here to keep it off the CLI path
-
     t = problem.x.t
     x = problem.x.values
     n = t.size
@@ -115,17 +114,23 @@ def solve_reference_ode(problem: DelayDesignProblem) -> Waveform:
         )
 
     # Ghost points make the boundary rows (1 + 2c) s_0 - 2c s_1 = x_0 and its
-    # mirror; halving those rows restores symmetry, so the system can go to
-    # the SPD banded solver.  Layout: ab[0] superdiagonal, ab[1] diagonal.
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -c
-    ab[1, :] = 1.0 + 2.0 * c
-    ab[1, 0] = 0.5 + c
-    ab[1, -1] = 0.5 + c
-    rhs = x.copy()
-    rhs[0] *= 0.5
-    rhs[-1] *= 0.5
-    s = solveh_banded(ab, rhs)
+    # mirror; halving those rows restores symmetry.  The system is then
+    # tridiagonal with diagonal 1 + 2c (0.5 + c at the ends) and off-diagonal
+    # -c, and LDL^T elimination needs no pivoting: d becomes D, the forward
+    # pass solves L y = rhs and the backward pass D L^T s = y, both in y.
+    d = [1.0 + 2.0 * c] * n
+    d[0] = d[-1] = 0.5 + c
+    y = x.tolist()
+    y[0] *= 0.5
+    y[-1] *= 0.5
+    for i in range(1, n):
+        m = c / d[i - 1]
+        d[i] -= c * m
+        y[i] += m * y[i - 1]
+    y[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        y[i] = (y[i] + c * y[i + 1]) / d[i]
+    s = np.array(y)
 
     second = np.empty(n)
     second[1:-1] = s[:-2] - 2.0 * s[1:-1] + s[2:]
@@ -165,8 +170,6 @@ def nu_bound(
     omega0: float,
     ex: float,
     n0: float,
-    optimize: bool = False,
-    beta_bracket: tuple[float, float] = (1e-3, 50.0),
 ) -> BoundValue:
     """Delay bound over the raised-cosine reference family.
 
@@ -178,11 +181,13 @@ def nu_bound(
     nu = 0 removes the reference signal and exposes the pure
     information-versus-divergence form used for critical-factor estimates;
     nu = 1 makes the reference equal the pulse at maximal derivative
-    energy.  With ``optimize`` the (nu, beta) pair is maximized jointly by
-    coordinate descent with restarts.  Only beta moves the tilt: the prior
-    caches its tilt scalars (``divergences.tilt_terms``), so the nu passes
-    and every revisited beta cost scalar arithmetic, not a new tilt.  A
-    bound that is -inf for every beta reports beta = nan.
+    energy.  An omitted parameter is maximized over: beta in [1e-3, 50] on
+    a log scale, and with nu omitted the (nu, beta) pair jointly by
+    coordinate descent with restarts (a given beta is then not used).
+    Only beta moves the tilt: the prior caches its tilt scalars
+    (``divergences.tilt_terms``), so the nu passes and every revisited
+    beta cost scalar arithmetic, not a new tilt.  A bound that is -inf for
+    every beta reports beta = nan.
 
     The prior must already be restricted to the valid delay window; edge
     effects of delays near the observation horizon are the caller's
@@ -210,16 +215,12 @@ def nu_bound(
             return -math.inf
         return bv.value
 
-    if optimize:
-        nu_star, beta_star, val = coordinate_descent_max(
-            value_at, (0.0, 1.0), beta_bracket, log_y=True, restarts=3
-        )
-        return classify(val, {"nu": nu_star, "beta": beta_star})
     if nu is None:
-        raise DomainError("supply nu or set optimize=True")
+        nu_star, beta_star, val = coordinate_descent_max(value_at, (0.0, 1.0), _BETA_BRACKET)
+        return classify(val, {"nu": nu_star, "beta": beta_star})
     if beta is None:
         beta_star, val, n_eval = maximize_scalar(
-            lambda b: value_at(nu, b), *beta_bracket, log_spaced=True, coarse=64
+            lambda b: value_at(nu, b), *_BETA_BRACKET, log_spaced=True, coarse=64
         )
         if val == -math.inf:
             beta_star = math.nan  # no feasible beta: the grid point is not a maximizer

@@ -85,8 +85,9 @@ class CorrelationProfile:
     """Normalized correlation rho(theta, theta_tilde) of a signal family.
 
     Supply either a square grid sample (bounded parameter range) or a
-    callable; an unbounded range requires the callable form.  rho must be
-    1 on the diagonal and bounded by 1 in magnitude.
+    callable; an unbounded range (both ends of ``theta_range`` infinite)
+    requires the callable form.  rho must be 1 on the diagonal and bounded
+    by 1 in magnitude.
     """
 
     ex: float
@@ -94,7 +95,6 @@ class CorrelationProfile:
     theta_grid: np.ndarray | None = None
     rho_values: np.ndarray | None = None
     rho_fn: Callable[[float, float], float] | None = None
-    unbounded: bool = False
 
     def __post_init__(self):
         if self.ex <= 0:
@@ -117,6 +117,11 @@ class CorrelationProfile:
             raise DomainError("rho must be 1 on the diagonal")
         object.__setattr__(self, "theta_grid", th)
         object.__setattr__(self, "rho_values", r)
+
+    @property
+    def unbounded(self) -> bool:
+        """Both ends of theta_range are infinite."""
+        return math.isinf(self.theta_range[0]) and math.isinf(self.theta_range[1])
 
     def rho(self, theta: float, theta_tilde: float) -> float:
         if self.rho_fn is not None:

@@ -28,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GOLDEN, DomainError
-from .divergences import binary_entropy
+from .core import DomainError, golden_section_max
 
 __all__ = [
     "ExponentProblem",
@@ -52,6 +51,7 @@ _SERIES_TERMS = 16      # u^2/2 ... u^17/17: the first omitted term is < 2e-17 r
 _NEWTON_STEPS = 50      # cap on Newton steps for the tie; about 5-10 are taken
 _STEP_TOL = 4.0 * np.finfo(float).eps    # a Newton step this small ends the iteration
 _CERT_EPS = 16.0 * np.finfo(float).eps   # rounding allowance of the certificate
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def _check_q_grid(n_q: int) -> None:
@@ -87,7 +87,9 @@ class ExponentProblem:
 class CurieWeissParams:
     """Spin-model parameters induced by source bias mu and risk scale a.
 
-    field B = 0.5 ln((1+mu)/(1-mu)) - 2 a mu, coupling J = 2 a.
+    field B = atanh(mu) - 2 a mu = 0.5 ln((1+mu)/(1-mu)) - 2 a mu, coupling
+    J = 2 a.  atanh keeps B's sign right for tiny mu, where the logarithm
+    of the rounded ratio loses every digit of mu.
     """
 
     mu: float
@@ -101,7 +103,7 @@ class CurieWeissParams:
 
     @property
     def field(self) -> float:
-        return 0.5 * math.log((1.0 + self.mu) / (1.0 - self.mu)) - 2.0 * self.a * self.mu
+        return math.atanh(self.mu) - 2.0 * self.a * self.mu
 
     @property
     def coupling(self) -> float:
@@ -143,9 +145,16 @@ def _candidates(a: float, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.
     theta = q (value a (t - q)^2) is row 3 and always a candidate: it covers
     the endpoint maximizers theta = 0 at q = 0 and theta = 1 at q = 1, and
     stands in for roots outside (0, 1).
+
+    From a ~ 1e14 on the outer roots lie closer to 0 and 1 (about 1/(2a))
+    than x - b/3 resolves.  For 0 < q < 1 a root rounded to 0 or below
+    takes the small-root form q / (2at + 1) that the cubic approaches
+    there, and one rounded to 1 or above takes the largest float below 1,
+    as 1 - theta is not representable there.  Either stand-in errs in f
+    by O(a ulp), which moves the tie in t by O(ulp).
     """
     # depressed form x^3 + p x + r = 0 of the monic cubic, theta = x + (1+t)/3;
-    # overflow at extreme a only loses roots, and theta = q stands in for them
+    # the branches np.where discards may divide by zero (q = 0 or 1) or overflow
     with np.errstate(all="ignore"):
         b, c, d = -(1.0 + t), t + 0.5 / a, -0.5 * q / a
         p = c - b * b / 3.0
@@ -158,11 +167,17 @@ def _candidates(a: float, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.
         x = np.where(three, amp * np.cos(phi - 2.0 * math.pi / 3.0 * np.arange(3)[:, None]),
                      single)
         theta = x - b / 3.0
+        theta = np.where(theta > 0.0, theta, q / (2.0 * a * t + 1.0))
+        theta = np.where((theta < 1.0) | (q == 1.0), theta, _BELOW_ONE)
         theta = np.vstack([np.where((theta > 0.0) & (theta < 1.0), theta, q), q])
-        # D(q || theta) through log1p of theta - q, so it stays accurate near theta = q
+        # D(q || theta) through log1p of theta - q, so it stays accurate near
+        # theta = q; once theta (or 1 - theta) is below half of q (or 1 - q)
+        # the gap has rounded and the plain ratio is the accurate log
         gap = theta - q
-        div = -(np.where(q > 0.0, q * np.log1p(gap / q), 0.0)
-                + np.where(q < 1.0, (1.0 - q) * np.log1p(-gap / (1.0 - q)), 0.0))
+        log_lo = np.where(theta < 0.5 * q, np.log(theta / q), np.log1p(gap / q))
+        log_hi = np.where(1.0 - theta < 0.5 * (1.0 - q), np.log((1.0 - theta) / (1.0 - q)),
+                          np.log1p(-gap / (1.0 - q)))
+        div = -(np.where(q > 0.0, q * log_lo, 0.0) + np.where(q < 1.0, (1.0 - q) * log_hi, 0.0))
         return theta, a * (t - theta) ** 2 - div, three
 
 
@@ -175,21 +190,13 @@ def _saddle(a: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min over t of the inner max, minimizing t), elementwise over q, for a > 0.
 
     The inner max is convex in t (a max of parabolas), so one golden-section
-    search, batched over q, runs until its bracket reaches machine
-    precision.  It is the fallback of ``_estimator_curve``.
+    search over t in [0, 1], batched over q, runs on its negation until
+    every bracket reaches machine precision.  It is the fallback of
+    ``_estimator_curve``.
     """
-    lo, hi = np.zeros_like(q), np.ones_like(q)
-    c, d = hi - GOLDEN, lo + GOLDEN
-    fc, fd = _inner_max(a, q, c), _inner_max(a, q, d)
-    while np.max(hi - lo) > 4.0 * np.finfo(float).eps:
-        left = fc <= fd                     # the minimum lies in [lo, d]
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-        fx = _inner_max(a, q, x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    left = fc <= fd
-    return np.where(left, fc, fd), np.where(left, c, d)
+    t, neg_g = golden_section_max(lambda t: -_inner_max(a, q, t), np.zeros_like(q),
+                                  np.ones_like(q), tol=np.finfo(float).eps)
+    return -neg_g, t
 
 
 def _certified(a: float, t: np.ndarray, theta: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -203,7 +210,7 @@ def _certified(a: float, t: np.ndarray, theta: np.ndarray, f: np.ndarray) -> np.
     terms of f and of the change of f over one ulp of t.
     """
     g = f.max(axis=0)
-    with np.errstate(invalid="ignore"):   # inf - inf past a ~ 1e16 certifies nothing
+    with np.errstate(invalid="ignore"):   # inf - inf where f overflows certifies nothing
         tol = _CERT_EPS * (a * (theta.max(axis=0) - theta.min(axis=0)) + np.abs(g))
         top = f >= g - tol
     return (top & (theta <= t)).any(axis=0) & (top & (theta >= t)).any(axis=0)
@@ -314,20 +321,21 @@ def bernoulli_bayes_exponent(a: float, *, n_q: int = 201) -> tuple[float, np.nda
     return _solve(a, n_q)
 
 
-def _dominance_score(m: float, b: float, j: float) -> float:
-    return binary_entropy((1.0 + m) / 2.0) + b * m + 0.5 * j * m * m
-
-
 def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
-    """All fixed points of m = tanh(J m + B) on [-1, 1].
+    """All fixed points of m = tanh(J m + B) on [-1, 1], in increasing order.
 
     f(m) = m - tanh(J m + B) has f' = 0 only at m = (+-arccosh(sqrt J) - B) / J,
     which exist when J > 1, so those points cut [-1, 1] into at most three
     pieces on which f is monotone; each piece holds at most one root, found
-    by bisection to machine precision.  Fixed-point iteration would skip
-    the unstable middle root.  Stability is judged by the slope of the tanh
-    map.  The dominant root maximizes h((1+m)/2) + B m + (J/2) m^2; on an
-    exact tie (the zero-field coexistence line) the positive root wins by
+    by bisection to machine precision (signs are compared, not multiplied,
+    so a tiny f cannot underflow the test).  Fixed-point iteration would
+    skip the unstable middle root.  Stability is judged by the slope of the
+    tanh map.  The dominant root maximizes phi(m) = h((1+m)/2) + B m +
+    (J/2) m^2, whose stationary points are the roots.  phi(m) - phi(-m) =
+    2 B m, so the maximizer has the sign of B, and for B > 0 f is convex
+    on m > 0 with f(0) < 0, so just one root is positive: the dominant root
+    is the largest for B > 0 and, by symmetry, the smallest for B < 0.  At
+    B = 0 (the zero-field coexistence line) the positive root wins by
     convention.
     """
     b, j = params.field, params.coupling
@@ -345,13 +353,13 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
         if flo == 0.0:
             roots.append(lo)
             continue
-        if flo * fhi < 0.0:
+        if fhi != 0.0 and (fhi < 0.0) != (flo < 0.0):
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
                 fmid = f(mid)
                 if fmid == 0.0:
                     break
-                if flo * fmid < 0.0:
+                if (fmid < 0.0) != (flo < 0.0):
                     hi = mid
                 else:
                     lo, flo = mid, fmid
@@ -360,9 +368,7 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
     if f(1.0) == 0.0:
         roots.append(1.0)
 
-    scores = np.array([_dominance_score(m, b, j) for m in roots])
-    near_top = scores >= scores.max() - 1e-13
-    dominant_m = max(m for m, top in zip(roots, near_top) if top)
+    dominant_m = roots[-1] if b >= 0.0 else roots[0]
     out = []
     for m in roots:
         try:
@@ -374,12 +380,10 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
 
 
 def a_zero(mu: float) -> float:
-    """Field-reversal curve (1 / 4 mu) ln((1+mu)/(1-mu)); 1/2 in the mu -> 0 limit."""
+    """Field-reversal curve atanh(mu) / (2 mu), where the field changes sign; 1/2 at mu = 0."""
     if not (-1.0 < mu < 1.0):
         raise DomainError("mu must lie strictly inside (-1, 1)")
-    if abs(mu) < 1e-12:
-        return 0.5
-    return math.log((1.0 + mu) / (1.0 - mu)) / (4.0 * mu)
+    return math.atanh(mu) / (2.0 * mu) if mu else 0.5
 
 
 def classify_phase(mu: float, a: float) -> PhaseLabel:

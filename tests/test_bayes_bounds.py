@@ -189,13 +189,13 @@ class TestNonlinearLinearRefBound:
 
     def test_phase_closed_form_at_matched_prior(self, phase_model):
         alpha = 0.2
-        bv = nonlinear_linear_ref_bound(phase_model, alpha, sigma2_q=1.0, auto_lambda=True)
+        bv = nonlinear_linear_ref_bound(phase_model, alpha, sigma2_q=1.0)
         closed = phase_model_bound(alpha, 1.0, 1.0, ex_over_n0=1.0)
         assert bv.value == pytest.approx(closed.value, abs=1e-9)
 
     def test_optimizer_dominates_random_probes(self, phase_model):
         alpha = 0.2
-        best = nonlinear_linear_ref_bound(phase_model, alpha, optimize=True)
+        best = nonlinear_linear_ref_bound(phase_model, alpha)
         rng = np.random.default_rng(0)
         for _ in range(100):
             s2q = math.exp(rng.uniform(math.log(0.05), math.log(2.5)))
@@ -204,7 +204,7 @@ class TestNonlinearLinearRefBound:
             assert probe.value <= best.value + 1e-6
 
     def test_reevaluation_consistency(self, phase_model):
-        best = nonlinear_linear_ref_bound(phase_model, 0.2, optimize=True)
+        best = nonlinear_linear_ref_bound(phase_model, 0.2)
         again = nonlinear_linear_ref_bound(
             phase_model, 0.2, sigma2_q=best.argmax["sigma2_q"], lam=best.argmax["lambda"])
         assert again.value == pytest.approx(best.value, abs=1e-9)

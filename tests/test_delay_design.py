@@ -40,6 +40,22 @@ class TestReferenceOde:
         s_ana = raised_cosine_reference(1.5, x.t, OMEGA0, lam)
         assert np.max(np.abs(s_num.values - s_ana.values)) <= 1e-6
 
+    @pytest.mark.parametrize("n, lam", [(64, 1.0), (513, 30.0), (8193, 30.0)])
+    def test_matches_banded_cholesky(self, n, lam):
+        from scipy.linalg import solveh_banded
+        x = _pulse(n=n)
+        c = 1.0 / (lam * (x.t[1] - x.t[0]) ** 2)
+        ab = np.zeros((2, n))
+        ab[0, 1:] = -c
+        ab[1, :] = 1.0 + 2.0 * c
+        ab[1, 0] = ab[1, -1] = 0.5 + c
+        rhs = x.values.copy()
+        rhs[0] *= 0.5
+        rhs[-1] *= 0.5
+        want = solveh_banded(ab, rhs)
+        s = solve_reference_ode(DelayDesignProblem(x, lam, 1.0))
+        assert np.max(np.abs(s.values - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_second_order_convergence(self):
         errs = []
         for n in (1024, 2048, 4096):
@@ -135,7 +151,7 @@ class TestNuBound:
     def test_joint_optimizer_dominates_endpoints(self, gaussian_prior_grid):
         prior = gaussian_prior_grid(1.0)
         alpha, ex, n0 = 0.3, 1.5, 20.0
-        joint = nu_bound(prior, alpha, omega0=OMEGA0, ex=ex, n0=n0, optimize=True)
+        joint = nu_bound(prior, alpha, omega0=OMEGA0, ex=ex, n0=n0)
         for nu in (0.0, 1.0):
             endpoint = nu_bound(prior, alpha, nu=nu, omega0=OMEGA0, ex=ex, n0=n0)
             assert joint.value >= endpoint.value - 1e-6
@@ -170,7 +186,7 @@ class TestNuBound:
 
     def test_optimizer_argmax_reevaluates_to_its_value(self, gaussian_prior_grid):
         prior = gaussian_prior_grid(1.0)
-        joint = nu_bound(prior, 0.3, omega0=OMEGA0, ex=1.5, n0=20.0, optimize=True)
+        joint = nu_bound(prior, 0.3, omega0=OMEGA0, ex=1.5, n0=20.0)
         again = nu_bound(prior, 0.3, beta=joint.argmax["beta"], nu=joint.argmax["nu"],
                          omega0=OMEGA0, ex=1.5, n0=20.0)
         assert again.value == pytest.approx(joint.value, abs=1e-9)

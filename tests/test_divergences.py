@@ -394,7 +394,7 @@ class TestTiltTerms:
 
         monkeypatch.setattr(divergences, "tilt_prior", counting)
         prior = gaussian_prior_grid(1.0)
-        bv = nu_bound(prior, 0.6, omega0=2.0 * math.pi, ex=1.5, n0=20.0, optimize=True)
+        bv = nu_bound(prior, 0.6, omega0=2.0 * math.pi, ex=1.5, n0=20.0)
         assert math.isfinite(bv.value)
         assert tilted and max(tilted.values()) == 1
         assert set(tilted) == set(vars(prior)["_tilt_terms"])

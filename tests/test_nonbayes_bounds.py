@@ -210,7 +210,7 @@ class TestNonlinearBound:
                 ex=1.0, theta_range=(0.0, 1.0),
                 rho_fn=lambda t, tt: math.exp(-c * (t - tt) ** 2))
         return CorrelationProfile(
-            ex=1.0, theta_range=(-math.inf, math.inf), unbounded=True,
+            ex=1.0, theta_range=(-math.inf, math.inf),
             rho_fn=lambda t, tt: math.exp(-c * (t - tt) ** 2))
 
     def test_unbounded_range_diverges_for_any_alpha(self):
@@ -224,7 +224,7 @@ class TestNonlinearBound:
         # theta, so the probe theta + 1 attains the supremum
         theta, alpha = 0.25, 0.5
         profile = CorrelationProfile(
-            ex=0.01, theta_range=(-math.inf, math.inf), unbounded=True,
+            ex=0.01, theta_range=(-math.inf, math.inf),
             rho_fn=lambda t, tt: math.exp(-4.0 * (t - tt) ** 2))
         bv = nonlinear_bound(profile, alpha, theta=theta, n0=1.0,
                              l_nb=lambda tt: -(tt - theta) ** 2 - (tt - theta - 1.0) ** 2)

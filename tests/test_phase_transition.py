@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import (
@@ -139,6 +139,14 @@ class TestCertifiedCurve:
         assert _certified(1.5, q, *_candidates(1.5, q, q)[:2]).all()
         shifted = q + np.array([1e-9, 1e-9, -1e-9, -1e-9])
         assert not _certified(1.5, shifted, *_candidates(1.5, q, shifted)[:2]).any()
+
+    @pytest.mark.parametrize("a", [1e14, 1e16, 1e20])
+    def test_curve_stays_at_one_half_at_extreme_risk(self, a):
+        # the outer roots sit within 1/(2a) of 0 and 1, below the rounding of
+        # the trigonometric form; the tie, and so the curve, stays at 1/2
+        curve, _ = _estimator_curve(a, Q_GRID)
+        assert np.max(np.abs(curve - 0.5)) <= 1e-11
+        assert abs(asymptotic_estimator(0.99, a) - 0.5) <= 1e-11
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
     def test_plugin_curve_up_to_the_transition(self, a):
@@ -338,3 +346,43 @@ class TestClassifyPhase:
     def test_bias_domain_enforced(self):
         with pytest.raises(DomainError):
             classify_phase(1.0, 0.4)
+
+
+# within 1e-3 of the multicritical point (mu, a) = (0, 1/2)
+NEAR_MU = st.floats(min_value=-1e-3, max_value=1e-3)
+NEAR_A = st.floats(min_value=0.5 - 1e-3, max_value=0.5 + 1e-3)
+SIGN_OF_PHASE = {Phase.POSITIVE_M_LOW_A: 1.0, Phase.POSITIVE_M_HIGH_A: 1.0,
+                 Phase.NEGATIVE_M_LOW_A: -1.0, Phase.NEGATIVE_M_HIGH_A: -1.0}
+
+
+class TestNearMulticriticalPoint:
+    @given(NEAR_MU, NEAR_A)
+    @example(-2.2250738585e-313, 0.5)    # flo * fmid underflowed to 0 in the bisection
+    @settings(max_examples=300, deadline=None)
+    def test_roots_are_fixed_points_in_order(self, mu, a):
+        params = CurieWeissParams(mu, a)
+        roots = magnetization_roots(params)
+        ms = [r.m for r in roots]
+        assert 1 <= len(ms) <= 3
+        assert ms == sorted(set(ms))
+        for m in ms:   # f' is near 0 here, so a root to the last bit leaves a few eps
+            assert abs(m - math.tanh(params.coupling * m + params.field)) <= 4.0 * EPS
+        assert sum(r.dominant for r in roots) == 1
+
+    @given(NEAR_MU, NEAR_A)
+    @example(8.47693439865365e-39, 0.499)   # ln((1+mu)/(1-mu)) rounded to 0
+    @example(1e-4, 0.5000000516666667)      # 5e-8 past a_zero: free energies tie to 1e-13
+    @example(5e-324, 0.499)                 # the field underflows to 0
+    @settings(max_examples=300, deadline=None)
+    def test_dominant_sign_follows_the_label(self, mu, a):
+        # off the boundary bands the dominant magnetization has the sign its
+        # phase names; a paramagnet follows the bias, and sits at 0 only
+        # where the field mu (1 - 2a) underflows
+        label = classify_phase(mu, a)
+        if label.boundary:
+            return
+        want = SIGN_OF_PHASE.get(label.phase, math.copysign(1.0, mu) if mu else 0.0)
+        if label.dominant_m == 0.0 and label.phase is Phase.PARAMAGNETIC:
+            assert CurieWeissParams(mu, a).field == 0.0
+        else:
+            assert np.sign(label.dominant_m) == want, label
