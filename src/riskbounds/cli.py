@@ -15,6 +15,12 @@ fills in flags that were not given explicitly; explicit flags win.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible domain, 4 verification
 failure.
+
+Each command imports only the modules it runs, at the point of use: the
+module itself loads argparse and the numpy-free ``errors``, linear sweeps
+are spaced in plain Python by numpy's own ``linspace`` formula, and
+``phase exponent``, ``phase roots``, ``phase diagram`` and ``emit-plot``
+run without importing numpy at all.
 """
 
 from __future__ import annotations
@@ -23,12 +29,12 @@ import argparse
 import math
 import os
 import sys
-import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DomainError, RiskBoundsError
 
-from . import bayes_bounds, delay_design, nonbayes_bounds, phase_transition, verify
-from .core import DomainError, GridDensity, RiskBoundsError, uniform_density
+if TYPE_CHECKING:
+    from .core import GridDensity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,7 +50,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_sweep(text: str, log: bool = False) -> np.ndarray:
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``np.linspace(start, stop, n)`` for n >= 2, bit for bit, without numpy.
+
+    numpy's own formula: point i is i * step + start with step =
+    (stop - start) / (n - 1), or i / (n - 1) * (stop - start) + start when
+    step rounds to 0 (a subnormal span), and the last point is stop.
+    """
+    div, delta = n - 1, stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(n)]
+    else:
+        points = [i * step + start for i in range(n)]
+    points[-1] = stop
+    return points
+
+
+def _parse_sweep(text: str, log: bool = False) -> list[float]:
     try:
         start_s, stop_s, steps_s = text.split(":")
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
@@ -57,8 +80,10 @@ def _parse_sweep(text: str, log: bool = False) -> np.ndarray:
     if log:
         if start <= 0 or stop <= 0:
             raise DomainError("log sweep needs positive endpoints")
-        return np.exp(np.linspace(math.log(start), math.log(stop), steps))
-    return np.linspace(start, stop, steps)
+        import numpy as np   # np.exp, not math.exp: the two round differently
+
+        return np.exp(_linspace(math.log(start), math.log(stop), steps)).tolist()
+    return _linspace(start, stop, steps)
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -71,11 +96,11 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _alpha_values(args) -> np.ndarray:
+def _alpha_values(args) -> list[float]:
     if getattr(args, "alpha_sweep", None):
         return _parse_sweep(args.alpha_sweep, args.log)
     if getattr(args, "alpha", None) is not None:
-        return np.array([args.alpha])
+        return [args.alpha]
     raise DomainError("supply --alpha or --alpha-sweep")
 
 
@@ -156,6 +181,12 @@ def _prior_params(text: str, n_min: int, n_max: int) -> tuple[list[float], int |
 
 
 def _load_prior(args) -> GridDensity:
+    import warnings
+
+    import numpy as np
+
+    from .core import GridDensity, uniform_density
+
     text = args.prior
     if text.startswith("uniform:"):
         (lo, hi), n = _prior_params(text, 2, 2)
@@ -184,12 +215,16 @@ def _load_prior(args) -> GridDensity:
 #
 # Each rows function takes the parsed arguments and returns the data rows of
 # one `bound` family or `phase` analysis; _COMMANDS pairs it with its header.
+# Each imports the modules it calls, so a command loads only those (and the
+# phase exponent, roots and diagram load no numpy).
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
 
 
 def _bayes_linear_rows(args) -> list[list]:
+    from . import bayes_bounds
+
     model = bayes_bounds.LinearGaussianModel(args.sigma2, args.es, args.n0)
     def row(a):
         bv = bayes_bounds.linear_gaussian_min_lambda(model, a)
@@ -198,6 +233,8 @@ def _bayes_linear_rows(args) -> list[list]:
 
 
 def _bayes_phase_rows(args) -> list[list]:
+    from . import bayes_bounds
+
     if not args.n0 > 0:
         raise DomainError("n0 must be positive")
     def row(a):
@@ -207,6 +244,8 @@ def _bayes_phase_rows(args) -> list[list]:
 
 
 def _tilted_rows(args) -> list[list]:
+    from . import bayes_bounds
+
     prior = _load_prior(args)
     if args.beta is None:
         raise DomainError("supply --beta for bayes-tilted")
@@ -217,6 +256,10 @@ def _tilted_rows(args) -> list[list]:
 
 
 def _delay_rows(args) -> list[list]:
+    from . import delay_design
+
+    if args.beta is not None and args.nu is None:
+        raise DomainError("--beta needs --nu for bayes-delay: without --nu the search picks beta")
     prior = _load_prior(args)
     def row(a):
         bv = delay_design.nu_bound(prior, a, beta=args.beta, nu=args.nu,
@@ -226,6 +269,8 @@ def _delay_rows(args) -> list[list]:
 
 
 def _ww_rows(args) -> list[list]:
+    from . import bayes_bounds
+
     def row(a):
         bv = bayes_bounds.ww_rect_delay_bound(a, args.gamma, args.tau)
         return [a, args.gamma, args.tau, bv.value, bv.argmax.get("tau_tilde", math.nan),
@@ -234,6 +279,8 @@ def _ww_rows(args) -> list[list]:
 
 
 def _lpcb_rows(args) -> list[list]:
+    from . import bayes_bounds
+
     alphas = _alpha_values(args)
     rows = []
     for snr in _float_list(args.snr, "--snr"):
@@ -246,6 +293,8 @@ def _lpcb_rows(args) -> list[list]:
 
 
 def _nonbayes_linear_rows(args) -> list[list]:
+    from . import nonbayes_bounds
+
     def row(a):
         bv = nonbayes_bounds.scalar_linear_bound(a, args.es, args.n0)
         ml = nonbayes_bounds.scalar_ml_lambda(a, args.es, args.n0)
@@ -254,12 +303,16 @@ def _nonbayes_linear_rows(args) -> list[list]:
 
 
 def _vector_rows(args) -> list[list]:
+    import numpy as np
+
+    from . import nonbayes_bounds
+
     if args.gamma_file is None:
         raise DomainError("supply --gamma-file for nonbayes-vector")
     gamma = np.loadtxt(args.gamma_file, delimiter=",", ndmin=2)
     model = nonbayes_bounds.VectorLinearModel(gamma, args.es, args.n0)
     vec = np.array(_float_list(args.alpha_vec, "--alpha-vec"))
-    scales = _parse_sweep(args.scale_sweep, args.log) if args.scale_sweep else np.array([1.0])
+    scales = _parse_sweep(args.scale_sweep, args.log) if args.scale_sweep else [1.0]
     def row(t):
         a = t * vec
         bv = nonbayes_bounds.vector_linear_bound(model, a)
@@ -269,6 +322,8 @@ def _vector_rows(args) -> list[list]:
 
 
 def _nonlinear_rows(args) -> list[list]:
+    from . import nonbayes_bounds
+
     unbounded = args.range == "unbounded"
     theta_range = (-math.inf, math.inf) if unbounded else tuple(_float_list(args.range, "--range"))
     if len(theta_range) != 2:
@@ -285,25 +340,33 @@ def _nonlinear_rows(args) -> list[list]:
 
 
 def _exponent_rows(args) -> list[list]:
-    a_vals = _parse_sweep(args.a_sweep, args.log) if args.a_sweep else np.array([args.a])
+    from . import phase_transition
+
+    a_vals = _parse_sweep(args.a_sweep, args.log) if args.a_sweep else [args.a]
     return [[a, phase_transition.error_exponent(phase_transition.ExponentProblem(a, args.q_steps))]
             for a in map(float, a_vals)]
 
 
 def _estimator_rows(args) -> list[list]:
+    from . import phase_transition
+
     _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a, n_q=args.q_steps)
     return [[float(q), float(t)] for q, t in zip(q_grid, curve)]
 
 
 def _roots_rows(args) -> list[list]:
+    from . import phase_transition
+
     params = phase_transition.CurieWeissParams(args.mu, args.a)
     return [[r.m, r.stable, r.dominant] for r in phase_transition.magnetization_roots(params)]
 
 
 def _diagram_rows(args) -> list[list]:
+    from . import phase_transition
+
     if not (args.mu_sweep and args.a_sweep):
         raise DomainError("supply --mu-sweep and --a-sweep for the phase diagram")
-    mus, a_vals = _parse_sweep(args.mu_sweep), _parse_sweep(args.a_sweep)
+    mus, a_vals = _parse_sweep(args.mu_sweep, args.log), _parse_sweep(args.a_sweep, args.log)
     rows = []
     for mu in map(float, mus):
         for a in map(float, a_vals):
@@ -338,11 +401,14 @@ _COMMANDS = {
     },
 }
 
+def _alpha_c_rows(args) -> list[list]:
+    from . import bayes_bounds
+
+    return [[bayes_bounds.alpha_c_upper(_load_prior(args))]]
+
+
 # `bound bayes-tilted --alpha-c` reports the critical-factor certificate instead
-_ALPHA_C = {
-    "bayes-tilted": (("alpha_c_upper",),
-                     lambda args: [[bayes_bounds.alpha_c_upper(_load_prior(args))]]),
-}
+_ALPHA_C = {"bayes-tilted": (("alpha_c_upper",), _alpha_c_rows)}
 
 
 def _run_table(table: dict, choice: str, args) -> int:
@@ -357,6 +423,10 @@ def _run_table(table: dict, choice: str, args) -> int:
 
 def _certify_rows(samples: int, seed: int) -> tuple[list[list], bool]:
     """Bound-versus-truth battery; returns (rows, any_violation)."""
+    import numpy as np
+
+    from . import bayes_bounds, nonbayes_bounds, verify
+
     rows: list[list] = []
     violated = False
 
@@ -420,6 +490,8 @@ def _certify_rows(samples: int, seed: int) -> tuple[list[list], bool]:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     sub = args.check
     if sub == "mc":
         key = (args.model, args.estimator)
@@ -450,6 +522,10 @@ def _cmd_verify(args) -> int:
     if sub == "bernoulli-exact":
         est_name = "optimal" if args.estimator == "optimal" else "plugin"
         if est_name == "optimal":
+            import numpy as np
+
+            from . import phase_transition
+
             _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a)
             est = lambda q: float(np.interp(q, q_grid, curve))
         else:

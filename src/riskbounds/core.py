@@ -13,7 +13,10 @@ brackets and then run every element as a search of its own in one numpy
 loop, with the same result per element as the scalar search; float
 brackets keep a plain Python loop.  ``logsumexp`` is the package's only
 log-sum-exp; ``select`` and ``float_or_array`` let one closed form take
-floats or arrays.
+floats or arrays.  The exception classes live in the numpy-free
+``errors`` module and are re-exported here as the same class objects, so
+``except core.DomainError`` and ``except errors.DomainError`` are one
+clause.
 """
 
 from __future__ import annotations
@@ -26,6 +29,16 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import (  # noqa: F401  (re-exported)
+    ConditioningError,
+    DegenerateSignalError,
+    DivergenceRiskError,
+    DomainError,
+    GridError,
+    ResolutionError,
+    RiskBoundsError,
+)
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
@@ -35,34 +48,6 @@ STATUS_OK = "ok"
 STATUS_DIVERGENT = "divergent"        # value is +inf: no estimator can stay finite
 STATUS_USELESS = "useless"            # value is -inf: the divergence term blew up
 STATUS_OUT_OF_WINDOW = "out_of_window"  # inputs outside the bound's applicability window
-
-
-class RiskBoundsError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DomainError(RiskBoundsError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class GridError(DomainError):
-    """Grid functions that should share an abscissa do not."""
-
-
-class ConditioningError(RiskBoundsError):
-    """A linear system is too ill conditioned to trust."""
-
-
-class DegenerateSignalError(RiskBoundsError):
-    """A reference-signal optimization collapsed to the zero signal."""
-
-
-class DivergenceRiskError(RiskBoundsError):
-    """A Monte Carlo run was refused because its moment may not exist."""
-
-
-class ResolutionError(RiskBoundsError):
-    """A grid supremum failed to stabilize under refinement."""
 
 
 def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskbounds
-from riskbounds.cli import _COMMANDS, main
+from riskbounds.cli import _COMMANDS, _linspace, main
 
 
 def run_cli(argv, capsys):
@@ -177,6 +177,12 @@ class TestDeterminismAndConfig:
         assert out_path.read_text().startswith("alpha,bound")
 
 
+def _src_env(**extra) -> dict:
+    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 _NO_SCIPY = """
 import importlib, pkgutil, sys
 import numpy as np
@@ -201,36 +207,99 @@ assert riskbounds.cli.main(["verify", "certify"]) == 0
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency: with every scipy import made to
     # fail, each module imports, the reference solve runs and certify passes
-    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", _NO_SCIPY], check=True, env=env, capture_output=True,
-                   timeout=120)
+    subprocess.run([sys.executable, "-c", _NO_SCIPY], check=True, env=_src_env(),
+                   capture_output=True, timeout=120)
 
 
 def test_cli_import_loads_no_thread_pool():
     # concurrent.futures is imported only by a run that starts threads
-    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import riskbounds.cli, sys; "
             "riskbounds.cli.main(['verify', 'mc', '--model', 'nb-ml', '--estimator', 'ml', "
             "'--alpha', '0.3', '--samples', '1000', '--threads', '8']); "
             "assert 'concurrent' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True,
+    subprocess.run([sys.executable, "-c", code], check=True, env=_src_env(), capture_output=True,
                    timeout=120)
 
 
 def test_sweeps_load_no_thread_pool():
     # sweeps run serially whatever RISKBOUNDS_THREADS says; only verify mc reads it
-    src = os.path.dirname(os.path.dirname(riskbounds.__file__))
-    env = dict(os.environ, RISKBOUNDS_THREADS="4",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import riskbounds.cli, sys; "
             "riskbounds.cli.main(['bound', 'nonbayes-linear', '--alpha-sweep', '0.05:0.95:12', "
             "'--es', '1', '--n0', '1']); "
             "assert 'concurrent' not in sys.modules")
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=_src_env(RISKBOUNDS_THREADS="4"), capture_output=True,
                          text=True, timeout=120).stdout
     assert len(data_rows(out)) == 12
+
+
+_NO_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+        return None
+
+sys.meta_path.insert(0, NoNumpy())
+import riskbounds
+import riskbounds.cli
+from riskbounds.cli import main
+
+argvs = [
+    ["phase", "exponent", "--a-sweep", "0:6:7", "--out", "fig3.csv"],
+    ["phase", "diagram", "--mu-sweep=-0.9:0.9:5", "--a-sweep", "0:1.5:4"],
+    ["phase", "roots", "--mu", "0.1", "--a", "0.8"],
+    ["emit-plot", "--csv", "fig3.csv", "--out-script", "fig3.gp"],
+]
+for argv in argvs:
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules
+"""
+
+
+def test_phase_and_emit_plot_run_without_numpy(tmp_path):
+    # the package, the CLI module, the scalar phase commands and emit-plot
+    # import no numpy: with every numpy import made to fail, all of them run
+    subprocess.run([sys.executable, "-c", _NO_NUMPY], check=True, env=_src_env(), cwd=tmp_path,
+                   capture_output=True, timeout=120)
+    assert (tmp_path / "fig3.gp").is_file()
+
+
+def test_verify_mc_loads_no_bound_modules():
+    # each command imports only what it runs: the MC check needs verify and core
+    code = ("import riskbounds.cli, sys; "
+            "assert riskbounds.cli.main(['verify', 'mc', '--model', 'nb-ml', '--estimator', 'ml', "
+            "'--alpha', '0.3', '--samples', '1000']) == 0; "
+            "loaded = {'riskbounds.bayes_bounds', 'riskbounds.divergences', "
+            "'riskbounds.delay_design'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True, env=_src_env(), capture_output=True,
+                   timeout=120)
+
+
+def test_every_public_name_resolves():
+    # in a fresh process, where no name has been resolved yet: dir() lists
+    # every public name and submodule, and each resolves on first access
+    code = ("import sys, riskbounds; "
+            "names = set(dir(riskbounds)); "
+            "assert set(riskbounds.__all__) | {'core', 'verify', 'cli'} <= names; "
+            "assert 'riskbounds.core' not in sys.modules; "
+            "assert all(getattr(riskbounds, n) is not None for n in riskbounds.__all__); "
+            "assert riskbounds.verify is sys.modules['riskbounds.verify']; "
+            "assert not hasattr(riskbounds, 'no_such_name')")
+    subprocess.run([sys.executable, "-c", code], check=True, env=_src_env(), capture_output=True,
+                   timeout=120)
+
+
+def test_exceptions_are_one_set_of_classes():
+    import riskbounds.core
+    import riskbounds.errors
+
+    assert riskbounds.DomainError is riskbounds.core.DomainError is riskbounds.errors.DomainError
+    for name in riskbounds.errors.__all__:
+        assert getattr(riskbounds, name) is getattr(riskbounds.core, name)
 
 
 class TestExitCodes:
@@ -340,6 +409,13 @@ class TestExitCodes:
         assert all(r[-1] == "ok" for r in data_rows(out))
 
 
+# sweep endpoints: ordinary values, float-range extremes, subnormals and zeros
+_SWEEP_ENDS = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
 class TestSweeps:
     def test_linear_sweep_endpoints(self, capsys):
         _, out, _ = run_cli(["bound", "nonbayes-linear", "--alpha-sweep", "0.2:0.8:4",
@@ -352,6 +428,34 @@ class TestSweeps:
                              "--log", "--es", "10", "--n0", "1"], capsys)
         alphas = [float(r[0]) for r in data_rows(out)]
         np.testing.assert_allclose(alphas, [0.01, 0.1, 1.0], rtol=1e-9)
+
+    @given(start=_SWEEP_ENDS, stop=_SWEEP_ENDS, n=st.integers(2, 2000))
+    @example(start=1.0, stop=1.0, n=5)
+    @example(start=6.0, stop=0.0, n=7)
+    @example(start=0.0, stop=5e-324, n=4)
+    @example(start=-1e308, stop=1e308, n=5)
+    @example(start=1e308, stop=-1e308, n=2000)
+    @settings(max_examples=300, deadline=None)
+    def test_linear_sweep_is_numpy_linspace_bit_for_bit(self, start, stop, n):
+        with np.errstate(all="ignore"):   # numpy warns where the span overflows
+            expected = np.linspace(start, stop, n)
+        assert np.array(_linspace(start, stop, n)).tobytes() == expected.tobytes()
+
+    def test_diagram_log_sweeps_are_log_spaced(self, capsys):
+        code, out, _ = run_cli(["phase", "diagram", "--log", "--mu-sweep", "0.01:0.81:3",
+                                "--a-sweep", "0.1:10:3"], capsys)
+        assert code == 0
+        rows = data_rows(out)
+        mus = sorted({float(r[0]) for r in rows})
+        a_vals = sorted({float(r[1]) for r in rows})
+        np.testing.assert_allclose(mus, [0.01, 0.09, 0.81], rtol=1e-12)
+        np.testing.assert_allclose(a_vals, [0.1, 1.0, 10.0], rtol=1e-12)
+
+    def test_diagram_log_sweep_needs_positive_endpoints(self, capsys):
+        code, _, err = run_cli(["phase", "diagram", "--log", "--mu-sweep=-0.5:0.5:3",
+                                "--a-sweep", "0.1:1:3"], capsys)
+        assert code == 3
+        assert err == "error: log sweep needs positive endpoints\n"
 
     def test_tilted_bound_with_named_prior(self, capsys):
         code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", "gaussian:1.0",
@@ -379,6 +483,14 @@ class TestSweeps:
                                 "--nu", "0", "--alpha", "0.5"], capsys)
         assert code == 0
         assert data_rows(out) == [["0.5", "-inf", "0", "nan", "useless"]]
+
+    def test_delay_beta_without_nu_is_three(self, capsys):
+        # without --nu the joint search picks beta, so a given --beta is refused
+        code, out, err = run_cli(["bound", "bayes-delay", "--prior", "gaussian:1.0",
+                                  "--alpha", "0.6", "--beta", "0.5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --beta needs --nu") and err.count("\n") == 1
 
     def test_delay_bound_fixed_point(self, capsys):
         code, out, _ = run_cli(["bound", "bayes-delay", "--prior", "gaussian:1.0",

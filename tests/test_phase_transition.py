@@ -1,6 +1,8 @@
 """Saddle exponent, asymptotically optimal estimator and spin-model phases."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,7 @@ from riskbounds import (
     magnetization_roots,
 )
 
-from riskbounds.phase_transition import (_candidates, _certified, _estimator_curve,
-                                         _saddle)
+from riskbounds._curve import _candidates, _certified, _estimator_curve, _saddle
 
 from oracles import exponent_closed_form, exponent_oracle, saddle_value_and_argmin
 
@@ -147,6 +148,17 @@ class TestCertifiedCurve:
         curve, _ = _estimator_curve(a, Q_GRID)
         assert np.max(np.abs(curve - 0.5)) <= 1e-11
         assert abs(asymptotic_estimator(0.99, a) - 0.5) <= 1e-11
+
+    @pytest.mark.parametrize("a", [8e307, 1e308, sys.float_info.max])
+    def test_curve_stays_at_one_half_up_to_the_float_maximum(self, a):
+        # 2a overflows from a = 9e307 on; the tie, its slope, the certificate
+        # tolerance and the small-root form are evaluated without it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve, _ = _estimator_curve(a, Q_GRID)
+            _, golden = _saddle(a, Q_GRID)
+        assert np.max(np.abs(curve - 0.5)) <= EPS
+        assert np.max(np.abs(golden - 0.5)) <= EPS
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
     def test_plugin_curve_up_to_the_transition(self, a):
