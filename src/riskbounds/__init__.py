@@ -41,7 +41,7 @@ _EXPORTS = {
             "CorrelationProfile", "VectorLinearModel", "critical_radius", "nonlinear_bound",
             "scalar_linear_bound", "scalar_ml_lambda", "vector_linear_bound", "vector_ml_lambda")),
         ("phase_transition", (
-            "CurieWeissParams", "ExponentProblem", "MagnetizationRoot", "Phase", "PhaseLabel",
+            "CurieWeissParams", "MagnetizationRoot", "Phase", "PhaseLabel",
             "a_zero", "asymptotic_estimator", "bernoulli_bayes_exponent", "classify_phase",
             "error_exponent", "magnetization_roots")),
         ("verify", (

@@ -309,9 +309,8 @@ def nonlinear_linear_ref_bound(
     coverage_cap = (float(model.theta[-1] - model.theta[0]) / 12.0) ** 2
 
     def g_sq(s2q: float) -> float:
-        density = np.exp(-model.theta ** 2 / (2.0 * s2q))
-        density /= np.trapezoid(density, model.theta)
-        g = np.trapezoid((density * model.theta)[:, None] * model.x, model.theta, axis=0)
+        q_prior = GridDensity(model.theta, np.exp(-model.theta ** 2 / (2.0 * s2q))).normalized()
+        g = _q_weighted_correlation(model, q_prior)
         return float(np.trapezoid(g * g, model.t))
 
     def value_at(s2q: float, lam_val: float, g2: float) -> float:

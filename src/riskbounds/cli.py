@@ -11,7 +11,11 @@ Output is CSV on stdout (or ``--out``): header first, then the effective
 configuration echoed as ``#`` comment lines, then data rows.  ``+inf`` is
 rendered as the literal ``inf``.  Sweeps use ``start:stop:steps`` syntax,
 log-spaced with ``--log``.  A ``--config`` file of ``key = value`` lines
-fills in flags that were not given explicitly; explicit flags win.
+is read as ``--key=value`` flags placed before the explicit ones, so
+explicit flags win and every config value is checked like its flag (a bad
+one exits 2).  An on/off flag such as ``log`` takes ``true`` or ``false``;
+a key the command has no flag for is ignored.  Each default is declared
+once, in its ``add_argument``.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible domain, 4 verification
 failure.
@@ -83,6 +87,8 @@ def _parse_sweep(text: str, log: bool = False) -> list[float]:
         import numpy as np   # np.exp, not math.exp: the two round differently
 
         return np.exp(_linspace(math.log(start), math.log(stop), steps)).tolist()
+    if not math.isfinite(stop - start):
+        raise DomainError(f"bad sweep spec {text!r}: stop - start is beyond the float range")
     return _linspace(start, stop, steps)
 
 
@@ -118,28 +124,25 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, hard_defaults: dict) -> None:
-    """Fill argparse Nones from the config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config(args.config)
-    for key, text in file_values.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file's lines as ``--key=value`` flags of the parsed command.
+
+    ``true`` and ``false`` on an on/off flag become the bare flag or
+    nothing.  A key the command has no flag for is dropped here, so that
+    argparse cannot take it for an abbreviation of another flag.
+    """
+    flags = []
+    for key, text in _load_config(args.config).items():
+        if key not in vars(args):
             continue
-        default = hard_defaults.get(key)
-        if isinstance(default, str):
-            value = text
-        elif isinstance(default, bool) or text in ("true", "false"):
-            value = text == "true"
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if text not in ("true", "false"):
+                raise DomainError(f"bad config value {key} = {text!r}, expected true or false")
+            flags += [flag] if text == "true" else []
         else:
-            try:
-                value = int(text)
-            except ValueError:
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = text
-        setattr(args, key, value)
+            flags.append(f"{flag}={text}")
+    return flags
 
 
 def _effective_config(args: argparse.Namespace) -> list[str]:
@@ -343,8 +346,7 @@ def _exponent_rows(args) -> list[list]:
     from . import phase_transition
 
     a_vals = _parse_sweep(args.a_sweep, args.log) if args.a_sweep else [args.a]
-    return [[a, phase_transition.error_exponent(phase_transition.ExponentProblem(a, args.q_steps))]
-            for a in map(float, a_vals)]
+    return [[a, phase_transition.error_exponent(a)] for a in map(float, a_vals)]
 
 
 def _estimator_rows(args) -> list[list]:
@@ -421,6 +423,14 @@ def _run_table(table: dict, choice: str, args) -> int:
 
 # --------------------------------------------------------------- verify ---
 
+# check -> CSV header; the check choices and the -h column list come from it
+_VERIFY = {
+    "mc": ("model", "estimator", "alpha", "n_samples", "seed", "lambda_hat", "se", "max_share"),
+    "bernoulli-exact": ("n", "a", "theta", "estimator", "lambda_n", "lambda_per_n"),
+    "certify": ("check", "alpha", "bound", "truth", "margin", "status"),
+}
+
+
 def _certify_rows(samples: int, seed: int) -> tuple[list[list], bool]:
     """Bound-versus-truth battery; returns (rows, any_violation)."""
     import numpy as np
@@ -493,6 +503,7 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     sub = args.check
+    header = _VERIFY[sub]
     if sub == "mc":
         key = (args.model, args.estimator)
         if key not in verify.MODEL_THRESHOLDS:
@@ -513,8 +524,6 @@ def _cmd_verify(args) -> int:
             print(f"warning: tail-dominated estimate: max_share {res.max_share:.6g} exceeds "
                   f"{verify._MAX_SHARE_WARN:g}; divergence threshold {res.threshold:.6g}",
                   file=sys.stderr)
-        header = ["model", "estimator", "alpha", "n_samples", "seed",
-                  "lambda_hat", "se", "max_share"]
         rows = [[args.model, args.estimator, alpha, args.samples, args.seed,
                  res.lambda_hat, res.se, res.max_share]]
         _emit(args, header, rows)
@@ -532,18 +541,14 @@ def _cmd_verify(args) -> int:
             est = lambda q: q
         lam = verify.bernoulli_exact_lambda(
             verify.BernoulliExact(n=args.n, a=args.a, theta=args.theta, estimator=est))
-        header = ["n", "a", "theta", "estimator", "lambda_n", "lambda_per_n"]
         rows = [[args.n, args.a, args.theta, est_name, lam, lam / args.n]]
         _emit(args, header, rows)
         return EXIT_OK
-    if sub == "certify":
-        rows, violated = _certify_rows(args.samples, args.seed)
-        header = ["check", "alpha", "bound", "truth", "margin", "status"]
-        _emit(args, header, rows)
-        summary = "FAIL: bound violation detected" if violated else "PASS: no bound violations"
-        print(summary, file=sys.stderr)
-        return EXIT_VERIFY if violated else EXIT_OK
-    raise DomainError(f"unknown verify subcommand {sub!r}")  # pragma: no cover
+    rows, violated = _certify_rows(args.samples, args.seed)   # certify
+    _emit(args, header, rows)
+    summary = "FAIL: bound violation detected" if violated else "PASS: no bound violations"
+    print(summary, file=sys.stderr)
+    return EXIT_VERIFY if violated else EXIT_OK
 
 
 # ------------------------------------------------------------- emit-plot ---
@@ -599,25 +604,6 @@ def _cmd_emit_plot(args) -> int:
 
 # ----------------------------------------------------------------- main ---
 
-# Hard defaults live outside argparse so a --config file can fill any value
-# a flag did not set explicitly; explicit flags always win.
-_DEFAULTS = {
-    "bound": dict(
-        sigma2=1.0, es=0.0, ex=1.0, n0=1.0, snr="0.1", q_const=0.0,
-        t_horizon=1.0, gamma=1.0, tau=1.0, prior="gaussian:1.0",
-        es_over_n0=0.0, corr=0.0, omega0=2 * math.pi, alpha_vec="1.0",
-        theta=0.0, lnb=0.5, rho_gauss=4.0, range="0,1", alpha_c=False,
-    ),
-    "phase": dict(a=1.0, mu=0.0, q_steps=201),
-    "verify": dict(
-        model="lin-gauss", estimator="cond-mean", alpha_frac=0.5, a=1.0,
-        samples=100_000, seed=0, sigma2=1.0, es=1.0, n0=1.0, n=200, theta=0.3,
-        suite="default",
-    ),
-    "emit-plot": dict(clip=10.0),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskbounds",
@@ -628,14 +614,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--config", help="key = value config file; flags win")
-        p.add_argument("--log", action="store_true", default=None,
-                       help="log-spaced sweeps")
+        p.add_argument("--log", action="store_true", help="log-spaced sweeps")
+
+    def columns(headers):
+        return "columns: " + "; ".join(f"{name} -> {','.join(h)}" for name, h in headers)
 
     def table_parser(command, dest, help_text, extra_columns=()):
         table = _COMMANDS[command]
-        columns = [(name, header) for name, (header, _) in table.items()] + list(extra_columns)
-        p = sub.add_parser(command, help=help_text, epilog="columns: " + "; ".join(
-            f"{name} -> {','.join(header)}" for name, header in columns))
+        headers = [(name, header) for name, (header, _) in table.items()] + list(extra_columns)
+        p = sub.add_parser(command, help=help_text, epilog=columns(headers))
         p.add_argument(dest, choices=list(table))
         p.set_defaults(func=lambda args: _run_table(table, getattr(args, dest), args))
         return p
@@ -644,62 +631,59 @@ def _build_parser() -> argparse.ArgumentParser:
                       [(f"{name} --alpha-c", header) for name, (header, _) in _ALPHA_C.items()])
     pb.add_argument("--alpha", type=float)
     pb.add_argument("--alpha-sweep")
-    pb.add_argument("--sigma2", type=float)
+    pb.add_argument("--sigma2", type=float, default=1.0)
     pb.add_argument("--sigma2q", type=float)
-    pb.add_argument("--es", type=float)
-    pb.add_argument("--ex", type=float)
-    pb.add_argument("--n0", type=float)
-    pb.add_argument("--snr", help="Ex/N0; comma list sweeps curves")
+    pb.add_argument("--es", type=float, default=0.0)
+    pb.add_argument("--ex", type=float, default=1.0)
+    pb.add_argument("--n0", type=float, default=1.0)
+    pb.add_argument("--snr", default="0.1", help="Ex/N0; comma list sweeps curves")
     pb.add_argument("--beta", type=float)
-    pb.add_argument("--q-const", type=float)
-    pb.add_argument("--t-horizon", type=float)
-    pb.add_argument("--gamma", type=float)
-    pb.add_argument("--tau", type=float)
-    pb.add_argument("--prior", help=_PRIOR_USAGE)
-    pb.add_argument("--es-over-n0", type=float)
-    pb.add_argument("--corr", type=float)
-    pb.add_argument("--alpha-c", action="store_true", default=None,
+    pb.add_argument("--q-const", type=float, default=0.0)
+    pb.add_argument("--t-horizon", type=float, default=1.0)
+    pb.add_argument("--gamma", type=float, default=1.0)
+    pb.add_argument("--tau", type=float, default=1.0)
+    pb.add_argument("--prior", default="gaussian:1.0", help=_PRIOR_USAGE)
+    pb.add_argument("--es-over-n0", type=float, default=0.0)
+    pb.add_argument("--corr", type=float, default=0.0)
+    pb.add_argument("--alpha-c", action="store_true",
                     help="report the tilted-family critical-factor upper bound")
     pb.add_argument("--nu", type=float)
-    pb.add_argument("--omega0", type=float)
+    pb.add_argument("--omega0", type=float, default=2 * math.pi)
     pb.add_argument("--gamma-file", help="dense correlation matrix as CSV")
-    pb.add_argument("--alpha-vec")
+    pb.add_argument("--alpha-vec", default="1.0")
     pb.add_argument("--scale-sweep")
-    pb.add_argument("--theta", type=float)
-    pb.add_argument("--lnb", type=float)
-    pb.add_argument("--rho-gauss", type=float)
-    pb.add_argument("--range", help="theta range lo,hi or 'unbounded'")
+    pb.add_argument("--theta", type=float, default=0.0)
+    pb.add_argument("--lnb", type=float, default=0.5)
+    pb.add_argument("--rho-gauss", type=float, default=4.0)
+    pb.add_argument("--range", default="0,1", help="theta range lo,hi or 'unbounded'")
     common(pb)
 
     pp = table_parser("phase", "analysis", "saddle exponent and spin-model analysis")
-    pp.add_argument("--a", type=float)
+    pp.add_argument("--a", type=float, default=1.0)
     pp.add_argument("--a-sweep")
-    pp.add_argument("--mu", type=float)
+    pp.add_argument("--mu", type=float, default=0.0)
     pp.add_argument("--mu-sweep")
-    pp.add_argument("--q-steps", type=int)
+    pp.add_argument("--q-steps", type=int, default=201)
     common(pp)
 
-    pv = sub.add_parser(
-        "verify", help="Monte Carlo and exact verification",
-        epilog="columns: mc -> model,estimator,alpha,n_samples,seed,lambda_hat,"
-               "se,max_share; bernoulli-exact -> n,a,theta,estimator,lambda_n,"
-               "lambda_per_n; certify -> check,alpha,bound,truth,margin,status")
-    pv.add_argument("check", choices=["mc", "bernoulli-exact", "certify"])
-    pv.add_argument("--suite", choices=["default"],
+    pv = sub.add_parser("verify", help="Monte Carlo and exact verification",
+                        epilog=columns(_VERIFY.items()))
+    pv.add_argument("check", choices=list(_VERIFY))
+    pv.add_argument("--suite", choices=["default"], default="default",
                     help="certification suite to run (only 'default' exists)")
-    pv.add_argument("--model")
-    pv.add_argument("--estimator")
-    pv.add_argument("--a", type=float, help="risk scale for the exact binomial sum")
+    pv.add_argument("--model", default="lin-gauss")
+    pv.add_argument("--estimator", default="cond-mean")
+    pv.add_argument("--a", type=float, default=1.0, help="risk scale for the exact binomial sum")
     pv.add_argument("--alpha", type=float)
-    pv.add_argument("--alpha-frac", type=float,
+    pv.add_argument("--alpha-frac", type=float, default=0.5,
                     help="alpha as a fraction of the divergence threshold")
-    pv.add_argument("--samples", type=int)
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--sigma2", type=float)
-    pv.add_argument("--es", type=float)
-    pv.add_argument("--n0", type=float)
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--theta", type=float)
+    pv.add_argument("--samples", type=int, default=100_000)
+    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--sigma2", type=float, default=1.0)
+    pv.add_argument("--es", type=float, default=1.0)
+    pv.add_argument("--n0", type=float, default=1.0)
+    pv.add_argument("--n", type=int, default=200)
+    pv.add_argument("--theta", type=float, default=0.3)
     pv.add_argument("--threads", type=int,
                     help="worker threads for mc (default: RISKBOUNDS_THREADS, else 1)")
     common(pv)
@@ -708,7 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("emit-plot", help="write a gnuplot script for a CSV")
     pe.add_argument("--csv", required=True)
     pe.add_argument("--out-script", required=True)
-    pe.add_argument("--clip", type=float,
+    pe.add_argument("--clip", type=float, default=10.0,
                     help="ceiling for divergent values in the plot")
     common(pe)
     pe.set_defaults(func=_cmd_emit_plot)
@@ -717,15 +701,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    hard = dict(_DEFAULTS.get(args.command, {}))
     try:
-        _merge_config(args, hard)
-        for key, value in hard.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-        if getattr(args, "log", None) is None:
-            args.log = False
+        if args.config:
+            # config flags go before the explicit ones, and argparse keeps the
+            # last value it reads; leftovers can only be config keys naming
+            # no flag (a positional, say), since argv alone parsed cleanly
+            at = argv.index(args.command) + 1
+            args, _ = parser.parse_known_args(argv[:at] + _config_flags(args) + argv[at:])
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")

@@ -24,8 +24,8 @@ from .core import (
     BoundValue,
     ConditioningError,
     DomainError,
-    ResolutionError,
     classify,
+    maximize_scalar,
 )
 
 __all__ = [
@@ -99,6 +99,8 @@ class CorrelationProfile:
     def __post_init__(self):
         if self.ex <= 0:
             raise DomainError("ex must be positive")
+        if not self.theta_range[0] < self.theta_range[1]:
+            raise DomainError("theta_range needs lo < hi")
         if self.unbounded:
             if self.rho_fn is None:
                 raise DomainError("unbounded profiles need a callable rho")
@@ -228,8 +230,9 @@ def nonlinear_bound(
         alpha L(theta_tilde) + alpha (theta - theta_tilde)^2
         - 2 ex (1 - rho(theta, theta_tilde)) / n0.
 
-    Bounded ranges use a grid supremum with local refinement until the
-    value stabilizes within 1e-4; unbounded ranges use probe doubling,
+    Bounded ranges take the supremum over the sampled grid of a gridded
+    profile, or a 2001-point sweep of theta_range polished by golden
+    section for a callable rho; unbounded ranges use probe doubling,
     declaring +inf past 1e6 nats (the correlation term is bounded, so the
     quadratic shift wins for any positive alpha).
     """
@@ -255,27 +258,16 @@ def nonlinear_bound(
     span = max(abs(theta - lo), abs(theta - hi))
     if not math.isfinite(span * span):
         raise DomainError("(theta - theta_range end)^2 is beyond float range")
-    if profile.theta_grid is not None:
-        grid = profile.theta_grid
-    else:
-        grid = np.linspace(lo, hi, 2001)
-    vals = np.array([f(tt) for tt in grid])
+    if profile.rho_fn is not None:   # a callable rho: grid sweep, then golden polish off the grid
+        center, best, _ = maximize_scalar(f, lo, hi, coarse=2001)
+        # on a flat top (theta_tilde = theta, say) the polish only ties the
+        # sweep, and the sweep point nearest to it is the argmax to report
+        step = (hi - lo) / 2000
+        k = round((center - lo) / step)
+        near = hi if k == 2000 else k * step + lo   # np.linspace's own point k
+        if f(near) == best:
+            center = near
+        return classify(best, {"theta_tilde": center}, dict(_META))
+    vals = np.array([f(tt) for tt in profile.theta_grid])
     k = int(np.argmax(vals))
-    best = float(vals[k])
-    width = (grid[min(k + 1, grid.size - 1)] - grid[max(k - 1, 0)]) or (hi - lo) / grid.size
-    center = float(grid[k])
-    # only meaningful off-grid refinement is available with a callable rho
-    if profile.rho_fn is not None:
-        prev = best
-        for _ in range(40):
-            local = np.linspace(max(lo, center - width), min(hi, center + width), 41)
-            lv = np.array([f(tt) for tt in local])
-            j = int(np.argmax(lv))
-            center, best = float(local[j]), max(best, float(lv[j]))
-            width /= 5.0
-            if abs(best - prev) <= 1e-4 * max(1.0, abs(best)):
-                break
-            prev = best
-        else:
-            raise ResolutionError("supremum failed to stabilize under refinement")
-    return classify(best, {"theta_tilde": center}, dict(_META))
+    return classify(float(vals[k]), {"theta_tilde": float(profile.theta_grid[k])}, dict(_META))

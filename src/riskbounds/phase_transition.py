@@ -38,7 +38,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "ExponentProblem",
     "CurieWeissParams",
     "Phase",
     "PhaseLabel",
@@ -55,35 +54,6 @@ _BOUNDARY_BAND = 1e-9
 _MIN_Q_STEPS = 101      # fewest points of the q grid
 _SERIES_CUTOFF = 0.1    # below it, u - ln(1 + u) is summed as its Taylor series
 _SERIES_TERMS = 16      # u^2/2 ... u^17/17: the first omitted term is < 2e-17 relative
-
-
-def _check_q_grid(n_q: int) -> None:
-    """The one check on the q grid, shared by every entry point.
-
-    The exponent no longer reads the grid (E(a) is in closed form); the
-    check stays so that ``ExponentProblem`` and ``bernoulli_bayes_exponent``
-    accept the same grids as before.
-    """
-    if n_q < _MIN_Q_STEPS:
-        raise DomainError(f"the q grid must have at least {_MIN_Q_STEPS} points")
-
-
-@dataclass(frozen=True)
-class ExponentProblem:
-    """Risk scale a (alpha = a n) and a q grid size.
-
-    ``error_exponent`` evaluates E(a) in closed form and does not use the
-    grid; ``n_q`` is validated as before (at least 101 points) and echoed
-    by the CLI.
-    """
-
-    a: float
-    n_q: int = 201
-
-    def __post_init__(self):
-        if not self.a >= 0:
-            raise DomainError("a must be nonnegative")
-        _check_q_grid(self.n_q)
 
 
 @dataclass(frozen=True)
@@ -155,8 +125,8 @@ def _exponent(a: float) -> float:
     return 0.5 * _u_minus_log1p(0.5 * a - 1.0) if a > 2.0 else 0.0
 
 
-def error_exponent(problem: ExponentProblem) -> float:
-    """Saddle value E(a) in closed form: 0 on a <= 2, positive beyond.
+def error_exponent(a: float) -> float:
+    """Saddle value E(a) at risk scale a >= 0 (alpha = a n), in closed form: 0 on a <= 2.
 
     At q = 1/2 the game is symmetric about 1/2, so its minimizing t is 1/2,
     and at t = 1/2 the stationarity cubic factors as
@@ -175,7 +145,9 @@ def error_exponent(problem: ExponentProblem) -> float:
     Near a = 2 the value is about (a - 2)^2 / 16 and is computed without
     cancellation (``_u_minus_log1p``).
     """
-    return _exponent(problem.a)
+    if not a >= 0:
+        raise DomainError("a must be nonnegative")
+    return _exponent(a)
 
 
 def asymptotic_estimator(q: float, a: float) -> float:
@@ -200,7 +172,8 @@ def bernoulli_bayes_exponent(a: float, *, n_q: int = 201) -> tuple[float, np.nda
     """E(a) (as ``error_exponent``) and the estimator curve on an n_q-point q grid."""
     if not a >= 0:
         raise DomainError("a must be nonnegative")
-    _check_q_grid(n_q)
+    if n_q < _MIN_Q_STEPS:
+        raise DomainError(f"the q grid must have at least {_MIN_Q_STEPS} points")
     import numpy as np
 
     from ._curve import _estimator_curve

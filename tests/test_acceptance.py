@@ -14,7 +14,6 @@ from scipy.optimize import brentq
 from riskbounds import (
     BernoulliExact,
     DelayDesignProblem,
-    ExponentProblem,
     LinearGaussianModel,
     MCRun,
     NuTradeoff,
@@ -80,8 +79,8 @@ def test_criterion_1_comparison_bound_curves(acceptance):
 def test_criterion_2_exponent_zeros_and_rise(acceptance):
     """Saddle exponent vanishes through the transition and rises past it."""
     t0 = time.perf_counter()
-    zeros = {a: error_exponent(ExponentProblem(a)) for a in (0.5, 1.0, 1.5, 2.0)}
-    beyond = error_exponent(ExponentProblem(2.5))
+    zeros = {a: error_exponent(a) for a in (0.5, 1.0, 1.5, 2.0)}
+    beyond = error_exponent(2.5)
     elapsed = time.perf_counter() - t0
     for a, val in zeros.items():
         assert abs(val) <= 1e-4, f"exponent at {a} is {val}"

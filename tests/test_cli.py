@@ -1,5 +1,6 @@
-"""CSV schemas, determinism, config merging and exit codes of the CLI."""
+"""CSV schemas, determinism, config files and exit codes of the CLI."""
 
+import argparse
 import contextlib
 import io
 import math
@@ -13,13 +14,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskbounds
-from riskbounds.cli import _COMMANDS, _linspace, main
+from riskbounds.cli import _COMMANDS, _build_parser, _linspace, main
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_any(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call, argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def data_rows(out: str) -> list[list[str]]:
@@ -161,6 +173,39 @@ class TestDeterminismAndConfig:
         assert code == 0
         assert float(data_rows(out)[0][1]) == pytest.approx(0.25)
         assert "# alpha = 0.5" in out
+
+    @pytest.mark.parametrize("argv, line, want", [
+        (["verify", "mc", "--model", "nb-ml", "--estimator", "ml"], "samples = 1e6", 2),
+        (["phase", "estimator"], "q_steps = 2.5e2", 2),
+        (["verify", "bernoulli-exact"], "n = 1e2", 2),
+        (["verify", "mc"], "seed = abc", 2),
+        (["verify", "certify"], "suite = other", 2),
+        (["verify", "mc"], "threads = 2.5", 2),
+        (["bound", "bayes-linear", "--alpha", "0.3"], "log = yes", 3),
+    ])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, argv, line, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_any(argv + ["--config", str(cfg)])
+        assert code == want and out == ""
+        lines = err.splitlines()
+        assert sum("error:" in l for l in lines) == 1 and "error:" in lines[-1]
+
+    def test_bad_config_value_exits_two_even_under_an_explicit_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 1e6\n")
+        code, out, err = run_any(["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
+                                  "--alpha", "0.3", "--samples", "1000", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "argument --samples: invalid int value: '1e6'" in err
+
+    def test_config_keys_naming_no_flag_are_ignored(self, tmp_path):
+        # neither a prefix of a flag (thet, alpha_s) nor a positional's name
+        # may set anything
+        argv = ["bound", "nonbayes-linear", "--alpha", "0.25", "--es", "1"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 2\nthet = 9\nalpha_s = 0:1:3\nfamily = bayes-phase\nsamples = 10\n")
+        assert run_any(argv + ["--config", str(cfg)]) == run_any(argv)
 
     def test_effective_config_echoed_as_comments(self, capsys):
         _, out, _ = run_cli(["bound", "nonbayes-linear", "--alpha", "0.25",
@@ -354,14 +399,20 @@ class TestExitCodes:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "beyond float range" in err
 
-    @pytest.mark.parametrize("sub", ["exponent", "estimator"])
-    def test_phase_q_grid_has_one_minimum(self, capsys, sub):
-        code, out, err = run_cli(["phase", sub, "--a", "3", "--q-steps", "100"], capsys)
+    def test_estimator_q_grid_has_a_minimum(self, capsys):
+        code, out, err = run_cli(["phase", "estimator", "--a", "3", "--q-steps", "100"], capsys)
         assert code == 3 and out == ""
         assert err == "error: the q grid must have at least 101 points\n"
-        code, out, _ = run_cli(["phase", sub, "--a", "3", "--q-steps", "101"], capsys)
+        code, out, _ = run_cli(["phase", "estimator", "--a", "3", "--q-steps", "101"], capsys)
         assert code == 0
-        assert len(data_rows(out)) == (1 if sub == "exponent" else 101)
+        assert len(data_rows(out)) == 101
+
+    def test_exponent_reads_no_q_grid(self, capsys):
+        # E(a) is in closed form: --q-steps is only echoed, whatever its value
+        _, want, _ = run_cli(["phase", "exponent", "--a", "3"], capsys)
+        code, out, err = run_cli(["phase", "exponent", "--a", "3", "--q-steps", "50"], capsys)
+        assert code == 0 and err == ""
+        assert out == want.replace("# q_steps = 201", "# q_steps = 50")
 
     @pytest.mark.parametrize("bad", [["--sigma2q", "0"], ["--n0", "0"], ["--snr", "abc"],
                                      ["--snr", "nan"], ["--alpha-sweep", "nan:1:3"]])
@@ -440,6 +491,13 @@ class TestSweeps:
         with np.errstate(all="ignore"):   # numpy warns where the span overflows
             expected = np.linspace(start, stop, n)
         assert np.array(_linspace(start, stop, n)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", ["-1e308:1e308:3", "1e308:-1e308:2"])
+    def test_linear_sweep_span_beyond_float_range_is_three(self, capsys, spec):
+        # stop - start overflows, which would put NaN and inf into the sweep
+        code, out, err = run_cli(["bound", "bayes-linear", f"--alpha-sweep={spec}"], capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: bad sweep spec {spec!r}: stop - start is beyond the float range\n"
 
     def test_diagram_log_sweeps_are_log_spaced(self, capsys):
         code, out, _ = run_cli(["phase", "diagram", "--log", "--mu-sweep", "0.01:0.81:3",
@@ -660,11 +718,68 @@ def _table_argv(draw):
 def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
     if argv[1] == "nonbayes-vector":
         argv = argv + ["--gamma-file", gamma_csv]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse rejects the text of a flag
-            code = exc.code
+    code, _, err = run_any(argv)   # code 2: argparse rejects the text of a flag
     assert code in (0, 2, 3, 4)
-    assert code == 0 or err.getvalue().startswith(("error:", "usage:"))
+    assert code == 0 or err.startswith(("error:", "usage:"))
+
+
+# a cheap command per subparser; drawn flags other than these are set either
+# on the command line or in a config file
+_CONFIG_BASES = [
+    *(["bound", family, "--alpha=0.3", "--prior", _SMALL_PRIOR, "--beta=0.5"]
+      for family in ("bayes-linear", "bayes-phase", "bayes-tilted", "bayes-ww", "bayes-lpcb",
+                     "nonbayes-linear", "nonbayes-nonlinear")),
+    *(["phase", analysis, "--mu-sweep=-0.5:0.5:3", "--a-sweep=0.3:0.7:3"]
+      for analysis in _COMMANDS["phase"]),
+    ["verify", "mc", "--model", "nb-ml", "--estimator", "ml", "--alpha=0.3", "--samples=1000"],
+    ["verify", "bernoulli-exact", "--n=20"],
+]
+_CONFIG_VALUES = st.sampled_from(["0.3", "1", "2", "-1", "0", "1e2", "2.5", "abc", "nan", "",
+                                  "0:1:3", "0.1,1", "default", "lin-gauss", "unbounded",
+                                  "gaussian:0.5,10,513", "true"])
+
+
+def _config_flags(command: str) -> list[tuple[str, str, bool]]:
+    """(flag, config key, is on/off) for each flag of a command a config file may set."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings[-1], a.dest, a.nargs == 0)
+            for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "out", "config", "gamma_file")]
+
+
+_CONFIG_FLAGS = {command: _config_flags(command) for command in ("bound", "phase", "verify")}
+
+
+@st.composite
+def _flags_two_ways(draw):
+    """A base command, and the same flags as argv tokens and as config lines."""
+    base = draw(st.sampled_from(_CONFIG_BASES))
+    given_flags = {token.split("=")[0] for token in base}
+    free = [f for f in _CONFIG_FLAGS[base[0]] if f[0] not in given_flags]
+    argv, lines = [], []
+    for flag, key, switch in draw(st.lists(st.sampled_from(free), min_size=1, max_size=3,
+                                           unique=True)):
+        if switch:
+            on = draw(st.booleans())
+            argv += [flag] if on else []
+            lines.append(f"{key} = {'true' if on else 'false'}")
+        else:
+            value = draw(_CONFIG_VALUES)
+            argv.append(f"{flag}={value}")
+            lines.append(f"{key} = {value}")
+    return base, argv, lines
+
+
+@given(_flags_two_ways())
+@example((["verify", "mc", "--model", "nb-ml", "--estimator", "ml", "--alpha=0.3"],
+          ["--samples=1e6"], ["samples = 1e6"]))
+@example((["bound", "bayes-linear", "--alpha=0.3"], ["--log", "--sigma2=abc"],
+          ["log = true", "sigma2 = abc"]))
+@example((["bound", "bayes-tilted", "--prior", _SMALL_PRIOR], [], ["alpha_c = false"]))
+@settings(max_examples=80, deadline=None)
+def test_config_file_and_flags_give_identical_output(tmp_path_factory, case):
+    base, argv, lines = case
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    assert run_any(base + ["--config", str(cfg)]) == run_any(base + argv)

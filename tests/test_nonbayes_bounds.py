@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbounds import (
     ConditioningError,
@@ -247,6 +249,28 @@ class TestNonlinearBound:
         vals = (alpha * floor + alpha * (theta - ths) ** 2
                 - 2.0 * (1.0 - np.exp(-c * (theta - ths) ** 2)) / n0)
         assert bv.value == pytest.approx(float(vals.max()), abs=1e-4)
+
+    def test_flat_top_reports_the_sweep_point(self):
+        # a constant floor and alpha < 8 ex / n0 put the peak at theta_tilde =
+        # theta, a point of the 2001-point sweep, where the polish only ties
+        bv = nonlinear_bound(self._gauss_profile(), 0.5, theta=0.5, l_nb=0.5, n0=1.0)
+        assert bv.argmax["theta_tilde"] == 0.5 and bv.value == 0.25
+
+    @given(theta=st.floats(0.0, 1.0), alpha=st.floats(0.01, 3.0), c=st.floats(0.5, 40.0))
+    @settings(max_examples=40, deadline=None)
+    def test_value_is_attained_and_never_below_the_sweep(self, theta, alpha, c):
+        def f(tt):   # the library's objective, term for term
+            return (alpha * 0.5 + alpha * (theta - tt) ** 2
+                    - 2.0 * 1.0 * (1.0 - math.exp(-c * (theta - tt) ** 2)) / 1.0)
+
+        bv = nonlinear_bound(self._gauss_profile(c=c), alpha, theta=theta, l_nb=0.5, n0=1.0)
+        assert bv.value == f(bv.argmax["theta_tilde"])
+        assert bv.value >= max(f(float(t)) for t in np.linspace(0.0, 1.0, 2001))
+
+    @pytest.mark.parametrize("theta_range", [(1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)])
+    def test_empty_range_rejected(self, theta_range):
+        with pytest.raises(DomainError):
+            CorrelationProfile(ex=1.0, theta_range=theta_range, rho_fn=lambda t, tt: 1.0)
 
     def test_gridded_profile_accepted(self):
         ths = np.linspace(0.0, 1.0, 501)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from riskbounds import (
     CurieWeissParams,
     DomainError,
-    ExponentProblem,
     Phase,
     a_zero,
     asymptotic_estimator,
@@ -36,33 +35,29 @@ NEWTON_STALLS = (2.0833333333333335, 2.1333333333333333, 2.666666666666667)
 class TestErrorExponent:
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0])
     def test_vanishes_below_the_transition(self, a):
-        assert abs(error_exponent(ExponentProblem(a))) <= 1e-4
+        assert abs(error_exponent(a)) <= 1e-4
 
     def test_positive_beyond_the_transition(self):
-        assert error_exponent(ExponentProblem(2.5)) >= 1e-3
+        assert error_exponent(2.5) >= 1e-3
 
     def test_matches_stationary_point_oracle(self):
         # frozen values from the cubic-stationarity oracle on an 801-point
         # q scan; the library solves the same cubic, so only rounding differs
-        assert error_exponent(ExponentProblem(2.5)) == pytest.approx(
+        assert error_exponent(2.5) == pytest.approx(
             0.01342822, abs=1e-6)
-        assert error_exponent(ExponentProblem(6.0)) == pytest.approx(
+        assert error_exponent(6.0) == pytest.approx(
             0.45069386, abs=1e-6)
-        assert error_exponent(ExponentProblem(10.0)) == pytest.approx(
+        assert error_exponent(10.0) == pytest.approx(
             1.19528104, abs=1e-6)
 
     def test_zero_risk_scale(self):
-        assert error_exponent(ExponentProblem(0.0)) == 0.0
+        assert error_exponent(0.0) == 0.0
 
     def test_nondecreasing_in_risk_scale(self):
-        vals = [error_exponent(ExponentProblem(float(a)))
+        vals = [error_exponent(float(a))
                 for a in (0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         assert all(v >= -1e-12 for v in vals)
-
-    def test_coarse_grids_rejected(self):
-        with pytest.raises(DomainError):
-            ExponentProblem(1.0, n_q=51)
 
 
 class TestClosedFormExponent:
@@ -70,37 +65,37 @@ class TestClosedFormExponent:
     def test_equals_exponent_oracle(self, a):
         # a 201-point q scan holds q = 1/2, where the oracle's maximum sits
         want = exponent_oracle(a, n_q=201)
-        assert abs(error_exponent(ExponentProblem(a)) - want) <= 1e-15 * want
+        assert abs(error_exponent(a) - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("a", [2.0 + 10.0 ** -k for k in range(1, 13)]
                              + [2.5, 3.0, 4.0, 10.0, 1e4, 1e300])
     def test_matches_high_precision_closed_form(self, a):
         want = exponent_closed_form(a)
         tol = 5e-16 if a < 2.2 else 2e-15      # the series below u = 0.1, log1p above
-        assert abs(error_exponent(ExponentProblem(a)) - want) <= tol * want
+        assert abs(error_exponent(a) - want) <= tol * want
 
     @pytest.mark.parametrize("k", range(12, 16))
     def test_leading_order_near_the_transition(self, k):
         a = 2.0 + 10.0 ** -k
         d = a - 2.0          # exact in floating point
-        value = error_exponent(ExponentProblem(a))
+        value = error_exponent(a)
         assert abs(value - d * d / 16.0) <= 1e-12 * (d * d / 16.0)
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, math.nextafter(2.0, 0.0)])
     def test_exactly_zero_up_to_the_transition(self, a):
-        assert error_exponent(ExponentProblem(a)) == 0.0
+        assert error_exponent(a) == 0.0
 
     def test_unbounded_and_undefined_risk_scales(self):
-        assert error_exponent(ExponentProblem(math.inf)) == math.inf
+        assert error_exponent(math.inf) == math.inf
         with pytest.raises(DomainError):
-            ExponentProblem(math.nan)
+            error_exponent(math.nan)
 
     @given(st.floats(min_value=2.0, max_value=1e4, exclude_min=True))
     @settings(max_examples=40, deadline=None)
     def test_no_q_beats_one_half(self, a):
         # golden per-q values sit at or above the true per-q minima, so none
         # of them may exceed E beyond rounding, and the one at q = 1/2 is E
-        value = error_exponent(ExponentProblem(a))
+        value = error_exponent(a)
         per_q, _ = _saddle(a, Q_GRID)
         tol = 16.0 * EPS * (a + value)
         assert per_q.max() <= value + tol
@@ -222,21 +217,17 @@ class TestBernoulliBayesExponent:
 
     def test_consistent_with_error_exponent(self):
         value, _, _ = bernoulli_bayes_exponent(3.0)
-        assert value == error_exponent(ExponentProblem(3.0))
+        assert value == error_exponent(3.0)
 
     def test_empty_q_grid_rejected(self):
         with pytest.raises(DomainError):
             bernoulli_bayes_exponent(3.0, n_q=0)
 
-    def test_q_grid_minimum_shared_with_error_exponent(self):
-        messages = []
-        for make in (lambda n: ExponentProblem(3.0, n_q=n),
-                     lambda n: bernoulli_bayes_exponent(3.0, n_q=n)):
-            with pytest.raises(DomainError) as info:
-                make(100)
-            messages.append(str(info.value))
-            make(101)
-        assert messages[0] == messages[1] == "the q grid must have at least 101 points"
+    def test_q_grid_minimum(self):
+        with pytest.raises(DomainError) as info:
+            bernoulli_bayes_exponent(3.0, n_q=100)
+        assert str(info.value) == "the q grid must have at least 101 points"
+        bernoulli_bayes_exponent(3.0, n_q=101)
 
     def test_returned_arrays_are_not_shared_between_calls(self):
         _, q_grid, curve = bernoulli_bayes_exponent(4.0)
