@@ -46,7 +46,7 @@ _EXPORTS = {
             "error_exponent", "magnetization_roots")),
         ("verify", (
             "BernoulliExact", "MCResult", "MCRun", "bernoulli_exact_lambda", "mc_lambda",
-            "risk_sensitive_posterior_estimator")),
+            "certify", "risk_sensitive_posterior_estimator")),
     )
     for name in names
 }

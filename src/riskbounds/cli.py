@@ -15,7 +15,9 @@ is read as ``--key=value`` flags placed before the explicit ones, so
 explicit flags win and every config value is checked like its flag (a bad
 one exits 2).  An on/off flag such as ``log`` takes ``true`` or ``false``;
 a key the command has no flag for is ignored.  Each default is declared
-once, in its ``add_argument``.
+once, in its ``add_argument``; ``verify --estimator`` defaults per check.
+One table, ``_COMMANDS``, maps every bound family, phase analysis and
+verify check to its CSV header and rows function.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible domain, 4 verification
 failure.
@@ -183,9 +185,21 @@ def _prior_params(text: str, n_min: int, n_max: int) -> tuple[list[float], int |
     return values, n
 
 
-def _load_prior(args) -> GridDensity:
+def _load_csv(path: str, kind: str):
+    """A comma-separated file of numbers as a 2-D array; a cell that is no number exits 3."""
     import warnings
 
+    import numpy as np
+
+    try:
+        with warnings.catch_warnings():   # an empty file is reported by the caller, not warned about
+            warnings.simplefilter("ignore")
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:   # a cell that is not a number, e.g. a space-separated row
+        raise DomainError(f"bad {kind} file {path!r}: {str(exc).splitlines()[0]}") from exc
+
+
+def _load_prior(args) -> GridDensity:
     import numpy as np
 
     from .core import GridDensity, uniform_density
@@ -202,24 +216,19 @@ def _load_prior(args) -> GridDensity:
         theta = np.linspace(-half, half, 8193 if n is None else n)
         dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
     else:
-        try:
-            with warnings.catch_warnings():   # an empty file is reported below, not warned about
-                warnings.simplefilter("ignore")
-                data = np.loadtxt(text, delimiter=",", ndmin=2)
-        except ValueError as exc:   # a cell that is not a number, e.g. a space-separated row
-            raise DomainError(f"bad prior file {text!r}: {str(exc).splitlines()[0]}") from exc
+        data = _load_csv(text, "prior")
         if data.shape[1:] != (2,):
             raise DomainError("prior file must have two columns: theta, density")
         theta, dens = data[:, 0], data[:, 1]
     return GridDensity(theta, dens).normalized()
 
 
-# ------------------------------------------------------- bound and phase ---
+# ------------------------------------------------ bound, phase and verify ---
 #
 # Each rows function takes the parsed arguments and returns the data rows of
-# one `bound` family or `phase` analysis; _COMMANDS pairs it with its header.
-# Each imports the modules it calls, so a command loads only those (and the
-# phase exponent, roots and diagram load no numpy).
+# one `bound` family, `phase` analysis or `verify` check; _COMMANDS pairs it
+# with its header.  Each imports the modules it calls, so a command loads
+# only those (`phase exponent`, `roots` and `diagram` load no numpy).
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
@@ -312,8 +321,8 @@ def _vector_rows(args) -> list[list]:
 
     if args.gamma_file is None:
         raise DomainError("supply --gamma-file for nonbayes-vector")
-    gamma = np.loadtxt(args.gamma_file, delimiter=",", ndmin=2)
-    model = nonbayes_bounds.VectorLinearModel(gamma, args.es, args.n0)
+    model = nonbayes_bounds.VectorLinearModel(_load_csv(args.gamma_file, "gamma"),
+                                              args.es, args.n0)
     vec = np.array(_float_list(args.alpha_vec, "--alpha-vec"))
     scales = _parse_sweep(args.scale_sweep, args.log) if args.scale_sweep else [1.0]
     def row(t):
@@ -378,8 +387,70 @@ def _diagram_rows(args) -> list[list]:
     return rows
 
 
+def _mc_rows(args) -> list[list]:
+    from . import verify
+
+    if args.estimator is None:
+        args.estimator = "cond-mean"   # set here, so that the echo names it
+    key = (args.model, args.estimator)
+    if key not in verify.MODEL_THRESHOLDS:
+        raise DomainError(f"unsupported model/estimator pair {key!r}")
+    run0 = verify.MCRun(args.model, args.estimator, alpha=1e-9, n_samples=1000,
+                        master_seed=0, sigma2=args.sigma2, es=args.es, n0=args.n0)
+    threshold = verify.MODEL_THRESHOLDS[key](run0)
+    alpha = args.alpha if args.alpha is not None else args.alpha_frac * threshold
+    run = verify.MCRun(args.model, args.estimator, alpha=alpha,
+                       n_samples=args.samples, master_seed=args.seed,
+                       sigma2=args.sigma2, es=args.es, n0=args.n0)
+    source = "RISKBOUNDS_THREADS" if args.threads is None else "--threads"
+    try:
+        workers = int(os.environ.get(source, "1")) if args.threads is None else args.threads
+    except ValueError as exc:
+        raise DomainError(f"{source} must be an integer") from exc
+    if workers < 1:
+        raise DomainError(f"{source} must be at least 1, got {workers}")
+    res = verify.mc_lambda(run, workers=workers)
+    if res.heavy_tail:
+        print(f"warning: tail-dominated estimate: max_share {res.max_share:.6g} exceeds "
+              f"{verify._MAX_SHARE_WARN:g}; divergence threshold {res.threshold:.6g}",
+              file=sys.stderr)
+    return [[args.model, args.estimator, alpha, args.samples, args.seed,
+             res.lambda_hat, res.se, res.max_share]]
+
+
+def _bernoulli_rows(args) -> list[list]:
+    from . import verify
+
+    if args.estimator is None:
+        args.estimator = "plugin"   # set here, so that the echo names it
+    if args.estimator not in ("optimal", "plugin"):
+        raise DomainError(f"bad --estimator {args.estimator!r} for bernoulli-exact, "
+                          "expected optimal or plugin")
+    est = lambda q: q
+    if args.estimator == "optimal":
+        import numpy as np
+
+        from . import phase_transition
+
+        _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a)
+        est = lambda q: float(np.interp(q, q_grid, curve))
+    lam = verify.bernoulli_exact_lambda(
+        verify.BernoulliExact(n=args.n, a=args.a, theta=args.theta, estimator=est))
+    return [[args.n, args.a, args.theta, args.estimator, lam, lam / args.n]]
+
+
+def _certify_rows(args) -> list[list]:
+    from . import verify
+
+    rows, violated = verify.certify(args.samples, args.seed)
+    print("FAIL: bound violation detected" if violated else "PASS: no bound violations",
+          file=sys.stderr)
+    return rows
+
+
 # command -> choice -> (CSV header, rows function); the choices, the -h column
-# lists and the emit-plot schemas all come from this table
+# lists and the emit-plot schemas all come from this table.  A row whose last
+# cell is "violation" (a failed certify check) makes the command exit 4.
 _COMMANDS = {
     "bound": {
         "bayes-linear": (("alpha", "bound", "estimator_coef", "alpha_c", "status"),
@@ -401,6 +472,13 @@ _COMMANDS = {
         "roots": (("m", "stable", "dominant"), _roots_rows),
         "diagram": (("mu", "a", "label", "dominant_m"), _diagram_rows),
     },
+    "verify": {
+        "mc": (("model", "estimator", "alpha", "n_samples", "seed", "lambda_hat", "se",
+                "max_share"), _mc_rows),
+        "bernoulli-exact": (("n", "a", "theta", "estimator", "lambda_n", "lambda_per_n"),
+                            _bernoulli_rows),
+        "certify": (("check", "alpha", "bound", "truth", "margin", "status"), _certify_rows),
+    },
 }
 
 def _alpha_c_rows(args) -> list[list]:
@@ -417,138 +495,9 @@ def _run_table(table: dict, choice: str, args) -> int:
     header, rows = table[choice]
     if getattr(args, "alpha_c", False):
         header, rows = _ALPHA_C.get(choice, (header, rows))
-    _emit(args, header, rows(args))
-    return EXIT_OK
-
-
-# --------------------------------------------------------------- verify ---
-
-# check -> CSV header; the check choices and the -h column list come from it
-_VERIFY = {
-    "mc": ("model", "estimator", "alpha", "n_samples", "seed", "lambda_hat", "se", "max_share"),
-    "bernoulli-exact": ("n", "a", "theta", "estimator", "lambda_n", "lambda_per_n"),
-    "certify": ("check", "alpha", "bound", "truth", "margin", "status"),
-}
-
-
-def _certify_rows(samples: int, seed: int) -> tuple[list[list], bool]:
-    """Bound-versus-truth battery; returns (rows, any_violation)."""
-    import numpy as np
-
-    from . import bayes_bounds, nonbayes_bounds, verify
-
-    rows: list[list] = []
-    violated = False
-
-    def record(check: str, alpha: float, bound: float, truth: float, slack: float) -> None:
-        nonlocal violated
-        margin = truth + slack - bound
-        ok = bound <= truth + slack or (math.isinf(bound) and math.isinf(truth))
-        violated |= not ok
-        rows.append([check, alpha, bound, truth, margin, "ok" if ok else "violation"])
-
-    sigma2, es, n0 = 0.5, 1.0, 1.0
-    model = bayes_bounds.LinearGaussianModel(sigma2, es, n0)
-    ac = model.alpha_c()
-    for frac in (0.1, 0.3, 0.5, 0.7):
-        alpha = frac * ac
-        exact = bayes_bounds.linear_gaussian_min_lambda(model, alpha).value
-        jensen = bayes_bounds.generic_bayes_bound(alpha, model.mmse(), 0.0).value
-        record("bayes-generic-vs-exact", alpha, jensen, exact, 0.0)
-        record("bayes-exact-self", alpha, exact, exact, 1e-12)
-
-    prior_only = bayes_bounds.LinearGaussianModel(sigma2, 0.0, n0)
-    for frac in (0.3, 0.5, 0.7):
-        alpha = frac / (2.0 * sigma2)
-        exact = bayes_bounds.linear_gaussian_min_lambda(prior_only, alpha).value
-        run = verify.MCRun("phase-trivial", "zero", alpha=alpha, n_samples=samples,
-                           master_seed=seed, sigma2=sigma2)
-        mc = verify.mc_lambda(run)
-        lp = bayes_bounds.lpcb_bound(alpha, sigma2=sigma2, ex=0.05 * n0, n0=n0)
-        record("bayes-lpcb-vs-mc", alpha, lp.value, mc.lambda_hat, 3.0 * mc.se)
-        ph = bayes_bounds.phase_bound_large_sigma(alpha, sigma2, 0.05)
-        record("bayes-phase-vs-exact", alpha, ph.value, exact, 0.0)
-
-    for frac in (0.2, 0.5, 0.79):
-        alpha = frac * es / n0
-        run = verify.MCRun("nb-ml", "ml", alpha=alpha, n_samples=samples,
-                           master_seed=seed + 1, es=es, n0=n0)
-        mc = verify.mc_lambda(run)
-        bd = nonbayes_bounds.scalar_linear_bound(alpha, es, n0)
-        record("nonbayes-scalar-vs-mc", alpha, bd.value, mc.lambda_hat, 3.0 * mc.se)
-        ml = nonbayes_bounds.scalar_ml_lambda(alpha, es, n0)
-        record("nonbayes-scalar-vs-ml", alpha, bd.value, ml, 0.0)
-
-    gamma = np.array([[1.0, 0.35], [0.35, 1.0]])
-    vec_model = nonbayes_bounds.VectorLinearModel(gamma, es, n0)
-    for t in (0.2, 0.5, 0.8):
-        a_vec = t * np.array([0.7, 0.4])
-        bd = nonbayes_bounds.vector_linear_bound(vec_model, a_vec)
-        ml = nonbayes_bounds.vector_ml_lambda(vec_model, a_vec)
-        record("nonbayes-vector-vs-ml", t, bd.value, ml, 0.0)
-
-    n_bern, a_bern, theta_bern = 200, 1.0, 0.3
-    lam = verify.bernoulli_exact_lambda(
-        verify.BernoulliExact(n=n_bern, a=a_bern, theta=theta_bern, estimator=lambda q: q))
-    qs = np.linspace(1e-9, 1 - 1e-9, 100001)
-    div = qs * np.log(qs / theta_bern) + (1 - qs) * np.log((1 - qs) / (1 - theta_bern))
-    exponent = float(np.max(a_bern * (qs - theta_bern) ** 2 - div))
-    record("bernoulli-exponent-vs-exact", a_bern,
-           exponent - math.log(n_bern + 1) / n_bern, lam / n_bern, 0.0)
-
-    return rows, violated
-
-
-def _cmd_verify(args) -> int:
-    from . import verify
-
-    sub = args.check
-    header = _VERIFY[sub]
-    if sub == "mc":
-        key = (args.model, args.estimator)
-        if key not in verify.MODEL_THRESHOLDS:
-            raise DomainError(f"unsupported model/estimator pair {key!r}")
-        run0 = verify.MCRun(args.model, args.estimator, alpha=1e-9, n_samples=1000,
-                            master_seed=0, sigma2=args.sigma2, es=args.es, n0=args.n0)
-        threshold = verify.MODEL_THRESHOLDS[key](run0)
-        alpha = args.alpha if args.alpha is not None else args.alpha_frac * threshold
-        run = verify.MCRun(args.model, args.estimator, alpha=alpha,
-                           n_samples=args.samples, master_seed=args.seed,
-                           sigma2=args.sigma2, es=args.es, n0=args.n0)
-        try:
-            workers = args.threads or int(os.environ.get("RISKBOUNDS_THREADS", "1"))
-        except ValueError as exc:
-            raise DomainError("RISKBOUNDS_THREADS must be an integer") from exc
-        res = verify.mc_lambda(run, workers=max(1, workers))
-        if res.heavy_tail:
-            print(f"warning: tail-dominated estimate: max_share {res.max_share:.6g} exceeds "
-                  f"{verify._MAX_SHARE_WARN:g}; divergence threshold {res.threshold:.6g}",
-                  file=sys.stderr)
-        rows = [[args.model, args.estimator, alpha, args.samples, args.seed,
-                 res.lambda_hat, res.se, res.max_share]]
-        _emit(args, header, rows)
-        return EXIT_OK
-    if sub == "bernoulli-exact":
-        est_name = "optimal" if args.estimator == "optimal" else "plugin"
-        if est_name == "optimal":
-            import numpy as np
-
-            from . import phase_transition
-
-            _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a)
-            est = lambda q: float(np.interp(q, q_grid, curve))
-        else:
-            est = lambda q: q
-        lam = verify.bernoulli_exact_lambda(
-            verify.BernoulliExact(n=args.n, a=args.a, theta=args.theta, estimator=est))
-        rows = [[args.n, args.a, args.theta, est_name, lam, lam / args.n]]
-        _emit(args, header, rows)
-        return EXIT_OK
-    rows, violated = _certify_rows(args.samples, args.seed)   # certify
-    _emit(args, header, rows)
-    summary = "FAIL: bound violation detected" if violated else "PASS: no bound violations"
-    print(summary, file=sys.stderr)
-    return EXIT_VERIFY if violated else EXIT_OK
+    data = rows(args)
+    _emit(args, header, data)
+    return EXIT_VERIFY if any(row[-1] == "violation" for row in data) else EXIT_OK
 
 
 # ------------------------------------------------------------- emit-plot ---
@@ -666,13 +615,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--q-steps", type=int, default=201)
     common(pp)
 
-    pv = sub.add_parser("verify", help="Monte Carlo and exact verification",
-                        epilog=columns(_VERIFY.items()))
-    pv.add_argument("check", choices=list(_VERIFY))
+    pv = table_parser("verify", "check", "Monte Carlo and exact verification")
     pv.add_argument("--suite", choices=["default"], default="default",
                     help="certification suite to run (only 'default' exists)")
     pv.add_argument("--model", default="lin-gauss")
-    pv.add_argument("--estimator", default="cond-mean")
+    pv.add_argument("--estimator")
     pv.add_argument("--a", type=float, default=1.0, help="risk scale for the exact binomial sum")
     pv.add_argument("--alpha", type=float)
     pv.add_argument("--alpha-frac", type=float, default=0.5,
@@ -687,7 +634,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--threads", type=int,
                     help="worker threads for mc (default: RISKBOUNDS_THREADS, else 1)")
     common(pv)
-    pv.set_defaults(func=_cmd_verify)
 
     pe = sub.add_parser("emit-plot", help="write a gnuplot script for a CSV")
     pe.add_argument("--csv", required=True)
@@ -714,10 +660,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except RiskBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (RiskBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

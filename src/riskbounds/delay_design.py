@@ -197,7 +197,7 @@ def nu_bound(
         raise DomainError("alpha must be positive")
     if omega0 <= 0 or ex <= 0 or n0 <= 0:
         raise DomainError("omega0, ex, n0 must be positive")
-    NuTradeoff(0.0, omega0, ex)   # rejects an ex omega0^2 beyond float range once, up front
+    NuTradeoff(0.0 if nu is None else nu, omega0, ex)   # a bad nu or ex omega0^2, up front
 
     def value_at(nu_val: float, beta_val: float) -> float:
         if not (0.0 <= nu_val <= 1.0) or beta_val <= 0:

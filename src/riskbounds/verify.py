@@ -13,9 +13,9 @@ and the error bars stop being trustworthy, so runs above 80 percent of
 the known threshold are refused outright.
 
 The Bernoulli model gets an exact finite-sample oracle (a log-space
-binomial sum), and the risk-sensitive posterior estimator is computed by
-a damped fixed-point iteration on the tilted posterior mean with a direct
-1-D minimization fallback.
+binomial sum), and the risk-sensitive posterior estimator is the fixed
+point of the tilted posterior mean, found by bisection.  ``certify`` runs
+the bound-versus-truth battery behind ``riskbounds verify certify``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "mc_lambda",
     "bernoulli_exact_lambda",
     "risk_sensitive_posterior_estimator",
+    "certify",
 ]
 
 _BLOCK = 4096            # samples per counter block; fixed for reproducibility
@@ -45,10 +46,6 @@ _CHUNK = 8               # blocks per in-place chunk; any size gives the same bi
 _N_BATCHES = 20
 _MAX_SHARE_WARN = 0.01
 _ALPHA_SAFETY = 0.8      # refuse runs above this fraction of the known threshold
-
-_FIXED_POINT_TOL = 1e-10
-_FIXED_POINT_DAMPING = 0.5
-_FIXED_POINT_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -175,6 +172,7 @@ def _in_threads(fn: Callable, items: list) -> list:
     return results
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow ends as mc_lambda's error
 def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple]:
     """(log-sum-exp, max, batch pieces) of alpha error^2 for each block of a span.
 
@@ -275,6 +273,7 @@ def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple
     return results
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite lambda_hat is the error
 def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     """Empirical ln E exp(alpha error^2) with batch-means error bars.
 
@@ -377,12 +376,11 @@ def bernoulli_exact_lambda(spec: BernoulliExact) -> float:
     return logsumexp(log_terms)
 
 
-def _tilted_moments(post: GridDensity, alpha: float, eta: float) -> tuple[float, float]:
-    """(log normalizer, tilted mean) of p(theta) exp(alpha (theta - eta)^2)."""
+def _tilted_mean(post: GridDensity, alpha: float, eta: float) -> float:
+    """Mean of p(theta) exp(alpha (theta - eta)^2), normalized."""
     log_f = post.log_density + alpha * (post.theta - eta) ** 2
     log_z = logsumexp(log_f, post.weights)
-    mean = float(np.sum(post.weights * np.exp(log_f - log_z) * post.theta))
-    return log_z, mean
+    return float(np.sum(post.weights * np.exp(log_f - log_z) * post.theta))
 
 
 def _tail_probe(post: GridDensity, alpha: float) -> None:
@@ -401,10 +399,10 @@ def _tail_probe(post: GridDensity, alpha: float) -> None:
 def risk_sensitive_posterior_estimator(posterior: GridDensity, alpha: float) -> float:
     """Estimate minimizing the posterior exponential moment of squared error.
 
-    Solves eta = tilted posterior mean by damped fixed-point iteration
-    (damping 0.5, start at the posterior mean); if the iteration fails to
-    settle, falls back to golden-section minimization of the tilted log
-    normalizer, which exists whenever the tilt is integrable.
+    It is the root of eta - m(eta), m the tilted posterior mean: the
+    eta-derivative of the convex tilted log normalizer, over 2 alpha.  The
+    gap increases, is <= 0 at the first grid point and >= 0 at the last, so
+    bisection runs until it hits the root or the bracket cannot shrink.
     """
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
@@ -413,18 +411,73 @@ def risk_sensitive_posterior_estimator(posterior: GridDensity, alpha: float) -> 
         return posterior.mean()
     _tail_probe(posterior, alpha)
 
-    eta = posterior.mean()
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        _, tilted_mean = _tilted_moments(posterior, alpha, eta)
-        new_eta = (1.0 - _FIXED_POINT_DAMPING) * eta + _FIXED_POINT_DAMPING * tilted_mean
-        if abs(new_eta - eta) < _FIXED_POINT_TOL:
-            return new_eta
-        eta = new_eta
-
-    # oscillation: minimize the tilted log normalizer directly
-    from .core import golden_section_max
-
     lo, hi = float(posterior.theta[0]), float(posterior.theta[-1])
-    x, _ = golden_section_max(lambda e: -_tilted_moments(posterior, alpha, e)[0], lo, hi,
-                              tol=1e-12)
-    return x
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        gap = mid - _tilted_mean(posterior, alpha, mid)
+        if gap == 0.0:
+            return mid
+        lo, hi = (mid, hi) if gap < 0.0 else (lo, mid)
+    return mid
+
+
+def certify(samples: int, seed: int) -> tuple[list[list], bool]:
+    """Bound-versus-truth battery; returns (rows, any_violation)."""
+    from . import bayes_bounds, nonbayes_bounds   # here, so that `verify mc` loads neither
+
+    rows: list[list] = []
+
+    def record(check: str, alpha: float, bound: float, truth: float, slack: float) -> None:
+        margin = truth + slack - bound
+        ok = bound <= truth + slack or (math.isinf(bound) and math.isinf(truth))
+        rows.append([check, alpha, bound, truth, margin, "ok" if ok else "violation"])
+
+    sigma2, es, n0 = 0.5, 1.0, 1.0
+    model = bayes_bounds.LinearGaussianModel(sigma2, es, n0)
+    ac = model.alpha_c()
+    for frac in (0.1, 0.3, 0.5, 0.7):
+        alpha = frac * ac
+        exact = bayes_bounds.linear_gaussian_min_lambda(model, alpha).value
+        jensen = bayes_bounds.generic_bayes_bound(alpha, model.mmse(), 0.0).value
+        record("bayes-generic-vs-exact", alpha, jensen, exact, 0.0)
+        record("bayes-exact-self", alpha, exact, exact, 1e-12)
+
+    prior_only = bayes_bounds.LinearGaussianModel(sigma2, 0.0, n0)
+    for frac in (0.3, 0.5, 0.7):
+        alpha = frac / (2.0 * sigma2)
+        exact = bayes_bounds.linear_gaussian_min_lambda(prior_only, alpha).value
+        run = MCRun("phase-trivial", "zero", alpha=alpha, n_samples=samples,
+                    master_seed=seed, sigma2=sigma2)
+        mc = mc_lambda(run)
+        lp = bayes_bounds.lpcb_bound(alpha, sigma2=sigma2, ex=0.05 * n0, n0=n0)
+        record("bayes-lpcb-vs-mc", alpha, lp.value, mc.lambda_hat, 3.0 * mc.se)
+        ph = bayes_bounds.phase_bound_large_sigma(alpha, sigma2, 0.05)
+        record("bayes-phase-vs-exact", alpha, ph.value, exact, 0.0)
+
+    for frac in (0.2, 0.5, 0.79):
+        alpha = frac * es / n0
+        run = MCRun("nb-ml", "ml", alpha=alpha, n_samples=samples,
+                    master_seed=seed + 1, es=es, n0=n0)
+        mc = mc_lambda(run)
+        bd = nonbayes_bounds.scalar_linear_bound(alpha, es, n0)
+        record("nonbayes-scalar-vs-mc", alpha, bd.value, mc.lambda_hat, 3.0 * mc.se)
+        ml = nonbayes_bounds.scalar_ml_lambda(alpha, es, n0)
+        record("nonbayes-scalar-vs-ml", alpha, bd.value, ml, 0.0)
+
+    gamma = np.array([[1.0, 0.35], [0.35, 1.0]])
+    vec_model = nonbayes_bounds.VectorLinearModel(gamma, es, n0)
+    for t in (0.2, 0.5, 0.8):
+        a_vec = t * np.array([0.7, 0.4])
+        bd = nonbayes_bounds.vector_linear_bound(vec_model, a_vec)
+        ml = nonbayes_bounds.vector_ml_lambda(vec_model, a_vec)
+        record("nonbayes-vector-vs-ml", t, bd.value, ml, 0.0)
+
+    n_bern, a_bern, theta_bern = 200, 1.0, 0.3
+    lam = bernoulli_exact_lambda(
+        BernoulliExact(n=n_bern, a=a_bern, theta=theta_bern, estimator=lambda q: q))
+    qs = np.linspace(1e-9, 1 - 1e-9, 100001)
+    div = qs * np.log(qs / theta_bern) + (1 - qs) * np.log((1 - qs) / (1 - theta_bern))
+    exponent = float(np.max(a_bern * (qs - theta_bern) ** 2 - div))
+    record("bernoulli-exponent-vs-exact", a_bern,
+           exponent - math.log(n_bern + 1) / n_bern, lam / n_bern, 0.0)
+
+    return rows, any(row[-1] == "violation" for row in rows)

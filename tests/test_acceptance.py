@@ -36,7 +36,7 @@ from riskbounds import (
     solve_reference_ode,
     ww_rect_delay_bound,
 )
-from riskbounds.cli import _certify_rows
+from riskbounds import verify
 from riskbounds.phase_transition import CurieWeissParams
 
 from oracles import bernoulli_nonbayes_exponent, lpcb_beta_grid
@@ -215,7 +215,7 @@ def test_criterion_9_delay_bound_window_constants(acceptance):
 
 def test_criterion_10_certification_battery(acceptance):
     """No bound ever exceeds its matching exact or Monte Carlo truth."""
-    rows, violated = _certify_rows(samples=200_000, seed=3)
+    rows, violated = verify.certify(samples=200_000, seed=3)
     assert not violated, [r for r in rows if r[-1] != "ok"]
     assert len(rows) >= 15
 

@@ -131,6 +131,22 @@ class TestSchemas:
         assert header(out) == "n,a,theta,estimator,lambda_n,lambda_per_n"
         assert float(data_rows(out)[0][5]) == pytest.approx(0.00136, abs=5e-4)
 
+    def test_bernoulli_default_estimator_is_the_plugin_it_echoes(self, capsys):
+        base = ["verify", "bernoulli-exact", "--n", "50", "--a", "1.0", "--theta", "0.3"]
+        code, out, err = run_cli(base, capsys)
+        assert code == 0 and err == ""
+        assert "# estimator = plugin" in out.splitlines()
+        assert data_rows(out)[0][3] == "plugin"
+        assert (code, out) == run_cli(base + ["--estimator", "plugin"], capsys)[:2]
+
+    @pytest.mark.parametrize("estimator", ["bogus", "cond-mean"])
+    def test_bernoulli_unknown_estimator_is_three(self, capsys, estimator):
+        code, out, err = run_cli(["verify", "bernoulli-exact", "--n", "50",
+                                  "--estimator", estimator], capsys)
+        assert code == 3 and out == ""
+        assert err == (f"error: bad --estimator {estimator!r} for bernoulli-exact, "
+                       "expected optimal or plugin\n")
+
 
 class TestDeterminismAndConfig:
     def test_identical_invocations_are_byte_identical(self, capsys):
@@ -390,6 +406,22 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "error: RISKBOUNDS_THREADS must be an integer\n"
 
+    @pytest.mark.parametrize("flag, env, source, count", [
+        (["--threads", "-3"], None, "--threads", "-3"),
+        (["--threads", "0"], "2", "--threads", "0"),
+        ([], "-2", "RISKBOUNDS_THREADS", "-2"),
+        ([], "0", "RISKBOUNDS_THREADS", "0"),
+    ])
+    def test_worker_count_below_one_is_three(self, capsys, monkeypatch, flag, env, source, count):
+        if env is None:
+            monkeypatch.delenv("RISKBOUNDS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RISKBOUNDS_THREADS", env)
+        code, out, err = run_cli(["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
+                                  "--alpha", "0.3", "--samples", "1000"] + flag, capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: {source} must be at least 1, got {count}\n"
+
     def test_mc_statistic_beyond_float_range_is_three(self, capsys):
         # theta * es overflows, so lambda_hat is far past ln(max float)
         code, out, err = run_cli(["verify", "mc", "--model", "lin-gauss",
@@ -398,6 +430,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "beyond float range" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_mc_overflow_warns_nothing_before_its_error(self, capsys):
+        # theta * es overflows and the estimator coefficient underflows to 0,
+        # so the errors are NaN: numpy's warnings must not precede the error
+        code, out, err = run_cli(["verify", "mc", "--samples", "1000", "--sigma2", "1e300",
+                                  "--es", "1e300", "--n0", "1e300"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_estimator_q_grid_has_a_minimum(self, capsys):
         code, out, err = run_cli(["phase", "estimator", "--a", "3", "--q-steps", "100"], capsys)
@@ -458,6 +499,17 @@ class TestExitCodes:
         assert "PASS" in err
         assert header(out) == "check,alpha,bound,truth,margin,status"
         assert all(r[-1] == "ok" for r in data_rows(out))
+
+    def test_certify_violation_row_exits_four(self, capsys, monkeypatch):
+        # the verdict is read from the battery's rows: a violation exits 4
+        from riskbounds import verify
+
+        row = ["bayes-generic-vs-exact", 0.1, 2.0, 1.0, -1.0, "violation"]
+        monkeypatch.setattr(verify, "certify", lambda samples, seed: ([row], True))
+        code, out, err = run_cli(["verify", "certify"], capsys)
+        assert code == 4
+        assert err == "FAIL: bound violation detected\n"
+        assert data_rows(out) == [["bayes-generic-vs-exact", "0.1", "2", "1", "-1", "violation"]]
 
 
 # sweep endpoints: ordinary values, float-range extremes, subnormals and zeros
@@ -550,6 +602,13 @@ class TestSweeps:
         assert out == ""
         assert err.startswith("error: --beta needs --nu") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("beta", [[], ["--beta", "0.5"]])
+    def test_delay_nu_outside_unit_interval_is_three(self, capsys, beta):
+        code, out, err = run_cli(["bound", "bayes-delay", "--prior", "gaussian:1.0",
+                                  "--alpha", "0.6", "--nu", "2"] + beta, capsys)
+        assert code == 3 and out == ""
+        assert err == "error: nu must lie in [0, 1]\n"
+
     def test_delay_bound_fixed_point(self, capsys):
         code, out, _ = run_cli(["bound", "bayes-delay", "--prior", "gaussian:1.0",
                                 "--alpha", "0.3", "--nu", "0.5", "--beta", "0.8",
@@ -635,6 +694,21 @@ class TestSweeps:
         assert header(out) == "scale,quad_form,bound,ml_lambda,status"
         assert len(data_rows(out)) == 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, message", [
+        ("1 0.3\n0.3 1\n", "bad gamma file"),
+        ("1.0,abc\n0.3,1.0\n", "could not convert string 'abc'"),
+        ("", "gamma must be square"),
+    ])
+    def test_bad_gamma_file_is_one_error_line(self, capsys, tmp_path, text, message):
+        gamma_path = tmp_path / "gamma.csv"
+        gamma_path.write_text(text)
+        code, out, err = run_cli(["bound", "nonbayes-vector", "--gamma-file", str(gamma_path),
+                                  "--es", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert message in err
+
 
 class TestEmitPlot:
     def test_lpcb_three_curve_script(self, capsys, tmp_path):
@@ -678,10 +752,19 @@ _FLOAT_FLAGS = {
               "--t-horizon", "--gamma", "--tau", "--es-over-n0", "--corr", "--nu", "--omega0",
               "--theta", "--lnb", "--rho-gauss"],
     "phase": ["--a", "--mu", "--q-steps"],
+    "verify": ["--a", "--alpha", "--alpha-frac", "--sigma2", "--es", "--n0", "--theta", "--n",
+               "--seed", "--threads"],
 }
 _NUMBERS = st.sampled_from(["0", "-1", "-0.25", "1e300", "-1e300", "1e-300", "-1e-300",
                             "nan", "inf", "-inf", "0.3", "0.6", "1", "2.5"])
 _SMALL_PRIOR = "gaussian:1.0,10,513"
+# the base argv of each command; --samples stays small, so that a verify draw runs fast
+_TABLE_BASES = {
+    "bound": ["--alpha=0.3", "--prior", _SMALL_PRIOR],
+    "phase": ["--mu-sweep=-0.5:0.5:3", "--a-sweep=0.3:0.7:3"],
+    "verify": ["--samples=1000"],
+}
+_SWEEPS = {"bound": "--alpha-sweep", "phase": "--a-sweep"}
 
 
 @pytest.fixture(scope="module")
@@ -695,13 +778,11 @@ def gamma_csv(tmp_path_factory):
 def _table_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     choice = draw(st.sampled_from(list(_COMMANDS[command])))
-    argv = [command, choice, "--alpha=0.3", "--prior", _SMALL_PRIOR] if command == "bound" else \
-        [command, choice, "--mu-sweep=-0.5:0.5:3", "--a-sweep=0.3:0.7:3"]
+    argv = [command, choice, *_TABLE_BASES[command]]
     for flag in draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), unique=True, max_size=4)):
         argv.append(f"{flag}={draw(_NUMBERS)}")
-    if draw(st.booleans()):
-        sweep = "--alpha-sweep" if command == "bound" else "--a-sweep"
-        argv.append(f"{sweep}={draw(_NUMBERS)}:{draw(_NUMBERS)}:3")
+    if command in _SWEEPS and draw(st.booleans()):
+        argv.append(f"{_SWEEPS[command]}={draw(_NUMBERS)}:{draw(_NUMBERS)}:3")
     return argv
 
 
@@ -714,6 +795,9 @@ def _table_argv(draw):
           "--alpha", "0.3", "--omega0", "1e300"])
 @example(["phase", "roots", "--mu", "0.1", "--a", "1e300"])
 @example(["bound", "bayes-tilted", "--prior", "gaussian:1e-6", "--beta", "200", "--alpha", "0.3"])
+@example(["verify", "certify", "--samples=1000", "--seed=1"])
+@example(["verify", "mc", "--samples=1000", "--threads=0"])
+@example(["verify", "bernoulli-exact", "--samples=1000", "--a=1e300"])
 @settings(max_examples=150, deadline=None)
 def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
     if argv[1] == "nonbayes-vector":

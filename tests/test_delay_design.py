@@ -184,6 +184,12 @@ class TestNuBound:
             nu_bound(gaussian_prior_grid(1.0), 0.3, beta=0.5, nu=1.5,
                      omega0=OMEGA0, ex=1.0, n0=1.0)
 
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_nu_outside_unit_interval_rejected_up_front(self, gaussian_prior_grid, beta):
+        with pytest.raises(DomainError, match=r"nu must lie in \[0, 1\]"):
+            nu_bound(gaussian_prior_grid(1.0), 0.6, beta=beta, nu=2.0,
+                     omega0=OMEGA0, ex=1.0, n0=1.0)
+
     def test_optimizer_argmax_reevaluates_to_its_value(self, gaussian_prior_grid):
         prior = gaussian_prior_grid(1.0)
         joint = nu_bound(prior, 0.3, omega0=OMEGA0, ex=1.5, n0=20.0)

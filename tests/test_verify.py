@@ -337,11 +337,20 @@ class TestPosteriorEstimator:
         assert eta == pytest.approx(float(direct), abs=1e-8)
 
     def test_oscillatory_regime_falls_back_to_direct_minimization(self):
-        # steep tilts destabilize the damped iteration; the fallback must
-        # still land on the symmetric minimizer
+        # steep tilts destabilize a damped fixed-point iteration; the
+        # bisection must still land on the symmetric minimizer
         post = self._two_point_posterior()
         eta = risk_sensitive_posterior_estimator(post, 10.0)
         assert eta == pytest.approx(0.5, abs=1e-6)
+
+    def test_symmetric_posteriors_give_their_center_exactly(self):
+        # bisection from the grid ends meets the center of a symmetric tilt
+        # exactly, at a mild and at a steep tilt
+        theta = np.linspace(-6.0, 8.0, 4097)
+        dens = np.exp(-((theta - 1.0) ** 2) / (2 * 0.5))
+        post = GridDensity(theta, dens / np.trapezoid(dens, theta))
+        assert risk_sensitive_posterior_estimator(post, 0.3) == 1.0
+        assert risk_sensitive_posterior_estimator(self._two_point_posterior(), 10.0) == 0.5
 
     def test_divergent_tilt_rejected(self):
         theta = np.linspace(-8.0, 8.0, 4097)
