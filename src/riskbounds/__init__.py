@@ -8,8 +8,8 @@ certifies every bound against ground truth.
 Importing the package loads none of its submodules: each public name below
 is imported from its submodule on first access (PEP 562), so a caller pays
 only for the modules it uses, and the numpy-free ones (``errors``,
-``phase_transition``, ``cli``) run without numpy.  ``from riskbounds import
-X`` and ``riskbounds.X`` work as for eager imports.
+``closed_forms``, ``phase_transition``, ``cli``) run without numpy.
+``from riskbounds import X`` and ``riskbounds.X`` work as for eager imports.
 """
 
 import importlib
@@ -22,24 +22,26 @@ _EXPORTS = {
         ("errors", (
             "ConditioningError", "DegenerateSignalError", "DivergenceRiskError", "DomainError",
             "GridError", "ResolutionError", "RiskBoundsError")),
-        ("core", ("BoundValue", "GridDensity", "Waveform", "gaussian_density",
-                  "uniform_density")),
+        ("closed_forms", (
+            "BoundValue", "LinearGaussianModel", "generic_bayes_bound",
+            "linear_gaussian_min_lambda", "phase_bound_large_sigma", "scalar_linear_bound",
+            "scalar_ml_lambda", "ww_rect_delay_bound")),
+        ("core", ("GridDensity", "Waveform", "gaussian_density", "uniform_density")),
         ("divergences", (
             "GaussianPriorPair", "QuadMgfCoeffs", "RenyiOrder", "TiltedPrior", "binary_divergence",
             "binary_entropy", "gaussian_kl", "gaussian_quad_mgf", "path_divergence",
             "renyi_gaussian_linear", "renyi_gaussian_pair", "tilt_prior", "tilt_terms")),
         ("bayes_bounds", (
-            "LinearGaussianModel", "LpcbChain", "NonlinearBayesModel", "alpha_c_estimate",
-            "alpha_c_upper", "generic_bayes_bound", "iterated_lpcb", "linear_gaussian_min_lambda",
-            "lpcb_bound", "lpcb_sweep", "make_phase_model", "nonlinear_linear_ref_bound",
-            "optimal_reference_signal", "phase_bound_large_sigma", "phase_model_bound",
-            "tilted_prior_bound", "ww_rect_delay_bound")),
+            "LpcbChain", "NonlinearBayesModel", "alpha_c_estimate", "alpha_c_upper",
+            "iterated_lpcb", "lpcb_bound", "lpcb_sweep", "make_phase_model",
+            "nonlinear_linear_ref_bound", "optimal_reference_signal", "phase_model_bound",
+            "tilted_prior_bound")),
         ("delay_design", (
             "DelayDesignProblem", "NuTradeoff", "nu_bound", "raised_cosine_pulse",
             "raised_cosine_reference", "solve_reference_ode")),
         ("nonbayes_bounds", (
             "CorrelationProfile", "VectorLinearModel", "critical_radius", "nonlinear_bound",
-            "scalar_linear_bound", "scalar_ml_lambda", "vector_linear_bound", "vector_ml_lambda")),
+            "vector_linear_bound", "vector_ml_lambda")),
         ("phase_transition", (
             "CurieWeissParams", "MagnetizationRoot", "Phase", "PhaseLabel",
             "a_zero", "asymptotic_estimator", "bernoulli_bayes_exponent", "classify_phase",

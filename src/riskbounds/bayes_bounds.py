@@ -15,25 +15,34 @@ for the sharper one).  The module provides
 * the Renyi-divergence (probability-comparison) bound and its iterated
   chain version,
 
-each with its free parameters exposed and a maximizer over them.
+each with its free parameters exposed and a maximizer over them.  The
+scalar closed forms (the linear-Gaussian model and minimum, the generic
+bound, the wide-prior phase bound and the rectangular-pulse delay bound)
+live in the numpy-free ``closed_forms`` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    STATUS_OUT_OF_WINDOW,
+from .closed_forms import (
     BoundValue,
+    LinearGaussianModel,
+    classify,
+    generic_bayes_bound,
+    linear_gaussian_min_lambda,
+    phase_bound_large_sigma,
+    ww_rect_delay_bound,
+)
+from .core import (
     DegenerateSignalError,
     DomainError,
     GridDensity,
     Waveform,
-    classify,
     divergence_onset,
     float_or_array,
     maximize_scalar,
@@ -78,38 +87,6 @@ _BETA_EDGE = 1e-6  # relative inset of the beta bracket from its feasibility lim
 # below which its lowest-beta tilt counts as heading to zero
 _AC_BETAS = np.exp(np.linspace(math.log(1e-4), math.log(1e2), 161))
 _AC_TREND_CUT = 0.05
-
-# Reference-pulse MSE floor constant for delay estimation of a rectangular
-# pulse: mse >= _WW_CONST * tau^2 / gamma^2.
-_WW_CONST = 0.324
-
-
-@dataclass(frozen=True)
-class LinearGaussianModel:
-    """Scalar parameter in white noise: y(t) = theta s(t) + n(t), Gaussian prior.
-
-    sigma2 is the prior variance, es the energy of s, n0 the two-sided
-    noise density.  The model is exactly solvable: the conditional-mean
-    estimator minimizes every exponential moment below alpha_c.
-    """
-
-    sigma2: float
-    es: float
-    n0: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0 or self.n0 <= 0 or self.es < 0:
-            raise DomainError("need sigma2 > 0, n0 > 0, es >= 0")
-
-    def alpha_c(self) -> float:
-        return 1.0 / (2.0 * self.sigma2) + self.es / self.n0
-
-    def mmse(self) -> float:
-        return 1.0 / (2.0 * self.alpha_c())
-
-    def estimator_coefficient(self) -> float:
-        """Gain applied to the matched-filter statistic by the conditional mean."""
-        return self.sigma2 / (self.sigma2 * self.es + self.n0 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -202,42 +179,6 @@ class LpcbChain:
         n0s = {m.n0 for m in self.measures}
         if len(n0s) != 1:
             raise DomainError("all chain measures must share the noise density")
-
-
-def generic_bayes_bound(alpha: float, mse_lb: float, divergence: float) -> BoundValue:
-    """Change-of-measure bound alpha * mse_lb - divergence.
-
-    mse_lb is any lower bound on the reference model's MSE and divergence
-    is D(Q || P).  An infinite divergence makes the bound vacuous, which is
-    reported as -inf with a useless flag, not an error.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if mse_lb < 0:
-        raise DomainError("mse_lb must be nonnegative")
-    if divergence < 0:
-        raise DomainError("divergence must be nonnegative")
-    if math.isinf(divergence):
-        return classify(-math.inf, {}, {"reason": "infinite divergence"})
-    value = alpha * mse_lb - divergence
-    return classify(value, {})
-
-
-def linear_gaussian_min_lambda(model: LinearGaussianModel, alpha: float) -> BoundValue:
-    """Exact minimum exponential moment for the linear-Gaussian model.
-
-    0.5 ln(1 / (1 - alpha / alpha_c)) below alpha_c, +inf at and above it.
-    The achieving estimator's matched-filter gain rides along in argmax.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    ac = model.alpha_c()
-    coef = model.estimator_coefficient()
-    if alpha >= ac:
-        return classify(math.inf, {"estimator_coef": coef, "alpha_c": ac},
-                        {"witness": "alpha >= alpha_c"})
-    value = 0.5 * math.log(1.0 / (1.0 - alpha / ac))
-    return classify(value, {"estimator_coef": coef, "alpha_c": ac})
 
 
 def _q_weighted_correlation(model: NonlinearBayesModel, q_prior: GridDensity) -> np.ndarray:
@@ -360,24 +301,6 @@ def phase_model_bound(
     return classify(value, {"sigma2_q": sigma2_q})
 
 
-def phase_bound_large_sigma(alpha: float, sigma2: float, ex_over_n0: float) -> BoundValue:
-    """Wide-prior approximation of the phase bound, optimized in closed form.
-
-    Dropping the exp(-sigma2_q) terms, the best reference variance is
-    sigma2 / (1 - 2 alpha sigma2) and the bound becomes
-    0.5 ln(1/(1 - 2 alpha sigma2)) - ex/n0, finite only below 1/(2 sigma2).
-    The exposed alpha_c upper bound 1/(2 sigma2) is tight for this model.
-    """
-    if alpha <= 0 or sigma2 <= 0 or ex_over_n0 < 0:
-        raise DomainError("parameters out of range")
-    ac = 1.0 / (2.0 * sigma2)
-    if alpha >= ac:
-        return classify(math.inf, {"alpha_c": ac}, {"witness": "alpha >= 1/(2 sigma2)"})
-    s2q = sigma2 / (1.0 - 2.0 * alpha * sigma2)
-    value = 0.5 * math.log(1.0 / (1.0 - 2.0 * alpha * sigma2)) - ex_over_n0
-    return classify(value, {"sigma2_q": s2q, "alpha_c": ac})
-
-
 def tilted_prior_bound(
     prior: GridDensity,
     alpha: float,
@@ -458,39 +381,6 @@ def alpha_c_upper(prior: GridDensity) -> float:
     basis = np.column_stack([np.ones(m), bs * (np.log(bs) - 1.0), bs])
     coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
     return max(float(coef[0]), 0.0)
-
-
-def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
-    """Delay-estimation bound for a rectangular pulse of width tau at SNR gamma.
-
-    The reference model widens the pulse to tau_tilde at the same energy;
-    the reference MSE floor is 0.324 tau_tilde^2 / gamma^2 and the
-    divergence penalty is 2 gamma (1 - sqrt(tau / tau_tilde)).  Evaluated
-    at the stationary tau_tilde; applicable only while that optimizer stays
-    at or above tau, otherwise an out-of-window status is returned.
-    """
-    if alpha <= 0 or tau <= 0 or gamma < 0:
-        raise DomainError("parameters out of range")
-    if gamma == 0.0:
-        return BoundValue(math.nan, {"tau_tilde": math.nan}, STATUS_OUT_OF_WINDOW,
-                          {"reason": "zero SNR"})
-    try:
-        tau_tilde = (gamma ** 3 * math.sqrt(tau) / (2.0 * _WW_CONST * alpha)) ** 0.4
-    except OverflowError:
-        tau_tilde = math.inf
-    if not math.isfinite(tau_tilde):
-        raise DomainError("gamma^3 sqrt(tau) / alpha is beyond float range")
-    if tau_tilde < tau:
-        return BoundValue(
-            math.nan,
-            {"tau_tilde": tau_tilde},
-            STATUS_OUT_OF_WINDOW,
-            {"reason": "optimal reference pulse narrower than the true pulse"},
-        )
-    value = alpha * _WW_CONST * tau_tilde ** 2 / gamma ** 2 - 2.0 * gamma * (
-        1.0 - math.sqrt(tau / tau_tilde)
-    )
-    return classify(value, {"tau_tilde": tau_tilde}, {"nontrivial": value >= 0.0})
 
 
 def _lpcb_value(

@@ -25,8 +25,9 @@ failure.
 Each command imports only the modules it runs, at the point of use: the
 module itself loads argparse and the numpy-free ``errors``, linear sweeps
 are spaced in plain Python by numpy's own ``linspace`` formula, and
-``phase exponent``, ``phase roots``, ``phase diagram`` and ``emit-plot``
-run without importing numpy at all.
+the closed-form ``bound`` families (``bayes-linear``, ``bayes-phase``,
+``bayes-ww``, ``nonbayes-linear``), ``phase exponent``, ``phase roots``,
+``phase diagram`` and ``emit-plot`` run without importing numpy at all.
 """
 
 from __future__ import annotations
@@ -228,29 +229,31 @@ def _load_prior(args) -> GridDensity:
 # Each rows function takes the parsed arguments and returns the data rows of
 # one `bound` family, `phase` analysis or `verify` check; _COMMANDS pairs it
 # with its header.  Each imports the modules it calls, so a command loads
-# only those (`phase exponent`, `roots` and `diagram` load no numpy).
+# only those: `bayes-linear`, `bayes-phase`, `bayes-ww` and `nonbayes-linear`
+# load only `closed_forms`, and they and `phase exponent`, `roots` and
+# `diagram` load no numpy.
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
 
 
 def _bayes_linear_rows(args) -> list[list]:
-    from . import bayes_bounds
+    from . import closed_forms
 
-    model = bayes_bounds.LinearGaussianModel(args.sigma2, args.es, args.n0)
+    model = closed_forms.LinearGaussianModel(args.sigma2, args.es, args.n0)
     def row(a):
-        bv = bayes_bounds.linear_gaussian_min_lambda(model, a)
+        bv = closed_forms.linear_gaussian_min_lambda(model, a)
         return [a, bv.value, bv.argmax["estimator_coef"], bv.argmax["alpha_c"], bv.status]
     return _alpha_rows(args, row)
 
 
 def _bayes_phase_rows(args) -> list[list]:
-    from . import bayes_bounds
+    from . import closed_forms
 
     if not args.n0 > 0:
         raise DomainError("n0 must be positive")
     def row(a):
-        bv = bayes_bounds.phase_bound_large_sigma(a, args.sigma2, args.ex / args.n0)
+        bv = closed_forms.phase_bound_large_sigma(a, args.sigma2, args.ex / args.n0)
         return [a, bv.value, bv.argmax.get("sigma2_q", math.nan), bv.argmax["alpha_c"], bv.status]
     return _alpha_rows(args, row)
 
@@ -281,10 +284,10 @@ def _delay_rows(args) -> list[list]:
 
 
 def _ww_rows(args) -> list[list]:
-    from . import bayes_bounds
+    from . import closed_forms
 
     def row(a):
-        bv = bayes_bounds.ww_rect_delay_bound(a, args.gamma, args.tau)
+        bv = closed_forms.ww_rect_delay_bound(a, args.gamma, args.tau)
         return [a, args.gamma, args.tau, bv.value, bv.argmax.get("tau_tilde", math.nan),
                 bv.diagnostics.get("nontrivial", False), bv.status]
     return _alpha_rows(args, row)
@@ -305,11 +308,11 @@ def _lpcb_rows(args) -> list[list]:
 
 
 def _nonbayes_linear_rows(args) -> list[list]:
-    from . import nonbayes_bounds
+    from . import closed_forms
 
     def row(a):
-        bv = nonbayes_bounds.scalar_linear_bound(a, args.es, args.n0)
-        ml = nonbayes_bounds.scalar_ml_lambda(a, args.es, args.n0)
+        bv = closed_forms.scalar_linear_bound(a, args.es, args.n0)
+        ml = closed_forms.scalar_ml_lambda(a, args.es, args.n0)
         return [a, bv.value, ml, bv.argmax["alpha_c"], bv.status]
     return _alpha_rows(args, row)
 
@@ -418,9 +421,15 @@ def _mc_rows(args) -> list[list]:
              res.lambda_hat, res.se, res.max_share]]
 
 
+def _no_threads(args) -> None:
+    if args.threads is not None:
+        raise DomainError("--threads applies only to verify mc")
+
+
 def _bernoulli_rows(args) -> list[list]:
     from . import verify
 
+    _no_threads(args)
     if args.estimator is None:
         args.estimator = "plugin"   # set here, so that the echo names it
     if args.estimator not in ("optimal", "plugin"):
@@ -442,6 +451,7 @@ def _bernoulli_rows(args) -> list[list]:
 def _certify_rows(args) -> list[list]:
     from . import verify
 
+    _no_threads(args)
     rows, violated = verify.certify(args.samples, args.seed)
     print("FAIL: bound violation detected" if violated else "PASS: no bound violations",
           file=sys.stderr)

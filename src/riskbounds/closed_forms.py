@@ -1,0 +1,230 @@
+"""The bound value type and the scalar closed-form bounds, without numpy.
+
+A bound is an extended real: ``+inf`` certifies divergence and ``-inf``
+means the bound is vacuous.  ``classify`` is the one place that turns such
+a float into a ``BoundValue`` status.  The closed forms here are a few
+``math`` calls each:
+
+* the exact linear-Gaussian minimum 0.5 ln(1 / (1 - alpha / alpha_c)),
+* the generic change-of-measure bound alpha * mse_lb - divergence,
+* the wide-prior phase bound,
+* the rectangular-pulse delay bound,
+* the unbiased scalar bound alpha n0 / (2 es) and the exact ML moment.
+
+The module imports only ``math``, ``dataclasses`` and ``errors``, so the
+CLI families built on it (``bayes-linear``, ``bayes-phase``, ``bayes-ww``
+and ``nonbayes-linear``) run without numpy.  ``core``, ``bayes_bounds``
+and ``nonbayes_bounds`` re-export these names as the same objects.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from .errors import DomainError
+
+__all__ = [
+    "STATUS_OK",
+    "STATUS_DIVERGENT",
+    "STATUS_USELESS",
+    "STATUS_OUT_OF_WINDOW",
+    "BoundValue",
+    "classify",
+    "LinearGaussianModel",
+    "generic_bayes_bound",
+    "linear_gaussian_min_lambda",
+    "phase_bound_large_sigma",
+    "ww_rect_delay_bound",
+    "scalar_linear_bound",
+    "scalar_ml_lambda",
+]
+
+# BoundValue.status values
+STATUS_OK = "ok"
+STATUS_DIVERGENT = "divergent"        # value is +inf: no estimator can stay finite
+STATUS_USELESS = "useless"            # value is -inf: the divergence term blew up
+STATUS_OUT_OF_WINDOW = "out_of_window"  # inputs outside the bound's applicability window
+
+# Reference-pulse MSE floor constant for delay estimation of a rectangular
+# pulse: mse >= _WW_CONST * tau^2 / gamma^2.
+_WW_CONST = 0.324
+
+# diagnostics every unbiased (non-Bayesian) bound carries
+_META = {"assumes_unbiased": True}
+
+
+@dataclass(frozen=True)
+class BoundValue:
+    """Outcome of a lower-bound evaluation.
+
+    value is in nats and may be ``+inf`` (the bound certifies divergence)
+    or ``-inf`` (the bound is vacuous).  ``argmax`` records the free
+    parameters that produced ``value``; for +inf it holds the witnessing
+    parameters.  ``diagnostics`` carries optimizer traces and flags.
+    """
+
+    value: float
+    argmax: dict = field(default_factory=dict)
+    status: str = STATUS_OK
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def is_finite(self) -> bool:
+        return math.isfinite(self.value)
+
+
+def classify(value: float, argmax: dict, diagnostics: dict | None = None) -> BoundValue:
+    """BoundValue whose status follows the value: +inf divergent, -inf useless."""
+    if value == math.inf:
+        status = STATUS_DIVERGENT
+    elif value == -math.inf:
+        status = STATUS_USELESS
+    else:
+        status = STATUS_OK
+    return BoundValue(value, argmax, status, diagnostics or {})
+
+
+@dataclass(frozen=True)
+class LinearGaussianModel:
+    """Scalar parameter in white noise: y(t) = theta s(t) + n(t), Gaussian prior.
+
+    sigma2 is the prior variance, es the energy of s, n0 the two-sided
+    noise density.  The model is exactly solvable: the conditional-mean
+    estimator minimizes every exponential moment below alpha_c.
+    """
+
+    sigma2: float
+    es: float
+    n0: float
+
+    def __post_init__(self):
+        if self.sigma2 <= 0 or self.n0 <= 0 or self.es < 0:
+            raise DomainError("need sigma2 > 0, n0 > 0, es >= 0")
+
+    def alpha_c(self) -> float:
+        return 1.0 / (2.0 * self.sigma2) + self.es / self.n0
+
+    def mmse(self) -> float:
+        return 1.0 / (2.0 * self.alpha_c())
+
+    def estimator_coefficient(self) -> float:
+        """Gain applied to the matched-filter statistic by the conditional mean."""
+        denominator = self.sigma2 * self.es + self.n0 / 2.0
+        if denominator == 0.0:
+            raise DomainError("sigma2 es + n0 / 2 underflows to 0: the estimator gain "
+                              "is beyond float range")
+        return self.sigma2 / denominator
+
+
+def generic_bayes_bound(alpha: float, mse_lb: float, divergence: float) -> BoundValue:
+    """Change-of-measure bound alpha * mse_lb - divergence.
+
+    mse_lb is any lower bound on the reference model's MSE and divergence
+    is D(Q || P).  An infinite divergence makes the bound vacuous, which is
+    reported as -inf with a useless flag, not an error.
+    """
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    if mse_lb < 0:
+        raise DomainError("mse_lb must be nonnegative")
+    if divergence < 0:
+        raise DomainError("divergence must be nonnegative")
+    if math.isinf(divergence):
+        return classify(-math.inf, {}, {"reason": "infinite divergence"})
+    value = alpha * mse_lb - divergence
+    return classify(value, {})
+
+
+def linear_gaussian_min_lambda(model: LinearGaussianModel, alpha: float) -> BoundValue:
+    """Exact minimum exponential moment for the linear-Gaussian model.
+
+    0.5 ln(1 / (1 - alpha / alpha_c)) below alpha_c, +inf at and above it.
+    The achieving estimator's matched-filter gain rides along in argmax.
+    """
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    ac = model.alpha_c()
+    coef = model.estimator_coefficient()
+    if alpha >= ac:
+        return classify(math.inf, {"estimator_coef": coef, "alpha_c": ac},
+                        {"witness": "alpha >= alpha_c"})
+    value = 0.5 * math.log(1.0 / (1.0 - alpha / ac))
+    return classify(value, {"estimator_coef": coef, "alpha_c": ac})
+
+
+def phase_bound_large_sigma(alpha: float, sigma2: float, ex_over_n0: float) -> BoundValue:
+    """Wide-prior approximation of the phase bound, optimized in closed form.
+
+    Dropping the exp(-sigma2_q) terms, the best reference variance is
+    sigma2 / (1 - 2 alpha sigma2) and the bound becomes
+    0.5 ln(1/(1 - 2 alpha sigma2)) - ex/n0, finite only below 1/(2 sigma2).
+    The exposed alpha_c upper bound 1/(2 sigma2) is tight for this model.
+    2 alpha sigma2 is formed as 2 (alpha sigma2), which stays finite below
+    alpha_c even where 2 alpha alone overflows.
+    """
+    if alpha <= 0 or sigma2 <= 0 or ex_over_n0 < 0:
+        raise DomainError("parameters out of range")
+    ac = 1.0 / (2.0 * sigma2)
+    if alpha >= ac:
+        return classify(math.inf, {"alpha_c": ac}, {"witness": "alpha >= 1/(2 sigma2)"})
+    shrink = 1.0 - 2.0 * (alpha * sigma2)
+    s2q = sigma2 / shrink
+    value = 0.5 * math.log(1.0 / shrink) - ex_over_n0
+    return classify(value, {"sigma2_q": s2q, "alpha_c": ac})
+
+
+def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
+    """Delay-estimation bound for a rectangular pulse of width tau at SNR gamma.
+
+    The reference model widens the pulse to tau_tilde at the same energy;
+    the reference MSE floor is 0.324 tau_tilde^2 / gamma^2 and the
+    divergence penalty is 2 gamma (1 - sqrt(tau / tau_tilde)).  Evaluated
+    at the stationary tau_tilde; applicable only while that optimizer stays
+    at or above tau, otherwise an out-of-window status is returned.
+    """
+    if alpha <= 0 or tau <= 0 or gamma < 0:
+        raise DomainError("parameters out of range")
+    if gamma == 0.0:
+        return BoundValue(math.nan, {"tau_tilde": math.nan}, STATUS_OUT_OF_WINDOW,
+                          {"reason": "zero SNR"})
+    try:
+        tau_tilde = (gamma ** 3 * math.sqrt(tau) / (2.0 * _WW_CONST * alpha)) ** 0.4
+    except OverflowError:
+        tau_tilde = math.inf
+    if not math.isfinite(tau_tilde):
+        raise DomainError("gamma^3 sqrt(tau) / alpha is beyond float range")
+    if tau_tilde < tau:
+        return BoundValue(
+            math.nan,
+            {"tau_tilde": tau_tilde},
+            STATUS_OUT_OF_WINDOW,
+            {"reason": "optimal reference pulse narrower than the true pulse"},
+        )
+    value = alpha * _WW_CONST * tau_tilde ** 2 / gamma ** 2 - 2.0 * gamma * (
+        1.0 - math.sqrt(tau / tau_tilde)
+    )
+    return classify(value, {"tau_tilde": tau_tilde}, {"nontrivial": value >= 0.0})
+
+
+def scalar_linear_bound(alpha: float, es: float, n0: float) -> BoundValue:
+    """Bound alpha n0 / (2 es) while alpha <= es/n0, +inf above.
+
+    The critical factor es/n0 is exact: the ML estimator attains it.
+    """
+    if alpha <= 0 or es <= 0 or n0 <= 0:
+        raise DomainError("alpha, es, n0 must be positive")
+    alpha_c = es / n0
+    if alpha > alpha_c:
+        return classify(math.inf, {"alpha_c": alpha_c}, dict(_META))
+    return classify(alpha * n0 / (2.0 * es), {"alpha_c": alpha_c}, dict(_META))
+
+
+def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
+    """Exact exponential moment of the ML error, -0.5 ln(1 - alpha n0 / es)."""
+    if alpha <= 0 or es <= 0 or n0 <= 0:
+        raise DomainError("alpha, es, n0 must be positive")
+    ratio = alpha * n0 / es
+    if ratio >= 1.0:
+        return math.inf
+    return -0.5 * math.log1p(-ratio)

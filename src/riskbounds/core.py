@@ -1,8 +1,10 @@
-"""Shared value types, grid containers and scalar optimizers.
+"""Shared grid containers and scalar optimizers.
 
 Everything here is deliberately small: extended reals (``+inf`` for a
-divergent bound, ``-inf`` for a useless one) are ordinary floats and
-``classify`` is the one place that turns them into a status, grid
+divergent bound, ``-inf`` for a useless one) are ordinary floats, and
+``classify``, the one place that turns them into a status, lives with
+``BoundValue`` and the ``STATUS_*`` constants in the numpy-free
+``closed_forms`` and is re-exported here as the same objects.  Grid
 functions are plain numpy arrays wrapped with their abscissae (a
 ``GridDensity`` caches its trapezoid weights, log density, integral and
 the beta-independent half of a power tilt, and ``divergences.tilt_terms``
@@ -24,11 +26,19 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .closed_forms import (  # noqa: F401  (re-exported)
+    STATUS_DIVERGENT,
+    STATUS_OK,
+    STATUS_OUT_OF_WINDOW,
+    STATUS_USELESS,
+    BoundValue,
+    classify,
+)
 from .errors import (  # noqa: F401  (re-exported)
     ConditioningError,
     DegenerateSignalError,
@@ -42,12 +52,6 @@ from .errors import (  # noqa: F401  (re-exported)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
-
-# BoundValue.status values
-STATUS_OK = "ok"
-STATUS_DIVERGENT = "divergent"        # value is +inf: no estimator can stay finite
-STATUS_USELESS = "useless"            # value is -inf: the divergence term blew up
-STATUS_OUT_OF_WINDOW = "out_of_window"  # inputs outside the bound's applicability window
 
 
 def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
@@ -77,37 +81,6 @@ def select(cond, x, y):
     if isinstance(cond, np.ndarray):
         return np.where(cond, x, y)
     return x if cond else y
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """Outcome of a lower-bound evaluation.
-
-    value is in nats and may be ``+inf`` (the bound certifies divergence)
-    or ``-inf`` (the bound is vacuous).  ``argmax`` records the free
-    parameters that produced ``value``; for +inf it holds the witnessing
-    parameters.  ``diagnostics`` carries optimizer traces and flags.
-    """
-
-    value: float
-    argmax: dict = field(default_factory=dict)
-    status: str = STATUS_OK
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-def classify(value: float, argmax: dict, diagnostics: dict | None = None) -> BoundValue:
-    """BoundValue whose status follows the value: +inf divergent, -inf useless."""
-    if value == math.inf:
-        status = STATUS_DIVERGENT
-    elif value == -math.inf:
-        status = STATUS_USELESS
-    else:
-        status = STATUS_OK
-    return BoundValue(value, argmax, status, diagnostics or {})
 
 
 @dataclass(frozen=True)

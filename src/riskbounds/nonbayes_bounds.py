@@ -9,7 +9,9 @@ Nonlinear constant-energy signals are handled through the normalized
 signal correlation rho(theta, theta_tilde); on unbounded parameter ranges
 the shifted-reference supremum diverges for every positive risk factor.
 Unbiasedness is an assumption recorded in the output, not a checkable
-property of a bound query.
+property of a bound query.  The scalar closed forms (``scalar_linear_bound``
+and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms`` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -20,13 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    BoundValue,
-    ConditioningError,
-    DomainError,
-    classify,
-    maximize_scalar,
-)
+from .closed_forms import _META, BoundValue, classify, scalar_linear_bound, scalar_ml_lambda
+from .core import ConditioningError, DomainError, maximize_scalar
 
 __all__ = [
     "VectorLinearModel",
@@ -41,8 +38,6 @@ __all__ = [
 
 _COND_CAP = 1e12
 _DIVERGENCE_DECLARE = 1e6  # nats; a probe-doubling supremum past this is +inf
-
-_META = {"assumes_unbiased": True}
 
 
 @dataclass(frozen=True)
@@ -131,29 +126,6 @@ class CorrelationProfile:
         i = int(np.argmin(np.abs(self.theta_grid - theta)))
         j = int(np.argmin(np.abs(self.theta_grid - theta_tilde)))
         return float(self.rho_values[i, j])
-
-
-def scalar_linear_bound(alpha: float, es: float, n0: float) -> BoundValue:
-    """Bound alpha n0 / (2 es) while alpha <= es/n0, +inf above.
-
-    The critical factor es/n0 is exact: the ML estimator attains it.
-    """
-    if alpha <= 0 or es <= 0 or n0 <= 0:
-        raise DomainError("alpha, es, n0 must be positive")
-    alpha_c = es / n0
-    if alpha > alpha_c:
-        return classify(math.inf, {"alpha_c": alpha_c}, dict(_META))
-    return classify(alpha * n0 / (2.0 * es), {"alpha_c": alpha_c}, dict(_META))
-
-
-def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
-    """Exact exponential moment of the ML error, -0.5 ln(1 - alpha n0 / es)."""
-    if alpha <= 0 or es <= 0 or n0 <= 0:
-        raise DomainError("alpha, es, n0 must be positive")
-    ratio = alpha * n0 / es
-    if ratio >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-ratio)
 
 
 def vector_linear_bound(model: VectorLinearModel, alpha_vec: np.ndarray) -> BoundValue:

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .closed_forms import LinearGaussianModel
 from .core import LOG_FLOAT_MAX, DivergenceRiskError, DomainError, GridDensity, logsumexp
 
 __all__ = [
@@ -195,7 +196,7 @@ def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple
         # the prior-only error is -theta; the sign drops out of (alpha e) e bit for bit
         scale = math.sqrt(run.sigma2)
     noise_scale = math.sqrt(run.es * run.n0 / 2.0)
-    coef = run.sigma2 / (run.sigma2 * run.es + run.n0 / 2.0)
+    coef = LinearGaussianModel(run.sigma2, run.es, run.n0).estimator_coefficient()
 
     gen, reset = _block_stream(run.master_seed)
     shape = (min(_CHUNK, len(blocks)), _BLOCK)

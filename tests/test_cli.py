@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import math
 import os
@@ -313,6 +314,11 @@ argvs = [
     ["phase", "diagram", "--mu-sweep=-0.9:0.9:5", "--a-sweep", "0:1.5:4"],
     ["phase", "roots", "--mu", "0.1", "--a", "0.8"],
     ["emit-plot", "--csv", "fig3.csv", "--out-script", "fig3.gp"],
+    ["bound", "bayes-linear", "--alpha-sweep", "0.1:2:5", "--sigma2", "0.5", "--es", "1",
+     "--out", "linear.csv"],
+    ["bound", "bayes-phase", "--alpha-sweep", "0.1:1.5:4", "--sigma2", "0.5", "--out", "phase.csv"],
+    ["bound", "bayes-ww", "--alpha-sweep", "0.1:5:4", "--out", "ww.csv"],
+    ["bound", "nonbayes-linear", "--alpha-sweep", "0.1:2:4", "--es", "1", "--out", "nonbayes.csv"],
 ]
 for argv in argvs:
     assert main(argv) == 0, argv
@@ -321,11 +327,18 @@ assert "numpy" not in sys.modules
 
 
 def test_phase_and_emit_plot_run_without_numpy(tmp_path):
-    # the package, the CLI module, the scalar phase commands and emit-plot
-    # import no numpy: with every numpy import made to fail, all of them run
+    # the package, the CLI module, the scalar phase commands, emit-plot and
+    # the closed-form bound families import no numpy: with every numpy
+    # import made to fail, all of them run
     subprocess.run([sys.executable, "-c", _NO_NUMPY], check=True, env=_src_env(), cwd=tmp_path,
                    capture_output=True, timeout=120)
     assert (tmp_path / "fig3.gp").is_file()
+    statuses = {name: [row[-1] for row in data_rows((tmp_path / f"{name}.csv").read_text())]
+                for name in ("linear", "phase", "ww", "nonbayes")}
+    assert statuses == {"linear": ["ok"] * 4 + ["divergent"],
+                        "phase": ["ok", "ok", "divergent", "divergent"],
+                        "ww": ["ok"] + ["out_of_window"] * 3,
+                        "nonbayes": ["ok", "ok", "divergent", "divergent"]}
 
 
 def test_verify_mc_loads_no_bound_modules():
@@ -361,6 +374,31 @@ def test_exceptions_are_one_set_of_classes():
     assert riskbounds.DomainError is riskbounds.core.DomainError is riskbounds.errors.DomainError
     for name in riskbounds.errors.__all__:
         assert getattr(riskbounds, name) is getattr(riskbounds.core, name)
+
+
+_CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind it
+    "BoundValue": ("core", "bayes_bounds", "nonbayes_bounds", "riskbounds"),
+    "classify": ("core", "bayes_bounds", "nonbayes_bounds"),
+    **{f"STATUS_{s}": ("core",) for s in ("OK", "DIVERGENT", "USELESS", "OUT_OF_WINDOW")},
+    **{name: ("bayes_bounds", "riskbounds") for name in (
+        "LinearGaussianModel", "linear_gaussian_min_lambda", "generic_bayes_bound",
+        "phase_bound_large_sigma", "ww_rect_delay_bound")},
+    "scalar_linear_bound": ("nonbayes_bounds", "riskbounds"),
+    "scalar_ml_lambda": ("nonbayes_bounds", "riskbounds"),
+    "_META": ("nonbayes_bounds",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def test_closed_forms_are_one_set_of_objects(name):
+    from riskbounds import closed_forms
+
+    obj = getattr(closed_forms, name)
+    for module in _CLOSED_FORMS[name]:
+        mod = importlib.import_module(module if module == "riskbounds" else f"riskbounds.{module}")
+        assert getattr(mod, name) is obj, module
+    if "riskbounds" in _CLOSED_FORMS[name]:
+        assert riskbounds._EXPORTS[name] == "closed_forms"
 
 
 class TestExitCodes:
@@ -517,6 +555,39 @@ _SWEEP_ENDS = st.one_of(
     st.floats(-1e308, 1e308),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
 )
+
+
+_UNDERFLOWING_GAIN = ("error: sigma2 es + n0 / 2 underflows to 0: the estimator gain "
+                      "is beyond float range\n")
+
+
+class TestClosedFormEdges:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "bayes-linear", "--alpha", "0.5", "--sigma2", "0.5", "--es", "0",
+         "--n0", "5e-324"],
+        ["verify", "mc", "--model", "lin-gauss", "--estimator", "cond-mean", "--es", "0",
+         "--n0", "5e-324", "--samples", "1000"],
+    ])
+    def test_underflowing_gain_denominator_is_three(self, capsys, argv):
+        # sigma2 es + n0 / 2 rounds to 0, so the conditional-mean gain has no float value
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == _UNDERFLOWING_GAIN
+
+    def test_phase_bound_where_two_alpha_overflows(self, capsys):
+        # 2 alpha is beyond float range, 2 alpha sigma2 is not
+        code, out, _ = run_cli(["bound", "bayes-phase", "--alpha", "1e308", "--sigma2", "5e-324"],
+                               capsys)
+        assert code == 0
+        assert data_rows(out) == [["1e+308", "-1", "4.94065645841e-324", "inf", "ok"]]
+
+    @pytest.mark.parametrize("check", ["certify", "bernoulli-exact"])
+    @pytest.mark.parametrize("threads", ["-3", "2"])
+    def test_threads_outside_mc_is_three(self, capsys, check, threads):
+        code, out, err = run_cli(["verify", check, "--threads", threads, "--samples", "1000"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err == "error: --threads applies only to verify mc\n"
 
 
 class TestSweeps:
@@ -805,6 +876,34 @@ def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
     code, _, err = run_any(argv)   # code 2: argparse rejects the text of a flag
     assert code in (0, 2, 3, 4)
     assert code == 0 or err.startswith(("error:", "usage:"))
+
+
+# finite values of every flag the closed-form families read: zeros, subnormals,
+# the float maximum and anything else hypothesis draws
+_CLOSED_FORM_FLAGS = ("--alpha", "--sigma2", "--es", "--ex", "--n0", "--gamma", "--tau")
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+def _closed_form_values(**given_values) -> dict:
+    return {flag: given_values.get(flag[2:], 1.0) for flag in _CLOSED_FORM_FLAGS}
+
+
+@given(st.sampled_from(["bayes-linear", "bayes-phase", "bayes-ww", "nonbayes-linear"]),
+       st.fixed_dictionaries({flag: _FINITE for flag in _CLOSED_FORM_FLAGS}))
+@example("bayes-linear", _closed_form_values(alpha=0.5, sigma2=0.5, es=0.0, n0=5e-324))
+@example("bayes-phase", _closed_form_values(alpha=1e308, sigma2=5e-324))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_families_end_in_zero_or_three(family, values):
+    argv = ["bound", family, *(f"{flag}={value!r}" for flag, value in values.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3)
+    assert code == 0 or err.getvalue().startswith("error:")
 
 
 # a cheap command per subparser; drawn flags other than these are set either
