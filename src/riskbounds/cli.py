@@ -26,8 +26,8 @@ Each command imports only the modules it runs, at the point of use: the
 module itself loads argparse and the numpy-free ``errors``, linear sweeps
 are spaced in plain Python by numpy's own ``linspace`` formula, and
 the closed-form ``bound`` families (``bayes-linear``, ``bayes-phase``,
-``bayes-ww``, ``nonbayes-linear``), ``phase exponent``, ``phase roots``,
-``phase diagram`` and ``emit-plot`` run without importing numpy at all.
+``bayes-ww``, ``nonbayes-linear``), every ``phase`` analysis and
+``emit-plot`` run without importing numpy at all.
 """
 
 from __future__ import annotations
@@ -57,23 +57,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _linspace(start: float, stop: float, n: int) -> list[float]:
-    """``np.linspace(start, stop, n)`` for n >= 2, bit for bit, without numpy.
-
-    numpy's own formula: point i is i * step + start with step =
-    (stop - start) / (n - 1), or i / (n - 1) * (stop - start) + start when
-    step rounds to 0 (a subnormal span), and the last point is stop.
-    """
-    div, delta = n - 1, stop - start
-    step = delta / div
-    if step == 0.0:
-        points = [i / div * delta + start for i in range(n)]
-    else:
-        points = [i * step + start for i in range(n)]
-    points[-1] = stop
-    return points
-
-
 def _parse_sweep(text: str, log: bool = False) -> list[float]:
     try:
         start_s, stop_s, steps_s = text.split(":")
@@ -84,6 +67,8 @@ def _parse_sweep(text: str, log: bool = False) -> list[float]:
         raise DomainError(f"bad sweep spec {text!r}: the endpoints must be finite")
     if steps < 2:
         raise DomainError("sweep needs at least 2 steps")
+    from .closed_forms import _linspace
+
     if log:
         if start <= 0 or stop <= 0:
             raise DomainError("log sweep needs positive endpoints")
@@ -365,7 +350,7 @@ def _estimator_rows(args) -> list[list]:
     from . import phase_transition
 
     _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a, n_q=args.q_steps)
-    return [[float(q), float(t)] for q, t in zip(q_grid, curve)]
+    return [[q, t] for q, t in zip(q_grid, curve)]
 
 
 def _roots_rows(args) -> list[list]:
@@ -442,6 +427,7 @@ def _bernoulli_rows(args) -> list[list]:
         from . import phase_transition
 
         _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a)
+        q_grid, curve = np.array(q_grid), np.array(curve)   # once, not in every np.interp
         est = lambda q: float(np.interp(q, q_grid, curve))
     lam = verify.bernoulli_exact_lambda(
         verify.BernoulliExact(n=args.n, a=args.a, theta=args.theta, estimator=est))

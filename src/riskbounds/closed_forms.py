@@ -1,4 +1,4 @@
-"""The bound value type and the scalar closed-form bounds, without numpy.
+"""The bound value type, the scalar closed-form bounds and the scalar searches, without numpy.
 
 A bound is an extended real: ``+inf`` certifies divergence and ``-inf``
 means the bound is vacuous.  ``classify`` is the one place that turns such
@@ -11,18 +11,30 @@ a float into a ``BoundValue`` status.  The closed forms here are a few
 * the rectangular-pulse delay bound,
 * the unbiased scalar bound alpha n0 / (2 es) and the exact ML moment.
 
-The module imports only ``math``, ``dataclasses`` and ``errors``, so the
-CLI families built on it (``bayes-linear``, ``bayes-phase``, ``bayes-ww``
-and ``nonbayes-linear``) run without numpy.  ``core``, ``bayes_bounds``
-and ``nonbayes_bounds`` re-export these names as the same objects.
+Two plain-Python numerical helpers live here too: ``golden_section_max``,
+the package's one golden-section search (array brackets hand over to
+``core``'s batched loop), and ``_linspace``, numpy's ``linspace`` formula
+on floats, which spaces the CLI's linear sweeps and the estimator curve's
+q grid.
+
+The module imports only ``math``, ``sys``, ``dataclasses`` and ``errors``,
+so the CLI families built on it (``bayes-linear``, ``bayes-phase``,
+``bayes-ww`` and ``nonbayes-linear``) and ``phase estimator`` run without
+numpy.  ``core``, ``bayes_bounds`` and ``nonbayes_bounds`` re-export its
+public names as the same objects.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "STATUS_OK",
@@ -38,6 +50,7 @@ __all__ = [
     "ww_rect_delay_bound",
     "scalar_linear_bound",
     "scalar_ml_lambda",
+    "golden_section_max",
 ]
 
 # BoundValue.status values
@@ -52,6 +65,9 @@ _WW_CONST = 0.324
 
 # diagnostics every unbiased (non-Bayesian) bound carries
 _META = {"assumes_unbiased": True}
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
 
 
 @dataclass(frozen=True)
@@ -192,6 +208,12 @@ def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
         tau_tilde = (gamma ** 3 * math.sqrt(tau) / (2.0 * _WW_CONST * alpha)) ** 0.4
     except OverflowError:
         tau_tilde = math.inf
+    if tau_tilde == math.inf:   # the base overflows, tau_tilde may not: form the base in logs
+        log_base = 3.0 * math.log(gamma) + 0.5 * math.log(tau) - math.log(2.0 * _WW_CONST * alpha)
+        try:
+            tau_tilde = math.exp(0.4 * log_base)
+        except OverflowError:
+            pass
     if not math.isfinite(tau_tilde):
         raise DomainError("gamma^3 sqrt(tau) / alpha is beyond float range")
     if tau_tilde < tau:
@@ -201,9 +223,15 @@ def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
             STATUS_OUT_OF_WINDOW,
             {"reason": "optimal reference pulse narrower than the true pulse"},
         )
-    value = alpha * _WW_CONST * tau_tilde ** 2 / gamma ** 2 - 2.0 * gamma * (
-        1.0 - math.sqrt(tau / tau_tilde)
-    )
+    ratio = math.sqrt(tau / tau_tilde)
+    try:
+        value = alpha * _WW_CONST * tau_tilde ** 2 / gamma ** 2 - 2.0 * gamma * (1.0 - ratio)
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        # a term is past the float range, the value is not: at the stationary
+        # tau_tilde the floor term equals gamma sqrt(tau / tau_tilde) / 2
+        value = gamma * (2.5 * ratio - 2.0)
     return classify(value, {"tau_tilde": tau_tilde}, {"nontrivial": value >= 0.0})
 
 
@@ -217,7 +245,8 @@ def scalar_linear_bound(alpha: float, es: float, n0: float) -> BoundValue:
     alpha_c = es / n0
     if alpha > alpha_c:
         return classify(math.inf, {"alpha_c": alpha_c}, dict(_META))
-    return classify(alpha * n0 / (2.0 * es), {"alpha_c": alpha_c}, dict(_META))
+    # halved last: 2 es may overflow where the bound does not, and halving is exact
+    return classify(alpha * n0 / es / 2.0, {"alpha_c": alpha_c}, dict(_META))
 
 
 def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
@@ -228,3 +257,62 @@ def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
     if ratio >= 1.0:
         return math.inf
     return -0.5 * math.log1p(-ratio)
+
+
+def golden_section_max(
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
+    tol: float = 1e-10,
+) -> tuple:
+    """Maximize a unimodal scalar function on [lo, hi].
+
+    Returns (argmax, value).  -inf function values are handled (they lose
+    every comparison), so brackets may touch infeasible regions.
+
+    With equal-shape numpy arrays lo and hi, f maps an array of points to
+    the array of their values and every element is a search of its own
+    (``core._golden_section_batch``): it stops moving once its bracket
+    meets the stopping rule, and it returns what a scalar call on its
+    bracket returns.  Float brackets run this plain Python loop, about a
+    hundred times faster than numpy on a single element, and load no numpy.
+    """
+    numpy = sys.modules.get("numpy")   # an array bracket exists only once numpy is loaded
+    if numpy is not None and (isinstance(lo, numpy.ndarray) or isinstance(hi, numpy.ndarray)):
+        from .core import _golden_section_batch
+
+        return _golden_section_batch(f, lo, hi, tol)
+    a, b = float(lo), float(hi)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    it = 0
+    while abs(b - a) > tol * (1.0 + abs(a) + abs(b)) and it < _GOLDEN_MAX_ITER:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+        it += 1
+    x = c if fc > fd else d
+    return x, f(x)
+
+
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``np.linspace(start, stop, n)`` for n >= 2, bit for bit, without numpy.
+
+    numpy's own formula: point i is i * step + start with step =
+    (stop - start) / (n - 1), or i / (n - 1) * (stop - start) + start when
+    step rounds to 0 (a subnormal span), and the last point is stop.
+    """
+    div, delta = n - 1, stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(n)]
+    else:
+        points = [i * step + start for i in range(n)]
+    points[-1] = stop
+    return points

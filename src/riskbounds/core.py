@@ -10,10 +10,13 @@ functions are plain numpy arrays wrapped with their abscissae (a
 the beta-independent half of a power tilt, and ``divergences.tilt_terms``
 the scalars of its power tilts), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
-descent built on top of it.  The 1-D searches also take arrays of
+descent built on top of it.  The golden-section search itself,
+``golden_section_max``, lives in the numpy-free ``closed_forms`` as a plain
+Python loop on float brackets and is re-exported here as the same object;
+what stays here is its batched form: the 1-D searches also take arrays of
 brackets and then run every element as a search of its own in one numpy
-loop, with the same result per element as the scalar search; float
-brackets keep a plain Python loop.  ``logsumexp`` is the package's only
+loop (``_golden_section_batch``), with the same result per element as the
+scalar search.  ``logsumexp`` is the package's only
 log-sum-exp; ``select`` and ``float_or_array`` let one closed form take
 floats or arrays.  The exception classes live in the numpy-free
 ``errors`` module and are re-exported here as the same class objects, so
@@ -32,12 +35,15 @@ from typing import Callable
 import numpy as np
 
 from .closed_forms import (  # noqa: F401  (re-exported)
+    _GOLDEN_MAX_ITER,
+    GOLDEN,
     STATUS_DIVERGENT,
     STATUS_OK,
     STATUS_OUT_OF_WINDOW,
     STATUS_USELESS,
     BoundValue,
     classify,
+    golden_section_max,
 )
 from .errors import (  # noqa: F401  (re-exported)
     ConditioningError,
@@ -49,8 +55,6 @@ from .errors import (  # noqa: F401  (re-exported)
     RiskBoundsError,
 )
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
 
 
@@ -316,46 +320,6 @@ def uniform_density(lo: float, hi: float, n: int = 4097) -> GridDensity:
         raise DomainError("empty support interval")
     th = np.linspace(lo, hi, n)
     return GridDensity(th, np.full(n, 1.0 / (hi - lo)))
-
-
-def golden_section_max(
-    f: Callable,
-    lo: float | np.ndarray,
-    hi: float | np.ndarray,
-    tol: float = 1e-10,
-) -> tuple:
-    """Maximize a unimodal scalar function on [lo, hi].
-
-    Returns (argmax, value).  -inf function values are handled (they lose
-    every comparison), so brackets may touch infeasible regions.
-
-    With equal-shape arrays lo and hi, f maps an array of points to the
-    array of their values and every element is a search of its own: it
-    stops moving once its bracket meets the stopping rule, and it returns
-    what a scalar call on its bracket returns.  Each step still evaluates
-    every element, stopped ones at a point of their bracket.  Float
-    brackets run a plain Python loop, about a hundred times faster than
-    numpy on a single element.
-    """
-    if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        return _golden_section_batch(f, lo, hi, tol)
-    a, b = float(lo), float(hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while abs(b - a) > tol * (1.0 + abs(a) + abs(b)) and it < _GOLDEN_MAX_ITER:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        it += 1
-    x = c if fc > fd else d
-    return x, f(x)
 
 
 def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,10 +19,11 @@ m = tanh(J m + B) with coupling J = 2a and a field B set by the source
 bias, which yields a five-phase diagram with a multicritical point at
 (mu, a) = (0, 1/2).
 
-The exponent and the spin-model kernels are scalar and import no numpy;
-the estimator curve runs on arrays in the private ``_curve`` module, which
+Every kernel here is scalar and imports no numpy.  The estimator curve
+is solved one q at a time in the private ``_curve`` module, which
 ``bernoulli_bayes_exponent`` and ``asymptotic_estimator`` import on their
-first call.
+first call, and ``bernoulli_bayes_exponent`` returns its q grid and curve
+as tuples of floats.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CurieWeissParams",
@@ -136,7 +133,7 @@ def error_exponent(a: float) -> float:
     -ln(4 theta (1 - theta)) / 2, the value there is
     a/4 - 1/2 - ln(a/2) / 2 = (u - ln(1 + u)) / 2 with u = a/2 - 1.  For
     a <= 2 the value is 0 at every q (Pinsker's inequality, see
-    ``_curve._estimator_curve``).  That q = 1/2 maximizes the per-q value,
+    ``_curve._estimator_point``).  That q = 1/2 maximizes the per-q value,
     so that this is E(a) and not only a lower bound on it, is not proved
     here; it is checked numerically: in a property test over a in (2, 1e4] no
     golden-section per-q value on a 201-point q grid exceeds it and the
@@ -160,27 +157,28 @@ def asymptotic_estimator(q: float, a: float) -> float:
         raise DomainError("q must lie in [0, 1]")
     if not a >= 0:
         raise DomainError("a must be nonnegative")
-    import numpy as np
+    from ._curve import _estimator_point
 
-    from ._curve import _estimator_curve
-
-    t_star, _ = _estimator_curve(a, np.array([float(q)]))
-    return float(t_star[0])
+    return _estimator_point(a, float(q))[0]
 
 
-def bernoulli_bayes_exponent(a: float, *, n_q: int = 201) -> tuple[float, np.ndarray, np.ndarray]:
-    """E(a) (as ``error_exponent``) and the estimator curve on an n_q-point q grid."""
+def bernoulli_bayes_exponent(
+    a: float, *, n_q: int = 201
+) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """E(a) (as ``error_exponent``) and the estimator curve on an n_q-point q grid.
+
+    The grid is ``np.linspace(0, 1, n_q)`` bit for bit; grid and curve come
+    as tuples of floats.
+    """
     if not a >= 0:
         raise DomainError("a must be nonnegative")
     if n_q < _MIN_Q_STEPS:
         raise DomainError(f"the q grid must have at least {_MIN_Q_STEPS} points")
-    import numpy as np
+    from ._curve import _estimator_point
+    from .closed_forms import _linspace
 
-    from ._curve import _estimator_curve
-
-    q_grid = np.linspace(0.0, 1.0, n_q)
-    curve, _ = _estimator_curve(a, q_grid)
-    return _exponent(a), q_grid, curve
+    q_grid = tuple(_linspace(0.0, 1.0, n_q))
+    return _exponent(a), q_grid, tuple(_estimator_point(a, q)[0] for q in q_grid)
 
 
 def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:

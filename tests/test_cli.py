@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskbounds
-from riskbounds.cli import _COMMANDS, _build_parser, _linspace, main
+from riskbounds.cli import _COMMANDS, _build_parser, main
+from riskbounds.closed_forms import _linspace
 
 
 def run_cli(argv, capsys):
@@ -319,6 +320,10 @@ argvs = [
     ["bound", "bayes-phase", "--alpha-sweep", "0.1:1.5:4", "--sigma2", "0.5", "--out", "phase.csv"],
     ["bound", "bayes-ww", "--alpha-sweep", "0.1:5:4", "--out", "ww.csv"],
     ["bound", "nonbayes-linear", "--alpha-sweep", "0.1:2:4", "--es", "1", "--out", "nonbayes.csv"],
+    ["phase", "estimator", "--a", "10", "--q-steps", "401", "--out", "fig2.csv"],
+    # Newton stalls at q = 0.4 and the golden-section fallback runs
+    ["phase", "estimator", "--a", "2.0833333333333335", "--out", "stall.csv"],
+    *(["phase", "estimator", "--a", a] for a in ("0", "2.5", "1e300")),
 ]
 for argv in argvs:
     assert main(argv) == 0, argv
@@ -327,12 +332,15 @@ assert "numpy" not in sys.modules
 
 
 def test_phase_and_emit_plot_run_without_numpy(tmp_path):
-    # the package, the CLI module, the scalar phase commands, emit-plot and
-    # the closed-form bound families import no numpy: with every numpy
-    # import made to fail, all of them run
+    # the package, the CLI module, every phase command, emit-plot and the
+    # closed-form bound families import no numpy: with every numpy import
+    # made to fail, all of them run
     subprocess.run([sys.executable, "-c", _NO_NUMPY], check=True, env=_src_env(), cwd=tmp_path,
                    capture_output=True, timeout=120)
     assert (tmp_path / "fig3.gp").is_file()
+    assert len(data_rows((tmp_path / "fig2.csv").read_text())) == 401
+    stall = dict(data_rows((tmp_path / "stall.csv").read_text()))
+    assert stall["0.4"] == f"{riskbounds.asymptotic_estimator(0.4, 2.0833333333333335):.12g}"
     statuses = {name: [row[-1] for row in data_rows((tmp_path / f"{name}.csv").read_text())]
                 for name in ("linear", "phase", "ww", "nonbayes")}
     assert statuses == {"linear": ["ok"] * 4 + ["divergent"],
@@ -386,6 +394,9 @@ _CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind i
     "scalar_linear_bound": ("nonbayes_bounds", "riskbounds"),
     "scalar_ml_lambda": ("nonbayes_bounds", "riskbounds"),
     "_META": ("nonbayes_bounds",),
+    "golden_section_max": ("core", "_curve"),
+    "GOLDEN": ("core",),
+    "_GOLDEN_MAX_ITER": ("core",),
 }
 
 
@@ -580,6 +591,34 @@ class TestClosedFormEdges:
                                capsys)
         assert code == 0
         assert data_rows(out) == [["1e+308", "-1", "4.94065645841e-324", "inf", "ok"]]
+
+    @pytest.mark.parametrize("alpha, gamma", [(1e300, 1e103), (1.0, 1e200)])
+    def test_ww_bound_where_gamma_cubed_overflows(self, capsys, alpha, gamma):
+        # gamma^3 is beyond float range, tau_tilde = (gamma^3 sqrt(tau) / (0.648 alpha))^0.4
+        # is not; the value is gamma (2.5 sqrt(tau / tau_tilde) - 2) at the optimum (at
+        # gamma = 1e200 tau_tilde^2 overflows too, and the value is formed that way)
+        code, out, _ = run_cli(["bound", "bayes-ww", "--alpha", repr(alpha), "--gamma", repr(gamma),
+                                "--tau", "1"], capsys)
+        assert code == 0
+        (row,) = data_rows(out)
+        tau_tilde = math.exp(0.4 * (3.0 * math.log(gamma) - math.log(0.648 * alpha)))
+        assert float(row[4]) == pytest.approx(tau_tilde, rel=1e-11)   # 12 printed digits
+        want = gamma * (2.5 * math.sqrt(1.0 / tau_tilde) - 2.0)
+        assert float(row[3]) == pytest.approx(want, rel=1e-11)
+        assert row[5:] == ["false", "ok"]
+
+    def test_ww_tau_tilde_beyond_float_range_is_three(self, capsys):
+        code, out, err = run_cli(["bound", "bayes-ww", "--alpha", "1e-300", "--gamma", "1e300",
+                                  "--tau", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: gamma^3 sqrt(tau) / alpha is beyond float range\n"
+
+    def test_unbiased_bound_where_two_es_overflows(self, capsys):
+        # 2 es is beyond float range, alpha n0 / (2 es) = 5e-9 is not
+        code, out, _ = run_cli(["bound", "nonbayes-linear", "--alpha", "1", "--es", "1e308",
+                                "--n0", "1e300"], capsys)
+        assert code == 0
+        assert data_rows(out) == [["1", "5e-09", "5.000000025e-09", "100000000", "ok"]]
 
     @pytest.mark.parametrize("check", ["certify", "bernoulli-exact"])
     @pytest.mark.parametrize("threads", ["-3", "2"])

@@ -21,7 +21,7 @@ from riskbounds import (
     magnetization_roots,
 )
 
-from riskbounds._curve import _candidates, _certified, _estimator_curve, _saddle
+from riskbounds._curve import _candidates, _certified, _estimator_point, _saddle
 
 from oracles import exponent_closed_form, exponent_oracle, saddle_value_and_argmin
 
@@ -30,6 +30,18 @@ Q_GRID = np.linspace(0.0, 1.0, 201)
 # risk scales where Newton's method alone stalls on the q grid (q = 0.4;
 # 0.375 and 0.625; 0.25 and 0.75) and the certificate sends it to the fallback
 NEWTON_STALLS = (2.0833333333333335, 2.1333333333333333, 2.666666666666667)
+
+
+def estimator_curve(a, q_grid=Q_GRID):
+    """(that(q), whether the fallback ran) of the scalar kernel, as arrays over a q grid."""
+    points = [_estimator_point(a, float(q)) for q in q_grid]
+    return np.array([t for t, _ in points]), np.array([fell for _, fell in points])
+
+
+def golden_saddle(a, q_grid=Q_GRID):
+    """(per-q value, minimizing t) of the golden-section fallback, as arrays over a q grid."""
+    points = [_saddle(a, float(q)) for q in q_grid]
+    return np.array([g for g, _ in points]), np.array([t for _, t in points])
 
 
 class TestErrorExponent:
@@ -96,7 +108,7 @@ class TestClosedFormExponent:
         # golden per-q values sit at or above the true per-q minima, so none
         # of them may exceed E beyond rounding, and the one at q = 1/2 is E
         value = error_exponent(a)
-        per_q, _ = _saddle(a, Q_GRID)
+        per_q, _ = golden_saddle(a)
         tol = 16.0 * EPS * (a + value)
         assert per_q.max() <= value + tol
         assert abs(per_q[100] - value) <= tol
@@ -108,39 +120,48 @@ class TestCertifiedCurve:
 
     def test_matches_golden_section_search(self):
         for a in self.A_GRID:
-            curve, _ = _estimator_curve(float(a), Q_GRID)
-            _, golden = _saddle(float(a), Q_GRID)
+            curve, _ = estimator_curve(float(a))
+            _, golden = golden_saddle(float(a))
             assert np.max(np.abs(curve - golden)) <= 1e-15, a
 
     @pytest.mark.parametrize("n_q", [201, 401])
     def test_no_fallback_at_risk_scale_ten(self, n_q):
-        _, fell_back = _estimator_curve(10.0, np.linspace(0.0, 1.0, n_q))
+        _, fell_back = estimator_curve(10.0, np.linspace(0.0, 1.0, n_q))
         assert not fell_back.any()
 
     def test_fallback_runs_where_newton_stalls(self):
-        _, fell_back = _estimator_curve(NEWTON_STALLS[0], Q_GRID)
+        _, fell_back = estimator_curve(NEWTON_STALLS[0])
         assert Q_GRID[fell_back].tolist() == [0.4]
 
     @pytest.mark.parametrize("a", [2.5, 10.0, 1000.0])
     def test_certificate_accepts_the_optimum_only(self, a):
-        q = np.array([0.0, 0.2, 0.5, 0.9])
-        _, t = _saddle(a, q)
-        for shift, want in ((0.0, True), (1e-9, False), (-1e-9, False)):
-            ts = t + shift
-            assert _certified(a, ts, *_candidates(a, q, ts)[:2]).tolist() == [want] * 4
+        for q in (0.0, 0.2, 0.5, 0.9):
+            _, t = _saddle(a, q)
+            for shift, want in ((0.0, True), (1e-9, False), (-1e-9, False)):
+                ts = t + shift
+                assert _certified(a, ts, *_candidates(a, q, ts)[:2]) is want, (q, shift)
 
     def test_certificate_at_the_plugin_point(self):
         # for a <= 2 the minimizer is t = q with g(q) = 0
-        q = np.array([0.0, 0.3, 0.5, 1.0])
-        assert _certified(1.5, q, *_candidates(1.5, q, q)[:2]).all()
-        shifted = q + np.array([1e-9, 1e-9, -1e-9, -1e-9])
-        assert not _certified(1.5, shifted, *_candidates(1.5, q, shifted)[:2]).any()
+        for q, shift in ((0.0, 1e-9), (0.3, 1e-9), (0.5, -1e-9), (1.0, -1e-9)):
+            assert _certified(1.5, q, *_candidates(1.5, q, q)[:2])
+            assert not _certified(1.5, q + shift, *_candidates(1.5, q, q + shift)[:2])
+
+    def test_candidates_where_the_discriminant_rounds_below_zero(self):
+        # at this t the cubic sits on its one/three-root boundary: the root
+        # count test says one root, yet r^2/4 + p^3/27 rounds to below 0, so
+        # the root is NaN and, like any NaN root, takes the small-root form
+        a, q, t = 4.0, 0.1, 0.09631942266578705
+        theta, f, three = _candidates(a, q, t)
+        assert not three
+        assert theta == [0.5 * q / (a * t + 0.5), q]
+        assert f[0] == pytest.approx(-8.27939408e-03, rel=1e-8)
 
     @pytest.mark.parametrize("a", [1e14, 1e16, 1e20])
     def test_curve_stays_at_one_half_at_extreme_risk(self, a):
         # the outer roots sit within 1/(2a) of 0 and 1, below the rounding of
         # the trigonometric form; the tie, and so the curve, stays at 1/2
-        curve, _ = _estimator_curve(a, Q_GRID)
+        curve, _ = estimator_curve(a)
         assert np.max(np.abs(curve - 0.5)) <= 1e-11
         assert abs(asymptotic_estimator(0.99, a) - 0.5) <= 1e-11
 
@@ -150,15 +171,31 @@ class TestCertifiedCurve:
         # tolerance and the small-root form are evaluated without it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve, _ = _estimator_curve(a, Q_GRID)
-            _, golden = _saddle(a, Q_GRID)
+            curve, _ = estimator_curve(a)
+            _, golden = golden_saddle(a)
         assert np.max(np.abs(curve - 0.5)) <= EPS
         assert np.max(np.abs(golden - 0.5)) <= EPS
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
     def test_plugin_curve_up_to_the_transition(self, a):
         _, q_grid, curve = bernoulli_bayes_exponent(a)
-        np.testing.assert_array_equal(curve, q_grid)
+        assert curve == q_grid
+
+    @given(st.floats(min_value=2.0, max_value=sys.float_info.max, exclude_min=True),
+           st.floats(min_value=0.0, max_value=1.0))
+    @example(NEWTON_STALLS[0], 0.4)
+    @example(sys.float_info.max, 0.0)
+    @example(2.0 + 1e-15, 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_every_point_is_certified_or_falls_back(self, a, q):
+        # the kernel raises nowhere on its domain; a Newton result it keeps
+        # passes the certificate, and anything else is the golden search's
+        t, fell_back = _estimator_point(a, q)
+        assert 0.0 <= t <= 1.0
+        if fell_back:
+            assert t == _saddle(a, q)[1]
+        else:
+            assert _certified(a, t, *_candidates(a, q, t)[:2])
 
 
 class TestAsymptoticEstimator:
@@ -208,12 +245,12 @@ class TestBernoulliBayesExponent:
     def test_at_the_transition_plugin_is_optimal(self):
         value, q_grid, curve = bernoulli_bayes_exponent(2.0)
         assert abs(value) <= 1e-4
-        assert np.max(np.abs(curve - q_grid)) <= 2.5e-3
+        assert np.max(np.abs(np.asarray(curve) - q_grid)) <= 2.5e-3
 
     def test_sharp_risk_curve_range(self):
         _, _, curve = bernoulli_bayes_exponent(10.0)
-        assert curve.min() == pytest.approx(0.32277, abs=1e-3)
-        assert curve.max() == pytest.approx(0.67723, abs=1e-3)
+        assert min(curve) == pytest.approx(0.32277, abs=1e-3)
+        assert max(curve) == pytest.approx(0.67723, abs=1e-3)
 
     def test_consistent_with_error_exponent(self):
         value, _, _ = bernoulli_bayes_exponent(3.0)
@@ -230,13 +267,13 @@ class TestBernoulliBayesExponent:
         bernoulli_bayes_exponent(3.0, n_q=101)
 
     def test_returned_arrays_are_not_shared_between_calls(self):
+        # tuples of floats: a caller cannot mutate what it or a later call gets back
         _, q_grid, curve = bernoulli_bayes_exponent(4.0)
-        want_q, want_curve = q_grid.copy(), curve.copy()
-        q_grid[:] = 7.0
-        curve[:] = 7.0
         _, q_again, curve_again = bernoulli_bayes_exponent(4.0)
-        np.testing.assert_array_equal(q_again, want_q)
-        np.testing.assert_array_equal(curve_again, want_curve)
+        for seq in (q_grid, curve, q_again, curve_again):
+            assert type(seq) is tuple and all(type(x) is float for x in seq)
+        assert q_again == q_grid and curve_again == curve
+        assert np.array(q_grid).tobytes() == np.linspace(0.0, 1.0, 201).tobytes()
 
 
 class TestMagnetizationRoots:
