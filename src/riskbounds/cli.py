@@ -7,17 +7,25 @@ Subcommands
 * ``verify``  Monte Carlo / exact-sum checks and the certification battery
 * ``emit-plot``  write a gnuplot script for a CSV produced by this tool
 
-Output is CSV on stdout (or ``--out``): header first, then the effective
-configuration echoed as ``#`` comment lines, then data rows.  ``+inf`` is
-rendered as the literal ``inf``.  Sweeps use ``start:stop:steps`` syntax,
-log-spaced with ``--log``.  A ``--config`` file of ``key = value`` lines
-is read as ``--key=value`` flags placed before the explicit ones, so
+Output is CSV on stdout (or ``--out``): header first, then the choice's
+effective configuration (its command, its name and each flag it reads
+that has a value) echoed as ``#`` comment lines, then data rows.  ``+inf``
+is rendered as the literal ``inf``.  Sweeps use ``start:stop:steps``
+syntax, log-spaced with ``--log``.  A ``--config`` file of ``key = value``
+lines is read as ``--key=value`` flags placed before the explicit ones, so
 explicit flags win and every config value is checked like its flag (a bad
 one exits 2).  An on/off flag such as ``log`` takes ``true`` or ``false``;
-a key the command has no flag for is ignored.  Each default is declared
-once, in its ``add_argument``; ``verify --estimator`` defaults per check.
+a key the choice has no flag for is ignored.
+
 One table, ``_COMMANDS``, maps every bound family, phase analysis and
-verify check to its CSV header and rows function.
+verify check to its CSV header, its rows function and the flags that
+function reads.  The command parser reads the command and its choice and
+hands the rest of argv to a parser built for that choice alone, with
+exactly those flags plus ``--out`` and ``--config``: ``riskbounds bound
+<family> -h`` lists that family's flags and columns, and a flag the
+choice does not read, or one placed before the choice, exits 2.  Each
+flag's spec and default is declared once per command, in ``_FLAGS``;
+``verify --estimator`` defaults per check.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible domain, 4 verification
 failure.
@@ -91,32 +99,40 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _alpha_values(args) -> list[float]:
-    if getattr(args, "alpha_sweep", None):
+    if args.alpha_sweep:
         return _parse_sweep(args.alpha_sweep, args.log)
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         return [args.alpha]
     raise DomainError("supply --alpha or --alpha-sweep")
 
 
+def _read_text(path: str, kind: str) -> str:
+    """A text file's contents; a file that is not UTF-8 exits 3."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"bad {kind} file {path!r}: {exc}") from exc
+
+
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line {raw.rstrip()!r}, expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for raw in _read_text(path, "config").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"bad config line {raw.rstrip()!r}, expected key = value")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The ``--config`` file's lines as ``--key=value`` flags of the parsed command.
+    """The ``--config`` file's lines as ``--key=value`` flags of the parsed choice.
 
     ``true`` and ``false`` on an on/off flag become the bare flag or
-    nothing.  A key the command has no flag for is dropped here, so that
+    nothing.  A key the choice has no flag for is dropped here, so that
     argparse cannot take it for an abbreviation of another flag.
     """
     flags = []
@@ -134,11 +150,9 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 
 def _effective_config(args: argparse.Namespace) -> list[str]:
-    skip = {"func", "out", "config"}
-    items = sorted(
-        (k, v) for k, v in vars(args).items()
-        if k not in skip and v is not None and not callable(v)
-    )
+    """The choice's flags, its command and its name, as ``#`` lines; unset flags are left out."""
+    items = sorted((k, v) for k, v in vars(args).items()
+                   if k not in ("out", "config") and v is not None)
     return [f"# {k} = {_fmt(v)}" for k, v in items]
 
 
@@ -147,7 +161,7 @@ def _emit(args, header: list[str], rows: list[list]) -> None:
     lines.extend(_effective_config(args))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -213,10 +227,10 @@ def _load_prior(args) -> GridDensity:
 #
 # Each rows function takes the parsed arguments and returns the data rows of
 # one `bound` family, `phase` analysis or `verify` check; _COMMANDS pairs it
-# with its header.  Each imports the modules it calls, so a command loads
-# only those: `bayes-linear`, `bayes-phase`, `bayes-ww` and `nonbayes-linear`
-# load only `closed_forms`, and they and `phase exponent`, `roots` and
-# `diagram` load no numpy.
+# with its header and the flags it reads.  Each imports the modules it calls,
+# so a command loads only those: `bayes-linear`, `bayes-phase`, `bayes-ww` and
+# `nonbayes-linear` load only `closed_forms`, and they and every `phase`
+# analysis load no numpy.
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
@@ -378,8 +392,6 @@ def _diagram_rows(args) -> list[list]:
 def _mc_rows(args) -> list[list]:
     from . import verify
 
-    if args.estimator is None:
-        args.estimator = "cond-mean"   # set here, so that the echo names it
     key = (args.model, args.estimator)
     if key not in verify.MODEL_THRESHOLDS:
         raise DomainError(f"unsupported model/estimator pair {key!r}")
@@ -406,17 +418,9 @@ def _mc_rows(args) -> list[list]:
              res.lambda_hat, res.se, res.max_share]]
 
 
-def _no_threads(args) -> None:
-    if args.threads is not None:
-        raise DomainError("--threads applies only to verify mc")
-
-
 def _bernoulli_rows(args) -> list[list]:
     from . import verify
 
-    _no_threads(args)
-    if args.estimator is None:
-        args.estimator = "plugin"   # set here, so that the echo names it
     if args.estimator not in ("optimal", "plugin"):
         raise DomainError(f"bad --estimator {args.estimator!r} for bernoulli-exact, "
                           "expected optimal or plugin")
@@ -437,45 +441,130 @@ def _bernoulli_rows(args) -> list[list]:
 def _certify_rows(args) -> list[list]:
     from . import verify
 
-    _no_threads(args)
     rows, violated = verify.certify(args.samples, args.seed)
     print("FAIL: bound violation detected" if violated else "PASS: no bound violations",
           file=sys.stderr)
     return rows
 
 
-# command -> choice -> (CSV header, rows function); the choices, the -h column
-# lists and the emit-plot schemas all come from this table.  A row whose last
-# cell is "violation" (a failed certify check) makes the command exit 4.
+# Each command declares each of its flags once: flag -> add_argument keywords.
+# A choice's parser gets the flags its _COMMANDS row names, and --out and
+# --config; a flag the choice does not read is a usage error.
+_LOG = {"action": "store_true", "help": "log-spaced sweeps"}
+_FLAGS = {
+    "bound": {
+        "alpha": {"type": float},
+        "alpha-sweep": {},
+        "log": _LOG,
+        "sigma2": {"type": float, "default": 1.0},
+        "sigma2q": {"type": float},
+        "es": {"type": float, "default": 0.0},
+        "ex": {"type": float, "default": 1.0},
+        "n0": {"type": float, "default": 1.0},
+        "snr": {"default": "0.1", "help": "Ex/N0; comma list sweeps curves"},
+        "beta": {"type": float},
+        "q-const": {"type": float, "default": 0.0},
+        "t-horizon": {"type": float, "default": 1.0},
+        "gamma": {"type": float, "default": 1.0},
+        "tau": {"type": float, "default": 1.0},
+        "prior": {"default": "gaussian:1.0", "help": _PRIOR_USAGE},
+        "es-over-n0": {"type": float, "default": 0.0},
+        "corr": {"type": float, "default": 0.0},
+        "alpha-c": {"action": "store_true",
+                    "help": "report the tilted-family critical-factor upper bound"},
+        "nu": {"type": float},
+        "omega0": {"type": float, "default": 2 * math.pi},
+        "gamma-file": {"help": "dense correlation matrix as CSV"},
+        "alpha-vec": {"default": "1.0"},
+        "scale-sweep": {},
+        "theta": {"type": float, "default": 0.0},
+        "lnb": {"type": float, "default": 0.5},
+        "rho-gauss": {"type": float, "default": 4.0},
+        "range": {"default": "0,1", "help": "theta range lo,hi or 'unbounded'"},
+    },
+    "phase": {
+        "a": {"type": float, "default": 1.0},
+        "a-sweep": {},
+        "mu": {"type": float, "default": 0.0},
+        "mu-sweep": {},
+        "q-steps": {"type": int, "default": 201},
+        "log": _LOG,
+    },
+    "verify": {
+        "suite": {"choices": ["default"], "default": "default",
+                  "help": "certification suite to run (only 'default' exists)"},
+        "model": {"default": "lin-gauss"},
+        "estimator": {},   # each check names its default in its _COMMANDS row
+        "a": {"type": float, "default": 1.0, "help": "risk scale for the exact binomial sum"},
+        "alpha": {"type": float},
+        "alpha-frac": {"type": float, "default": 0.5,
+                       "help": "alpha as a fraction of the divergence threshold"},
+        "samples": {"type": int, "default": 100_000},
+        "seed": {"type": int, "default": 0},
+        "sigma2": {"type": float, "default": 1.0},
+        "es": {"type": float, "default": 1.0},
+        "n0": {"type": float, "default": 1.0},
+        "n": {"type": int, "default": 200},
+        "theta": {"type": float, "default": 0.3},
+        "threads": {"type": int, "help": "worker threads (default: RISKBOUNDS_THREADS, else 1)"},
+    },
+    "emit-plot": {
+        "csv": {"required": True},
+        "out-script": {"required": True},
+        "clip": {"type": float, "default": 10.0,
+                 "help": "ceiling for divergent values in the plot"},
+    },
+}
+_EVERY_CHOICE = {"out": {"help": "output CSV path (default stdout)"},
+                 "config": {"help": "key = value config file; flags win"}}
+_ALPHA = ("alpha", "alpha-sweep", "log")
+
+# command -> choice -> (CSV header, rows function, the flags it reads); the
+# choices, their parsers and -h column lists and the emit-plot schemas all
+# come from this table.  A flag given as (flag, default) takes that default.
+# A row whose last cell is "violation" (a failed certify check) makes the
+# command exit 4.
 _COMMANDS = {
     "bound": {
         "bayes-linear": (("alpha", "bound", "estimator_coef", "alpha_c", "status"),
-                         _bayes_linear_rows),
-        "bayes-phase": (("alpha", "bound", "sigma2_q", "alpha_c", "status"), _bayes_phase_rows),
-        "bayes-tilted": (("alpha", "beta", "bound", "status"), _tilted_rows),
-        "bayes-delay": (("alpha", "bound", "nu", "beta", "status"), _delay_rows),
+                         _bayes_linear_rows, (*_ALPHA, "sigma2", "es", "n0")),
+        "bayes-phase": (("alpha", "bound", "sigma2_q", "alpha_c", "status"), _bayes_phase_rows,
+                        (*_ALPHA, "sigma2", "ex", "n0")),
+        "bayes-tilted": (("alpha", "beta", "bound", "status"), _tilted_rows,
+                         (*_ALPHA, "prior", "beta", "es-over-n0", "corr", "alpha-c")),
+        "bayes-delay": (("alpha", "bound", "nu", "beta", "status"), _delay_rows,
+                        (*_ALPHA, "prior", "beta", "nu", "omega0", "ex", "n0")),
         "bayes-ww": (("alpha", "gamma", "tau", "bound", "tau_tilde", "nontrivial", "status"),
-                     _ww_rows),
-        "bayes-lpcb": (("alpha", "snr", "bound", "beta_star", "status"), _lpcb_rows),
+                     _ww_rows, (*_ALPHA, "gamma", "tau")),
+        "bayes-lpcb": (("alpha", "snr", "bound", "beta_star", "status"), _lpcb_rows,
+                       (*_ALPHA, "snr", "sigma2", "sigma2q", "es", "n0", "beta", "q-const",
+                        "t-horizon")),
         "nonbayes-linear": (("alpha", "bound", "ml_lambda", "alpha_c", "status"),
-                            _nonbayes_linear_rows),
-        "nonbayes-vector": (("scale", "quad_form", "bound", "ml_lambda", "status"), _vector_rows),
-        "nonbayes-nonlinear": (("alpha", "bound", "theta_tilde", "status"), _nonlinear_rows),
+                            _nonbayes_linear_rows, (*_ALPHA, "es", "n0")),
+        "nonbayes-vector": (("scale", "quad_form", "bound", "ml_lambda", "status"), _vector_rows,
+                            ("gamma-file", "alpha-vec", "scale-sweep", "log", "es", "n0")),
+        "nonbayes-nonlinear": (("alpha", "bound", "theta_tilde", "status"), _nonlinear_rows,
+                               (*_ALPHA, "range", "rho-gauss", "theta", "lnb", "ex", "n0")),
     },
     "phase": {
-        "exponent": (("a", "exponent"), _exponent_rows),
-        "estimator": (("q", "theta_hat"), _estimator_rows),
-        "roots": (("m", "stable", "dominant"), _roots_rows),
-        "diagram": (("mu", "a", "label", "dominant_m"), _diagram_rows),
+        "exponent": (("a", "exponent"), _exponent_rows, ("a", "a-sweep", "log")),
+        "estimator": (("q", "theta_hat"), _estimator_rows, ("a", "q-steps")),
+        "roots": (("m", "stable", "dominant"), _roots_rows, ("mu", "a")),
+        "diagram": (("mu", "a", "label", "dominant_m"), _diagram_rows,
+                    ("mu-sweep", "a-sweep", "log")),
     },
     "verify": {
         "mc": (("model", "estimator", "alpha", "n_samples", "seed", "lambda_hat", "se",
-                "max_share"), _mc_rows),
+                "max_share"), _mc_rows,
+               ("model", ("estimator", "cond-mean"), "alpha", "alpha-frac", "samples", "seed",
+                "sigma2", "es", "n0", "threads")),
         "bernoulli-exact": (("n", "a", "theta", "estimator", "lambda_n", "lambda_per_n"),
-                            _bernoulli_rows),
-        "certify": (("check", "alpha", "bound", "truth", "margin", "status"), _certify_rows),
+                            _bernoulli_rows, ("n", "a", "theta", ("estimator", "plugin"))),
+        "certify": (("check", "alpha", "bound", "truth", "margin", "status"), _certify_rows,
+                    ("suite", "samples", "seed")),
     },
 }
+
 
 def _alpha_c_rows(args) -> list[list]:
     from . import bayes_bounds
@@ -487,10 +576,10 @@ def _alpha_c_rows(args) -> list[list]:
 _ALPHA_C = {"bayes-tilted": (("alpha_c_upper",), _alpha_c_rows)}
 
 
-def _run_table(table: dict, choice: str, args) -> int:
-    header, rows = table[choice]
-    if getattr(args, "alpha_c", False):
-        header, rows = _ALPHA_C.get(choice, (header, rows))
+def _run_table(command: str, choice: str, args) -> int:
+    header, rows, _ = _COMMANDS[command][choice]
+    if choice in _ALPHA_C and args.alpha_c:
+        header, rows = _ALPHA_C[choice]
     data = rows(args)
     _emit(args, header, data)
     return EXIT_VERIFY if any(row[-1] == "violation" for row in data) else EXIT_OK
@@ -506,12 +595,15 @@ _PLOT_SCHEMAS = {  # CSV header -> plot kind
 
 
 def _cmd_emit_plot(args) -> int:
-    with open(args.csv, "r", encoding="utf-8") as fh:
-        header = tuple(fh.readline().strip().split(","))
-        body = [line for line in fh if line.strip() and not line.startswith("#")]
+    first, *rest = _read_text(args.csv, "CSV").splitlines() or [""]
+    header = tuple(first.strip().split(","))
+    body = [line for line in rest if line.strip() and not line.startswith("#")]
     kind = _PLOT_SCHEMAS.get(header)
     if kind is None:
         raise DomainError(f"unknown CSV schema {header!r}")
+    for line in body:
+        if len(line.split(",")) != len(header):
+            raise DomainError(f"bad CSV row {line!r}: the header has {len(header)} columns")
     lines = [
         "# gnuplot script; run: gnuplot -persist <this file>",
         "set datafile separator ','",
@@ -549,113 +641,71 @@ def _cmd_emit_plot(args) -> int:
 
 # ----------------------------------------------------------------- main ---
 
-def _build_parser() -> argparse.ArgumentParser:
+_CHOICE_NAMES = {"bound": "family", "phase": "analysis", "verify": "check"}
+
+
+def _command_parser() -> argparse.ArgumentParser:
+    """The command and its choice; the flags after them go to ``_choice_parser``."""
     parser = argparse.ArgumentParser(
         prog="riskbounds",
         description="Bounds on exponential moments of quadratic estimation error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, help_text in (("bound", "evaluate a lower bound"),
+                               ("phase", "saddle exponent and spin-model analysis"),
+                               ("verify", "Monte Carlo and exact verification")):
+        name = _CHOICE_NAMES[command]
+        p = sub.add_parser(command, help=help_text,
+                           epilog=f"riskbounds {command} {name.upper()} -h lists the {name}'s "
+                                  "flags and columns")
+        p.add_argument(name, choices=list(_COMMANDS[command]))
+        p.add_argument("flags", nargs=argparse.REMAINDER, help=f"the {name}'s flags")
+    # no option prefix here, so that every token, -h too, reaches emit-plot's own parser
+    p = sub.add_parser("emit-plot", help="write a gnuplot script for a CSV", prefix_chars="+",
+                       add_help=False)
+    p.add_argument("flags", nargs=argparse.REMAINDER)
+    return parser
 
-    def common(p):
-        p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--config", help="key = value config file; flags win")
-        p.add_argument("--log", action="store_true", help="log-spaced sweeps")
 
-    def columns(headers):
-        return "columns: " + "; ".join(f"{name} -> {','.join(h)}" for name, h in headers)
-
-    def table_parser(command, dest, help_text, extra_columns=()):
-        table = _COMMANDS[command]
-        headers = [(name, header) for name, (header, _) in table.items()] + list(extra_columns)
-        p = sub.add_parser(command, help=help_text, epilog=columns(headers))
-        p.add_argument(dest, choices=list(table))
-        p.set_defaults(func=lambda args: _run_table(table, getattr(args, dest), args))
-        return p
-
-    pb = table_parser("bound", "family", "evaluate a lower bound",
-                      [(f"{name} --alpha-c", header) for name, (header, _) in _ALPHA_C.items()])
-    pb.add_argument("--alpha", type=float)
-    pb.add_argument("--alpha-sweep")
-    pb.add_argument("--sigma2", type=float, default=1.0)
-    pb.add_argument("--sigma2q", type=float)
-    pb.add_argument("--es", type=float, default=0.0)
-    pb.add_argument("--ex", type=float, default=1.0)
-    pb.add_argument("--n0", type=float, default=1.0)
-    pb.add_argument("--snr", default="0.1", help="Ex/N0; comma list sweeps curves")
-    pb.add_argument("--beta", type=float)
-    pb.add_argument("--q-const", type=float, default=0.0)
-    pb.add_argument("--t-horizon", type=float, default=1.0)
-    pb.add_argument("--gamma", type=float, default=1.0)
-    pb.add_argument("--tau", type=float, default=1.0)
-    pb.add_argument("--prior", default="gaussian:1.0", help=_PRIOR_USAGE)
-    pb.add_argument("--es-over-n0", type=float, default=0.0)
-    pb.add_argument("--corr", type=float, default=0.0)
-    pb.add_argument("--alpha-c", action="store_true",
-                    help="report the tilted-family critical-factor upper bound")
-    pb.add_argument("--nu", type=float)
-    pb.add_argument("--omega0", type=float, default=2 * math.pi)
-    pb.add_argument("--gamma-file", help="dense correlation matrix as CSV")
-    pb.add_argument("--alpha-vec", default="1.0")
-    pb.add_argument("--scale-sweep")
-    pb.add_argument("--theta", type=float, default=0.0)
-    pb.add_argument("--lnb", type=float, default=0.5)
-    pb.add_argument("--rho-gauss", type=float, default=4.0)
-    pb.add_argument("--range", default="0,1", help="theta range lo,hi or 'unbounded'")
-    common(pb)
-
-    pp = table_parser("phase", "analysis", "saddle exponent and spin-model analysis")
-    pp.add_argument("--a", type=float, default=1.0)
-    pp.add_argument("--a-sweep")
-    pp.add_argument("--mu", type=float, default=0.0)
-    pp.add_argument("--mu-sweep")
-    pp.add_argument("--q-steps", type=int, default=201)
-    common(pp)
-
-    pv = table_parser("verify", "check", "Monte Carlo and exact verification")
-    pv.add_argument("--suite", choices=["default"], default="default",
-                    help="certification suite to run (only 'default' exists)")
-    pv.add_argument("--model", default="lin-gauss")
-    pv.add_argument("--estimator")
-    pv.add_argument("--a", type=float, default=1.0, help="risk scale for the exact binomial sum")
-    pv.add_argument("--alpha", type=float)
-    pv.add_argument("--alpha-frac", type=float, default=0.5,
-                    help="alpha as a fraction of the divergence threshold")
-    pv.add_argument("--samples", type=int, default=100_000)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--sigma2", type=float, default=1.0)
-    pv.add_argument("--es", type=float, default=1.0)
-    pv.add_argument("--n0", type=float, default=1.0)
-    pv.add_argument("--n", type=int, default=200)
-    pv.add_argument("--theta", type=float, default=0.3)
-    pv.add_argument("--threads", type=int,
-                    help="worker threads for mc (default: RISKBOUNDS_THREADS, else 1)")
-    common(pv)
-
-    pe = sub.add_parser("emit-plot", help="write a gnuplot script for a CSV")
-    pe.add_argument("--csv", required=True)
-    pe.add_argument("--out-script", required=True)
-    pe.add_argument("--clip", type=float, default=10.0,
-                    help="ceiling for divergent values in the plot")
-    common(pe)
-    pe.set_defaults(func=_cmd_emit_plot)
+def _choice_parser(command: str, choice: str | None) -> argparse.ArgumentParser:
+    """The parser of one choice: the flags it reads, then --out and --config."""
+    specs = {**_FLAGS[command], **_EVERY_CHOICE}
+    if choice is None:   # emit-plot writes a script, not a CSV
+        parser = argparse.ArgumentParser(prog="riskbounds emit-plot")
+        flags = (*_FLAGS[command], "config")
+    else:
+        header, _, flags = _COMMANDS[command][choice]
+        columns = ",".join(header)
+        if choice in _ALPHA_C:
+            columns += "; with --alpha-c: " + ",".join(_ALPHA_C[choice][0])
+        parser = argparse.ArgumentParser(prog=f"riskbounds {command} {choice}",
+                                         epilog=f"columns: {columns}")
+        flags = (*flags, *_EVERY_CHOICE)
+    for flag in flags:
+        flag, default = (flag, {}) if isinstance(flag, str) else (flag[0], {"default": flag[1]})
+        parser.add_argument("--" + flag, **specs[flag], **default)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    cmd = _command_parser().parse_args(argv)
+    name = _CHOICE_NAMES.get(cmd.command)
+    choice = getattr(cmd, name) if name else None
+    parser = _choice_parser(cmd.command, choice)
+    args = parser.parse_args(cmd.flags)
     try:
         if args.config:
             # config flags go before the explicit ones, and argparse keeps the
-            # last value it reads; leftovers can only be config keys naming
-            # no flag (a positional, say), since argv alone parsed cleanly
-            at = argv.index(args.command) + 1
-            args, _ = parser.parse_known_args(argv[:at] + _config_flags(args) + argv[at:])
+            # last value it reads
+            args = parser.parse_args(_config_flags(args) + cmd.flags)
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"--{key.replace('_', '-')} must be finite, got {value}")
-        return args.func(args)
+        if choice is None:
+            return _cmd_emit_plot(args)
+        vars(args).update({"command": cmd.command, name: choice})   # for the echo
+        return _run_table(cmd.command, choice, args)
     except (RiskBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskbounds
-from riskbounds.cli import _COMMANDS, _build_parser, main
+from riskbounds import cli
+from riskbounds.cli import _COMMANDS, _choice_parser, main
 from riskbounds.closed_forms import _linspace
 
 
@@ -159,14 +160,20 @@ class TestDeterminismAndConfig:
         assert out1 == out2
 
     @pytest.mark.parametrize("argv", [
-        ["bound", "nonbayes-linear", "--alpha-sweep", "0.05:0.95:12", "--es", "1", "--n0", "1"],
-        ["phase", "exponent", "--a-sweep", "0:3:4"],
+        ["bound", "nonbayes-linear", "--alpha-sweep", "0.05:0.95:12", "--es", "1", "--n0", "1",
+         "--threads", "2"],
+        ["phase", "exponent", "--a-sweep", "0:3:4", "--threads", "2"],
+        ["verify", "certify", "--samples", "1000", "--threads", "-3"],
+        ["verify", "certify", "--samples", "1000", "--threads", "2"],
+        ["verify", "bernoulli-exact", "--n", "50", "--threads", "-3"],
+        ["verify", "bernoulli-exact", "--n", "50", "--threads", "2"],
     ])
     def test_threads_flag_exists_only_on_verify(self, capsys, argv):
+        # only verify mc runs workers, so only it has --threads
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--threads", "2"])
+            main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: --threads {argv[-1]}" in capsys.readouterr().err
 
     def test_mc_threads_bit_identical(self, capsys):
         base = ["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
@@ -497,12 +504,11 @@ class TestExitCodes:
         assert code == 0
         assert len(data_rows(out)) == 101
 
-    def test_exponent_reads_no_q_grid(self, capsys):
-        # E(a) is in closed form: --q-steps is only echoed, whatever its value
-        _, want, _ = run_cli(["phase", "exponent", "--a", "3"], capsys)
-        code, out, err = run_cli(["phase", "exponent", "--a", "3", "--q-steps", "50"], capsys)
-        assert code == 0 and err == ""
-        assert out == want.replace("# q_steps = 201", "# q_steps = 50")
+    def test_exponent_reads_no_q_grid(self):
+        # E(a) is in closed form, so phase exponent has no --q-steps
+        code, out, err = run_any(["phase", "exponent", "--a", "3", "--q-steps", "50"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --q-steps 50" in err
 
     @pytest.mark.parametrize("bad", [["--sigma2q", "0"], ["--n0", "0"], ["--snr", "abc"],
                                      ["--snr", "nan"], ["--alpha-sweep", "nan:1:3"]])
@@ -619,14 +625,6 @@ class TestClosedFormEdges:
                                 "--n0", "1e300"], capsys)
         assert code == 0
         assert data_rows(out) == [["1", "5e-09", "5.000000025e-09", "100000000", "ok"]]
-
-    @pytest.mark.parametrize("check", ["certify", "bernoulli-exact"])
-    @pytest.mark.parametrize("threads", ["-3", "2"])
-    def test_threads_outside_mc_is_three(self, capsys, check, threads):
-        code, out, err = run_cli(["verify", check, "--threads", threads, "--samples", "1000"],
-                                 capsys)
-        assert code == 3 and out == ""
-        assert err == "error: --threads applies only to verify mc\n"
 
 
 class TestSweeps:
@@ -794,6 +792,15 @@ class TestSweeps:
                                 "--config", str(tmp_path / "nope.cfg")], capsys)
         assert code == 3
 
+    def test_non_utf8_config_file_is_three(self, capsys, tmp_path):
+        cfg = tmp_path / "bin.dat"
+        cfg.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe alpha = 0.3\n")
+        code, out, err = run_cli(["bound", "bayes-linear", "--alpha", "0.3", "--config", str(cfg)],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: bad config file {str(cfg)!r}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
     def test_vector_bound_with_gamma_file(self, capsys, tmp_path):
         gamma_path = tmp_path / "gamma.csv"
         gamma_path.write_text("1.0,0.3\n0.3,1.0\n")
@@ -854,27 +861,58 @@ class TestEmitPlot:
                                 "--out-script", str(tmp_path / "o.gp")], capsys)
         assert code == 3
 
+    def test_non_utf8_csv_is_three(self, capsys, tmp_path):
+        data = tmp_path / "bin.dat"
+        data.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\n")
+        code, out, err = run_cli(["emit-plot", "--csv", str(data),
+                                  "--out-script", str(tmp_path / "o.gp")], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: bad CSV file {str(data)!r}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.gp").exists()
+
+    @pytest.mark.parametrize("row", ["garbage", "0.1,0.01,0.5,1,ok,extra"])
+    def test_row_of_another_width_is_three(self, capsys, tmp_path, row):
+        csv_path = tmp_path / "fig.csv"
+        csv_path.write_text(f"alpha,snr,bound,beta_star,status\n# snr = 0.01\n{row}\n")
+        code, out, err = run_cli(["emit-plot", "--csv", str(csv_path),
+                                  "--out-script", str(tmp_path / "o.gp")], capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: bad CSV row {row!r}: the header has 5 columns\n"
+        assert not (tmp_path / "o.gp").exists()
+
+
+def _choice_flags(command: str, choice: str) -> list[argparse.Action]:
+    """The flags of a choice, as its parser built from the command table declares them."""
+    return [a for a in _choice_parser(command, choice)._actions
+            if a.option_strings and a.dest not in ("help", "out", "config")]
+
+
+def _flag_names(command: str, choice: str) -> set[str]:
+    return {a.option_strings[-1] for a in _choice_flags(command, choice)}
+
 
 # every table command with numeric flags drawn from zeros, signs, float-range
 # extremes, non-finite values and ordinary values
-_FLOAT_FLAGS = {
-    "bound": ["--alpha", "--sigma2", "--sigma2q", "--es", "--ex", "--n0", "--beta", "--q-const",
-              "--t-horizon", "--gamma", "--tau", "--es-over-n0", "--corr", "--nu", "--omega0",
-              "--theta", "--lnb", "--rho-gauss"],
-    "phase": ["--a", "--mu", "--q-steps"],
-    "verify": ["--a", "--alpha", "--alpha-frac", "--sigma2", "--es", "--n0", "--theta", "--n",
-               "--seed", "--threads"],
-}
+_FLOAT_FLAGS = {(command, choice): [a.option_strings[-1] for a in _choice_flags(command, choice)
+                                    if a.type in (float, int)]
+                for command in _COMMANDS for choice in _COMMANDS[command]}
 _NUMBERS = st.sampled_from(["0", "-1", "-0.25", "1e300", "-1e300", "1e-300", "-1e-300",
                             "nan", "inf", "-inf", "0.3", "0.6", "1", "2.5"])
 _SMALL_PRIOR = "gaussian:1.0,10,513"
-# the base argv of each command; --samples stays small, so that a verify draw runs fast
+# the base flags of each command, each given to the choices that have it;
+# --samples stays small, so that a verify draw runs fast
 _TABLE_BASES = {
-    "bound": ["--alpha=0.3", "--prior", _SMALL_PRIOR],
-    "phase": ["--mu-sweep=-0.5:0.5:3", "--a-sweep=0.3:0.7:3"],
-    "verify": ["--samples=1000"],
+    "bound": {"--alpha": "0.3", "--prior": _SMALL_PRIOR},
+    "phase": {"--mu-sweep": "-0.5:0.5:3", "--a-sweep": "0.3:0.7:3"},
+    "verify": {"--samples": "1000"},
 }
 _SWEEPS = {"bound": "--alpha-sweep", "phase": "--a-sweep"}
+
+
+def _base_argv(command: str, choice: str, bases: dict[str, str]) -> list[str]:
+    flags = _flag_names(command, choice)
+    return [command, choice, *(f"{flag}={value}" for flag, value in bases.items() if flag in flags)]
 
 
 @pytest.fixture(scope="module")
@@ -888,10 +926,12 @@ def gamma_csv(tmp_path_factory):
 def _table_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     choice = draw(st.sampled_from(list(_COMMANDS[command])))
-    argv = [command, choice, *_TABLE_BASES[command]]
-    for flag in draw(st.lists(st.sampled_from(_FLOAT_FLAGS[command]), unique=True, max_size=4)):
+    argv = _base_argv(command, choice, _TABLE_BASES[command])
+    float_flags = _FLOAT_FLAGS[command, choice]   # phase diagram has none
+    drawn = float_flags and draw(st.lists(st.sampled_from(float_flags), unique=True, max_size=4))
+    for flag in drawn:
         argv.append(f"{flag}={draw(_NUMBERS)}")
-    if command in _SWEEPS and draw(st.booleans()):
+    if _SWEEPS.get(command) in _flag_names(command, choice) and draw(st.booleans()):
         argv.append(f"{_SWEEPS[command]}={draw(_NUMBERS)}:{draw(_NUMBERS)}:3")
     return argv
 
@@ -907,7 +947,7 @@ def _table_argv(draw):
 @example(["bound", "bayes-tilted", "--prior", "gaussian:1e-6", "--beta", "200", "--alpha", "0.3"])
 @example(["verify", "certify", "--samples=1000", "--seed=1"])
 @example(["verify", "mc", "--samples=1000", "--threads=0"])
-@example(["verify", "bernoulli-exact", "--samples=1000", "--a=1e300"])
+@example(["verify", "bernoulli-exact", "--a=1e300"])
 @settings(max_examples=150, deadline=None)
 def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
     if argv[1] == "nonbayes-vector":
@@ -937,7 +977,9 @@ def _closed_form_values(**given_values) -> dict:
 @example("bayes-phase", _closed_form_values(alpha=1e308, sigma2=5e-324))
 @settings(max_examples=300, deadline=None)
 def test_closed_form_families_end_in_zero_or_three(family, values):
-    argv = ["bound", family, *(f"{flag}={value!r}" for flag, value in values.items())]
+    flags = _flag_names("bound", family)
+    argv = ["bound", family, *(f"{flag}={value!r}" for flag, value in values.items()
+                               if flag in flags)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -945,14 +987,13 @@ def test_closed_form_families_end_in_zero_or_three(family, values):
     assert code == 0 or err.getvalue().startswith("error:")
 
 
-# a cheap command per subparser; drawn flags other than these are set either
+# a cheap command per choice; drawn flags other than these are set either
 # on the command line or in a config file
 _CONFIG_BASES = [
-    *(["bound", family, "--alpha=0.3", "--prior", _SMALL_PRIOR, "--beta=0.5"]
+    *(_base_argv("bound", family, {"--alpha": "0.3", "--prior": _SMALL_PRIOR, "--beta": "0.5"})
       for family in ("bayes-linear", "bayes-phase", "bayes-tilted", "bayes-ww", "bayes-lpcb",
                      "nonbayes-linear", "nonbayes-nonlinear")),
-    *(["phase", analysis, "--mu-sweep=-0.5:0.5:3", "--a-sweep=0.3:0.7:3"]
-      for analysis in _COMMANDS["phase"]),
+    *(_base_argv("phase", analysis, _TABLE_BASES["phase"]) for analysis in _COMMANDS["phase"]),
     ["verify", "mc", "--model", "nb-ml", "--estimator", "ml", "--alpha=0.3", "--samples=1000"],
     ["verify", "bernoulli-exact", "--n=20"],
 ]
@@ -961,16 +1002,10 @@ _CONFIG_VALUES = st.sampled_from(["0.3", "1", "2", "-1", "0", "1e2", "2.5", "abc
                                   "gaussian:0.5,10,513", "true"])
 
 
-def _config_flags(command: str) -> list[tuple[str, str, bool]]:
-    """(flag, config key, is on/off) for each flag of a command a config file may set."""
-    parser = _build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [(a.option_strings[-1], a.dest, a.nargs == 0)
-            for a in sub.choices[command]._actions
-            if a.option_strings and a.dest not in ("help", "out", "config", "gamma_file")]
-
-
-_CONFIG_FLAGS = {command: _config_flags(command) for command in ("bound", "phase", "verify")}
+def _config_flags(command: str, choice: str) -> list[tuple[str, str, bool]]:
+    """(flag, config key, is on/off) for each flag of a choice a config file may set."""
+    return [(a.option_strings[-1], a.dest, a.nargs == 0) for a in _choice_flags(command, choice)
+            if a.dest != "gamma_file"]
 
 
 @st.composite
@@ -978,7 +1013,7 @@ def _flags_two_ways(draw):
     """A base command, and the same flags as argv tokens and as config lines."""
     base = draw(st.sampled_from(_CONFIG_BASES))
     given_flags = {token.split("=")[0] for token in base}
-    free = [f for f in _CONFIG_FLAGS[base[0]] if f[0] not in given_flags]
+    free = [f for f in _config_flags(*base[:2]) if f[0] not in given_flags]
     argv, lines = [], []
     for flag, key, switch in draw(st.lists(st.sampled_from(free), min_size=1, max_size=3,
                                            unique=True)):
@@ -1005,3 +1040,61 @@ def test_config_file_and_flags_give_identical_output(tmp_path_factory, case):
     cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
     cfg.write_text("".join(line + "\n" for line in lines))
     assert run_any(base + ["--config", str(cfg)]) == run_any(base + argv)
+
+
+def _alpha_runs(*flags: str) -> list[list[str]]:
+    return [[*flags, "--alpha", "0.3"], [*flags, "--alpha-sweep", "0.1:0.3:2", "--log"]]
+
+
+_VECTOR = ("--gamma-file", "GAMMA", "--es", "1", "--alpha-vec", "0.4,0.2")
+# valid flags of each choice; what their runs read together, and what their
+# echoes list together, is what the choice declares ("GAMMA" is a gamma file)
+_HONEST_ARGVS = {
+    ("bound", "bayes-linear"): _alpha_runs(),
+    ("bound", "bayes-phase"): _alpha_runs(),
+    ("bound", "bayes-tilted"): [*_alpha_runs("--prior", _SMALL_PRIOR, "--beta", "0.8"),
+                                ["--prior", _SMALL_PRIOR, "--alpha-c"]],
+    ("bound", "bayes-delay"): _alpha_runs("--prior", _SMALL_PRIOR, "--nu", "0.5", "--beta", "0.8"),
+    ("bound", "bayes-ww"): _alpha_runs(),
+    ("bound", "bayes-lpcb"): _alpha_runs("--sigma2q", "0.5", "--beta", "0.05"),
+    ("bound", "nonbayes-linear"): _alpha_runs("--es", "1"),
+    ("bound", "nonbayes-vector"): [[*_VECTOR], [*_VECTOR, "--scale-sweep", "0.5:1:2", "--log"]],
+    ("bound", "nonbayes-nonlinear"): _alpha_runs(),
+    ("phase", "exponent"): [["--a", "3"], ["--a-sweep", "1:3:2", "--log"]],
+    ("phase", "estimator"): [["--a", "3", "--q-steps", "101"]],
+    ("phase", "roots"): [["--mu", "0.1", "--a", "0.8"]],
+    ("phase", "diagram"): [["--mu-sweep", "0.1:0.5:2", "--a-sweep", "0.3:0.7:2", "--log"]],
+    ("verify", "mc"): [["--model", "nb-ml", "--estimator", "ml", "--samples", "1000",
+                        "--alpha", "0.3", "--threads", "1"],
+                       ["--model", "nb-ml", "--estimator", "ml", "--samples", "1000"]],
+    ("verify", "bernoulli-exact"): [["--n", "20"]],
+    ("verify", "certify"): [["--samples", "1000"]],
+}
+
+
+@pytest.mark.parametrize("command, choice", [(command, choice) for command in _COMMANDS
+                                             for choice in _COMMANDS[command]])
+def test_each_choice_reads_and_echoes_exactly_its_flags(monkeypatch, gamma_csv, command, choice):
+    declared = {a.dest for a in _choice_flags(command, choice)}
+    name = cli._CHOICE_NAMES[command]
+    reads, echoed = set(), set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return super().__getattribute__(attr)
+
+    run_table = cli._run_table
+    monkeypatch.setattr(cli, "_run_table", lambda command, choice, args:
+                        run_table(command, choice, Recorder(**vars(args))))
+    for argv in _HONEST_ARGVS[command, choice]:
+        argv = [gamma_csv if token == "GAMMA" else token for token in argv]
+        code, out, err = run_any([command, choice, *argv])
+        assert code == 0, err
+        keys = {line[2:].split(" = ")[0] for line in out.splitlines() if line.startswith("# ")}
+        given = vars(_choice_parser(command, choice).parse_args(argv))
+        assert keys == {k for k in declared if given[k] is not None} | {"command", name}
+        echoed |= keys
+    # --out is read by the CSV writer, and certify has one suite, so reads no --suite
+    assert {r for r in reads if not r.startswith("_")} - {"out"} == declared - {"suite"}
+    assert echoed == declared | {"command", name}
