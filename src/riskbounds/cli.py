@@ -34,8 +34,8 @@ Each command imports only the modules it runs, at the point of use: the
 module itself loads argparse and the numpy-free ``errors``, linear sweeps
 are spaced in plain Python by numpy's own ``linspace`` formula, and
 the closed-form ``bound`` families (``bayes-linear``, ``bayes-phase``,
-``bayes-ww``, ``nonbayes-linear``), every ``phase`` analysis and
-``emit-plot`` run without importing numpy at all.
+``bayes-ww``, ``nonbayes-linear``), ``nonbayes-nonlinear``, every
+``phase`` analysis and ``emit-plot`` run without importing numpy at all.
 """
 
 from __future__ import annotations
@@ -229,8 +229,10 @@ def _load_prior(args) -> GridDensity:
 # one `bound` family, `phase` analysis or `verify` check; _COMMANDS pairs it
 # with its header and the flags it reads.  Each imports the modules it calls,
 # so a command loads only those: `bayes-linear`, `bayes-phase`, `bayes-ww` and
-# `nonbayes-linear` load only `closed_forms`, and they and every `phase`
-# analysis load no numpy.
+# `nonbayes-linear` load only `closed_forms`, `nonbayes-nonlinear` adds
+# `nonbayes_bounds` (its search over the reference value is the float
+# `closed_forms.maximize_scalar`), and they and every `phase` analysis load
+# no numpy.
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
@@ -608,7 +610,8 @@ def _cmd_emit_plot(args) -> int:
         "# gnuplot script; run: gnuplot -persist <this file>",
         "set datafile separator ','",
         "set datafile commentschars '#'",
-        f"csv = '{args.csv}'",
+        # gnuplot's escape for a quote inside '...' is a doubled quote
+        "csv = '" + args.csv.replace("'", "''") + "'",
         "set key left top",
     ]
     if kind == "lpcb":
@@ -687,9 +690,30 @@ def _choice_parser(command: str, choice: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+def _misplaced_flag(argv: list[str]) -> str | None:
+    """The usage error for a flag placed before the command or before its choice, if any.
+
+    argparse would skip such a flag and report its value as a bad choice.
+    """
+    head = argv[:2] if argv and argv[0] in _CHOICE_NAMES else argv[:1]
+    for i, token in enumerate(head):
+        if token.startswith("--") and not "--help".startswith(token):
+            flag = token.split("=", 1)[0]
+            if i == 0:
+                return (f"{flag} is placed before the command: flags must follow the command "
+                        "and its choice")
+            name = _CHOICE_NAMES[argv[0]]
+            return f"{flag} is placed before the {name}: flags must follow the {name}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    cmd = _command_parser().parse_args(argv)
+    command_parser = _command_parser()
+    misplaced = _misplaced_flag(argv)
+    if misplaced:
+        command_parser.error(misplaced)
+    cmd = command_parser.parse_args(argv)
     name = _CHOICE_NAMES.get(cmd.command)
     choice = getattr(cmd, name) if name else None
     parser = _choice_parser(cmd.command, choice)

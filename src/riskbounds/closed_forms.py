@@ -11,17 +11,19 @@ a float into a ``BoundValue`` status.  The closed forms here are a few
 * the rectangular-pulse delay bound,
 * the unbiased scalar bound alpha n0 / (2 es) and the exact ML moment.
 
-Two plain-Python numerical helpers live here too: ``golden_section_max``,
-the package's one golden-section search (array brackets hand over to
-``core``'s batched loop), and ``_linspace``, numpy's ``linspace`` formula
-on floats, which spaces the CLI's linear sweeps and the estimator curve's
-q grid.
+The package's 1-D searches live here too, as plain-Python loops on float
+brackets: ``golden_section_max``, the one golden-section search, and
+``maximize_scalar``, a coarse sweep polished by it (array brackets of
+either hand over to ``core``'s batched numpy forms).  ``_linspace``,
+numpy's ``linspace`` formula on floats, spaces the CLI's linear sweeps,
+the estimator curve's q grid and the sweep of ``maximize_scalar``.
 
-The module imports only ``math``, ``sys``, ``dataclasses`` and ``errors``,
-so the CLI families built on it (``bayes-linear``, ``bayes-phase``,
-``bayes-ww`` and ``nonbayes-linear``) and ``phase estimator`` run without
-numpy.  ``core``, ``bayes_bounds`` and ``nonbayes_bounds`` re-export its
-public names as the same objects.
+The module imports only ``math``, ``sys``, ``dataclasses`` and ``errors``
+(a log-spaced ``maximize_scalar`` sweep imports numpy for ``np.exp``), so
+the CLI families built on it (``bayes-linear``, ``bayes-phase``,
+``bayes-ww``, ``nonbayes-linear`` and ``nonbayes-nonlinear``) and
+``phase estimator`` run without numpy.  ``core``, ``bayes_bounds`` and
+``nonbayes_bounds`` re-export its public names as the same objects.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "scalar_linear_bound",
     "scalar_ml_lambda",
     "golden_section_max",
+    "maximize_scalar",
 ]
 
 # BoundValue.status values
@@ -299,6 +302,74 @@ def golden_section_max(
         it += 1
     x = c if fc > fd else d
     return x, f(x)
+
+
+def maximize_scalar(
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
+    *,
+    log_spaced: bool = False,
+    coarse: int = 64,
+    tol: float = 1e-10,
+) -> tuple:
+    """Coarse grid sweep followed by golden-section polish.
+
+    The coarse sweep guards against non-unimodal profiles; the polish runs
+    on the bracket around the best coarse point.  Returns
+    (argmax, value, n_evaluations), the last a Python int counting every
+    point passed to f.  The best coarse point is numpy's ``nanargmax``:
+    the first maximum once NaN reads as -inf, and a profile that is NaN at
+    every point raises DomainError.
+
+    Float brackets run in plain Python and hand f plain floats: the linear
+    grid is ``_linspace``, and a log-spaced grid is ``np.exp`` of a
+    ``_linspace`` of the logs (``math.exp`` rounds differently), the one
+    use of numpy on this path.  With equal-shape numpy arrays lo and hi,
+    every element is a search of its own (``core._maximize_batch``) and
+    argmax and value are arrays: f maps an array of points to the array of
+    their values, and each element returns what a float call on its
+    bracket returns; an element whose values are all NaN raises
+    DomainError for the whole call.
+    """
+    if coarse < 2:
+        raise DomainError("the coarse sweep needs at least 2 points")
+    numpy = sys.modules.get("numpy")   # an array bracket exists only once numpy is loaded
+    if numpy is not None and (isinstance(lo, numpy.ndarray) or isinstance(hi, numpy.ndarray)):
+        from .core import _maximize_batch
+
+        return _maximize_batch(f, lo, hi, log_spaced, coarse, tol)
+    lo, hi = float(lo), float(hi)
+    if not hi > lo:
+        raise DomainError("empty bracket")
+    if log_spaced:
+        if lo <= 0:
+            raise DomainError("log-spaced bracket needs lo > 0")
+        import numpy as np   # np.exp, not math.exp: the two round differently
+
+        grid = np.exp(_linspace(math.log(lo), math.log(hi), coarse)).tolist()
+    else:
+        grid = _linspace(lo, hi, coarse)
+    vals = [f(x) for x in grid]
+    n_eval = coarse
+    if all(v != v for v in vals):
+        raise DomainError("objective is NaN at every point of the bracket")
+    clean = [-math.inf if v != v else v for v in vals]   # nanargmax reads NaN as -inf
+    k = clean.index(max(clean))
+    x, fx = grid[k], vals[k]
+    blo, bhi = grid[max(k - 1, 0)], grid[min(k + 1, coarse - 1)]
+    if fx == math.inf or blo == bhi:
+        return x, float(fx), n_eval
+
+    def counted(u: float) -> float:
+        nonlocal n_eval
+        n_eval += 1
+        return f(u)
+
+    xp, fxp = golden_section_max(counted, blo, bhi, tol=tol)
+    if fxp < fx:
+        return x, float(fx), n_eval
+    return xp, fxp, n_eval
 
 
 def _linspace(start: float, stop: float, n: int) -> list[float]:

@@ -10,13 +10,14 @@ functions are plain numpy arrays wrapped with their abscissae (a
 the beta-independent half of a power tilt, and ``divergences.tilt_terms``
 the scalars of its power tilts), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
-descent built on top of it.  The golden-section search itself,
-``golden_section_max``, lives in the numpy-free ``closed_forms`` as a plain
-Python loop on float brackets and is re-exported here as the same object;
-what stays here is its batched form: the 1-D searches also take arrays of
-brackets and then run every element as a search of its own in one numpy
-loop (``_golden_section_batch``), with the same result per element as the
-scalar search.  ``logsumexp`` is the package's only
+descent built on top of it.  The 1-D searches themselves,
+``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
+in the numpy-free ``closed_forms`` as plain Python loops on float brackets
+and are re-exported here as the same objects; what stays here is their
+batched form: they also take arrays of brackets and then run every
+element as a search of its own in numpy (``_golden_section_batch``,
+``_maximize_batch``), with the same result per element as the float
+search.  ``logsumexp`` is the package's only
 log-sum-exp; ``select`` and ``float_or_array`` let one closed form take
 floats or arrays.  The exception classes live in the numpy-free
 ``errors`` module and are re-exported here as the same class objects, so
@@ -44,6 +45,7 @@ from .closed_forms import (  # noqa: F401  (re-exported)
     BoundValue,
     classify,
     golden_section_max,
+    maximize_scalar,
 )
 from .errors import (  # noqa: F401  (re-exported)
     ConditioningError,
@@ -352,30 +354,8 @@ def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray
 _math_log = np.vectorize(math.log, otypes=[float])
 
 
-def maximize_scalar(
-    f: Callable,
-    lo: float | np.ndarray,
-    hi: float | np.ndarray,
-    *,
-    log_spaced: bool = False,
-    coarse: int = 64,
-    tol: float = 1e-10,
-) -> tuple:
-    """Coarse grid sweep followed by golden-section polish.
-
-    The coarse sweep guards against non-unimodal profiles; the polish runs
-    on the bracket around the best coarse point.  Returns
-    (argmax, value, n_evaluations), the last a Python int counting every
-    point passed to f.
-
-    With equal-shape arrays lo and hi, every element is a search of its
-    own and argmax and value are arrays: f maps an array of points to the
-    array of their values, the sweep is one call on the (coarse, *shape)
-    grid and the polish is one batched ``golden_section_max``.  Each
-    element returns what a scalar call on its bracket returns; an element
-    whose values are all NaN raises DomainError for the whole call.
-    """
-    batched = isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
+def _maximize_batch(f, lo, hi, log_spaced: bool, coarse: int, tol: float):
+    """``maximize_scalar`` on array brackets: the sweep of every element in one call of f."""
     lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if lo_a.shape != hi_a.shape:
         raise DomainError("bracket arrays must have equal shapes")
@@ -387,10 +367,7 @@ def maximize_scalar(
         grid = np.exp(np.linspace(_math_log(lo_a), _math_log(hi_a), coarse))
     else:
         grid = np.linspace(lo_a, hi_a, coarse)
-    if batched:
-        vals = np.asarray(f(grid), dtype=float)
-    else:
-        vals = np.array([f(x) for x in grid])
+    vals = np.asarray(f(grid), dtype=float)
     n_eval = grid.size
     if np.isnan(vals).all(axis=0).any():
         raise DomainError("objective is NaN at every point of the bracket")
@@ -402,19 +379,6 @@ def maximize_scalar(
     x, fx = at(k), np.take_along_axis(vals, np.expand_dims(k, 0), axis=0)[0]
     blo, bhi = at(np.maximum(k - 1, 0)), at(np.minimum(k + 1, coarse - 1))
     polish = (fx != math.inf) & (blo != bhi)
-    if not batched:
-        if not polish:
-            return float(x), float(fx), n_eval
-
-        def counted(u: float) -> float:
-            nonlocal n_eval
-            n_eval += 1
-            return f(u)
-
-        xp, fxp = golden_section_max(counted, float(blo), float(bhi), tol=tol)
-        if fxp < fx:
-            return float(x), float(fx), n_eval
-        return xp, fxp, n_eval
     if polish.any():
         def counted_batch(u: np.ndarray) -> np.ndarray:
             nonlocal n_eval

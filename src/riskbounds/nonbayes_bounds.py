@@ -12,18 +12,32 @@ Unbiasedness is an assumption recorded in the output, not a checkable
 property of a bound query.  The scalar closed forms (``scalar_linear_bound``
 and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms`` and are
 re-exported here.
+
+numpy is imported only where an array is used: by the vector model
+(``VectorLinearModel``, ``vector_linear_bound``, ``vector_ml_lambda``,
+``critical_radius``) and by a gridded ``CorrelationProfile``.  A callable
+rho runs on floats through ``closed_forms.maximize_scalar``, so the
+nonlinear bound with a callable rho loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from .closed_forms import (
+    _META,
+    BoundValue,
+    classify,
+    maximize_scalar,
+    scalar_linear_bound,
+    scalar_ml_lambda,
+)
+from .errors import ConditioningError, DomainError
 
-from .closed_forms import _META, BoundValue, classify, scalar_linear_bound, scalar_ml_lambda
-from .core import ConditioningError, DomainError, maximize_scalar
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "VectorLinearModel",
@@ -49,6 +63,8 @@ class VectorLinearModel:
     n0: float
 
     def __post_init__(self):
+        import numpy as np
+
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DomainError("gamma must be square")
@@ -72,6 +88,8 @@ class VectorLinearModel:
         return self.gamma.shape[0]
 
     def gamma_inv(self) -> np.ndarray:
+        import numpy as np
+
         return np.linalg.inv(self.gamma)
 
 
@@ -104,6 +122,8 @@ class CorrelationProfile:
             return
         if self.theta_grid is None or self.rho_values is None:
             raise DomainError("bounded profiles need a grid sample or a callable")
+        import numpy as np
+
         th = np.asarray(self.theta_grid, dtype=float)
         r = np.asarray(self.rho_values, dtype=float)
         if r.shape != (th.size, th.size):
@@ -123,6 +143,8 @@ class CorrelationProfile:
     def rho(self, theta: float, theta_tilde: float) -> float:
         if self.rho_fn is not None:
             return float(self.rho_fn(theta, theta_tilde))
+        import numpy as np
+
         i = int(np.argmin(np.abs(self.theta_grid - theta)))
         j = int(np.argmin(np.abs(self.theta_grid - theta_tilde)))
         return float(self.rho_values[i, j])
@@ -134,6 +156,8 @@ def vector_linear_bound(model: VectorLinearModel, alpha_vec: np.ndarray) -> Boun
     Finite strictly inside a' inv(gamma) a < es/n0; +inf on the contour
     and outside, which is where no estimator's tail can keep up.
     """
+    import numpy as np
+
     a = np.asarray(alpha_vec, dtype=float)
     if a.shape != (model.k,):
         raise DomainError("alpha_vec dimension mismatch")
@@ -151,6 +175,8 @@ def vector_ml_lambda(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
     The determinant form -0.5 ln|I - (n0/es) a a' inv(gamma)| collapses to
     the scalar form by the rank-one determinant identity.
     """
+    import numpy as np
+
     a = np.asarray(alpha_vec, dtype=float)
     if a.shape != (model.k,):
         raise DomainError("alpha_vec dimension mismatch")
@@ -162,6 +188,8 @@ def vector_ml_lambda(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
 
 def critical_radius(model: VectorLinearModel, direction: np.ndarray) -> float:
     """Scale t at which t * u hits the critical ellipsoid contour."""
+    import numpy as np
+
     u = np.asarray(direction, dtype=float)
     if u.shape != (model.k,):
         raise DomainError("direction dimension mismatch")
@@ -210,7 +238,7 @@ def nonlinear_bound(
     """
     if alpha <= 0 or n0 <= 0:
         raise DomainError("alpha and n0 must be positive")
-    l_fn = (lambda _t: float(l_nb)) if np.isscalar(l_nb) else l_nb
+    l_fn = l_nb if callable(l_nb) else (lambda _t: float(l_nb))
     f = _nonlinear_objective(profile, alpha, theta, l_fn, n0)
 
     if profile.unbounded:
@@ -240,6 +268,8 @@ def nonlinear_bound(
         if f(near) == best:
             center = near
         return classify(best, {"theta_tilde": center}, dict(_META))
+    import numpy as np
+
     vals = np.array([f(tt) for tt in profile.theta_grid])
     k = int(np.argmax(vals))
     return classify(float(vals[k]), {"theta_tilde": float(profile.theta_grid[k])}, dict(_META))

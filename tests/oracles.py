@@ -95,6 +95,67 @@ def saddle_value_and_argmin(a: float, q: float) -> tuple[float, float]:
     return float(r.fun), float(r.x)
 
 
+def saddle_inner_max_batch(a: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``saddle_inner_max`` at every element of equal-shape 1-D arrays a, q and t at once.
+
+    The stationarity cubic's roots come in closed form (trigonometric with
+    three real roots, Cardano with one), and D(q || theta) is taken by
+    log1p of theta - q, so that the value resolves a (t - q)^2 down to
+    t - q of one ulp where theta = q is the maximizer.
+    """
+    # monic cubic theta^3 - (1+t) theta^2 + (t + 1/(2a)) theta - q/(2a); theta = x + (1+t)/3
+    b, c, d = -(1.0 + t), t + 0.5 / a, -0.5 * q / a
+    p = c - b * b / 3.0
+    r = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    disc = r * r / 4.0 + p ** 3 / 27.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        amp = 2.0 * np.sqrt(-p / 3.0)
+        phi = np.arccos(np.clip(3.0 * r / (p * amp), -1.0, 1.0)) / 3.0
+        three = amp[:, None] * np.cos(phi[:, None] - 2.0 * np.pi / 3.0 * np.arange(3))
+        s = np.sqrt(np.maximum(disc, 0.0))
+        one = np.cbrt(-0.5 * r + s) + np.cbrt(-0.5 * r - s)
+        th = np.where((disc < 0.0)[:, None], three, one[:, None]) - b[:, None] / 3.0
+        qq = q[:, None]
+        th = np.concatenate([np.where((th > 0.0) & (th < 1.0), th, qq), qq], axis=1)
+        gap = th - qq
+        up = np.where(th < 0.5 * qq, np.log(th / qq), np.log1p(gap / qq))
+        down = np.where(1.0 - th < 0.5 * (1.0 - qq), np.log((1.0 - th) / (1.0 - qq)),
+                        np.log1p(-gap / (1.0 - qq)))
+        minus_d = np.where(qq > 0.0, qq * up, 0.0) + np.where(qq < 1.0, (1.0 - qq) * down, 0.0)
+    return np.max(a[:, None] * (t[:, None] - th) ** 2 + minus_d, axis=1)
+
+
+def golden_saddle_batch(a, q) -> tuple[np.ndarray, np.ndarray]:
+    """(min over t in [0, 1] of the exact inner max, minimizing t) at every (a, q) pair.
+
+    a and q broadcast to one shape.  Each pair runs its own golden-section
+    search on t until its bracket is within machine precision, all pairs
+    in one numpy loop.
+    """
+    a, q = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(q, dtype=float))
+    shape, a, q = a.shape, a.ravel(), q.ravel()
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.zeros_like(q), np.ones_like(q)
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    gc, gd = saddle_inner_max_batch(a, q, c), saddle_inner_max_batch(a, q, d)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        live = np.abs(hi - lo) > eps * (1.0 + np.abs(lo) + np.abs(hi))
+        if not live.any():
+            break
+        left = live & (gc < gd)     # the minimum lies in [lo, d]
+        right = live & ~(gc < gd)   # in [c, hi]
+        lo, hi = np.where(right, c, lo), np.where(left, d, hi)
+        c, gc, d, gd = (np.where(right, d, c), np.where(right, gd, gc),
+                        np.where(left, c, d), np.where(left, gc, gd))
+        x = np.where(left, hi - ratio * (hi - lo), lo + ratio * (hi - lo))
+        gx = saddle_inner_max_batch(a, q, x)
+        c, gc = np.where(left, x, c), np.where(left, gx, gc)
+        d, gd = np.where(right, x, d), np.where(right, gx, gd)
+    t = np.where(gc < gd, c, d)
+    return saddle_inner_max_batch(a, q, t).reshape(shape), t.reshape(shape)
+
+
 def exponent_oracle(a: float, n_q: int = 801) -> float:
     """max over q of the exact per-q saddle value."""
     if a == 0.0:

@@ -327,6 +327,10 @@ argvs = [
     ["bound", "bayes-phase", "--alpha-sweep", "0.1:1.5:4", "--sigma2", "0.5", "--out", "phase.csv"],
     ["bound", "bayes-ww", "--alpha-sweep", "0.1:5:4", "--out", "ww.csv"],
     ["bound", "nonbayes-linear", "--alpha-sweep", "0.1:2:4", "--es", "1", "--out", "nonbayes.csv"],
+    ["bound", "nonbayes-nonlinear", "--alpha-sweep", "0.01:1:4", "--theta", "0.5", "--range", "0,1",
+     "--out", "nonlinear.csv"],
+    ["bound", "nonbayes-nonlinear", "--alpha", "0.001", "--range", "unbounded",
+     "--out", "unbounded.csv"],
     ["phase", "estimator", "--a", "10", "--q-steps", "401", "--out", "fig2.csv"],
     # Newton stalls at q = 0.4 and the golden-section fallback runs
     ["phase", "estimator", "--a", "2.0833333333333335", "--out", "stall.csv"],
@@ -339,9 +343,9 @@ assert "numpy" not in sys.modules
 
 
 def test_phase_and_emit_plot_run_without_numpy(tmp_path):
-    # the package, the CLI module, every phase command, emit-plot and the
-    # closed-form bound families import no numpy: with every numpy import
-    # made to fail, all of them run
+    # the package, the CLI module, every phase command, emit-plot, the
+    # closed-form bound families and the nonlinear family with its callable
+    # rho import no numpy: with every numpy import made to fail, all of them run
     subprocess.run([sys.executable, "-c", _NO_NUMPY], check=True, env=_src_env(), cwd=tmp_path,
                    capture_output=True, timeout=120)
     assert (tmp_path / "fig3.gp").is_file()
@@ -349,11 +353,13 @@ def test_phase_and_emit_plot_run_without_numpy(tmp_path):
     stall = dict(data_rows((tmp_path / "stall.csv").read_text()))
     assert stall["0.4"] == f"{riskbounds.asymptotic_estimator(0.4, 2.0833333333333335):.12g}"
     statuses = {name: [row[-1] for row in data_rows((tmp_path / f"{name}.csv").read_text())]
-                for name in ("linear", "phase", "ww", "nonbayes")}
+                for name in ("linear", "phase", "ww", "nonbayes", "nonlinear", "unbounded")}
     assert statuses == {"linear": ["ok"] * 4 + ["divergent"],
                         "phase": ["ok", "ok", "divergent", "divergent"],
                         "ww": ["ok"] + ["out_of_window"] * 3,
-                        "nonbayes": ["ok", "ok", "divergent", "divergent"]}
+                        "nonbayes": ["ok", "ok", "divergent", "divergent"],
+                        "nonlinear": ["ok"] * 4,
+                        "unbounded": ["divergent"]}
 
 
 def test_verify_mc_loads_no_bound_modules():
@@ -402,6 +408,7 @@ _CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind i
     "scalar_ml_lambda": ("nonbayes_bounds", "riskbounds"),
     "_META": ("nonbayes_bounds",),
     "golden_section_max": ("core", "_curve"),
+    "maximize_scalar": ("core", "bayes_bounds", "delay_design", "nonbayes_bounds"),
     "GOLDEN": ("core",),
     "_GOLDEN_MAX_ITER": ("core",),
 }
@@ -503,6 +510,25 @@ class TestExitCodes:
         code, out, _ = run_cli(["phase", "estimator", "--a", "3", "--q-steps", "101"], capsys)
         assert code == 0
         assert len(data_rows(out)) == 101
+
+    @pytest.mark.parametrize("argv, flag, choice", [
+        (["bound", "--alpha", "0.3", "bayes-linear"], "--alpha", "family"),
+        (["phase", "--a=3", "exponent"], "--a", "analysis"),
+        (["verify", "--samples", "1000", "certify"], "--samples", "check"),
+    ])
+    def test_flag_before_the_choice_names_the_flag(self, argv, flag, choice):
+        # argparse alone would skip the flag and call its value a bad choice
+        code, out, err = run_any(argv)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (f"riskbounds: error: {flag} is placed before the "
+                                        f"{choice}: flags must follow the {choice}")
+        assert "invalid choice" not in err
+
+    def test_flag_before_the_command_names_the_flag(self):
+        code, out, err = run_any(["--alpha", "0.3", "bound", "bayes-linear"])
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == ("riskbounds: error: --alpha is placed before the command: "
+                                        "flags must follow the command and its choice")
 
     def test_exponent_reads_no_q_grid(self):
         # E(a) is in closed form, so phase exponent has no --q-steps
@@ -618,6 +644,16 @@ class TestClosedFormEdges:
                                   "--tau", "1"], capsys)
         assert code == 3 and out == ""
         assert err == "error: gamma^3 sqrt(tau) / alpha is beyond float range\n"
+
+    def test_nonlinear_bound_where_the_objective_overflows(self, tmp_path):
+        # alpha L and alpha (theta - theta_tilde)^2 are beyond float range:
+        # the supremum is +inf, with no warning on stderr
+        argv = ["bound", "nonbayes-nonlinear", "--alpha", "1e150", "--theta", "1e150",
+                "--lnb", "1.7e308", "--ex", "4", "--n0", "4", "--range", "0,1"]
+        done = subprocess.run([sys.executable, "-m", "riskbounds.cli", *argv], env=_src_env(),
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == ""
+        assert data_rows(done.stdout) == [["1e+150", "inf", "0", "divergent"]]
 
     def test_unbiased_bound_where_two_es_overflows(self, capsys):
         # 2 es is beyond float range, alpha n0 / (2 es) = 5e-9 is not
@@ -853,6 +889,17 @@ class TestEmitPlot:
                               "--out-script", str(script_path)], capsys)
         assert code == 0
         assert "plot" in script_path.read_text()
+
+    def test_quote_in_csv_path_is_escaped(self, capsys, tmp_path, monkeypatch):
+        # gnuplot reads a quote inside '...' as a doubled quote
+        monkeypatch.chdir(tmp_path)
+        run_cli(["phase", "exponent", "--a-sweep", "0:3:4", "--out", "it's.csv"], capsys)
+        code, _, _ = run_cli(["emit-plot", "--csv", "it's.csv", "--out-script", "o.gp"], capsys)
+        assert code == 0
+        (line,) = [l for l in (tmp_path / "o.gp").read_text().splitlines()
+                   if l.startswith("csv = ")]
+        assert line == "csv = 'it''s.csv'"
+        assert line[len("csv = '"):-1].replace("''", "'") == "it's.csv"
 
     def test_unknown_schema_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -239,6 +239,45 @@ class TestOptimizers:
         with pytest.raises(DomainError):
             maximize_scalar(lambda u: math.nan, 0.0, 1.0)
 
+    def test_float_bracket_hands_the_objective_floats(self):
+        # the linear grid is numpy's linspace, bit for bit, on plain floats
+        seen = []
+
+        def f(u):
+            seen.append(u)
+            return -(u - 0.37) ** 2
+
+        maximize_scalar(f, 0.1, 0.9, coarse=17)
+        assert all(type(u) is float for u in seen)
+        assert seen[:17] == np.linspace(0.1, 0.9, 17).tolist()
+
+    @pytest.mark.parametrize("lo, hi, coarse", [(1e-3, 50.0, 64), (1e-5, 1.0, 97), (0.3, 0.7, 33),
+                                                (1e-300, 1e300, 48)])
+    def test_log_spaced_grid_is_numpy_exp_bit_for_bit(self, lo, hi, coarse):
+        # np.exp, not math.exp, spaces a log grid: the two differ in the last bit
+        seen = []
+        maximize_scalar(lambda u: seen.append(u) or -u, lo, hi, log_spaced=True, coarse=coarse)
+        want = np.exp(np.linspace(math.log(lo), math.log(hi), coarse))
+        assert all(type(u) is float for u in seen)
+        assert np.array(seen[:coarse]).tobytes() == want.tobytes()
+
+    def test_coarse_sweep_needs_two_points(self):
+        with pytest.raises(DomainError):
+            maximize_scalar(lambda u: u, 0.0, 1.0, coarse=1)
+        with pytest.raises(DomainError):
+            maximize_scalar(lambda u: u, np.zeros(2), np.ones(2), coarse=1)
+
+    def test_first_maximum_with_nan_read_as_minus_inf(self):
+        # numpy's nanargmax: NaN counts as -inf, so where every other value is
+        # -inf the first point wins, NaN or not, and its bracket is polished
+        vals = iter([math.nan, -math.inf, -math.inf, 2.0, 2.0, 1.0])
+        x, fx, _ = maximize_scalar(lambda u: next(vals, -1.0), 0.0, 5.0, coarse=6)
+        assert (x, fx) == (3.0, 2.0)
+        g = lambda u: math.nan if u < 0.5 else -math.inf   # noqa: E731
+        x, fx, n_eval = maximize_scalar(g, 0.0, 1.0, coarse=3)
+        xb, fxb, _ = maximize_scalar(np.vectorize(g), np.zeros(1), np.ones(1), coarse=3)
+        assert n_eval > 3 and x == xb[0] and _same(fx, fxb[0])
+
     def test_evaluation_count_is_the_real_one(self):
         calls = []
 
@@ -293,7 +332,12 @@ def _brackets(columns):
 
 
 class TestBatchedSearch:
-    """Array brackets: every element gives what a scalar search on it gives."""
+    """Array brackets: every element gives what a scalar search on it gives.
+
+    The array searches are ``core``'s numpy loops and the float searches
+    the plain-Python ones of ``closed_forms``, so these tests pin the two
+    implementations to each other.
+    """
 
     @given(st.lists(_COLUMN, min_size=1, max_size=5), st.booleans(), st.integers(2, 40))
     @settings(max_examples=60, deadline=None)

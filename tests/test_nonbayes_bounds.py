@@ -287,6 +287,14 @@ class TestNonlinearBound:
             CorrelationProfile(ex=1.0, theta_range=(0.0, 1.0),
                                theta_grid=ths, rho_values=bad)
 
+    @pytest.mark.parametrize("floor", [np.int64(1), np.array(1.0)])
+    def test_numpy_number_lnb_is_a_constant_floor(self, floor):
+        # anything that is not callable is a constant floor, a numpy integer
+        # or a 0-d array included
+        bv = nonlinear_bound(self._gauss_profile(), 0.5, theta=0.5, l_nb=floor, n0=1.0)
+        assert bv == nonlinear_bound(self._gauss_profile(), 0.5, theta=0.5, l_nb=1.0, n0=1.0)
+        assert bv.value == 0.5 and bv.argmax["theta_tilde"] == 0.5
+
     def test_callable_lnb(self):
         profile = self._gauss_profile()
         bv = nonlinear_bound(profile, 0.5, theta=0.5,

@@ -23,7 +23,12 @@ from riskbounds import (
 
 from riskbounds._curve import _candidates, _certified, _estimator_point, _saddle
 
-from oracles import exponent_closed_form, exponent_oracle, saddle_value_and_argmin
+from oracles import (
+    exponent_closed_form,
+    exponent_oracle,
+    golden_saddle_batch,
+    saddle_value_and_argmin,
+)
 
 EPS = np.finfo(float).eps
 Q_GRID = np.linspace(0.0, 1.0, 201)
@@ -108,7 +113,7 @@ class TestClosedFormExponent:
         # golden per-q values sit at or above the true per-q minima, so none
         # of them may exceed E beyond rounding, and the one at q = 1/2 is E
         value = error_exponent(a)
-        per_q, _ = golden_saddle(a)
+        per_q, _ = golden_saddle_batch(a, Q_GRID)
         tol = 16.0 * EPS * (a + value)
         assert per_q.max() <= value + tol
         assert abs(per_q[100] - value) <= tol
@@ -119,10 +124,10 @@ class TestCertifiedCurve:
                              np.geomspace(3.0, 1e4, 16), NEWTON_STALLS])
 
     def test_matches_golden_section_search(self):
-        for a in self.A_GRID:
+        _, golden = golden_saddle_batch(self.A_GRID[:, None], Q_GRID)
+        for a, row in zip(self.A_GRID, golden):
             curve, _ = estimator_curve(float(a))
-            _, golden = golden_saddle(float(a))
-            assert np.max(np.abs(curve - golden)) <= 1e-15, a
+            assert np.max(np.abs(curve - row)) <= 1e-15, a
 
     @pytest.mark.parametrize("n_q", [201, 401])
     def test_no_fallback_at_risk_scale_ten(self, n_q):
