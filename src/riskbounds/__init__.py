@@ -20,35 +20,32 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module for module, names in (
         ("errors", (
-            "ConditioningError", "DegenerateSignalError", "DivergenceRiskError", "DomainError",
-            "GridError", "ResolutionError", "RiskBoundsError")),
+            "ConditioningError", "DivergenceRiskError", "DomainError", "GridError",
+            "RiskBoundsError")),
         ("closed_forms", (
             "BoundValue", "LinearGaussianModel", "generic_bayes_bound",
             "linear_gaussian_min_lambda", "phase_bound_large_sigma", "scalar_linear_bound",
             "scalar_ml_lambda", "ww_rect_delay_bound")),
-        ("core", ("GridDensity", "Waveform", "gaussian_density", "uniform_density")),
+        ("core", ("GridDensity", "Waveform", "uniform_density")),
         ("divergences", (
-            "GaussianPriorPair", "QuadMgfCoeffs", "RenyiOrder", "TiltedPrior", "binary_divergence",
-            "binary_entropy", "gaussian_kl", "gaussian_quad_mgf", "path_divergence",
-            "renyi_gaussian_linear", "renyi_gaussian_pair", "tilt_prior", "tilt_terms")),
+            "TiltedPrior", "binary_divergence", "renyi_gaussian_linear", "tilt_prior",
+            "tilt_terms")),
         ("bayes_bounds", (
-            "LpcbChain", "NonlinearBayesModel", "alpha_c_estimate", "alpha_c_upper",
-            "iterated_lpcb", "lpcb_bound", "lpcb_sweep", "make_phase_model",
-            "nonlinear_linear_ref_bound", "optimal_reference_signal", "phase_model_bound",
+            "alpha_c_estimate", "alpha_c_upper", "lpcb_bound", "lpcb_sweep",
             "tilted_prior_bound")),
         ("delay_design", (
             "DelayDesignProblem", "NuTradeoff", "nu_bound", "raised_cosine_pulse",
             "raised_cosine_reference", "solve_reference_ode")),
         ("nonbayes_bounds", (
-            "CorrelationProfile", "VectorLinearModel", "critical_radius", "nonlinear_bound",
-            "vector_linear_bound", "vector_ml_lambda")),
+            "CorrelationProfile", "VectorLinearModel", "nonlinear_bound", "vector_linear_bound",
+            "vector_ml_lambda")),
         ("phase_transition", (
             "CurieWeissParams", "MagnetizationRoot", "Phase", "PhaseLabel",
             "a_zero", "asymptotic_estimator", "bernoulli_bayes_exponent", "classify_phase",
             "error_exponent", "magnetization_roots")),
         ("verify", (
             "BernoulliExact", "MCResult", "MCRun", "bernoulli_exact_lambda", "mc_lambda",
-            "certify", "risk_sensitive_posterior_estimator")),
+            "certify")),
     )
     for name in names
 }

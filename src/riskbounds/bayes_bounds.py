@@ -6,14 +6,11 @@ where L lower-bounds the reference model's mean squared error and D is a
 divergence from the reference model Q to P (KL for the basic family, Renyi
 for the sharper one).  The module provides
 
-* the exactly solvable linear-Gaussian model and its minimum,
-* the generic KL bound,
-* bounds for constant-energy nonlinear signals with a linear-Gaussian
-  reference (including the phase-modulation closed forms),
-* power-tilted priors driving an information-based reference bound,
-* the rectangular-pulse delay bound built on a reference-pulse MSE floor,
-* the Renyi-divergence (probability-comparison) bound and its iterated
-  chain version,
+* power-tilted priors driving an information-based reference bound, and an
+  upper bound on the critical risk factor from that family,
+* the Renyi-divergence (probability-comparison) bound against a
+  linear-Gaussian reference, for one alpha or a sweep of them,
+* the divergence onset of any bound family as an estimate of alpha_c,
 
 each with its free parameters exposed and a maximizer over them.  The
 scalar closed forms (the linear-Gaussian model and minimum, the generic
@@ -24,7 +21,6 @@ live in the numpy-free ``closed_forms`` and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,40 +35,26 @@ from .closed_forms import (
     ww_rect_delay_bound,
 )
 from .core import (
-    DegenerateSignalError,
     DomainError,
     GridDensity,
-    Waveform,
     divergence_onset,
     float_or_array,
     maximize_scalar,
     select,
 )
-from .divergences import (
-    GaussianPriorPair,
-    gaussian_kl,
-    renyi_gaussian_linear,
-    renyi_gaussian_pair,
-    tilt_terms,
-)
+from .divergences import renyi_gaussian_linear, tilt_terms
 
 __all__ = [
     "LinearGaussianModel",
-    "NonlinearBayesModel",
-    "LpcbChain",
     "BoundValue",
     "generic_bayes_bound",
     "linear_gaussian_min_lambda",
-    "optimal_reference_signal",
-    "nonlinear_linear_ref_bound",
-    "phase_model_bound",
     "phase_bound_large_sigma",
     "tilted_prior_bound",
     "alpha_c_upper",
     "ww_rect_delay_bound",
     "lpcb_bound",
     "lpcb_sweep",
-    "iterated_lpcb",
     "alpha_c_estimate",
 ]
 
@@ -87,218 +69,6 @@ _BETA_EDGE = 1e-6  # relative inset of the beta bracket from its feasibility lim
 # below which its lowest-beta tilt counts as heading to zero
 _AC_BETAS = np.exp(np.linspace(math.log(1e-4), math.log(1e2), 161))
 _AC_TREND_CUT = 0.05
-
-
-@dataclass(frozen=True)
-class NonlinearBayesModel:
-    """Signal family x(t, theta) of theta-independent energy in white noise.
-
-    x is sampled on a (theta, t) grid (rows indexed by theta).  The prior
-    lives on the same theta grid.  Construction validates that every row's
-    energy is within 1 percent of ex and that the prior is normalized.
-    """
-
-    t: np.ndarray
-    theta: np.ndarray
-    x: np.ndarray
-    ex: float
-    n0: float
-    prior: GridDensity
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        th = np.asarray(self.theta, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        if x.shape != (th.size, t.size):
-            raise DomainError("x must have shape (len(theta), len(t))")
-        if self.ex <= 0 or self.n0 <= 0:
-            raise DomainError("need ex > 0 and n0 > 0")
-        energies = np.trapezoid(x * x, t, axis=1)
-        if np.any(np.abs(energies - self.ex) > 0.01 * self.ex):
-            raise DomainError("per-theta signal energy deviates more than 1% from ex")
-        if self.prior.theta.size != th.size or not np.allclose(self.prior.theta, th):
-            raise DomainError("prior must live on the model theta grid")
-        self.prior.check_normalized(1e-4)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "x", x)
-
-    @property
-    def t_horizon(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-
-def make_phase_model(
-    ex: float,
-    n0: float,
-    omega: float,
-    t_horizon: float,
-    sigma2: float,
-    n_t: int = 2048,
-    theta_span: float = 8.0,
-    n_theta: int = 801,
-) -> NonlinearBayesModel:
-    """Phase-modulated tone sqrt(2 ex / T) cos(omega t + theta), Gaussian prior.
-
-    omega * t_horizon should be a multiple of pi so the energy really is
-    theta independent.
-    """
-    t = np.linspace(0.0, t_horizon, n_t)
-    half_width = theta_span * math.sqrt(sigma2)
-    theta = np.linspace(-half_width, half_width, n_theta)
-    x = math.sqrt(2.0 * ex / t_horizon) * np.cos(omega * t[None, :] + theta[:, None])
-    prior_raw = np.exp(-(theta ** 2) / (2.0 * sigma2))
-    prior = GridDensity(theta, prior_raw).normalized()
-    return NonlinearBayesModel(t=t, theta=theta, x=x, ex=ex, n0=n0, prior=prior)
-
-
-@dataclass(frozen=True)
-class LpcbChain:
-    """A ladder of reference measures from the true model to a linear one.
-
-    measures[0] describes the true model (sigma2, ex, q_const, t_horizon);
-    the remaining entries are LinearGaussianModel references, the last one
-    being the final reference whose exact minimum seeds the chain.  betas
-    holds one positive split per transition and must sum below alpha.
-    """
-
-    true_sigma2: float
-    true_ex: float
-    measures: tuple[LinearGaussianModel, ...]
-    betas: tuple[float, ...]
-    q_const: float = 0.0
-    t_horizon: float = 1.0
-
-    def __post_init__(self):
-        if len(self.measures) < 1:
-            raise DomainError("chain needs at least one reference measure")
-        if len(self.betas) != len(self.measures):
-            raise DomainError("need exactly one split per transition")
-        if any(b <= 0 for b in self.betas):
-            raise DomainError("splits must be positive")
-        n0s = {m.n0 for m in self.measures}
-        if len(n0s) != 1:
-            raise DomainError("all chain measures must share the noise density")
-
-
-def _q_weighted_correlation(model: NonlinearBayesModel, q_prior: GridDensity) -> np.ndarray:
-    """g(t) = E_Q[Theta x(t, Theta)] on the model's time grid."""
-    if q_prior.theta.size != model.theta.size or not np.allclose(q_prior.theta, model.theta):
-        raise DomainError("q_prior must live on the model theta grid")
-    weights = q_prior.density * model.theta
-    return np.trapezoid(weights[:, None] * model.x, model.theta, axis=0)
-
-
-def optimal_reference_signal(
-    model: NonlinearBayesModel, q_prior: GridDensity, es: float
-) -> Waveform:
-    """Energy-es signal maximizing the reference correlation integral.
-
-    Proportional to E_Q[Theta x(t, Theta)], rescaled so its trapezoid
-    energy equals es exactly.
-    """
-    if es <= 0:
-        raise DomainError("es must be positive")
-    g = _q_weighted_correlation(model, q_prior)
-    norm2 = float(np.trapezoid(g * g, model.t))
-    if norm2 <= 1e-14 * model.ex:
-        raise DegenerateSignalError("reference correlation is identically zero")
-    return Waveform(model.t, math.sqrt(es / norm2) * g)
-
-
-def _nonlinear_linear_ref_value(
-    alpha: float,
-    sigma2: float,
-    sigma2_q: float,
-    lam: float,
-    g_sq_integral: float,
-    ex: float,
-    n0: float,
-) -> float:
-    kl = gaussian_kl(GaussianPriorPair(sigma2_p=sigma2, sigma2_q=sigma2_q))
-    first = alpha * sigma2_q / (1.0 + 2.0 * lam * sigma2_q)
-    coupling = 2.0 * math.sqrt(lam * g_sq_integral / n0)
-    return first - lam * sigma2_q - kl - ex / n0 + coupling
-
-
-def nonlinear_linear_ref_bound(
-    model: NonlinearBayesModel,
-    alpha: float,
-    sigma2_q: float | None = None,
-    lam: float | None = None,
-) -> BoundValue:
-    """Bound for a constant-energy signal with a linear-Gaussian reference.
-
-    The true prior is treated as Gaussian with the model prior's variance
-    (the closed prior-divergence term needs it); the reference prior is
-    N(0, sigma2_q) and the reference signal is the optimal one at energy
-    ratio lam = es / n0.  An omitted parameter is chosen, not defaulted:
-
-    * ``lam`` given: evaluate at that ratio (sigma2_q defaults to the prior
-      variance),
-    * only ``sigma2_q`` given: the closed choice lam = d^2 / (4 c^2), good
-      when the first term is small against the others,
-    * neither given: joint maximization over (sigma2_q, lam); the lam
-      profile needs no new quadrature once the correlation integral for a
-      sigma2_q is known, so it is maximized inside a 1-D search over
-      sigma2_q.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    prior_var = model.prior.variance()
-
-    coverage_cap = (float(model.theta[-1] - model.theta[0]) / 12.0) ** 2
-
-    def g_sq(s2q: float) -> float:
-        q_prior = GridDensity(model.theta, np.exp(-model.theta ** 2 / (2.0 * s2q))).normalized()
-        g = _q_weighted_correlation(model, q_prior)
-        return float(np.trapezoid(g * g, model.t))
-
-    def value_at(s2q: float, lam_val: float, g2: float) -> float:
-        return _nonlinear_linear_ref_value(alpha, prior_var, s2q, lam_val, g2, model.ex, model.n0)
-
-    if sigma2_q is None and lam is None:
-        def profiled(s2q: float) -> tuple[float, float]:
-            g2 = g_sq(s2q)
-            lam_hi = 10.0 * (g2 / (model.n0 * s2q ** 2) + alpha)
-            lam_star, val, _ = maximize_scalar(lambda lv: value_at(s2q, lv, g2), 0.0, lam_hi,
-                                               coarse=33)
-            return val, lam_star
-
-        s2q, val, _ = maximize_scalar(
-            lambda s: profiled(s)[0], 1e-3 * prior_var, coverage_cap,
-            log_spaced=True, coarse=48)
-        val, lam_star = profiled(s2q)
-        return classify(val, {"sigma2_q": s2q, "lambda": lam_star})
-
-    s2q = prior_var if sigma2_q is None else float(sigma2_q)
-    if s2q <= 0:
-        raise DomainError("sigma2_q must be positive")
-    g2 = g_sq(s2q)
-    if lam is None:
-        lam = g2 / (model.n0 * s2q ** 2)
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
-    return classify(value_at(s2q, lam, g2), {"sigma2_q": s2q, "lambda": float(lam)})
-
-
-def phase_model_bound(
-    alpha: float, sigma2: float, sigma2_q: float, ex_over_n0: float
-) -> BoundValue:
-    """Closed form of the linear-reference bound for phase modulation.
-
-    Uses the exact Gaussian correlation integral ex * sigma2_q^2 *
-    exp(-sigma2_q) with the closed lambda choice, so the value is
-
-        alpha s2q / (1 + 2 (ex/n0) s2q e^{-s2q})
-        - (ex/n0) (1 - s2q e^{-s2q}) - KL(s2q, sigma2).
-    """
-    if alpha <= 0 or sigma2 <= 0 or sigma2_q <= 0 or ex_over_n0 < 0:
-        raise DomainError("parameters out of range")
-    damp = sigma2_q * math.exp(-sigma2_q)
-    kl = gaussian_kl(GaussianPriorPair(sigma2_p=sigma2, sigma2_q=sigma2_q))
-    value = alpha * sigma2_q / (1.0 + 2.0 * ex_over_n0 * damp) - ex_over_n0 * (1.0 - damp) - kl
-    return classify(value, {"sigma2_q": sigma2_q})
 
 
 def tilted_prior_bound(
@@ -529,68 +299,6 @@ def lpcb_bound(
     """
     return lpcb_sweep([alpha], beta, sigma2=sigma2, ex=ex, n0=n0, sigma2_q=sigma2_q,
                       es=es, q_const=q_const, t_horizon=t_horizon)[0]
-
-
-def iterated_lpcb(chain: LpcbChain, alpha: float) -> BoundValue:
-    """Chained Renyi comparison through intermediate reference measures.
-
-    Transition i consumes split beta_i at Renyi order
-    (alpha - sum of earlier splits) / beta_i; the final reference
-    contributes its exact minimum at the residual risk factor.  The
-    divergences are the Gaussian closed forms: true model to the first
-    measure, then between consecutive linear-Gaussian measures.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    betas = chain.betas
-    if sum(betas) >= alpha:
-        raise DomainError("splits must sum strictly below alpha")
-
-    def renyi(i: int, order: float) -> float:
-        if i == 0:
-            target = chain.measures[0]
-            a_d_a = renyi_gaussian_linear(
-                order,
-                sigma2=chain.true_sigma2,
-                sigma2_q=target.sigma2,
-                es=target.es,
-                ex=chain.true_ex,
-                n0=target.n0,
-                q_const=chain.q_const,
-                t_horizon=chain.t_horizon,
-            )
-        else:
-            src, dst = chain.measures[i - 1], chain.measures[i]
-            delta = (math.sqrt(dst.es) - math.sqrt(src.es)) ** 2
-            a_d_a = renyi_gaussian_pair(
-                order,
-                sigma2_from=src.sigma2,
-                sigma2_to=dst.sigma2,
-                delta_es=delta,
-                n0=dst.n0,
-            )
-        return a_d_a / order
-
-    penalty = 0.0
-    consumed = 0.0
-    for i, b in enumerate(betas):
-        order = (alpha - consumed) / b
-        if order <= 1.0:
-            raise DomainError("infeasible split: Renyi order must exceed 1")
-        d_a = renyi(i, order)
-        if math.isinf(d_a):
-            return classify(-math.inf, {"betas": betas}, {"transition": i})
-        penalty += alpha / b * d_a
-        consumed += b
-
-    residual = alpha - consumed
-    final = chain.measures[-1]
-    head = linear_gaussian_min_lambda(final, residual)
-    if not head.is_finite:
-        return classify(math.inf, {"betas": betas},
-                        {"witness": "residual reaches the final reference critical factor"})
-    value = alpha / residual * head.value - penalty
-    return classify(value, {"betas": betas, "residual": residual})
 
 
 def alpha_c_estimate(

@@ -11,7 +11,9 @@ Output is CSV on stdout (or ``--out``): header first, then the choice's
 effective configuration (its command, its name and each flag it reads
 that has a value) echoed as ``#`` comment lines, then data rows.  ``+inf``
 is rendered as the literal ``inf``.  Sweeps use ``start:stop:steps``
-syntax, log-spaced with ``--log``.  A ``--config`` file of ``key = value``
+syntax, log-spaced with ``--log``.  A sweep, the ``phase estimator`` q
+grid and the ``phase diagram`` grid hold at most 10**7 points; a larger
+one exits 3 before any point is made.  A ``--config`` file of ``key = value``
 lines is read as ``--key=value`` flags placed before the explicit ones, so
 explicit flags win and every config value is checked like its flag (a bad
 one exits 2).  An on/off flag such as ``log`` takes ``true`` or ``false``;
@@ -65,7 +67,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_sweep(text: str, log: bool = False) -> list[float]:
+_MAX_POINTS = 10 ** 7   # most points a sweep, the q grid or the phase diagram may have
+
+
+def _check_points(n: int, what: str) -> None:
+    if n > _MAX_POINTS:
+        raise DomainError(f"{what} has {n} points, more than the {_MAX_POINTS} allowed")
+
+
+def _sweep_spec(text: str, log: bool) -> tuple[float, float, int]:
+    """Checked start, stop and steps of a ``start:stop:steps`` sweep; no point is made yet."""
     try:
         start_s, stop_s, steps_s = text.split(":")
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
@@ -75,16 +86,23 @@ def _parse_sweep(text: str, log: bool = False) -> list[float]:
         raise DomainError(f"bad sweep spec {text!r}: the endpoints must be finite")
     if steps < 2:
         raise DomainError("sweep needs at least 2 steps")
-    from .closed_forms import _linspace
-
     if log:
         if start <= 0 or stop <= 0:
             raise DomainError("log sweep needs positive endpoints")
+    elif not math.isfinite(stop - start):
+        raise DomainError(f"bad sweep spec {text!r}: stop - start is beyond the float range")
+    _check_points(steps, f"sweep {text!r}")
+    return start, stop, steps
+
+
+def _parse_sweep(text: str, log: bool = False) -> list[float]:
+    start, stop, steps = _sweep_spec(text, log)
+    from .closed_forms import _linspace
+
+    if log:
         import numpy as np   # np.exp, not math.exp: the two round differently
 
         return np.exp(_linspace(math.log(start), math.log(stop), steps)).tolist()
-    if not math.isfinite(stop - start):
-        raise DomainError(f"bad sweep spec {text!r}: stop - start is beyond the float range")
     return _linspace(start, stop, steps)
 
 
@@ -365,6 +383,7 @@ def _exponent_rows(args) -> list[list]:
 def _estimator_rows(args) -> list[list]:
     from . import phase_transition
 
+    _check_points(args.q_steps, "--q-steps")
     _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a, n_q=args.q_steps)
     return [[q, t] for q, t in zip(q_grid, curve)]
 
@@ -381,6 +400,8 @@ def _diagram_rows(args) -> list[list]:
 
     if not (args.mu_sweep and args.a_sweep):
         raise DomainError("supply --mu-sweep and --a-sweep for the phase diagram")
+    n_mu, n_a = (_sweep_spec(text, args.log)[2] for text in (args.mu_sweep, args.a_sweep))
+    _check_points(n_mu * n_a, "the phase diagram")
     mus, a_vals = _parse_sweep(args.mu_sweep, args.log), _parse_sweep(args.a_sweep, args.log)
     rows = []
     for mu in map(float, mus):

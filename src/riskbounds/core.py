@@ -49,11 +49,9 @@ from .closed_forms import (  # noqa: F401  (re-exported)
 )
 from .errors import (  # noqa: F401  (re-exported)
     ConditioningError,
-    DegenerateSignalError,
     DivergenceRiskError,
     DomainError,
     GridError,
-    ResolutionError,
     RiskBoundsError,
 )
 
@@ -114,10 +112,6 @@ class Waveform:
 
     def energy(self) -> float:
         return _trapezoid(self.values ** 2, np.diff(self.t))
-
-    def same_grid(self, other: "Waveform") -> bool:
-        """Equal sample counts and times equal to a relative 1e-12."""
-        return self.t.size == other.t.size and np.allclose(self.t, other.t, rtol=1e-12, atol=0.0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -306,15 +300,6 @@ class GridDensity:
     def variance(self) -> float:
         m = self.mean()
         return self.integrate((self.theta - m) ** 2 * self.density)
-
-
-def gaussian_density(theta: np.ndarray, variance: float, mean: float = 0.0) -> GridDensity:
-    """Gaussian pdf sampled on ``theta``; not renormalized to the grid."""
-    if variance <= 0:
-        raise DomainError("variance must be positive")
-    th = np.asarray(theta, dtype=float)
-    p = np.exp(-((th - mean) ** 2) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
-    return GridDensity(th, p)
 
 
 def uniform_density(lo: float, hi: float, n: int = 4097) -> GridDensity:

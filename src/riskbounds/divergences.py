@@ -1,13 +1,12 @@
 """Closed-form information measures shared by every bound family.
 
-Covers the binary divergence and entropy, the KL divergence between
-zero-mean Gaussian priors, the path divergence between two signals in
-white noise, the Gaussian quadratic-exponential moment, the Renyi
-divergence between a nonlinear signal model and a linear-Gaussian
-reference, and power-tilted priors with their normalizer, log-normalizer
-derivative and Fisher information.  ``tilt_terms`` memoizes a tilt's
-information and divergence on the prior, so each (prior, beta) is tilted
-once however often an optimizer revisits it.
+Covers the binary divergence, the Renyi divergence between a nonlinear
+signal model and a linear-Gaussian reference (through the log of the
+Gaussian quadratic-exponential moment), and power-tilted priors with their
+normalizer, log-normalizer derivative and Fisher information.
+``tilt_terms`` memoizes a tilt's information and divergence on the prior,
+so each (prior, beta) is tilted once however often an optimizer revisits
+it.
 
 All returns are extended reals: a legitimately divergent quantity comes
 back as ``+inf`` rather than raising.
@@ -24,25 +23,15 @@ from .core import (
     LOG_FLOAT_MAX,
     DomainError,
     GridDensity,
-    GridError,
-    Waveform,
     float_or_array,
     logsumexp,
     select,
 )
 
 __all__ = [
-    "GaussianPriorPair",
-    "QuadMgfCoeffs",
-    "RenyiOrder",
     "TiltedPrior",
     "binary_divergence",
-    "binary_entropy",
-    "gaussian_kl",
-    "path_divergence",
-    "gaussian_quad_mgf",
     "renyi_gaussian_linear",
-    "renyi_gaussian_pair",
     "tilt_prior",
     "tilt_terms",
 ]
@@ -54,46 +43,6 @@ _NORM_TOL = 1e-6          # quadrature tolerance for density normalization
 # not; such tilts are rejected rather than silently truncated.
 _EDGE_DECAY = 1e-3
 _EDGE_ESCAPE = 1e-3
-
-
-@dataclass(frozen=True)
-class GaussianPriorPair:
-    """Variances of two zero-mean Gaussian priors, true (p) and reference (q)."""
-
-    sigma2_p: float
-    sigma2_q: float
-
-    def __post_init__(self):
-        if self.sigma2_p <= 0 or self.sigma2_q <= 0:
-            raise DomainError("prior variances must be strictly positive")
-
-
-@dataclass(frozen=True)
-class QuadMgfCoeffs:
-    """Coefficients of E exp{A Theta^2 - B Theta} under Theta ~ N(0, sigma2)."""
-
-    a_coef: float
-    b_coef: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise DomainError("sigma2 must be positive")
-
-    @property
-    def diverges(self) -> bool:
-        return 1.0 - 2.0 * self.a_coef * self.sigma2 <= 0.0
-
-
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Renyi order a, strictly above 1."""
-
-    a: float
-
-    def __post_init__(self):
-        if not (self.a > 1.0):
-            raise DomainError("Renyi order must satisfy a > 1")
 
 
 @dataclass(frozen=True)
@@ -140,38 +89,6 @@ def binary_divergence(q: float, theta: float) -> float:
     return total
 
 
-def binary_entropy(u: float) -> float:
-    """h(u) = -u ln u - (1-u) ln(1-u), zero at the endpoints."""
-    if not (0.0 <= u <= 1.0):
-        raise DomainError("u must lie in [0, 1]")
-    total = 0.0
-    if u > 0.0:
-        total -= u * math.log(u)
-    if u < 1.0:
-        total -= (1.0 - u) * math.log(1.0 - u)
-    return total
-
-
-def gaussian_kl(pair: GaussianPriorPair) -> float:
-    """KL divergence D[N(0, sigma2_q) || N(0, sigma2_p)] in nats."""
-    r = pair.sigma2_q / pair.sigma2_p
-    return 0.5 * (r - math.log(r) - 1.0)
-
-
-def path_divergence(x1: Waveform, x2: Waveform, n0: float) -> float:
-    """Divergence between the laws of two signals in white noise of density n0/2.
-
-    Equals the squared L2 distance of the signals divided by n0, by
-    trapezoid quadrature on their shared grid.
-    """
-    if n0 <= 0:
-        raise DomainError("n0 must be positive")
-    if not x1.same_grid(x2):
-        raise GridError("waveforms must share a time grid")
-    diff = x1.values - x2.values
-    return float(np.trapezoid(diff * diff, x1.t)) / n0
-
-
 def _log_quad_mgf(a_coef, b_coef, sigma2: float):
     """ln E exp{A Theta^2 - B Theta}; +inf where the moment diverges."""
     denom = 1.0 - 2.0 * a_coef * sigma2
@@ -180,20 +97,7 @@ def _log_quad_mgf(a_coef, b_coef, sigma2: float):
     return select(finite, b_coef ** 2 * sigma2 / (2.0 * denom) - 0.5 * np.log(denom), math.inf)
 
 
-def gaussian_quad_mgf(c: QuadMgfCoeffs) -> float | np.ndarray:
-    """E exp{A Theta^2 - B Theta} for Theta ~ N(0, sigma2).
-
-    Closed form exp{B^2 sigma2 / (2 (1 - 2 A sigma2))} / sqrt(1 - 2 A sigma2)
-    when 1 - 2 A sigma2 > 0, +inf otherwise.  A and B may be arrays; float
-    coefficients give a float.
-    """
-    with np.errstate(over="ignore"):
-        return float_or_array(np.exp(_log_quad_mgf(c.a_coef, c.b_coef, c.sigma2)))
-
-
-def _order(order: RenyiOrder | float | np.ndarray) -> float | np.ndarray:
-    if isinstance(order, RenyiOrder):
-        return order.a
+def _order(order: float | np.ndarray) -> float | np.ndarray:
     if isinstance(order, np.ndarray):
         valid = (order > 1.0).all()
     else:
@@ -205,7 +109,7 @@ def _order(order: RenyiOrder | float | np.ndarray) -> float | np.ndarray:
 
 
 def renyi_gaussian_linear(
-    order: RenyiOrder | float | np.ndarray,
+    order: float | np.ndarray,
     *,
     sigma2: float,
     sigma2_q: float,
@@ -233,29 +137,6 @@ def renyi_gaussian_linear(
     log_integral = (0.5 * a * math.log(sigma2 / sigma2_q) + aam1 * ex / n0
                     + _log_quad_mgf(a_coef, b_coef, sigma2))
     return float_or_array(log_integral / am1)
-
-
-def renyi_gaussian_pair(
-    order: RenyiOrder | float,
-    *,
-    sigma2_from: float,
-    sigma2_to: float,
-    delta_es: float,
-    n0: float,
-) -> float:
-    """a * D_a between two linear-Gaussian models (prior variances, signal gap).
-
-    Both models observe theta * s_i(t) in the same noise; delta_es is the
-    energy of s_to - s_from.  The 'from' model plays the base-measure role.
-    """
-    a = _order(order)
-    if sigma2_from <= 0 or sigma2_to <= 0 or n0 <= 0 or delta_es < 0:
-        raise DomainError("model parameters out of range")
-    a_coef = a / (2.0 * sigma2_from) - a / (2.0 * sigma2_to) + a * (a - 1.0) * delta_es / n0
-    denom = 1.0 - 2.0 * a_coef * sigma2_from
-    if denom <= 0.0:
-        return math.inf
-    return (0.5 * a * math.log(sigma2_from / sigma2_to) - 0.5 * math.log(denom)) / (a - 1.0)
 
 
 def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:

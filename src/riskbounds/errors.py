@@ -12,9 +12,7 @@ __all__ = [
     "DomainError",
     "GridError",
     "ConditioningError",
-    "DegenerateSignalError",
     "DivergenceRiskError",
-    "ResolutionError",
 ]
 
 
@@ -34,13 +32,5 @@ class ConditioningError(RiskBoundsError):
     """A linear system is too ill conditioned to trust."""
 
 
-class DegenerateSignalError(RiskBoundsError):
-    """A reference-signal optimization collapsed to the zero signal."""
-
-
 class DivergenceRiskError(RiskBoundsError):
     """A Monte Carlo run was refused because its moment may not exist."""
-
-
-class ResolutionError(RiskBoundsError):
-    """A grid supremum failed to stabilize under refinement."""

@@ -14,10 +14,10 @@ and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms`` and are
 re-exported here.
 
 numpy is imported only where an array is used: by the vector model
-(``VectorLinearModel``, ``vector_linear_bound``, ``vector_ml_lambda``,
-``critical_radius``) and by a gridded ``CorrelationProfile``.  A callable
-rho runs on floats through ``closed_forms.maximize_scalar``, so the
-nonlinear bound with a callable rho loads no numpy.
+(``VectorLinearModel``, ``vector_linear_bound``, ``vector_ml_lambda``) and
+by a gridded ``CorrelationProfile``.  A callable rho runs on floats through
+``closed_forms.maximize_scalar``, so the nonlinear bound with a callable
+rho loads no numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "scalar_ml_lambda",
     "vector_linear_bound",
     "vector_ml_lambda",
-    "critical_radius",
     "nonlinear_bound",
 ]
 
@@ -186,19 +185,6 @@ def vector_ml_lambda(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
     return -0.5 * math.log1p(-ratio)
 
 
-def critical_radius(model: VectorLinearModel, direction: np.ndarray) -> float:
-    """Scale t at which t * u hits the critical ellipsoid contour."""
-    import numpy as np
-
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (model.k,):
-        raise DomainError("direction dimension mismatch")
-    quad = float(u @ model.gamma_inv() @ u)
-    if quad <= 0:
-        raise DomainError("direction must be nonzero")
-    return math.sqrt(model.es / (model.n0 * quad))
-
-
 def _nonlinear_objective(
     profile: CorrelationProfile,
     alpha: float,
@@ -232,12 +218,19 @@ def nonlinear_bound(
 
     Bounded ranges take the supremum over the sampled grid of a gridded
     profile, or a 2001-point sweep of theta_range polished by golden
-    section for a callable rho; unbounded ranges use probe doubling,
-    declaring +inf past 1e6 nats (the correlation term is bounded, so the
-    quadratic shift wins for any positive alpha).
+    section for a callable rho.  On an unbounded range a finite constant
+    floor gives +inf with no search: |rho| <= 1 keeps the objective at
+    least alpha L + alpha (theta - theta_tilde)^2 - 4 ex / n0, which grows
+    without bound as theta_tilde runs off, whatever the size of alpha or
+    theta.  A callable floor may cancel the quadratic shift, so there the
+    supremum is found by probe doubling, declaring +inf past 1e6 nats.
     """
     if alpha <= 0 or n0 <= 0:
         raise DomainError("alpha and n0 must be positive")
+    if profile.unbounded and not callable(l_nb) and math.isfinite(float(l_nb)):
+        return classify(math.inf, {"theta_tilde": math.inf},
+                        dict(_META, witness="alpha (theta - theta_tilde)^2 grows without bound; "
+                                            "the correlation term is at least -4 ex / n0"))
     l_fn = l_nb if callable(l_nb) else (lambda _t: float(l_nb))
     f = _nonlinear_objective(profile, alpha, theta, l_fn, n0)
 

@@ -13,9 +13,8 @@ and the error bars stop being trustworthy, so runs above 80 percent of
 the known threshold are refused outright.
 
 The Bernoulli model gets an exact finite-sample oracle (a log-space
-binomial sum), and the risk-sensitive posterior estimator is the fixed
-point of the tilted posterior mean, found by bisection.  ``certify`` runs
-the bound-versus-truth battery behind ``riskbounds verify certify``.
+binomial sum).  ``certify`` runs the bound-versus-truth battery behind
+``riskbounds verify certify``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .closed_forms import LinearGaussianModel, golden_section_max
-from .core import LOG_FLOAT_MAX, DivergenceRiskError, DomainError, GridDensity, logsumexp
+from .core import LOG_FLOAT_MAX, DivergenceRiskError, DomainError, logsumexp
 
 __all__ = [
     "MCRun",
@@ -38,7 +37,6 @@ __all__ = [
     "MODEL_THRESHOLDS",
     "mc_lambda",
     "bernoulli_exact_lambda",
-    "risk_sensitive_posterior_estimator",
     "certify",
 ]
 
@@ -375,50 +373,6 @@ def bernoulli_exact_lambda(spec: BernoulliExact) -> float:
     estimates = np.array([spec.estimator(ki / n) for ki in k], dtype=float)
     log_terms = log_pmf + a * n * (estimates - theta) ** 2
     return logsumexp(log_terms)
-
-
-def _tilted_mean(post: GridDensity, alpha: float, eta: float) -> float:
-    """Mean of p(theta) exp(alpha (theta - eta)^2), normalized."""
-    log_f = post.log_density + alpha * (post.theta - eta) ** 2
-    log_z = logsumexp(log_f, post.weights)
-    return float(np.sum(post.weights * np.exp(log_f - log_z) * post.theta))
-
-
-def _tail_probe(post: GridDensity, alpha: float) -> None:
-    """Reject tilts whose mass concentrates at the grid edges."""
-    log_f = post.log_density + alpha * (post.theta - post.mean()) ** 2
-    total = logsumexp(log_f)
-    edge = max(post.theta.size // 50, 2)
-    edge_mass = math.exp(logsumexp(np.concatenate([log_f[:edge], log_f[-edge:]])) - total)
-    if edge_mass > 1e-3:
-        raise DivergenceRiskError(
-            "tilted posterior mass concentrates at the grid edges; the "
-            "exponential moment is not represented by this grid"
-        )
-
-
-def risk_sensitive_posterior_estimator(posterior: GridDensity, alpha: float) -> float:
-    """Estimate minimizing the posterior exponential moment of squared error.
-
-    It is the root of eta - m(eta), m the tilted posterior mean: the
-    eta-derivative of the convex tilted log normalizer, over 2 alpha.  The
-    gap increases, is <= 0 at the first grid point and >= 0 at the last, so
-    bisection runs until it hits the root or the bracket cannot shrink.
-    """
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
-    posterior.check_normalized(1e-4)
-    if alpha == 0.0:
-        return posterior.mean()
-    _tail_probe(posterior, alpha)
-
-    lo, hi = float(posterior.theta[0]), float(posterior.theta[-1])
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        gap = mid - _tilted_mean(posterior, alpha, mid)
-        if gap == 0.0:
-            return mid
-        lo, hi = (mid, hi) if gap < 0.0 else (lo, mid)
-    return mid
 
 
 def certify(samples: int, seed: int) -> tuple[list[list], bool]:

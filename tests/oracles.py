@@ -14,16 +14,39 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 
-def quad_mgf_by_quadrature(a_coef: float, b_coef: float, sigma2: float) -> float:
-    """E exp(A x^2 - B x) under N(0, sigma2) by adaptive quadrature."""
-    scale = math.sqrt(sigma2 / (1.0 - 2.0 * a_coef * sigma2))
-    width = 12.0 * max(scale, math.sqrt(sigma2)) + 12.0 * abs(b_coef) * sigma2
+def gaussian_kl(sigma2_p: float, sigma2_q: float) -> float:
+    """D[N(0, sigma2_q) || N(0, sigma2_p)] in nats."""
+    r = sigma2_q / sigma2_p
+    return 0.5 * (r - math.log(r) - 1.0)
 
-    def integrand(x):
-        return math.exp(a_coef * x * x - b_coef * x - x * x / (2 * sigma2))
 
-    val, _ = quad(integrand, -width, width, limit=400)
-    return val / math.sqrt(2 * math.pi * sigma2)
+def binary_entropy(u: float) -> float:
+    """h(u) = -u ln u - (1-u) ln(1-u), zero at the endpoints."""
+    return -sum(p * math.log(p) for p in (u, 1.0 - u) if p > 0.0)
+
+
+def renyi_gaussian_pair(a, sigma2_from, sigma2_to, delta_es, n0) -> float:
+    """a * D_a between two linear-Gaussian models whose signals differ by energy delta_es."""
+    a_coef = a / (2.0 * sigma2_from) - a / (2.0 * sigma2_to) + a * (a - 1.0) * delta_es / n0
+    denom = 1.0 - 2.0 * a_coef * sigma2_from
+    if denom <= 0.0:
+        return math.inf
+    return (0.5 * a * math.log(sigma2_from / sigma2_to) - 0.5 * math.log(denom)) / (a - 1.0)
+
+
+def phase_linear_ref_bound(alpha, sigma2, sigma2_q, ex_over_n0) -> float:
+    """Linear-reference bound for phase modulation with its exact damping terms.
+
+    alpha s2q / (1 + 2 (ex/n0) s2q e^{-s2q}) - (ex/n0) (1 - s2q e^{-s2q}) - KL(s2q, sigma2).
+    """
+    damp = sigma2_q * math.exp(-sigma2_q)
+    return (alpha * sigma2_q / (1.0 + 2.0 * ex_over_n0 * damp) - ex_over_n0 * (1.0 - damp)
+            - gaussian_kl(sigma2, sigma2_q))
+
+
+def critical_radius(gamma: np.ndarray, es: float, n0: float, u: np.ndarray) -> float:
+    """Scale t at which t u reaches the critical contour t^2 u' inv(gamma) u = es / n0."""
+    return math.sqrt(es / (n0 * float(u @ np.linalg.solve(gamma, u))))
 
 
 def renyi_by_quadrature(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):

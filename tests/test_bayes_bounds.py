@@ -6,39 +6,24 @@ import numpy as np
 import pytest
 
 from riskbounds import (
-    DegenerateSignalError,
     DomainError,
-    GaussianPriorPair,
     GridDensity,
     LinearGaussianModel,
-    LpcbChain,
     alpha_c_estimate,
     alpha_c_upper,
-    gaussian_kl,
     generic_bayes_bound,
-    iterated_lpcb,
     linear_gaussian_min_lambda,
     lpcb_bound,
     lpcb_sweep,
-    nonlinear_linear_ref_bound,
-    optimal_reference_signal,
     phase_bound_large_sigma,
-    phase_model_bound,
     tilted_prior_bound,
     uniform_density,
     ww_rect_delay_bound,
 )
-from riskbounds.bayes_bounds import make_phase_model
 
-from oracles import lpcb_beta_grid
+from oracles import lpcb_beta_grid, phase_linear_ref_bound
 
 LN2 = math.log(2.0)
-
-
-@pytest.fixture(scope="module")
-def phase_model():
-    return make_phase_model(ex=1.0, n0=1.0, omega=16 * math.pi, t_horizon=1.0,
-                            sigma2=1.0, n_t=1024, theta_span=8.0, n_theta=801)
 
 
 class TestGenericBound:
@@ -97,119 +82,6 @@ class TestLinearGaussianMinimum:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-class TestOptimalReferenceSignal:
-    def test_linear_family_collapses_to_its_shape(self, phase_model):
-        t = np.linspace(0.0, 1.0, 512)
-        theta = np.linspace(-4, 4, 401)
-        shape = np.sin(2 * math.pi * t) * math.sqrt(2.0)
-        x = theta[:, None] * shape[None, :]
-        # per-theta energy varies here, so bypass the model wrapper and use
-        # the raw correlation: proportionality to the shape is what matters
-        dens = np.exp(-theta ** 2 / 2.0)
-        dens /= np.trapezoid(dens, theta)
-        g = np.trapezoid((dens * theta)[:, None] * x, theta, axis=0)
-        cosine = np.trapezoid(g * shape, t) / math.sqrt(
-            np.trapezoid(g * g, t) * np.trapezoid(shape * shape, t))
-        assert cosine == pytest.approx(1.0, abs=1e-12)
-
-    def test_phase_model_closed_form(self, phase_model):
-        # correlation with the quadrature-winning signal: -sin carrier, and
-        # the squared correlation integral equals ex * s2q^2 * exp(-s2q)
-        s2q = 1.3
-        dens = np.exp(-phase_model.theta ** 2 / (2 * s2q))
-        dens /= np.trapezoid(dens, phase_model.theta)
-        prior_q = GridDensity(phase_model.theta, dens)
-        s = optimal_reference_signal(phase_model, prior_q, es=2.0)
-        assert s.energy() == pytest.approx(2.0, rel=1e-12)
-        target = -np.sin(16 * math.pi * phase_model.t)
-        cosine = np.trapezoid(s.values * target, phase_model.t) / math.sqrt(
-            np.trapezoid(target ** 2, phase_model.t) * 2.0)
-        assert cosine == pytest.approx(1.0, abs=1e-9)
-        g = np.trapezoid((dens * phase_model.theta)[:, None] * phase_model.x,
-                         phase_model.theta, axis=0)
-        g_sq = np.trapezoid(g * g, phase_model.t)
-        assert g_sq == pytest.approx(s2q ** 2 * math.exp(-s2q), rel=1e-6)
-
-    def test_beats_random_equal_energy_probes(self, phase_model):
-        prior_q = phase_model.prior
-        es = 1.0
-        s_star = optimal_reference_signal(phase_model, prior_q, es)
-        g = np.trapezoid((prior_q.density * phase_model.theta)[:, None] * phase_model.x,
-                         phase_model.theta, axis=0)
-        best = np.trapezoid(s_star.values * g, phase_model.t)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            r = rng.standard_normal(phase_model.t.size)
-            r *= math.sqrt(es / np.trapezoid(r * r, phase_model.t))
-            assert np.trapezoid(r * g, phase_model.t) <= best + 1e-12
-
-    def test_zero_correlation_rejected(self):
-        t = np.linspace(0.0, 1.0, 256)
-        theta = np.linspace(-3, 3, 301)
-        x = np.ones((301, 256))  # theta-independent signal decorrelates
-        dens = np.exp(-theta ** 2 / 2)
-        dens /= np.trapezoid(dens, theta)
-        from riskbounds import NonlinearBayesModel
-        model = NonlinearBayesModel(t=t, theta=theta, x=x, ex=1.0, n0=1.0,
-                                    prior=GridDensity(theta, dens))
-        with pytest.raises(DegenerateSignalError):
-            optimal_reference_signal(model, model.prior, 1.0)
-
-
-class TestNonlinearBayesModelValidation:
-    def test_theta_dependent_energy_rejected(self):
-        from riskbounds import NonlinearBayesModel
-        t = np.linspace(0.0, 1.0, 256)
-        theta = np.linspace(-2, 2, 201)
-        # amplitude drifts with theta: energies deviate beyond one percent
-        x = (1.0 + 0.2 * theta)[:, None] * np.sin(2 * math.pi * t)[None, :]
-        dens = np.exp(-theta ** 2 / 2)
-        dens /= np.trapezoid(dens, theta)
-        with pytest.raises(DomainError):
-            NonlinearBayesModel(t=t, theta=theta, x=x, ex=0.5, n0=1.0,
-                                prior=GridDensity(theta, dens))
-
-    def test_prior_grid_mismatch_rejected(self, phase_model):
-        from riskbounds import NonlinearBayesModel
-        other = np.linspace(-5, 5, phase_model.theta.size)
-        dens = np.exp(-other ** 2 / 2)
-        dens /= np.trapezoid(dens, other)
-        with pytest.raises(DomainError):
-            NonlinearBayesModel(t=phase_model.t, theta=phase_model.theta,
-                                x=phase_model.x, ex=phase_model.ex, n0=1.0,
-                                prior=GridDensity(other, dens))
-
-
-class TestNonlinearLinearRefBound:
-    def test_zero_reference_energy_reduction(self, phase_model):
-        alpha, s2q = 0.2, 1.3
-        bv = nonlinear_linear_ref_bound(phase_model, alpha, sigma2_q=s2q, lam=0.0)
-        kl = gaussian_kl(GaussianPriorPair(1.0, s2q))
-        assert bv.value == pytest.approx(alpha * s2q - kl - 1.0, rel=1e-10)
-
-    def test_phase_closed_form_at_matched_prior(self, phase_model):
-        alpha = 0.2
-        bv = nonlinear_linear_ref_bound(phase_model, alpha, sigma2_q=1.0)
-        closed = phase_model_bound(alpha, 1.0, 1.0, ex_over_n0=1.0)
-        assert bv.value == pytest.approx(closed.value, abs=1e-9)
-
-    def test_optimizer_dominates_random_probes(self, phase_model):
-        alpha = 0.2
-        best = nonlinear_linear_ref_bound(phase_model, alpha)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            s2q = math.exp(rng.uniform(math.log(0.05), math.log(2.5)))
-            lam = rng.uniform(0.0, 2.0)
-            probe = nonlinear_linear_ref_bound(phase_model, alpha, sigma2_q=s2q, lam=lam)
-            assert probe.value <= best.value + 1e-6
-
-    def test_reevaluation_consistency(self, phase_model):
-        best = nonlinear_linear_ref_bound(phase_model, 0.2)
-        again = nonlinear_linear_ref_bound(
-            phase_model, 0.2, sigma2_q=best.argmax["sigma2_q"], lam=best.argmax["lambda"])
-        assert again.value == pytest.approx(best.value, abs=1e-9)
-
-
 class TestPhaseBoundLargeSigma:
     def test_divergence_threshold(self):
         for alpha in (0.02, 0.05):
@@ -229,8 +101,8 @@ class TestPhaseBoundLargeSigma:
         sigma2, ex_n0 = 25.0, 0.3
         alpha = 1.0 / (4 * sigma2)
         approx = phase_bound_large_sigma(alpha, sigma2, ex_n0)
-        exact = phase_model_bound(alpha, sigma2, approx.argmax["sigma2_q"], ex_n0)
-        assert approx.value == pytest.approx(exact.value, abs=1e-3)
+        exact = phase_linear_ref_bound(alpha, sigma2, approx.argmax["sigma2_q"], ex_n0)
+        assert approx.value == pytest.approx(exact, abs=1e-3)
 
     def test_nondecreasing_in_alpha(self):
         vals = [phase_bound_large_sigma(float(a), 1.0, 0.2).value
@@ -489,63 +361,6 @@ class TestLpcbSweep:
     def test_bad_alphas_rejected(self, alphas):
         with pytest.raises(DomainError):
             lpcb_sweep(alphas, sigma2=0.5, ex=0.01)
-
-
-class TestIteratedLpcb:
-    def _reference(self, sigma2=0.5, es=0.0, n0=1.0):
-        return LinearGaussianModel(sigma2, es, n0)
-
-    def test_two_split_chain_with_vanishing_tail_matches_single(self):
-        ref = self._reference()
-        alpha, beta = 0.7, 0.2
-        chain = LpcbChain(true_sigma2=0.5, true_ex=0.05, measures=(ref, ref),
-                          betas=(beta, 1e-9))
-        v_chain = iterated_lpcb(chain, alpha)
-        v_single = lpcb_bound(alpha, beta, sigma2=0.5, ex=0.05, n0=1.0)
-        assert v_chain.value == pytest.approx(v_single.value, abs=1e-6)
-
-    def test_single_split_toward_alpha_recovers_generic_bound(self):
-        ref = self._reference()
-        alpha = 0.7
-        chain = LpcbChain(true_sigma2=0.5, true_ex=0.05, measures=(ref,),
-                          betas=(alpha * (1 - 1e-7),))
-        v = iterated_lpcb(chain, alpha)
-        generic = generic_bayes_bound(alpha, ref.mmse(), 0.05).value
-        assert v.value == pytest.approx(generic, abs=1e-5)
-
-    def test_infeasible_splits_rejected(self):
-        ref = self._reference()
-        with pytest.raises(DomainError):
-            iterated_lpcb(LpcbChain(true_sigma2=0.5, true_ex=0.1,
-                                    measures=(ref, ref), betas=(0.5, 0.5)), 0.7)
-        with pytest.raises(DomainError):
-            LpcbChain(true_sigma2=0.5, true_ex=0.1, measures=(ref,), betas=(0.4, 0.2))
-
-    def test_three_measure_ladder_search(self):
-        # look for a variance ladder that beats the direct two-measure
-        # chain; the search set includes the degenerate ladder (identical
-        # measures, vanishing second split), so parity with the direct
-        # bound is always reachable and a strict win is reported if found
-        alpha, sigma2, ex, n0 = 0.9, 0.5, 0.05, 1.0
-        direct_bv = lpcb_bound(alpha, sigma2=sigma2, ex=ex, n0=n0)
-        direct = direct_bv.value
-        final = LinearGaussianModel(sigma2, 0.0, n0)
-        degenerate = LpcbChain(true_sigma2=sigma2, true_ex=ex, measures=(final, final),
-                               betas=(direct_bv.argmax["beta"], 1e-9))
-        best_ladder = iterated_lpcb(degenerate, alpha).value
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            v_mid = math.exp(rng.uniform(math.log(0.2), math.log(1.5))) * sigma2
-            b1 = rng.uniform(0.05, 0.6) * alpha
-            b2 = rng.uniform(0.05, 0.9) * (alpha - b1)
-            mid = LinearGaussianModel(v_mid, 0.0, n0)
-            chain = LpcbChain(true_sigma2=sigma2, true_ex=ex,
-                              measures=(mid, final), betas=(b1, b2))
-            best_ladder = max(best_ladder, iterated_lpcb(chain, alpha).value)
-        assert best_ladder >= direct - 1e-6
-        strict_win = best_ladder > direct + 1e-6
-        print(f"ladder search: best {best_ladder:.9f} vs direct {direct:.9f} "
-              f"({'strict win' if strict_win else 'equality'})")
 
 
 class TestAlphaMonotonicityAcrossFamilies:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskbounds
-from riskbounds import cli
+from riskbounds import cli, closed_forms
 from riskbounds.cli import _COMMANDS, _choice_parser, main
 from riskbounds.closed_forms import _linspace
 
@@ -388,6 +388,18 @@ def test_every_public_name_resolves():
                    timeout=120)
 
 
+def test_public_name_lists_agree():
+    # each name the package exports from a module is in that module's
+    # __all__, and each __all__ entry exists, so retiring a name must
+    # clear it from both lists
+    for name, module in riskbounds._EXPORTS.items():
+        mod = importlib.import_module(f"riskbounds.{module}")
+        assert name in getattr(mod, "__all__", (name,)), (module, name)
+    for module in riskbounds._SUBMODULES:
+        mod = importlib.import_module(f"riskbounds.{module}")
+        assert all(hasattr(mod, n) for n in getattr(mod, "__all__", ())), module
+
+
 def test_exceptions_are_one_set_of_classes():
     import riskbounds.core
     import riskbounds.errors
@@ -416,8 +428,6 @@ _CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind i
 
 @pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
 def test_closed_forms_are_one_set_of_objects(name):
-    from riskbounds import closed_forms
-
     obj = getattr(closed_forms, name)
     for module in _CLOSED_FORMS[name]:
         mod = importlib.import_module(module if module == "riskbounds" else f"riskbounds.{module}")
@@ -502,6 +512,30 @@ class TestExitCodes:
                                   "--es", "1e300", "--n0", "1e300"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, what, n", [
+        (["bound", "bayes-linear", "--alpha-sweep", f"1:2:{10 ** 14}"], f"sweep '1:2:{10 ** 14}'",
+         10 ** 14),
+        (["bound", "nonbayes-linear", "--alpha-sweep", f"1:2:{10 ** 14}", "--log"],
+         f"sweep '1:2:{10 ** 14}'", 10 ** 14),
+        (["phase", "estimator", "--a", "3", "--q-steps", str(10 ** 14)], "--q-steps", 10 ** 14),
+        # each sweep is below the limit, the grid they span is not
+        (["phase", "diagram", "--mu-sweep", "0:0.5:10000", "--a-sweep", "0.1:2:1001"],
+         "the phase diagram", 10_010_000),
+    ], ids=["sweep", "log-sweep", "q-steps", "diagram"])
+    def test_oversized_grid_is_three_before_any_point_is_made(self, argv, what, n, monkeypatch):
+        def no_points(*_):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(closed_forms, "_linspace", no_points)
+        code, out, err = run_any(argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {what} has {n} points, more than the 10000000 allowed\n"
+
+    def test_sweep_point_limit_is_ten_million(self):
+        assert cli._sweep_spec("0:1:10000000", False) == (0.0, 1.0, 10 ** 7)
+        with pytest.raises(riskbounds.DomainError):
+            cli._sweep_spec("0:1:10000001", False)
 
     def test_estimator_q_grid_has_a_minimum(self, capsys):
         code, out, err = run_cli(["phase", "estimator", "--a", "3", "--q-steps", "100"], capsys)
@@ -815,13 +849,20 @@ class TestSweeps:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert message in err
 
-    def test_nonlinear_family_unbounded_range(self, capsys):
-        code, out, _ = run_cli(["bound", "nonbayes-nonlinear", "--alpha", "0.001",
-                                "--theta", "0", "--lnb", "0.5", "--ex", "1",
-                                "--n0", "1", "--range", "unbounded"], capsys)
-        assert code == 0
-        row = data_rows(out)[0]
-        assert row[1] == "inf" and row[-1] == "divergent"
+    @given(alpha=st.floats(5e-324, 1e300), theta=st.floats(allow_nan=False, allow_infinity=False),
+           rho_gauss=st.floats(0.0, allow_infinity=False))
+    @example(alpha=0.001, theta=0.0, rho_gauss=4.0)
+    @example(alpha=1e-50, theta=0.0, rho_gauss=4.0)
+    @example(alpha=0.3, theta=1e300, rho_gauss=4.0)
+    @settings(max_examples=200, deadline=None)
+    def test_nonlinear_family_unbounded_range(self, alpha, theta, rho_gauss):
+        # |rho| <= 1 keeps the objective at least alpha L + alpha (theta - theta_tilde)^2
+        # - 4 ex / n0, so the supremum over an unbounded range is +inf
+        code, out, err = run_any(["bound", "nonbayes-nonlinear", f"--alpha={alpha!r}",
+                                  f"--theta={theta!r}", f"--rho-gauss={rho_gauss!r}",
+                                  "--range", "unbounded"])
+        assert (code, err) == (0, "")
+        assert data_rows(out) == [[f"{alpha:.12g}", "inf", "inf", "divergent"]]
 
     def test_missing_config_file_is_domain_exit(self, capsys, tmp_path):
         code, _, err = run_cli(["bound", "nonbayes-linear", "--alpha", "0.2",

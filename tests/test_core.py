@@ -31,12 +31,6 @@ class TestWaveform:
         with pytest.raises(GridError):
             Waveform(np.array([0.0]), np.array([1.0]))
 
-    def test_shared_grid_detection(self):
-        t = np.linspace(0, 1, 64)
-        assert Waveform(t, np.ones(64)).same_grid(Waveform(t, np.zeros(64)))
-        assert not Waveform(t, np.ones(64)).same_grid(
-            Waveform(np.linspace(0, 2, 64), np.ones(64)))
-
 
 class TestGridDensity:
     def test_moments(self):

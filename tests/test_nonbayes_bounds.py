@@ -12,7 +12,6 @@ from riskbounds import (
     CorrelationProfile,
     DomainError,
     VectorLinearModel,
-    critical_radius,
     nonlinear_bound,
     scalar_linear_bound,
     scalar_ml_lambda,
@@ -20,6 +19,8 @@ from riskbounds import (
     vector_ml_lambda,
 )
 from riskbounds.core import divergence_onset
+
+from oracles import critical_radius
 
 LN2 = math.log(2.0)
 
@@ -147,7 +148,7 @@ class TestVectorLinearBound:
         rng = np.random.default_rng(10)
         for _ in range(20):
             u = rng.standard_normal(3)
-            t = critical_radius(model, u)
+            t = critical_radius(gamma, 2.0, 1.0, u)
             just_in = vector_linear_bound(model, 0.999 * t * u)
             at_edge = vector_linear_bound(model, 1.0001 * t * u)
             assert math.isfinite(just_in.value)

@@ -1,4 +1,4 @@
-"""Monte Carlo harness, exact binomial oracle and the posterior fixed point."""
+"""Monte Carlo harness and the exact binomial oracle."""
 
 import math
 import threading
@@ -13,13 +13,11 @@ from riskbounds import (
     BernoulliExact,
     DivergenceRiskError,
     DomainError,
-    GridDensity,
     LinearGaussianModel,
     MCRun,
     bernoulli_exact_lambda,
     linear_gaussian_min_lambda,
     mc_lambda,
-    risk_sensitive_posterior_estimator,
     scalar_ml_lambda,
 )
 from riskbounds import verify
@@ -297,65 +295,3 @@ class TestBernoulliExact:
             BernoulliExact(n=0, a=1.0, theta=0.3, estimator=lambda q: q)
         with pytest.raises(DomainError):
             BernoulliExact(n=10, a=1.0, theta=0.0, estimator=lambda q: q)
-
-
-class TestPosteriorEstimator:
-    def test_gaussian_posterior_fixed_point_is_its_mean(self):
-        theta = np.linspace(-6.0, 8.0, 4097)
-        dens = np.exp(-((theta - 1.0) ** 2) / (2 * 0.5))
-        post = GridDensity(theta, dens / np.trapezoid(dens, theta))
-        eta = risk_sensitive_posterior_estimator(post, 0.3)
-        assert eta == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_risk_recovers_posterior_mean(self):
-        theta = np.linspace(-2.0, 6.0, 2049)
-        dens = np.exp(-((theta - 0.7) ** 2) / 2) + 0.3 * np.exp(-((theta - 2.5) ** 2) / 0.5)
-        post = GridDensity(theta, dens / np.trapezoid(dens, theta))
-        assert risk_sensitive_posterior_estimator(post, 0.0) == pytest.approx(
-            post.mean(), abs=1e-12)
-
-    def _two_point_posterior(self, width=0.004, n=8001):
-        theta = np.linspace(-0.5, 1.5, n)
-        dens = (np.exp(-theta ** 2 / (2 * width ** 2))
-                + np.exp(-((theta - 1.0) ** 2) / (2 * width ** 2)))
-        return GridDensity(theta, dens / np.trapezoid(dens, theta))
-
-    def test_two_point_posterior_fixed_point_matches_direct_minimization(self):
-        post = self._two_point_posterior()
-        eta = risk_sensitive_posterior_estimator(post, 3.0)
-        # direct scan oracle of the tilted log normalizer
-        # ln sum_theta w exp(log_p + 3 (theta - e)^2), vectorized over chunks of e
-        w = np.gradient(post.theta)
-        log_p = np.log(np.maximum(post.density, 1e-300))
-        etas = np.linspace(0.2, 0.8, 60001)
-        objective = []
-        for chunk in np.array_split(etas, 240):
-            expo = log_p + 3.0 * (post.theta - chunk[:, None]) ** 2
-            top = expo.max(axis=1)
-            objective.append(np.log(np.exp(expo - top[:, None]) @ w) + top)
-        direct = etas[int(np.argmin(np.concatenate(objective)))]
-        assert eta == pytest.approx(float(direct), abs=1e-8)
-
-    def test_oscillatory_regime_falls_back_to_direct_minimization(self):
-        # steep tilts destabilize a damped fixed-point iteration; the
-        # bisection must still land on the symmetric minimizer
-        post = self._two_point_posterior()
-        eta = risk_sensitive_posterior_estimator(post, 10.0)
-        assert eta == pytest.approx(0.5, abs=1e-6)
-
-    def test_symmetric_posteriors_give_their_center_exactly(self):
-        # bisection from the grid ends meets the center of a symmetric tilt
-        # exactly, at a mild and at a steep tilt
-        theta = np.linspace(-6.0, 8.0, 4097)
-        dens = np.exp(-((theta - 1.0) ** 2) / (2 * 0.5))
-        post = GridDensity(theta, dens / np.trapezoid(dens, theta))
-        assert risk_sensitive_posterior_estimator(post, 0.3) == 1.0
-        assert risk_sensitive_posterior_estimator(self._two_point_posterior(), 10.0) == 0.5
-
-    def test_divergent_tilt_rejected(self):
-        theta = np.linspace(-8.0, 8.0, 4097)
-        v = 1.0
-        dens = np.exp(-theta ** 2 / (2 * v))
-        post = GridDensity(theta, dens / np.trapezoid(dens, theta))
-        with pytest.raises(DivergenceRiskError):
-            risk_sensitive_posterior_estimator(post, 0.7 / v)
