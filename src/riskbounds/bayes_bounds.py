@@ -12,7 +12,10 @@ for the sharper one).  The module provides
   linear-Gaussian reference, for one alpha or a sweep of them,
 * the divergence onset of any bound family as an estimate of alpha_c,
 
-each with its free parameters exposed and a maximizer over them.  The
+each with its free parameters exposed and a maximizer over them.
+``lpcb_sweep`` searches the splits of several alphas at once with
+``core._maximize_batch`` and a single split with the float
+``maximize_scalar``, the faster of the two for one search.  The
 scalar closed forms (the linear-Gaussian model and minimum, the generic
 bound, the wide-prior phase bound and the rectangular-pulse delay bound)
 live in the numpy-free ``closed_forms`` and are re-exported here.
@@ -37,6 +40,7 @@ from .closed_forms import (
 from .core import (
     DomainError,
     GridDensity,
+    _maximize_batch,
     divergence_onset,
     float_or_array,
     maximize_scalar,
@@ -224,8 +228,9 @@ def lpcb_sweep(
     """``lpcb_bound`` at every alpha of a sequence, one BoundValue per alpha.
 
     The alphas are evaluated together: a fixed split is one array
-    evaluation, and the optimized splits are one batched
-    ``maximize_scalar`` over the whole sequence.  Each row's diagnostics
+    evaluation, and the optimized splits are one ``core._maximize_batch``
+    over the whole sequence, or the float ``maximize_scalar`` when a
+    single split is left to search.  Each row's diagnostics
     ``n_eval`` counts the points its search evaluated (every row of a
     batch evaluates the same number).
     """
@@ -256,15 +261,19 @@ def lpcb_sweep(
         divergent[probe] = f(alphas[probe], witness[probe]) == math.inf
     search = ~divergent
     a, lo, hi = alphas[search], lo[search], hi[search]
-    if a.size == 1:
-        # float brackets run the pure-Python golden loop, far cheaper than
-        # numpy for one search and the same to the bit
-        a, lo, hi = a.item(), lo.item(), hi.item()
     found = iter(())
-    if search.any():
-        b_star, vals, n_eval = maximize_scalar(lambda b: f(a, b), lo, hi, log_spaced=True, coarse=96)
-        n_eval //= int(search.sum())
-        found = zip(np.atleast_1d(b_star).tolist(), np.atleast_1d(vals).tolist())
+    if a.size == 1:
+        # the float search runs the pure-Python golden loop, far cheaper than
+        # numpy for one search and the same to the bit
+        a = a.item()
+        b_star, val, n_eval = maximize_scalar(lambda b: f(a, b), lo.item(), hi.item(),
+                                              log_spaced=True, coarse=96)
+        found = iter([(b_star, val)])
+    elif a.size:
+        b_star, vals, n_eval = _maximize_batch(lambda b: f(a, b), lo, hi,
+                                               log_spaced=True, coarse=96)
+        n_eval //= a.size
+        found = zip(b_star.tolist(), vals.tolist())
     out = []
     for w, div in zip(witness.tolist(), divergent.tolist()):
         if div:

@@ -200,6 +200,8 @@ def _prior_params(text: str, n_min: int, n_max: int) -> tuple[list[float], int |
     if (len(values) < n_min or len(parts) > n_max + 1 or (n is not None and n < 2)
             or not all(map(math.isfinite, values))):
         raise DomainError(f"bad --prior {text!r}, expected {_PRIOR_USAGE}")
+    if n is not None:
+        _check_points(n, f"the grid of --prior {text!r}")
     return values, n
 
 

@@ -13,12 +13,13 @@ a float into a ``BoundValue`` status.  The closed forms here are a few
 
 The package's 1-D searches live here too, as plain-Python loops on float
 brackets: ``golden_section_max``, the one golden-section search, and
-``maximize_scalar``, a coarse sweep polished by it (array brackets of
-either hand over to ``core``'s batched numpy forms).  ``_linspace``,
-numpy's ``linspace`` formula on floats, spaces the CLI's linear sweeps,
-the estimator curve's q grid and the sweep of ``maximize_scalar``.
+``maximize_scalar``, a coarse sweep polished by it.  They take floats
+only; a caller with many brackets at once uses ``core``'s batched numpy
+forms itself.  ``_linspace``, numpy's ``linspace`` formula on floats,
+spaces the CLI's linear sweeps, the estimator curve's q grid and the
+sweep of ``maximize_scalar``.
 
-The module imports only ``math``, ``sys``, ``dataclasses`` and ``errors``
+The module imports only ``math``, ``dataclasses`` and ``errors``
 (a log-spaced ``maximize_scalar`` sweep imports numpy for ``np.exp``), so
 the CLI families built on it (``bayes-linear``, ``bayes-phase``,
 ``bayes-ww``, ``nonbayes-linear`` and ``nonbayes-nonlinear``) and
@@ -29,14 +30,10 @@ the CLI families built on it (``bayes-linear``, ``bayes-phase``,
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "STATUS_OK",
@@ -263,28 +260,19 @@ def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
 
 
 def golden_section_max(
-    f: Callable,
-    lo: float | np.ndarray,
-    hi: float | np.ndarray,
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
     tol: float = 1e-10,
-) -> tuple:
-    """Maximize a unimodal scalar function on [lo, hi].
+) -> tuple[float, float]:
+    """Maximize a unimodal scalar function on the float bracket [lo, hi].
 
     Returns (argmax, value).  -inf function values are handled (they lose
-    every comparison), so brackets may touch infeasible regions.
-
-    With equal-shape numpy arrays lo and hi, f maps an array of points to
-    the array of their values and every element is a search of its own
-    (``core._golden_section_batch``): it stops moving once its bracket
-    meets the stopping rule, and it returns what a scalar call on its
-    bracket returns.  Float brackets run this plain Python loop, about a
-    hundred times faster than numpy on a single element, and load no numpy.
+    every comparison), so brackets may touch infeasible regions.  This
+    plain Python loop is about a hundred times faster than numpy on a
+    single search and loads no numpy; ``core._golden_section_batch`` runs
+    the same loop on arrays of brackets.
     """
-    numpy = sys.modules.get("numpy")   # an array bracket exists only once numpy is loaded
-    if numpy is not None and (isinstance(lo, numpy.ndarray) or isinstance(hi, numpy.ndarray)):
-        from .core import _golden_section_batch
-
-        return _golden_section_batch(f, lo, hi, tol)
     a, b = float(lo), float(hi)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -305,15 +293,15 @@ def golden_section_max(
 
 
 def maximize_scalar(
-    f: Callable,
-    lo: float | np.ndarray,
-    hi: float | np.ndarray,
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
     *,
     log_spaced: bool = False,
     coarse: int = 64,
     tol: float = 1e-10,
-) -> tuple:
-    """Coarse grid sweep followed by golden-section polish.
+) -> tuple[float, float, int]:
+    """Coarse grid sweep followed by golden-section polish, on a float bracket.
 
     The coarse sweep guards against non-unimodal profiles; the polish runs
     on the bracket around the best coarse point.  Returns
@@ -322,23 +310,13 @@ def maximize_scalar(
     the first maximum once NaN reads as -inf, and a profile that is NaN at
     every point raises DomainError.
 
-    Float brackets run in plain Python and hand f plain floats: the linear
-    grid is ``_linspace``, and a log-spaced grid is ``np.exp`` of a
-    ``_linspace`` of the logs (``math.exp`` rounds differently), the one
-    use of numpy on this path.  With equal-shape numpy arrays lo and hi,
-    every element is a search of its own (``core._maximize_batch``) and
-    argmax and value are arrays: f maps an array of points to the array of
-    their values, and each element returns what a float call on its
-    bracket returns; an element whose values are all NaN raises
-    DomainError for the whole call.
+    f gets plain floats: the linear grid is ``_linspace``, and a
+    log-spaced grid is ``np.exp`` of a ``_linspace`` of the logs
+    (``math.exp`` rounds differently), the one use of numpy on this path.
+    ``core._maximize_batch`` runs the same search on arrays of brackets.
     """
     if coarse < 2:
         raise DomainError("the coarse sweep needs at least 2 points")
-    numpy = sys.modules.get("numpy")   # an array bracket exists only once numpy is loaded
-    if numpy is not None and (isinstance(lo, numpy.ndarray) or isinstance(hi, numpy.ndarray)):
-        from .core import _maximize_batch
-
-        return _maximize_batch(f, lo, hi, log_spaced, coarse, tol)
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise DomainError("empty bracket")

@@ -14,10 +14,11 @@ descent built on top of it.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
 in the numpy-free ``closed_forms`` as plain Python loops on float brackets
 and are re-exported here as the same objects; what stays here is their
-batched form: they also take arrays of brackets and then run every
-element as a search of its own in numpy (``_golden_section_batch``,
-``_maximize_batch``), with the same result per element as the float
-search.  ``logsumexp`` is the package's only
+batched form for arrays of brackets, ``_golden_section_batch`` and
+``_maximize_batch``, which run every element as a search of its own in
+numpy with the same result per element as the float search.  A caller
+with several searches calls them directly; ``lpcb_sweep`` is the one that
+does.  ``logsumexp`` is the package's only
 log-sum-exp; ``select`` and ``float_or_array`` let one closed form take
 floats or arrays.  The exception classes live in the numpy-free
 ``errors`` module and are re-exported here as the same class objects, so
@@ -310,7 +311,13 @@ def uniform_density(lo: float, hi: float, n: int = 4097) -> GridDensity:
 
 
 def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The scalar loop of ``golden_section_max`` run on every element at once."""
+    """The scalar loop of ``golden_section_max`` run on every element at once.
+
+    lo and hi are equal-shape arrays of brackets, and f maps an array of
+    points to the array of their values.  Every element is a search of its
+    own: it stops moving once its bracket meets the stopping rule, and it
+    returns what ``golden_section_max`` on its bracket returns.
+    """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if a.shape != b.shape:
         raise DomainError("bracket arrays must have equal shapes")
@@ -339,8 +346,18 @@ def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray
 _math_log = np.vectorize(math.log, otypes=[float])
 
 
-def _maximize_batch(f, lo, hi, log_spaced: bool, coarse: int, tol: float):
-    """``maximize_scalar`` on array brackets: the sweep of every element in one call of f."""
+def _maximize_batch(f, lo, hi, *, log_spaced: bool = False, coarse: int = 64, tol: float = 1e-10):
+    """``maximize_scalar`` on array brackets: the sweep of every element in one call of f.
+
+    lo and hi are equal-shape arrays, and f maps an array of points to the
+    array of their values.  Returns (argmax, value, n_evaluations): argmax
+    and value are arrays whose every element is what ``maximize_scalar``
+    on its bracket returns, and n_evaluations counts every point passed to
+    f.  An element whose values are all NaN raises DomainError for the
+    whole call.
+    """
+    if coarse < 2:
+        raise DomainError("the coarse sweep needs at least 2 points")
     lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if lo_a.shape != hi_a.shape:
         raise DomainError("bracket arrays must have equal shapes")
@@ -370,8 +387,8 @@ def _maximize_batch(f, lo, hi, log_spaced: bool, coarse: int, tol: float):
             n_eval += u.size
             return f(u)
 
-        xp, fxp = golden_section_max(counted_batch, np.where(polish, blo, x),
-                                     np.where(polish, bhi, x), tol=tol)
+        xp, fxp = _golden_section_batch(counted_batch, np.where(polish, blo, x),
+                                        np.where(polish, bhi, x), tol)
         keep = polish & ~(fxp < fx)
         x, fx = np.where(keep, xp, x), np.where(keep, fxp, fx)
     return x, fx, n_eval

@@ -20,6 +20,7 @@ binomial sum).  ``certify`` runs the bound-versus-truth battery behind
 from __future__ import annotations
 
 import math
+import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -280,9 +281,10 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     threshold: the estimator's variance blows up there before its mean
     does.  Identical master seeds give bit-identical results for any
     worker count: the counter blocks are split into one contiguous span
-    per worker (never more spans than blocks, one when serial), each span
-    draws its blocks from their own Philox counters into chunk buffers of
-    its own, and the blocks are reduced in index order by log-sum-exp.
+    per worker (never more spans than blocks or than ``os.cpu_count()``,
+    one when serial), each span draws its blocks from their own Philox
+    counters into chunk buffers of its own, and the blocks are reduced in
+    index order by log-sum-exp.
     The batch means come from contiguous slices of each block, cut at the
     batch edges.  Threads pay because the draws and the chunk arithmetic
     run in numpy without the GIL.
@@ -300,6 +302,7 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     n = run.n_samples
     n_blocks = (n + _BLOCK - 1) // _BLOCK
     batch_edges = [i * n // _N_BATCHES for i in range(_N_BATCHES + 1)]
+    workers = min(workers, os.cpu_count() or 1)   # more threads than CPUs cannot pay
     per_span = _in_threads(lambda blocks: _span_stats(run, blocks, batch_edges),
                            _spans(n_blocks, workers))
 

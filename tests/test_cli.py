@@ -532,6 +532,25 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == f"error: {what} has {n} points, more than the 10000000 allowed\n"
 
+    @pytest.mark.parametrize("family, prior", [
+        (["bayes-tilted", "--beta", "0.8", "--alpha", "0.3"], "uniform:0,1,100000000000"),
+        (["bayes-tilted", "--alpha-c"], "gaussian:1.0,10,10000001"),
+        (["bayes-delay", "--alpha", "0.3"], "gaussian:1.0,10,100000000000"),
+    ])
+    def test_oversized_prior_grid_is_three_before_any_array_is_made(self, family, prior,
+                                                                     monkeypatch):
+        def no_points(*_, **__):
+            raise AssertionError("a grid was built")
+
+        for module in ("bayes_bounds", "delay_design"):   # their import builds grids of its own
+            importlib.import_module(f"riskbounds.{module}")
+        monkeypatch.setattr(np, "linspace", no_points)
+        code, out, err = run_any(["bound", family[0], "--prior", prior, *family[1:]])
+        assert (code, out) == (3, "")
+        n = int(prior.rsplit(",", 1)[1])
+        assert err == (f"error: the grid of --prior {prior!r} has {n} points, "
+                       "more than the 10000000 allowed\n")
+
     def test_sweep_point_limit_is_ten_million(self):
         assert cli._sweep_spec("0:1:10000000", False) == (0.0, 1.0, 10 ** 7)
         with pytest.raises(riskbounds.DomainError):

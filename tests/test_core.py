@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from riskbounds import DomainError, GridDensity, GridError, Waveform
 from riskbounds.core import (
+    _golden_section_batch,
+    _maximize_batch,
     classify,
     divergence_onset,
     golden_section_max,
@@ -259,7 +261,7 @@ class TestOptimizers:
         with pytest.raises(DomainError):
             maximize_scalar(lambda u: u, 0.0, 1.0, coarse=1)
         with pytest.raises(DomainError):
-            maximize_scalar(lambda u: u, np.zeros(2), np.ones(2), coarse=1)
+            _maximize_batch(lambda u: u, np.zeros(2), np.ones(2), coarse=1)
 
     def test_first_maximum_with_nan_read_as_minus_inf(self):
         # numpy's nanargmax: NaN counts as -inf, so where every other value is
@@ -269,7 +271,7 @@ class TestOptimizers:
         assert (x, fx) == (3.0, 2.0)
         g = lambda u: math.nan if u < 0.5 else -math.inf   # noqa: E731
         x, fx, n_eval = maximize_scalar(g, 0.0, 1.0, coarse=3)
-        xb, fxb, _ = maximize_scalar(np.vectorize(g), np.zeros(1), np.ones(1), coarse=3)
+        xb, fxb, _ = _maximize_batch(np.vectorize(g), np.zeros(1), np.ones(1), coarse=3)
         assert n_eval > 3 and x == xb[0] and _same(fx, fxb[0])
 
     def test_evaluation_count_is_the_real_one(self):
@@ -328,9 +330,10 @@ def _brackets(columns):
 class TestBatchedSearch:
     """Array brackets: every element gives what a scalar search on it gives.
 
-    The array searches are ``core``'s numpy loops and the float searches
-    the plain-Python ones of ``closed_forms``, so these tests pin the two
-    implementations to each other.
+    The array searches are ``core``'s numpy loops (``_maximize_batch``,
+    ``_golden_section_batch``) and the float searches the plain-Python
+    ones of ``closed_forms``, so these tests pin the two implementations
+    to each other.
     """
 
     @given(st.lists(_COLUMN, min_size=1, max_size=5), st.booleans(), st.integers(2, 40))
@@ -346,11 +349,11 @@ class TestBatchedSearch:
             except DomainError:
                 # NaN at every coarse point of one bracket refuses the whole batch
                 with pytest.raises(DomainError, match="NaN at every point"):
-                    maximize_scalar(_batched(profiles, []), lo, hi,
+                    _maximize_batch(_batched(profiles, []), lo, hi,
                                     log_spaced=log_spaced, coarse=coarse)
                 return
         points: list = []
-        x, fx, n_eval = maximize_scalar(_batched(profiles, points), lo, hi,
+        x, fx, n_eval = _maximize_batch(_batched(profiles, points), lo, hi,
                                         log_spaced=log_spaced, coarse=coarse)
         assert type(n_eval) is int and n_eval == sum(points)
         assert x.shape == fx.shape == lo.shape
@@ -362,7 +365,7 @@ class TestBatchedSearch:
     def test_golden_matches_scalar_calls(self, columns, tol):
         lo, hi = _brackets(columns)
         profiles = [_profile(c[0], lo[j], hi[j], c[4], c[5]) for j, c in enumerate(columns)]
-        x, fx = golden_section_max(_batched(profiles, []), lo, hi, tol=tol)
+        x, fx = _golden_section_batch(_batched(profiles, []), lo, hi, tol=tol)
         for j, g in enumerate(profiles):
             xs, fs = golden_section_max(g, float(lo[j]), float(hi[j]), tol=tol)
             assert x[j] == xs and _same(fx[j], fs)
@@ -377,7 +380,7 @@ class TestBatchedSearch:
         lo, hi = _brackets(columns)
         profiles = [_profile(c[0], lo[j], hi[j], c[4], c[5]) for j, c in enumerate(columns)]
         points: list = []
-        x, fx, n_eval = maximize_scalar(_batched(profiles, points), lo, hi, coarse=32)
+        x, fx, n_eval = _maximize_batch(_batched(profiles, points), lo, hi, coarse=32)
         assert type(n_eval) is int and n_eval == sum(points)
         assert fx[3] == math.inf and fx[2] > -math.inf
         assert fx[1] > 1.3 and abs(x[1] - 3.55) < 0.1     # the taller, second hump
@@ -390,20 +393,20 @@ class TestBatchedSearch:
         profiles = [lambda u: -u * u, lambda u: math.nan]
         lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 1.0])
         with pytest.raises(DomainError):
-            maximize_scalar(_batched(profiles, []), lo, hi)
+            _maximize_batch(_batched(profiles, []), lo, hi)
         with pytest.raises(DomainError):
             maximize_scalar(profiles[1], 0.0, 1.0)
 
     def test_bad_brackets_rejected(self):
         f = _batched([lambda u: -u * u] * 2, [])
         with pytest.raises(DomainError):
-            maximize_scalar(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+            _maximize_batch(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            maximize_scalar(f, np.array([0.0, 0.5]), np.array([1.0, 2.0]), log_spaced=True)
+            _maximize_batch(f, np.array([0.0, 0.5]), np.array([1.0, 2.0]), log_spaced=True)
         with pytest.raises(DomainError):
-            maximize_scalar(f, np.zeros(2), np.ones(3))
+            _maximize_batch(f, np.zeros(2), np.ones(3))
         with pytest.raises(DomainError):
-            golden_section_max(f, np.zeros(2), np.ones(3))
+            _golden_section_batch(f, np.zeros(2), np.ones(3), 1e-10)
 
 
 class TestDivergenceOnset:

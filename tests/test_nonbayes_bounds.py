@@ -222,18 +222,23 @@ class TestNonlinearBound:
         assert bv.value == math.inf
         assert bv.status == "divergent"
 
-    def test_unbounded_range_reports_the_maximizing_probe(self):
-        # the floor cancels the quadratic shift and peaks one unit right of
-        # theta, so the probe theta + 1 attains the supremum
-        theta, alpha = 0.25, 0.5
-        profile = CorrelationProfile(
-            ex=0.01, theta_range=(-math.inf, math.inf),
-            rho_fn=lambda t, tt: math.exp(-4.0 * (t - tt) ** 2))
-        bv = nonlinear_bound(profile, alpha, theta=theta, n0=1.0,
-                             l_nb=lambda tt: -(tt - theta) ** 2 - (tt - theta - 1.0) ** 2)
-        assert bv.status == "ok"
-        assert bv.argmax["theta_tilde"] == theta + 1.0
-        assert bv.value == pytest.approx(-0.02 * (1.0 - math.exp(-4.0)), rel=1e-12)
+    @given(alpha=st.floats(5e-324, 1e300), theta=st.floats(allow_nan=False, allow_infinity=False),
+           floor=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=60, deadline=None)
+    def test_unbounded_range_is_infinite_for_every_finite_floor(self, alpha, theta, floor):
+        # alpha (theta - theta_tilde)^2 outgrows any finite floor term and the
+        # correlation term, which is at least -4 ex / n0, however small alpha
+        bv = nonlinear_bound(self._gauss_profile(bounded=False), alpha, theta=theta,
+                             l_nb=floor, n0=1.0)
+        assert bv.value == math.inf and bv.status == "divergent"
+        assert bv.argmax["theta_tilde"] == math.inf and "witness" in bv.diagnostics
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floor_rejected(self, floor, bounded):
+        with pytest.raises(DomainError, match="floor"):
+            nonlinear_bound(self._gauss_profile(bounded=bounded), 1e-50, theta=0.0,
+                            l_nb=floor, n0=1.0)
 
     def test_matched_reference_recovers_mse_floor(self):
         profile = self._gauss_profile()
@@ -273,21 +278,6 @@ class TestNonlinearBound:
         with pytest.raises(DomainError):
             CorrelationProfile(ex=1.0, theta_range=theta_range, rho_fn=lambda t, tt: 1.0)
 
-    def test_gridded_profile_accepted(self):
-        ths = np.linspace(0.0, 1.0, 501)
-        rho = np.exp(-4.0 * (ths[:, None] - ths[None, :]) ** 2)
-        profile = CorrelationProfile(ex=1.0, theta_range=(0.0, 1.0),
-                                     theta_grid=ths, rho_values=rho)
-        bv = nonlinear_bound(profile, 0.8, theta=0.3, l_nb=0.5, n0=1.0)
-        assert math.isfinite(bv.value)
-
-    def test_rho_validation(self):
-        ths = np.linspace(0.0, 1.0, 101)
-        bad = np.full((101, 101), 1.5)
-        with pytest.raises(DomainError):
-            CorrelationProfile(ex=1.0, theta_range=(0.0, 1.0),
-                               theta_grid=ths, rho_values=bad)
-
     @pytest.mark.parametrize("floor", [np.int64(1), np.array(1.0)])
     def test_numpy_number_lnb_is_a_constant_floor(self, floor):
         # anything that is not callable is a constant floor, a numpy integer
@@ -295,9 +285,3 @@ class TestNonlinearBound:
         bv = nonlinear_bound(self._gauss_profile(), 0.5, theta=0.5, l_nb=floor, n0=1.0)
         assert bv == nonlinear_bound(self._gauss_profile(), 0.5, theta=0.5, l_nb=1.0, n0=1.0)
         assert bv.value == 0.5 and bv.argmax["theta_tilde"] == 0.5
-
-    def test_callable_lnb(self):
-        profile = self._gauss_profile()
-        bv = nonlinear_bound(profile, 0.5, theta=0.5,
-                             l_nb=lambda tt: 0.4 + 0.1 * tt, n0=1.0)
-        assert math.isfinite(bv.value)

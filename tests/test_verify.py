@@ -177,6 +177,32 @@ class TestMcLambda:
         mc_lambda(MCRun("nb-ml", "ml", alpha=0.3, n_samples=1000, master_seed=4), workers=8)
         assert calls == [(range(0, 1), threading.get_ident())]
 
+    @pytest.mark.parametrize("cpus, threads", [(3, 2), (1, 0), (None, 0)])
+    def test_threads_never_outnumber_the_cpus(self, monkeypatch, cpus, threads):
+        # the caller runs the first span, so a cap of k spans starts k - 1
+        # threads; the fake runs its span inline and starts no real thread
+        started = []
+
+        class CountingThread:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                started.append(self.args)
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        run = MCRun("nb-ml", "ml", alpha=0.3, n_samples=40 * 4096, master_seed=4)
+        serial = mc_lambda(run, workers=1)
+        monkeypatch.setattr(verify.threading, "Thread", CountingThread)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        capped = mc_lambda(run, workers=100_000)
+        assert len(started) == threads
+        assert (capped.lambda_hat, capped.se, capped.max_share) == \
+            (serial.lambda_hat, serial.se, serial.max_share)
+
     def test_a_failing_span_raises_on_the_caller(self, monkeypatch):
         span_stats = verify._span_stats
 
