@@ -26,7 +26,7 @@ _EXPORTS = {
             "BoundValue", "LinearGaussianModel", "generic_bayes_bound",
             "linear_gaussian_min_lambda", "phase_bound_large_sigma", "scalar_linear_bound",
             "scalar_ml_lambda", "ww_rect_delay_bound")),
-        ("core", ("GridDensity", "Waveform", "uniform_density")),
+        ("core", ("GridDensity", "Waveform")),
         ("divergences", (
             "TiltedPrior", "binary_divergence", "renyi_gaussian_linear", "tilt_prior",
             "tilt_terms")),

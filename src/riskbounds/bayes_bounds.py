@@ -62,11 +62,6 @@ __all__ = [
     "alpha_c_estimate",
 ]
 
-# Fisher information below this floor means the information-based MSE
-# reference bound is not trustworthy (regularity cannot hold); such tilts
-# are excluded rather than allowed to certify a fake divergence.
-_FISHER_FLOOR = 1e-9
-
 _BETA_EDGE = 1e-6  # relative inset of the beta bracket from its feasibility limits
 
 # alpha_c_upper's sweep of beta, and the share of the median information
@@ -87,10 +82,12 @@ def tilted_prior_bound(
     Value: alpha / (I(Q_beta) + 2 es_over_n0) - D(Q_beta || P) - corr_term,
     where es_over_n0 carries the reference signal's (derivative) energy and
     corr_term the signal-distance penalty supplied by the caller's
-    geometry.  Tilts whose total information sits below the regularity
-    floor are rejected: the MSE floor 1/I is meaningless there.  I and D
-    come from ``tilt_terms``, so the prior caches its tilt scalars and a
-    repeated beta costs no new tilt.
+    geometry.  The MSE floor 1/I needs a tilted prior that vanishes at
+    both ends of its support: a tilt that ``tilt_prior`` rejects at the
+    grid ends raises its ``DomainError``, and so does a total information
+    that is not positive (zero or NaN).  I and D come from ``tilt_terms``,
+    so the prior caches its tilt scalars and a repeated beta costs no new
+    tilt.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -100,9 +97,9 @@ def tilted_prior_bound(
         raise DomainError("energies must be nonnegative")
     fisher_info, kl = tilt_terms(prior, beta)
     info = fisher_info + 2.0 * es_over_n0
-    if info <= _FISHER_FLOOR:
+    if not info > 0.0:
         raise DomainError(
-            "total information below regularity floor; the reference MSE bound "
+            "total information is not positive; the reference MSE bound "
             "does not apply to this tilt"
         )
     value = alpha / info - kl - corr_term
@@ -114,16 +111,19 @@ def alpha_c_upper(prior: GridDensity) -> float:
 
     The certificate is the limit of I(Q_beta) * D(Q_beta || P) along a
     path where the Fisher information vanishes.  The sweep runs beta over
-    161 log-spaced points of [1e-4, 1e2], keeping only tilts that stay
-    represented on the grid and above the regularity floor; if the
-    information trends to zero at the low end (its least value sits at the
-    lowest kept beta and below 5% of the median), the product is
-    extrapolated there by a least-squares fit in the slowly vanishing
-    basis {1, beta (ln beta - 1), beta}, which is exact for Gaussian
-    priors.  Returns +inf when no vanishing-information tilt exists, the
-    honest answer for compact-support priors.  The accuracy is set by how
-    small a beta the grid window can represent; wide windows give tight
-    certificates.
+    161 log-spaced points of [1e-4, 1e2], keeping only the tilts that
+    ``tilt_prior`` accepts (the tilted density vanishes at the grid ends)
+    and whose information is positive; if the information trends to zero
+    at the low end (its least value sits at the lowest kept beta and below
+    5% of the median), the product is extrapolated there by a
+    least-squares fit in the slowly vanishing basis
+    {1, beta (ln beta - 1), beta}, which is exact for Gaussian priors.
+    Returns +inf when no vanishing-information tilt exists, the honest
+    answer for compact-support priors; a flat prior has no accepted tilt
+    at all.  No floor on I depends on the units of theta: a prior
+    rescaled by s gets the certificate divided by s^2.  The accuracy is
+    set by how small a beta the grid window can represent; wide windows
+    give tight certificates.
     """
     ok_beta: list[float] = []
     infos: list[float] = []
@@ -133,7 +133,7 @@ def alpha_c_upper(prior: GridDensity) -> float:
             info, kl = tilt_terms(prior, float(b))
         except DomainError:
             continue
-        if info <= _FISHER_FLOOR:
+        if not info > 0.0:
             continue
         ok_beta.append(float(b))
         infos.append(info)

@@ -186,18 +186,18 @@ def _emit(args, header: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
-_PRIOR_USAGE = "gaussian:VAR[,SPAN,N] | uniform:LO,HI[,N] | CSV path"
+_PRIOR_USAGE = "gaussian:VAR[,SPAN,N] | CSV path"
 
 
-def _prior_params(text: str, n_min: int, n_max: int) -> tuple[list[float], int | None]:
-    """The n_min..n_max floats and the optional trailing grid size of ``kind:V1,...[,N]``."""
+def _prior_params(text: str) -> tuple[list[float], int | None]:
+    """VAR, the optional SPAN and the optional grid size N of ``gaussian:VAR[,SPAN,N]``."""
     parts = text.split(":", 1)[1].split(",")
     try:
-        values = [float(v) for v in parts[:n_max]]
-        n = int(parts[n_max]) if len(parts) > n_max else None
+        values = [float(v) for v in parts[:2]]
+        n = int(parts[2]) if len(parts) > 2 else None
     except ValueError:
         values, n = [], None
-    if (len(values) < n_min or len(parts) > n_max + 1 or (n is not None and n < 2)
+    if (not values or len(parts) > 3 or (n is not None and n < 2)
             or not all(map(math.isfinite, values))):
         raise DomainError(f"bad --prior {text!r}, expected {_PRIOR_USAGE}")
     if n is not None:
@@ -222,14 +222,11 @@ def _load_csv(path: str, kind: str):
 def _load_prior(args) -> GridDensity:
     import numpy as np
 
-    from .core import GridDensity, uniform_density
+    from .core import GridDensity
 
     text = args.prior
-    if text.startswith("uniform:"):
-        (lo, hi), n = _prior_params(text, 2, 2)
-        return uniform_density(lo, hi, 4097 if n is None else n)
     if text.startswith("gaussian:"):
-        (sigma2, *span), n = _prior_params(text, 1, 2)
+        (sigma2, *span), n = _prior_params(text)
         if not sigma2 > 0:
             raise DomainError(f"bad --prior {text!r}: the variance must be positive")
         half = (span[0] if span else 10.0) * math.sqrt(sigma2)
@@ -492,7 +489,13 @@ _FLAGS = {
         "t-horizon": {"type": float, "default": 1.0},
         "gamma": {"type": float, "default": 1.0},
         "tau": {"type": float, "default": 1.0},
-        "prior": {"default": "gaussian:1.0", "help": _PRIOR_USAGE},
+        "prior": {"default": "gaussian:1.0",
+                  "help": f"{_PRIOR_USAGE}: a Gaussian on N points over +-SPAN sd (default "
+                          "10, 8193) or a theta,density CSV file, which also gives the flat "
+                          "prior the retired uniform: spec gave; a tilt whose density at a "
+                          "grid end exceeds 1e-3 of its peak is rejected: a flat prior "
+                          "exits 3 at a fixed beta and reads -inf,useless when beta is "
+                          "searched"},
         "es-over-n0": {"type": float, "default": 0.0},
         "corr": {"type": float, "default": 0.0},
         "alpha-c": {"action": "store_true",

@@ -157,10 +157,7 @@ class TiltGrid:
     coefs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     positive: np.ndarray       # density > 0
     all_positive: bool
-    first: int                 # first and last index where the density is positive
-    last: int
     has_hole: bool             # the density vanishes at an interior grid point
-    edge_ratio: float          # max(p[first], p[last]) / max(p)
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """``np.gradient(f, theta)`` bit for bit: numpy's operations in numpy's order."""
@@ -260,17 +257,13 @@ class GridDensity:
         first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, p.size - 1)
         # exact zero padding at both edges is trimmed before looking for a hole
         inner = p[first: last + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
-        peak = np.max(p)
         return TiltGrid(
             dx=_read_only(dx),
             step=step,
             coefs=coefs,
             positive=_read_only(positive),
             all_positive=nz.size == p.size,
-            first=first,
-            last=last,
             has_hole=bool(np.any(inner <= 0.0)),
-            edge_ratio=float(max(p[first], p[last]) / peak) if peak > 0.0 else math.nan,
         )
 
     def integrate(self, y: np.ndarray) -> float:
@@ -301,13 +294,6 @@ class GridDensity:
     def variance(self) -> float:
         m = self.mean()
         return self.integrate((self.theta - m) ** 2 * self.density)
-
-
-def uniform_density(lo: float, hi: float, n: int = 4097) -> GridDensity:
-    if hi <= lo:
-        raise DomainError("empty support interval")
-    th = np.linspace(lo, hi, n)
-    return GridDensity(th, np.full(n, 1.0 / (hi - lo)))
 
 
 def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:

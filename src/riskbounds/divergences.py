@@ -38,10 +38,10 @@ __all__ = [
 
 _NORM_TOL = 1e-6          # quadrature tolerance for density normalization
 
-# A tilt escapes the grid window when the base density decays at the edge
-# (the grid is a window onto a wider support) but the tilted density does
-# not; such tilts are rejected rather than silently truncated.
-_EDGE_DECAY = 1e-3
+# The information floor 1/I(Q_beta) needs a tilted density that vanishes at
+# both ends of its support.  A tilt whose density at either grid end is
+# above this share of its peak is rejected, whatever the base: a flat or
+# truncated prior has a jump there that the one-sided differences miss.
 _EDGE_ESCAPE = 1e-3
 
 
@@ -145,18 +145,20 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     Z(beta) is the trapezoid sum of base^beta, and phi'(beta) is the exact
     derivative of that same discrete ln Z, E_Q[ln p].  The Fisher
     information of the tilted density uses second-order differences on
-    the theta grid, one-sided at the support endpoints.  A density that
-    vanishes at an interior grid point is rejected: the information
-    integral is not trustworthy there.  A tilt that flattens a density
-    which decays at the grid edges is also rejected, because the grid
-    then truncates the tilted tails; callers needing smaller beta must
-    supply a wider grid.
+    the theta grid, one-sided at the grid ends.  Two tilts are rejected
+    because the information integral is not trustworthy for them: a
+    density that vanishes at an interior grid point, and a tilted density
+    above 1e-3 of its peak at either grid end, whatever the base.  So
+    every tilt of a flat prior is rejected, and so are the small-beta
+    tilts of a Gaussian window, while a prior padded with zeros at both
+    grid ends passes; callers needing a smaller beta must supply a wider
+    grid.
 
     Everything that does not depend on beta comes from the base's cached
-    ``tilt_grid``: its support scan, hole flag and edge ratio, the grid
-    spacings of both trapezoids and the gradient's coefficients.  A tilt
-    then costs one log-sum-exp, one exponential and a few array passes,
-    with the bits of ``np.gradient`` and ``np.trapezoid`` on the same grid.
+    ``tilt_grid``: its support scan and hole flag, the grid spacings of
+    both trapezoids and the gradient's coefficients.  A tilt then costs
+    one log-sum-exp, one exponential and a few array passes, with the bits
+    of ``np.gradient`` and ``np.trapezoid`` on the same grid.
     """
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
@@ -170,13 +172,12 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     if grid.has_hole:
         raise DomainError("density vanishes at an interior grid point")
     q = np.exp(exponent - log_z)
-    if grid.edge_ratio < _EDGE_DECAY:
-        tilt_edge = max(q[grid.first], q[grid.last]) / np.max(q)
-        if tilt_edge > _EDGE_ESCAPE:
-            raise DomainError(
-                f"tilted density escapes the grid window (edge ratio {tilt_edge:.3g}); "
-                "supply a wider grid for this beta"
-            )
+    tilt_edge = max(q[0], q[-1]) / np.max(q)
+    if tilt_edge > _EDGE_ESCAPE:
+        raise DomainError(
+            f"tilted density does not vanish at the grid ends (edge ratio {tilt_edge:.3g}); "
+            "supply a wider grid for this beta or a prior that decays there"
+        )
     wq = base.weights * q
     if grid.all_positive:
         dphi = float(np.dot(wq, log_p))

@@ -201,3 +201,43 @@ def bernoulli_nonbayes_exponent(a: float, theta: float, n: int = 200001) -> floa
     qs = np.linspace(1e-9, 1 - 1e-9, n)
     div = qs * np.log(qs / theta) + (1 - qs) * np.log((1 - qs) / (1 - theta))
     return float(np.max(a * (qs - theta) ** 2 - div))
+
+
+def prior_ceiling(prior, alpha: float, tol: float = 1e-12) -> float:
+    """C(alpha) = min over m of ln sum_i w_i p_i exp(alpha (theta_i - m)^2).
+
+    The exponential moment of the constant estimator m under the grid
+    prior, with the prior's own trapezoid weights w, minimized over m by a
+    golden search on the grid range (the log moment is convex in m).  Any
+    estimator's moment is at most this one's at the best m, so every
+    Bayesian bound on this prior must read at most C(alpha).  ``prior`` is
+    read only for its ``theta`` and ``density`` arrays.
+    """
+    theta = np.asarray(prior.theta, dtype=float)
+    p = np.asarray(prior.density, dtype=float)
+    w = np.empty_like(theta)
+    w[1:-1] = 0.5 * (theta[2:] - theta[:-2])
+    w[0] = 0.5 * (theta[1] - theta[0])
+    w[-1] = 0.5 * (theta[-1] - theta[-2])
+    keep = w * p > 0.0
+    log_wp, th = np.log((w * p)[keep]), theta[keep]
+
+    def log_moment(m: float) -> float:
+        x = log_wp + alpha * (th - m) ** 2
+        top = float(np.max(x))
+        return top + math.log(float(np.sum(np.exp(x - top))))
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = float(theta[0]), float(theta[-1])
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = log_moment(c), log_moment(d)
+    while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = log_moment(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = log_moment(d)
+    return min(fc, fd, log_moment(0.5 * (lo + hi)))

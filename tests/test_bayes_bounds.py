@@ -1,9 +1,12 @@
 """Bayesian bound families: closed forms, optimizers, dominance, reductions."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskbounds import (
     DomainError,
@@ -15,15 +18,21 @@ from riskbounds import (
     linear_gaussian_min_lambda,
     lpcb_bound,
     lpcb_sweep,
+    nu_bound,
     phase_bound_large_sigma,
     tilted_prior_bound,
-    uniform_density,
     ww_rect_delay_bound,
 )
+from riskbounds import bayes_bounds
 
-from oracles import lpcb_beta_grid, phase_linear_ref_bound
+from oracles import lpcb_beta_grid, phase_linear_ref_bound, prior_ceiling
 
 LN2 = math.log(2.0)
+
+
+def _flat_prior() -> GridDensity:
+    theta = np.linspace(0.0, 1.0, 4097)
+    return GridDensity(theta, np.ones_like(theta))
 
 
 class TestGenericBound:
@@ -138,12 +147,30 @@ class TestTiltedPriorBound:
     def test_uniform_prior_has_no_divergence_certificate(self):
         # compact support: no tilt drives the information to zero, so the
         # family cannot certify any finite critical factor
-        assert alpha_c_upper(uniform_density(0.0, 1.0)) == math.inf
+        assert alpha_c_upper(_flat_prior()) == math.inf
 
-    def test_uniform_prior_tilt_rejected_by_regularity_floor(self):
-        prior = uniform_density(0.0, 1.0)
-        with pytest.raises(DomainError):
-            tilted_prior_bound(prior, alpha=0.3, beta=2.0, es_over_n0=0.0)
+    def test_flat_prior_tilt_rejected_at_the_grid_ends(self):
+        with pytest.raises(DomainError, match="does not vanish at the grid ends"):
+            tilted_prior_bound(_flat_prior(), alpha=0.3, beta=2.0, es_over_n0=0.0)
+
+    @pytest.mark.parametrize("fisher_info", [0.0, -0.0, math.nan])
+    def test_information_that_is_not_positive_is_rejected(self, fisher_info, monkeypatch,
+                                                          gaussian_prior_grid):
+        # zero or NaN total information raises DomainError, never ZeroDivisionError
+        monkeypatch.setattr(bayes_bounds, "tilt_terms", lambda prior, beta: (fisher_info, 0.1))
+        with pytest.raises(DomainError, match="total information is not positive"):
+            tilted_prior_bound(gaussian_prior_grid(1.0), 0.3, 1.0, 0.0)
+        assert alpha_c_upper(gaussian_prior_grid(1.0)) == math.inf
+
+    def test_rescaled_prior_scales_the_critical_factor(self):
+        # gaussian:1e10 is gaussian:1.0 with theta 1e5 times larger: alpha_c
+        # scales by 1e-10, and no floor on I = 1e-10 refuses its tilts
+        theta = np.linspace(-10.0, 10.0, 8193)
+        dens = np.exp(-theta ** 2 / 2.0)
+        unit = GridDensity(theta, dens).normalized()
+        wide = GridDensity(1e5 * theta, dens).normalized()
+        assert alpha_c_upper(wide) == pytest.approx(1e-10 * alpha_c_upper(unit), rel=1e-9)
+        assert tilted_prior_bound(wide, 1e-11, 1.0, 0.0).value == pytest.approx(0.1, rel=1e-9)
 
     def test_nonpositive_beta_rejected(self, gaussian_prior_grid):
         with pytest.raises(DomainError):
@@ -173,6 +200,92 @@ class TestTiltedPriorBound:
             except DomainError:
                 continue
             assert probe.value <= exact + 2e-4
+
+
+@functools.lru_cache(maxsize=16)
+def _ceiling_prior(kind: str, a: float, b: float, n: int) -> GridDensity:
+    """A prior as the CLI builds it: ("window", sigma2, span, n) is `gaussian:sigma2,span,n`;
+    ("flat", lo, hi, n) is flat on [lo, hi]; the "padded" kinds put the same support
+    in the middle half of a grid twice as wide and set the density to 0 outside it."""
+    if kind.endswith("window"):
+        half = b * math.sqrt(a)
+        edge = 2.0 * half if kind.startswith("padded") else half
+        theta = np.linspace(-edge, edge, n)
+        dens = np.where(np.abs(theta) <= half, np.exp(-theta ** 2 / (2.0 * a)), 0.0)
+    else:
+        pad = 0.5 * (b - a) if kind.startswith("padded") else 0.0
+        theta = np.linspace(a - pad, b + pad, n)
+        dens = np.where((theta >= a) & (theta <= b), 1.0, 0.0)
+    return GridDensity(theta, dens).normalized()
+
+
+_DELAY = {"omega0": 2.0 * math.pi, "ex": 1.0, "n0": 1.0}   # the CLI's defaults
+
+
+def _assert_below_ceiling(spec, alpha, beta, es, nu, joint) -> None:
+    """Every row of the tilt families on this prior is at most the prior-only ceiling."""
+    prior = _ceiling_prior(*spec)
+    rows = {
+        "tilted": lambda: tilted_prior_bound(prior, alpha, beta, es),
+        "delay (nu, beta)": lambda: nu_bound(prior, alpha, beta, nu, **_DELAY),
+        "delay nu": lambda: nu_bound(prior, alpha, nu=nu, **_DELAY),
+    }
+    if joint:
+        rows["delay joint"] = lambda: nu_bound(prior, alpha, **_DELAY)
+    ceiling = prior_ceiling(prior, alpha)
+    for name, row in rows.items():
+        try:
+            value = row().value
+        except DomainError:   # a fixed beta or (nu, beta) with no regular tilt exits 3
+            continue
+        assert value <= ceiling + 1e-9, (name, value, ceiling)
+
+
+@st.composite
+def _edge_priors(draw):
+    """Priors that do not decay at their support ends: truncated Gaussian windows
+    and flat grids, each bare or padded with zeros."""
+    kind = draw(st.sampled_from(["window", "flat", "padded window", "padded flat"]))
+    n = draw(st.sampled_from([257, 1025, 4097]))
+    if kind.endswith("window"):
+        return kind, 1.0, draw(st.floats(0.5, 3.7)), n
+    lo = draw(st.floats(-5.0, 5.0))
+    return kind, lo, lo + draw(st.floats(0.1, 5.0)), n
+
+
+class TestPriorCeiling:
+    """No Bayesian bound may exceed C(alpha), the moment of the best constant estimator."""
+
+    @given(spec=_edge_priors(), alpha=st.floats(0.01, 3.0, exclude_min=True),
+           beta=st.floats(1e-3, 60.0), es=st.floats(0.0, 1.0), nu=st.floats(0.0, 1.0),
+           joint=st.just(False))
+    # the rows that read far above C before the grid-end rule
+    @example(spec=("flat", 0.0, 1.0, 4097), alpha=0.3, beta=0.8, es=1e-3, nu=0.0, joint=True)
+    @example(spec=("window", 1.0, 1.0, 4097), alpha=0.3, beta=1.0, es=0.0, nu=0.5, joint=True)
+    @example(spec=("window", 1.0, 2.0, 4097), alpha=0.3, beta=1.0, es=0.0, nu=0.5, joint=False)
+    @example(spec=("window", 1.0, 3.0, 4097), alpha=0.3, beta=1.0, es=0.0, nu=0.0, joint=True)
+    @example(spec=("window", 1.0, 3.0, 4097), alpha=0.29, beta=1e-3, es=0.0, nu=0.0, joint=False)
+    @example(spec=("padded flat", 0.0, 1.0, 1025), alpha=2.0, beta=0.5, es=0.0, nu=0.3, joint=True)
+    @example(spec=("padded window", 1.0, 2.0, 1025), alpha=1.0, beta=0.3, es=0.0, nu=0.3,
+             joint=True)
+    # gaussian:1e10 (sigma 1e5): accepted now that no floor on I depends on units
+    @example(spec=("window", 1e10, 10.0, 8193), alpha=1e-11, beta=1.0, es=0.0, nu=0.0,
+             joint=False)
+    @settings(max_examples=40, deadline=None)
+    def test_tilt_family_rows_stay_below_the_prior_ceiling(self, spec, alpha, beta, es, nu,
+                                                           joint):
+        _assert_below_ceiling(spec, alpha, beta, es, nu, joint)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "decaying windows overshoot C near the 1e-3 grid-end gate: the truncated tilt "
+        "underestimates I; open until the closed-form Gaussian tilt (ROADMAP direction 4) "
+        "and a tuned gate"))
+    @pytest.mark.parametrize("spec, alpha, beta", [
+        (("window", 1.0, 8.0, 4097), 0.402, 0.2159),    # 0.823270 against C = 0.814423
+        (("window", 1.0, 10.0, 8193), 0.41, 0.173),     # 0.859736 against C = 0.857377
+    ], ids=["gaussian:1.0,8,4097", "gaussian:1.0"])
+    def test_decaying_window_overshoot_near_the_gate(self, spec, alpha, beta):
+        _assert_below_ceiling(spec, alpha, beta, es=0.0, nu=0.0, joint=False)
 
 
 class TestRectPulseDelayBound:

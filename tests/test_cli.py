@@ -46,6 +46,14 @@ def header(out: str) -> str:
     return out.splitlines()[0]
 
 
+@pytest.fixture(scope="module")
+def flat_prior_csv(tmp_path_factory):
+    """A flat prior on [0, 1] as a two-column `--prior` file."""
+    path = tmp_path_factory.mktemp("prior") / "flat.csv"
+    path.write_text("".join(f"{k / 64!r},1.0\n" for k in range(65)))
+    return str(path)
+
+
 class TestSchemas:
     def test_nonbayes_linear_value(self, capsys):
         code, out, _ = run_cli(["bound", "nonbayes-linear", "--alpha", "0.25",
@@ -533,7 +541,7 @@ class TestExitCodes:
         assert err == f"error: {what} has {n} points, more than the 10000000 allowed\n"
 
     @pytest.mark.parametrize("family, prior", [
-        (["bayes-tilted", "--beta", "0.8", "--alpha", "0.3"], "uniform:0,1,100000000000"),
+        (["bayes-tilted", "--beta", "0.8", "--alpha", "0.3"], "gaussian:1.0,1,100000000000"),
         (["bayes-tilted", "--alpha-c"], "gaussian:1.0,10,10000001"),
         (["bayes-delay", "--alpha", "0.3"], "gaussian:1.0,10,100000000000"),
     ])
@@ -603,8 +611,8 @@ class TestExitCodes:
         ["bound", "nonbayes-nonlinear", "--alpha", "0.5", "--range", "0,1,2"],
         ["bound", "bayes-tilted", "--prior", "gaussian:abc", "--beta", "0.5", "--alpha", "0.3"],
         ["bound", "bayes-tilted", "--prior", "gaussian:-1", "--beta", "0.5", "--alpha", "0.3"],
-        ["bound", "bayes-tilted", "--prior", "uniform:0,1,-3", "--beta", "0.5", "--alpha", "0.3"],
-        ["bound", "bayes-delay", "--prior", "uniform:0", "--alpha", "0.5"],
+        ["bound", "bayes-tilted", "--prior", "gaussian:1,10,-3", "--beta", "0.5", "--alpha", "0.3"],
+        ["bound", "bayes-delay", "--prior", "gaussian:", "--alpha", "0.5"],
     ])
     def test_bad_range_and_prior_text_is_three(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -779,17 +787,42 @@ class TestSweeps:
         assert header(out) == "alpha_c_upper"
         assert float(data_rows(out)[0][0]) == pytest.approx(1.0, rel=5e-2)
 
-    def test_tilted_uniform_prior_reports_inf(self, capsys):
-        code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", "uniform:0,1",
+    def test_tilted_uniform_prior_reports_inf(self, capsys, flat_prior_csv):
+        code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", flat_prior_csv,
                                 "--alpha-c"], capsys)
         assert code == 0
         assert data_rows(out)[0][0] == "inf"
 
-    def test_delay_bound_useless_row_has_no_beta(self, capsys):
-        code, out, _ = run_cli(["bound", "bayes-delay", "--prior", "uniform:0,1",
+    def test_flat_prior_at_a_fixed_beta_is_three(self, capsys, flat_prior_csv):
+        code, out, err = run_cli(["bound", "bayes-tilted", "--prior", flat_prior_csv,
+                                  "--beta", "0.8", "--alpha", "0.3"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: tilted density does not vanish at the grid ends "
+                              "(edge ratio 1)")
+
+    def test_delay_bound_useless_row_has_no_beta(self, capsys, flat_prior_csv):
+        code, out, _ = run_cli(["bound", "bayes-delay", "--prior", flat_prior_csv,
                                 "--nu", "0", "--alpha", "0.5"], capsys)
         assert code == 0
         assert data_rows(out) == [["0.5", "-inf", "0", "nan", "useless"]]
+        # the joint search finds no regular tilt either
+        code, out, _ = run_cli(["bound", "bayes-delay", "--prior", flat_prior_csv,
+                                "--alpha", "0.3"], capsys)
+        (row,) = data_rows(out)
+        assert (code, row[1], row[4]) == (0, "-inf", "useless")
+
+    def test_nonlinear_row_at_the_range_end_reads_the_correlation_term(self, capsys):
+        # above alpha ~5.06 the supremum moves to theta_tilde = 0, where the
+        # --rho-gauss profile exp(-4 (0 - 0.5)^2) = exp(-1) enters the bound
+        code, out, _ = run_cli(["bound", "nonbayes-nonlinear", "--alpha", "5.5",
+                                "--theta", "0.5", "--lnb", "0.5", "--ex", "1", "--n0", "1",
+                                "--range", "0,1"], capsys)
+        assert code == 0
+        (row,) = data_rows(out)
+        assert row[2] == "0" and row[3] == "ok"
+        closed = 5.5 * (0.5 + 0.25) - 2.0 * (1.0 - math.exp(-1.0))
+        assert closed == pytest.approx(2.86075888234, abs=5e-12)
+        assert float(row[1]) == pytest.approx(closed, rel=1e-11)
 
     def test_delay_beta_without_nu_is_three(self, capsys):
         # without --nu the joint search picks beta, so a given --beta is refused

@@ -9,13 +9,13 @@ from riskbounds import (
     ConditioningError,
     DelayDesignProblem,
     DomainError,
+    GridDensity,
     NuTradeoff,
     Waveform,
     nu_bound,
     raised_cosine_pulse,
     raised_cosine_reference,
     solve_reference_ode,
-    uniform_density,
 )
 
 OMEGA0 = 2.0 * math.pi
@@ -198,9 +198,11 @@ class TestNuBound:
         assert again.value == pytest.approx(joint.value, abs=1e-9)
 
     def test_profile_infeasible_everywhere_is_useless(self):
-        # a flat prior has zero information for every tilt, so with nu = 0
+        # no tilt of a flat prior vanishes at the grid ends, so with nu = 0
         # no beta is feasible and the bound is -inf: useless, not ok
-        bv = nu_bound(uniform_density(0.0, 1.0), 0.5, nu=0.0, omega0=OMEGA0, ex=1.0, n0=1.0)
+        theta = np.linspace(0.0, 1.0, 4097)
+        flat = GridDensity(theta, np.ones_like(theta))
+        bv = nu_bound(flat, 0.5, nu=0.0, omega0=OMEGA0, ex=1.0, n0=1.0)
         assert bv.value == -math.inf
         assert bv.status == "useless"
         assert math.isnan(bv.argmax["beta"])

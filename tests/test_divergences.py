@@ -21,7 +21,6 @@ from riskbounds import (
     tilt_prior,
     tilt_terms,
     tilted_prior_bound,
-    uniform_density,
 )
 from riskbounds.core import logsumexp
 
@@ -181,17 +180,24 @@ class TestTiltPrior:
         else:
             assert tilted.kl_to_base() == pytest.approx(d_closed, abs=1e-13)
 
-    def test_uniform_base_is_fixed_point(self):
-        base = uniform_density(0.0, 1.0, 4097)
+    def test_flat_base_is_rejected_for_every_beta(self):
+        # a flat density never vanishes at the grid ends, however it is tilted
+        theta = np.linspace(0.0, 1.0, 4097)
+        base = GridDensity(theta, np.ones_like(theta))
+        message = r"does not vanish at the grid ends \(edge ratio 1\)"
+        for beta in (1e-3, 0.5, 1.0, 3.0, 60.0):
+            with pytest.raises(DomainError, match=message):
+                tilt_prior(base, beta)
+
+    def test_zero_padded_flat_base_is_accepted(self):
+        # zeros at both grid ends: every tilt of the flat part is the base itself
+        theta = np.linspace(-2.0, 2.0, 801)
+        base = _normalized(theta, np.where(np.abs(theta) <= 1.0, 1.0, 0.0))
         for beta in (0.5, 1.0, 3.0):
             tilted = tilt_prior(base, beta)
             assert tilted.kl_to_base() == pytest.approx(0.0, abs=1e-10)
             np.testing.assert_allclose(tilted.q_density.density, base.density, rtol=1e-10)
-            # flat density: information vanishes on the refined grid too
-            fine = uniform_density(0.0, 1.0, 16385)
-            assert tilt_prior(fine, beta).fisher_info == pytest.approx(
-                tilted.fisher_info, abs=1e-12)
-            assert tilted.fisher_info == 0.0
+            assert tilted.fisher_info > 0.0
 
     def test_phi_prime_matches_analytic(self, gaussian_prior_grid):
         # phi' = E_Q[ln p] = -ln(2 pi sigma2) / 2 - 1 / (2 beta) for a Gaussian
@@ -251,11 +257,11 @@ class TestTiltTerms:
         prior = gaussian_prior_grid(1.0)
         messages = []
         for _ in range(2):
-            with pytest.raises(DomainError, match="escapes the grid window") as info:
+            with pytest.raises(DomainError, match="does not vanish at the grid ends") as info:
                 tilt_terms(prior, 0.01)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        with pytest.raises(DomainError, match="escapes the grid window"):
+        with pytest.raises(DomainError, match="does not vanish at the grid ends"):
             tilted_prior_bound(prior, 0.3, 0.01, 0.5)
 
     def test_joint_delay_search_tilts_each_beta_once(self, gaussian_prior_grid, monkeypatch):
@@ -351,12 +357,11 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple:
     inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
     if np.any(inner <= 0.0):
         raise DomainError("density vanishes at an interior grid point")
-    base_edge = max(p[nz[0]], p[nz[-1]]) / np.max(p)
-    tilt_edge = max(q[nz[0]], q[nz[-1]]) / np.max(q)
-    if base_edge < 1e-3 and tilt_edge > 1e-3:
+    tilt_edge = max(q[0], q[-1]) / np.max(q)
+    if tilt_edge > 1e-3:
         raise DomainError(
-            f"tilted density escapes the grid window (edge ratio {tilt_edge:.3g}); "
-            "supply a wider grid for this beta"
+            f"tilted density does not vanish at the grid ends (edge ratio {tilt_edge:.3g}); "
+            "supply a wider grid for this beta or a prior that decays there"
         )
     q_density = GridDensity(theta, q)
     dq = np.gradient(q, theta)
@@ -391,6 +396,7 @@ def _battery_priors() -> dict[str, GridDensity]:
     return {
         "gaussian:1.0": cli_gaussian(1.0, 10.0, 8193),
         "gaussian:0.5,30,8193": cli_gaussian(0.5, 30.0, 8193),
+        "gaussian:1.0,3,4097": cli_gaussian(1.0, 3.0, 4097),
         "sinh-spaced": _normalized(sinh, np.exp(-sinh ** 2 / 2.0)),
         "zero-padded uniform": _normalized(padded, np.where(np.abs(padded) <= 1.0, 1.0, 0.0)),
         "holed": _normalized(holed, np.abs(holed)),
@@ -421,10 +427,11 @@ class TestTiltBits:
         _assert_same_tilt(beta)
 
     # window escapes: gaussian:1.0 below beta ~0.138, gaussian:0.5,30 below
-    # ~0.0154, the sinh grid below ~0.216 and the Laplace file below ~0.576
+    # ~0.0154, the sinh grid below ~0.216, the Laplace file below ~0.576 and
+    # gaussian:1.0,3,4097 below ln(1000) / 4.5 ~ 1.53506
     @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.0153, 0.0154, 0.1, 0.138, 0.139, 0.2,
                                       0.215, 0.217, 0.5, 0.575, 0.577, 1.0, 60.0,
-                                      0.0, -1.0, math.nan])
+                                      0.0, -1.0, math.nan, 1.535, 1.5351])
     def test_window_escapes_and_rejections(self, beta):
         _assert_same_tilt(beta)
 
@@ -441,7 +448,10 @@ class TestTiltBits:
                     tilt_prior(prior, beta)
                 except DomainError as exc:
                     messages.append(str(exc))
-        for reason in ("escapes the grid window", "vanishes at an interior grid point",
+        # the truncated window is rejected at beta = 1, where the bare window is not
+        with pytest.raises(DomainError, match="does not vanish at the grid ends"):
+            tilt_prior(priors["gaussian:1.0,3,4097"], 1.0)
+        for reason in ("does not vanish at the grid ends", "vanishes at an interior grid point",
                        "must be positive", "not integrable"):
             assert any(reason in m for m in messages), reason
 
