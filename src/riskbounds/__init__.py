@@ -28,8 +28,7 @@ _EXPORTS = {
             "scalar_ml_lambda", "ww_rect_delay_bound")),
         ("core", ("GridDensity", "Waveform")),
         ("divergences", (
-            "TiltedPrior", "binary_divergence", "renyi_gaussian_linear", "tilt_prior",
-            "tilt_terms")),
+            "binary_divergence", "renyi_gaussian_linear", "tilt_prior", "tilt_terms")),
         ("bayes_bounds", (
             "alpha_c_estimate", "alpha_c_upper", "lpcb_bound", "lpcb_sweep",
             "tilted_prior_bound")),

@@ -245,7 +245,9 @@ def lpcb_sweep(
     if beta is not None:
         if not np.all((0.0 < beta) & (beta < alphas)):
             raise DomainError("beta must lie strictly inside (0, alpha)")
-        return [classify(v, {"beta": beta}) for v in f(alphas, beta).tolist()]
+        with np.errstate(over="ignore"):   # a split below alpha / 1.8e308 makes the order +inf
+            values = f(alphas, beta)
+        return [classify(v, {"beta": beta}) for v in values.tolist()]
 
     # the largest split whose residual alpha - beta reaches the reference
     # critical factor: the bound is +inf there unless the Renyi term

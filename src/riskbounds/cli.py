@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -233,7 +232,14 @@ def _load_prior(args) -> GridDensity:
         theta = np.linspace(-half, half, 8193 if n is None else n)
         dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
     else:
-        data = _load_csv(text, "prior")
+        try:
+            data = _load_csv(text, "prior")
+        except FileNotFoundError:
+            kind = text.split(":", 1)[0]
+            if ":" in text and kind.isidentifier():   # gaussain:1.0, uniform:0,1
+                raise DomainError(f"unknown --prior kind {kind!r}, expected {_PRIOR_USAGE}; "
+                                  "a flat prior is a theta,density CSV file") from None
+            raise
         if data.shape[1:] != (2,):
             raise DomainError("prior file must have two columns: theta, density")
         theta, dens = data[:, 0], data[:, 1]
@@ -424,13 +430,9 @@ def _mc_rows(args) -> list[list]:
     run = verify.MCRun(args.model, args.estimator, alpha=alpha,
                        n_samples=args.samples, master_seed=args.seed,
                        sigma2=args.sigma2, es=args.es, n0=args.n0)
-    source = "RISKBOUNDS_THREADS" if args.threads is None else "--threads"
-    try:
-        workers = int(os.environ.get(source, "1")) if args.threads is None else args.threads
-    except ValueError as exc:
-        raise DomainError(f"{source} must be an integer") from exc
+    workers = 1 if args.threads is None else args.threads
     if workers < 1:
-        raise DomainError(f"{source} must be at least 1, got {workers}")
+        raise DomainError(f"--threads must be at least 1, got {workers}")
     res = verify.mc_lambda(run, workers=workers)
     if res.heavy_tail:
         print(f"warning: tail-dominated estimate: max_share {res.max_share:.6g} exceeds "
@@ -534,7 +536,7 @@ _FLAGS = {
         "n0": {"type": float, "default": 1.0},
         "n": {"type": int, "default": 200},
         "theta": {"type": float, "default": 0.3},
-        "threads": {"type": int, "help": "worker threads (default: RISKBOUNDS_THREADS, else 1)"},
+        "threads": {"type": int, "help": "worker threads (default 1)"},
     },
     "emit-plot": {
         "csv": {"required": True},

@@ -85,10 +85,6 @@ class BoundValue:
     status: str = STATUS_OK
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 def classify(value: float, argmax: dict, diagnostics: dict | None = None) -> BoundValue:
     """BoundValue whose status follows the value: +inf divergent, -inf useless."""

@@ -8,7 +8,7 @@ divergent bound, ``-inf`` for a useless one) are ordinary floats, and
 functions are plain numpy arrays wrapped with their abscissae (a
 ``GridDensity`` caches its trapezoid weights, log density, integral and
 the beta-independent half of a power tilt, and ``divergences.tilt_terms``
-the scalars of its power tilts), and the
+the (information, divergence) pair of each of its power tilts), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
 descent built on top of it.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
@@ -129,18 +129,6 @@ def _trapezoid(y: np.ndarray, dx: np.ndarray) -> float:
     return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-def _density_on(theta: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Read-only float copy of a finite nonnegative density sampled on theta."""
-    p = np.array(density, dtype=float)
-    if p.shape != theta.shape:
-        raise GridError("density needs matching 1-D grids")
-    if not np.isfinite(p).all():
-        raise DomainError("density must be finite")
-    if np.any(p < 0):
-        raise DomainError("density must be nonnegative")
-    return _read_only(p)
-
-
 @dataclass(frozen=True)
 class TiltGrid:
     """The beta-independent pieces of a power tilt of one grid density.
@@ -199,29 +187,15 @@ class GridDensity:
             raise GridError("theta grid must be finite")
         if np.any(np.diff(th) <= 0):
             raise GridError("theta grid must be strictly increasing")
+        p = np.array(self.density, dtype=float)
+        if p.shape != th.shape:
+            raise GridError("density needs matching 1-D grids")
+        if not np.isfinite(p).all():
+            raise DomainError("density must be finite")
+        if np.any(p < 0):
+            raise DomainError("density must be nonnegative")
         object.__setattr__(self, "theta", _read_only(th))
-        object.__setattr__(self, "density", _density_on(th, self.density))
-
-    def with_density(self, density: np.ndarray) -> "GridDensity":
-        """A density on this grid, sharing the already checked read-only theta."""
-        return self._on_grid(_density_on(self.theta, density))
-
-    def adopt_density(self, density: np.ndarray) -> "GridDensity":
-        """A density on this grid from a fresh nonnegative float array.
-
-        The array is made read-only and kept, not copied or re-checked; the
-        caller hands over its only reference.  Its integral is taken now,
-        on this grid's cached spacings.
-        """
-        out = self._on_grid(_read_only(density))
-        vars(out)["_integral"] = self.integrate(density)
-        return out
-
-    def _on_grid(self, density: np.ndarray) -> "GridDensity":
-        out = object.__new__(GridDensity)
-        object.__setattr__(out, "theta", self.theta)
-        object.__setattr__(out, "density", density)
-        return out
+        object.__setattr__(self, "density", _read_only(p))
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -286,7 +260,7 @@ class GridDensity:
         z = self.integral()
         if not 0.0 < z < math.inf:
             raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
-        return self.with_density(self.density / z)
+        return GridDensity(self.theta, self.density / z)
 
     def mean(self) -> float:
         return self.integrate(self.theta * self.density)

@@ -2,11 +2,11 @@
 
 Covers the binary divergence, the Renyi divergence between a nonlinear
 signal model and a linear-Gaussian reference (through the log of the
-Gaussian quadratic-exponential moment), and power-tilted priors with their
-normalizer, log-normalizer derivative and Fisher information.
-``tilt_terms`` memoizes a tilt's information and divergence on the prior,
-so each (prior, beta) is tilted once however often an optimizer revisits
-it.
+Gaussian quadratic-exponential moment), and the two numbers of a power
+tilt Q_beta of a prior that the bounds read: its Fisher information and
+its divergence from the prior.  ``tilt_terms`` memoizes that pair on the
+prior, so each (prior, beta) is tilted once however often an optimizer
+revisits it.
 
 All returns are extended reals: a legitimately divergent quantity comes
 back as ``+inf`` rather than raising.
@@ -15,21 +15,12 @@ back as ``+inf`` rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    LOG_FLOAT_MAX,
-    DomainError,
-    GridDensity,
-    float_or_array,
-    logsumexp,
-    select,
-)
+from .core import DomainError, GridDensity, float_or_array, logsumexp, select
 
 __all__ = [
-    "TiltedPrior",
     "binary_divergence",
     "renyi_gaussian_linear",
     "tilt_prior",
@@ -43,28 +34,6 @@ _NORM_TOL = 1e-6          # quadrature tolerance for density normalization
 # above this share of its peak is rejected, whatever the base: a flat or
 # truncated prior has a jump there that the one-sided differences miss.
 _EDGE_ESCAPE = 1e-3
-
-
-@dataclass(frozen=True)
-class TiltedPrior:
-    """A base prior raised to power beta and renormalized.
-
-    Exposes the normalizer Z(beta), phi = ln Z, its exact derivative
-    phi' = E_Q[ln p] and the Fisher information of the tilted density,
-    all computed with the base grid's trapezoid weights.  kl_to_base()
-    gives D(tilted || base) in closed form (beta - 1) phi'(beta) - phi(beta).
-    """
-
-    base: GridDensity
-    beta: float
-    z_beta: float
-    phi: float
-    phi_prime: float
-    fisher_info: float
-    q_density: GridDensity = field(repr=False)
-
-    def kl_to_base(self) -> float:
-        return (self.beta - 1.0) * self.phi_prime - self.phi
 
 
 def binary_divergence(q: float, theta: float) -> float:
@@ -94,7 +63,8 @@ def _log_quad_mgf(a_coef, b_coef, sigma2: float):
     denom = 1.0 - 2.0 * a_coef * sigma2
     finite = denom > 0.0
     denom = select(finite, denom, 1.0)
-    return select(finite, b_coef ** 2 * sigma2 / (2.0 * denom) - 0.5 * np.log(denom), math.inf)
+    return float_or_array(
+        select(finite, b_coef * b_coef * sigma2 / (2.0 * denom) - 0.5 * np.log(denom), math.inf))
 
 
 def _order(order: float | np.ndarray) -> float | np.ndarray:
@@ -124,41 +94,67 @@ def renyi_gaussian_linear(
     P is the true joint law: Theta ~ N(0, sigma2), signal of energy ex whose
     time integral is q_const for every theta.  Q is the reference: Theta ~
     N(0, sigma2_q), signal theta * s(t) with a DC s of energy es on [0, T].
-    Returns +inf when the underlying Gaussian moment diverges.  The order
-    may be an array of orders; a float order gives a float.
+    Returns +inf when the underlying Gaussian moment diverges, and also
+    where the order is so large that the float terms overflow into an
+    undetermined inf - inf.  The order may be an array of orders; a float
+    order gives a float.
     """
     a = _order(order)
     if sigma2 <= 0 or sigma2_q <= 0 or n0 <= 0 or es < 0 or ex < 0 or t_horizon <= 0:
         raise DomainError("model parameters out of range")
+    model = (sigma2, sigma2_q, es, ex, n0, q_const, t_horizon)
+    if not isinstance(a, np.ndarray):   # Python floats overflow to inf without a warning
+        return _renyi(a, *model)
+    with np.errstate(over="ignore", invalid="ignore"):   # numpy warns where a huge order overflows
+        return _renyi(a, *model)
+
+
+def _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):
+    """The terms of ``renyi_gaussian_linear`` at checked arguments.
+
+    A huge order overflows a (a - 1), or a itself, to +inf.  A term whose
+    scalar factor is 0 is 0 at every order, never inf * 0.
+    """
+    ratio = sigma2 / sigma2_q
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(sigma2) - math.log(sigma2_q)
+    b_scale = 2.0 * q_const * math.sqrt(es / t_horizon) / n0
     am1 = a - 1.0
     aam1 = a * am1
-    a_coef = a / (2.0 * sigma2) - a / (2.0 * sigma2_q) + aam1 * es / n0
-    b_coef = aam1 * (2.0 * q_const * math.sqrt(es / t_horizon) / n0)
-    log_integral = (0.5 * a * math.log(sigma2 / sigma2_q) + aam1 * ex / n0
+    a_coef = ((a / (2.0 * sigma2) - a / (2.0 * sigma2_q) if sigma2 != sigma2_q else 0.0)
+              + (aam1 * es / n0 if es else 0.0))
+    b_coef = aam1 * b_scale if b_scale else 0.0
+    log_integral = ((0.5 * a * log_ratio if log_ratio else 0.0)
+                    + (aam1 * ex / n0 if ex else 0.0)
                     + _log_quad_mgf(a_coef, b_coef, sigma2))
-    return float_or_array(log_integral / am1)
+    renyi = log_integral / am1
+    # D_a is never negative: a NaN (inf - inf, inf / inf) or -inf is left by
+    # terms that overflowed, and reads +inf, the side that only loosens a
+    # bound that subtracts it
+    return float_or_array(select(renyi > -math.inf, renyi, math.inf))
 
 
-def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
-    """Raise a normalized grid prior to power beta and renormalize.
+def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
+    """(I(Q_beta), D(Q_beta || P)) of a normalized grid prior P raised to power beta.
 
-    Z(beta) is the trapezoid sum of base^beta, and phi'(beta) is the exact
-    derivative of that same discrete ln Z, E_Q[ln p].  The Fisher
-    information of the tilted density uses second-order differences on
-    the theta grid, one-sided at the grid ends.  Two tilts are rejected
-    because the information integral is not trustworthy for them: a
-    density that vanishes at an interior grid point, and a tilted density
-    above 1e-3 of its peak at either grid end, whatever the base.  So
-    every tilt of a flat prior is rejected, and so are the small-beta
-    tilts of a Gaussian window, while a prior padded with zeros at both
-    grid ends passes; callers needing a smaller beta must supply a wider
-    grid.
+    Q_beta is P^beta renormalized by Z(beta), the trapezoid sum of
+    P^beta.  The divergence is (beta - 1) phi'(beta) - ln Z(beta), where
+    phi'(beta) = E_Q[ln p] is the exact derivative of that same discrete
+    ln Z, so Q_beta integrates to 1 to rounding.  The Fisher information
+    of Q_beta uses second-order differences on the theta grid, one-sided
+    at the grid ends.  Two tilts are rejected because the information
+    integral is not trustworthy for them: a density that vanishes at an
+    interior grid point, and a tilted density above 1e-3 of its peak at
+    either grid end, whatever the base.  So every tilt of a flat prior is
+    rejected, and so are the small-beta tilts of a Gaussian window, while
+    a prior padded with zeros at both grid ends passes; callers needing a
+    smaller beta must supply a wider grid.
 
     Everything that does not depend on beta comes from the base's cached
     ``tilt_grid``: its support scan and hole flag, the grid spacings of
     both trapezoids and the gradient's coefficients.  A tilt then costs
     one log-sum-exp, one exponential and a few array passes, with the bits
-    of ``np.gradient`` and ``np.trapezoid`` on the same grid.
+    of ``np.gradient`` and ``np.trapezoid`` on the same grid.  The tilted
+    density is a local array: no Q_beta is returned or kept.
     """
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
@@ -186,39 +182,25 @@ def tilt_prior(base: GridDensity, beta: float) -> TiltedPrior:
     dq = grid.gradient(q)
     integrand = np.zeros_like(q)
     np.divide(dq * dq, q, out=integrand, where=q > 0.0)
-    q_density = base.adopt_density(q)
-    tilted = TiltedPrior(
-        base=base,
-        beta=float(beta),
-        z_beta=math.exp(log_z) if log_z <= LOG_FLOAT_MAX else math.inf,
-        phi=log_z,
-        phi_prime=dphi,
-        fisher_info=base.integrate(integrand),
-        q_density=q_density,
-    )
-    q_density.check_normalized(10.0 * _NORM_TOL)
-    return tilted
+    return base.integrate(integrand), (float(beta) - 1.0) * dphi - log_z
 
 
 def tilt_terms(prior: GridDensity, beta: float) -> tuple[float, float]:
-    """(I(Q_beta), D(Q_beta || P)) of ``tilt_prior(prior, beta)``, tilted once per beta.
+    """``tilt_prior(prior, beta)``, tilted once per beta.
 
     The prior caches these two floats per beta in its instance dict, where
     ``functools.cached_property`` keeps its weights, so a hit returns the
     very floats the first tilt computed.  A rejected tilt caches its
     ``DomainError`` message and raises a fresh ``DomainError`` with that
-    text on every call.  No array is cached: callers that need Q_beta
-    itself call ``tilt_prior``, which always builds fresh arrays.  Threads
-    sharing a prior may race on a missing beta; both compute and store the
-    same floats.
+    text on every call.  No array is cached.  Threads sharing a prior may
+    race on a missing beta; both compute and store the same floats.
     """
     memo = vars(prior).setdefault("_tilt_terms", {})
     beta = float(beta)
     terms = memo.get(beta)
     if terms is None:
         try:
-            tilted = tilt_prior(prior, beta)
-            terms = (tilted.fisher_info, tilted.kl_to_base())
+            terms = tilt_prior(prior, beta)
         except DomainError as exc:
             terms = str(exc)
         memo[beta] = terms

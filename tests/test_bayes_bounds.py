@@ -1,7 +1,9 @@
 """Bayesian bound families: closed forms, optimizers, dominance, reductions."""
 
 import functools
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +424,14 @@ class TestLpcbSweep:
         fixed = lpcb_sweep(alphas[alphas > 0.4], 0.4, **model)
         assert fixed == [lpcb_bound(float(a), 0.4, **model) for a in alphas[alphas > 0.4]]
 
+    def test_float_and_batch_searches_agree_with_a_signal_mean(self):
+        # the Renyi term squares b on both paths as b * b; a float b ** 2
+        # (C pow) differed from numpy's square in the last bit at this alpha
+        model = dict(sigma2=0.5, ex=0.001, es=0.2, q_const=0.3, sigma2_q=0.4, t_horizon=2.0)
+        alpha = 1.7361779364733712
+        row, single = lpcb_sweep([alpha, alpha], **model)[0], lpcb_bound(alpha, **model)
+        assert (row.value, row.argmax) == (single.value, single.argmax)
+
     def test_divergent_rows_carry_a_real_witness(self):
         # sigma2 = 0.5: the reference critical factor is 1, so every alpha
         # above it splits off beta = (alpha - 1)(1 - 1e-9) and the residual
@@ -469,6 +479,28 @@ class TestLpcbSweep:
             lpcb_sweep([0.3, 0.6], **model)
         with pytest.raises(DomainError):
             lpcb_bound(0.3, **model)
+
+    @pytest.mark.parametrize("es, ex, q_const, sigma2_q",
+                             itertools.product((0.0, 1.0), (0.0, 0.1), (0.0, 0.3), (None, 0.4, 0.6)))
+    def test_tiny_splits_never_read_nan(self, es, ex, q_const, sigma2_q):
+        # the order alpha / beta overflows a (a - 1) below beta ~ 1e-154 and
+        # is itself +inf at beta = 5e-324; a term whose factor es, ex or
+        # q_const is 0 must stay 0 there, not inf * 0, and no overflow warns
+        alphas = [0.05, 0.5, 0.9]
+        model = dict(sigma2=0.5, ex=ex, es=es, q_const=q_const, sigma2_q=sigma2_q)
+        for beta in (5e-324, 1e-320, 1e-300, 1e-200, 1e-155, 1e-100, 1e-10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rows = lpcb_sweep(alphas, beta, **model)
+                singles = [lpcb_bound(a, beta, **model) for a in alphas]
+            assert rows == singles
+            assert not any(math.isnan(r.value) for r in rows), beta
+            if es == ex == q_const == 0.0 and sigma2_q is None:
+                # reference and truth coincide: no Renyi term, whatever the order
+                for a, r in zip(alphas, rows):
+                    res = a - beta
+                    assert r.value == -a / (2.0 * res) * math.log1p(-res / 1.0)
+                    assert r.status == "ok"
 
     @pytest.mark.parametrize("alphas", [[0.3, math.nan], [0.3, 0.0], [math.inf]])
     def test_bad_alphas_rejected(self, alphas):

@@ -300,14 +300,13 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_sweeps_load_no_thread_pool():
-    # sweeps run serially whatever RISKBOUNDS_THREADS says; only verify mc reads it
+    # sweeps run serially; only verify mc has a worker count
     code = ("import riskbounds.cli, sys; "
             "riskbounds.cli.main(['bound', 'nonbayes-linear', '--alpha-sweep', '0.05:0.95:12', "
             "'--es', '1', '--n0', '1']); "
             "assert 'concurrent' not in sys.modules")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         env=_src_env(RISKBOUNDS_THREADS="4"), capture_output=True,
-                         text=True, timeout=120).stdout
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=_src_env(),
+                         capture_output=True, text=True, timeout=120).stdout
     assert len(data_rows(out)) == 12
 
 
@@ -480,18 +479,20 @@ class TestExitCodes:
         assert err.strip().startswith("error:")
         assert out == ""
 
-    def test_bad_thread_variable_is_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("RISKBOUNDS_THREADS", "two")
-        code, out, err = run_cli(["verify", "mc", "--model", "nb-ml", "--estimator", "ml",
-                                  "--alpha", "0.3", "--samples", "1000"], capsys)
-        assert code == 3 and out == ""
-        assert err == "error: RISKBOUNDS_THREADS must be an integer\n"
+    @pytest.mark.parametrize("env", ["two", "0"])
+    def test_thread_variable_is_not_read(self, capsys, monkeypatch, env):
+        # --threads is the only worker setting, absent meaning 1
+        monkeypatch.setenv("RISKBOUNDS_THREADS", env)
+        argv = ["verify", "mc", "--model", "nb-ml", "--estimator", "ml", "--alpha", "0.3",
+                "--samples", "1000"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        monkeypatch.delenv("RISKBOUNDS_THREADS")
+        assert run_cli(argv, capsys)[1] == out
 
     @pytest.mark.parametrize("flag, env, source, count", [
         (["--threads", "-3"], None, "--threads", "-3"),
         (["--threads", "0"], "2", "--threads", "0"),
-        ([], "-2", "RISKBOUNDS_THREADS", "-2"),
-        ([], "0", "RISKBOUNDS_THREADS", "0"),
     ])
     def test_worker_count_below_one_is_three(self, capsys, monkeypatch, flag, env, source, count):
         if env is None:
@@ -633,6 +634,31 @@ class TestExitCodes:
                                 "--es", "1", "--q-const", "1000"], capsys)
         assert code == 0
         assert math.isfinite(float(data_rows(out)[0][2]))
+
+    @pytest.mark.parametrize("flags, row", [
+        (["--beta", "1e-300", "--es", "1"], ["0.5", "0", "-inf", "1e-300", "useless"]),
+        # es = ex = q_const = 0: the Renyi term is 0 and the bound is ln(2) / 2
+        (["--beta", "1e-200", "--es", "0"], ["0.5", "0", "0.34657359028", "1e-200", "ok"]),
+        (["--beta", "5e-324", "--es", "0"], ["0.5", "0", "0.34657359028", "4.94065645841e-324",
+                                             "ok"]),
+    ])
+    def test_tiny_lpcb_split_reads_no_nan(self, capsys, flags, row):
+        code, out, err = run_cli(["bound", "bayes-lpcb", "--alpha", "0.5", "--sigma2", "0.5",
+                                  "--snr", "0", *flags], capsys)
+        assert code == 0 and err == ""
+        assert data_rows(out) == [row]
+
+    @pytest.mark.parametrize("flags", [
+        ["--sigma2", "1e-300", "--sigma2q", "1e300"],   # sigma2 / sigma2q underflows to 0
+        ["--sigma2", "1e300", "--sigma2q", "1e-300"],   # and overflows to inf
+        ["--sigma2", "0.5", "--es", "1e100", "--q-const", "1e100"],   # (a b)^2 overflows
+    ])
+    def test_lpcb_terms_beyond_float_range_read_useless(self, capsys, flags):
+        code, out, err = run_cli(["bound", "bayes-lpcb", "--alpha", "0.5", "--snr", "0",
+                                  *flags], capsys)
+        assert code == 0 and err == ""
+        row = data_rows(out)[0]
+        assert (row[2], row[4]) == ("-inf", "useless")
 
     def test_certify_passes_cleanly(self, capsys):
         code, out, err = run_cli(["verify", "certify", "--samples", "20000",
@@ -846,6 +872,27 @@ class TestSweeps:
         assert code == 0
         assert header(out) == "alpha,bound,nu,beta,status"
         assert math.isfinite(float(data_rows(out)[0][1]))
+
+    @pytest.mark.parametrize("spec, kind", [("uniform:0,1", "uniform"),
+                                            ("gaussain:1.0", "gaussain")])
+    def test_unknown_prior_kind_is_three(self, capsys, tmp_path, monkeypatch, spec, kind):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["bound", "bayes-tilted", "--prior", spec, "--alpha", "0.3",
+                                  "--beta", "0.8"], capsys)
+        assert code == 3 and out == ""
+        assert err == (f"error: unknown --prior kind {kind!r}, expected gaussian:VAR[,SPAN,N] | "
+                       "CSV path; a flat prior is a theta,density CSV file\n")
+
+    def test_prior_file_named_like_a_kind_loads(self, capsys, tmp_path, monkeypatch):
+        theta = np.linspace(-6, 6, 2001)
+        np.savetxt(tmp_path / "wide:1.csv", np.column_stack([theta, np.exp(-theta ** 2 / 2)]),
+                   delimiter=",")
+        monkeypatch.chdir(tmp_path)
+        argv = ["bound", "bayes-tilted", "--alpha", "0.3", "--beta", "1.0", "--es-over-n0", "0.5"]
+        code, out, _ = run_cli(argv + ["--prior", "wide:1.csv"], capsys)
+        assert code == 0
+        _, want, _ = run_cli(argv + ["--prior", str(tmp_path / "wide:1.csv")], capsys)
+        assert data_rows(out) == data_rows(want)
 
     def test_prior_file_input(self, capsys, tmp_path):
         theta = np.linspace(-6, 6, 2001)
@@ -1088,6 +1135,10 @@ def _table_argv(draw):
 @example(["verify", "certify", "--samples=1000", "--seed=1"])
 @example(["verify", "mc", "--samples=1000", "--threads=0"])
 @example(["verify", "bernoulli-exact", "--a=1e300"])
+@example(["bound", "bayes-lpcb", "--alpha", "0.5", "--beta", "1e-300", "--sigma2", "0.5",
+          "--es", "1", "--snr", "0"])
+@example(["bound", "bayes-lpcb", "--alpha", "0.5", "--sigma2", "1e-300", "--sigma2q", "1e300"])
+@example(["bound", "bayes-lpcb", "--alpha", "0.5", "--es", "1e100", "--q-const", "1e100"])
 @settings(max_examples=150, deadline=None)
 def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
     if argv[1] == "nonbayes-vector":

@@ -85,19 +85,6 @@ class TestGridDensity:
         np.testing.assert_array_equal(d.weights, weights)
         assert theta.flags.writeable and dens.flags.writeable
 
-    def test_with_density_shares_only_the_grid(self):
-        d = GridDensity(np.linspace(-1.0, 1.0, 33), np.full(33, 0.5))
-        dens = np.linspace(0.0, 1.0, 33)
-        other = d.with_density(dens)
-        assert other.theta is d.theta
-        dens[:] = 9.0
-        assert other.density[-1] == 1.0 and not other.density.flags.writeable
-        assert d.normalized().theta is d.theta
-        with pytest.raises(GridError):
-            d.with_density(np.ones(32))
-        with pytest.raises(DomainError):
-            d.with_density(np.full(33, -1.0))
-
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
