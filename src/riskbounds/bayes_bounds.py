@@ -13,12 +13,11 @@ for the sharper one).  The module provides
 * the divergence onset of any bound family as an estimate of alpha_c,
 
 each with its free parameters exposed and a maximizer over them.
-``lpcb_sweep`` searches the splits of several alphas at once with
-``core._maximize_batch`` and a single split with the float
-``maximize_scalar``, the faster of the two for one search.  The
-scalar closed forms (the linear-Gaussian model and minimum, the generic
-bound, the wide-prior phase bound and the rectangular-pulse delay bound)
-live in the numpy-free ``closed_forms`` and are re-exported here.
+``lpcb_sweep`` searches the splits of all its alphas, one alpha included,
+with one ``core._maximize_batch`` on numpy arrays.  The scalar closed
+forms (the linear-Gaussian model and minimum, the generic bound, the
+wide-prior phase bound and the rectangular-pulse delay bound) live in the
+numpy-free ``closed_forms`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from .core import (
     GridDensity,
     _maximize_batch,
     divergence_onset,
-    float_or_array,
-    maximize_scalar,
-    select,
 )
 from .divergences import renyi_gaussian_linear, tilt_terms
 
@@ -158,7 +154,7 @@ def alpha_c_upper(prior: GridDensity) -> float:
 
 
 def _lpcb_value(
-    alpha: float | np.ndarray,
+    alpha: np.ndarray,
     beta: float | np.ndarray,
     *,
     sigma2: float,
@@ -168,10 +164,10 @@ def _lpcb_value(
     es: float,
     q_const: float,
     t_horizon: float,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Points of the Renyi-divergence bound; -inf when vacuous, +inf when divergent.
 
-    alpha and beta broadcast against each other; floats give a float.
+    alpha and beta broadcast against each other into the array of points.
     """
     renyi = renyi_gaussian_linear(
         alpha / beta,
@@ -187,8 +183,8 @@ def _lpcb_value(
     alpha_c_ref = 1.0 / (2.0 * sigma2_q) + es / n0
     ratio = residual / alpha_c_ref
     below = ratio < 1.0
-    value = -alpha / (2.0 * residual) * np.log1p(-select(below, ratio, 0.0)) - renyi
-    return float_or_array(select(renyi == math.inf, -math.inf, select(below, value, math.inf)))
+    value = -alpha / (2.0 * residual) * np.log1p(-np.where(below, ratio, 0.0)) - renyi
+    return np.where(renyi == math.inf, -math.inf, np.where(below, value, math.inf))
 
 
 def _lpcb_model(
@@ -213,6 +209,7 @@ def _lpcb_model(
     return model
 
 
+@np.errstate(over="ignore", divide="ignore")
 def lpcb_sweep(
     alphas: Sequence[float] | np.ndarray,
     beta: float | None = None,
@@ -229,10 +226,12 @@ def lpcb_sweep(
 
     The alphas are evaluated together: a fixed split is one array
     evaluation, and the optimized splits are one ``core._maximize_batch``
-    over the whole sequence, or the float ``maximize_scalar`` when a
-    single split is left to search.  Each row's diagnostics
-    ``n_eval`` counts the points its search evaluated (every row of a
-    batch evaluates the same number).
+    over the whole sequence, a single split included.  Each row's
+    diagnostics ``n_eval`` counts the points its search evaluated (every
+    row of a batch evaluates the same number).  At extreme inputs a huge
+    order, 2 sigma2_q or a bracket end near the float maximum overflows,
+    and the reference critical factor can read 0; these give the rows'
+    infinities silently, never a numpy warning.
     """
     model = _lpcb_model(sigma2, ex, n0, sigma2_q, es, q_const, t_horizon)
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
@@ -245,8 +244,7 @@ def lpcb_sweep(
     if beta is not None:
         if not np.all((0.0 < beta) & (beta < alphas)):
             raise DomainError("beta must lie strictly inside (0, alpha)")
-        with np.errstate(over="ignore"):   # a split below alpha / 1.8e308 makes the order +inf
-            values = f(alphas, beta)
+        values = f(alphas, beta)
         return [classify(v, {"beta": beta}) for v in values.tolist()]
 
     # the largest split whose residual alpha - beta reaches the reference
@@ -264,14 +262,7 @@ def lpcb_sweep(
     search = ~divergent
     a, lo, hi = alphas[search], lo[search], hi[search]
     found = iter(())
-    if a.size == 1:
-        # the float search runs the pure-Python golden loop, far cheaper than
-        # numpy for one search and the same to the bit
-        a = a.item()
-        b_star, val, n_eval = maximize_scalar(lambda b: f(a, b), lo.item(), hi.item(),
-                                              log_spaced=True, coarse=96)
-        found = iter([(b_star, val)])
-    elif a.size:
+    if a.size:
         b_star, vals, n_eval = _maximize_batch(lambda b: f(a, b), lo, hi,
                                                log_spaced=True, coarse=96)
         n_eval //= a.size

@@ -14,8 +14,9 @@ a float into a ``BoundValue`` status.  The closed forms here are a few
 The package's 1-D searches live here too, as plain-Python loops on float
 brackets: ``golden_section_max``, the one golden-section search, and
 ``maximize_scalar``, a coarse sweep polished by it.  They take floats
-only; a caller with many brackets at once uses ``core``'s batched numpy
-forms itself.  ``_linspace``, numpy's ``linspace`` formula on floats,
+only and serve the delay, nonlinear and coordinate searches; the lpcb
+split search runs ``core``'s batched numpy form for one alpha or many,
+with the same result per bracket.  ``_linspace``, numpy's ``linspace`` formula on floats,
 spaces the CLI's linear sweeps, the estimator curve's q grid and the
 sweep of ``maximize_scalar``.
 

@@ -16,14 +16,12 @@ in the numpy-free ``closed_forms`` as plain Python loops on float brackets
 and are re-exported here as the same objects; what stays here is their
 batched form for arrays of brackets, ``_golden_section_batch`` and
 ``_maximize_batch``, which run every element as a search of its own in
-numpy with the same result per element as the float search.  A caller
-with several searches calls them directly; ``lpcb_sweep`` is the one that
-does.  ``logsumexp`` is the package's only
-log-sum-exp; ``select`` and ``float_or_array`` let one closed form take
-floats or arrays.  The exception classes live in the numpy-free
-``errors`` module and are re-exported here as the same class objects, so
-``except core.DomainError`` and ``except errors.DomainError`` are one
-clause.
+numpy with the same result per element as the float search.
+``lpcb_sweep`` calls them directly for every search of its splits, one
+alpha included.  ``logsumexp`` is the package's only log-sum-exp.  The
+exception classes live in the numpy-free ``errors`` module and are
+re-exported here as the same class objects, so ``except core.DomainError``
+and ``except errors.DomainError`` are one clause.
 """
 
 from __future__ import annotations
@@ -66,26 +64,6 @@ def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
         return m
     e = np.exp(x - m)
     return m + math.log(float(np.sum(e if w is None else w * e)))
-
-
-def float_or_array(x) -> float | np.ndarray:
-    """A float for a 0-d result, the array itself otherwise.
-
-    With ``select`` this lets one numpy formula serve float and array
-    arguments alike.
-    """
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
-
-
-def select(cond, x, y):
-    """``np.where(cond, x, y)``; a scalar condition picks x or y directly.
-
-    np.where costs microseconds even on floats, which a 1-D search that
-    evaluates a closed form point by point would pay at every point.
-    """
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, x, y)
-    return x if cond else y
 
 
 @dataclass(frozen=True)
@@ -170,8 +148,8 @@ class GridDensity:
 
     theta and density are read-only copies of the caller's arrays, so the
     cached quadrature weights, log density, integral and ``tilt_grid`` can
-    never go stale.  Integrals over the grid (``integrate``, ``integral``,
-    ``mean``, ``variance``) are trapezoids on the cached ``tilt_grid.dx``.
+    never go stale.  Integrals over the grid (``integrate``, ``integral``)
+    are trapezoids on the cached ``tilt_grid.dx``.
     """
 
     theta: np.ndarray
@@ -261,13 +239,6 @@ class GridDensity:
         if not 0.0 < z < math.inf:
             raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
         return GridDensity(self.theta, self.density / z)
-
-    def mean(self) -> float:
-        return self.integrate(self.theta * self.density)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return self.integrate((self.theta - m) ** 2 * self.density)
 
 
 def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -48,17 +48,17 @@ _BETA_BRACKET = (1e-3, 50.0)   # tilt exponents searched by nu_bound
 
 @dataclass(frozen=True)
 class DelayDesignProblem:
-    """True pulse, Lagrange multiplier and noise level for the reference solve."""
+    """True pulse and Lagrange multiplier for the reference solve.
+
+    The noise level enters the solve only through lambda_mult.
+    """
 
     x: Waveform
     lambda_mult: float
-    n0: float
 
     def __post_init__(self):
         if self.lambda_mult <= 0:
             raise DomainError("lambda_mult must be positive")
-        if self.n0 <= 0:
-            raise DomainError("n0 must be positive")
         if self.x.t.size < 64:
             raise DomainError("grid resolution must be at least 64 points")
 

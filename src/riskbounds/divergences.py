@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, GridDensity, float_or_array, logsumexp, select
+from .core import DomainError, GridDensity, logsumexp
 
 __all__ = [
     "binary_divergence",
@@ -58,24 +58,13 @@ def binary_divergence(q: float, theta: float) -> float:
     return total
 
 
-def _log_quad_mgf(a_coef, b_coef, sigma2: float):
+def _log_quad_mgf(a_coef, b_coef, sigma2: float) -> np.ndarray:
     """ln E exp{A Theta^2 - B Theta}; +inf where the moment diverges."""
     denom = 1.0 - 2.0 * a_coef * sigma2
     finite = denom > 0.0
-    denom = select(finite, denom, 1.0)
-    return float_or_array(
-        select(finite, b_coef * b_coef * sigma2 / (2.0 * denom) - 0.5 * np.log(denom), math.inf))
-
-
-def _order(order: float | np.ndarray) -> float | np.ndarray:
-    if isinstance(order, np.ndarray):
-        valid = (order > 1.0).all()
-    else:
-        order = float(order)
-        valid = order > 1.0
-    if not valid:
-        raise DomainError("Renyi order must satisfy a > 1")
-    return order
+    denom = np.where(finite, denom, 1.0)
+    return np.where(finite, b_coef * b_coef * sigma2 / (2.0 * denom) - 0.5 * np.log(denom),
+                    math.inf)
 
 
 def renyi_gaussian_linear(
@@ -99,14 +88,14 @@ def renyi_gaussian_linear(
     undetermined inf - inf.  The order may be an array of orders; a float
     order gives a float.
     """
-    a = _order(order)
+    a = np.asarray(order, dtype=float)
+    if not (a > 1.0).all():
+        raise DomainError("Renyi order must satisfy a > 1")
     if sigma2 <= 0 or sigma2_q <= 0 or n0 <= 0 or es < 0 or ex < 0 or t_horizon <= 0:
         raise DomainError("model parameters out of range")
-    model = (sigma2, sigma2_q, es, ex, n0, q_const, t_horizon)
-    if not isinstance(a, np.ndarray):   # Python floats overflow to inf without a warning
-        return _renyi(a, *model)
     with np.errstate(over="ignore", invalid="ignore"):   # numpy warns where a huge order overflows
-        return _renyi(a, *model)
+        r = _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon)
+    return float(r) if r.ndim == 0 else r
 
 
 def _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):
@@ -130,7 +119,7 @@ def _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):
     # D_a is never negative: a NaN (inf - inf, inf / inf) or -inf is left by
     # terms that overflowed, and reads +inf, the side that only loosens a
     # bound that subtracts it
-    return float_or_array(select(renyi > -math.inf, renyi, math.inf))
+    return np.where(renyi > -math.inf, renyi, math.inf)
 
 
 def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:

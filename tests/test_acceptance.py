@@ -179,7 +179,7 @@ def test_criterion_8_reference_ode_accuracy(acceptance):
     pulse = raised_cosine_pulse(ex, t, omega0)
     worst = 0.0
     for lam in (5.0, omega0 ** 2, 200.0):
-        numeric = solve_reference_ode(DelayDesignProblem(pulse, lam, 1.0))
+        numeric = solve_reference_ode(DelayDesignProblem(pulse, lam))
         analytic = raised_cosine_reference(ex, t, omega0, lam)
         worst = max(worst, float(np.max(np.abs(numeric.values - analytic.values))))
     assert worst <= 1e-6

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -255,6 +256,20 @@ def _edge_priors(draw):
     return kind, lo, lo + draw(st.floats(0.1, 5.0)), n
 
 
+def _gaussian_ceiling(alpha: float, sigma2: float) -> float:
+    """C = -0.5 log1p(-2 alpha sigma2) of a N(0, sigma2) prior, at alpha raised by 8 ulps.
+
+    C and the closed forms it caps are all -0.5 log(1 - u) at a u that
+    carries a few ulps of rounding.  Within ulps of u = 1 that rounding
+    moves them far apart: at u = 1 - 1.8e-16 the exact C reads 18.126,
+    the float C 18.022 and ``linear_gaussian_min_lambda`` 18.368.  Taking
+    C at alpha (1 + 8 eps) absorbs that rounding and nothing more; it is
+    +inf where that alpha reaches 1/(2 sigma2).
+    """
+    u = 2.0 * (alpha * (1.0 + 8.0 * sys.float_info.epsilon)) * sigma2
+    return -0.5 * math.log1p(-u) if u < 1.0 else math.inf
+
+
 class TestPriorCeiling:
     """No Bayesian bound may exceed C(alpha), the moment of the best constant estimator."""
 
@@ -277,6 +292,39 @@ class TestPriorCeiling:
     def test_tilt_family_rows_stay_below_the_prior_ceiling(self, spec, alpha, beta, es, nu,
                                                            joint):
         _assert_below_ceiling(spec, alpha, beta, es, nu, joint)
+
+    @given(sigma2=st.floats(1e-2, 1e2), q_ratio=st.none() | st.floats(-1.0, 1.0),
+           es=st.just(0.0) | st.floats(1e-3, 10.0), ex=st.floats(1e-4, 10.0),
+           q_const=st.just(0.0) | st.floats(-1.0, 1.0), t_horizon=st.floats(0.1, 10.0),
+           fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              min_size=1, max_size=4),
+           split=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_rows_stay_below_the_prior_ceiling(self, sigma2, q_ratio, es, ex, q_const,
+                                                        t_horizon, fractions, split):
+        # the lpcb rows, searched and at a fixed split, and the closed forms on
+        # a N(0, sigma2) prior, at alpha below 1/(2 sigma2) where
+        # C(alpha) = -0.5 log1p(-2 alpha sigma2) is finite
+        alphas = [u / (2.0 * sigma2) for u in fractions]
+        model = dict(sigma2=sigma2, ex=ex, es=es, q_const=q_const, t_horizon=t_horizon,
+                     sigma2_q=None if q_ratio is None else sigma2 * 10.0 ** q_ratio)
+        if not all(bayes_bounds._BETA_EDGE * a > 0.0 for a in alphas):
+            # below about 5e-318 the low end of the split bracket underflows
+            # to 0 and no split is left to search: a DomainError, exit 3
+            with pytest.raises(DomainError):
+                lpcb_sweep(alphas, **model)
+            return
+        beta = split * min(alphas)
+        rows = {"lpcb": lpcb_sweep(alphas, **model)}
+        if 0.0 < beta < min(alphas):   # split * alpha may round to 0 or to alpha
+            rows["lpcb fixed split"] = lpcb_sweep(alphas, beta, **model)
+        rows["phase"] = [phase_bound_large_sigma(a, sigma2, ex) for a in alphas]
+        exact = LinearGaussianModel(sigma2, es, 1.0)
+        rows["linear exact"] = [linear_gaussian_min_lambda(exact, a) for a in alphas]
+        for name, bvs in rows.items():
+            for alpha, bv in zip(alphas, bvs):
+                ceiling = _gaussian_ceiling(alpha, sigma2)
+                assert bv.value <= ceiling + 1e-12 * max(1.0, abs(ceiling)), (name, alpha, bv)
 
     @pytest.mark.xfail(strict=True, reason=(
         "decaying windows overshoot C near the 1e-3 grid-end gate: the truncated tilt "
@@ -424,13 +472,27 @@ class TestLpcbSweep:
         fixed = lpcb_sweep(alphas[alphas > 0.4], 0.4, **model)
         assert fixed == [lpcb_bound(float(a), 0.4, **model) for a in alphas[alphas > 0.4]]
 
-    def test_float_and_batch_searches_agree_with_a_signal_mean(self):
-        # the Renyi term squares b on both paths as b * b; a float b ** 2
-        # (C pow) differed from numpy's square in the last bit at this alpha
+    def test_one_alpha_search_pin_with_a_signal_mean(self):
+        # pinned bits: the Renyi term squares b as b * b, and a b ** 2 (C pow)
+        # differs from it in the last bit at this alpha
         model = dict(sigma2=0.5, ex=0.001, es=0.2, q_const=0.3, sigma2_q=0.4, t_horizon=2.0)
         alpha = 1.7361779364733712
-        row, single = lpcb_sweep([alpha, alpha], **model)[0], lpcb_bound(alpha, **model)
-        assert (row.value, row.argmax) == (single.value, single.argmax)
+        single = lpcb_bound(alpha, **model)
+        assert (single.value, single.argmax) == (0.7290350182331853, {"beta": 0.7235728294132404})
+        assert lpcb_sweep([alpha, alpha], **model)[0] == single
+
+    @pytest.mark.parametrize("model", [
+        dict(sigma2=0.5, sigma2_q=1e308),      # 2 sigma2_q overflows: the reference factor reads 0
+        dict(sigma2=0.5, sigma2_q=1.7e308),
+        dict(sigma2=1e308),                    # sigma2_q defaults to sigma2
+    ])
+    def test_extreme_inputs_give_the_sweep_row_without_warnings(self, model):
+        for alpha in (0.2, 0.5, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                single = lpcb_bound(alpha, ex=0.1, **model)
+                row = lpcb_sweep([alpha, alpha], ex=0.1, **model)[0]
+            assert single == row, alpha
 
     def test_divergent_rows_carry_a_real_witness(self):
         # sigma2 = 0.5: the reference critical factor is 1, so every alpha

@@ -276,7 +276,7 @@ import riskbounds
 for info in pkgutil.iter_modules(riskbounds.__path__):
     importlib.import_module("riskbounds." + info.name)
 t = np.linspace(0.0, 1.0, 256)
-problem = riskbounds.DelayDesignProblem(riskbounds.Waveform(t, np.sin(3.0 * t)), 30.0, 1.0)
+problem = riskbounds.DelayDesignProblem(riskbounds.Waveform(t, np.sin(3.0 * t)), 30.0)
 riskbounds.solve_reference_ode(problem)
 assert riskbounds.cli.main(["verify", "certify"]) == 0
 """
@@ -427,7 +427,7 @@ _CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind i
     "scalar_ml_lambda": ("nonbayes_bounds", "riskbounds"),
     "_META": ("nonbayes_bounds",),
     "golden_section_max": ("core", "_curve"),
-    "maximize_scalar": ("core", "bayes_bounds", "delay_design", "nonbayes_bounds"),
+    "maximize_scalar": ("core", "delay_design", "nonbayes_bounds"),
     "GOLDEN": ("core",),
     "_GOLDEN_MAX_ITER": ("core",),
 }
@@ -1139,6 +1139,7 @@ def _table_argv(draw):
           "--es", "1", "--snr", "0"])
 @example(["bound", "bayes-lpcb", "--alpha", "0.5", "--sigma2", "1e-300", "--sigma2q", "1e300"])
 @example(["bound", "bayes-lpcb", "--alpha", "0.5", "--es", "1e100", "--q-const", "1e100"])
+@example(["bound", "bayes-lpcb", "--alpha", "0.5", "--sigma2", "0.5", "--sigma2q", "1e308"])
 @settings(max_examples=150, deadline=None)
 def test_table_commands_end_in_an_exit_code(gamma_csv, argv):
     if argv[1] == "nonbayes-vector":

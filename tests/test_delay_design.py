@@ -30,13 +30,13 @@ class TestReferenceOde:
     def test_constant_pulse_is_its_own_reference(self):
         t = np.linspace(0.0, 1.0, 512)
         x = Waveform(t, np.full(512, 0.7))
-        s = solve_reference_ode(DelayDesignProblem(x, 10.0, 1.0))
+        s = solve_reference_ode(DelayDesignProblem(x, 10.0))
         np.testing.assert_allclose(s.values, 0.7, rtol=1e-12)
 
     @pytest.mark.parametrize("lam", [5.0, OMEGA0 ** 2, 200.0])
     def test_matches_analytic_raised_cosine(self, lam):
         x = _pulse()
-        s_num = solve_reference_ode(DelayDesignProblem(x, lam, 1.0))
+        s_num = solve_reference_ode(DelayDesignProblem(x, lam))
         s_ana = raised_cosine_reference(1.5, x.t, OMEGA0, lam)
         assert np.max(np.abs(s_num.values - s_ana.values)) <= 1e-6
 
@@ -53,14 +53,14 @@ class TestReferenceOde:
         rhs[0] *= 0.5
         rhs[-1] *= 0.5
         want = solveh_banded(ab, rhs)
-        s = solve_reference_ode(DelayDesignProblem(x, lam, 1.0))
+        s = solve_reference_ode(DelayDesignProblem(x, lam))
         assert np.max(np.abs(s.values - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_second_order_convergence(self):
         errs = []
         for n in (1024, 2048, 4096):
             x = _pulse(n=n)
-            s_num = solve_reference_ode(DelayDesignProblem(x, 50.0, 1.0))
+            s_num = solve_reference_ode(DelayDesignProblem(x, 50.0))
             s_ana = raised_cosine_reference(1.5, x.t, OMEGA0, 50.0)
             errs.append(np.max(np.abs(s_num.values - s_ana.values)))
         for coarse, fine in zip(errs, errs[1:]):
@@ -75,7 +75,7 @@ class TestReferenceOde:
         x_vals = x_vals - x_vals.mean()
         x = Waveform(t, x_vals / np.sqrt(np.trapezoid(x_vals ** 2, t)))
         lam = 30.0
-        s = solve_reference_ode(DelayDesignProblem(x, lam, 1.0))
+        s = solve_reference_ode(DelayDesignProblem(x, lam))
 
         def lagrangian(v):
             dv = np.gradient(v, t)
@@ -90,7 +90,7 @@ class TestReferenceOde:
 
     def test_boundary_derivatives_vanish(self):
         x = _pulse()
-        s = solve_reference_ode(DelayDesignProblem(x, 25.0, 1.0))
+        s = solve_reference_ode(DelayDesignProblem(x, 25.0))
         ds = np.gradient(s.values, s.t, edge_order=2)
         scale = np.max(np.abs(ds))
         assert abs(ds[0]) <= 1e-5 * scale
@@ -100,17 +100,17 @@ class TestReferenceOde:
         t = np.linspace(0.0, 1.0, 128)
         x = Waveform(t, np.sin(2 * math.pi * t))
         with pytest.raises(ConditioningError):
-            solve_reference_ode(DelayDesignProblem(x, 1e-10, 1.0))
+            solve_reference_ode(DelayDesignProblem(x, 1e-10))
 
     def test_coarse_grid_rejected(self):
         t = np.linspace(0.0, 1.0, 32)
         with pytest.raises(DomainError):
-            DelayDesignProblem(Waveform(t, np.sin(t)), 1.0, 1.0)
+            DelayDesignProblem(Waveform(t, np.sin(t)), 1.0)
 
     def test_nonpositive_multiplier_rejected(self):
         t = np.linspace(0.0, 1.0, 128)
         with pytest.raises(DomainError):
-            DelayDesignProblem(Waveform(t, np.sin(t)), 0.0, 1.0)
+            DelayDesignProblem(Waveform(t, np.sin(t)), 0.0)
 
 
 class TestNuTradeoff:
