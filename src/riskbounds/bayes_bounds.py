@@ -253,6 +253,18 @@ def lpcb_sweep(
     # higher order) as well, so this one probe decides divergence
     alpha_c_ref = 1.0 / (2.0 * model["sigma2_q"]) + model["es"] / model["n0"]
     lo = _BETA_EDGE * alphas
+    if not lo.all():
+        # the log-spaced bracket needs lo > 0; find the smallest alpha with
+        # _BETA_EDGE alpha > 0, starting within an ulp or two of it
+        smallest = math.ulp(0.0) / (2.0 * _BETA_EDGE)
+        while _BETA_EDGE * smallest == 0.0:
+            smallest = math.nextafter(smallest, math.inf)
+        while _BETA_EDGE * math.nextafter(smallest, 0.0) > 0.0:
+            smallest = math.nextafter(smallest, 0.0)
+        raise DomainError(
+            f"alpha = {float(alphas[lo == 0.0].min())!r} is below {smallest!r}, the smallest "
+            f"alpha the split search accepts: its bracket starts at {_BETA_EDGE:g} alpha, "
+            "which underflows to 0")
     hi = (1.0 - _BETA_EDGE) * alphas
     witness = np.maximum(lo, (alphas - alpha_c_ref) * (1.0 - 1e-9))
     probe = (alphas - lo >= alpha_c_ref) & (witness < hi)

@@ -37,7 +37,8 @@ module itself loads argparse and the numpy-free ``errors``, linear sweeps
 are spaced in plain Python by numpy's own ``linspace`` formula, and
 the closed-form ``bound`` families (``bayes-linear``, ``bayes-phase``,
 ``bayes-ww``, ``nonbayes-linear``), ``nonbayes-nonlinear``, every
-``phase`` analysis and ``emit-plot`` run without importing numpy at all.
+``phase`` analysis, ``verify bernoulli-exact`` and ``emit-plot`` run
+without importing numpy, ``dataclasses`` or ``inspect`` at all.
 """
 
 from __future__ import annotations
@@ -254,8 +255,10 @@ def _load_prior(args) -> GridDensity:
 # so a command loads only those: `bayes-linear`, `bayes-phase`, `bayes-ww` and
 # `nonbayes-linear` load only `closed_forms`, `nonbayes-nonlinear` adds
 # `nonbayes_bounds` (its search over the reference value is the float
-# `closed_forms.maximize_scalar`), and they and every `phase` analysis load
-# no numpy.
+# `closed_forms.maximize_scalar`), and `verify bernoulli-exact` loads `verify`
+# (its exact sum runs on Python floats) and, for the optimal estimator,
+# `phase_transition` and `closed_forms._interp`.  They and every `phase`
+# analysis load neither numpy nor `dataclasses`.
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
@@ -450,13 +453,11 @@ def _bernoulli_rows(args) -> list[list]:
                           "expected optimal or plugin")
     est = lambda q: q
     if args.estimator == "optimal":
-        import numpy as np
-
         from . import phase_transition
+        from .closed_forms import _interp
 
         _, q_grid, curve = phase_transition.bernoulli_bayes_exponent(args.a)
-        q_grid, curve = np.array(q_grid), np.array(curve)   # once, not in every np.interp
-        est = lambda q: float(np.interp(q, q_grid, curve))
+        est = lambda q: _interp(q, q_grid, curve)
     lam = verify.bernoulli_exact_lambda(
         verify.BernoulliExact(n=args.n, a=args.a, theta=args.theta, estimator=est))
     return [[args.n, args.a, args.theta, args.estimator, lam, lam / args.n]]

@@ -20,19 +20,26 @@ with the same result per bracket.  ``_linspace``, numpy's ``linspace`` formula o
 spaces the CLI's linear sweeps, the estimator curve's q grid and the
 sweep of ``maximize_scalar``.
 
-The module imports only ``math``, ``dataclasses`` and ``errors``
-(a log-spaced ``maximize_scalar`` sweep imports numpy for ``np.exp``), so
-the CLI families built on it (``bayes-linear``, ``bayes-phase``,
-``bayes-ww``, ``nonbayes-linear`` and ``nonbayes-nonlinear``) and
-``phase estimator`` run without numpy.  ``core``, ``bayes_bounds`` and
-``nonbayes_bounds`` re-export its public names as the same objects.
+The module imports only ``math``, ``bisect``, ``sys``, ``typing`` and
+``errors`` (a log-spaced ``maximize_scalar`` sweep imports numpy for
+``np.exp``), and it defines no dataclass: ``BoundValue`` is a
+``NamedTuple`` and ``LinearGaussianModel`` a ``__slots__`` class, so
+loading it costs no ``dataclasses`` or ``inspect`` import.  The CLI
+families built on it (``bayes-linear``, ``bayes-phase``, ``bayes-ww``,
+``nonbayes-linear`` and ``nonbayes-nonlinear``), ``phase estimator`` and
+``verify bernoulli-exact`` run without numpy; ``_interp``, numpy's
+``interp`` formula on floats, reads the estimator curve at the counts k/n
+of ``verify bernoulli-exact --estimator optimal``.  ``core``,
+``bayes_bounds`` and ``nonbayes_bounds`` re-export its public names as
+the same objects, and ``core`` re-exports ``LOG_FLOAT_MAX``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+import sys
+from bisect import bisect_right
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 
@@ -67,24 +74,27 @@ _WW_CONST = 0.324
 # diagnostics every unbiased (non-Bayesian) bound carries
 _META = {"assumes_unbiased": True}
 
+LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """Outcome of a lower-bound evaluation.
 
     value is in nats and may be ``+inf`` (the bound certifies divergence)
     or ``-inf`` (the bound is vacuous).  ``argmax`` records the free
     parameters that produced ``value``; for +inf it holds the witnessing
     parameters.  ``diagnostics`` carries optimizer traces and flags.
+    Every field is given: a tuple's default would be one dict shared by
+    all instances.
     """
 
     value: float
-    argmax: dict = field(default_factory=dict)
-    status: str = STATUS_OK
-    diagnostics: dict = field(default_factory=dict)
+    argmax: dict
+    status: str
+    diagnostics: dict
 
 
 def classify(value: float, argmax: dict, diagnostics: dict | None = None) -> BoundValue:
@@ -98,7 +108,6 @@ def classify(value: float, argmax: dict, diagnostics: dict | None = None) -> Bou
     return BoundValue(value, argmax, status, diagnostics or {})
 
 
-@dataclass(frozen=True)
 class LinearGaussianModel:
     """Scalar parameter in white noise: y(t) = theta s(t) + n(t), Gaussian prior.
 
@@ -107,13 +116,12 @@ class LinearGaussianModel:
     estimator minimizes every exponential moment below alpha_c.
     """
 
-    sigma2: float
-    es: float
-    n0: float
+    __slots__ = ("sigma2", "es", "n0")
 
-    def __post_init__(self):
-        if self.sigma2 <= 0 or self.n0 <= 0 or self.es < 0:
+    def __init__(self, sigma2: float, es: float, n0: float):
+        if sigma2 <= 0 or n0 <= 0 or es < 0:
             raise DomainError("need sigma2 > 0, n0 > 0, es >= 0")
+        self.sigma2, self.es, self.n0 = sigma2, es, n0
 
     def alpha_c(self) -> float:
         return 1.0 / (2.0 * self.sigma2) + self.es / self.n0
@@ -362,3 +370,22 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
         points = [i * step + start for i in range(n)]
     points[-1] = stop
     return points
+
+
+def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+    """``np.interp(x, xp, fp)`` for a finite x and finite, increasing xp, bit for bit.
+
+    numpy's own formula: below xp[0] the first value, from xp[-1] on the
+    last, at a node its value, and between nodes j and j + 1
+    slope * (x - xp[j]) + fp[j] with slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]).
+    numpy's retries for a NaN result need a non-finite input and are left out.
+    """
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]

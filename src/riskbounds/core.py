@@ -18,17 +18,19 @@ batched form for arrays of brackets, ``_golden_section_batch`` and
 ``_maximize_batch``, which run every element as a search of its own in
 numpy with the same result per element as the float search.
 ``lpcb_sweep`` calls them directly for every search of its splits, one
-alpha included.  ``logsumexp`` is the package's only log-sum-exp.  The
-exception classes live in the numpy-free ``errors`` module and are
-re-exported here as the same class objects, so ``except core.DomainError``
-and ``except errors.DomainError`` are one clause.
+alpha included.  ``logsumexp`` is the package's one array log-sum-exp
+(``verify`` adds the exact Bernoulli oracle's n + 1 terms as Python
+floats with ``math.fsum``).  ``LOG_FLOAT_MAX`` lives in ``closed_forms``
+and is re-exported here as the same object.  The exception classes live
+in the numpy-free ``errors`` module and are re-exported here as the same
+class objects, so ``except core.DomainError`` and ``except
+errors.DomainError`` are one clause.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +39,7 @@ import numpy as np
 from .closed_forms import (  # noqa: F401  (re-exported)
     _GOLDEN_MAX_ITER,
     GOLDEN,
+    LOG_FLOAT_MAX,
     STATUS_DIVERGENT,
     STATUS_OK,
     STATUS_OUT_OF_WINDOW,
@@ -53,9 +56,6 @@ from .errors import (  # noqa: F401  (re-exported)
     GridError,
     RiskBoundsError,
 )
-
-LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
-
 
 def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
     """ln sum w exp(x), shifted by the maximum; -inf for an empty or all -inf x."""

@@ -17,13 +17,14 @@ numpy is imported only by the vector model (``VectorLinearModel``,
 ``vector_linear_bound``, ``vector_ml_lambda``).  The correlation profile
 is a callable on floats, and the nonlinear bound's search over the
 reference value is the float ``closed_forms.maximize_scalar``, so the
-nonlinear bound loads no numpy.
+nonlinear bound loads no numpy.  The two model types are ``__slots__``
+classes, not dataclasses, so the module does not load ``dataclasses``
+either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .closed_forms import (
@@ -52,25 +53,22 @@ __all__ = [
 _COND_CAP = 1e12
 
 
-@dataclass(frozen=True)
 class VectorLinearModel:
     """k orthonormal-energy signals with correlation matrix gamma."""
 
-    gamma: np.ndarray
-    es: float
-    n0: float
+    __slots__ = ("gamma", "es", "n0")
 
-    def __post_init__(self):
+    def __init__(self, gamma: np.ndarray, es: float, n0: float):
         import numpy as np
 
-        g = np.asarray(self.gamma, dtype=float)
+        g = np.asarray(gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DomainError("gamma must be square")
         if not np.allclose(g, g.T, atol=1e-12):
             raise DomainError("gamma must be symmetric")
         if not np.allclose(np.diag(g), 1.0, atol=1e-9):
             raise DomainError("gamma must have unit diagonal")
-        if self.es <= 0 or self.n0 <= 0:
+        if es <= 0 or n0 <= 0:
             raise DomainError("need es > 0 and n0 > 0")
         eigvals = np.linalg.eigvalsh(g)
         if eigvals[0] <= 0:
@@ -79,7 +77,7 @@ class VectorLinearModel:
             raise ConditioningError(
                 "gamma condition number exceeds 1e12; signals are near collinear"
             )
-        object.__setattr__(self, "gamma", g)
+        self.gamma, self.es, self.n0 = g, es, n0
 
     @property
     def k(self) -> int:
@@ -91,7 +89,6 @@ class VectorLinearModel:
         return np.linalg.inv(self.gamma)
 
 
-@dataclass(frozen=True)
 class CorrelationProfile:
     """Normalized correlation rho(theta, theta_tilde) of a signal family.
 
@@ -100,15 +97,15 @@ class CorrelationProfile:
     unbounded.
     """
 
-    ex: float
-    theta_range: tuple[float, float]
-    rho_fn: Callable[[float, float], float]
+    __slots__ = ("ex", "theta_range", "rho_fn")
 
-    def __post_init__(self):
-        if self.ex <= 0:
+    def __init__(self, ex: float, theta_range: tuple[float, float],
+                 rho_fn: Callable[[float, float], float]):
+        if ex <= 0:
             raise DomainError("ex must be positive")
-        if not self.theta_range[0] < self.theta_range[1]:
+        if not theta_range[0] < theta_range[1]:
             raise DomainError("theta_range needs lo < hi")
+        self.ex, self.theta_range, self.rho_fn = ex, theta_range, rho_fn
 
     @property
     def unbounded(self) -> bool:

@@ -19,18 +19,21 @@ m = tanh(J m + B) with coupling J = 2a and a field B set by the source
 bias, which yields a five-phase diagram with a multicritical point at
 (mu, a) = (0, 1/2).
 
-Every kernel here is scalar and imports no numpy.  The estimator curve
-is solved one q at a time in the private ``_curve`` module, which
-``bernoulli_bayes_exponent`` and ``asymptotic_estimator`` import on their
-first call, and ``bernoulli_bayes_exponent`` returns its q grid and curve
-as tuples of floats.
+Every kernel here is scalar and imports no numpy, and the module defines
+no dataclass (the two records are ``NamedTuple``s, the spin-model
+parameters a ``__slots__`` class), so it loads no ``dataclasses`` or
+``inspect`` either.  The estimator curve is solved one q at a time in the
+private ``_curve`` module, which ``bernoulli_bayes_exponent`` and
+``asymptotic_estimator`` import on their first call, and
+``bernoulli_bayes_exponent`` returns its q grid and curve as tuples of
+floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -53,7 +56,6 @@ _SERIES_CUTOFF = 0.1    # below it, u - ln(1 + u) is summed as its Taylor series
 _SERIES_TERMS = 16      # u^2/2 ... u^17/17: the first omitted term is < 2e-17 relative
 
 
-@dataclass(frozen=True)
 class CurieWeissParams:
     """Spin-model parameters induced by source bias mu and risk scale a.
 
@@ -62,14 +64,14 @@ class CurieWeissParams:
     of the rounded ratio loses every digit of mu.
     """
 
-    mu: float
-    a: float
+    __slots__ = ("mu", "a")
 
-    def __post_init__(self):
-        if not (-1.0 < self.mu < 1.0):
+    def __init__(self, mu: float, a: float):
+        if not (-1.0 < mu < 1.0):
             raise DomainError("mu must lie strictly inside (-1, 1)")
-        if self.a < 0:
+        if a < 0:
             raise DomainError("a must be nonnegative")
+        self.mu, self.a = mu, a
 
     @property
     def field(self) -> float:
@@ -88,16 +90,14 @@ class Phase(str, Enum):
     NEGATIVE_M_HIGH_A = "negative_m_high_a"
 
 
-@dataclass(frozen=True)
-class PhaseLabel:
+class PhaseLabel(NamedTuple):
     phase: Phase
     boundary: bool
     multicritical: bool
     dominant_m: float
 
 
-@dataclass(frozen=True)
-class MagnetizationRoot:
+class MagnetizationRoot(NamedTuple):
     m: float
     stable: bool
     dominant: bool

@@ -203,6 +203,24 @@ def bernoulli_nonbayes_exponent(a: float, theta: float, n: int = 200001) -> floa
     return float(np.max(a * (qs - theta) ** 2 - div))
 
 
+def bernoulli_exact_oracle(n: int, a: float, theta: float, estimator) -> float:
+    """ln sum_k C(n,k) theta^k (1-theta)^(n-k) exp{a n (that(k/n) - theta)^2} in 50-digit decimals.
+
+    C(n, k) is the exact integer ``math.comb``; theta and each estimate
+    that(k/n) enter as the exact decimal value of their float, and theta^k,
+    (1 - theta)^(n-k) and the exponential are formed in ``Decimal``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        th = Decimal(theta)
+        rest, an = 1 - th, Decimal(a) * n
+        total = Decimal(0)
+        for k in range(n + 1):
+            d = Decimal(float(estimator(k / n))) - th
+            total += math.comb(n, k) * th ** k * rest ** (n - k) * (an * d * d).exp()
+        return float(total.ln())
+
+
 def prior_ceiling(prior, alpha: float, tol: float = 1e-12) -> float:
     """C(alpha) = min over m of ln sum_i w_i p_i exp(alpha (theta_i - m)^2).
 

@@ -313,10 +313,12 @@ def test_sweeps_load_no_thread_pool():
 _NO_NUMPY = """
 import sys
 
+BLOCKED = ("numpy", "dataclasses", "inspect")
+
 class NoNumpy:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "numpy":
-            raise ImportError("numpy is blocked")
+        if name.split(".")[0] in BLOCKED:
+            raise ImportError(name + " is blocked")
         return None
 
 sys.meta_path.insert(0, NoNumpy())
@@ -342,19 +344,32 @@ argvs = [
     # Newton stalls at q = 0.4 and the golden-section fallback runs
     ["phase", "estimator", "--a", "2.0833333333333335", "--out", "stall.csv"],
     *(["phase", "estimator", "--a", a] for a in ("0", "2.5", "1e300")),
+    *(["verify", "bernoulli-exact", "--n", "200", "--a", "10", "--theta", "0.3",
+       "--estimator", est, "--out", est + ".csv"] for est in ("plugin", "optimal")),
 ]
 for argv in argvs:
     assert main(argv) == 0, argv
-assert "numpy" not in sys.modules
+loaded = set(BLOCKED) & set(sys.modules)
+assert not loaded, loaded
 """
 
 
 def test_phase_and_emit_plot_run_without_numpy(tmp_path):
     # the package, the CLI module, every phase command, emit-plot, the
-    # closed-form bound families and the nonlinear family with its callable
-    # rho import no numpy: with every numpy import made to fail, all of them run
+    # closed-form bound families, the nonlinear family with its callable rho
+    # and both estimators of the exact Bernoulli sum import neither numpy nor
+    # dataclasses nor inspect: with every import of them made to fail, all of
+    # them run, and none of the three is loaded at the end
     subprocess.run([sys.executable, "-c", _NO_NUMPY], check=True, env=_src_env(), cwd=tmp_path,
                    capture_output=True, timeout=120)
+    _, q_grid, curve = riskbounds.bernoulli_bayes_exponent(10.0)
+    estimators = {"plugin": lambda q: q,
+                  "optimal": lambda q: float(np.interp(q, q_grid, curve))}
+    for est, fn in estimators.items():
+        lam = riskbounds.bernoulli_exact_lambda(
+            riskbounds.BernoulliExact(n=200, a=10.0, theta=0.3, estimator=fn))
+        row = data_rows((tmp_path / f"{est}.csv").read_text())[0]
+        assert row[3:] == [est, f"{lam:.12g}", f"{lam / 200:.12g}"]
     assert (tmp_path / "fig3.gp").is_file()
     assert len(data_rows((tmp_path / "fig2.csv").read_text())) == 401
     stall = dict(data_rows((tmp_path / "stall.csv").read_text()))
@@ -647,6 +662,21 @@ class TestExitCodes:
                                   "--snr", "0", *flags], capsys)
         assert code == 0 and err == ""
         assert data_rows(out) == [row]
+
+    def test_lpcb_alpha_below_the_split_search_is_three(self, capsys):
+        # the split bracket starts at 1e-6 alpha, which underflows to 0 here
+        code, out, err = run_cli(["bound", "bayes-lpcb", "--alpha", "1e-320", "--sigma2", "0.5"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: alpha = 1e-320 is below ") and len(err.splitlines()) == 1
+        assert "bracket needs lo > 0" not in err
+        smallest = float(err.split(" is below ")[1].split(",")[0])
+        code, out, _ = run_cli(["bound", "bayes-lpcb", "--alpha", repr(smallest),
+                                "--sigma2", "0.5"], capsys)
+        assert code == 0 and data_rows(out)[0][-1] == "ok"
+        code, _, _ = run_cli(["bound", "bayes-lpcb", "--alpha", repr(math.nextafter(smallest, 0)),
+                              "--sigma2", "0.5"], capsys)
+        assert code == 3
 
     @pytest.mark.parametrize("flags", [
         ["--sigma2", "1e-300", "--sigma2q", "1e300"],   # sigma2 / sigma2q underflows to 0

@@ -21,9 +21,10 @@ from riskbounds import (
     scalar_ml_lambda,
 )
 from riskbounds import verify
+from riskbounds.closed_forms import _interp
 from riskbounds.phase_transition import bernoulli_bayes_exponent
 
-from oracles import bernoulli_nonbayes_exponent
+from oracles import bernoulli_exact_oracle, bernoulli_nonbayes_exponent
 
 LN2 = math.log(2.0)
 
@@ -316,8 +317,39 @@ class TestBernoulliExact:
                                                          estimator=lambda q: q))
         assert lam_opt <= lam_plug
 
+    @pytest.mark.parametrize("n", [1, 7, 200, 1000])
+    @pytest.mark.parametrize("a, theta", [(0.0, 0.3), (0.5, 0.05), (1.0, 0.3), (2.5, 0.5),
+                                          (10.0, 0.77)])
+    @pytest.mark.parametrize("estimator", ["plugin", "optimal", "constant"])
+    def test_matches_decimal_oracle(self, n, a, theta, estimator):
+        if estimator == "plugin":
+            est = lambda q: q
+        elif estimator == "constant":
+            est = lambda q: 0.61
+        else:
+            _, q_grid, curve = bernoulli_bayes_exponent(a)
+            est = lambda q: _interp(q, q_grid, curve)
+        lam = bernoulli_exact_lambda(BernoulliExact(n=n, a=a, theta=theta, estimator=est))
+        exact = bernoulli_exact_oracle(n, a, theta, est)
+        # the log binomial mass carries a few ulps of lgamma(n + 1)
+        scale = max(math.lgamma(n + 1.0), abs(exact), 1.0)
+        assert abs(lam - exact) <= 8.0 * np.finfo(float).eps * scale
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             BernoulliExact(n=0, a=1.0, theta=0.3, estimator=lambda q: q)
         with pytest.raises(DomainError):
             BernoulliExact(n=10, a=1.0, theta=0.0, estimator=lambda q: q)
+
+
+@given(a=st.floats(0.0, 1e4), x=st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0, 0.005]),
+       n=st.integers(1, 20_000), k=st.integers(0, 20_000))
+@example(a=10.0, x=0.3, n=7, k=3)
+@settings(max_examples=300, deadline=None)
+def test_interp_is_numpy_interp_bit_for_bit(a, x, n, k):
+    # the optimal estimator of `verify bernoulli-exact` reads the 201-point
+    # curve at k / n in plain Python; it must be np.interp's value exactly
+    _, q_grid, curve = bernoulli_bayes_exponent(a)
+    xp, fp = np.array(q_grid), np.array(curve)
+    for q in (x, min(k, n) / n):
+        assert _interp(q, q_grid, curve) == float(np.interp(q, xp, fp))
