@@ -12,8 +12,6 @@ only for the modules it uses, and the numpy-free ones (``errors``,
 ``from riskbounds import X`` and ``riskbounds.X`` work as for eager imports.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # public name -> submodule that defines it
@@ -55,10 +53,11 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
+    # __import__, not importlib.import_module, so that -X importtime lists the submodule
     if name in _EXPORTS:
-        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+        value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=(name,)), name)
     elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
+        value = __import__(f"{__name__}.{name}", fromlist=(name,))
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -244,7 +244,7 @@ def _load_prior(args) -> GridDensity:
         if data.shape[1:] != (2,):
             raise DomainError("prior file must have two columns: theta, density")
         theta, dens = data[:, 0], data[:, 1]
-    return GridDensity(theta, dens).normalized()
+    return GridDensity(theta, dens)
 
 
 # ------------------------------------------------ bound, phase and verify ---

@@ -6,9 +6,9 @@ divergent bound, ``-inf`` for a useless one) are ordinary floats, and
 ``BoundValue`` and the ``STATUS_*`` constants in the numpy-free
 ``closed_forms`` and is re-exported here as the same objects.  Grid
 functions are plain numpy arrays wrapped with their abscissae (a
-``GridDensity`` caches its trapezoid weights, log density, integral and
-the beta-independent half of a power tilt, and ``divergences.tilt_terms``
-the (information, divergence) pair of each of its power tilts), and the
+``GridDensity`` is normalized and given the beta-independent half of a
+power tilt when it is built, and ``tilt_terms`` memoizes each tilt's
+(information, divergence) pair in its ``tilts``), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
 descent built on top of it.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
@@ -29,7 +29,6 @@ errors.DomainError`` are one clause.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -68,22 +67,22 @@ def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
 
 @dataclass(frozen=True)
 class Waveform:
-    """A real signal sampled on a strictly increasing time grid."""
+    """A real signal on a strictly increasing time grid; t and values are read-only copies."""
 
     t: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = np.array(self.t, dtype=float)
+        v = np.array(self.values, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise GridError("waveform needs matching 1-D time and value arrays")
         if t.size < 2:
             raise GridError("waveform needs at least two samples")
         if np.any(np.diff(t) <= 0):
             raise GridError("time grid must be strictly increasing")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "t", _read_only(t))
+        object.__setattr__(self, "values", _read_only(v))
 
     @property
     def duration(self) -> float:
@@ -107,23 +106,82 @@ def _trapezoid(y: np.ndarray, dx: np.ndarray) -> float:
     return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
 
 
-@dataclass(frozen=True)
-class TiltGrid:
-    """The beta-independent pieces of a power tilt of one grid density.
+class GridDensity:
+    """A probability density on a strictly increasing 1-D grid.
 
-    ``GridDensity.tilt_grid`` builds it once per density, and every array
-    in it is read-only.  ``dx`` is ``np.diff(theta)``.  The gradient
-    spacing is numpy's own: the scalar ``step`` when ``np.gradient`` finds
-    the grid uniform (all of ``dx`` equal to ``dx[0]``), otherwise its
-    interior coefficients ``coefs``.
+    The constructor validates copies of theta and density, divides the
+    density by its trapezoid integral and sets, read-only, all a power
+    tilt reads: ``dx = np.diff(theta)``, trapezoid ``weights``,
+    ``log_density`` (-inf where the density is 0), ``np.gradient``'s
+    spacing (the scalar ``step`` where numpy finds the grid uniform, all
+    of ``dx`` equal to ``dx[0]``, else its interior ``coefs``), the
+    ``positive`` mask, the ``all_positive`` and ``has_hole`` flags, and
+    the empty ``tilts`` memo of ``divergences.tilt_terms``.  Assigning or
+    deleting an attribute raises AttributeError.
     """
 
-    dx: np.ndarray
-    step: float | None
-    coefs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    positive: np.ndarray       # density > 0
-    all_positive: bool
-    has_hole: bool             # the density vanishes at an interior grid point
+    __slots__ = ("theta", "density", "dx", "weights", "log_density", "step", "coefs",
+                 "positive", "all_positive", "has_hole", "tilts")
+
+    def __init__(self, theta, density):
+        th = np.array(theta, dtype=float)
+        if th.ndim != 1:
+            raise GridError("density needs matching 1-D grids")
+        if th.size < 8:
+            raise GridError("density grid too coarse")
+        if not np.isfinite(th).all():
+            raise GridError("theta grid must be finite")
+        dx = np.diff(th)
+        if np.any(dx <= 0):
+            raise GridError("theta grid must be strictly increasing")
+        p = np.array(density, dtype=float)
+        if p.shape != th.shape:
+            raise GridError("density needs matching 1-D grids")
+        if not np.isfinite(p).all():
+            raise DomainError("density must be finite")
+        if np.any(p < 0):
+            raise DomainError("density must be nonnegative")
+        z = _trapezoid(p, dx)
+        if not 0.0 < z < math.inf:
+            raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
+        p /= z
+        if not np.isfinite(p).all():   # z is subnormal on a grid with subnormal spacings
+            raise DomainError("density must be finite")
+        w = np.empty_like(th)
+        w[1:-1] = 0.5 * (th[2:] - th[:-2])
+        w[0] = 0.5 * (th[1] - th[0])
+        w[-1] = 0.5 * (th[-1] - th[-2])
+        with np.errstate(divide="ignore"):
+            log_p = np.log(p)
+        if (dx == dx[0]).all():
+            step, coefs = float(dx[0]), None
+        else:
+            step = None
+            dx1, dx2 = dx[:-1], dx[1:]
+            coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
+                     _read_only((dx2 - dx1) / (dx1 * dx2)),
+                     _read_only(dx1 / (dx2 * (dx1 + dx2))))
+        positive = p > 0.0
+        nz = np.flatnonzero(positive)   # never empty: the density integrates to z > 0
+        # exact zero padding at both edges is trimmed before looking for a hole
+        inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
+        fields = dict(theta=_read_only(th), density=_read_only(p), dx=_read_only(dx),
+                      weights=_read_only(w), log_density=_read_only(log_p), step=step,
+                      coefs=coefs, positive=_read_only(positive),
+                      all_positive=nz.size == p.size, has_hole=bool(np.any(inner <= 0.0)),
+                      tilts={})
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a GridDensity is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a GridDensity is read-only")
+
+    def integrate(self, y: np.ndarray) -> float:
+        """Trapezoid integral over theta of y sampled on this grid."""
+        return _trapezoid(y, self.dx)
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """``np.gradient(f, theta)`` bit for bit: numpy's operations in numpy's order."""
@@ -140,105 +198,6 @@ class TiltGrid:
         out[0] = (f[1] - f[0]) / self.dx[0]
         out[-1] = (f[-1] - f[-2]) / self.dx[-1]
         return out
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    """A probability density sampled on a uniform-enough 1-D grid.
-
-    theta and density are read-only copies of the caller's arrays, so the
-    cached quadrature weights, log density, integral and ``tilt_grid`` can
-    never go stale.  Integrals over the grid (``integrate``, ``integral``)
-    are trapezoids on the cached ``tilt_grid.dx``.
-    """
-
-    theta: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        th = np.array(self.theta, dtype=float)
-        if th.ndim != 1:
-            raise GridError("density needs matching 1-D grids")
-        if th.size < 8:
-            raise GridError("density grid too coarse")
-        if not np.isfinite(th).all():
-            raise GridError("theta grid must be finite")
-        if np.any(np.diff(th) <= 0):
-            raise GridError("theta grid must be strictly increasing")
-        p = np.array(self.density, dtype=float)
-        if p.shape != th.shape:
-            raise GridError("density needs matching 1-D grids")
-        if not np.isfinite(p).all():
-            raise DomainError("density must be finite")
-        if np.any(p < 0):
-            raise DomainError("density must be nonnegative")
-        object.__setattr__(self, "theta", _read_only(th))
-        object.__setattr__(self, "density", _read_only(p))
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Trapezoid weights: sum(weights * f) integrates f over theta."""
-        th = self.theta
-        w = np.empty_like(th)
-        w[1:-1] = 0.5 * (th[2:] - th[:-2])
-        w[0] = 0.5 * (th[1] - th[0])
-        w[-1] = 0.5 * (th[-1] - th[-2])
-        return _read_only(w)
-
-    @functools.cached_property
-    def log_density(self) -> np.ndarray:
-        """ln density, -inf where the density vanishes."""
-        with np.errstate(divide="ignore"):
-            return _read_only(np.log(self.density))
-
-    @functools.cached_property
-    def tilt_grid(self) -> TiltGrid:
-        """The beta-independent pieces of ``divergences.tilt_prior``, computed once."""
-        th, p = self.theta, self.density
-        dx = np.diff(th)
-        if (dx == dx[0]).all():
-            step, coefs = float(dx[0]), None
-        else:
-            step = None
-            dx1, dx2 = dx[:-1], dx[1:]
-            coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
-                     _read_only((dx2 - dx1) / (dx1 * dx2)),
-                     _read_only(dx1 / (dx2 * (dx1 + dx2))))
-        positive = p > 0.0
-        nz = np.flatnonzero(positive)
-        first, last = (int(nz[0]), int(nz[-1])) if nz.size else (0, p.size - 1)
-        # exact zero padding at both edges is trimmed before looking for a hole
-        inner = p[first: last + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
-        return TiltGrid(
-            dx=_read_only(dx),
-            step=step,
-            coefs=coefs,
-            positive=_read_only(positive),
-            all_positive=nz.size == p.size,
-            has_hole=bool(np.any(inner <= 0.0)),
-        )
-
-    def integrate(self, y: np.ndarray) -> float:
-        """Trapezoid integral over theta of y sampled on this grid."""
-        return _trapezoid(y, self.tilt_grid.dx)
-
-    @functools.cached_property
-    def _integral(self) -> float:
-        return self.integrate(self.density)
-
-    def integral(self) -> float:
-        return self._integral
-
-    def check_normalized(self, tol: float = 1e-6) -> None:
-        z = self.integral()
-        if abs(z - 1.0) > tol:
-            raise DomainError(f"density integrates to {z:.6g}, not 1 within {tol:g}")
-
-    def normalized(self) -> "GridDensity":
-        z = self.integral()
-        if not 0.0 < z < math.inf:
-            raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
-        return GridDensity(self.theta, self.density / z)
 
 
 def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:

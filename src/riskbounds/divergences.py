@@ -27,8 +27,6 @@ __all__ = [
     "tilt_terms",
 ]
 
-_NORM_TOL = 1e-6          # quadrature tolerance for density normalization
-
 # The information floor 1/I(Q_beta) needs a tilted density that vanishes at
 # both ends of its support.  A tilt whose density at either grid end is
 # above this share of its peak is rejected, whatever the base: a flat or
@@ -63,8 +61,12 @@ def _log_quad_mgf(a_coef, b_coef, sigma2: float) -> np.ndarray:
     denom = 1.0 - 2.0 * a_coef * sigma2
     finite = denom > 0.0
     denom = np.where(finite, denom, 1.0)
-    return np.where(finite, b_coef * b_coef * sigma2 / (2.0 * denom) - 0.5 * np.log(denom),
-                    math.inf)
+    log_denom = np.log(denom)
+    huge = denom == math.inf
+    if huge.any():   # 2 A sigma2 overflowed: ln denom is ln(2 sigma2) + ln|A| to rounding, A != 0
+        log_a = np.log(np.abs(np.where(huge, a_coef, 1.0)))
+        log_denom = np.where(huge, math.log(2.0 * sigma2) + log_a, log_denom)
+    return np.where(finite, b_coef * b_coef * sigma2 / (2.0 * denom) - 0.5 * log_denom, math.inf)
 
 
 def renyi_gaussian_linear(
@@ -123,7 +125,7 @@ def _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):
 
 
 def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
-    """(I(Q_beta), D(Q_beta || P)) of a normalized grid prior P raised to power beta.
+    """(I(Q_beta), D(Q_beta || P)) of a grid prior P raised to power beta.
 
     Q_beta is P^beta renormalized by Z(beta), the trapezoid sum of
     P^beta.  The divergence is (beta - 1) phi'(beta) - ln Z(beta), where
@@ -138,23 +140,21 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     a prior padded with zeros at both grid ends passes; callers needing a
     smaller beta must supply a wider grid.
 
-    Everything that does not depend on beta comes from the base's cached
-    ``tilt_grid``: its support scan and hole flag, the grid spacings of
-    both trapezoids and the gradient's coefficients.  A tilt then costs
+    Everything that does not depend on beta was set when the base was
+    built: its support mask and hole flag, the grid spacings of both
+    trapezoids and the gradient's coefficients.  A tilt then costs
     one log-sum-exp, one exponential and a few array passes, with the bits
     of ``np.gradient`` and ``np.trapezoid`` on the same grid.  The tilted
     density is a local array: no Q_beta is returned or kept.
     """
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
-    base.check_normalized(_NORM_TOL)
-    grid = base.tilt_grid
     log_p = base.log_density
     exponent = beta * log_p
     log_z = logsumexp(exponent, base.weights)
     if not math.isfinite(log_z):
         raise DomainError("tilted density is not integrable on this grid")
-    if grid.has_hole:
+    if base.has_hole:
         raise DomainError("density vanishes at an interior grid point")
     q = np.exp(exponent - log_z)
     tilt_edge = max(q[0], q[-1]) / np.max(q)
@@ -164,11 +164,11 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
             "supply a wider grid for this beta or a prior that decays there"
         )
     wq = base.weights * q
-    if grid.all_positive:
+    if base.all_positive:
         dphi = float(np.dot(wq, log_p))
     else:
-        dphi = float(np.dot(wq[grid.positive], log_p[grid.positive]))
-    dq = grid.gradient(q)
+        dphi = float(np.dot(wq[base.positive], log_p[base.positive]))
+    dq = base.gradient(q)
     integrand = np.zeros_like(q)
     np.divide(dq * dq, q, out=integrand, where=q > 0.0)
     return base.integrate(integrand), (float(beta) - 1.0) * dphi - log_z
@@ -177,14 +177,14 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
 def tilt_terms(prior: GridDensity, beta: float) -> tuple[float, float]:
     """``tilt_prior(prior, beta)``, tilted once per beta.
 
-    The prior caches these two floats per beta in its instance dict, where
-    ``functools.cached_property`` keeps its weights, so a hit returns the
-    very floats the first tilt computed.  A rejected tilt caches its
-    ``DomainError`` message and raises a fresh ``DomainError`` with that
-    text on every call.  No array is cached.  Threads sharing a prior may
-    race on a missing beta; both compute and store the same floats.
+    The prior keeps these two floats per beta in its ``tilts`` memo, so a
+    hit returns the very floats the first tilt computed.  A rejected tilt
+    keeps its ``DomainError`` message and raises a fresh ``DomainError``
+    with that text on every call.  No array is cached.  Threads sharing a
+    prior may race on a missing beta; both compute and store the same
+    floats.
     """
-    memo = vars(prior).setdefault("_tilt_terms", {})
+    memo = prior.tilts
     beta = float(beta)
     terms = memo.get(beta)
     if terms is None:

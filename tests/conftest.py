@@ -40,6 +40,6 @@ def gaussian_prior_grid():
         half = span * math.sqrt(sigma2)
         theta = np.linspace(-half, half, n)
         dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
-        return GridDensity(theta, dens / np.trapezoid(dens, theta))
+        return GridDensity(theta, dens)   # the constructor normalizes
 
     return _make

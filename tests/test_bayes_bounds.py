@@ -170,8 +170,8 @@ class TestTiltedPriorBound:
         # scales by 1e-10, and no floor on I = 1e-10 refuses its tilts
         theta = np.linspace(-10.0, 10.0, 8193)
         dens = np.exp(-theta ** 2 / 2.0)
-        unit = GridDensity(theta, dens).normalized()
-        wide = GridDensity(1e5 * theta, dens).normalized()
+        unit = GridDensity(theta, dens)
+        wide = GridDensity(1e5 * theta, dens)
         assert alpha_c_upper(wide) == pytest.approx(1e-10 * alpha_c_upper(unit), rel=1e-9)
         assert tilted_prior_bound(wide, 1e-11, 1.0, 0.0).value == pytest.approx(0.1, rel=1e-9)
 
@@ -219,7 +219,7 @@ def _ceiling_prior(kind: str, a: float, b: float, n: int) -> GridDensity:
         pad = 0.5 * (b - a) if kind.startswith("padded") else 0.0
         theta = np.linspace(a - pad, b + pad, n)
         dens = np.where((theta >= a) & (theta <= b), 1.0, 0.0)
-    return GridDensity(theta, dens).normalized()
+    return GridDensity(theta, dens)
 
 
 _DELAY = {"omega0": 2.0 * math.pi, "ex": 1.0, "n0": 1.0}   # the CLI's defaults

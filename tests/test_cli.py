@@ -396,6 +396,23 @@ def test_verify_mc_loads_no_bound_modules():
                    timeout=120)
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["phase", "exponent", "--a", "3"], "riskbounds.phase_transition"),
+    (["bound", "bayes-tilted", "--alpha", "0.3", "--beta", "1.0"], "riskbounds.bayes_bounds"),
+])
+def test_importtime_lists_the_family_module(argv, family):
+    # -X importtime times only imports made through the import statement machinery,
+    # so a family module loaded by the package's lazy names must still show up there
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "riskbounds.cli", *argv],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    modules = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert family in modules
+    if argv[0] == "phase":
+        assert not any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+
 def test_every_public_name_resolves():
     # in a fresh process, where no name has been resolved yet: dir() lists
     # every public name and submodule, and each resolves on first access
@@ -680,7 +697,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--sigma2", "1e-300", "--sigma2q", "1e300"],   # sigma2 / sigma2q underflows to 0
-        ["--sigma2", "1e300", "--sigma2q", "1e-300"],   # and overflows to inf
+        ["--sigma2", "0.5", "--es", "1e10", "--n0", "1e-300"],   # es / n0 overflows to inf
         ["--sigma2", "0.5", "--es", "1e100", "--q-const", "1e100"],   # (a b)^2 overflows
     ])
     def test_lpcb_terms_beyond_float_range_read_useless(self, capsys, flags):
@@ -689,6 +706,19 @@ class TestExitCodes:
         assert code == 0 and err == ""
         row = data_rows(out)[0]
         assert (row[2], row[4]) == ("-inf", "useless")
+
+    @pytest.mark.filterwarnings("error")
+    def test_lpcb_ratio_beyond_float_range_matches_the_log_form(self, capsys):
+        # sigma2 / sigma2q = R = 1e600 and 2 A sigma2 overflow, yet the Renyi term of
+        # order a = alpha / beta is finite: 0.5 ln R - 0.5 ln(a) / (a - 1) in logs
+        code, out, err = run_cli(["bound", "bayes-lpcb", "--alpha", "0.5", "--snr", "0",
+                                  "--sigma2", "1e300", "--sigma2q", "1e-300"], capsys)
+        assert code == 0 and err == ""
+        _, _, bound, beta, status = data_rows(out)[0]
+        a = 0.5 / float(beta)
+        renyi = 0.5 * 600.0 * math.log(10.0) - 0.5 * math.log1p(a - 1.0) / (a - 1.0)
+        # the first term of the bound is alpha / (2 alpha_c) = 5e-301 here
+        assert status == "ok" and float(bound) == pytest.approx(-renyi, abs=1e-6)
 
     def test_certify_passes_cleanly(self, capsys):
         code, out, err = run_cli(["verify", "certify", "--samples", "20000",

@@ -25,6 +25,15 @@ class TestWaveform:
         w = Waveform(t, np.sin(math.pi * t))
         assert w.energy() == pytest.approx(1.0, rel=1e-8)
 
+    def test_caller_arrays_are_copied_and_read_only(self):
+        t, v = np.linspace(0.0, 1.0, 5), np.ones(5)
+        w = Waveform(t, v)
+        t[1], v[:] = 0.9, 7.0
+        assert np.all(np.diff(w.t) > 0) and np.all(w.values == 1.0)
+        for arr in (w.t, w.values):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
     def test_grid_validation(self):
         with pytest.raises(GridError):
             Waveform(np.array([0.0, 1.0, 1.0]), np.zeros(3))
@@ -36,10 +45,15 @@ class TestWaveform:
 
 class TestGridDensity:
     def test_normalization_check(self):
-        theta = np.linspace(0, 1, 101)
-        with pytest.raises(DomainError):
-            GridDensity(theta, np.full(101, 2.0)).check_normalized()
-        GridDensity(theta, np.full(101, 2.0)).normalized().check_normalized()
+        theta = np.sort(np.random.default_rng(4).uniform(-2.0, 3.0, 101))
+        dens = np.exp(-theta ** 2)
+        stored = GridDensity(theta, 3.0 * dens).density
+        assert _bits(stored) == _bits(3.0 * dens / np.trapezoid(3.0 * dens, theta))
+        assert np.trapezoid(stored, theta) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(DomainError, match="integrates to inf and cannot be normalized"):
+            GridDensity(theta, np.full(101, 1e308))
+        with pytest.raises(DomainError, match="density must be finite"):   # 1 / z overflows
+            GridDensity(np.arange(33) * 1e-320, np.ones(33))
 
     def test_negative_density_rejected(self):
         theta = np.linspace(0, 1, 101)
@@ -56,15 +70,24 @@ class TestGridDensity:
         f = np.cos(theta)
         assert np.dot(d.weights, f) == pytest.approx(np.trapezoid(f, theta), rel=1e-13)
         assert np.all(d.log_density[:5] == -np.inf)
-        np.testing.assert_allclose(d.log_density[5:], -theta[5:] ** 2, rtol=1e-13, atol=1e-15)
-        assert d.weights is d.weights and d.log_density is d.log_density
+        log_z = math.log(np.trapezoid(dens, theta))
+        np.testing.assert_allclose(d.log_density[5:], -theta[5:] ** 2 - log_z,
+                                   rtol=1e-13, atol=1e-15)
 
     def test_arrays_are_read_only(self):
         theta = np.linspace(-1.0, 1.0, 33)
         d = GridDensity(theta, np.full(33, 0.5))
-        for arr in (d.theta, d.density, d.weights, d.log_density):
+        for arr in (d.theta, d.density, d.weights, d.log_density, d.dx, d.positive):
             with pytest.raises(ValueError):
                 arr[0] = 7.0
+
+    def test_attributes_cannot_be_assigned_or_deleted(self):
+        d = GridDensity(np.linspace(-1.0, 1.0, 33), np.full(33, 0.5))
+        for name in (*GridDensity.__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+        with pytest.raises(AttributeError):
+            del d.density
 
     def test_caller_arrays_are_copied(self):
         theta = np.linspace(-1.0, 1.0, 33)
@@ -74,7 +97,7 @@ class TestGridDensity:
         theta[3] = 5.0
         dens[:] = 9.0
         assert d.theta[3] == pytest.approx(-1.0 + 3.0 / 16.0)
-        assert np.all(d.density == 0.5)
+        assert np.all(d.density == 0.5)   # 0.5 integrates to 1 on [-1, 1]
         np.testing.assert_array_equal(d.weights, weights)
         assert theta.flags.writeable and dens.flags.writeable
 
@@ -100,53 +123,51 @@ class TestGridTrapezoidAndGradient:
     def test_match_numpy_bit_for_bit(self, name, seed):
         theta = _GRIDS[name]
         rng = np.random.default_rng(seed)
-        d = GridDensity(theta, rng.exponential(size=theta.size))
+        dens = rng.exponential(size=theta.size)
+        d = GridDensity(theta, dens)
         f = rng.normal(size=theta.size) * np.exp(rng.normal(0.0, 3.0))
         assert _bits(d.integrate(f)) == _bits(np.trapezoid(f, theta))
-        assert _bits(d.integral()) == _bits(np.trapezoid(d.density, theta))
-        assert _bits(d.tilt_grid.gradient(f)) == _bits(np.gradient(f, theta))
+        assert _bits(d.density) == _bits(dens / np.trapezoid(dens, theta))
+        assert _bits(d.gradient(f)) == _bits(np.gradient(f, theta))
         w = Waveform(theta, f)
         assert _bits(w.energy()) == _bits(np.trapezoid(f ** 2, theta))
 
     def test_spacing_follows_numpys_uniformity_test(self):
-        uniform = GridDensity(_GRIDS["uniform"], np.ones(513)).tilt_grid
+        uniform = GridDensity(_GRIDS["uniform"], np.ones(513))
         assert uniform.step == uniform.dx[0] and uniform.coefs is None
         for name in ("sinh", "from-text"):
-            grid = GridDensity(_GRIDS[name], np.ones(513)).tilt_grid
+            grid = GridDensity(_GRIDS[name], np.ones(513))
             assert grid.step is None and len(grid.coefs) == 3
 
     def test_support_pieces(self):
         theta = np.linspace(-2.0, 2.0, 101)
         padded = np.where(np.abs(theta) <= 1.0, 1.0, 0.0)
-        grid = GridDensity(theta, padded).tilt_grid
+        grid = GridDensity(theta, padded)
         assert not grid.all_positive and not grid.has_hole
         np.testing.assert_array_equal(grid.positive, padded > 0.0)
-        holed = GridDensity(theta, np.abs(theta)).tilt_grid
+        holed = GridDensity(theta, np.abs(theta))
         assert holed.has_hole and holed.all_positive is False
         left_pad = np.exp(-theta ** 2)
         left_pad[:3] = 0.0   # padding at one edge only is an interior zero
-        assert GridDensity(theta, left_pad).tilt_grid.has_hole
-        smooth = GridDensity(theta, np.exp(-theta ** 2)).tilt_grid
+        assert GridDensity(theta, left_pad).has_hole
+        smooth = GridDensity(theta, np.exp(-theta ** 2))
         assert smooth.all_positive and not smooth.has_hole
 
     def test_cached_arrays_are_read_only_and_never_shared(self):
         d = GridDensity(_GRIDS["sinh"], np.ones(513))
-        grid = d.tilt_grid
-        assert d.tilt_grid is grid
-        for arr in (grid.dx, grid.positive, *grid.coefs):
+        for arr in (d.dx, d.positive, *d.coefs):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 7.0
         f = np.linspace(0.0, 1.0, 513)
-        first, second = grid.gradient(f), grid.gradient(f)
+        first, second = d.gradient(f), d.gradient(f)
         assert first.flags.writeable and not np.shares_memory(first, second)
         with pytest.raises(AttributeError):
-            grid.dx = np.ones(512)
+            d.dx = np.ones(512)
 
     def test_all_zero_density_fails_the_normalization_check(self):
-        d = GridDensity(np.linspace(0.0, 1.0, 33), np.zeros(33))
-        with pytest.raises(DomainError, match="integrates to 0"):
-            d.check_normalized()
+        with pytest.raises(DomainError, match="integrates to 0 and cannot be normalized"):
+            GridDensity(np.linspace(0.0, 1.0, 33), np.zeros(33))
 
 
 class TestLogSumExp:

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from riskbounds import (
     tilt_terms,
     tilted_prior_bound,
 )
+from riskbounds.cli import _load_prior
 from riskbounds.core import logsumexp
 
 from oracles import binary_entropy, gaussian_kl, renyi_by_quadrature, renyi_gaussian_pair
@@ -134,6 +136,22 @@ class TestRenyiGaussianLinear:
         with pytest.raises(DomainError):
             renyi_gaussian_linear(np.array([2.0, 1.0]), **kw)
 
+    @pytest.mark.filterwarnings("error")
+    def test_variance_ratio_beyond_float_range_stays_finite(self):
+        # 2 A sigma2 = a (1 - R) overflows once R passes 1e308: the term is
+        # 0.5 a ln R - 0.5 ln(1 + a (R - 1)), formed in logs for the oracle
+        assert renyi_gaussian_linear(2.0, sigma2=1e200, sigma2_q=1e-200, es=0.0, ex=0.0,
+                                     n0=1.0) == pytest.approx(460.1704450085292, rel=1e-15)
+        for a in (1.5, 2.0, 7.0):
+            for e in range(300, 601, 20):
+                ln_r = e * math.log(10.0)
+                want = (0.5 * a * ln_r - 0.5 * (math.log(a) + ln_r)) / (a - 1.0)
+                got = renyi_gaussian_linear(a, sigma2=10.0 ** (e / 2), sigma2_q=10.0 ** (-e / 2),
+                                            es=0.0, ex=0.0, n0=1.0)
+                assert got == pytest.approx(want, rel=1e-13), (a, e)
+        # A = 0: equal variances and no reference energy
+        assert renyi_gaussian_linear(2.0, sigma2=1.0, sigma2_q=1.0, es=0.0, ex=0.0, n0=1.0) == 0.0
+
     def test_invalid_order_rejected(self):
         with pytest.raises(DomainError):
             renyi_gaussian_linear(1.0, sigma2=1.0, sigma2_q=1.0, es=0.0, ex=0.0, n0=1.0)
@@ -190,7 +208,7 @@ class TestTiltPrior:
     def test_zero_padded_flat_base_is_accepted(self):
         # zeros at both grid ends: every tilt of the flat part is the base itself
         theta = np.linspace(-2.0, 2.0, 801)
-        base = _normalized(theta, np.where(np.abs(theta) <= 1.0, 1.0, 0.0))
+        base = GridDensity(theta, np.where(np.abs(theta) <= 1.0, 1.0, 0.0))
         for beta in (0.5, 1.0, 3.0):
             fisher_info, kl = tilt_prior(base, beta)
             assert kl == pytest.approx(0.0, abs=1e-10)
@@ -225,11 +243,15 @@ class TestTiltPrior:
         with pytest.raises(DomainError):
             tilt_prior(gaussian_prior_grid(1.0), 0.0)
 
-    def test_unnormalized_base_rejected_every_time(self):
-        base = GridDensity(np.linspace(0.0, 1.0, 65), np.full(65, 2.0))
-        for _ in range(2):  # the cached integral still fails the check
-            with pytest.raises(DomainError, match="integrates to 2"):
-                tilt_prior(base, 1.5)
+    def test_unnormalized_base_tilts_as_the_cli_prior(self):
+        # the constructor normalizes: a base scaled by a power of two, which
+        # scales its integral exactly, tilts to the bits of `--prior gaussian:1.0,8,4097`
+        cli_prior = _load_prior(SimpleNamespace(prior="gaussian:1.0,8,4097"))
+        theta = cli_prior.theta
+        base = GridDensity(theta, 2.0 ** -20 * np.exp(-(theta ** 2) / 2.0))
+        assert base.density.tobytes() == cli_prior.density.tobytes()
+        for beta in (0.5, 1.0, 1.5):
+            assert tilt_prior(base, beta) == tilt_prior(cli_prior, beta)
 
 
 class TestTiltTerms:
@@ -267,7 +289,7 @@ class TestTiltTerms:
         bv = nu_bound(prior, 0.6, omega0=2.0 * math.pi, ex=1.5, n0=20.0)
         assert math.isfinite(bv.value)
         assert tilted and max(tilted.values()) == 1
-        assert set(tilted) == set(vars(prior)["_tilt_terms"])
+        assert set(tilted) == set(prior.tilts)
 
     def test_memo_holds_no_arrays(self, gaussian_prior_grid):
         prior = gaussian_prior_grid(1.0)
@@ -276,7 +298,7 @@ class TestTiltTerms:
                 tilt_terms(prior, beta)
             except DomainError:
                 pass
-        memo = vars(prior)["_tilt_terms"]
+        memo = prior.tilts
         assert len(memo) == 4
         for entry in memo.values():
             assert not isinstance(entry, np.ndarray)
@@ -314,7 +336,7 @@ class TestTiltTerms:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 8 * 60
         assert all(serial[b] == got for b, got in results)
-        assert set(vars(prior)["_tilt_terms"]) == set(betas)
+        assert set(prior.tilts) == set(betas)
 
 
 # The tilt kernel before its beta-independent half was cached on the grid:
@@ -363,21 +385,17 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     return fisher, (beta - 1.0) * dphi - log_z
 
 
-def _normalized(theta, dens) -> GridDensity:
-    return GridDensity(theta, dens / np.trapezoid(dens, theta))
-
-
 @functools.cache
 def _battery_priors() -> dict[str, GridDensity]:
     """The CLI's Gaussian grids, non-uniform grids, zero padding and a hole."""
     def cli_gaussian(sigma2, span, n):
         theta = np.linspace(-span * math.sqrt(sigma2), span * math.sqrt(sigma2), n)
-        return _normalized(theta, np.exp(-theta ** 2 / (2.0 * sigma2)))
+        return GridDensity(theta, np.exp(-theta ** 2 / (2.0 * sigma2)))
 
     sinh = 8.0 * np.sinh(np.linspace(-2.5, 2.5, 4097)) / math.sinh(2.5)
     padded = np.linspace(-2.0, 2.0, 801)
     holed = np.linspace(-1.0, 1.0, 513)
-    # a prior file as `--prior PATH` reads it: text round trip, then normalized()
+    # a prior file as `--prior PATH` reads it: a text round trip
     laplace = np.linspace(-12.0, 12.0, 2001)
     text = io.StringIO()
     np.savetxt(text, np.column_stack([laplace, 0.5 * np.exp(-np.abs(laplace))]), delimiter=",")
@@ -386,10 +404,10 @@ def _battery_priors() -> dict[str, GridDensity]:
         "gaussian:1.0": cli_gaussian(1.0, 10.0, 8193),
         "gaussian:0.5,30,8193": cli_gaussian(0.5, 30.0, 8193),
         "gaussian:1.0,3,4097": cli_gaussian(1.0, 3.0, 4097),
-        "sinh-spaced": _normalized(sinh, np.exp(-sinh ** 2 / 2.0)),
-        "zero-padded uniform": _normalized(padded, np.where(np.abs(padded) <= 1.0, 1.0, 0.0)),
-        "holed": _normalized(holed, np.abs(holed)),
-        "laplace file": GridDensity(data[:, 0], data[:, 1]).normalized(),
+        "sinh-spaced": GridDensity(sinh, np.exp(-sinh ** 2 / 2.0)),
+        "zero-padded uniform": GridDensity(padded, np.where(np.abs(padded) <= 1.0, 1.0, 0.0)),
+        "holed": GridDensity(holed, np.abs(holed)),
+        "laplace file": GridDensity(data[:, 0], data[:, 1]),
     }
 
 
@@ -422,10 +440,10 @@ class TestTiltBits:
 
     def test_battery_covers_both_gradient_spacings_and_every_rejection(self):
         priors = _battery_priors()
-        assert priors["gaussian:1.0"].tilt_grid.step is not None
-        assert priors["gaussian:0.5,30,8193"].tilt_grid.coefs is not None
-        assert priors["laplace file"].tilt_grid.coefs is not None
-        assert not priors["zero-padded uniform"].tilt_grid.all_positive
+        assert priors["gaussian:1.0"].step is not None
+        assert priors["gaussian:0.5,30,8193"].coefs is not None
+        assert priors["laplace file"].coefs is not None
+        assert not priors["zero-padded uniform"].all_positive
         messages = []
         for beta in (0.01, 1.0, 0.0, math.nan):
             for prior in priors.values():
@@ -442,11 +460,11 @@ class TestTiltBits:
 
     def test_cached_grid_pieces_are_never_aliased(self):
         for prior in _battery_priors().values():
-            if prior.tilt_grid.has_hole:
+            if prior.has_hole:
                 continue
-            grid = prior.tilt_grid
             cached = [prior.theta, prior.density, prior.weights, prior.log_density,
-                      grid.dx, grid.positive, *(grid.coefs or ())]
+                      prior.dx, prior.positive, *(prior.coefs or ())]
             assert not any(a.flags.writeable for a in cached)
+            before = [a.tobytes() for a in cached]
             tilt_prior(prior, 1.7)
-            assert prior.tilt_grid is grid
+            assert [a.tobytes() for a in cached] == before
