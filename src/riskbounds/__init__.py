@@ -22,17 +22,15 @@ _EXPORTS = {
             "RiskBoundsError")),
         ("closed_forms", (
             "BoundValue", "LinearGaussianModel", "generic_bayes_bound",
-            "linear_gaussian_min_lambda", "phase_bound_large_sigma", "scalar_linear_bound",
-            "scalar_ml_lambda", "ww_rect_delay_bound")),
-        ("core", ("GridDensity", "Waveform")),
-        ("divergences", (
-            "binary_divergence", "renyi_gaussian_linear", "tilt_prior", "tilt_terms")),
-        ("bayes_bounds", (
-            "alpha_c_estimate", "alpha_c_upper", "lpcb_bound", "lpcb_sweep",
-            "tilted_prior_bound")),
+            "linear_gaussian_min_lambda", "NuTradeoff", "nu_bound", "phase_bound_large_sigma",
+            "scalar_linear_bound", "scalar_ml_lambda", "tilted_prior_bound",
+            "ww_rect_delay_bound")),
+        ("core", ("GridDensity",)),
+        ("divergences", ("binary_divergence", "renyi_gaussian_linear", "tilt_prior")),
+        ("bayes_bounds", ("alpha_c_estimate", "alpha_c_upper", "lpcb_bound", "lpcb_sweep")),
         ("delay_design", (
-            "DelayDesignProblem", "NuTradeoff", "nu_bound", "raised_cosine_pulse",
-            "raised_cosine_reference", "solve_reference_ode")),
+            "DelayDesignProblem", "Waveform", "raised_cosine_pulse", "raised_cosine_reference",
+            "solve_reference_ode")),
         ("nonbayes_bounds", (
             "CorrelationProfile", "VectorLinearModel", "nonlinear_bound", "vector_linear_bound",
             "vector_ml_lambda")),

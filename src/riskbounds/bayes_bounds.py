@@ -6,8 +6,8 @@ where L lower-bounds the reference model's mean squared error and D is a
 divergence from the reference model Q to P (KL for the basic family, Renyi
 for the sharper one).  The module provides
 
-* power-tilted priors driving an information-based reference bound, and an
-  upper bound on the critical risk factor from that family,
+* an upper bound on the critical risk factor from the power-tilted prior
+  family,
 * the Renyi-divergence (probability-comparison) bound against a
   linear-Gaussian reference, for one alpha or a sweep of them,
 * the divergence onset of any bound family as an estimate of alpha_c,
@@ -16,8 +16,9 @@ each with its free parameters exposed and a maximizer over them.
 ``lpcb_sweep`` searches the splits of all its alphas, one alpha included,
 with one ``core._maximize_batch`` on numpy arrays.  The scalar closed
 forms (the linear-Gaussian model and minimum, the generic bound, the
-wide-prior phase bound and the rectangular-pulse delay bound) live in the
-numpy-free ``closed_forms`` and are re-exported here.
+wide-prior phase bound, the rectangular-pulse delay bound and the
+tilted-prior bound) live in the numpy-free ``closed_forms`` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .closed_forms import (
     generic_bayes_bound,
     linear_gaussian_min_lambda,
     phase_bound_large_sigma,
+    tilted_prior_bound,
     ww_rect_delay_bound,
 )
 from .core import (
@@ -42,7 +44,7 @@ from .core import (
     _maximize_batch,
     divergence_onset,
 )
-from .divergences import renyi_gaussian_linear, tilt_terms
+from .divergences import renyi_gaussian_linear
 
 __all__ = [
     "LinearGaussianModel",
@@ -64,42 +66,6 @@ _BETA_EDGE = 1e-6  # relative inset of the beta bracket from its feasibility lim
 # below which its lowest-beta tilt counts as heading to zero
 _AC_BETAS = np.exp(np.linspace(math.log(1e-4), math.log(1e2), 161))
 _AC_TREND_CUT = 0.05
-
-
-def tilted_prior_bound(
-    prior: GridDensity,
-    alpha: float,
-    beta: float,
-    es_over_n0: float,
-    corr_term: float = 0.0,
-) -> BoundValue:
-    """Information-based reference bound with a power-tilted prior.
-
-    Value: alpha / (I(Q_beta) + 2 es_over_n0) - D(Q_beta || P) - corr_term,
-    where es_over_n0 carries the reference signal's (derivative) energy and
-    corr_term the signal-distance penalty supplied by the caller's
-    geometry.  The MSE floor 1/I needs a tilted prior that vanishes at
-    both ends of its support: a tilt that ``tilt_prior`` rejects at the
-    grid ends raises its ``DomainError``, and so does a total information
-    that is not positive (zero or NaN).  I and D come from ``tilt_terms``,
-    so the prior caches its tilt scalars and a repeated beta costs no new
-    tilt.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    if es_over_n0 < 0 or corr_term < 0:
-        raise DomainError("energies must be nonnegative")
-    fisher_info, kl = tilt_terms(prior, beta)
-    info = fisher_info + 2.0 * es_over_n0
-    if not info > 0.0:
-        raise DomainError(
-            "total information is not positive; the reference MSE bound "
-            "does not apply to this tilt"
-        )
-    value = alpha / info - kl - corr_term
-    return classify(value, {"beta": beta, "fisher_info": fisher_info})
 
 
 def alpha_c_upper(prior: GridDensity) -> float:
@@ -126,7 +92,7 @@ def alpha_c_upper(prior: GridDensity) -> float:
     products: list[float] = []
     for b in _AC_BETAS:
         try:
-            info, kl = tilt_terms(prior, float(b))
+            info, kl = prior.tilt_terms(float(b))
         except DomainError:
             continue
         if not info > 0.0:

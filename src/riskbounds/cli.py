@@ -258,7 +258,8 @@ def _load_prior(args) -> GridDensity:
 # `closed_forms.maximize_scalar`), and `verify bernoulli-exact` loads `verify`
 # (its exact sum runs on Python floats) and, for the optimal estimator,
 # `phase_transition` and `closed_forms._interp`.  They and every `phase`
-# analysis load neither numpy nor `dataclasses`.
+# analysis load neither numpy nor `dataclasses`.  `bayes-tilted --beta` and
+# `bayes-delay` load `closed_forms`, and numpy, `core` and `divergences` to tilt.
 
 def _alpha_rows(args, row) -> list[list]:
     return [row(float(a)) for a in _alpha_values(args)]
@@ -286,25 +287,25 @@ def _bayes_phase_rows(args) -> list[list]:
 
 
 def _tilted_rows(args) -> list[list]:
-    from . import bayes_bounds
+    from . import closed_forms
 
     prior = _load_prior(args)
     if args.beta is None:
         raise DomainError("supply --beta for bayes-tilted")
     def row(a):
-        bv = bayes_bounds.tilted_prior_bound(prior, a, args.beta, args.es_over_n0, args.corr)
+        bv = closed_forms.tilted_prior_bound(prior, a, args.beta, args.es_over_n0, args.corr)
         return [a, args.beta, bv.value, bv.status]
     return _alpha_rows(args, row)
 
 
 def _delay_rows(args) -> list[list]:
-    from . import delay_design
+    from . import closed_forms
 
     if args.beta is not None and args.nu is None:
         raise DomainError("--beta needs --nu for bayes-delay: without --nu the search picks beta")
     prior = _load_prior(args)
     def row(a):
-        bv = delay_design.nu_bound(prior, a, beta=args.beta, nu=args.nu,
+        bv = closed_forms.nu_bound(prior, a, beta=args.beta, nu=args.nu,
                                    omega0=args.omega0, ex=args.ex, n0=args.n0)
         return [a, bv.value, bv.argmax["nu"], bv.argmax["beta"], bv.status]
     return _alpha_rows(args, row)

@@ -9,7 +9,9 @@ a float into a ``BoundValue`` status.  The closed forms here are a few
 * the generic change-of-measure bound alpha * mse_lb - divergence,
 * the wide-prior phase bound,
 * the rectangular-pulse delay bound,
-* the unbiased scalar bound alpha n0 / (2 es) and the exact ML moment.
+* the unbiased scalar bound alpha n0 / (2 es) and the exact ML moment,
+* the tilted-prior bound and the raised-cosine delay bound ``nu_bound``,
+  which read a prior only through its pair ``prior.tilt_terms(beta)``.
 
 The package's 1-D searches live here too, as plain-Python loops on float
 brackets: ``golden_section_max``, the one golden-section search, and
@@ -22,16 +24,17 @@ sweep of ``maximize_scalar``.
 
 The module imports only ``math``, ``bisect``, ``sys``, ``typing`` and
 ``errors`` (a log-spaced ``maximize_scalar`` sweep imports numpy for
-``np.exp``), and it defines no dataclass: ``BoundValue`` is a
-``NamedTuple`` and ``LinearGaussianModel`` a ``__slots__`` class, so
-loading it costs no ``dataclasses`` or ``inspect`` import.  The CLI
-families built on it (``bayes-linear``, ``bayes-phase``, ``bayes-ww``,
-``nonbayes-linear`` and ``nonbayes-nonlinear``), ``phase estimator`` and
-``verify bernoulli-exact`` run without numpy; ``_interp``, numpy's
-``interp`` formula on floats, reads the estimator curve at the counts k/n
-of ``verify bernoulli-exact --estimator optimal``.  ``core``,
-``bayes_bounds`` and ``nonbayes_bounds`` re-export its public names as
-the same objects, and ``core`` re-exports ``LOG_FLOAT_MAX``.
+``np.exp``, the joint ``nu_bound`` search ``core``), and it defines no
+dataclass: ``BoundValue`` is a ``NamedTuple``, the other classes use
+``__slots__``, so loading it costs no ``dataclasses`` or ``inspect``
+import.  The CLI families built on it (``bayes-linear``, ``bayes-phase``,
+``bayes-ww``, ``nonbayes-linear`` and ``nonbayes-nonlinear``),
+``phase estimator`` and ``verify bernoulli-exact`` run without numpy;
+``_interp``, numpy's ``interp`` formula on floats, reads the estimator
+curve at the counts k/n of ``verify bernoulli-exact --estimator optimal``.
+``core``, ``bayes_bounds`` and ``nonbayes_bounds`` re-export its public
+names as the same objects, ``core`` re-exports ``LOG_FLOAT_MAX`` and
+``delay_design`` ``nu_bound``.
 """
 
 from __future__ import annotations
@@ -39,9 +42,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .core import GridDensity
 
 __all__ = [
     "STATUS_OK",
@@ -57,6 +63,9 @@ __all__ = [
     "ww_rect_delay_bound",
     "scalar_linear_bound",
     "scalar_ml_lambda",
+    "tilted_prior_bound",
+    "NuTradeoff",
+    "nu_bound",
     "golden_section_max",
     "maximize_scalar",
 ]
@@ -75,6 +84,8 @@ _WW_CONST = 0.324
 _META = {"assumes_unbiased": True}
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest x with a finite math.exp(x)
+
+_BETA_BRACKET = (1e-3, 50.0)   # tilt exponents searched by nu_bound
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 200   # cap on golden steps per search; 0.618^200 is below any tol
@@ -262,6 +273,130 @@ def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
     if ratio >= 1.0:
         return math.inf
     return -0.5 * math.log1p(-ratio)
+
+
+def tilted_prior_bound(
+    prior: GridDensity,
+    alpha: float,
+    beta: float,
+    es_over_n0: float,
+    corr_term: float = 0.0,
+) -> BoundValue:
+    """Information-based reference bound with a power-tilted prior.
+
+    Value: alpha / (I(Q_beta) + 2 es_over_n0) - D(Q_beta || P) - corr_term,
+    where es_over_n0 carries the reference signal's (derivative) energy and
+    corr_term the signal-distance penalty supplied by the caller's
+    geometry.  The MSE floor 1/I needs a tilted prior that vanishes at
+    both ends of its support: a tilt that ``divergences.tilt_prior``
+    rejects at the grid ends raises its ``DomainError``, and so does a
+    total information that is not positive (zero or NaN).  I and D come
+    from ``prior.tilt_terms(beta)``, so the prior caches its tilt scalars
+    and a repeated beta costs no new tilt.
+    """
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    if beta <= 0:
+        raise DomainError("beta must be positive")
+    if es_over_n0 < 0 or corr_term < 0:
+        raise DomainError("energies must be nonnegative")
+    fisher_info, kl = prior.tilt_terms(beta)
+    info = fisher_info + 2.0 * es_over_n0
+    if not info > 0.0:
+        raise DomainError("total information is not positive; the reference MSE bound "
+                          "does not apply to this tilt")
+    value = alpha / info - kl - corr_term
+    return classify(value, {"beta": beta, "fisher_info": fisher_info})
+
+
+class NuTradeoff:
+    """Closed-form tradeoff terms for the raised-cosine reference family."""
+
+    __slots__ = ("nu", "omega0", "ex")
+
+    def __init__(self, nu: float, omega0: float, ex: float):
+        if not (0.0 <= nu <= 1.0):
+            raise DomainError("nu must lie in [0, 1]")
+        if omega0 <= 0 or ex <= 0:
+            raise DomainError("omega0 and ex must be positive")
+        if not math.isfinite(ex * (omega0 * omega0)):
+            raise DomainError("ex omega0^2 is beyond float range")
+        self.nu, self.omega0, self.ex = nu, omega0, ex
+
+    def derivative_energy(self) -> float:
+        """Energy of the reference derivative, (1/3) ex omega0^2 nu^2."""
+        return self.ex * self.omega0 ** 2 * self.nu ** 2 / 3.0
+
+    def distance_term(self, n0: float) -> float:
+        """Divergence penalty (ex / 3 n0) (1 - nu)^2."""
+        if n0 <= 0:
+            raise DomainError("n0 must be positive")
+        return self.ex * (1.0 - self.nu) ** 2 / (3.0 * n0)
+
+
+def nu_bound(
+    prior: GridDensity,
+    alpha: float,
+    beta: float | None = None,
+    nu: float | None = None,
+    *,
+    omega0: float,
+    ex: float,
+    n0: float,
+) -> BoundValue:
+    """Delay bound over the raised-cosine reference family.
+
+    Value at a point:
+
+        alpha / (I(Q_beta) + 2 nu^2 omega0^2 ex / (3 n0))
+        - D(Q_beta || P) - (ex / 3 n0) (1 - nu)^2.
+
+    nu = 0 removes the reference signal and exposes the pure
+    information-versus-divergence form used for critical-factor estimates;
+    nu = 1 makes the reference equal the pulse at maximal derivative
+    energy.  An omitted parameter is maximized over: beta in [1e-3, 50] on
+    a log scale, and with nu omitted the (nu, beta) pair jointly by
+    ``core.coordinate_descent_max`` with restarts (a given beta is then
+    not used; this search alone imports ``core``).  Only beta moves the
+    tilt: the prior caches its tilt scalars (``prior.tilt_terms``), so the
+    nu passes and every revisited beta cost scalar arithmetic, not a new
+    tilt.  A bound that is -inf for every beta reports beta = nan.
+
+    The prior must already be restricted to the valid delay window; edge
+    effects of delays near the observation horizon are the caller's
+    responsibility.
+    """
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    if omega0 <= 0 or ex <= 0 or n0 <= 0:
+        raise DomainError("omega0, ex, n0 must be positive")
+    NuTradeoff(0.0 if nu is None else nu, omega0, ex)   # a bad nu or ex omega0^2, up front
+
+    def value_at(nu_val: float, beta_val: float) -> float:
+        if not (0.0 <= nu_val <= 1.0) or beta_val <= 0:
+            return -math.inf
+        tradeoff = NuTradeoff(nu_val, omega0, ex)
+        try:
+            return tilted_prior_bound(prior, alpha, beta_val, tradeoff.derivative_energy() / n0,
+                                      tradeoff.distance_term(n0)).value
+        except DomainError:
+            return -math.inf
+
+    if nu is None:
+        from .core import coordinate_descent_max   # numpy, for its seeded restarts
+
+        nu_star, beta_star, val = coordinate_descent_max(value_at, (0.0, 1.0), _BETA_BRACKET)
+        return classify(val, {"nu": nu_star, "beta": beta_star})
+    if beta is None:
+        beta_star, val, n_eval = maximize_scalar(lambda b: value_at(nu, b), *_BETA_BRACKET,
+                                                 log_spaced=True, coarse=64)
+        if val == -math.inf:
+            beta_star = math.nan  # no feasible beta: the grid point is not a maximizer
+        return classify(val, {"nu": nu, "beta": beta_star}, {"n_eval": n_eval})
+    val = value_at(nu, beta)
+    if val == -math.inf:
+        raise DomainError("infeasible (nu, beta) point")
+    return classify(val, {"nu": nu, "beta": beta})
 
 
 def golden_section_max(

@@ -7,8 +7,9 @@ divergent bound, ``-inf`` for a useless one) are ordinary floats, and
 ``closed_forms`` and is re-exported here as the same objects.  Grid
 functions are plain numpy arrays wrapped with their abscissae (a
 ``GridDensity`` is normalized and given the beta-independent half of a
-power tilt when it is built, and ``tilt_terms`` memoizes each tilt's
-(information, divergence) pair in its ``tilts``), and the
+power tilt when it is built, and its ``tilt_terms`` method tilts it once
+per beta, keeping each (information, divergence) pair in a private memo
+that no other module reads), and the
 optimizers are a bracketing golden-section search plus a tiny coordinate
 descent built on top of it.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
@@ -24,13 +25,13 @@ floats with ``math.fsum``).  ``LOG_FLOAT_MAX`` lives in ``closed_forms``
 and is re-exported here as the same object.  The exception classes live
 in the numpy-free ``errors`` module and are re-exported here as the same
 class objects, so ``except core.DomainError`` and ``except
-errors.DomainError`` are one clause.
+errors.DomainError`` are one clause.  The time-grid ``Waveform`` lives in
+``delay_design``, its one user, so this module imports no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,33 +66,6 @@ def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
     return m + math.log(float(np.sum(e if w is None else w * e)))
 
 
-@dataclass(frozen=True)
-class Waveform:
-    """A real signal on a strictly increasing time grid; t and values are read-only copies."""
-
-    t: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        v = np.array(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise GridError("waveform needs matching 1-D time and value arrays")
-        if t.size < 2:
-            raise GridError("waveform needs at least two samples")
-        if np.any(np.diff(t) <= 0):
-            raise GridError("time grid must be strictly increasing")
-        object.__setattr__(self, "t", _read_only(t))
-        object.__setattr__(self, "values", _read_only(v))
-
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-    def energy(self) -> float:
-        return _trapezoid(self.values ** 2, np.diff(self.t))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -116,12 +90,12 @@ class GridDensity:
     spacing (the scalar ``step`` where numpy finds the grid uniform, all
     of ``dx`` equal to ``dx[0]``, else its interior ``coefs``), the
     ``positive`` mask, the ``all_positive`` and ``has_hole`` flags, and
-    the empty ``tilts`` memo of ``divergences.tilt_terms``.  Assigning or
-    deleting an attribute raises AttributeError.
+    the empty memo of ``tilt_terms``.  Assigning or deleting an attribute
+    raises AttributeError.
     """
 
     __slots__ = ("theta", "density", "dx", "weights", "log_density", "step", "coefs",
-                 "positive", "all_positive", "has_hole", "tilts")
+                 "positive", "all_positive", "has_hole", "_tilts")
 
     def __init__(self, theta, density):
         th = np.array(theta, dtype=float)
@@ -141,10 +115,11 @@ class GridDensity:
             raise DomainError("density must be finite")
         if np.any(p < 0):
             raise DomainError("density must be nonnegative")
-        z = _trapezoid(p, dx)
-        if not 0.0 < z < math.inf:
-            raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
-        p /= z
+        with np.errstate(over="ignore"):   # an inf integral or quotient is reported below
+            z = _trapezoid(p, dx)
+            if not 0.0 < z < math.inf:
+                raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
+            p /= z
         if not np.isfinite(p).all():   # z is subnormal on a grid with subnormal spacings
             raise DomainError("density must be finite")
         w = np.empty_like(th)
@@ -169,7 +144,7 @@ class GridDensity:
                       weights=_read_only(w), log_density=_read_only(log_p), step=step,
                       coefs=coefs, positive=_read_only(positive),
                       all_positive=nz.size == p.size, has_hole=bool(np.any(inner <= 0.0)),
-                      tilts={})
+                      _tilts={})
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -178,6 +153,29 @@ class GridDensity:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: a GridDensity is read-only")
+
+    def tilt_terms(self, beta: float) -> tuple[float, float]:
+        """``divergences.tilt_prior(self, beta)``, tilted once per beta.
+
+        A hit returns the very floats the first tilt computed; a rejected
+        tilt raises a fresh ``DomainError`` with its message on every call.
+        The memo holds no array.  Threads sharing a prior may race on a
+        missing beta; both compute and store the same floats.
+        """
+        memo = self._tilts
+        beta = float(beta)
+        terms = memo.get(beta)
+        if terms is None:
+            from .divergences import tilt_prior   # at call time: divergences imports core
+
+            try:
+                terms = tilt_prior(self, beta)
+            except DomainError as exc:
+                terms = str(exc)
+            memo[beta] = terms
+        if isinstance(terms, str):
+            raise DomainError(terms)
+        return terms
 
     def integrate(self, y: np.ndarray) -> float:
         """Trapezoid integral over theta of y sampled on this grid."""

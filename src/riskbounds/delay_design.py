@@ -8,9 +8,10 @@ that Lagrangian is a second-order linear two-point boundary value problem
     s - s'' / lam = x,    s'(0) = s'(T) = 0,
 
 solved here with ghost-point Neumann central differences and a symmetric
-tridiagonal direct solve.  For the raised-cosine pulse the solution is
-analytic and parameterized by nu = lam / (lam + omega0^2), which also
-yields the closed-form tradeoff terms used by the delay bound.
+tridiagonal direct solve on a ``Waveform``.  For the raised-cosine pulse
+the solution is analytic and parameterized by nu = lam / (lam + omega0^2),
+which also yields the closed-form tradeoff terms of the delay bound
+``closed_forms.nu_bound`` (bound here too, as the same object).
 """
 
 from __future__ import annotations
@@ -20,30 +21,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BoundValue,
-    ConditioningError,
-    DomainError,
-    GridDensity,
-    Waveform,
-    classify,
-    coordinate_descent_max,
-    maximize_scalar,
-)
-from .bayes_bounds import tilted_prior_bound
+from .closed_forms import nu_bound  # noqa: F401  (re-exported)
+from .core import ConditioningError, DomainError, GridError, _read_only, _trapezoid
 
 __all__ = [
+    "Waveform",
     "DelayDesignProblem",
-    "NuTradeoff",
     "solve_reference_ode",
     "raised_cosine_pulse",
     "raised_cosine_reference",
-    "nu_bound",
 ]
 
 _RESIDUAL_TOL = 1e-8
 _COND_CAP = 1e12
-_BETA_BRACKET = (1e-3, 50.0)   # tilt exponents searched by nu_bound
+
+
+@dataclass(frozen=True)
+class Waveform:
+    """A real signal on a strictly increasing time grid; t and values are read-only copies."""
+
+    t: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        t = np.array(self.t, dtype=float)
+        v = np.array(self.values, dtype=float)
+        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
+            raise GridError("waveform needs matching 1-D time and value arrays")
+        if t.size < 2:
+            raise GridError("waveform needs at least two samples")
+        if np.any(np.diff(t) <= 0):
+            raise GridError("time grid must be strictly increasing")
+        object.__setattr__(self, "t", _read_only(t))
+        object.__setattr__(self, "values", _read_only(v))
+
+    @property
+    def duration(self) -> float:
+        return float(self.t[-1] - self.t[0])
+
+    def energy(self) -> float:
+        return _trapezoid(self.values ** 2, np.diff(self.t))
 
 
 @dataclass(frozen=True)
@@ -61,33 +78,6 @@ class DelayDesignProblem:
             raise DomainError("lambda_mult must be positive")
         if self.x.t.size < 64:
             raise DomainError("grid resolution must be at least 64 points")
-
-
-@dataclass(frozen=True)
-class NuTradeoff:
-    """Closed-form tradeoff terms for the raised-cosine reference family."""
-
-    nu: float
-    omega0: float
-    ex: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.nu <= 1.0):
-            raise DomainError("nu must lie in [0, 1]")
-        if self.omega0 <= 0 or self.ex <= 0:
-            raise DomainError("omega0 and ex must be positive")
-        if not math.isfinite(self.ex * (self.omega0 * self.omega0)):
-            raise DomainError("ex omega0^2 is beyond float range")
-
-    def derivative_energy(self) -> float:
-        """Energy of the reference derivative, (1/3) ex omega0^2 nu^2."""
-        return self.ex * self.omega0 ** 2 * self.nu ** 2 / 3.0
-
-    def distance_term(self, n0: float) -> float:
-        """Divergence penalty (ex / 3 n0) (1 - nu)^2."""
-        if n0 <= 0:
-            raise DomainError("n0 must be positive")
-        return self.ex * (1.0 - self.nu) ** 2 / (3.0 * n0)
 
 
 def solve_reference_ode(problem: DelayDesignProblem) -> Waveform:
@@ -159,73 +149,3 @@ def raised_cosine_reference(ex: float, t: np.ndarray, omega0: float, lam: float)
     nu = lam / (lam + omega0 ** 2)
     amp = math.sqrt(2.0 * ex / (3.0 * pulse.duration))
     return Waveform(pulse.t, amp * (1.0 - nu * np.cos(omega0 * (pulse.t - pulse.t[0]))))
-
-
-def nu_bound(
-    prior: GridDensity,
-    alpha: float,
-    beta: float | None = None,
-    nu: float | None = None,
-    *,
-    omega0: float,
-    ex: float,
-    n0: float,
-) -> BoundValue:
-    """Delay bound over the raised-cosine reference family.
-
-    Value at a point:
-
-        alpha / (I(Q_beta) + 2 nu^2 omega0^2 ex / (3 n0))
-        - D(Q_beta || P) - (ex / 3 n0) (1 - nu)^2.
-
-    nu = 0 removes the reference signal and exposes the pure
-    information-versus-divergence form used for critical-factor estimates;
-    nu = 1 makes the reference equal the pulse at maximal derivative
-    energy.  An omitted parameter is maximized over: beta in [1e-3, 50] on
-    a log scale, and with nu omitted the (nu, beta) pair jointly by
-    coordinate descent with restarts (a given beta is then not used).
-    Only beta moves the tilt: the prior caches its tilt scalars
-    (``divergences.tilt_terms``), so the nu passes and every revisited
-    beta cost scalar arithmetic, not a new tilt.  A bound that is -inf for
-    every beta reports beta = nan.
-
-    The prior must already be restricted to the valid delay window; edge
-    effects of delays near the observation horizon are the caller's
-    responsibility.
-    """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if omega0 <= 0 or ex <= 0 or n0 <= 0:
-        raise DomainError("omega0, ex, n0 must be positive")
-    NuTradeoff(0.0 if nu is None else nu, omega0, ex)   # a bad nu or ex omega0^2, up front
-
-    def value_at(nu_val: float, beta_val: float) -> float:
-        if not (0.0 <= nu_val <= 1.0) or beta_val <= 0:
-            return -math.inf
-        tradeoff = NuTradeoff(nu_val, omega0, ex)
-        try:
-            bv = tilted_prior_bound(
-                prior,
-                alpha,
-                beta_val,
-                es_over_n0=tradeoff.derivative_energy() / n0,
-                corr_term=tradeoff.distance_term(n0),
-            )
-        except DomainError:
-            return -math.inf
-        return bv.value
-
-    if nu is None:
-        nu_star, beta_star, val = coordinate_descent_max(value_at, (0.0, 1.0), _BETA_BRACKET)
-        return classify(val, {"nu": nu_star, "beta": beta_star})
-    if beta is None:
-        beta_star, val, n_eval = maximize_scalar(
-            lambda b: value_at(nu, b), *_BETA_BRACKET, log_spaced=True, coarse=64
-        )
-        if val == -math.inf:
-            beta_star = math.nan  # no feasible beta: the grid point is not a maximizer
-        return classify(val, {"nu": nu, "beta": beta_star}, {"n_eval": n_eval})
-    val = value_at(nu, beta)
-    if val == -math.inf:
-        raise DomainError("infeasible (nu, beta) point")
-    return classify(val, {"nu": nu, "beta": beta})

@@ -4,9 +4,9 @@ Covers the binary divergence, the Renyi divergence between a nonlinear
 signal model and a linear-Gaussian reference (through the log of the
 Gaussian quadratic-exponential moment), and the two numbers of a power
 tilt Q_beta of a prior that the bounds read: its Fisher information and
-its divergence from the prior.  ``tilt_terms`` memoizes that pair on the
-prior, so each (prior, beta) is tilted once however often an optimizer
-revisits it.
+its divergence from the prior.  ``tilt_prior`` computes that pair; the
+bounds read it through ``GridDensity.tilt_terms``, which calls it once per
+(prior, beta) however often an optimizer revisits it.
 
 All returns are extended reals: a legitimately divergent quantity comes
 back as ``+inf`` rather than raising.
@@ -24,7 +24,6 @@ __all__ = [
     "binary_divergence",
     "renyi_gaussian_linear",
     "tilt_prior",
-    "tilt_terms",
 ]
 
 # The information floor 1/I(Q_beta) needs a tilted density that vanishes at
@@ -65,7 +64,9 @@ def _log_quad_mgf(a_coef, b_coef, sigma2: float) -> np.ndarray:
     huge = denom == math.inf
     if huge.any():   # 2 A sigma2 overflowed: ln denom is ln(2 sigma2) + ln|A| to rounding, A != 0
         log_a = np.log(np.abs(np.where(huge, a_coef, 1.0)))
-        log_denom = np.where(huge, math.log(2.0 * sigma2) + log_a, log_denom)
+        two_sigma2 = 2.0 * sigma2
+        log_2s = math.log(two_sigma2) if two_sigma2 < math.inf else math.log(2.0) + math.log(sigma2)
+        log_denom = np.where(huge, log_2s + log_a, log_denom)
     return np.where(finite, b_coef * b_coef * sigma2 / (2.0 * denom) - 0.5 * log_denom, math.inf)
 
 
@@ -172,27 +173,3 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     integrand = np.zeros_like(q)
     np.divide(dq * dq, q, out=integrand, where=q > 0.0)
     return base.integrate(integrand), (float(beta) - 1.0) * dphi - log_z
-
-
-def tilt_terms(prior: GridDensity, beta: float) -> tuple[float, float]:
-    """``tilt_prior(prior, beta)``, tilted once per beta.
-
-    The prior keeps these two floats per beta in its ``tilts`` memo, so a
-    hit returns the very floats the first tilt computed.  A rejected tilt
-    keeps its ``DomainError`` message and raises a fresh ``DomainError``
-    with that text on every call.  No array is cached.  Threads sharing a
-    prior may race on a missing beta; both compute and store the same
-    floats.
-    """
-    memo = prior.tilts
-    beta = float(beta)
-    terms = memo.get(beta)
-    if terms is None:
-        try:
-            terms = tilt_prior(prior, beta)
-        except DomainError as exc:
-            terms = str(exc)
-        memo[beta] = terms
-    if isinstance(terms, str):
-        raise DomainError(terms)
-    return terms

@@ -84,6 +84,36 @@ def lpcb_beta_grid(alpha: float, snr: float, sigma2: float, n: int = 20001) -> f
     return float(np.max(finite))
 
 
+def delay_beta_grid(prior, alphas, nus, *, omega0: float, ex: float, n0: float,
+                    n: int = 2001) -> np.ndarray:
+    """Best raised-cosine delay bound over n log-spaced betas in [1e-3, 50].
+
+    Returns the array of shape (len(alphas), len(nus)) whose entries are
+    the maxima over the betas of alpha / (I + 2 nu^2 omega0^2 ex / (3 n0))
+    - D - (ex / (3 n0)) (1 - nu)^2, every pair in one array expression.
+    (I, D) come from the prior's own ``tilt_terms``, so each beta is tilted
+    once for all pairs and the oracle checks the beta search, not the
+    tilt.  A rejected tilt, or a total information that is not positive,
+    reads -inf.
+    """
+    from riskbounds import DomainError
+
+    betas = np.exp(np.linspace(math.log(1e-3), math.log(50.0), n))
+    info, kl = np.full(n, -np.inf), np.zeros(n)
+    for i, beta in enumerate(betas.tolist()):
+        try:
+            info[i], kl[i] = prior.tilt_terms(beta)
+        except DomainError:
+            pass
+    nu = np.asarray(nus, dtype=float)[:, None]
+    total = info + 2.0 * nu ** 2 * omega0 ** 2 * ex / (3.0 * n0)
+    penalty = kl + ex * (1.0 - nu) ** 2 / (3.0 * n0)
+    alpha = np.asarray(alphas, dtype=float)[:, None, None]
+    with np.errstate(divide="ignore"):
+        values = np.where(total > 0.0, alpha / total - penalty, -np.inf)
+    return values.max(axis=-1)
+
+
 def binary_divergence_ref(q: float, th: float) -> float:
     v = 0.0
     if q > 0:

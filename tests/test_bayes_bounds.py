@@ -160,7 +160,7 @@ class TestTiltedPriorBound:
     def test_information_that_is_not_positive_is_rejected(self, fisher_info, monkeypatch,
                                                           gaussian_prior_grid):
         # zero or NaN total information raises DomainError, never ZeroDivisionError
-        monkeypatch.setattr(bayes_bounds, "tilt_terms", lambda prior, beta: (fisher_info, 0.1))
+        monkeypatch.setattr(GridDensity, "tilt_terms", lambda prior, beta: (fisher_info, 0.1))
         with pytest.raises(DomainError, match="total information is not positive"):
             tilted_prior_bound(gaussian_prior_grid(1.0), 0.3, 1.0, 0.0)
         assert alpha_c_upper(gaussian_prior_grid(1.0)) == math.inf

@@ -6,16 +6,23 @@ Every ``cli-batch``, ``phase`` and ``tilt`` command of
 ``checks.check_command`` compares the result with
 ``perfbench/reference.json`` at the benchmark's tolerances.  A change that
 moves a benchmark output fails here, before the benchmark runs.  ``mc``
-is left to the benchmark: its 2e6-sample runs take about 4 s.
+is left to the benchmark: its 2e6-sample runs take about 4 s.  The ``tilt``
+commands also run once each under ``perfbench/tracer.py``, as a traced
+benchmark run spawns them, so a move that breaks traced runs fails here too.
 """
 
 import contextlib
 import io
+import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import riskbounds
 from riskbounds.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,3 +78,24 @@ def test_workload_commands_match_the_benchmark_reference(perfbench, workload, se
                                                          monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _check_workload(perfbench, workload, seed, tmp_path) == {}
+
+
+def test_tilt_commands_run_under_the_tracer(perfbench, tmp_path):
+    # every layer binding is wrapped, and every layer the workload dominates records calls
+    _, workloads = perfbench
+    import run
+
+    src = str(Path(riskbounds.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    calls = Counter()
+    for cmd in workloads.build("tilt", 0, tmp_path):
+        summary = tmp_path / f"{cmd.name}.json"
+        done = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(summary),
+                               *cmd.argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, (cmd.name, done.stderr)
+        trace = json.loads(summary.read_text(encoding="utf-8"))
+        assert trace["unwrapped"] == [], cmd.name
+        calls.update({name: layer["calls"] for name, layer in trace["layers"].items()})
+    assert [name for name in run.DOMINANT["tilt"] if not calls[name]] == []

@@ -396,21 +396,40 @@ def test_verify_mc_loads_no_bound_modules():
                    timeout=120)
 
 
+def _imported_modules(argv) -> set[str]:
+    """The modules that ``python -X importtime -m riskbounds.cli ARGV`` lists; it must exit 0."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "riskbounds.cli", *argv],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    return {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv, family", [
     (["phase", "exponent", "--a", "3"], "riskbounds.phase_transition"),
-    (["bound", "bayes-tilted", "--alpha", "0.3", "--beta", "1.0"], "riskbounds.bayes_bounds"),
+    (["bound", "bayes-tilted", "--alpha", "0.3", "--beta", "1.0"], "riskbounds.closed_forms"),
 ])
 def test_importtime_lists_the_family_module(argv, family):
     # -X importtime times only imports made through the import statement machinery,
     # so a family module loaded by the package's lazy names must still show up there
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "riskbounds.cli", *argv],
-                          env=_src_env(), capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0
-    modules = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
-               if line.startswith("import time:")}
+    modules = _imported_modules(argv)
     assert family in modules
     if argv[0] == "phase":
         assert not any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["bound", "bayes-delay", "--prior", "gaussian:1.0", "--nu", "0.5", "--alpha", "0.3"],
+     {"riskbounds.bayes_bounds", "riskbounds.delay_design", "dataclasses"}),
+    (["bound", "bayes-delay", "--prior", "gaussian:1.0,10,1025", "--alpha", "0.3"],
+     {"riskbounds.bayes_bounds", "riskbounds.delay_design", "dataclasses"}),
+    (["bound", "bayes-tilted", "--beta", "0.8", "--alpha", "0.3"], {"riskbounds.bayes_bounds"}),
+])
+def test_tilt_bounds_load_neither_the_lpcb_nor_the_ode_module(argv, absent):
+    # the tilt bounds live in closed_forms and read the prior's own tilt memo
+    modules = _imported_modules(argv)
+    assert "riskbounds.closed_forms" in modules
+    assert not absent & modules
 
 
 def test_every_public_name_resolves():
@@ -459,7 +478,10 @@ _CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind i
     "scalar_ml_lambda": ("nonbayes_bounds", "riskbounds"),
     "_META": ("nonbayes_bounds",),
     "golden_section_max": ("core", "_curve"),
-    "maximize_scalar": ("core", "delay_design", "nonbayes_bounds"),
+    "maximize_scalar": ("core", "nonbayes_bounds"),
+    "tilted_prior_bound": ("bayes_bounds", "riskbounds"),
+    "nu_bound": ("delay_design", "riskbounds"),
+    "NuTradeoff": ("riskbounds",),
     "GOLDEN": ("core",),
     "_GOLDEN_MAX_ITER": ("core",),
 }
@@ -486,6 +508,19 @@ class TestExitCodes:
                                 "--es", "-1", "--n0", "1"], capsys)
         assert code == 3
         assert err.strip().startswith("error:")
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(k, 1e308) for k in range(33)], "density integrates to inf and cannot be normalized"),
+        ([(k * 1e-320, 1.0) for k in range(33)], "density must be finite"),
+    ])
+    def test_prior_beyond_float_range_prints_only_the_error(self, tmp_path, rows, message):
+        # numpy overflows while normalizing these priors; no RuntimeWarning may reach stderr
+        path = tmp_path / "prior.csv"
+        path.write_text("".join(f"{t!r},{p!r}\n" for t, p in rows))
+        done = subprocess.run([sys.executable, "-m", "riskbounds.cli", "bound", "bayes-tilted",
+                               "--alpha-c", "--prior", str(path)],
+                              env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", f"error: {message}\n")
 
     def test_bad_sweep_is_three(self, capsys):
         code, _, err = run_cli(["bound", "nonbayes-linear", "--alpha-sweep", "0.1:0.9:1",
@@ -709,16 +744,18 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     def test_lpcb_ratio_beyond_float_range_matches_the_log_form(self, capsys):
-        # sigma2 / sigma2q = R = 1e600 and 2 A sigma2 overflow, yet the Renyi term of
-        # order a = alpha / beta is finite: 0.5 ln R - 0.5 ln(a) / (a - 1) in logs
-        code, out, err = run_cli(["bound", "bayes-lpcb", "--alpha", "0.5", "--snr", "0",
-                                  "--sigma2", "1e300", "--sigma2q", "1e-300"], capsys)
-        assert code == 0 and err == ""
-        _, _, bound, beta, status = data_rows(out)[0]
-        a = 0.5 / float(beta)
-        renyi = 0.5 * 600.0 * math.log(10.0) - 0.5 * math.log1p(a - 1.0) / (a - 1.0)
-        # the first term of the bound is alpha / (2 alpha_c) = 5e-301 here
-        assert status == "ok" and float(bound) == pytest.approx(-renyi, abs=1e-6)
+        # sigma2 / sigma2q = R = 1e600 and 2 A sigma2 overflow (at R = 1e616, 2 sigma2
+        # too), yet the Renyi term of order a = alpha / beta is finite:
+        # 0.5 ln R - 0.5 ln(a) / (a - 1) in logs
+        for e in (300, 308):
+            code, out, err = run_cli(["bound", "bayes-lpcb", "--alpha", "0.5", "--snr", "0",
+                                      "--sigma2", f"1e{e}", "--sigma2q", f"1e-{e}"], capsys)
+            assert code == 0 and err == ""
+            _, _, bound, beta, status = data_rows(out)[0]
+            a = 0.5 / float(beta)
+            renyi = 0.5 * 2 * e * math.log(10.0) - 0.5 * math.log1p(a - 1.0) / (a - 1.0)
+            # the first term of the bound is alpha / (2 alpha_c), at most 5e-301 here
+            assert status == "ok" and float(bound) == pytest.approx(-renyi, abs=1e-6), e
 
     def test_certify_passes_cleanly(self, capsys):
         code, out, err = run_cli(["verify", "certify", "--samples", "20000",

@@ -44,6 +44,7 @@ class TestWaveform:
 
 
 class TestGridDensity:
+    @pytest.mark.filterwarnings("error")
     def test_normalization_check(self):
         theta = np.sort(np.random.default_rng(4).uniform(-2.0, 3.0, 101))
         dens = np.exp(-theta ** 2)

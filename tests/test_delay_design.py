@@ -1,6 +1,8 @@
 """Reference-pulse boundary value problem and the delay-estimation bound."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from riskbounds import (
     raised_cosine_reference,
     solve_reference_ode,
 )
+from riskbounds.cli import _load_prior
+
+from oracles import delay_beta_grid
 
 OMEGA0 = 2.0 * math.pi
 
@@ -206,3 +211,51 @@ class TestNuBound:
         assert bv.value == -math.inf
         assert bv.status == "useless"
         assert math.isnan(bv.argmax["beta"])
+
+
+_DELAY = dict(omega0=OMEGA0, ex=1.0, n0=1.0)   # the CLI's bayes-delay defaults
+
+# the joint descent stays in its nu ~ 0.97 basin while the optimum sits near nu = 0.01
+_JOINT_MISS = pytest.mark.xfail(strict=True, reason=(
+    "the joint (nu, beta) descent misses the optimum near nu = 0.01; open until the exact "
+    "nu profile replaces coordinate_descent_max (ROADMAP direction 6)"))
+
+
+def _sinh_laplace(_) -> GridDensity:
+    theta = 12.0 * np.sinh(np.linspace(-3.0, 3.0, 2049)) / math.sinh(3.0)
+    return GridDensity(theta, np.exp(-np.abs(theta)))
+
+
+def _mixture(_) -> GridDensity:
+    theta = np.linspace(-8.0, 10.0, 2049)
+    return GridDensity(theta, 0.6 * np.exp(-(theta + 1.0) ** 2)
+                       + 0.4 * np.exp(-(theta - 2.0) ** 2 / 2.0))
+
+
+@pytest.fixture(scope="module")
+def cli_gaussian() -> GridDensity:
+    """The CLI's gaussian:1.0 prior, shared so that its tilt memo serves every joint row."""
+    return _load_prior(SimpleNamespace(prior="gaussian:1.0"))
+
+
+class TestSearchAgainstDenseOracle:
+    """A searched delay row is never below the best of a dense grid over its free parameters."""
+
+    @pytest.mark.parametrize("make", [lambda g: g(1.0), _sinh_laplace, _mixture],
+                             ids=["gaussian", "sinh-laplace", "mixture"])
+    def test_fixed_nu_rows_reach_the_dense_beta_best(self, gaussian_prior_grid, make):
+        prior = make(gaussian_prior_grid)
+        alphas, nus = (0.1, 0.4, 1.0), (0.0, 0.3, 1.0)
+        best = delay_beta_grid(prior, alphas, nus, **_DELAY)
+        for (i, alpha), (j, nu) in itertools.product(enumerate(alphas), enumerate(nus)):
+            value = nu_bound(prior, alpha, nu=nu, **_DELAY).value
+            assert value >= best[i, j] - 1e-9 * abs(best[i, j]), (alpha, nu, value, best[i, j])
+
+    @pytest.mark.parametrize("alpha", [0.2, pytest.param(0.25, marks=_JOINT_MISS),
+                                       pytest.param(0.26, marks=_JOINT_MISS),
+                                       pytest.param(0.27, marks=_JOINT_MISS), 0.3, 0.6])
+    def test_joint_rows_reach_the_dense_grid_best(self, cli_gaussian, alpha):
+        nus = np.linspace(0.0, 1.0, 201)
+        best = float(delay_beta_grid(cli_gaussian, [alpha], nus, **_DELAY).max())
+        value = nu_bound(cli_gaussian, alpha, **_DELAY).value
+        assert value >= best - 1e-9 * abs(best), (value, best)
