@@ -17,8 +17,7 @@ each with its free parameters exposed and a maximizer over them.
 with one ``core._maximize_batch`` on numpy arrays.  The scalar closed
 forms (the linear-Gaussian model and minimum, the generic bound, the
 wide-prior phase bound, the rectangular-pulse delay bound and the
-tilted-prior bound) live in the numpy-free ``closed_forms`` and are
-re-exported here.
+tilted-prior bound) live in the numpy-free ``closed_forms``.
 """
 
 from __future__ import annotations
@@ -28,33 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .closed_forms import (
-    BoundValue,
-    LinearGaussianModel,
-    classify,
-    generic_bayes_bound,
-    linear_gaussian_min_lambda,
-    phase_bound_large_sigma,
-    tilted_prior_bound,
-    ww_rect_delay_bound,
-)
-from .core import (
-    DomainError,
-    GridDensity,
-    _maximize_batch,
-    divergence_onset,
-)
+from .closed_forms import BoundValue, classify
+from .closed_forms import tilted_prior_bound  # noqa: F401  (perfbench/tracer.py LAYERS)
+from .core import GridDensity, _maximize_batch, divergence_onset
 from .divergences import renyi_gaussian_linear
+from .errors import DomainError
 
 __all__ = [
-    "LinearGaussianModel",
-    "BoundValue",
-    "generic_bayes_bound",
-    "linear_gaussian_min_lambda",
-    "phase_bound_large_sigma",
-    "tilted_prior_bound",
     "alpha_c_upper",
-    "ww_rect_delay_bound",
     "lpcb_bound",
     "lpcb_sweep",
     "alpha_c_estimate",

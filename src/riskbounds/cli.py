@@ -97,13 +97,9 @@ def _sweep_spec(text: str, log: bool) -> tuple[float, float, int]:
 
 def _parse_sweep(text: str, log: bool = False) -> list[float]:
     start, stop, steps = _sweep_spec(text, log)
-    from .closed_forms import _linspace
+    from .closed_forms import _linspace, _logspace
 
-    if log:
-        import numpy as np   # np.exp, not math.exp: the two round differently
-
-        return np.exp(_linspace(math.log(start), math.log(stop), steps)).tolist()
-    return _linspace(start, stop, steps)
+    return (_logspace if log else _linspace)(start, stop, steps)
 
 
 def _float_list(text: str, flag: str) -> list[float]:

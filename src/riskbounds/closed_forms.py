@@ -20,11 +20,11 @@ only and serve the delay, nonlinear and coordinate searches; the lpcb
 split search runs ``core``'s batched numpy form for one alpha or many,
 with the same result per bracket.  ``_linspace``, numpy's ``linspace`` formula on floats,
 spaces the CLI's linear sweeps, the estimator curve's q grid and the
-sweep of ``maximize_scalar``.
+sweep of ``maximize_scalar``; ``_logspace`` spaces their log-spaced ones.
 
 The module imports only ``math``, ``bisect``, ``sys``, ``typing`` and
-``errors`` (a log-spaced ``maximize_scalar`` sweep imports numpy for
-``np.exp``, the joint ``nu_bound`` search ``core``), and it defines no
+``errors`` (``_logspace`` imports numpy for ``np.exp``, the joint
+``nu_bound`` search ``core``), and it defines no
 dataclass: ``BoundValue`` is a ``NamedTuple``, the other classes use
 ``__slots__``, so loading it costs no ``dataclasses`` or ``inspect``
 import.  The CLI families built on it (``bayes-linear``, ``bayes-phase``,
@@ -32,9 +32,6 @@ import.  The CLI families built on it (``bayes-linear``, ``bayes-phase``,
 ``phase estimator`` and ``verify bernoulli-exact`` run without numpy;
 ``_interp``, numpy's ``interp`` formula on floats, reads the estimator
 curve at the counts k/n of ``verify bernoulli-exact --estimator optimal``.
-``core``, ``bayes_bounds`` and ``nonbayes_bounds`` re-export its public
-names as the same objects, ``core`` re-exports ``LOG_FLOAT_MAX`` and
-``delay_design`` ``nu_bound``.
 """
 
 from __future__ import annotations
@@ -450,9 +447,8 @@ def maximize_scalar(
     the first maximum once NaN reads as -inf, and a profile that is NaN at
     every point raises DomainError.
 
-    f gets plain floats: the linear grid is ``_linspace``, and a
-    log-spaced grid is ``np.exp`` of a ``_linspace`` of the logs
-    (``math.exp`` rounds differently), the one use of numpy on this path.
+    f gets plain floats: the linear grid is ``_linspace`` and a log-spaced
+    one ``_logspace``, the one use of numpy on this path.
     ``core._maximize_batch`` runs the same search on arrays of brackets.
     """
     if coarse < 2:
@@ -463,9 +459,7 @@ def maximize_scalar(
     if log_spaced:
         if lo <= 0:
             raise DomainError("log-spaced bracket needs lo > 0")
-        import numpy as np   # np.exp, not math.exp: the two round differently
-
-        grid = np.exp(_linspace(math.log(lo), math.log(hi), coarse)).tolist()
+        grid = _logspace(lo, hi, coarse)
     else:
         grid = _linspace(lo, hi, coarse)
     vals = [f(x) for x in grid]
@@ -505,6 +499,17 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
         points = [i * step + start for i in range(n)]
     points[-1] = stop
     return points
+
+
+def _logspace(start: float, stop: float, n: int) -> list[float]:
+    """``np.exp`` of the ``_linspace`` of the logs of start > 0 and stop > 0, as floats.
+
+    np.exp, not math.exp: the two round differently, and numpy's is the
+    rounding of every log-spaced sweep.  This is the module's one numpy use.
+    """
+    import numpy as np
+
+    return np.exp(_linspace(math.log(start), math.log(stop), n)).tolist()
 
 
 def _interp(x: float, xp: list[float], fp: list[float]) -> float:

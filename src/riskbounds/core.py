@@ -3,29 +3,23 @@
 Everything here is deliberately small: extended reals (``+inf`` for a
 divergent bound, ``-inf`` for a useless one) are ordinary floats, and
 ``classify``, the one place that turns them into a status, lives with
-``BoundValue`` and the ``STATUS_*`` constants in the numpy-free
-``closed_forms`` and is re-exported here as the same objects.  Grid
-functions are plain numpy arrays wrapped with their abscissae (a
-``GridDensity`` is normalized and given the beta-independent half of a
-power tilt when it is built, and its ``tilt_terms`` method tilts it once
-per beta, keeping each (information, divergence) pair in a private memo
-that no other module reads), and the
-optimizers are a bracketing golden-section search plus a tiny coordinate
-descent built on top of it.  The 1-D searches themselves,
+``BoundValue`` in the numpy-free ``closed_forms``.  Grid functions are
+plain numpy arrays wrapped with their abscissae (a ``GridDensity`` is
+normalized and given the beta-independent half of a power tilt when it is
+built, and its ``tilt_terms`` method tilts it once per beta, keeping each
+(information, divergence) pair in a private memo that no other module
+reads), and the optimizers are a bracketing golden-section search plus a
+tiny coordinate descent built on top of it.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
-in the numpy-free ``closed_forms`` as plain Python loops on float brackets
-and are re-exported here as the same objects; what stays here is their
-batched form for arrays of brackets, ``_golden_section_batch`` and
-``_maximize_batch``, which run every element as a search of its own in
-numpy with the same result per element as the float search.
-``lpcb_sweep`` calls them directly for every search of its splits, one
-alpha included.  ``logsumexp`` is the package's one array log-sum-exp
-(``verify`` adds the exact Bernoulli oracle's n + 1 terms as Python
-floats with ``math.fsum``).  ``LOG_FLOAT_MAX`` lives in ``closed_forms``
-and is re-exported here as the same object.  The exception classes live
-in the numpy-free ``errors`` module and are re-exported here as the same
-class objects, so ``except core.DomainError`` and ``except
-errors.DomainError`` are one clause.  The time-grid ``Waveform`` lives in
+in the numpy-free ``closed_forms`` as plain Python loops on float
+brackets; what stays here is their batched form for arrays of brackets,
+``_golden_section_batch`` and ``_maximize_batch``, which run every element
+as a search of its own in numpy with the same result per element as the
+float search.  ``lpcb_sweep`` calls them directly for every search of its
+splits, one alpha included.  ``logsumexp`` is the package's one array
+log-sum-exp (``verify`` adds the exact Bernoulli oracle's n + 1 terms as
+Python floats with ``math.fsum``).  The exception classes live in the
+numpy-free ``errors`` module.  The time-grid ``Waveform`` lives in
 ``delay_design``, its one user, so this module imports no ``dataclasses``.
 """
 
@@ -36,26 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_forms import (  # noqa: F401  (re-exported)
-    _GOLDEN_MAX_ITER,
-    GOLDEN,
-    LOG_FLOAT_MAX,
-    STATUS_DIVERGENT,
-    STATUS_OK,
-    STATUS_OUT_OF_WINDOW,
-    STATUS_USELESS,
-    BoundValue,
-    classify,
-    golden_section_max,
-    maximize_scalar,
-)
-from .errors import (  # noqa: F401  (re-exported)
-    ConditioningError,
-    DivergenceRiskError,
-    DomainError,
-    GridError,
-    RiskBoundsError,
-)
+from .closed_forms import _GOLDEN_MAX_ITER, GOLDEN, maximize_scalar
+from .closed_forms import golden_section_max  # noqa: F401  (perfbench/tracer.py LAYERS)
+from .errors import DomainError, GridError
+
 
 def logsumexp(x: np.ndarray, w: np.ndarray | None = None) -> float:
     """ln sum w exp(x), shifted by the maximum; -inf for an empty or all -inf x."""
@@ -85,8 +63,9 @@ class GridDensity:
 
     The constructor validates copies of theta and density, divides the
     density by its trapezoid integral and sets, read-only, all a power
-    tilt reads: ``dx = np.diff(theta)``, trapezoid ``weights``,
-    ``log_density`` (-inf where the density is 0), ``np.gradient``'s
+    tilt reads: ``dx = np.diff(theta)``, trapezoid ``weights``, the log
+    density shifted by its peak, ``log_shift = ln p - log_peak`` (0 at the
+    peak, -inf where the density is 0), ``np.gradient``'s
     spacing (the scalar ``step`` where numpy finds the grid uniform, all
     of ``dx`` equal to ``dx[0]``, else its interior ``coefs``), the
     ``positive`` mask, the ``all_positive`` and ``has_hole`` flags, and
@@ -94,7 +73,7 @@ class GridDensity:
     raises AttributeError.
     """
 
-    __slots__ = ("theta", "density", "dx", "weights", "log_density", "step", "coefs",
+    __slots__ = ("theta", "density", "dx", "weights", "log_shift", "log_peak", "step", "coefs",
                  "positive", "all_positive", "has_hole", "_tilts")
 
     def __init__(self, theta, density):
@@ -127,7 +106,9 @@ class GridDensity:
         w[0] = 0.5 * (th[1] - th[0])
         w[-1] = 0.5 * (th[-1] - th[-2])
         with np.errstate(divide="ignore"):
-            log_p = np.log(p)
+            log_shift = np.log(p)
+        log_peak = float(np.max(log_shift))
+        log_shift -= log_peak
         if (dx == dx[0]).all():
             step, coefs = float(dx[0]), None
         else:
@@ -141,8 +122,8 @@ class GridDensity:
         # exact zero padding at both edges is trimmed before looking for a hole
         inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
         fields = dict(theta=_read_only(th), density=_read_only(p), dx=_read_only(dx),
-                      weights=_read_only(w), log_density=_read_only(log_p), step=step,
-                      coefs=coefs, positive=_read_only(positive),
+                      weights=_read_only(w), log_shift=_read_only(log_shift), log_peak=log_peak,
+                      step=step, coefs=coefs, positive=_read_only(positive),
                       all_positive=nz.size == p.size, has_hole=bool(np.any(inner <= 0.0)),
                       _tilts={})
         for name, value in fields.items():

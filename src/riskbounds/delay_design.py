@@ -11,7 +11,7 @@ solved here with ghost-point Neumann central differences and a symmetric
 tridiagonal direct solve on a ``Waveform``.  For the raised-cosine pulse
 the solution is analytic and parameterized by nu = lam / (lam + omega0^2),
 which also yields the closed-form tradeoff terms of the delay bound
-``closed_forms.nu_bound`` (bound here too, as the same object).
+``closed_forms.nu_bound``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import nu_bound  # noqa: F401  (re-exported)
-from .core import ConditioningError, DomainError, GridError, _read_only, _trapezoid
+from .closed_forms import nu_bound  # noqa: F401  (perfbench/tracer.py LAYERS)
+from .core import _read_only, _trapezoid
+from .errors import ConditioningError, DomainError, GridError
 
 __all__ = [
     "Waveform",

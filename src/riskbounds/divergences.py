@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .core import DomainError, GridDensity, logsumexp
+from .core import GridDensity, logsumexp
+from .errors import DomainError
 
 __all__ = [
     "binary_divergence",
@@ -131,7 +132,11 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     Q_beta is P^beta renormalized by Z(beta), the trapezoid sum of
     P^beta.  The divergence is (beta - 1) phi'(beta) - ln Z(beta), where
     phi'(beta) = E_Q[ln p] is the exact derivative of that same discrete
-    ln Z, so Q_beta integrates to 1 to rounding.  The Fisher information
+    ln Z, so Q_beta integrates to 1 to rounding.  Both terms are formed
+    from the log density shifted by its peak, s = ln p - M with M =
+    max ln p, as (beta - 1) E_Q[s] - M - ln sum w exp(beta s): unshifted,
+    each term grows like beta |ln p| and their difference, of order
+    ln beta, drowns in the rounding of either.  The Fisher information
     of Q_beta uses second-order differences on the theta grid, one-sided
     at the grid ends.  Two tilts are rejected because the information
     integral is not trustworthy for them: a density that vanishes at an
@@ -150,14 +155,15 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     """
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
-    log_p = base.log_density
-    exponent = beta * log_p
-    log_z = logsumexp(exponent, base.weights)
-    if not math.isfinite(log_z):
+    s = base.log_shift
+    with np.errstate(over="ignore"):   # beta s below the float range is -inf: weight 0
+        exponent = beta * s
+    log_sum = logsumexp(exponent, base.weights)
+    if not math.isfinite(log_sum):
         raise DomainError("tilted density is not integrable on this grid")
     if base.has_hole:
         raise DomainError("density vanishes at an interior grid point")
-    q = np.exp(exponent - log_z)
+    q = np.exp(exponent - log_sum)
     tilt_edge = max(q[0], q[-1]) / np.max(q)
     if tilt_edge > _EDGE_ESCAPE:
         raise DomainError(
@@ -166,10 +172,10 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
         )
     wq = base.weights * q
     if base.all_positive:
-        dphi = float(np.dot(wq, log_p))
+        mean_s = float(np.dot(wq, s))
     else:
-        dphi = float(np.dot(wq[base.positive], log_p[base.positive]))
+        mean_s = float(np.dot(wq[base.positive], s[base.positive]))
     dq = base.gradient(q)
     integrand = np.zeros_like(q)
     np.divide(dq * dq, q, out=integrand, where=q > 0.0)
-    return base.integrate(integrand), (float(beta) - 1.0) * dphi - log_z
+    return base.integrate(integrand), (float(beta) - 1.0) * mean_s - base.log_peak - log_sum

@@ -2,7 +2,7 @@
 
 They import nothing, so the entry points that never touch an array (the
 CLI's argument handling and the scalar phase kernels) can raise and catch
-them without loading numpy.  ``core`` re-exports the same class objects.
+them without loading numpy.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ signal correlation rho(theta, theta_tilde); on unbounded parameter ranges
 the shifted-reference supremum diverges for every positive risk factor.
 Unbiasedness is an assumption recorded in the output, not a checkable
 property of a bound query.  The scalar closed forms (``scalar_linear_bound``
-and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms`` and are
-re-exported here.
+and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms``.
 
 numpy is imported only by the vector model (``VectorLinearModel``,
 ``vector_linear_bound``, ``vector_ml_lambda``).  The correlation profile
@@ -27,14 +26,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
-from .closed_forms import (
-    _META,
-    BoundValue,
-    classify,
-    maximize_scalar,
-    scalar_linear_bound,
-    scalar_ml_lambda,
-)
+from .closed_forms import _META, BoundValue, classify, maximize_scalar
+from .closed_forms import scalar_linear_bound  # noqa: F401  (perfbench/tracer.py LAYERS)
 from .errors import ConditioningError, DomainError
 
 if TYPE_CHECKING:
@@ -43,8 +36,6 @@ if TYPE_CHECKING:
 __all__ = [
     "VectorLinearModel",
     "CorrelationProfile",
-    "scalar_linear_bound",
-    "scalar_ml_lambda",
     "vector_linear_bound",
     "vector_ml_lambda",
     "nonlinear_bound",

@@ -61,7 +61,7 @@ class CurieWeissParams:
 
     field B = atanh(mu) - 2 a mu = 0.5 ln((1+mu)/(1-mu)) - 2 a mu, coupling
     J = 2 a.  atanh keeps B's sign right for tiny mu, where the logarithm
-    of the rounded ratio loses every digit of mu.
+    of the rounded ratio loses every digit of mu.  a must keep J finite.
     """
 
     __slots__ = ("mu", "a")
@@ -71,6 +71,8 @@ class CurieWeissParams:
             raise DomainError("mu must lie strictly inside (-1, 1)")
         if a < 0:
             raise DomainError("a must be nonnegative")
+        if not math.isfinite(2.0 * a):   # past a = 8.99e307
+            raise DomainError(f"a = {a!r} is beyond the float range: the coupling 2a overflows")
         self.mu, self.a = mu, a
 
     @property
@@ -189,8 +191,12 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
     pieces on which f is monotone; each piece holds at most one root, found
     by bisection to machine precision (signs are compared, not multiplied,
     so a tiny f cannot underflow the test).  Fixed-point iteration would
-    skip the unstable middle root.  Stability is judged by the slope of the
-    tanh map.  The dominant root maximizes phi(m) = h((1+m)/2) + B m +
+    skip the unstable middle root.  m = mu is always a root, since
+    J mu + B = atanh(mu).  Beyond J of about 1e17 (more for a small |mu|)
+    the two critical points round to one float and B has lost atanh(mu)
+    to rounding, so the middle piece has no width and no sign change to
+    bisect, and its root is mu itself.  Stability is judged by the slope
+    of the tanh map at the root, J (1 - m^2).  The dominant root maximizes phi(m) = h((1+m)/2) + B m +
     (J/2) m^2, whose stationary points are the roots.  phi(m) - phi(-m) =
     2 B m, so the maximizer has the sign of B, and for B > 0 f is convex
     on m > 0 with f(0) < 0, so just one root is positive: the dominant root
@@ -209,6 +215,9 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
         nodes[1:1] = [m for m in ((-w - b) / j, (w - b) / j) if -1.0 < m < 1.0]
     roots: list[float] = []
     for lo, hi in zip(nodes, nodes[1:]):
+        if lo == hi:   # the middle piece rounded to one float: its root is mu
+            roots.append(params.mu)
+            continue
         flo, fhi = f(lo), f(hi)
         if flo == 0.0:
             roots.append(lo)
@@ -229,14 +238,10 @@ def magnetization_roots(params: CurieWeissParams) -> list[MagnetizationRoot]:
         roots.append(1.0)
 
     dominant_m = roots[-1] if b >= 0.0 else roots[0]
-    out = []
-    for m in roots:
-        try:
-            slope = j / math.cosh(j * m + b) ** 2
-        except OverflowError:   # cosh^2 past the float range: the map is flat there
-            slope = 0.0
-        out.append(MagnetizationRoot(m=m, stable=abs(slope) < 1.0, dominant=(m == dominant_m)))
-    return out
+    # at a root tanh(J m + B) = m, so the map's slope J sech^2(J m + B) is
+    # J (1 - m^2), free of the rounding that J m + B carries at large J
+    return [MagnetizationRoot(m=m, stable=j * (1.0 - m * m) < 1.0, dominant=(m == dominant_m))
+            for m in roots]
 
 
 def a_zero(mu: float) -> float:

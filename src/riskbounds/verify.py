@@ -32,7 +32,16 @@ import threading
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .closed_forms import LOG_FLOAT_MAX, LinearGaussianModel, golden_section_max
+from .closed_forms import (
+    LOG_FLOAT_MAX,
+    LinearGaussianModel,
+    generic_bayes_bound,
+    golden_section_max,
+    linear_gaussian_min_lambda,
+    phase_bound_large_sigma,
+    scalar_linear_bound,
+    scalar_ml_lambda,
+)
 from .errors import DivergenceRiskError, DomainError
 
 if TYPE_CHECKING:
@@ -415,25 +424,25 @@ def certify(samples: int, seed: int) -> tuple[list[list], bool]:
         rows.append([check, alpha, bound, truth, margin, "ok" if ok else "violation"])
 
     sigma2, es, n0 = 0.5, 1.0, 1.0
-    model = bayes_bounds.LinearGaussianModel(sigma2, es, n0)
+    model = LinearGaussianModel(sigma2, es, n0)
     ac = model.alpha_c()
     for frac in (0.1, 0.3, 0.5, 0.7):
         alpha = frac * ac
-        exact = bayes_bounds.linear_gaussian_min_lambda(model, alpha).value
-        jensen = bayes_bounds.generic_bayes_bound(alpha, model.mmse(), 0.0).value
+        exact = linear_gaussian_min_lambda(model, alpha).value
+        jensen = generic_bayes_bound(alpha, model.mmse(), 0.0).value
         record("bayes-generic-vs-exact", alpha, jensen, exact, 0.0)
         record("bayes-exact-self", alpha, exact, exact, 1e-12)
 
-    prior_only = bayes_bounds.LinearGaussianModel(sigma2, 0.0, n0)
+    prior_only = LinearGaussianModel(sigma2, 0.0, n0)
     for frac in (0.3, 0.5, 0.7):
         alpha = frac / (2.0 * sigma2)
-        exact = bayes_bounds.linear_gaussian_min_lambda(prior_only, alpha).value
+        exact = linear_gaussian_min_lambda(prior_only, alpha).value
         run = MCRun("phase-trivial", "zero", alpha=alpha, n_samples=samples,
                     master_seed=seed, sigma2=sigma2)
         mc = mc_lambda(run)
         lp = bayes_bounds.lpcb_bound(alpha, sigma2=sigma2, ex=0.05 * n0, n0=n0)
         record("bayes-lpcb-vs-mc", alpha, lp.value, mc.lambda_hat, 3.0 * mc.se)
-        ph = bayes_bounds.phase_bound_large_sigma(alpha, sigma2, 0.05)
+        ph = phase_bound_large_sigma(alpha, sigma2, 0.05)
         record("bayes-phase-vs-exact", alpha, ph.value, exact, 0.0)
 
     for frac in (0.2, 0.5, 0.79):
@@ -441,9 +450,9 @@ def certify(samples: int, seed: int) -> tuple[list[list], bool]:
         run = MCRun("nb-ml", "ml", alpha=alpha, n_samples=samples,
                     master_seed=seed + 1, es=es, n0=n0)
         mc = mc_lambda(run)
-        bd = nonbayes_bounds.scalar_linear_bound(alpha, es, n0)
+        bd = scalar_linear_bound(alpha, es, n0)
         record("nonbayes-scalar-vs-mc", alpha, bd.value, mc.lambda_hat, 3.0 * mc.se)
-        ml = nonbayes_bounds.scalar_ml_lambda(alpha, es, n0)
+        ml = scalar_ml_lambda(alpha, es, n0)
         record("nonbayes-scalar-vs-ml", alpha, bd.value, ml, 0.0)
 
     gamma = np.array([[1.0, 0.35], [0.35, 1.0]])

@@ -84,6 +84,29 @@ def lpcb_beta_grid(alpha: float, snr: float, sigma2: float, n: int = 20001) -> f
     return float(np.max(finite))
 
 
+def lpcb_beta_grid_batch(alphas, snr: float, sigma2: float, n: int = 20001) -> np.ndarray:
+    """``lpcb_beta_grid`` at every alpha, on the split search's own bracket.
+
+    Each alpha gets n log-spaced splits in [1e-6 alpha, (1 - 1e-6) alpha],
+    the bracket ``lpcb_sweep`` searches, spaced as its coarse sweep is, so
+    a row below the grid's best is a miss of the search, not of its
+    bracket.  As in ``lpcb_beta_grid`` only finite points count, and every
+    alpha is one row of one array expression.  The log term is
+    -log1p(-2 sigma2 resid): near beta = alpha, ln(1 / (1 - 2 sigma2 resid))
+    loses about 1e-9 relative to the rounding of 1 - 2 sigma2 resid.
+    """
+    alpha = np.asarray(alphas, dtype=float)[:, None]
+    log_ends = [np.vectorize(math.log, otypes=[float])(e * alpha[:, 0]) for e in (1e-6, 1 - 1e-6)]
+    betas = np.exp(np.linspace(*log_ends, n, axis=1))
+    resid = alpha - betas
+    x = 2.0 * sigma2 * resid
+    below = x < 1.0
+    with np.errstate(over="ignore"):
+        log_term = -np.log1p(-np.where(below, x, 0.0))
+        vals = np.where(below, alpha / (2 * resid) * log_term - alpha * snr / betas, np.inf)
+    return np.max(np.where(np.isfinite(vals), vals, -np.inf), axis=1)
+
+
 def delay_beta_grid(prior, alphas, nus, *, omega0: float, ex: float, n0: float,
                     n: int = 2001) -> np.ndarray:
     """Best raised-cosine delay bound over n log-spaced betas in [1e-3, 50].

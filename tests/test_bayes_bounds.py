@@ -28,7 +28,7 @@ from riskbounds import (
 )
 from riskbounds import bayes_bounds
 
-from oracles import lpcb_beta_grid, phase_linear_ref_bound, prior_ceiling
+from oracles import lpcb_beta_grid, lpcb_beta_grid_batch, phase_linear_ref_bound, prior_ceiling
 
 LN2 = math.log(2.0)
 
@@ -529,6 +529,19 @@ class TestLpcbSweep:
                     interior += 1
                     assert row.value == pytest.approx(oracle, rel=1e-7)
         assert interior >= 24
+
+    @given(log_sigma2=st.floats(math.log(0.05), math.log(20.0)),
+           log_snr=st.floats(math.log(1e-4), 0.0),
+           fracs=st.lists(st.floats(0.01, 1.2), min_size=1, max_size=24))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_reach_the_dense_grid_best_on_their_bracket(self, log_sigma2, log_snr, fracs):
+        # the search's own bracket, densely gridded: no row may fall below
+        # its best by more than 1e-9 relative (a row that diverges passes)
+        sigma2, snr = math.exp(log_sigma2), math.exp(log_snr)
+        alphas = [f / (2.0 * sigma2) for f in fracs]
+        best = lpcb_beta_grid_batch(alphas, snr, sigma2)
+        for alpha, row, b in zip(alphas, lpcb_sweep(alphas, sigma2=sigma2, ex=snr), best.tolist()):
+            assert row.value >= b - 1e-9 * abs(b), (alpha, row.value, b)
 
     @pytest.mark.parametrize("bad", [
         dict(sigma2_q=0.0), dict(n0=0.0), dict(t_horizon=0.0), dict(sigma2=-1.0),

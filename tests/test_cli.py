@@ -1,6 +1,7 @@
 """CSV schemas, determinism, config files and exit codes of the CLI."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -8,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,42 +462,65 @@ def test_public_name_lists_agree():
 
 
 def test_exceptions_are_one_set_of_classes():
-    import riskbounds.core
     import riskbounds.errors
 
-    assert riskbounds.DomainError is riskbounds.core.DomainError is riskbounds.errors.DomainError
     for name in riskbounds.errors.__all__:
-        assert getattr(riskbounds, name) is getattr(riskbounds.core, name)
+        assert getattr(riskbounds, name) is getattr(riskbounds.errors, name)
 
 
-_CLOSED_FORMS = {   # moved name -> the modules besides closed_forms that bind it
-    "BoundValue": ("core", "bayes_bounds", "nonbayes_bounds", "riskbounds"),
-    "classify": ("core", "bayes_bounds", "nonbayes_bounds"),
-    **{f"STATUS_{s}": ("core",) for s in ("OK", "DIVERGENT", "USELESS", "OUT_OF_WINDOW")},
-    **{name: ("bayes_bounds", "riskbounds") for name in (
-        "LinearGaussianModel", "linear_gaussian_min_lambda", "generic_bayes_bound",
-        "phase_bound_large_sigma", "ww_rect_delay_bound")},
-    "scalar_linear_bound": ("nonbayes_bounds", "riskbounds"),
-    "scalar_ml_lambda": ("nonbayes_bounds", "riskbounds"),
-    "_META": ("nonbayes_bounds",),
-    "golden_section_max": ("core", "_curve"),
-    "maximize_scalar": ("core", "nonbayes_bounds"),
-    "tilted_prior_bound": ("bayes_bounds", "riskbounds"),
-    "nu_bound": ("delay_design", "riskbounds"),
-    "NuTradeoff": ("riskbounds",),
-    "GOLDEN": ("core",),
-    "_GOLDEN_MAX_ITER": ("core",),
-}
+SRC = Path(riskbounds.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", sorted(_CLOSED_FORMS))
+def _sibling_imports(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, sibling module, bound name) of every ``from .x import`` binding of a module."""
+    return [(node.lineno, node.module or "", alias.asname or alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_name_imported_from_a_sibling_is_read(monkeypatch):
+    # a name lives in the module that defines it and in the modules that
+    # read it; the one exception is a binding that perfbench's tracer looks
+    # up by module, a LAYERS entry naming a function defined elsewhere
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    unread = []
+    for module, tree in _modules().items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        traced = set(tracer.LAYERS.get(module, ())) - defined
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{module}.py:{line} {name}" for line, _, name in _sibling_imports(tree)
+                   if name not in read and name not in traced]
+    assert unread == []
+
+
+def _closed_form_names() -> list[str]:
+    """closed_forms' public names and every name another module imports from it."""
+    imported = {name for tree in _modules().values()
+                for _, module, name in _sibling_imports(tree) if module == "closed_forms"}
+    return sorted(set(closed_forms.__all__) | imported)
+
+
+@pytest.mark.parametrize("name", _closed_form_names())
 def test_closed_forms_are_one_set_of_objects(name):
+    # every module that binds a closed_forms name binds closed_forms' own
+    # object, and the package exports it from closed_forms
     obj = getattr(closed_forms, name)
-    for module in _CLOSED_FORMS[name]:
-        mod = importlib.import_module(module if module == "riskbounds" else f"riskbounds.{module}")
-        assert getattr(mod, name) is obj, module
-    if "riskbounds" in _CLOSED_FORMS[name]:
+    for module in (*riskbounds._SUBMODULES, "_curve"):
+        mod = importlib.import_module(f"riskbounds.{module}")
+        assert getattr(mod, name, obj) is obj, module
+    if name in riskbounds._EXPORTS:
         assert riskbounds._EXPORTS[name] == "closed_forms"
+        assert getattr(riskbounds, name) is obj
 
 
 class TestExitCodes:
@@ -969,6 +995,39 @@ class TestSweeps:
         assert code == 0
         assert header(out) == "alpha,bound,nu,beta,status"
         assert math.isfinite(float(data_rows(out)[0][1]))
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "roots", "--mu", "0", "--a", "1e308"],
+        ["phase", "roots", "--mu", "0.1", "--a", "9e307"],
+        ["phase", "diagram", "--mu-sweep=-0.9:0.9:3", "--a-sweep", "0:1e308:3"],
+    ])
+    def test_coupling_overflow_is_three(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: a = ") and err.count("\n") == 1
+        assert "the coupling 2a overflows" in err
+
+    def test_roots_at_a_huge_coupling_keep_the_root_at_mu(self, capsys):
+        code, out, _ = run_cli(["phase", "roots", "--mu", "0.1", "--a", "1e19"], capsys)
+        assert code == 0
+        assert [row[0] for row in data_rows(out)] == ["-1", "0.1", "1"]
+
+    @pytest.mark.parametrize("beta", ["1e11", "1e13", "1e307"])
+    def test_delay_row_at_a_huge_beta_stays_below_the_prior_ceiling(self, capsys, beta):
+        # any estimator, a constant one too, bounds the truth from above:
+        # on N(0, 1) at alpha = 0.3 that ceiling is -ln(1 - 0.6) / 2.  The
+        # tilt is a point mass on the grid here, its divergence a difference
+        # of two terms of size beta |ln p|, and beta ln p overflows at 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["bound", "bayes-delay", "--prior", "gaussian:1.0",
+                                      "--alpha", "0.3", "--nu", "0.5", "--beta", beta], capsys)
+        assert (code, err) == (0, "")
+        (row,) = data_rows(out)
+        assert row[4] == "ok"
+        assert float(row[1]) <= -0.5 * math.log1p(-0.6)
 
     @pytest.mark.parametrize("spec, kind", [("uniform:0,1", "uniform"),
                                             ("gaussain:1.0", "gaussain")])

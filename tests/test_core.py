@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbounds import DomainError, GridDensity, GridError, Waveform
+from riskbounds.closed_forms import classify, golden_section_max
 from riskbounds.core import (
     _golden_section_batch,
     _maximize_batch,
-    classify,
     divergence_onset,
-    golden_section_max,
     logsumexp,
     maximize_scalar,
 )
@@ -70,15 +69,16 @@ class TestGridDensity:
         d = GridDensity(theta, dens)
         f = np.cos(theta)
         assert np.dot(d.weights, f) == pytest.approx(np.trapezoid(f, theta), rel=1e-13)
-        assert np.all(d.log_density[:5] == -np.inf)
+        assert np.all(d.log_shift[:5] == -np.inf)
+        assert np.max(d.log_shift) == 0.0
         log_z = math.log(np.trapezoid(dens, theta))
-        np.testing.assert_allclose(d.log_density[5:], -theta[5:] ** 2 - log_z,
+        np.testing.assert_allclose(d.log_shift[5:] + d.log_peak, -theta[5:] ** 2 - log_z,
                                    rtol=1e-13, atol=1e-15)
 
     def test_arrays_are_read_only(self):
         theta = np.linspace(-1.0, 1.0, 33)
         d = GridDensity(theta, np.full(33, 0.5))
-        for arr in (d.theta, d.density, d.weights, d.log_density, d.dx, d.positive):
+        for arr in (d.theta, d.density, d.weights, d.log_shift, d.dx, d.positive):
             with pytest.raises(ValueError):
                 arr[0] = 7.0
 

@@ -223,6 +223,17 @@ class TestTiltPrior:
                 analytic = 0.5 * math.log(beta) - (beta - 1.0) / (2.0 * beta)
                 assert tilt_prior(prior, beta)[1] == pytest.approx(analytic, abs=1e-13)
 
+    @given(log_beta=st.floats(0.0, math.log(1e4)))
+    @settings(max_examples=60, deadline=None)
+    def test_divergence_meets_the_gaussian_kl_at_large_beta(self, log_beta):
+        # Q_beta of N(0, 1) is N(0, 1/beta), and the CLI's +-10 sigma grid
+        # resolves it up to beta = 1e4; D's two terms each grow like
+        # beta |ln p|, so their difference must not carry their rounding
+        beta = math.exp(log_beta)
+        _, kl = _battery_priors()["gaussian:1.0"].tilt_terms(beta)
+        exact = gaussian_kl(1.0, 1.0 / beta)
+        assert abs(kl - exact) <= 1e-13 * max(1.0, exact)
+
     def test_returns_two_floats(self, gaussian_prior_grid):
         terms = tilt_prior(gaussian_prior_grid(1.0), np.float64(2.0))
         assert type(terms) is tuple and [type(x) for x in terms] == [float, float]
@@ -341,7 +352,8 @@ class TestTiltTerms:
 
 # The tilt kernel before its beta-independent half was cached on the grid:
 # numpy's own gradient and trapezoid, a masked dot for phi' and a tilted
-# density re-validated through GridDensity and checked to integrate to 1.
+# density re-validated through GridDensity and checked to integrate to 1,
+# with the divergence formed from the log density shifted by its peak.
 # tilt_prior's I and D must match it bit for bit.
 def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     """(I, D) of the tilt, or the DomainError it raises."""
@@ -358,12 +370,16 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     w[-1] = 0.5 * (theta[-1] - theta[-2])
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
-    log_z = logsumexp(beta * log_p, w)
+    peak = float(np.max(log_p))
+    s = log_p - peak
+    with np.errstate(over="ignore"):
+        log_z = logsumexp(beta * s, w)
     if not math.isfinite(log_z):
         raise DomainError("tilted density is not integrable on this grid")
-    q = np.exp(beta * log_p - log_z)
+    with np.errstate(over="ignore"):
+        q = np.exp(beta * s - log_z)
     positive = p > 0.0
-    dphi = float(np.dot((w * q)[positive], log_p[positive]))
+    dphi = float(np.dot((w * q)[positive], s[positive]))
     nz = np.nonzero(positive)[0]
     inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
     if np.any(inner <= 0.0):
@@ -382,7 +398,7 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     q_integral = float(np.trapezoid(q_density.density, theta))
     if abs(q_integral - 1.0) > 10.0 * tol:
         raise DomainError(f"density integrates to {q_integral:.6g}, not 1 within {10.0 * tol:g}")
-    return fisher, (beta - 1.0) * dphi - log_z
+    return fisher, (beta - 1.0) * dphi - peak - log_z
 
 
 @functools.cache
@@ -462,7 +478,7 @@ class TestTiltBits:
         for prior in _battery_priors().values():
             if prior.has_hole:
                 continue
-            cached = [prior.theta, prior.density, prior.weights, prior.log_density,
+            cached = [prior.theta, prior.density, prior.weights, prior.log_shift,
                       prior.dx, prior.positive, *(prior.coefs or ())]
             assert not any(a.flags.writeable for a in cached)
             before = [a.tobytes() for a in cached]

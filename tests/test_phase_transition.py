@@ -349,6 +349,25 @@ class TestMagnetizationRoots:
         ms = sorted(r.m for r in roots)
         np.testing.assert_allclose(ms, [-ms[2], 0.0, ms[2]], atol=1e-10)
 
+    @pytest.mark.parametrize("a", [1e19, 1e100, 8e307])
+    @pytest.mark.parametrize("mu", [-0.9, -0.1, -1e-12, 0.0, 1e-12, 0.1, 0.5, 0.999])
+    def test_root_count_at_huge_coupling(self, mu, a):
+        # m = mu is a root, unstable once J (1 - mu^2) > 1, so two stable
+        # roots flank it: three roots in all.  Here the flanking roots round
+        # to +-1, and at most a and mu the critical points to one float
+        assert 2.0 * a * (1.0 - mu * mu) > 1.0
+        roots = magnetization_roots(CurieWeissParams(mu, a))
+        assert len(roots) == 3
+        assert (roots[0].m, roots[2].m) == (-1.0, 1.0)
+        assert math.isclose(roots[1].m, mu, rel_tol=1e-15)
+        assert [r.stable for r in roots] == [True, False, True]
+        assert sum(r.dominant for r in roots) == 1
+
+    @pytest.mark.parametrize("a", [9e307, 1e308, math.inf, math.nan])
+    def test_coupling_beyond_float_range_is_refused(self, a):
+        with pytest.raises(DomainError, match="the coupling 2a overflows"):
+            CurieWeissParams(0.1, a)
+
 
 class TestClassifyPhase:
     def test_paramagnetic(self):
