@@ -54,18 +54,19 @@ def alpha_c_upper(prior: GridDensity) -> float:
     The certificate is the limit of I(Q_beta) * D(Q_beta || P) along a
     path where the Fisher information vanishes.  The sweep runs beta over
     161 log-spaced points of [1e-4, 1e2], keeping only the tilts that
-    ``tilt_prior`` accepts (the tilted density vanishes at the grid ends)
-    and whose information is positive; if the information trends to zero
-    at the low end (its least value sits at the lowest kept beta and below
-    5% of the median), the product is extrapolated there by a
+    ``tilt_prior`` accepts (the tilted density vanishes at the ends of its
+    support) and whose information is positive and finite (it overflows
+    to inf on a grid of tiny spacings); if the information trends to zero
+    at the low end (its least value sits at the lowest kept beta, below 1,
+    and below 5% of the median), the product is extrapolated there by a
     least-squares fit in the slowly vanishing basis
     {1, beta (ln beta - 1), beta}, which is exact for Gaussian priors.
-    Returns +inf when no vanishing-information tilt exists, the honest
-    answer for compact-support priors; a flat prior has no accepted tilt
-    at all.  No floor on I depends on the units of theta: a prior
-    rescaled by s gets the certificate divided by s^2.  The accuracy is
-    set by how small a beta the grid window can represent; wide windows
-    give tight certificates.
+    Returns +inf, never NaN, when no vanishing-information tilt exists,
+    the honest answer for compact-support priors; a flat prior, padded
+    with zeros or not, has no accepted tilt at all.  No floor on I depends
+    on the units of theta: a prior rescaled by s gets the certificate
+    divided by s^2.  The accuracy is set by how small a beta the grid
+    window can represent; wide windows give tight certificates.
     """
     ok_beta: list[float] = []
     infos: list[float] = []
@@ -75,7 +76,7 @@ def alpha_c_upper(prior: GridDensity) -> float:
             info, kl = prior.tilt_terms(float(b))
         except DomainError:
             continue
-        if not info > 0.0:
+        if not 0.0 < info < math.inf:
             continue
         ok_beta.append(float(b))
         infos.append(info)
@@ -83,9 +84,10 @@ def alpha_c_upper(prior: GridDensity) -> float:
     if len(ok_beta) < 4:
         return math.inf
     info_arr = np.array(infos)
-    # the information must head to zero at the low-beta end of the valid set
+    # the information must head to zero at the low-beta end of the valid set,
+    # which a power tilt reaches only by flattening the prior (beta < 1)
     k = int(np.argmin(info_arr))
-    if k != 0 or info_arr[0] > _AC_TREND_CUT * np.median(info_arr):
+    if ok_beta[0] >= 1.0 or k != 0 or info_arr[0] > _AC_TREND_CUT * np.median(info_arr):
         return math.inf
     # skip the two lowest points (noisiest: tilted tails graze the window
     # edge there) and fit the next stretch, long enough to condition the
@@ -221,8 +223,7 @@ def lpcb_sweep(
     a, lo, hi = alphas[search], lo[search], hi[search]
     found = iter(())
     if a.size:
-        b_star, vals, n_eval = _maximize_batch(lambda b: f(a, b), lo, hi,
-                                               log_spaced=True, coarse=96)
+        b_star, vals, n_eval = _maximize_batch(lambda b: f(a, b), lo, hi, coarse=96)
         n_eval //= a.size
         found = zip(b_star.tolist(), vals.tolist())
     out = []

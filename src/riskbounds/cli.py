@@ -226,8 +226,9 @@ def _load_prior(args) -> GridDensity:
         if not sigma2 > 0:
             raise DomainError(f"bad --prior {text!r}: the variance must be positive")
         half = (span[0] if span else 10.0) * math.sqrt(sigma2)
-        theta = np.linspace(-half, half, 8193 if n is None else n)
-        dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
+        with np.errstate(over="ignore", invalid="ignore"):   # GridDensity rejects inf and NaN
+            theta = np.linspace(-half, half, 8193 if n is None else n)
+            dens = np.exp(-(theta ** 2) / (2.0 * sigma2))
     else:
         try:
             data = _load_csv(text, "prior")
@@ -492,10 +493,10 @@ _FLAGS = {
         "prior": {"default": "gaussian:1.0",
                   "help": f"{_PRIOR_USAGE}: a Gaussian on N points over +-SPAN sd (default "
                           "10, 8193) or a theta,density CSV file, which also gives the flat "
-                          "prior the retired uniform: spec gave; a tilt whose density at a "
-                          "grid end exceeds 1e-3 of its peak is rejected: a flat prior "
-                          "exits 3 at a fixed beta and reads -inf,useless when beta is "
-                          "searched"},
+                          "prior the retired uniform: spec gave; a tilt whose density at "
+                          "an end of its support exceeds 1e-3 of its peak is rejected: a "
+                          "flat prior, zero-padded or not, exits 3 at a fixed beta and "
+                          "reads -inf,useless when beta is searched"},
         "es-over-n0": {"type": float, "default": 0.0},
         "corr": {"type": float, "default": 0.0},
         "alpha-c": {"action": "store_true",

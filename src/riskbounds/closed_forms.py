@@ -16,7 +16,7 @@ a float into a ``BoundValue`` status.  The closed forms here are a few
 The package's 1-D searches live here too, as plain-Python loops on float
 brackets: ``golden_section_max``, the one golden-section search, and
 ``maximize_scalar``, a coarse sweep polished by it.  They take floats
-only and serve the delay, nonlinear and coordinate searches; the lpcb
+only and serve the delay, nonlinear and profile searches; the lpcb
 split search runs ``core``'s batched numpy form for one alpha or many,
 with the same result per bracket.  ``_linspace``, numpy's ``linspace`` formula on floats,
 spaces the CLI's linear sweeps, the estimator curve's q grid and the
@@ -286,10 +286,11 @@ def tilted_prior_bound(
     corr_term the signal-distance penalty supplied by the caller's
     geometry.  The MSE floor 1/I needs a tilted prior that vanishes at
     both ends of its support: a tilt that ``divergences.tilt_prior``
-    rejects at the grid ends raises its ``DomainError``, and so does a
-    total information that is not positive (zero or NaN).  I and D come
-    from ``prior.tilt_terms(beta)``, so the prior caches its tilt scalars
-    and a repeated beta costs no new tilt.
+    rejects at the ends of the support raises its ``DomainError``, and so
+    does a total information that is not positive (zero or NaN); one that
+    overflowed to +inf only lowers alpha / I.  I and D come from
+    ``prior.tilt_terms(beta)``, so the prior caches its tilt scalars and a
+    repeated beta costs no new tilt.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -353,8 +354,9 @@ def nu_bound(
     nu = 1 makes the reference equal the pulse at maximal derivative
     energy.  An omitted parameter is maximized over: beta in [1e-3, 50] on
     a log scale, and with nu omitted the (nu, beta) pair jointly by
-    ``core.coordinate_descent_max`` with restarts (a given beta is then
-    not used; this search alone imports ``core``).  Only beta moves the
+    ``core.coordinate_descent_max``, a profile whose outer search over beta
+    reads at each beta the best nu in [0, 1] (a given beta is then not
+    used; this search alone imports ``core``).  Only beta moves the
     tilt: the prior caches its tilt scalars (``prior.tilt_terms``), so the
     nu passes and every revisited beta cost scalar arithmetic, not a new
     tilt.  A bound that is -inf for every beta reports beta = nan.
@@ -380,7 +382,7 @@ def nu_bound(
             return -math.inf
 
     if nu is None:
-        from .core import coordinate_descent_max   # numpy, for its seeded restarts
+        from .core import coordinate_descent_max   # at call time: core loads numpy
 
         nu_star, beta_star, val = coordinate_descent_max(value_at, (0.0, 1.0), _BETA_BRACKET)
         return classify(val, {"nu": nu_star, "beta": beta_star})

@@ -9,7 +9,7 @@ normalized and given the beta-independent half of a power tilt when it is
 built, and its ``tilt_terms`` method tilts it once per beta, keeping each
 (information, divergence) pair in a private memo that no other module
 reads), and the optimizers are a bracketing golden-section search plus a
-tiny coordinate descent built on top of it.  The 1-D searches themselves,
+2-D profile, one 1-D search nested in another.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
 in the numpy-free ``closed_forms`` as plain Python loops on float
 brackets; what stays here is their batched form for arrays of brackets,
@@ -68,13 +68,14 @@ class GridDensity:
     peak, -inf where the density is 0), ``np.gradient``'s
     spacing (the scalar ``step`` where numpy finds the grid uniform, all
     of ``dx`` equal to ``dx[0]``, else its interior ``coefs``), the
-    ``positive`` mask, the ``all_positive`` and ``has_hole`` flags, and
-    the empty memo of ``tilt_terms``.  Assigning or deleting an attribute
-    raises AttributeError.
+    ``positive`` mask, the indices of the first and last grid points of
+    positive density (``support_ends``), the ``all_positive`` and
+    ``has_hole`` flags, and the empty memo of ``tilt_terms``.  Assigning
+    or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("theta", "density", "dx", "weights", "log_shift", "log_peak", "step", "coefs",
-                 "positive", "all_positive", "has_hole", "_tilts")
+                 "positive", "support_ends", "all_positive", "has_hole", "_tilts")
 
     def __init__(self, theta, density):
         th = np.array(theta, dtype=float)
@@ -114,9 +115,11 @@ class GridDensity:
         else:
             step = None
             dx1, dx2 = dx[:-1], dx[1:]
-            coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
-                     _read_only((dx2 - dx1) / (dx1 * dx2)),
-                     _read_only(dx1 / (dx2 * (dx1 + dx2))))
+            # extreme spacings make these inf or NaN, and the tilt's I with them
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
+                         _read_only((dx2 - dx1) / (dx1 * dx2)),
+                         _read_only(dx1 / (dx2 * (dx1 + dx2))))
         positive = p > 0.0
         nz = np.flatnonzero(positive)   # never empty: the density integrates to z > 0
         # exact zero padding at both edges is trimmed before looking for a hole
@@ -124,8 +127,8 @@ class GridDensity:
         fields = dict(theta=_read_only(th), density=_read_only(p), dx=_read_only(dx),
                       weights=_read_only(w), log_shift=_read_only(log_shift), log_peak=log_peak,
                       step=step, coefs=coefs, positive=_read_only(positive),
-                      all_positive=nz.size == p.size, has_hole=bool(np.any(inner <= 0.0)),
-                      _tilts={})
+                      support_ends=(int(nz[0]), int(nz[-1])), all_positive=nz.size == p.size,
+                      has_hole=bool(np.any(inner <= 0.0)), _tilts={})
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -215,15 +218,17 @@ def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray
 _math_log = np.vectorize(math.log, otypes=[float])
 
 
-def _maximize_batch(f, lo, hi, *, log_spaced: bool = False, coarse: int = 64, tol: float = 1e-10):
-    """``maximize_scalar`` on array brackets: the sweep of every element in one call of f.
+def _maximize_batch(f, lo, hi, *, coarse: int = 64, tol: float = 1e-10):
+    """``maximize_scalar(..., log_spaced=True)`` on array brackets, the sweeps in one call of f.
 
-    lo and hi are equal-shape arrays, and f maps an array of points to the
-    array of their values.  Returns (argmax, value, n_evaluations): argmax
-    and value are arrays whose every element is what ``maximize_scalar``
-    on its bracket returns, and n_evaluations counts every point passed to
-    f.  An element whose values are all NaN raises DomainError for the
-    whole call.
+    lo and hi are equal-shape arrays of positive bracket ends, and f maps
+    an array of points to the array of their values.  Returns (argmax,
+    value, n_evaluations): argmax and value are arrays whose every element
+    is what ``maximize_scalar`` on its bracket returns, and n_evaluations
+    counts every point passed to f.  Each sweep is the rule of
+    ``closed_forms._linspace`` on its own logs (numpy's array ``linspace``
+    takes the zero-step formula everywhere once one step is 0).  An
+    element whose values are all NaN raises DomainError for the whole call.
     """
     if coarse < 2:
         raise DomainError("the coarse sweep needs at least 2 points")
@@ -232,12 +237,14 @@ def _maximize_batch(f, lo, hi, *, log_spaced: bool = False, coarse: int = 64, to
         raise DomainError("bracket arrays must have equal shapes")
     if not np.all(hi_a > lo_a):
         raise DomainError("empty bracket")
-    if log_spaced:
-        if np.any(lo_a <= 0):
-            raise DomainError("log-spaced bracket needs lo > 0")
-        grid = np.exp(np.linspace(_math_log(lo_a), _math_log(hi_a), coarse))
-    else:
-        grid = np.linspace(lo_a, hi_a, coarse)
+    if np.any(lo_a <= 0):
+        raise DomainError("log-spaced bracket needs lo > 0")
+    start, stop = _math_log(lo_a), _math_log(hi_a)
+    div, delta = coarse - 1, stop - start
+    step, i = delta / div, np.arange(float(coarse)).reshape((-1,) + (1,) * lo_a.ndim)
+    log_grid = np.where(step == 0.0, i / div * delta + start, i * step + start)
+    log_grid[-1] = stop
+    grid = np.exp(log_grid)
     vals = np.asarray(f(grid), dtype=float)
     n_eval = grid.size
     if np.isnan(vals).all(axis=0).any():
@@ -268,40 +275,23 @@ def coordinate_descent_max(
     bounds_x: tuple[float, float],
     bounds_y: tuple[float, float],
 ) -> tuple[float, float, float]:
-    """Maximize f(x, y) by alternating 1-D golden-section passes.
+    """Maximize f(x, y) as a profile: y outer on a log scale, x inner on a linear scale.
 
-    x is searched on a linear scale and y on a log scale (bounds_y must be
-    positive).  Three starts run, the first from the bracket centers and
-    the rest drawn from a generator seeded with 0, each for at most 12
-    sweeps until a sweep gains less than 1e-9 relative; the best is kept.
-    Returns (x, y, value).
+    The outer ``maximize_scalar`` over y (bounds_y must be positive) reads
+    at each y the value of an inner ``maximize_scalar`` over x, each a
+    33-point sweep and its golden polish.  The inner sweep sees every basin
+    of x that its 33 points separate, so no start is drawn and the result
+    is a function of f alone.  Returns (x, y, value): the inner argmax at
+    the outer argmax, or (nan, nan, -inf) when f is -inf everywhere.
     """
-    rng = np.random.default_rng(0)
-    tol = 1e-9
-    best = (math.nan, math.nan, -math.inf)
+    def inner(y: float) -> tuple[float, float, int]:
+        return maximize_scalar(lambda u: f(u, y), *bounds_x, coarse=33)
 
-    def _start(i: int) -> tuple[float, float]:
-        if i == 0:
-            return (0.5 * (bounds_x[0] + bounds_x[1]), 0.5 * (bounds_y[0] + bounds_y[1]))
-        return (
-            bounds_x[0] + rng.random() * (bounds_x[1] - bounds_x[0]),
-            bounds_y[0] + rng.random() * (bounds_y[1] - bounds_y[0]),
-        )
-
-    for i in range(3):
-        x, y = _start(i)
-        val = f(x, y)
-        for _ in range(12):
-            x, _, _ = maximize_scalar(lambda u: f(u, y), *bounds_x, coarse=33, tol=tol)
-            y, new_val, _ = maximize_scalar(lambda v: f(x, v), *bounds_y, log_spaced=True,
-                                            coarse=33, tol=tol)
-            if new_val <= val + tol * (1.0 + abs(val)):
-                val = max(val, new_val)
-                break
-            val = new_val
-        if val > best[2]:
-            best = (x, y, val)
-    return best
+    y, val, _ = maximize_scalar(lambda v: inner(v)[1], *bounds_y, log_spaced=True, coarse=33)
+    if val == -math.inf:
+        return (math.nan, math.nan, -math.inf)
+    x, val, _ = inner(y)
+    return x, y, val
 
 
 def divergence_onset(

@@ -28,9 +28,9 @@ __all__ = [
 ]
 
 # The information floor 1/I(Q_beta) needs a tilted density that vanishes at
-# both ends of its support.  A tilt whose density at either grid end is
-# above this share of its peak is rejected, whatever the base: a flat or
-# truncated prior has a jump there that the one-sided differences miss.
+# both ends of its support, the first and last grid points of positive
+# density.  A tilt above this share of its peak at either is rejected: a
+# flat, truncated or zero-padded prior has a jump there that differences miss.
 _EDGE_ESCAPE = 1e-3
 
 
@@ -141,13 +141,13 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     at the grid ends.  Two tilts are rejected because the information
     integral is not trustworthy for them: a density that vanishes at an
     interior grid point, and a tilted density above 1e-3 of its peak at
-    either grid end, whatever the base.  So every tilt of a flat prior is
-    rejected, and so are the small-beta tilts of a Gaussian window, while
-    a prior padded with zeros at both grid ends passes; callers needing a
-    smaller beta must supply a wider grid.
+    either end of its support, whatever the base.  So every tilt of a
+    flat prior, padded with zeros or not, is rejected, and so are the
+    small-beta tilts of a Gaussian window; callers needing a smaller beta
+    must supply a wider grid.
 
     Everything that does not depend on beta was set when the base was
-    built: its support mask and hole flag, the grid spacings of both
+    built: its support mask, ends and hole flag, the grid spacings of both
     trapezoids and the gradient's coefficients.  A tilt then costs
     one log-sum-exp, one exponential and a few array passes, with the bits
     of ``np.gradient`` and ``np.trapezoid`` on the same grid.  The tilted
@@ -164,18 +164,20 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     if base.has_hole:
         raise DomainError("density vanishes at an interior grid point")
     q = np.exp(exponent - log_sum)
-    tilt_edge = max(q[0], q[-1]) / np.max(q)
+    first, last = base.support_ends
+    tilt_edge = max(q[first], q[last]) / np.max(q)
     if tilt_edge > _EDGE_ESCAPE:
         raise DomainError(
-            f"tilted density does not vanish at the grid ends (edge ratio {tilt_edge:.3g}); "
-            "supply a wider grid for this beta or a prior that decays there"
+            f"tilted density does not vanish at the ends of its support (edge ratio "
+            f"{tilt_edge:.3g}); supply a wider grid for this beta or a prior that decays there"
         )
     wq = base.weights * q
     if base.all_positive:
         mean_s = float(np.dot(wq, s))
     else:
         mean_s = float(np.dot(wq[base.positive], s[base.positive]))
-    dq = base.gradient(q)
-    integrand = np.zeros_like(q)
-    np.divide(dq * dq, q, out=integrand, where=q > 0.0)
-    return base.integrate(integrand), (float(beta) - 1.0) * mean_s - base.log_peak - log_sum
+    with np.errstate(over="ignore", invalid="ignore"):   # (dq)^2 overflows on tiny spacings
+        dq = base.gradient(q)
+        integrand = np.zeros_like(q)
+        np.divide(dq * dq, q, out=integrand, where=q > 0.0)
+        return base.integrate(integrand), (float(beta) - 1.0) * mean_s - base.log_peak - log_sum

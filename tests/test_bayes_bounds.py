@@ -152,8 +152,15 @@ class TestTiltedPriorBound:
         # family cannot certify any finite critical factor
         assert alpha_c_upper(_flat_prior()) == math.inf
 
+    @pytest.mark.parametrize("n", [9, 41])
+    def test_zero_padded_triangle_has_no_divergence_certificate(self, n):
+        # compact support: every kept tilt is sharper than the prior, and on
+        # 9 points their information grows like 2^beta, which a fit taken for
+        # a low-beta trend would read as a finite certificate
+        assert alpha_c_upper(_ceiling_prior("triangle", -3.0, 5.0, n)) == math.inf
+
     def test_flat_prior_tilt_rejected_at_the_grid_ends(self):
-        with pytest.raises(DomainError, match="does not vanish at the grid ends"):
+        with pytest.raises(DomainError, match="does not vanish at the ends of its support"):
             tilted_prior_bound(_flat_prior(), alpha=0.3, beta=2.0, es_over_n0=0.0)
 
     @pytest.mark.parametrize("fisher_info", [0.0, -0.0, math.nan])
@@ -209,12 +216,16 @@ class TestTiltedPriorBound:
 def _ceiling_prior(kind: str, a: float, b: float, n: int) -> GridDensity:
     """A prior as the CLI builds it: ("window", sigma2, span, n) is `gaussian:sigma2,span,n`;
     ("flat", lo, hi, n) is flat on [lo, hi]; the "padded" kinds put the same support
-    in the middle half of a grid twice as wide and set the density to 0 outside it."""
+    in the middle half of a grid twice as wide and set the density to 0 outside it;
+    ("triangle", lo, hi, n) is max(2 - |theta|, 0) on n points of [lo, hi]."""
     if kind.endswith("window"):
         half = b * math.sqrt(a)
         edge = 2.0 * half if kind.startswith("padded") else half
         theta = np.linspace(-edge, edge, n)
         dens = np.where(np.abs(theta) <= half, np.exp(-theta ** 2 / (2.0 * a)), 0.0)
+    elif kind == "triangle":
+        theta = np.linspace(a, b, n)
+        dens = np.maximum(2.0 - np.abs(theta), 0.0)
     else:
         pad = 0.5 * (b - a) if kind.startswith("padded") else 0.0
         theta = np.linspace(a - pad, b + pad, n)
@@ -325,6 +336,23 @@ class TestPriorCeiling:
             for alpha, bv in zip(alphas, bvs):
                 ceiling = _gaussian_ceiling(alpha, sigma2)
                 assert bv.value <= ceiling + 1e-12 * max(1.0, abs(ceiling)), (name, alpha, bv)
+
+    # max(2 - |theta|, 0) on [-3, 5] has zeros at both grid ends and a kink
+    # at the ends of its support; on 9 points it is the CSV -3,0 / -2,0 /
+    # -1,1 / 0,2 / 1,1 / 2,0 / 3,0 / 4,0 / 5,0, whose beta = 1 row read 0.6
+    # against C = 0.1612 while the 1e-3 rule looked at the grid ends
+    @pytest.mark.parametrize("n", [9, 41, 161, 1025])
+    def test_zero_padded_triangle_rows_stay_below_the_prior_ceiling(self, n):
+        prior = _ceiling_prior("triangle", -3.0, 5.0, n)
+        values = [nu_bound(prior, 0.3, **_DELAY).value,
+                  nu_bound(prior, 0.3, nu=0.0, **_DELAY).value]
+        for beta in np.exp(np.linspace(math.log(1e-3), math.log(60.0), 400)).tolist():
+            try:
+                values.append(tilted_prior_bound(prior, 0.3, beta, es_over_n0=0.0).value)
+            except DomainError:
+                pass
+        ceiling = prior_ceiling(prior, 0.3)
+        assert max(values) <= ceiling + 1e-9, (max(values), ceiling)
 
     @pytest.mark.xfail(strict=True, reason=(
         "decaying windows overshoot C near the 1e-3 grid-end gate: the truncated tilt "

@@ -503,6 +503,37 @@ def test_every_name_imported_from_a_sibling_is_read(monkeypatch):
     assert unread == []
 
 
+def _numpy_random_reads(tree: ast.Module) -> list[int]:
+    """Lines of a module that read numpy's random: an import of it, or ``np.random``."""
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = node.level == 0 and (module.startswith("numpy.random") or module == "numpy"
+                                       and any(alias.name == "random" for alias in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_verify_reads_numpy_random():
+    # every bound is a deterministic function of its inputs: the Monte Carlo
+    # oracle in verify is the one module that draws random numbers
+    modules = _modules()
+    assert _numpy_random_reads(modules["verify"])
+    reads = {f"{module}.py": lines for module, tree in modules.items()
+             if module != "verify" and (lines := _numpy_random_reads(tree))}
+    assert reads == {}
+
+
 def _closed_form_names() -> list[str]:
     """closed_forms' public names and every name another module imports from it."""
     imported = {name for tree in _modules().values()
@@ -946,7 +977,7 @@ class TestSweeps:
         code, out, err = run_cli(["bound", "bayes-tilted", "--prior", flat_prior_csv,
                                   "--beta", "0.8", "--alpha", "0.3"], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("error: tilted density does not vanish at the grid ends "
+        assert err.startswith("error: tilted density does not vanish at the ends of its support "
                               "(edge ratio 1)")
 
     def test_delay_bound_useless_row_has_no_beta(self, capsys, flat_prior_csv):
@@ -1028,6 +1059,32 @@ class TestSweeps:
         (row,) = data_rows(out)
         assert row[4] == "ok"
         assert float(row[1]) <= -0.5 * math.log1p(-0.6)
+
+    @pytest.mark.parametrize("prior, alpha_c, at_beta", [
+        pytest.param(*case, id=case[0]) for case in (
+            ("gaussian:1e-200", "inf", "0.3,1,0,ok"),
+            ("gaussian:1e-300", "inf", "0.3,1,0,ok"),
+            ("gaussian:1.0,1e308,8193", "error: theta grid must be finite",
+             "error: theta grid must be finite"),
+            ("gaussian:1.0,1e-300,8193", "inf", "error: tilted density does not vanish"),
+            ("gaussian:1.0,1e200,8193", "inf", "error: tilted density does not vanish"))])
+    def test_extreme_gaussian_prior_ends_in_its_row_or_one_error(self, capsys, prior, alpha_c,
+                                                                  at_beta):
+        # a variance or span near either end of the float range overflows the
+        # grid, the gradient's spacings or (dq)^2: numpy warns nothing, and
+        # --alpha-c skips a tilt whose information overflowed instead of
+        # fitting it into a nan
+        at_beta_flags = ["--beta", "1", "--alpha", "0.3"]
+        for flags, ends in ((["--alpha-c"], alpha_c), (at_beta_flags, at_beta)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(["bound", "bayes-tilted", "--prior", prior, *flags],
+                                         capsys)
+            if ends.startswith("error: "):
+                assert (code, out) == (3, "") and err.startswith(ends) and err.count("\n") == 1
+            else:
+                assert (code, err) == (0, "")
+                assert data_rows(out) == [ends.split(",")]
 
     @pytest.mark.parametrize("spec, kind", [("uniform:0,1", "uniform"),
                                             ("gaussain:1.0", "gaussain")])

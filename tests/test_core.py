@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import DomainError, GridDensity, GridError, Waveform
@@ -267,8 +267,8 @@ class TestOptimizers:
         x, fx, _ = maximize_scalar(lambda u: next(vals, -1.0), 0.0, 5.0, coarse=6)
         assert (x, fx) == (3.0, 2.0)
         g = lambda u: math.nan if u < 0.5 else -math.inf   # noqa: E731
-        x, fx, n_eval = maximize_scalar(g, 0.0, 1.0, coarse=3)
-        xb, fxb, _ = _maximize_batch(np.vectorize(g), np.zeros(1), np.ones(1), coarse=3)
+        x, fx, n_eval = maximize_scalar(g, 0.25, 1.0, log_spaced=True, coarse=3)
+        xb, fxb, _ = _maximize_batch(np.vectorize(g), np.full(1, 0.25), np.ones(1), coarse=3)
         assert n_eval > 3 and x == xb[0] and _same(fx, fxb[0])
 
     def test_evaluation_count_is_the_real_one(self):
@@ -333,25 +333,27 @@ class TestBatchedSearch:
     to each other.
     """
 
-    @given(st.lists(_COLUMN, min_size=1, max_size=5), st.booleans(), st.integers(2, 40))
+    @given(st.lists(_COLUMN, min_size=1, max_size=5), st.integers(2, 40))
     @settings(max_examples=60, deadline=None)
-    def test_maximize_matches_scalar_calls(self, columns, log_spaced, coarse):
+    # one 4-ulp bracket, whose log step is 0, must not move the grid of the others
+    @example(columns=[(0, 1.0, 1.0, 0, 0.0, 0.0), (0, 1.0, 1.0, 0, 0.0, 0.0),
+                      (0, 3.625, 1.8361170095920754, 0, 0.875, 0.0),
+                      (0, 0.005859375, 1.0, 1, 0.0, 0.0)], coarse=38)
+    def test_maximize_matches_scalar_calls(self, columns, coarse):
         lo, hi = _brackets(columns)
         profiles = [_profile(c[0], lo[j], hi[j], c[4], c[5]) for j, c in enumerate(columns)]
         scalar = []
         for j, g in enumerate(profiles):
             try:
                 scalar.append(maximize_scalar(g, float(lo[j]), float(hi[j]),
-                                              log_spaced=log_spaced, coarse=coarse))
+                                              log_spaced=True, coarse=coarse))
             except DomainError:
                 # NaN at every coarse point of one bracket refuses the whole batch
                 with pytest.raises(DomainError, match="NaN at every point"):
-                    _maximize_batch(_batched(profiles, []), lo, hi,
-                                    log_spaced=log_spaced, coarse=coarse)
+                    _maximize_batch(_batched(profiles, []), lo, hi, coarse=coarse)
                 return
         points: list = []
-        x, fx, n_eval = _maximize_batch(_batched(profiles, points), lo, hi,
-                                        log_spaced=log_spaced, coarse=coarse)
+        x, fx, n_eval = _maximize_batch(_batched(profiles, points), lo, hi, coarse=coarse)
         assert type(n_eval) is int and n_eval == sum(points)
         assert x.shape == fx.shape == lo.shape
         for j, (xs, fs, _) in enumerate(scalar):
@@ -382,7 +384,8 @@ class TestBatchedSearch:
         assert fx[3] == math.inf and fx[2] > -math.inf
         assert fx[1] > 1.3 and abs(x[1] - 3.55) < 0.1     # the taller, second hump
         for j, g in enumerate(profiles):
-            xs, fs, _ = maximize_scalar(g, float(lo[j]), float(hi[j]), coarse=32)
+            xs, fs, _ = maximize_scalar(g, float(lo[j]), float(hi[j]), log_spaced=True,
+                                        coarse=32)
             assert x[j] == xs and _same(fx[j], fs)
         assert x[4] == lo[4]
 
@@ -399,7 +402,7 @@ class TestBatchedSearch:
         with pytest.raises(DomainError):
             _maximize_batch(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            _maximize_batch(f, np.array([0.0, 0.5]), np.array([1.0, 2.0]), log_spaced=True)
+            _maximize_batch(f, np.array([0.0, 0.5]), np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             _maximize_batch(f, np.zeros(2), np.ones(3))
         with pytest.raises(DomainError):

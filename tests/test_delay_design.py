@@ -215,11 +215,6 @@ class TestNuBound:
 
 _DELAY = dict(omega0=OMEGA0, ex=1.0, n0=1.0)   # the CLI's bayes-delay defaults
 
-# the joint descent stays in its nu ~ 0.97 basin while the optimum sits near nu = 0.01
-_JOINT_MISS = pytest.mark.xfail(strict=True, reason=(
-    "the joint (nu, beta) descent misses the optimum near nu = 0.01; open until the exact "
-    "nu profile replaces coordinate_descent_max (ROADMAP direction 6)"))
-
 
 def _sinh_laplace(_) -> GridDensity:
     theta = 12.0 * np.sinh(np.linspace(-3.0, 3.0, 2049)) / math.sinh(3.0)
@@ -233,9 +228,16 @@ def _mixture(_) -> GridDensity:
 
 
 @pytest.fixture(scope="module")
-def cli_gaussian() -> GridDensity:
-    """The CLI's gaussian:1.0 prior, shared so that its tilt memo serves every joint row."""
-    return _load_prior(SimpleNamespace(prior="gaussian:1.0"))
+def cli_prior():
+    """The CLI's prior for a --prior spec, loaded once so that its tilt memo serves every row."""
+    loaded = {}
+
+    def load(spec: str) -> GridDensity:
+        if spec not in loaded:
+            loaded[spec] = _load_prior(SimpleNamespace(prior=spec))
+        return loaded[spec]
+
+    return load
 
 
 class TestSearchAgainstDenseOracle:
@@ -251,11 +253,22 @@ class TestSearchAgainstDenseOracle:
             value = nu_bound(prior, alpha, nu=nu, **_DELAY).value
             assert value >= best[i, j] - 1e-9 * abs(best[i, j]), (alpha, nu, value, best[i, j])
 
-    @pytest.mark.parametrize("alpha", [0.2, pytest.param(0.25, marks=_JOINT_MISS),
-                                       pytest.param(0.26, marks=_JOINT_MISS),
-                                       pytest.param(0.27, marks=_JOINT_MISS), 0.3, 0.6])
-    def test_joint_rows_reach_the_dense_grid_best(self, cli_gaussian, alpha):
-        nus = np.linspace(0.0, 1.0, 201)
-        best = float(delay_beta_grid(cli_gaussian, [alpha], nus, **_DELAY).max())
-        value = nu_bound(cli_gaussian, alpha, **_DELAY).value
-        assert value >= best - 1e-9 * abs(best), (value, best)
+    # Near alpha = 0.26 on gaussian:1.0, and from alpha = 0.5 on the wide
+    # window, the best nu sits in a basin near nu = 0 apart from the one near
+    # nu = 0.97.
+    @pytest.mark.parametrize("alpha", [0.2, 0.25, 0.26, 0.27, 0.3, 0.6])
+    def test_joint_rows_reach_the_dense_grid_best(self, cli_prior, alpha):
+        _assert_joint_row_reaches_the_grid(cli_prior("gaussian:1.0"), alpha, 2001)
+
+    # the wide window accepts nearly every beta, so its oracle tilts 1001
+    # betas, not 2001, to keep the class near a second
+    @pytest.mark.parametrize("alpha", [0.5, 0.52, 0.54])
+    def test_wide_window_joint_rows_reach_the_dense_grid_best(self, cli_prior, alpha):
+        _assert_joint_row_reaches_the_grid(cli_prior("gaussian:0.5,30,8193"), alpha, 1001)
+
+
+def _assert_joint_row_reaches_the_grid(prior: GridDensity, alpha: float, n_beta: int):
+    best = float(delay_beta_grid(prior, [alpha], np.linspace(0.0, 1.0, 201), n=n_beta,
+                                 **_DELAY).max())
+    value = nu_bound(prior, alpha, **_DELAY).value
+    assert value >= best - 1e-9 * abs(best), (value, best)

@@ -197,22 +197,24 @@ class TestTiltPrior:
             assert kl == pytest.approx(d_closed, abs=1e-13)
 
     def test_flat_base_is_rejected_for_every_beta(self):
-        # a flat density never vanishes at the grid ends, however it is tilted
+        # a flat density never vanishes at the ends of its support, however it is tilted
         theta = np.linspace(0.0, 1.0, 4097)
         base = GridDensity(theta, np.ones_like(theta))
-        message = r"does not vanish at the grid ends \(edge ratio 1\)"
+        message = r"does not vanish at the ends of its support \(edge ratio 1\)"
         for beta in (1e-3, 0.5, 1.0, 3.0, 60.0):
             with pytest.raises(DomainError, match=message):
                 tilt_prior(base, beta)
 
-    def test_zero_padded_flat_base_is_accepted(self):
-        # zeros at both grid ends: every tilt of the flat part is the base itself
+    def test_zero_padded_flat_base_is_rejected(self):
+        # zeros at both grid ends move the ends of the support inside the
+        # grid, and every tilt of the flat part is flat up to those ends
         theta = np.linspace(-2.0, 2.0, 801)
         base = GridDensity(theta, np.where(np.abs(theta) <= 1.0, 1.0, 0.0))
+        assert base.support_ends == (200, 600)
+        message = r"does not vanish at the ends of its support \(edge ratio 1\)"
         for beta in (0.5, 1.0, 3.0):
-            fisher_info, kl = tilt_prior(base, beta)
-            assert kl == pytest.approx(0.0, abs=1e-10)
-            assert fisher_info > 0.0
+            with pytest.raises(DomainError, match=message):
+                tilt_prior(base, beta)
 
     def test_divergence_matches_analytic(self, gaussian_prior_grid):
         # D(Q_beta || P) = ln(beta) / 2 - (beta - 1) / (2 beta) for a Gaussian of
@@ -278,11 +280,12 @@ class TestTiltTerms:
         prior = gaussian_prior_grid(1.0)
         messages = []
         for _ in range(2):
-            with pytest.raises(DomainError, match="does not vanish at the grid ends") as info:
+            with pytest.raises(DomainError,
+                               match="does not vanish at the ends of its support") as info:
                 prior.tilt_terms(0.01)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        with pytest.raises(DomainError, match="does not vanish at the grid ends"):
+        with pytest.raises(DomainError, match="does not vanish at the ends of its support"):
             tilted_prior_bound(prior, 0.3, 0.01, 0.5)
 
     def test_joint_delay_search_tilts_each_beta_once(self, gaussian_prior_grid, monkeypatch):
@@ -384,11 +387,13 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
     if np.any(inner <= 0.0):
         raise DomainError("density vanishes at an interior grid point")
-    tilt_edge = max(q[0], q[-1]) / np.max(q)
+    # the ends of the support: the first and last grid points of positive density
+    tilt_edge = max(q[nz[0]], q[nz[-1]]) / np.max(q)
     if tilt_edge > 1e-3:
         raise DomainError(
-            f"tilted density does not vanish at the grid ends (edge ratio {tilt_edge:.3g}); "
-            "supply a wider grid for this beta or a prior that decays there"
+            "tilted density does not vanish at the ends of its support "
+            f"(edge ratio {tilt_edge:.3g}); supply a wider grid for this beta or a prior "
+            "that decays there"
         )
     q_density = GridDensity(theta, q)
     dq = np.gradient(q, theta)
@@ -422,6 +427,8 @@ def _battery_priors() -> dict[str, GridDensity]:
         "gaussian:1.0,3,4097": cli_gaussian(1.0, 3.0, 4097),
         "sinh-spaced": GridDensity(sinh, np.exp(-sinh ** 2 / 2.0)),
         "zero-padded uniform": GridDensity(padded, np.where(np.abs(padded) <= 1.0, 1.0, 0.0)),
+        "zero-padded window": GridDensity(padded, np.where(np.abs(padded) <= 1.0,
+                                                           np.exp(-8.0 * padded ** 2), 0.0)),
         "holed": GridDensity(holed, np.abs(holed)),
         "laplace file": GridDensity(data[:, 0], data[:, 1]),
     }
@@ -446,11 +453,12 @@ class TestTiltBits:
         _assert_same_tilt(beta)
 
     # window escapes: gaussian:1.0 below beta ~0.138, gaussian:0.5,30 below
-    # ~0.0154, the sinh grid below ~0.216, the Laplace file below ~0.576 and
-    # gaussian:1.0,3,4097 below ln(1000) / 4.5 ~ 1.53506
+    # ~0.0154, the sinh grid below ~0.216, the Laplace file below ~0.576,
+    # gaussian:1.0,3,4097 below ln(1000) / 4.5 ~ 1.53506 and the zero-padded
+    # window, at the ends of its support, below ln(1000) / 8 ~ 0.86347
     @pytest.mark.parametrize("beta", [1e-3, 0.01, 0.0153, 0.0154, 0.1, 0.138, 0.139, 0.2,
                                       0.215, 0.217, 0.5, 0.575, 0.577, 1.0, 60.0,
-                                      0.0, -1.0, math.nan, 1.535, 1.5351])
+                                      0.0, -1.0, math.nan, 1.535, 1.5351, 0.8634, 0.8635])
     def test_window_escapes_and_rejections(self, beta):
         _assert_same_tilt(beta)
 
@@ -460,6 +468,7 @@ class TestTiltBits:
         assert priors["gaussian:0.5,30,8193"].coefs is not None
         assert priors["laplace file"].coefs is not None
         assert not priors["zero-padded uniform"].all_positive
+        assert not priors["zero-padded window"].all_positive
         messages = []
         for beta in (0.01, 1.0, 0.0, math.nan):
             for prior in priors.values():
@@ -468,15 +477,15 @@ class TestTiltBits:
                 except DomainError as exc:
                     messages.append(str(exc))
         # the truncated window is rejected at beta = 1, where the bare window is not
-        with pytest.raises(DomainError, match="does not vanish at the grid ends"):
+        with pytest.raises(DomainError, match="does not vanish at the ends of its support"):
             tilt_prior(priors["gaussian:1.0,3,4097"], 1.0)
-        for reason in ("does not vanish at the grid ends", "vanishes at an interior grid point",
-                       "must be positive", "not integrable"):
+        for reason in ("does not vanish at the ends of its support",
+                       "vanishes at an interior grid point", "must be positive", "not integrable"):
             assert any(reason in m for m in messages), reason
 
     def test_cached_grid_pieces_are_never_aliased(self):
-        for prior in _battery_priors().values():
-            if prior.has_hole:
+        for name, prior in _battery_priors().items():
+            if prior.has_hole or name == "zero-padded uniform":   # every tilt is rejected
                 continue
             cached = [prior.theta, prior.density, prior.weights, prior.log_shift,
                       prior.dx, prior.positive, *(prior.coefs or ())]
