@@ -438,7 +438,6 @@ def maximize_scalar(
     *,
     log_spaced: bool = False,
     coarse: int = 64,
-    tol: float = 1e-10,
 ) -> tuple[float, float, int]:
     """Coarse grid sweep followed by golden-section polish, on a float bracket.
 
@@ -447,7 +446,9 @@ def maximize_scalar(
     (argmax, value, n_evaluations), the last a Python int counting every
     point passed to f.  The best coarse point is numpy's ``nanargmax``:
     the first maximum once NaN reads as -inf, and a profile that is NaN at
-    every point raises DomainError.
+    every point raises DomainError.  A best coarse value that is not
+    finite is returned unpolished: +inf cannot be beaten, and -inf or NaN
+    means that every coarse point is -inf or NaN, so the first one wins.
 
     f gets plain floats: the linear grid is ``_linspace`` and a log-spaced
     one ``_logspace``, the one use of numpy on this path.
@@ -472,7 +473,7 @@ def maximize_scalar(
     k = clean.index(max(clean))
     x, fx = grid[k], vals[k]
     blo, bhi = grid[max(k - 1, 0)], grid[min(k + 1, coarse - 1)]
-    if fx == math.inf or blo == bhi:
+    if not -math.inf < fx < math.inf or blo == bhi:
         return x, float(fx), n_eval
 
     def counted(u: float) -> float:
@@ -480,7 +481,7 @@ def maximize_scalar(
         n_eval += 1
         return f(u)
 
-    xp, fxp = golden_section_max(counted, blo, bhi, tol=tol)
+    xp, fxp = golden_section_max(counted, blo, bhi)
     if fxp < fx:
         return x, float(fx), n_eval
     return xp, fxp, n_eval

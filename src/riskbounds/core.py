@@ -68,14 +68,17 @@ class GridDensity:
     peak, -inf where the density is 0), ``np.gradient``'s
     spacing (the scalar ``step`` where numpy finds the grid uniform, all
     of ``dx`` equal to ``dx[0]``, else its interior ``coefs``), the
-    ``positive`` mask, the indices of the first and last grid points of
-    positive density (``support_ends``), the ``all_positive`` and
-    ``has_hole`` flags, and the empty memo of ``tilt_terms``.  Assigning
-    or deleting an attribute raises AttributeError.
+    indices of the first and last grid points of positive density
+    (``support_ends``), the larger ``log_shift`` at those two points
+    (``log_edge``, so a beta tilt's edge-to-peak ratio is exp(beta
+    log_edge)), the ``has_hole`` flag for a zero between them (zeros
+    outside them, at one grid end or both, are padding), and the empty
+    memo of ``tilt_terms``.  Assigning or deleting an attribute raises
+    AttributeError.
     """
 
     __slots__ = ("theta", "density", "dx", "weights", "log_shift", "log_peak", "step", "coefs",
-                 "positive", "support_ends", "all_positive", "has_hole", "_tilts")
+                 "support_ends", "log_edge", "has_hole", "_tilts")
 
     def __init__(self, theta, density):
         th = np.array(theta, dtype=float)
@@ -120,15 +123,13 @@ class GridDensity:
                 coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
                          _read_only((dx2 - dx1) / (dx1 * dx2)),
                          _read_only(dx1 / (dx2 * (dx1 + dx2))))
-        positive = p > 0.0
-        nz = np.flatnonzero(positive)   # never empty: the density integrates to z > 0
-        # exact zero padding at both edges is trimmed before looking for a hole
-        inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
+        nz = np.flatnonzero(p)   # never empty: the density integrates to z > 0
+        first, last = int(nz[0]), int(nz[-1])
         fields = dict(theta=_read_only(th), density=_read_only(p), dx=_read_only(dx),
                       weights=_read_only(w), log_shift=_read_only(log_shift), log_peak=log_peak,
-                      step=step, coefs=coefs, positive=_read_only(positive),
-                      support_ends=(int(nz[0]), int(nz[-1])), all_positive=nz.size == p.size,
-                      has_hole=bool(np.any(inner <= 0.0)), _tilts={})
+                      step=step, coefs=coefs, support_ends=(first, last),
+                      log_edge=float(max(log_shift[first], log_shift[last])),
+                      has_hole=nz.size != last - first + 1, _tilts={})
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -182,7 +183,7 @@ class GridDensity:
         return out
 
 
-def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _golden_section_batch(f, lo, hi, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """The scalar loop of ``golden_section_max`` run on every element at once.
 
     lo and hi are equal-shape arrays of brackets, and f maps an array of
@@ -218,7 +219,7 @@ def _golden_section_batch(f, lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray
 _math_log = np.vectorize(math.log, otypes=[float])
 
 
-def _maximize_batch(f, lo, hi, *, coarse: int = 64, tol: float = 1e-10):
+def _maximize_batch(f, lo, hi, *, coarse: int = 64):
     """``maximize_scalar(..., log_spaced=True)`` on array brackets, the sweeps in one call of f.
 
     lo and hi are equal-shape arrays of positive bracket ends, and f maps
@@ -256,7 +257,7 @@ def _maximize_batch(f, lo, hi, *, coarse: int = 64, tol: float = 1e-10):
 
     x, fx = at(k), np.take_along_axis(vals, np.expand_dims(k, 0), axis=0)[0]
     blo, bhi = at(np.maximum(k - 1, 0)), at(np.minimum(k + 1, coarse - 1))
-    polish = (fx != math.inf) & (blo != bhi)
+    polish = np.isfinite(fx) & (blo != bhi)
     if polish.any():
         def counted_batch(u: np.ndarray) -> np.ndarray:
             nonlocal n_eval
@@ -264,7 +265,7 @@ def _maximize_batch(f, lo, hi, *, coarse: int = 64, tol: float = 1e-10):
             return f(u)
 
         xp, fxp = _golden_section_batch(counted_batch, np.where(polish, blo, x),
-                                        np.where(polish, bhi, x), tol)
+                                        np.where(polish, bhi, x))
         keep = polish & ~(fxp < fx)
         x, fx = np.where(keep, xp, x), np.where(keep, fxp, fx)
     return x, fx, n_eval

@@ -29,9 +29,11 @@ __all__ = [
 
 # The information floor 1/I(Q_beta) needs a tilted density that vanishes at
 # both ends of its support, the first and last grid points of positive
-# density.  A tilt above this share of its peak at either is rejected: a
-# flat, truncated or zero-padded prior has a jump there that differences miss.
+# density.  A tilt whose edge-to-peak ratio exp(beta log_edge) exceeds this
+# share is rejected: a flat, truncated or zero-padded prior has a jump there
+# that differences miss.
 _EDGE_ESCAPE = 1e-3
+_LN2 = math.log(2.0)
 
 
 def binary_divergence(q: float, theta: float) -> float:
@@ -136,48 +138,59 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     from the log density shifted by its peak, s = ln p - M with M =
     max ln p, as (beta - 1) E_Q[s] - M - ln sum w exp(beta s): unshifted,
     each term grows like beta |ln p| and their difference, of order
-    ln beta, drowns in the rounding of either.  The Fisher information
-    of Q_beta uses second-order differences on the theta grid, one-sided
-    at the grid ends.  Two tilts are rejected because the information
-    integral is not trustworthy for them: a density that vanishes at an
-    interior grid point, and a tilted density above 1e-3 of its peak at
-    either end of its support, whatever the base.  So every tilt of a
-    flat prior, padded with zeros or not, is rejected, and so are the
-    small-beta tilts of a Gaussian window; callers needing a smaller beta
-    must supply a wider grid.
+    ln beta, drowns in the rounding of either.  E_Q[s] is one dot product
+    over the support, the grid points from the first to the last of
+    positive density.  The Fisher information of Q_beta uses second-order
+    differences on the theta grid, one-sided at the grid ends.
+
+    Two tilts are rejected because the information integral is not
+    trustworthy for them: a density that vanishes between the ends of its
+    support, and a tilted density above 1e-3 of its peak at either end of
+    its support, whatever the base.  s is 0 at the peak, so that edge
+    ratio is exp(beta s) at the end where s is larger, the base's
+    ``log_edge``.  Every tilt of a flat prior, padded with zeros or not,
+    is rejected, and so are the small-beta tilts of a Gaussian window;
+    callers needing a smaller beta must supply a wider grid.  Both rules,
+    and beta <= 0, are checked before any array is touched.
 
     Everything that does not depend on beta was set when the base was
-    built: its support mask, ends and hole flag, the grid spacings of both
-    trapezoids and the gradient's coefficients.  A tilt then costs
-    one log-sum-exp, one exponential and a few array passes, with the bits
-    of ``np.gradient`` and ``np.trapezoid`` on the same grid.  The tilted
-    density is a local array: no Q_beta is returned or kept.
+    built: its support ends, edge log density and hole flag, the grid
+    spacings of both trapezoids and the gradient's coefficients.  A tilt
+    then costs one log-sum-exp, one exponential and a few array passes,
+    with the bits of ``np.gradient`` and ``np.trapezoid`` on the same grid.
+    The tilted density is a local array, scaled by a power of two to a
+    peak near 1 so that (dq)^2 neither underflows nor overflows on a very
+    wide or very narrow grid; the scaling is exact and is divided out of
+    both integrals.  No Q_beta is returned or kept.
     """
+    beta = float(beta)   # a numpy scalar would warn where beta log_edge overflows
     if beta <= 0:
         raise DomainError("tilt exponent beta must be positive")
+    if base.has_hole:
+        raise DomainError("density vanishes at an interior grid point")
+    tilt_edge = math.exp(beta * base.log_edge)
+    if tilt_edge > _EDGE_ESCAPE:
+        raise DomainError(
+            f"tilted density does not vanish at the ends of its support (edge ratio "
+            f"{tilt_edge:.3g}); supply a wider grid for this beta or a prior that decays there"
+        )
     s = base.log_shift
     with np.errstate(over="ignore"):   # beta s below the float range is -inf: weight 0
         exponent = beta * s
     log_sum = logsumexp(exponent, base.weights)
     if not math.isfinite(log_sum):
         raise DomainError("tilted density is not integrable on this grid")
-    if base.has_hole:
-        raise DomainError("density vanishes at an interior grid point")
+    # the power of two nearest exp(log_sum) lifts q's peak to near 1 exactly;
+    # 2^1024 would overflow
+    scale = math.ldexp(1.0, min(round(log_sum / _LN2), 1023))
     q = np.exp(exponent - log_sum)
+    q *= scale
     first, last = base.support_ends
-    tilt_edge = max(q[first], q[last]) / np.max(q)
-    if tilt_edge > _EDGE_ESCAPE:
-        raise DomainError(
-            f"tilted density does not vanish at the ends of its support (edge ratio "
-            f"{tilt_edge:.3g}); supply a wider grid for this beta or a prior that decays there"
-        )
-    wq = base.weights * q
-    if base.all_positive:
-        mean_s = float(np.dot(wq, s))
-    else:
-        mean_s = float(np.dot(wq[base.positive], s[base.positive]))
+    support = slice(first, last + 1)
+    mean_s = float(np.dot(base.weights[support] * q[support], s[support])) / scale
     with np.errstate(over="ignore", invalid="ignore"):   # (dq)^2 overflows on tiny spacings
         dq = base.gradient(q)
         integrand = np.zeros_like(q)
         np.divide(dq * dq, q, out=integrand, where=q > 0.0)
-        return base.integrate(integrand), (float(beta) - 1.0) * mean_s - base.log_peak - log_sum
+        info = base.integrate(integrand) / scale
+    return info, (beta - 1.0) * mean_s - base.log_peak - log_sum

@@ -1062,18 +1062,21 @@ class TestSweeps:
 
     @pytest.mark.parametrize("prior, alpha_c, at_beta", [
         pytest.param(*case, id=case[0]) for case in (
-            ("gaussian:1e-200", "inf", "0.3,1,0,ok"),
-            ("gaussian:1e-300", "inf", "0.3,1,0,ok"),
+            ("gaussian:1e-200", "4.99517773277e+199", "0.3,1,2.99999999998e-201,ok"),
+            ("gaussian:1e-300", "4.99517773277e+299", "0.3,1,2.99999999998e-301,ok"),
+            ("gaussian:1e200", "4.99517773277e-201", "0.3,1,2.99999999998e+199,ok"),
+            ("gaussian:1e300", "4.99517773277e-301", "0.3,1,2.99999999998e+299,ok"),
             ("gaussian:1.0,1e308,8193", "error: theta grid must be finite",
              "error: theta grid must be finite"),
             ("gaussian:1.0,1e-300,8193", "inf", "error: tilted density does not vanish"),
             ("gaussian:1.0,1e200,8193", "inf", "error: tilted density does not vanish"))])
     def test_extreme_gaussian_prior_ends_in_its_row_or_one_error(self, capsys, prior, alpha_c,
                                                                   at_beta):
-        # a variance or span near either end of the float range overflows the
-        # grid, the gradient's spacings or (dq)^2: numpy warns nothing, and
-        # --alpha-c skips a tilt whose information overflowed instead of
-        # fitting it into a nan
+        # a span near either end of the float range overflows the grid or the
+        # gradient's spacings: numpy warns nothing, and --alpha-c skips a tilt
+        # whose information overflowed instead of fitting it into a nan.  A
+        # variance there keeps its row: the tilt is scaled to a peak near 1,
+        # so (dq)^2 neither underflows nor overflows
         at_beta_flags = ["--beta", "1", "--alpha", "0.3"]
         for flags, ends in ((["--alpha-c"], alpha_c), (at_beta_flags, at_beta)):
             with warnings.catch_warnings():
@@ -1085,6 +1088,49 @@ class TestSweeps:
             else:
                 assert (code, err) == (0, "")
                 assert data_rows(out) == [ends.split(",")]
+
+    @given(k=st.integers(-300, 300), beta=st.sampled_from([0.5, 1.0, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    @example(k=-300, beta=1.0)
+    @example(k=300, beta=1.0)
+    def test_gaussian_prior_rows_are_unit_invariant(self, k, beta):
+        # the bound is unit-free and alpha has the units of 1 / theta^2: a prior
+        # of variance s at alpha / s gives the gaussian:1.0 row at alpha, and its
+        # --alpha-c certificate is gaussian:1.0's divided by s.  At a fixed alpha
+        # the row would be alpha s / (I s) - D, whose D rounds in absolute terms
+        s = float(f"1e{k}")
+
+        def rows(spec, alpha):
+            args = argparse.Namespace(prior=spec, alpha=alpha, alpha_sweep=None, log=False,
+                                      beta=beta, es_over_n0=0.0, corr=0.0)
+            (row,) = cli._tilted_rows(args)
+            ((alpha_c,),) = cli._alpha_c_rows(args)
+            return row, alpha_c
+
+        (_, _, want, status), want_c = rows("gaussian:1.0", 0.3)
+        (_, _, got, got_status), got_c = rows(f"gaussian:1e{k}", 0.3 / s)
+        assert status == got_status == "ok"
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got_c * s == pytest.approx(want_c, rel=1e-12)
+
+    @pytest.mark.parametrize("left, right", [(5, 0), (1, 0), (0, 5), (5, 5)])
+    def test_zero_padding_at_one_end_is_not_a_hole(self, capsys, tmp_path, left, right):
+        # zeros at one grid end only move that end of the support inward, as
+        # zeros at both ends do; a hole is a zero between the ends of the support
+        theta = np.linspace(-10.0, 10.0, 801)
+        dens = np.exp(-theta ** 2 / 2.0)
+        dens[:left] = 0.0
+        dens[dens.size - right:] = 0.0
+        path = tmp_path / "pad.csv"
+        np.savetxt(path, np.column_stack([theta, dens]), delimiter=",")
+        code, out, err = run_cli(["bound", "bayes-tilted", "--prior", str(path), "--beta", "1",
+                                  "--alpha", "0.3"], capsys)
+        assert (code, err) == (0, "")
+        assert data_rows(out) == [["0.3", "1", "0.299999980469", "ok"]]
+        code, out, err = run_cli(["bound", "bayes-tilted", "--prior", str(path), "--alpha-c"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert float(data_rows(out)[0][0]) == pytest.approx(0.5, rel=1e-3)
 
     @pytest.mark.parametrize("spec, kind", [("uniform:0,1", "uniform"),
                                             ("gaussain:1.0", "gaussain")])

@@ -78,9 +78,10 @@ class TestGridDensity:
     def test_arrays_are_read_only(self):
         theta = np.linspace(-1.0, 1.0, 33)
         d = GridDensity(theta, np.full(33, 0.5))
-        for arr in (d.theta, d.density, d.weights, d.log_shift, d.dx, d.positive):
+        for arr in (d.theta, d.density, d.weights, d.log_shift, d.dx):
             with pytest.raises(ValueError):
                 arr[0] = 7.0
+        assert d.support_ends == (0, 32) and type(d.support_ends) is tuple
 
     def test_attributes_cannot_be_assigned_or_deleted(self):
         d = GridDensity(np.linspace(-1.0, 1.0, 33), np.full(33, 0.5))
@@ -144,19 +145,23 @@ class TestGridTrapezoidAndGradient:
         theta = np.linspace(-2.0, 2.0, 101)
         padded = np.where(np.abs(theta) <= 1.0, 1.0, 0.0)
         grid = GridDensity(theta, padded)
-        assert not grid.all_positive and not grid.has_hole
-        np.testing.assert_array_equal(grid.positive, padded > 0.0)
+        assert grid.support_ends == (25, 75) and not grid.has_hole
+        assert grid.log_edge == 0.0   # flat up to the ends of its support
         holed = GridDensity(theta, np.abs(theta))
-        assert holed.has_hole and holed.all_positive is False
+        assert holed.support_ends == (0, 100) and holed.has_hole
         left_pad = np.exp(-theta ** 2)
-        left_pad[:3] = 0.0   # padding at one edge only is an interior zero
-        assert GridDensity(theta, left_pad).has_hole
+        left_pad[:3] = 0.0   # padding at one edge only is padding, not a hole
+        left = GridDensity(theta, left_pad)
+        assert left.support_ends == (3, 100) and not left.has_hole
+        assert left.log_edge == left.log_shift[3] > left.log_shift[100]
         smooth = GridDensity(theta, np.exp(-theta ** 2))
-        assert smooth.all_positive and not smooth.has_hole
+        assert smooth.support_ends == (0, 100) and not smooth.has_hole
+        assert smooth.log_edge == smooth.log_shift[0] == max(smooth.log_shift[[0, 100]])
 
     def test_cached_arrays_are_read_only_and_never_shared(self):
         d = GridDensity(_GRIDS["sinh"], np.ones(513))
-        for arr in (d.dx, d.positive, *d.coefs):
+        assert d.support_ends == (0, 512)
+        for arr in (d.dx, *d.coefs):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 7.0
@@ -262,14 +267,14 @@ class TestOptimizers:
 
     def test_first_maximum_with_nan_read_as_minus_inf(self):
         # numpy's nanargmax: NaN counts as -inf, so where every other value is
-        # -inf the first point wins, NaN or not, and its bracket is polished
+        # -inf the first point wins, NaN or not, and is returned unpolished
         vals = iter([math.nan, -math.inf, -math.inf, 2.0, 2.0, 1.0])
         x, fx, _ = maximize_scalar(lambda u: next(vals, -1.0), 0.0, 5.0, coarse=6)
         assert (x, fx) == (3.0, 2.0)
         g = lambda u: math.nan if u < 0.5 else -math.inf   # noqa: E731
         x, fx, n_eval = maximize_scalar(g, 0.25, 1.0, log_spaced=True, coarse=3)
-        xb, fxb, _ = _maximize_batch(np.vectorize(g), np.full(1, 0.25), np.ones(1), coarse=3)
-        assert n_eval > 3 and x == xb[0] and _same(fx, fxb[0])
+        xb, fxb, nb = _maximize_batch(np.vectorize(g), np.full(1, 0.25), np.ones(1), coarse=3)
+        assert n_eval == nb == 3 and x == xb[0] == 0.25 and _same(fx, fxb[0])
 
     def test_evaluation_count_is_the_real_one(self):
         calls = []

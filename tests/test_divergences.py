@@ -22,6 +22,7 @@ from riskbounds import (
     tilt_prior,
     tilted_prior_bound,
 )
+from riskbounds import core, divergences
 from riskbounds.cli import _load_prior
 from riskbounds.core import logsumexp
 
@@ -256,6 +257,44 @@ class TestTiltPrior:
         with pytest.raises(DomainError):
             tilt_prior(gaussian_prior_grid(1.0), 0.0)
 
+    def test_every_rejection_precedes_any_array_work(self, monkeypatch):
+        # beta <= 0, a hole and the edge rule read only scalars the base stored
+        # when it was built: with the tilt's exponential and log-sum-exp made
+        # to fail, each rejection still raises its own DomainError
+        theta = np.linspace(-3.0, 3.0, 4097)
+        window = GridDensity(theta, np.exp(-theta ** 2 / 2.0))   # log_edge = -4.5
+        left_pad = np.exp(-theta ** 2 / 8.0)
+        left_pad[:2048] = 0.0   # the support starts at the peak
+        cases = [(window, 0.0, "must be positive"), (window, -1.0, "must be positive"),
+                 (GridDensity(theta, np.abs(theta)), 1.0, "vanishes at an interior grid point"),
+                 (GridDensity(theta, np.abs(theta)), math.nan, "interior grid point"),
+                 (GridDensity(theta, np.ones_like(theta)), 1.0, r"\(edge ratio 1\)"),
+                 (window, 1.0, r"\(edge ratio 0\.0111\)"),
+                 (GridDensity(theta, left_pad), 60.0, r"\(edge ratio 1\)")]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("array work before a rejection")
+
+        monkeypatch.setattr(np, "exp", fail)
+        monkeypatch.setattr(core, "logsumexp", fail)
+        monkeypatch.setattr(divergences, "logsumexp", fail)   # the name tilt_prior reads
+        for base, beta, message in cases:
+            with pytest.raises(DomainError, match=message):
+                tilt_prior(base, beta)
+        with pytest.raises(AssertionError, match="array work"):
+            tilt_prior(window, 2.0)   # an accepted tilt reaches the patched functions
+
+    def test_tilt_with_a_normalizer_near_the_float_maximum(self):
+        # sum w exp(beta s) is about 1.4e308 here, nearer 2^1024 than 2^1023: the
+        # tilt's power-of-two scale stops at 2^1023 instead of overflowing, and
+        # an information of order 1e-616 reads 0
+        t = np.linspace(-1.0, 1.0, 4097)
+        base = GridDensity(0.8e308 * t, np.exp(-(t / 0.9) ** 40))
+        info, kl = tilt_prior(base, np.float64(1.0))
+        assert info == 0.0 and abs(kl) < 1e-12
+        # beta log_edge overflows to -inf, warning-free for a numpy beta too
+        assert [type(x) for x in tilt_prior(base, np.float64(1e307))] == [float, float]
+
     def test_unnormalized_base_tilts_as_the_cli_prior(self):
         # the constructor normalizes: a base scaled by a power of two, which
         # scales its integral exactly, tilts to the bits of `--prior gaussian:1.0,8,4097`
@@ -375,18 +414,14 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
         log_p = np.log(p)
     peak = float(np.max(log_p))
     s = log_p - peak
+    positive = p > 0.0
+    nz = np.nonzero(positive)[0]
+    # zeros outside the support, at one grid end or both, are padding, not a hole
+    if np.any(p[nz[0]: nz[-1] + 1] <= 0.0):
+        raise DomainError("density vanishes at an interior grid point")
     with np.errstate(over="ignore"):
         log_z = logsumexp(beta * s, w)
-    if not math.isfinite(log_z):
-        raise DomainError("tilted density is not integrable on this grid")
-    with np.errstate(over="ignore"):
         q = np.exp(beta * s - log_z)
-    positive = p > 0.0
-    dphi = float(np.dot((w * q)[positive], s[positive]))
-    nz = np.nonzero(positive)[0]
-    inner = p[nz[0]: nz[-1] + 1] if p[0] == 0.0 and p[-1] == 0.0 else p[1:-1]
-    if np.any(inner <= 0.0):
-        raise DomainError("density vanishes at an interior grid point")
     # the ends of the support: the first and last grid points of positive density
     tilt_edge = max(q[nz[0]], q[nz[-1]]) / np.max(q)
     if tilt_edge > 1e-3:
@@ -395,6 +430,9 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
             f"(edge ratio {tilt_edge:.3g}); supply a wider grid for this beta or a prior "
             "that decays there"
         )
+    if not math.isfinite(log_z):
+        raise DomainError("tilted density is not integrable on this grid")
+    dphi = float(np.dot((w * q)[positive], s[positive]))
     q_density = GridDensity(theta, q)
     dq = np.gradient(q, theta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -467,8 +505,8 @@ class TestTiltBits:
         assert priors["gaussian:1.0"].step is not None
         assert priors["gaussian:0.5,30,8193"].coefs is not None
         assert priors["laplace file"].coefs is not None
-        assert not priors["zero-padded uniform"].all_positive
-        assert not priors["zero-padded window"].all_positive
+        assert priors["zero-padded uniform"].support_ends == (200, 600)
+        assert priors["zero-padded window"].support_ends == (200, 600)
         messages = []
         for beta in (0.01, 1.0, 0.0, math.nan):
             for prior in priors.values():
@@ -488,7 +526,7 @@ class TestTiltBits:
             if prior.has_hole or name == "zero-padded uniform":   # every tilt is rejected
                 continue
             cached = [prior.theta, prior.density, prior.weights, prior.log_shift,
-                      prior.dx, prior.positive, *(prior.coefs or ())]
+                      prior.dx, *(prior.coefs or ())]
             assert not any(a.flags.writeable for a in cached)
             before = [a.tobytes() for a in cached]
             tilt_prior(prior, 1.7)
