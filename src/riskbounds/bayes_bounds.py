@@ -14,7 +14,9 @@ for the sharper one).  The module provides
 
 each with its free parameters exposed and a maximizer over them.
 ``lpcb_sweep`` searches the splits of all its alphas, one alpha included,
-with one ``core._maximize_batch`` on numpy arrays.  The scalar closed
+with one ``core._maximize_batch`` on numpy arrays; the linear-Gaussian
+reference's critical factor is ``LinearGaussianModel.alpha_c``, formed
+once per sweep, not per point.  The scalar closed
 forms (the linear-Gaussian model and minimum, the generic bound, the
 wide-prior phase bound, the rectangular-pulse delay bound and the
 tilted-prior bound) live in the numpy-free ``closed_forms``.
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .closed_forms import BoundValue, classify
+from .closed_forms import BoundValue, LinearGaussianModel, classify
 from .closed_forms import tilted_prior_bound  # noqa: F401  (perfbench/tracer.py LAYERS)
 from .core import GridDensity, _maximize_batch, divergence_onset
 from .divergences import renyi_gaussian_linear
@@ -55,12 +57,15 @@ def alpha_c_upper(prior: GridDensity) -> float:
     path where the Fisher information vanishes.  The sweep runs beta over
     161 log-spaced points of [1e-4, 1e2], keeping only the tilts that
     ``tilt_prior`` accepts (the tilted density vanishes at the ends of its
-    support) and whose information is positive and finite (it overflows
-    to inf on a grid of tiny spacings); if the information trends to zero
-    at the low end (its least value sits at the lowest kept beta, below 1,
-    and below 5% of the median), the product is extrapolated there by a
-    least-squares fit in the slowly vanishing basis
+    support) and whose information is positive.  If the information trends
+    to zero at the low end (its least value sits at the lowest kept beta,
+    below 1, and below 5% of the median, where an information that
+    overflowed to inf on a grid of tiny spacings counts as large), the
+    product of the tilts with finite information is extrapolated there by
+    a least-squares fit in the slowly vanishing basis
     {1, beta (ln beta - 1), beta}, which is exact for Gaussian priors.
+    The median is the sorted middle pair's, numpy's float without
+    ``np.median``, which would load ``numpy.ma``.
     Returns +inf, never NaN, when no vanishing-information tilt exists,
     the honest answer for compact-support priors; a flat prior, padded
     with zeros or not, has no accepted tilt at all.  No floor on I depends
@@ -68,35 +73,31 @@ def alpha_c_upper(prior: GridDensity) -> float:
     divided by s^2.  The accuracy is set by how small a beta the grid
     window can represent; wide windows give tight certificates.
     """
-    ok_beta: list[float] = []
-    infos: list[float] = []
-    products: list[float] = []
-    for b in _AC_BETAS:
+    tilts = []   # (beta, I, I D) of every accepted tilt with I > 0
+    for beta in _AC_BETAS.tolist():
         try:
-            info, kl = prior.tilt_terms(float(b))
+            info, kl = prior.tilt_terms(beta)
         except DomainError:
             continue
-        if not 0.0 < info < math.inf:
-            continue
-        ok_beta.append(float(b))
-        infos.append(info)
-        products.append(info * kl)
-    if len(ok_beta) < 4:
+        if info > 0.0:
+            tilts.append((beta, info, info * kl))
+    finite = [(beta, product) for beta, info, product in tilts if info < math.inf]
+    infos = [info for _, info, _ in tilts]
+    # the information must head to zero at the low-beta end of the accepted
+    # tilts, which a power tilt reaches only by flattening the prior (beta < 1);
+    # an information that overflowed to inf counts as large
+    if len(finite) < 4 or tilts[0][0] >= 1.0 or min(infos) < infos[0]:
         return math.inf
-    info_arr = np.array(infos)
-    # the information must head to zero at the low-beta end of the valid set,
-    # which a power tilt reaches only by flattening the prior (beta < 1)
-    k = int(np.argmin(info_arr))
-    if ok_beta[0] >= 1.0 or k != 0 or info_arr[0] > _AC_TREND_CUT * np.median(info_arr):
+    ranked, half = sorted(infos), len(infos) // 2
+    median = ranked[half] if len(infos) % 2 else (ranked[half - 1] + ranked[half]) / 2.0
+    if infos[0] > _AC_TREND_CUT * median:
         return math.inf
-    # skip the two lowest points (noisiest: tilted tails graze the window
-    # edge there) and fit the next stretch, long enough to condition the
-    # nearly collinear basis
-    skip = 2 if len(ok_beta) > 6 else 0
-    m = min(24, len(ok_beta) - skip)
-    bs = np.array(ok_beta[skip:skip + m])
-    ys = np.array(products[skip:skip + m])
-    basis = np.column_stack([np.ones(m), bs * (np.log(bs) - 1.0), bs])
+    # fit the finite I only: skip the two lowest points (noisiest: tilted
+    # tails graze the window edge there) and fit the next stretch, long
+    # enough to condition the nearly collinear basis
+    skip = 2 if len(finite) > 6 else 0
+    bs, ys = np.array(finite[skip:skip + 24]).T
+    basis = np.column_stack([np.ones(bs.size), bs * (np.log(bs) - 1.0), bs])
     coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
     return max(float(coef[0]), 0.0)
 
@@ -112,6 +113,7 @@ def _lpcb_value(
     es: float,
     q_const: float,
     t_horizon: float,
+    alpha_c_ref: float,
 ) -> np.ndarray:
     """Points of the Renyi-divergence bound; -inf when vacuous, +inf when divergent.
 
@@ -128,7 +130,6 @@ def _lpcb_value(
         t_horizon=t_horizon,
     )
     residual = alpha - beta
-    alpha_c_ref = 1.0 / (2.0 * sigma2_q) + es / n0
     ratio = residual / alpha_c_ref
     below = ratio < 1.0
     value = -alpha / (2.0 * residual) * np.log1p(-np.where(below, ratio, 0.0)) - renyi
@@ -154,6 +155,8 @@ def _lpcb_model(
         raise DomainError("sigma2, sigma2_q, n0 and t_horizon must be positive")
     if min(model["es"], model["ex"]) < 0.0:
         raise DomainError("es and ex must be nonnegative")
+    reference = LinearGaussianModel(model["sigma2_q"], model["es"], model["n0"])
+    model["alpha_c_ref"] = reference.alpha_c()   # formed once per sweep, not per point
     return model
 
 
@@ -199,7 +202,6 @@ def lpcb_sweep(
     # critical factor: the bound is +inf there unless the Renyi term
     # diverges too, and then it diverges at every smaller split (every
     # higher order) as well, so this one probe decides divergence
-    alpha_c_ref = 1.0 / (2.0 * model["sigma2_q"]) + model["es"] / model["n0"]
     lo = _BETA_EDGE * alphas
     if not lo.all():
         # the log-spaced bracket needs lo > 0; find the smallest alpha with
@@ -214,8 +216,8 @@ def lpcb_sweep(
             f"alpha the split search accepts: its bracket starts at {_BETA_EDGE:g} alpha, "
             "which underflows to 0")
     hi = (1.0 - _BETA_EDGE) * alphas
-    witness = np.maximum(lo, (alphas - alpha_c_ref) * (1.0 - 1e-9))
-    probe = (alphas - lo >= alpha_c_ref) & (witness < hi)
+    witness = np.maximum(lo, (alphas - model["alpha_c_ref"]) * (1.0 - 1e-9))
+    probe = (alphas - lo >= model["alpha_c_ref"]) & (witness < hi)
     divergent = np.zeros_like(probe)
     if probe.any():
         divergent[probe] = f(alphas[probe], witness[probe]) == math.inf

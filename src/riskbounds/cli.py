@@ -421,12 +421,8 @@ def _diagram_rows(args) -> list[list]:
 def _mc_rows(args) -> list[list]:
     from . import verify
 
-    key = (args.model, args.estimator)
-    if key not in verify.MODEL_THRESHOLDS:
-        raise DomainError(f"unsupported model/estimator pair {key!r}")
-    run0 = verify.MCRun(args.model, args.estimator, alpha=1e-9, n_samples=1000,
-                        master_seed=0, sigma2=args.sigma2, es=args.es, n0=args.n0)
-    threshold = verify.MODEL_THRESHOLDS[key](run0)
+    threshold = verify.divergence_threshold(args.model, args.estimator, args.sigma2, args.es,
+                                            args.n0)
     alpha = args.alpha if args.alpha is not None else args.alpha_frac * threshold
     run = verify.MCRun(args.model, args.estimator, alpha=alpha,
                        n_samples=args.samples, master_seed=args.seed,

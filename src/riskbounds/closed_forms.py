@@ -5,13 +5,21 @@ means the bound is vacuous.  ``classify`` is the one place that turns such
 a float into a ``BoundValue`` status.  The closed forms here are a few
 ``math`` calls each:
 
-* the exact linear-Gaussian minimum 0.5 ln(1 / (1 - alpha / alpha_c)),
+* the exact linear-Gaussian minimum -0.5 ln(1 - alpha / alpha_c), whose
+  critical factor alpha_c = 1 / (2 sigma2) + es / n0 is formed only by
+  ``LinearGaussianModel.alpha_c``,
 * the generic change-of-measure bound alpha * mse_lb - divergence,
 * the wide-prior phase bound,
 * the rectangular-pulse delay bound,
 * the unbiased scalar bound alpha n0 / (2 es) and the exact ML moment,
 * the tilted-prior bound and the raised-cosine delay bound ``nu_bound``,
   which read a prior only through its pair ``prior.tilt_terms(beta)``.
+
+Every Gaussian moment among them (the linear-Gaussian minimum, the phase
+bound, the scalar ML moment and ``nonbayes_bounds.vector_ml_lambda``) is
+the one kernel ``_gaussian_moment(x) = -0.5 log1p(-x)``, +inf for x >= 1.
+Every range check here is written NaN-first (``not alpha > 0``), so a
+NaN input is a ``DomainError``, never a NaN labelled ``ok``.
 
 The package's 1-D searches live here too, as plain-Python loops on float
 brackets: ``golden_section_max``, the one golden-section search, and
@@ -127,11 +135,12 @@ class LinearGaussianModel:
     __slots__ = ("sigma2", "es", "n0")
 
     def __init__(self, sigma2: float, es: float, n0: float):
-        if sigma2 <= 0 or n0 <= 0 or es < 0:
+        if not (sigma2 > 0 and n0 > 0 and es >= 0):
             raise DomainError("need sigma2 > 0, n0 > 0, es >= 0")
         self.sigma2, self.es, self.n0 = sigma2, es, n0
 
     def alpha_c(self) -> float:
+        """The critical factor 1 / (2 sigma2) + es / n0; the one place it is formed."""
         return 1.0 / (2.0 * self.sigma2) + self.es / self.n0
 
     def mmse(self) -> float:
@@ -153,11 +162,11 @@ def generic_bayes_bound(alpha: float, mse_lb: float, divergence: float) -> Bound
     is D(Q || P).  An infinite divergence makes the bound vacuous, which is
     reported as -inf with a useless flag, not an error.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError("alpha must be positive")
-    if mse_lb < 0:
+    if not mse_lb >= 0:
         raise DomainError("mse_lb must be nonnegative")
-    if divergence < 0:
+    if not divergence >= 0:
         raise DomainError("divergence must be nonnegative")
     if math.isinf(divergence):
         return classify(-math.inf, {}, {"reason": "infinite divergence"})
@@ -165,21 +174,25 @@ def generic_bayes_bound(alpha: float, mse_lb: float, divergence: float) -> Bound
     return classify(value, {})
 
 
+def _gaussian_moment(x: float) -> float:
+    """ln E exp(alpha e^2) = -0.5 log1p(-x) of e ~ N(0, v) at x = 2 alpha v; +inf for x >= 1."""
+    return math.inf if x >= 1.0 else -0.5 * math.log1p(-x)
+
+
 def linear_gaussian_min_lambda(model: LinearGaussianModel, alpha: float) -> BoundValue:
     """Exact minimum exponential moment for the linear-Gaussian model.
 
-    0.5 ln(1 / (1 - alpha / alpha_c)) below alpha_c, +inf at and above it.
+    -0.5 ln(1 - alpha / alpha_c) below alpha_c, +inf at and above it.
     The achieving estimator's matched-filter gain rides along in argmax.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError("alpha must be positive")
     ac = model.alpha_c()
     coef = model.estimator_coefficient()
     if alpha >= ac:
         return classify(math.inf, {"estimator_coef": coef, "alpha_c": ac},
                         {"witness": "alpha >= alpha_c"})
-    value = 0.5 * math.log(1.0 / (1.0 - alpha / ac))
-    return classify(value, {"estimator_coef": coef, "alpha_c": ac})
+    return classify(_gaussian_moment(alpha / ac), {"estimator_coef": coef, "alpha_c": ac})
 
 
 def phase_bound_large_sigma(alpha: float, sigma2: float, ex_over_n0: float) -> BoundValue:
@@ -187,20 +200,19 @@ def phase_bound_large_sigma(alpha: float, sigma2: float, ex_over_n0: float) -> B
 
     Dropping the exp(-sigma2_q) terms, the best reference variance is
     sigma2 / (1 - 2 alpha sigma2) and the bound becomes
-    0.5 ln(1/(1 - 2 alpha sigma2)) - ex/n0, finite only below 1/(2 sigma2).
+    -0.5 ln(1 - 2 alpha sigma2) - ex/n0, finite only below 1/(2 sigma2).
     The exposed alpha_c upper bound 1/(2 sigma2) is tight for this model.
     2 alpha sigma2 is formed as 2 (alpha sigma2), which stays finite below
     alpha_c even where 2 alpha alone overflows.
     """
-    if alpha <= 0 or sigma2 <= 0 or ex_over_n0 < 0:
+    if not (alpha > 0 and sigma2 > 0 and ex_over_n0 >= 0):
         raise DomainError("parameters out of range")
     ac = 1.0 / (2.0 * sigma2)
     if alpha >= ac:
         return classify(math.inf, {"alpha_c": ac}, {"witness": "alpha >= 1/(2 sigma2)"})
-    shrink = 1.0 - 2.0 * (alpha * sigma2)
-    s2q = sigma2 / shrink
-    value = 0.5 * math.log(1.0 / shrink) - ex_over_n0
-    return classify(value, {"sigma2_q": s2q, "alpha_c": ac})
+    x = 2.0 * (alpha * sigma2)
+    value = _gaussian_moment(x) - ex_over_n0
+    return classify(value, {"sigma2_q": sigma2 / (1.0 - x), "alpha_c": ac})
 
 
 def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
@@ -212,7 +224,7 @@ def ww_rect_delay_bound(alpha: float, gamma: float, tau: float) -> BoundValue:
     at the stationary tau_tilde; applicable only while that optimizer stays
     at or above tau, otherwise an out-of-window status is returned.
     """
-    if alpha <= 0 or tau <= 0 or gamma < 0:
+    if not (alpha > 0 and tau > 0 and gamma >= 0):
         raise DomainError("parameters out of range")
     if gamma == 0.0:
         return BoundValue(math.nan, {"tau_tilde": math.nan}, STATUS_OUT_OF_WINDOW,
@@ -253,7 +265,7 @@ def scalar_linear_bound(alpha: float, es: float, n0: float) -> BoundValue:
 
     The critical factor es/n0 is exact: the ML estimator attains it.
     """
-    if alpha <= 0 or es <= 0 or n0 <= 0:
+    if not (alpha > 0 and es > 0 and n0 > 0):
         raise DomainError("alpha, es, n0 must be positive")
     alpha_c = es / n0
     if alpha > alpha_c:
@@ -264,12 +276,9 @@ def scalar_linear_bound(alpha: float, es: float, n0: float) -> BoundValue:
 
 def scalar_ml_lambda(alpha: float, es: float, n0: float) -> float:
     """Exact exponential moment of the ML error, -0.5 ln(1 - alpha n0 / es)."""
-    if alpha <= 0 or es <= 0 or n0 <= 0:
+    if not (alpha > 0 and es > 0 and n0 > 0):
         raise DomainError("alpha, es, n0 must be positive")
-    ratio = alpha * n0 / es
-    if ratio >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-ratio)
+    return _gaussian_moment(alpha * n0 / es)
 
 
 def tilted_prior_bound(
@@ -292,11 +301,11 @@ def tilted_prior_bound(
     ``prior.tilt_terms(beta)``, so the prior caches its tilt scalars and a
     repeated beta costs no new tilt.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError("alpha must be positive")
-    if beta <= 0:
+    if not beta > 0:
         raise DomainError("beta must be positive")
-    if es_over_n0 < 0 or corr_term < 0:
+    if not (es_over_n0 >= 0 and corr_term >= 0):
         raise DomainError("energies must be nonnegative")
     fisher_info, kl = prior.tilt_terms(beta)
     info = fisher_info + 2.0 * es_over_n0
@@ -315,7 +324,7 @@ class NuTradeoff:
     def __init__(self, nu: float, omega0: float, ex: float):
         if not (0.0 <= nu <= 1.0):
             raise DomainError("nu must lie in [0, 1]")
-        if omega0 <= 0 or ex <= 0:
+        if not (omega0 > 0 and ex > 0):
             raise DomainError("omega0 and ex must be positive")
         if not math.isfinite(ex * (omega0 * omega0)):
             raise DomainError("ex omega0^2 is beyond float range")
@@ -327,7 +336,7 @@ class NuTradeoff:
 
     def distance_term(self, n0: float) -> float:
         """Divergence penalty (ex / 3 n0) (1 - nu)^2."""
-        if n0 <= 0:
+        if not n0 > 0:
             raise DomainError("n0 must be positive")
         return self.ex * (1.0 - self.nu) ** 2 / (3.0 * n0)
 
@@ -365,9 +374,9 @@ def nu_bound(
     effects of delays near the observation horizon are the caller's
     responsibility.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError("alpha must be positive")
-    if omega0 <= 0 or ex <= 0 or n0 <= 0:
+    if not (omega0 > 0 and ex > 0 and n0 > 0):
         raise DomainError("omega0, ex, n0 must be positive")
     NuTradeoff(0.0 if nu is None else nu, omega0, ex)   # a bad nu or ex omega0^2, up front
 

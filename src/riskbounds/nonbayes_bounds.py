@@ -10,7 +10,8 @@ signal correlation rho(theta, theta_tilde); on unbounded parameter ranges
 the shifted-reference supremum diverges for every positive risk factor.
 Unbiasedness is an assumption recorded in the output, not a checkable
 property of a bound query.  The scalar closed forms (``scalar_linear_bound``
-and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms``.
+and ``scalar_ml_lambda``) live in the numpy-free ``closed_forms``, and the
+vector ML moment is its one Gaussian-moment kernel ``_gaussian_moment``.
 
 numpy is imported only by the vector model (``VectorLinearModel``,
 ``vector_linear_bound``, ``vector_ml_lambda``).  The correlation profile
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
-from .closed_forms import _META, BoundValue, classify, maximize_scalar
+from .closed_forms import _META, BoundValue, _gaussian_moment, classify, maximize_scalar
 from .closed_forms import scalar_linear_bound  # noqa: F401  (perfbench/tracer.py LAYERS)
 from .errors import ConditioningError, DomainError
 
@@ -134,10 +135,7 @@ def vector_ml_lambda(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
     a = np.asarray(alpha_vec, dtype=float)
     if a.shape != (model.k,):
         raise DomainError("alpha_vec dimension mismatch")
-    ratio = model.n0 / model.es * float(a @ model.gamma_inv() @ a)
-    if ratio >= 1.0:
-        return math.inf
-    return -0.5 * math.log1p(-ratio)
+    return _gaussian_moment(model.n0 / model.es * float(a @ model.gamma_inv() @ a))
 
 
 def nonlinear_bound(

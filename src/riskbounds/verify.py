@@ -10,7 +10,12 @@ serial and parallel execution produce identical bits.  Every estimate
 ships with batch-means error bars and a heavy-tail diagnostic: near the
 critical risk factor the empirical moment is dominated by rare samples
 and the error bars stop being trustworthy, so runs above 80 percent of
-the known threshold are refused outright.
+the known threshold are refused outright.  ``divergence_threshold`` gives
+that threshold for each simulated model/estimator pair; its Gaussian
+critical factors are ``LinearGaussianModel.alpha_c``, so the threshold, the
+CLI's ``--alpha-frac`` alpha and ``certify``'s alphas read one float.
+Integer fields (sample counts, seeds, n) go through ``operator.index``,
+so a float there is a ``DomainError``, not a ``TypeError`` deep in a kernel.
 
 The Bernoulli model gets an exact finite-sample oracle (a log-space
 binomial sum of n + 1 Python floats, shifted by its largest term and
@@ -27,6 +32,7 @@ loads neither numpy nor ``dataclasses``.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from bisect import bisect_right
@@ -51,7 +57,7 @@ __all__ = [
     "MCRun",
     "MCResult",
     "BernoulliExact",
-    "MODEL_THRESHOLDS",
+    "divergence_threshold",
     "mc_lambda",
     "bernoulli_exact_lambda",
     "certify",
@@ -62,6 +68,17 @@ _CHUNK = 8               # blocks per in-place chunk; any size gives the same bi
 _N_BATCHES = 20
 _MAX_SHARE_WARN = 0.01
 _ALPHA_SAFETY = 0.8      # refuse runs above this fraction of the known threshold
+
+_MC_PAIRS = (("lin-gauss", "cond-mean"), ("lin-gauss", "zero"), ("phase-trivial", "zero"),
+             ("nb-ml", "ml"))   # the (model_id, estimator_id) pairs with a simulator
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int; a float or any other non-integer is a DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer") from None
 
 
 class MCRun:
@@ -80,6 +97,7 @@ class MCRun:
 
     def __init__(self, model_id: str, estimator_id: str, alpha: float, n_samples: int,
                  master_seed: int, sigma2: float = 1.0, es: float = 1.0, n0: float = 1.0):
+        n_samples = _integer(n_samples, "n_samples")
         if n_samples < 1000:
             raise DomainError("n_samples must be at least 1e3")
         if not all(math.isfinite(v) for v in (alpha, sigma2, es, n0)):
@@ -88,6 +106,7 @@ class MCRun:
             raise DomainError("alpha must be positive")
         if sigma2 <= 0 or n0 <= 0 or es < 0:
             raise DomainError("model parameters out of range")
+        master_seed = _integer(master_seed, "master_seed")
         if not 0 <= master_seed < 2 ** 128:
             raise DomainError("master_seed must lie in [0, 2**128)")
         self.model_id, self.estimator_id = model_id, estimator_id
@@ -107,24 +126,17 @@ class MCResult(NamedTuple):
         return abs(self.lambda_hat - target) <= n_se * self.se
 
 
-def _threshold_lin_gauss_cond_mean(run: MCRun) -> float:
-    return 1.0 / (2.0 * run.sigma2) + run.es / run.n0
-
-
-def _threshold_prior_only(run: MCRun) -> float:
-    return 1.0 / (2.0 * run.sigma2)
-
-
-def _threshold_nb_ml(run: MCRun) -> float:
-    return run.es / run.n0
-
-
-MODEL_THRESHOLDS: dict[tuple[str, str], Callable[[MCRun], float]] = {
-    ("lin-gauss", "cond-mean"): _threshold_lin_gauss_cond_mean,
-    ("lin-gauss", "zero"): _threshold_prior_only,
-    ("phase-trivial", "zero"): _threshold_prior_only,
-    ("nb-ml", "ml"): _threshold_nb_ml,
-}
+def divergence_threshold(model_id: str, estimator_id: str, sigma2: float, es: float,
+                         n0: float) -> float:
+    """alpha_c of the pair: ``LinearGaussianModel.alpha_c``, with es = 0 for an
+    estimator that ignores the observation, or es / n0 for the ML estimator."""
+    if (model_id, estimator_id) not in _MC_PAIRS:
+        raise DomainError(f"unsupported model/estimator pair {(model_id, estimator_id)!r}")
+    if not (sigma2 > 0 and n0 > 0 and es >= 0):
+        raise DomainError("model parameters out of range")
+    if model_id == "nb-ml":
+        return es / n0
+    return LinearGaussianModel(sigma2, es if estimator_id == "cond-mean" else 0.0, n0).alpha_c()
 
 
 def _block_stream(master_seed: int) -> tuple[np.random.Generator, Callable[[int], None]]:
@@ -308,10 +320,7 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     """
     import numpy as np
 
-    key = (run.model_id, run.estimator_id)
-    if key not in MODEL_THRESHOLDS:
-        raise DomainError(f"unsupported model/estimator pair {key!r}")
-    threshold = MODEL_THRESHOLDS[key](run)
+    threshold = divergence_threshold(run.model_id, run.estimator_id, run.sigma2, run.es, run.n0)
     if run.alpha > _ALPHA_SAFETY * threshold:
         raise DivergenceRiskError(
             f"alpha = {run.alpha:.6g} exceeds {_ALPHA_SAFETY:.0%} of the divergence "
@@ -365,9 +374,10 @@ class BernoulliExact:
     __slots__ = ("n", "a", "theta", "estimator")
 
     def __init__(self, n: int, a: float, theta: float, estimator: Callable[[float], float]):
+        n = _integer(n, "n")
         if not (1 <= n <= 100_000):
             raise DomainError("n must lie in [1, 1e5]")
-        if a < 0:
+        if not a >= 0:
             raise DomainError("a must be nonnegative")
         if not (0.0 < theta < 1.0):
             raise DomainError("theta must lie strictly inside (0, 1)")
@@ -435,7 +445,7 @@ def certify(samples: int, seed: int) -> tuple[list[list], bool]:
 
     prior_only = LinearGaussianModel(sigma2, 0.0, n0)
     for frac in (0.3, 0.5, 0.7):
-        alpha = frac / (2.0 * sigma2)
+        alpha = frac * prior_only.alpha_c()
         exact = linear_gaussian_min_lambda(prior_only, alpha).value
         run = MCRun("phase-trivial", "zero", alpha=alpha, n_samples=samples,
                     master_seed=seed, sigma2=sigma2)
@@ -446,7 +456,7 @@ def certify(samples: int, seed: int) -> tuple[list[list], bool]:
         record("bayes-phase-vs-exact", alpha, ph.value, exact, 0.0)
 
     for frac in (0.2, 0.5, 0.79):
-        alpha = frac * es / n0
+        alpha = frac * divergence_threshold("nb-ml", "ml", sigma2, es, n0)
         run = MCRun("nb-ml", "ml", alpha=alpha, n_samples=samples,
                     master_seed=seed + 1, es=es, n0=n0)
         mc = mc_lambda(run)

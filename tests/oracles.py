@@ -69,17 +69,29 @@ def renyi_by_quadrature(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):
     return math.log(val) / (a - 1.0)
 
 
+def gaussian_moment_decimal(x: float) -> float:
+    """-0.5 ln(1 - x) for a float x < 1, evaluated in 60-digit decimal arithmetic.
+
+    ``Decimal(x)`` is the float's exact value, so the only rounding is the
+    final conversion: the result is within half an ulp of the true moment.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(-(Decimal(1) - Decimal(x)).ln() / 2)
+
+
 def lpcb_beta_grid(alpha: float, snr: float, sigma2: float, n: int = 20001) -> float:
-    """Dense log-grid supremum of the split-parameter comparison bound."""
+    """Dense log-grid supremum of the split-parameter comparison bound.
+
+    The log term is -log1p(-2 sigma2 resid), as in ``lpcb_beta_grid_batch``.
+    """
     betas = np.exp(np.linspace(math.log(1e-8 * alpha), math.log((1 - 1e-8) * alpha), n))
     resid = alpha - betas
-    arg = 1.0 - 2.0 * sigma2 * resid
-    with np.errstate(divide="ignore"):
-        vals = np.where(
-            arg > 0,
-            alpha / (2 * resid) * np.log(1.0 / np.maximum(arg, 1e-300)) - alpha * snr / betas,
-            np.inf,
-        )
+    x = 2.0 * sigma2 * resid
+    below = x < 1.0
+    with np.errstate(over="ignore"):
+        log_term = -np.log1p(-np.where(below, x, 0.0))
+        vals = np.where(below, alpha / (2 * resid) * log_term - alpha * snr / betas, np.inf)
     finite = np.where(np.isfinite(vals), vals, -np.inf)
     return float(np.max(finite))
 
@@ -91,9 +103,7 @@ def lpcb_beta_grid_batch(alphas, snr: float, sigma2: float, n: int = 20001) -> n
     the bracket ``lpcb_sweep`` searches, spaced as its coarse sweep is, so
     a row below the grid's best is a miss of the search, not of its
     bracket.  As in ``lpcb_beta_grid`` only finite points count, and every
-    alpha is one row of one array expression.  The log term is
-    -log1p(-2 sigma2 resid): near beta = alpha, ln(1 / (1 - 2 sigma2 resid))
-    loses about 1e-9 relative to the rounding of 1 - 2 sigma2 resid.
+    alpha is one row of one array expression.
     """
     alpha = np.asarray(alphas, dtype=float)[:, None]
     log_ends = [np.vectorize(math.log, otypes=[float])(e * alpha[:, 0]) for e in (1e-6, 1 - 1e-6)]

@@ -15,6 +15,7 @@ from riskbounds import (
     DomainError,
     GridDensity,
     LinearGaussianModel,
+    VectorLinearModel,
     alpha_c_estimate,
     alpha_c_upper,
     generic_bayes_bound,
@@ -23,12 +24,20 @@ from riskbounds import (
     lpcb_sweep,
     nu_bound,
     phase_bound_large_sigma,
+    scalar_ml_lambda,
     tilted_prior_bound,
+    vector_ml_lambda,
     ww_rect_delay_bound,
 )
 from riskbounds import bayes_bounds
 
-from oracles import lpcb_beta_grid, lpcb_beta_grid_batch, phase_linear_ref_bound, prior_ceiling
+from oracles import (
+    gaussian_moment_decimal,
+    lpcb_beta_grid,
+    lpcb_beta_grid_batch,
+    phase_linear_ref_bound,
+    prior_ceiling,
+)
 
 LN2 = math.log(2.0)
 
@@ -131,6 +140,27 @@ class TestPhaseBoundLargeSigma:
             exact = linear_gaussian_min_lambda(model, float(alpha)).value
             assert approx == pytest.approx(exact, rel=1e-12)
             assert approx <= exact + 1e-12
+
+
+# each Gaussian moment at inputs that make its argument x exactly
+_GAUSSIAN_MOMENTS = {
+    "linear_gaussian_min_lambda":   # alpha / alpha_c with alpha_c = 1
+        lambda x: linear_gaussian_min_lambda(LinearGaussianModel(0.5, 0.0, 1.0), x).value,
+    "phase_bound_large_sigma":      # 2 (alpha sigma2) with sigma2 = 1/2, no signal term
+        lambda x: phase_bound_large_sigma(x, 0.5, 0.0).value,
+    "scalar_ml_lambda": lambda x: scalar_ml_lambda(x, 1.0, 1.0),
+    "vector_ml_lambda":             # (n0 / es) a' inv(gamma) a with a = gamma = 1
+        lambda x: vector_ml_lambda(VectorLinearModel(np.eye(1), 1.0, x), np.ones(1)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_GAUSSIAN_MOMENTS))
+@pytest.mark.parametrize("x", [5e-11, 4.5e-9, 5e-7, 0.15])
+def test_gaussian_moments_meet_the_decimal_value(form, x):
+    # the four closed forms share one log1p kernel; ln(1 / (1 - x)) would
+    # err by up to 8.3e-8 relative at these small x
+    expected = gaussian_moment_decimal(x)
+    assert _GAUSSIAN_MOMENTS[form](x) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestTiltedPriorBound:

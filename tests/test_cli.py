@@ -302,6 +302,16 @@ def test_cli_import_loads_no_thread_pool():
                    timeout=120)
 
 
+def test_alpha_c_loads_no_masked_arrays():
+    # alpha_c_upper takes its median without np.median, which imports numpy.ma
+    code = ("import riskbounds.cli, sys; "
+            "riskbounds.cli.main(['bound', 'bayes-tilted', '--prior', 'gaussian:1.0', "
+            "'--alpha-c']); "
+            "assert 'numpy.ma' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, env=_src_env(), capture_output=True,
+                   timeout=120)
+
+
 def test_sweeps_load_no_thread_pool():
     # sweeps run serially; only verify mc has a worker count
     code = ("import riskbounds.cli, sys; "
@@ -591,6 +601,19 @@ class TestExitCodes:
                                 "--sigma2", "0.5", "--es", "0"], capsys)
         assert code == 3
         assert "threshold" in err
+
+    def test_alpha_frac_cap_is_the_thresholds_own_float(self, capsys):
+        # the --alpha-frac alpha and mc_lambda's 80% cap read one threshold,
+        # LinearGaussianModel(0.5, 1, 1).alpha_c() = 2: 0.8 of it runs and the
+        # next float above 0.8 is refused
+        argv = ["verify", "mc", "--model", "lin-gauss", "--estimator", "cond-mean",
+                "--sigma2", "0.5", "--es", "1", "--samples", "1000", "--alpha-frac"]
+        code, out, _ = run_cli(argv + ["0.8"], capsys)
+        assert code == 0
+        assert float(data_rows(out)[0][2]) == 1.6
+        code, out, err = run_cli(argv + [repr(math.nextafter(0.8, 1.0))], capsys)
+        assert (code, out) == (3, "")
+        assert "exceeds 80% of the divergence threshold 2;" in err
 
     @pytest.mark.parametrize("bad", [["--seed", "-1"],
                                      ["--seed", "1", "--alpha-frac", "nan"],
@@ -1088,6 +1111,16 @@ class TestSweeps:
             else:
                 assert (code, err) == (0, "")
                 assert data_rows(out) == [ends.split(",")]
+
+    @pytest.mark.parametrize("variance", ["1e-306", "1e-307", "1e-308"])
+    def test_narrow_gaussian_keeps_its_certificate(self, capsys, variance):
+        # I = beta / sigma2 overflows to inf at the larger betas of these grids;
+        # such a tilt counts as a large information in the low-beta trend, so
+        # the certificate stays near 1 / (2 sigma2) instead of becoming inf
+        code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", f"gaussian:{variance}",
+                                "--alpha-c"], capsys)
+        assert code == 0
+        assert float(data_rows(out)[0][0]) == pytest.approx(0.5 / float(variance), rel=1e-3)
 
     @given(k=st.integers(-300, 300), beta=st.sampled_from([0.5, 1.0, 3.0]))
     @settings(max_examples=40, deadline=None)

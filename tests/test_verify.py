@@ -13,12 +13,19 @@ from riskbounds import (
     BernoulliExact,
     DivergenceRiskError,
     DomainError,
+    GridDensity,
     LinearGaussianModel,
     MCRun,
     bernoulli_exact_lambda,
+    generic_bayes_bound,
     linear_gaussian_min_lambda,
     mc_lambda,
+    nu_bound,
+    phase_bound_large_sigma,
+    scalar_linear_bound,
     scalar_ml_lambda,
+    tilted_prior_bound,
+    ww_rect_delay_bound,
 )
 from riskbounds import verify
 from riskbounds.closed_forms import _interp
@@ -276,6 +283,73 @@ class TestMcLambda:
                         master_seed=seed, sigma2=sigma2, es=0.0, n0=1.0)
             hits += mc_lambda(run).covers(exact, n_se=3.0)
         assert hits >= 95
+
+
+_POSITIVE = st.floats(1e-300, 1e300)
+
+
+class TestDivergenceThreshold:
+    @settings(max_examples=200, deadline=None)
+    @given(sigma2=_POSITIVE, es=st.one_of(st.just(0.0), _POSITIVE), n0=_POSITIVE)
+    def test_threshold_is_the_models_critical_factor(self, sigma2, es, n0):
+        # one alpha_c: the Gaussian pairs read LinearGaussianModel.alpha_c bit
+        # for bit (the estimators that ignore the observation at es = 0),
+        # the ML estimator es / n0
+        expected = {
+            ("lin-gauss", "cond-mean"): LinearGaussianModel(sigma2, es, n0).alpha_c(),
+            ("lin-gauss", "zero"): LinearGaussianModel(sigma2, 0.0, n0).alpha_c(),
+            ("phase-trivial", "zero"): LinearGaussianModel(sigma2, 0.0, n0).alpha_c(),
+            ("nb-ml", "ml"): es / n0,
+        }
+        for (model_id, estimator_id), alpha_c in expected.items():
+            got = verify.divergence_threshold(model_id, estimator_id, sigma2, es, n0)
+            assert got.hex() == alpha_c.hex()
+
+    def test_unsupported_pair_is_reported_before_the_parameters(self):
+        with pytest.raises(DomainError, match="unsupported model/estimator pair"):
+            verify.divergence_threshold("nb-ml", "zero", -1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="model parameters out of range"):
+            verify.divergence_threshold("nb-ml", "ml", -1.0, 1.0, 1.0)
+
+
+def _estimator(q):
+    return q
+
+
+def _prior():
+    theta = np.linspace(-10.0, 10.0, 801)
+    return GridDensity(theta, np.exp(-theta ** 2 / 2.0))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=name) for name, call in (
+        ("LinearGaussianModel-sigma2-nan", lambda: LinearGaussianModel(math.nan, 1.0, 1.0)),
+        ("linear_gaussian_min_lambda-alpha-nan",
+         lambda: linear_gaussian_min_lambda(LinearGaussianModel(0.5, 1.0, 1.0), math.nan)),
+        ("phase_bound_large_sigma-alpha-nan", lambda: phase_bound_large_sigma(math.nan, 1.0, 0.1)),
+        ("phase_bound_large_sigma-ex-nan", lambda: phase_bound_large_sigma(0.3, 1.0, math.nan)),
+        ("scalar_linear_bound-alpha-nan", lambda: scalar_linear_bound(math.nan, 1.0, 1.0)),
+        ("scalar_ml_lambda-alpha-nan", lambda: scalar_ml_lambda(math.nan, 1.0, 1.0)),
+        ("generic_bayes_bound-alpha-nan", lambda: generic_bayes_bound(math.nan, 0.5, 0.1)),
+        ("generic_bayes_bound-mse-nan", lambda: generic_bayes_bound(1.0, math.nan, 0.1)),
+        ("generic_bayes_bound-divergence-nan", lambda: generic_bayes_bound(1.0, 0.5, math.nan)),
+        ("ww_rect_delay_bound-alpha-nan", lambda: ww_rect_delay_bound(math.nan, 1.0, 1.0)),
+        ("tilted_prior_bound-alpha-nan", lambda: tilted_prior_bound(_prior(), math.nan, 1.0, 0.0)),
+        ("nu_bound-alpha-nan",
+         lambda: nu_bound(_prior(), math.nan, 1.0, 0.5, omega0=1.0, ex=1.0, n0=1.0)),
+        ("BernoulliExact-a-nan",
+         lambda: bernoulli_exact_lambda(BernoulliExact(10, math.nan, 0.3, _estimator))),
+        ("BernoulliExact-n-float", lambda: BernoulliExact(10.5, 1.0, 0.3, _estimator)),
+        ("MCRun-n_samples-float",
+         lambda: MCRun("nb-ml", "ml", alpha=0.3, n_samples=1e4, master_seed=0)),
+        ("MCRun-master_seed-float",
+         lambda: MCRun("nb-ml", "ml", alpha=0.3, n_samples=1000, master_seed=1.5)),
+    )])
+def test_nan_and_non_integer_inputs_are_domain_errors(call):
+    # a NaN range input or a float count ends as DomainError, never as a nan
+    # labelled ok or a TypeError deep in a kernel
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestBernoulliExact:
