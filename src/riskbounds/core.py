@@ -6,10 +6,12 @@ divergent bound, ``-inf`` for a useless one) are ordinary floats, and
 ``BoundValue`` in the numpy-free ``closed_forms``.  Grid functions are
 plain numpy arrays wrapped with their abscissae (a ``GridDensity`` is
 normalized and given the beta-independent half of a power tilt when it is
-built, and its ``tilt_terms`` method tilts it once per beta, keeping each
-(information, divergence) pair in a private memo that no other module
-reads), and the optimizers are a bracketing golden-section search plus a
-2-D profile, one 1-D search nested in another.  The 1-D searches themselves,
+built, the slope of its log density on each grid segment included, so
+that a tilt's information is one dot product; its ``tilt_terms`` method
+tilts it once per beta, keeping each (information, divergence) pair in a
+private memo that no other module reads), and the optimizers are a
+bracketing golden-section search plus a 2-D profile, one 1-D search nested
+in another.  The 1-D searches themselves,
 ``golden_section_max`` and the sweep-then-polish ``maximize_scalar``, live
 in the numpy-free ``closed_forms`` as plain Python loops on float
 brackets; what stays here is their batched form for arrays of brackets,
@@ -63,21 +65,23 @@ class GridDensity:
 
     The constructor validates copies of theta and density, divides the
     density by its trapezoid integral and sets, read-only, all a power
-    tilt reads: ``dx = np.diff(theta)``, trapezoid ``weights``, the log
-    density shifted by its peak, ``log_shift = ln p - log_peak`` (0 at the
-    peak, -inf where the density is 0), ``np.gradient``'s
-    spacing (the scalar ``step`` where numpy finds the grid uniform, all
-    of ``dx`` equal to ``dx[0]``, else its interior ``coefs``), the
-    indices of the first and last grid points of positive density
-    (``support_ends``), the larger ``log_shift`` at those two points
-    (``log_edge``, so a beta tilt's edge-to-peak ratio is exp(beta
+    tilt reads: trapezoid ``weights``, the log density shifted by its
+    peak, ``log_shift = ln(p / peak)`` and ``log_peak = ln peak`` (0 at the
+    peak, -inf where the density is 0 or its ratio to the peak underflows),
+    the indices of the first and last grid points where ``log_shift`` is
+    finite (``support_ends``), the slope of ``log_shift`` on each grid
+    segment between them (``log_slope = np.diff(log_shift) / np.diff(theta)``
+    over the support: a beta tilt q has information beta sum np.diff(q)
+    log_slope, the exact information of the piecewise-linear q that the
+    trapezoid rule integrates), the larger ``log_shift`` at the two support
+    ends (``log_edge``, so a beta tilt's edge-to-peak ratio is exp(beta
     log_edge)), the ``has_hole`` flag for a zero between them (zeros
     outside them, at one grid end or both, are padding), and the empty
     memo of ``tilt_terms``.  Assigning or deleting an attribute raises
     AttributeError.
     """
 
-    __slots__ = ("theta", "density", "dx", "weights", "log_shift", "log_peak", "step", "coefs",
+    __slots__ = ("theta", "density", "weights", "log_shift", "log_peak", "log_slope",
                  "support_ends", "log_edge", "has_hole", "_tilts")
 
     def __init__(self, theta, density):
@@ -109,25 +113,23 @@ class GridDensity:
         w[1:-1] = 0.5 * (th[2:] - th[:-2])
         w[0] = 0.5 * (th[1] - th[0])
         w[-1] = 0.5 * (th[-1] - th[-2])
+        peak = float(np.max(p))
+        # ln(p / peak), not ln p - ln peak: next to the peak, where ln p moves
+        # least between grid points, a log near 0 keeps the digits that a log
+        # near ln peak rounds away, and a tilt's information is read from them
         with np.errstate(divide="ignore"):
-            log_shift = np.log(p)
-        log_peak = float(np.max(log_shift))
-        log_shift -= log_peak
-        if (dx == dx[0]).all():
-            step, coefs = float(dx[0]), None
-        else:
-            step = None
-            dx1, dx2 = dx[:-1], dx[1:]
-            # extreme spacings make these inf or NaN, and the tilt's I with them
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                coefs = (_read_only(-dx2 / (dx1 * (dx1 + dx2))),
-                         _read_only((dx2 - dx1) / (dx1 * dx2)),
-                         _read_only(dx1 / (dx2 * (dx1 + dx2))))
-        nz = np.flatnonzero(p)   # never empty: the density integrates to z > 0
+            log_shift = np.log(p / peak)
+        log_peak = math.log(peak)
+        # never empty (the peak itself); p / peak below the smallest float is 0
+        nz = np.flatnonzero(log_shift > -math.inf)
         first, last = int(nz[0]), int(nz[-1])
-        fields = dict(theta=_read_only(th), density=_read_only(p), dx=_read_only(dx),
-                      weights=_read_only(w), log_shift=_read_only(log_shift), log_peak=log_peak,
-                      step=step, coefs=coefs, support_ends=(first, last),
+        # a hole's -inf makes inf or NaN here (every tilt of it is rejected), and a
+        # subnormal spacing may overflow a slope to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_slope = np.diff(log_shift[first:last + 1]) / dx[first:last]
+        fields = dict(theta=_read_only(th), density=_read_only(p), weights=_read_only(w),
+                      log_shift=_read_only(log_shift), log_peak=log_peak,
+                      log_slope=_read_only(log_slope), support_ends=(first, last),
                       log_edge=float(max(log_shift[first], log_shift[last])),
                       has_hole=nz.size != last - first + 1, _tilts={})
         for name, value in fields.items():
@@ -161,26 +163,6 @@ class GridDensity:
         if isinstance(terms, str):
             raise DomainError(terms)
         return terms
-
-    def integrate(self, y: np.ndarray) -> float:
-        """Trapezoid integral over theta of y sampled on this grid."""
-        return _trapezoid(y, self.dx)
-
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        """``np.gradient(f, theta)`` bit for bit: numpy's operations in numpy's order."""
-        out = np.empty_like(f)
-        inner = out[1:-1]
-        if self.step is not None:
-            np.subtract(f[2:], f[:-2], out=inner)
-            inner /= 2.0 * self.step
-        else:
-            a, b, c = self.coefs
-            np.multiply(a, f[:-2], out=inner)
-            inner += b * f[1:-1]
-            inner += c * f[2:]
-        out[0] = (f[1] - f[0]) / self.dx[0]
-        out[-1] = (f[-1] - f[-2]) / self.dx[-1]
-        return out
 
 
 def _golden_section_batch(f, lo, hi, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

@@ -31,9 +31,8 @@ __all__ = [
 # both ends of its support, the first and last grid points of positive
 # density.  A tilt whose edge-to-peak ratio exp(beta log_edge) exceeds this
 # share is rejected: a flat, truncated or zero-padded prior has a jump there
-# that differences miss.
+# that the information of its interpolant, a sum over the support, misses.
 _EDGE_ESCAPE = 1e-3
-_LN2 = math.log(2.0)
 
 
 def binary_divergence(q: float, theta: float) -> float:
@@ -140,8 +139,7 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     each term grows like beta |ln p| and their difference, of order
     ln beta, drowns in the rounding of either.  E_Q[s] is one dot product
     over the support, the grid points from the first to the last of
-    positive density.  The Fisher information of Q_beta uses second-order
-    differences on the theta grid, one-sided at the grid ends.
+    positive density.
 
     Two tilts are rejected because the information integral is not
     trustworthy for them: a density that vanishes between the ends of its
@@ -153,15 +151,28 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     callers needing a smaller beta must supply a wider grid.  Both rules,
     and beta <= 0, are checked before any array is touched.
 
+    The information is that of the density the trapezoid rule integrates,
+    the piecewise-linear interpolant of q, exactly.  On a segment where q
+    runs linearly from q0 to q1 over a width h, the integral of (q')^2 / q
+    is (q1 - q0)(ln q1 - ln q0) / h, and ln q1 - ln q0 = beta (s1 - s0)
+    because ln q = beta s - ln Z.  So
+
+        I(Q_beta) = beta sum (q[i+1] - q[i]) log_slope[i]
+
+    over the segments of the support, with ``log_slope`` = ds / dtheta
+    stored by the base.  q and s rise and fall together, so no term is
+    negative and none exceeds I: the sum has no cancellation.  On a
+    Gaussian base, s = -theta^2 / (2 sigma^2), each slope is minus the
+    segment's midpoint over sigma^2, and summation by parts turns the sum
+    into beta / sigma^2 times the trapezoid integral of q, which is 1, plus
+    q at the two window ends: I = beta / sigma^2 to rounding however narrow
+    the tilt is against the grid.
+
     Everything that does not depend on beta was set when the base was
-    built: its support ends, edge log density and hole flag, the grid
-    spacings of both trapezoids and the gradient's coefficients.  A tilt
-    then costs one log-sum-exp, one exponential and a few array passes,
-    with the bits of ``np.gradient`` and ``np.trapezoid`` on the same grid.
-    The tilted density is a local array, scaled by a power of two to a
-    peak near 1 so that (dq)^2 neither underflows nor overflows on a very
-    wide or very narrow grid; the scaling is exact and is divided out of
-    both integrals.  No Q_beta is returned or kept.
+    built: its support ends, edge log density, hole flag, trapezoid weights
+    and log slopes.  A tilt then costs one log-sum-exp, one exponential
+    over the support and two dot products.  The tilted density is a local
+    array; no Q_beta is returned or kept.
     """
     beta = float(beta)   # a numpy scalar would warn where beta log_edge overflows
     if beta <= 0:
@@ -180,17 +191,10 @@ def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:
     log_sum = logsumexp(exponent, base.weights)
     if not math.isfinite(log_sum):
         raise DomainError("tilted density is not integrable on this grid")
-    # the power of two nearest exp(log_sum) lifts q's peak to near 1 exactly;
-    # 2^1024 would overflow
-    scale = math.ldexp(1.0, min(round(log_sum / _LN2), 1023))
-    q = np.exp(exponent - log_sum)
-    q *= scale
     first, last = base.support_ends
     support = slice(first, last + 1)
-    mean_s = float(np.dot(base.weights[support] * q[support], s[support])) / scale
-    with np.errstate(over="ignore", invalid="ignore"):   # (dq)^2 overflows on tiny spacings
-        dq = base.gradient(q)
-        integrand = np.zeros_like(q)
-        np.divide(dq * dq, q, out=integrand, where=q > 0.0)
-        info = base.integrate(integrand) / scale
+    q = np.exp(exponent[support] - log_sum)
+    mean_s = float(np.dot(base.weights[support] * q, s[support]))
+    with np.errstate(over="ignore"):   # an I past the float maximum reads inf
+        info = beta * float(np.dot(np.diff(q), base.log_slope))
     return info, (beta - 1.0) * mean_s - base.log_peak - log_sum

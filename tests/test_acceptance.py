@@ -66,7 +66,7 @@ def test_criterion_1_comparison_bound_curves(acceptance):
     # diverges at one
     head = curves[0.001][-1]
     oracle = lpcb_beta_grid(0.999, 0.001, sigma2)
-    assert head == pytest.approx(oracle, rel=1e-6)
+    assert head == pytest.approx(oracle, rel=1e-6, abs=0.0)
     assert head == pytest.approx(2.437448786, abs=1e-6)
     assert head > curves[0.001][-40]
     onset = alpha_c_estimate(lambda a: lpcb_bound(a, sigma2=sigma2, ex=0.001, n0=1.0), 0.5)
@@ -163,7 +163,7 @@ def test_criterion_7_spin_model_structure(acceptance):
     assert len(magnetization_roots(CurieWeissParams(0.0, 0.4))) == 1
     assert len(magnetization_roots(CurieWeissParams(0.0, 0.6))) == 3
     assert classify_phase(0.0, 0.5).multicritical
-    assert a_zero(0.5) == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
+    assert a_zero(0.5) == pytest.approx(0.5 * math.log(3.0), rel=1e-12, abs=0.0)
     low = classify_phase(0.5, 0.52)
     high = classify_phase(0.5, 0.6)
     assert low.phase is Phase.POSITIVE_M_LOW_A and low.dominant_m > 0
@@ -191,8 +191,8 @@ def test_criterion_8_reference_ode_accuracy(acceptance):
     ds = np.gradient(reference.values, t)
     deriv_energy = float(np.trapezoid(ds ** 2, t))
     dist = float(np.trapezoid((reference.values - pulse.values) ** 2, t)) / n0
-    assert deriv_energy == pytest.approx(tr.derivative_energy(), rel=1e-6)
-    assert dist == pytest.approx(tr.distance_term(n0), rel=1e-6)
+    assert deriv_energy == pytest.approx(tr.derivative_energy(), rel=1e-6, abs=0.0)
+    assert dist == pytest.approx(tr.distance_term(n0), rel=1e-6, abs=0.0)
     acceptance("C8", f"max ODE error {worst:.2e}, energy identities within 1e-6")
 
 

@@ -82,7 +82,7 @@ class TestLinearGaussianMinimum:
     def test_half_critical_value(self):
         model = LinearGaussianModel(0.5, 1.0, 1.0)
         bv = linear_gaussian_min_lambda(model, model.alpha_c() / 2)
-        assert bv.value == pytest.approx(0.5 * LN2, rel=1e-14)
+        assert bv.value == pytest.approx(0.5 * LN2, rel=1e-14, abs=0.0)
 
     def test_divergence_at_and_above_critical(self):
         model = LinearGaussianModel(0.5, 1.0, 1.0)
@@ -111,7 +111,7 @@ class TestPhaseBoundLargeSigma:
     def test_quarter_critical_value(self):
         sigma2, ex_n0 = 2.0, 0.4
         bv = phase_bound_large_sigma(1.0 / (4 * sigma2), sigma2, ex_n0)
-        assert bv.value == pytest.approx(0.5 * LN2 - ex_n0, rel=1e-12)
+        assert bv.value == pytest.approx(0.5 * LN2 - ex_n0, rel=1e-12, abs=0.0)
 
     def test_exposes_tight_critical_factor(self):
         bv = phase_bound_large_sigma(0.001, 25.0, 0.3)
@@ -138,7 +138,7 @@ class TestPhaseBoundLargeSigma:
         for alpha in np.linspace(0.05, 0.65, 13):
             approx = phase_bound_large_sigma(float(alpha), sigma2, 0.0).value
             exact = linear_gaussian_min_lambda(model, float(alpha)).value
-            assert approx == pytest.approx(exact, rel=1e-12)
+            assert approx == pytest.approx(exact, rel=1e-12, abs=0.0)
             assert approx <= exact + 1e-12
 
 
@@ -167,7 +167,7 @@ class TestTiltedPriorBound:
     def test_identity_tilt_has_no_divergence_penalty(self, gaussian_prior_grid):
         prior = gaussian_prior_grid(1.0)
         bv = tilted_prior_bound(prior, alpha=0.3, beta=1.0, es_over_n0=0.5)
-        assert bv.value == pytest.approx(0.3 / (1.0 + 2 * 0.5), rel=1e-6)
+        assert bv.value == pytest.approx(0.3 / (1.0 + 2 * 0.5), rel=1e-6, abs=0.0)
 
     def test_gaussian_critical_factor_upper_bound(self):
         sigma2 = 1.5
@@ -175,7 +175,7 @@ class TestTiltedPriorBound:
         theta = np.linspace(-half, half, 8193)
         dens = np.exp(-theta ** 2 / (2 * sigma2))
         prior = GridDensity(theta, dens / np.trapezoid(dens, theta))
-        assert alpha_c_upper(prior) == pytest.approx(1.0 / (2 * sigma2), rel=2e-2)
+        assert alpha_c_upper(prior) == pytest.approx(1.0 / (2 * sigma2), rel=2e-2, abs=0.0)
 
     def test_uniform_prior_has_no_divergence_certificate(self):
         # compact support: no tilt drives the information to zero, so the
@@ -209,8 +209,9 @@ class TestTiltedPriorBound:
         dens = np.exp(-theta ** 2 / 2.0)
         unit = GridDensity(theta, dens)
         wide = GridDensity(1e5 * theta, dens)
-        assert alpha_c_upper(wide) == pytest.approx(1e-10 * alpha_c_upper(unit), rel=1e-9)
-        assert tilted_prior_bound(wide, 1e-11, 1.0, 0.0).value == pytest.approx(0.1, rel=1e-9)
+        assert alpha_c_upper(wide) == pytest.approx(1e-10 * alpha_c_upper(unit), rel=1e-9, abs=0.0)
+        assert tilted_prior_bound(wide, 1e-11, 1.0, 0.0).value == pytest.approx(0.1, rel=1e-9,
+                                                                                abs=0.0)
 
     def test_nonpositive_beta_rejected(self, gaussian_prior_grid):
         with pytest.raises(DomainError):
@@ -220,7 +221,7 @@ class TestTiltedPriorBound:
         prior = gaussian_prior_grid(1.0)
         a = tilted_prior_bound(prior, 0.3, 1.5, 0.2, corr_term=0.0)
         b = tilted_prior_bound(prior, 0.3, 1.5, 0.2, corr_term=0.35)
-        assert a.value - b.value == pytest.approx(0.35, rel=1e-12)
+        assert a.value - b.value == pytest.approx(0.35, rel=1e-12, abs=0.0)
 
     def test_gaussian_family_is_tight_at_the_best_tilt(self, gaussian_prior_grid):
         # for a Gaussian prior the supremum over tilts meets the exact
@@ -230,7 +231,7 @@ class TestTiltedPriorBound:
         exact = 0.5 * math.log(1.0 / (1.0 - 2.0 * alpha * sigma2))
         beta_star = 1.0 - 2.0 * alpha * sigma2
         at_best = tilted_prior_bound(prior, alpha, beta_star, es_over_n0=0.0)
-        assert at_best.value == pytest.approx(exact, rel=2e-4)
+        assert at_best.value == pytest.approx(exact, rel=2e-4, abs=0.0)
         # grid-quality dominance: representable probes never exceed the
         # exact value beyond the quadrature tolerance (tilts too flat for
         # the window are rejected by the escape guard and skipped)
@@ -387,11 +388,19 @@ class TestPriorCeiling:
     @pytest.mark.xfail(strict=True, reason=(
         "decaying windows overshoot C near the 1e-3 grid-end gate: the truncated tilt "
         "underestimates I; open until the closed-form Gaussian tilt (ROADMAP direction 4) "
-        "and a tuned gate"))
+        "and the boundary term that replaces the gate (ROADMAP direction 11)"))
+    # each row's value with the interpolant's I, against the grid's own C
     @pytest.mark.parametrize("spec, alpha, beta", [
         (("window", 1.0, 8.0, 4097), 0.402, 0.2159),    # 0.823270 against C = 0.814423
         (("window", 1.0, 10.0, 8193), 0.41, 0.173),     # 0.859736 against C = 0.857377
-    ], ids=["gaussian:1.0,8,4097", "gaussian:1.0"])
+        # 0.4622093278 against C = 0.4579975540
+        (("window", 1.0, 6.0, 4097), 0.3, 0.38394243353483914),
+        # 0.6082582783 against C = 0.6018603472
+        (("window", 1.0, 7.0, 4097), 0.35, 0.28211538565895483),
+        # 0.6019894783 against C = 0.6019863590
+        (("window", 1.0, 10.0, 8193), 0.35, 0.3),
+    ], ids=["gaussian:1.0,8,4097", "gaussian:1.0", "gaussian:1.0,6,4097-alpha0.3",
+            "gaussian:1.0,7,4097-alpha0.35", "gaussian:1.0-alpha0.35"])
     def test_decaying_window_overshoot_near_the_gate(self, spec, alpha, beta):
         _assert_below_ceiling(spec, alpha, beta, es=0.0, nu=0.0, joint=False)
 
@@ -423,7 +432,7 @@ class TestRectPulseDelayBound:
         # the closed form depends on (alpha tau^2) and gamma only
         a1 = ww_rect_delay_bound(1.0, 1.1, 1.0)
         a2 = ww_rect_delay_bound(4.0, 1.1, 0.5)
-        assert a1.value == pytest.approx(a2.value, rel=1e-12)
+        assert a1.value == pytest.approx(a2.value, rel=1e-12, abs=0.0)
 
 
 class TestLpcbBound:
@@ -431,7 +440,7 @@ class TestLpcbBound:
         for alpha, snr in ((0.3, 0.001), (0.7, 0.01), (0.9, 0.1), (0.999, 0.001)):
             ours = lpcb_bound(alpha, sigma2=0.5, ex=snr, n0=1.0)
             oracle = lpcb_beta_grid(alpha, snr, 0.5)
-            assert ours.value == pytest.approx(oracle, rel=1e-7)
+            assert ours.value == pytest.approx(oracle, rel=1e-7, abs=0.0)
 
     def test_headline_point_frozen_value(self):
         # beta-grid oracle value at the top of the sweep, snr = 0.001
@@ -463,7 +472,7 @@ class TestLpcbBound:
         first_term_limit = 0.5 * math.log(1 / (1 - 2 * sigma2 * alpha))
         beta = 1e-7 * alpha
         probe = lpcb_bound(alpha, beta, sigma2=sigma2, ex=0.0, n0=1.0)
-        assert probe.value == pytest.approx(first_term_limit, rel=1e-5)
+        assert probe.value == pytest.approx(first_term_limit, rel=1e-5, abs=0.0)
         with_snr = lpcb_bound(alpha, beta, sigma2=sigma2, ex=0.01, n0=1.0)
         assert with_snr.value < -1e4
 
@@ -473,7 +482,7 @@ class TestLpcbBound:
         sigma2, alpha, ex = 0.5, 0.6, 0.05
         probe = lpcb_bound(alpha, alpha * (1 - 1e-9), sigma2=sigma2, ex=ex, n0=1.0)
         generic = alpha * sigma2 - ex
-        assert probe.value == pytest.approx(generic, rel=1e-6)
+        assert probe.value == pytest.approx(generic, rel=1e-6, abs=0.0)
 
     def test_fig_style_curves_decrease_in_snr_and_increase_in_alpha(self):
         alphas = np.linspace(0.05, 0.95, 19)
@@ -560,7 +569,7 @@ class TestLpcbSweep:
         for alpha, row in zip(alphas, lpcb_sweep(alphas, sigma2=0.5, ex=0.01)):
             assert row.value == math.inf and row.status == "divergent"
             assert row.diagnostics == {"witness": _WITNESS}
-            assert row.argmax["beta"] == pytest.approx(alpha - 1.0, rel=1e-8)
+            assert row.argmax["beta"] == pytest.approx(alpha - 1.0, rel=1e-8, abs=0.0)
             assert lpcb_bound(alpha, row.argmax["beta"], sigma2=0.5, ex=0.01).value == math.inf
 
     def test_infinite_renyi_term_is_no_witness(self):
@@ -585,7 +594,7 @@ class TestLpcbSweep:
                 assert row.value <= oracle + 1e-7 * abs(oracle)
                 if row.argmax["beta"] < (1.0 - 2e-6) * alpha:
                     interior += 1
-                    assert row.value == pytest.approx(oracle, rel=1e-7)
+                    assert row.value == pytest.approx(oracle, rel=1e-7, abs=0.0)
         assert interior >= 24
 
     @given(log_sigma2=st.floats(math.log(0.05), math.log(20.0)),

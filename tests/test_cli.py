@@ -64,7 +64,7 @@ class TestSchemas:
         assert code == 0
         assert header(out) == "alpha,bound,ml_lambda,alpha_c,status"
         row = data_rows(out)[0]
-        assert float(row[1]) == pytest.approx(0.125, rel=1e-12)
+        assert float(row[1]) == pytest.approx(0.125, rel=1e-12, abs=0.0)
 
     def test_ww_constants(self, capsys):
         code, out, _ = run_cli(["bound", "bayes-ww", "--alpha", "1",
@@ -544,6 +544,20 @@ def test_only_verify_reads_numpy_random():
     assert reads == {}
 
 
+def test_every_relative_approx_states_its_absolute_tolerance():
+    # pytest.approx(x, rel=r) keeps a default absolute tolerance of 1e-12, so
+    # a value near 1e-11 given rel alone is checked at about 10%
+    loose = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "approx" in (getattr(node.func, "attr", None),
+                                                           getattr(node.func, "id", None)):
+                given_names = {k.arg for k in node.keywords}
+                if "rel" in given_names and "abs" not in given_names:
+                    loose.append(f"{path.name}:{node.lineno}")
+    assert loose == []
+
+
 def _closed_form_names() -> list[str]:
     """closed_forms' public names and every name another module imports from it."""
     imported = {name for tree in _modules().values()
@@ -898,9 +912,9 @@ class TestClosedFormEdges:
         assert code == 0
         (row,) = data_rows(out)
         tau_tilde = math.exp(0.4 * (3.0 * math.log(gamma) - math.log(0.648 * alpha)))
-        assert float(row[4]) == pytest.approx(tau_tilde, rel=1e-11)   # 12 printed digits
+        assert float(row[4]) == pytest.approx(tau_tilde, rel=1e-11, abs=0.0)   # 12 printed digits
         want = gamma * (2.5 * math.sqrt(1.0 / tau_tilde) - 2.0)
-        assert float(row[3]) == pytest.approx(want, rel=1e-11)
+        assert float(row[3]) == pytest.approx(want, rel=1e-11, abs=0.0)
         assert row[5:] == ["false", "ok"]
 
     def test_ww_tau_tilde_beyond_float_range_is_three(self, capsys):
@@ -981,14 +995,14 @@ class TestSweeps:
                                 "--es-over-n0", "0.5"], capsys)
         assert code == 0
         assert header(out) == "alpha,beta,bound,status"
-        assert float(data_rows(out)[0][2]) == pytest.approx(0.15, rel=1e-5)
+        assert float(data_rows(out)[0][2]) == pytest.approx(0.15, rel=1e-5, abs=0.0)
 
     def test_tilted_critical_factor_mode(self, capsys):
         code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", "gaussian:0.5,30,8193",
                                 "--alpha-c"], capsys)
         assert code == 0
         assert header(out) == "alpha_c_upper"
-        assert float(data_rows(out)[0][0]) == pytest.approx(1.0, rel=5e-2)
+        assert float(data_rows(out)[0][0]) == pytest.approx(1.0, rel=5e-2, abs=0.0)
 
     def test_tilted_uniform_prior_reports_inf(self, capsys, flat_prior_csv):
         code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", flat_prior_csv,
@@ -1025,7 +1039,7 @@ class TestSweeps:
         assert row[2] == "0" and row[3] == "ok"
         closed = 5.5 * (0.5 + 0.25) - 2.0 * (1.0 - math.exp(-1.0))
         assert closed == pytest.approx(2.86075888234, abs=5e-12)
-        assert float(row[1]) == pytest.approx(closed, rel=1e-11)
+        assert float(row[1]) == pytest.approx(closed, rel=1e-11, abs=0.0)
 
     def test_delay_beta_without_nu_is_three(self, capsys):
         # without --nu the joint search picks beta, so a given --beta is refused
@@ -1083,23 +1097,37 @@ class TestSweeps:
         assert row[4] == "ok"
         assert float(row[1]) <= -0.5 * math.log1p(-0.6)
 
+    @pytest.mark.parametrize("beta", ["1e7", "1e9"])
+    def test_tilted_row_at_a_huge_beta_stays_below_the_prior_ceiling(self, capsys, beta):
+        # the tilt is a point mass on the grid, and its information is still
+        # beta / sigma2: the score form beta^2 E_Q[(ln p)'^2] reads 0 here and
+        # printed 2200.03 at 1e7, far above the ceiling -ln(1 - 0.6) / 2
+        code, out, err = run_cli(["bound", "bayes-tilted", "--prior", "gaussian:1.0",
+                                  "--alpha", "0.3", "--beta", beta], capsys)
+        assert (code, err) == (0, "")
+        (row,) = data_rows(out)
+        assert row[3] == "ok"
+        assert float(row[2]) <= -0.5 * math.log1p(-0.6)
+
     @pytest.mark.parametrize("prior, alpha_c, at_beta", [
         pytest.param(*case, id=case[0]) for case in (
-            ("gaussian:1e-200", "4.99517773277e+199", "0.3,1,2.99999999998e-201,ok"),
-            ("gaussian:1e-300", "4.99517773277e+299", "0.3,1,2.99999999998e-301,ok"),
-            ("gaussian:1e200", "4.99517773277e-201", "0.3,1,2.99999999998e+199,ok"),
-            ("gaussian:1e300", "4.99517773277e-301", "0.3,1,2.99999999998e+299,ok"),
+            ("gaussian:1e-200", "4.9951777303e+199", "0.3,1,3e-201,ok"),
+            ("gaussian:1e-300", "4.9951777303e+299", "0.3,1,3e-301,ok"),
+            ("gaussian:1e200", "4.9951777303e-201", "0.3,1,3e+199,ok"),
+            ("gaussian:1e300", "4.9951777303e-301", "0.3,1,3e+299,ok"),
             ("gaussian:1.0,1e308,8193", "error: theta grid must be finite",
              "error: theta grid must be finite"),
             ("gaussian:1.0,1e-300,8193", "inf", "error: tilted density does not vanish"),
             ("gaussian:1.0,1e200,8193", "inf", "error: tilted density does not vanish"))])
     def test_extreme_gaussian_prior_ends_in_its_row_or_one_error(self, capsys, prior, alpha_c,
                                                                   at_beta):
-        # a span near either end of the float range overflows the grid or the
-        # gradient's spacings: numpy warns nothing, and --alpha-c skips a tilt
-        # whose information overflowed instead of fitting it into a nan.  A
-        # variance there keeps its row: the tilt is scaled to a peak near 1,
-        # so (dq)^2 neither underflows nor overflows
+        # a span near either end of the float range overflows the grid or
+        # leaves a support too flat to tilt: numpy warns nothing, and --alpha-c
+        # finds no tilt to fit.  A variance there keeps its rows: the tilt's
+        # information is a sum of nonnegative terms, none larger than I itself,
+        # and reads beta / sigma2, so the beta = 1 row is the analytic
+        # alpha sigma2 and --alpha-c is 1 / (2 sigma2) times the grid fit's
+        # 0.99903554606, as on gaussian:1.0
         at_beta_flags = ["--beta", "1", "--alpha", "0.3"]
         for flags, ends in ((["--alpha-c"], alpha_c), (at_beta_flags, at_beta)):
             with warnings.catch_warnings():
@@ -1120,7 +1148,8 @@ class TestSweeps:
         code, out, _ = run_cli(["bound", "bayes-tilted", "--prior", f"gaussian:{variance}",
                                 "--alpha-c"], capsys)
         assert code == 0
-        assert float(data_rows(out)[0][0]) == pytest.approx(0.5 / float(variance), rel=1e-3)
+        assert float(data_rows(out)[0][0]) == pytest.approx(0.5 / float(variance), rel=1e-3,
+                                                            abs=0.0)
 
     @given(k=st.integers(-300, 300), beta=st.sampled_from([0.5, 1.0, 3.0]))
     @settings(max_examples=40, deadline=None)
@@ -1143,8 +1172,8 @@ class TestSweeps:
         (_, _, want, status), want_c = rows("gaussian:1.0", 0.3)
         (_, _, got, got_status), got_c = rows(f"gaussian:1e{k}", 0.3 / s)
         assert status == got_status == "ok"
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got_c * s == pytest.approx(want_c, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got_c * s == pytest.approx(want_c, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("left, right", [(5, 0), (1, 0), (0, 5), (5, 5)])
     def test_zero_padding_at_one_end_is_not_a_hole(self, capsys, tmp_path, left, right):
@@ -1159,11 +1188,11 @@ class TestSweeps:
         code, out, err = run_cli(["bound", "bayes-tilted", "--prior", str(path), "--beta", "1",
                                   "--alpha", "0.3"], capsys)
         assert (code, err) == (0, "")
-        assert data_rows(out) == [["0.3", "1", "0.299999980469", "ok"]]
+        assert data_rows(out) == [["0.3", "1", "0.3", "ok"]]   # alpha sigma2, analytic
         code, out, err = run_cli(["bound", "bayes-tilted", "--prior", str(path), "--alpha-c"],
                                  capsys)
         assert (code, err) == (0, "")
-        assert float(data_rows(out)[0][0]) == pytest.approx(0.5, rel=1e-3)
+        assert float(data_rows(out)[0][0]) == pytest.approx(0.5, rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("spec, kind", [("uniform:0,1", "uniform"),
                                             ("gaussain:1.0", "gaussain")])
@@ -1196,7 +1225,7 @@ class TestSweeps:
                                 "--alpha", "0.3", "--beta", "1.0",
                                 "--es-over-n0", "0.5"], capsys)
         assert code == 0
-        assert float(data_rows(out)[0][2]) == pytest.approx(0.15, rel=1e-4)
+        assert float(data_rows(out)[0][2]) == pytest.approx(0.15, rel=1e-4, abs=0.0)
 
     @pytest.mark.parametrize("defect, message", [
         ("nan-theta", "theta grid must be finite"),

@@ -128,9 +128,9 @@ class TestNuTradeoff:
         tr = NuTradeoff(nu, OMEGA0, ex)
         ds = np.gradient(s.values, s.t)
         deriv_energy = np.trapezoid(ds ** 2, s.t)
-        assert deriv_energy == pytest.approx(tr.derivative_energy(), rel=1e-6)
+        assert deriv_energy == pytest.approx(tr.derivative_energy(), rel=1e-6, abs=0.0)
         dist = np.trapezoid((s.values - x.values) ** 2, s.t) / n0
-        assert dist == pytest.approx(tr.distance_term(n0), rel=1e-6)
+        assert dist == pytest.approx(tr.distance_term(n0), rel=1e-6, abs=0.0)
 
     def test_nu_range_enforced(self):
         with pytest.raises(DomainError):
@@ -170,7 +170,7 @@ class TestNuBound:
         via_nu = nu_bound(prior, alpha, beta=beta, nu=0.0, omega0=OMEGA0, ex=ex, n0=n0)
         direct = tilted_prior_bound(prior, alpha, beta, es_over_n0=0.0,
                                     corr_term=ex / (3 * n0))
-        assert via_nu.value == pytest.approx(direct.value, rel=1e-12)
+        assert via_nu.value == pytest.approx(direct.value, rel=1e-12, abs=0.0)
 
     def test_no_jump_discontinuities_in_nu(self, gaussian_prior_grid):
         # scan the profile at 1e-3 resolution: second differences stay at

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbounds import (
@@ -84,7 +84,7 @@ class TestRenyiGaussianLinear:
     def test_trivial_matched_prior_no_reference(self):
         # matched priors and no reference signal leave only the signal-energy term
         val = renyi_gaussian_linear(2.5, sigma2=0.5, sigma2_q=0.5, es=0.0, ex=0.3, n0=1.0)
-        assert val == pytest.approx(2.5 * 0.3, rel=1e-14)
+        assert val == pytest.approx(2.5 * 0.3, rel=1e-14, abs=0.0)
 
     def test_against_theta_quadrature(self):
         rng = np.random.default_rng(3)
@@ -101,7 +101,7 @@ class TestRenyiGaussianLinear:
             if math.isinf(val):
                 continue
             ref = renyi_by_quadrature(a, sigma2, sigma2_q, es, ex, 1.0, q_const, 1.0)
-            assert val == pytest.approx(ref, rel=1e-8)
+            assert val == pytest.approx(ref, rel=1e-8, abs=0.0)
             checked += 1
 
     def test_small_order_limit_matches_kl_plus_path(self):
@@ -141,7 +141,8 @@ class TestRenyiGaussianLinear:
         # 2 A sigma2 = a (1 - R) overflows once R passes 1e308: the term is
         # 0.5 a ln R - 0.5 ln(1 + a (R - 1)), formed in logs for the oracle
         assert renyi_gaussian_linear(2.0, sigma2=1e200, sigma2_q=1e-200, es=0.0, ex=0.0,
-                                     n0=1.0) == pytest.approx(460.1704450085292, rel=1e-15)
+                                     n0=1.0) == pytest.approx(460.1704450085292, rel=1e-15,
+                                                              abs=0.0)
         for a in (1.5, 2.0, 7.0):
             # past e = 615, 2 sigma2 itself overflows; at a = 7, a / (2 sigma2_q) does too
             for e in [*range(300, 601, 20), *((612, 616) if a < 7.0 else ())]:
@@ -149,7 +150,7 @@ class TestRenyiGaussianLinear:
                 want = (0.5 * a * ln_r - 0.5 * (math.log(a) + ln_r)) / (a - 1.0)
                 got = renyi_gaussian_linear(a, sigma2=10.0 ** (e / 2), sigma2_q=10.0 ** (-e / 2),
                                             es=0.0, ex=0.0, n0=1.0)
-                assert got == pytest.approx(want, rel=1e-13), (a, e)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, e)
         # A = 0: equal variances and no reference energy
         assert renyi_gaussian_linear(2.0, sigma2=1.0, sigma2_q=1.0, es=0.0, ex=0.0, n0=1.0) == 0.0
 
@@ -173,7 +174,7 @@ class TestRenyiGaussianLinear:
             if math.isinf(pair) or math.isinf(general):
                 assert pair == general
             else:
-                assert pair == pytest.approx(general, rel=1e-12)
+                assert pair == pytest.approx(general, rel=1e-12, abs=0.0)
 
 
 class TestTiltPrior:
@@ -189,7 +190,7 @@ class TestTiltPrior:
         sigma2 = 1.3
         prior = gaussian_prior_grid(sigma2)
         fisher_info, kl = tilt_prior(prior, beta)
-        assert fisher_info == pytest.approx(beta / sigma2, rel=1e-4)
+        assert fisher_info == pytest.approx(beta / sigma2, rel=1e-4, abs=0.0)
         d_closed = 0.5 * math.log(beta) - (beta - 1.0) / (2.0 * beta)
         if beta < 1.0:
             # the 8-sigma window truncates the wider tilted tails
@@ -236,6 +237,41 @@ class TestTiltPrior:
         _, kl = _battery_priors()["gaussian:1.0"].tilt_terms(beta)
         exact = gaussian_kl(1.0, 1.0 / beta)
         assert abs(kl - exact) <= 1e-13 * max(1.0, exact)
+
+    @given(log_sigma2=st.floats(-300.0, 300.0), log_beta=st.floats(0.0, 12.0))
+    # I overflows here: beta / sigma2 is about 1.8e308
+    @example(log_sigma2=-300.0, log_beta=math.log10(1.8e8))
+    # tilts far narrower than the grid step: there the score form
+    # beta^2 E_Q[(ln p)'^2] reads I near 0, and np.gradient of q read 6.5e23 beta
+    @example(log_sigma2=0.0, log_beta=7.0)
+    @example(log_sigma2=0.0, log_beta=12.0)
+    # ln p is near 195 here, where ln p - ln peak rounded the step of ln p
+    # next to the peak to 1e-8 of itself
+    @example(log_sigma2=-170.49647631030584, log_beta=math.log10(42851706.80921782))
+    @settings(max_examples=40, deadline=None)
+    def test_information_is_beta_over_sigma2_on_every_gaussian_grid(self, log_sigma2, log_beta):
+        # Q_beta of N(0, sigma2) is N(0, sigma2 / beta) however narrow it is
+        # against the `gaussian:sigma2` grid: the interpolant's information
+        # reads beta / sigma2, and +inf once that passes the float maximum
+        sigma2, beta = 10.0 ** log_sigma2, 10.0 ** log_beta
+        info, _ = _load_prior(SimpleNamespace(prior=f"gaussian:{sigma2!r}")).tilt_terms(beta)
+        exact = beta / sigma2   # +inf past the float maximum
+        if exact == math.inf:
+            assert info == math.inf
+        elif exact < sys.float_info.max * (1.0 - 1e-10):
+            assert abs(info * sigma2 / beta - 1.0) <= 1e-10
+
+    def test_information_on_the_unit_gaussian_is_beta_to_1e_11(self):
+        prior = _battery_priors()["gaussian:1.0"]
+        for beta in np.logspace(0.0, 8.0, 161).tolist():
+            assert abs(prior.tilt_terms(beta)[0] / beta - 1.0) <= 1e-11, beta
+
+    @pytest.mark.parametrize("variance", ["1e-309", "1e-310"])
+    def test_information_past_the_float_maximum_reads_inf_without_a_warning(self, variance):
+        # 1 / sigma2 overflows, and so does the sum behind I at beta = 1
+        prior = _load_prior(SimpleNamespace(prior=f"gaussian:{variance}"))
+        info, kl = prior.tilt_terms(1.0)
+        assert info == math.inf and abs(kl) < 1e-12
 
     def test_returns_two_floats(self, gaussian_prior_grid):
         terms = tilt_prior(gaussian_prior_grid(1.0), np.float64(2.0))
@@ -285,9 +321,9 @@ class TestTiltPrior:
             tilt_prior(window, 2.0)   # an accepted tilt reaches the patched functions
 
     def test_tilt_with_a_normalizer_near_the_float_maximum(self):
-        # sum w exp(beta s) is about 1.4e308 here, nearer 2^1024 than 2^1023: the
-        # tilt's power-of-two scale stops at 2^1023 instead of overflowing, and
-        # an information of order 1e-616 reads 0
+        # sum w exp(beta s) is about 1.4e308 here, near the float maximum: q is
+        # near 1e-308 and so are the log slopes, and an information of order
+        # 1e-616 reads 0, each term of its sum underflowing
         t = np.linspace(-1.0, 1.0, 4097)
         base = GridDensity(0.8e308 * t, np.exp(-(t / 0.9) ** 40))
         info, kl = tilt_prior(base, np.float64(1.0))
@@ -392,11 +428,12 @@ class TestTiltTerms:
         assert set(prior._tilts) == set(betas)
 
 
-# The tilt kernel before its beta-independent half was cached on the grid:
-# numpy's own gradient and trapezoid, a masked dot for phi' and a tilted
-# density re-validated through GridDensity and checked to integrate to 1,
-# with the divergence formed from the log density shifted by its peak.
-# tilt_prior's I and D must match it bit for bit.
+# The tilt kernel written out from its formulas, with nothing cached on the
+# grid: np.trapezoid for both normalizations, plain np.diff on the masked
+# support for the interpolant's information beta sum dq d(ln p) / dtheta, a
+# masked dot for phi' and a tilted density re-validated through GridDensity
+# and checked to integrate to 1, with the divergence formed from the log of
+# the density over its peak.  tilt_prior's I and D must match it bit for bit.
 def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     """(I, D) of the tilt, or the DomainError it raises."""
     tol = 1e-6
@@ -411,9 +448,8 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
     w[0] = 0.5 * (theta[1] - theta[0])
     w[-1] = 0.5 * (theta[-1] - theta[-2])
     with np.errstate(divide="ignore"):
-        log_p = np.log(p)
-    peak = float(np.max(log_p))
-    s = log_p - peak
+        s = np.log(p / np.max(p))
+    peak = math.log(np.max(p))
     positive = p > 0.0
     nz = np.nonzero(positive)[0]
     # zeros outside the support, at one grid end or both, are padding, not a hole
@@ -434,10 +470,8 @@ def _reference_tilt(base: GridDensity, beta: float) -> tuple[float, float]:
         raise DomainError("tilted density is not integrable on this grid")
     dphi = float(np.dot((w * q)[positive], s[positive]))
     q_density = GridDensity(theta, q)
-    dq = np.gradient(q, theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(q > 0.0, dq * dq / np.where(q > 0.0, q, 1.0), 0.0)
-    fisher = float(np.trapezoid(integrand, theta))
+    slope = np.diff(s[positive]) / np.diff(theta[positive])
+    fisher = beta * float(np.dot(np.diff(q[positive]), slope))
     q_integral = float(np.trapezoid(q_density.density, theta))
     if abs(q_integral - 1.0) > 10.0 * tol:
         raise DomainError(f"density integrates to {q_integral:.6g}, not 1 within {10.0 * tol:g}")
@@ -500,11 +534,12 @@ class TestTiltBits:
     def test_window_escapes_and_rejections(self, beta):
         _assert_same_tilt(beta)
 
-    def test_battery_covers_both_gradient_spacings_and_every_rejection(self):
+    def test_battery_covers_even_and_uneven_spacings_and_every_rejection(self):
         priors = _battery_priors()
-        assert priors["gaussian:1.0"].step is not None
-        assert priors["gaussian:0.5,30,8193"].coefs is not None
-        assert priors["laplace file"].coefs is not None
+        for name, uniform in (("gaussian:1.0", True), ("gaussian:0.5,30,8193", False),
+                              ("sinh-spaced", False), ("laplace file", False)):
+            dx = np.diff(priors[name].theta)
+            assert (dx == dx[0]).all() == uniform, name
         assert priors["zero-padded uniform"].support_ends == (200, 600)
         assert priors["zero-padded window"].support_ends == (200, 600)
         messages = []
@@ -526,7 +561,7 @@ class TestTiltBits:
             if prior.has_hole or name == "zero-padded uniform":   # every tilt is rejected
                 continue
             cached = [prior.theta, prior.density, prior.weights, prior.log_shift,
-                      prior.dx, *(prior.coefs or ())]
+                      prior.log_slope]
             assert not any(a.flags.writeable for a in cached)
             before = [a.tobytes() for a in cached]
             tilt_prior(prior, 1.7)

@@ -37,7 +37,7 @@ class TestScalarLinearBound:
     def test_midpoint_value(self):
         es, n0 = 2.0, 1.0
         bv = scalar_linear_bound(es / (2 * n0), es, n0)
-        assert bv.value == pytest.approx(0.25, rel=1e-15)
+        assert bv.value == pytest.approx(0.25, rel=1e-15, abs=0.0)
 
     def test_divergence_above_threshold(self):
         assert scalar_linear_bound(1.2, 1.0, 1.0).value == math.inf
@@ -66,7 +66,7 @@ class TestScalarLinearBound:
 
 class TestScalarMlLambda:
     def test_half_ratio_value(self):
-        assert scalar_ml_lambda(0.5, 1.0, 1.0) == pytest.approx(0.5 * LN2, rel=1e-14)
+        assert scalar_ml_lambda(0.5, 1.0, 1.0) == pytest.approx(0.5 * LN2, rel=1e-14, abs=0.0)
 
     def test_ratio_to_bound_near_one_at_small_alpha(self):
         es, n0 = 1.0, 1.0
@@ -99,13 +99,13 @@ class TestVectorLinearBound:
         for a in (0.3, 0.9, 1.2):
             vec = vector_linear_bound(model, np.array([a])).value
             scal = scalar_linear_bound(a * a, 2.0, 1.0).value
-            assert vec == pytest.approx(scal, rel=1e-12)
+            assert vec == pytest.approx(scal, rel=1e-12, abs=0.0)
 
     def test_identity_correlation_reduces_to_norm(self):
         model = VectorLinearModel(np.eye(2), es=1.0, n0=1.0)
         a = np.array([0.3, 0.4])
         val = vector_linear_bound(model, a).value
-        assert val == pytest.approx(1.0 * 0.25 / 2.0, rel=1e-12)
+        assert val == pytest.approx(1.0 * 0.25 / 2.0, rel=1e-12, abs=0.0)
 
     def test_boundary_and_outside_divergence(self):
         model = VectorLinearModel(np.eye(2), es=1.0, n0=1.0)
@@ -125,7 +125,7 @@ class TestVectorLinearBound:
             quad = float(a @ inv @ a)
             expected = 0.5 * quad / (2 * 2.0) if quad < 4.0 else math.inf
             assert vector_linear_bound(model, a).value == pytest.approx(
-                expected, rel=1e-10)
+                expected, rel=1e-10, abs=0.0)
 
     def test_zero_vector(self):
         model = VectorLinearModel(np.eye(2), es=1.0, n0=1.0)
@@ -170,7 +170,7 @@ class TestVectorLinearBound:
             if math.isinf(vec) or math.isinf(scal):
                 assert vec == scal
             else:
-                assert vec == pytest.approx(scal, rel=1e-12)
+                assert vec == pytest.approx(scal, rel=1e-12, abs=0.0)
 
 
 class TestVectorMlLambda:
@@ -186,13 +186,13 @@ class TestVectorMlLambda:
                 continue
             det_form = -0.5 * math.log(np.linalg.det(
                 np.eye(4) - (1.0 / 3.0) * np.outer(a, a) @ inv))
-            assert vector_ml_lambda(model, a) == pytest.approx(det_form, rel=1e-10)
+            assert vector_ml_lambda(model, a) == pytest.approx(det_form, rel=1e-10, abs=0.0)
 
     def test_identity_gamma_matches_scalar(self):
         model = VectorLinearModel(np.eye(2), es=1.0, n0=1.0)
         a = np.array([0.5, 0.2])
         assert vector_ml_lambda(model, a) == pytest.approx(
-            scalar_ml_lambda(float(a @ a), 1.0, 1.0), rel=1e-12)
+            scalar_ml_lambda(float(a @ a), 1.0, 1.0), rel=1e-12, abs=0.0)
 
     def test_dominates_bound(self):
         gamma = _random_correlation(3, seed=8)

@@ -160,7 +160,7 @@ class TestCertifiedCurve:
         theta, f, three = _candidates(a, q, t)
         assert not three
         assert theta == [0.5 * q / (a * t + 0.5), q]
-        assert f[0] == pytest.approx(-8.27939408e-03, rel=1e-8)
+        assert f[0] == pytest.approx(-8.27939408e-03, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("a", [1e14, 1e16, 1e20])
     def test_curve_stays_at_one_half_at_extreme_risk(self, a):
@@ -306,7 +306,7 @@ class TestMagnetizationRoots:
     def test_negative_dominant_above_field_reversal(self):
         # a exceeds the reversal curve at mu = 0.5 (which sits at ln(3)/2),
         # so the field is negative and the negative root dominates
-        assert a_zero(0.5) == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
+        assert a_zero(0.5) == pytest.approx(0.5 * math.log(3.0), rel=1e-12, abs=0.0)
         roots = magnetization_roots(CurieWeissParams(0.5, 0.6))
         dominant = next(r for r in roots if r.dominant)
         assert dominant.m < 0
@@ -337,9 +337,9 @@ class TestMagnetizationRoots:
         roots = magnetization_roots(CurieWeissParams(0.0, 0.5 + 3e-9))
         ms = [r.m for r in roots]
         assert len(ms) == 3
-        assert ms[0] == pytest.approx(-1.3416e-4, rel=1e-3)
+        assert ms[0] == pytest.approx(-1.3416e-4, rel=1e-3, abs=0.0)
         assert ms[1] == pytest.approx(0.0, abs=1e-15)
-        assert ms[2] == pytest.approx(1.3416e-4, rel=1e-3)
+        assert ms[2] == pytest.approx(1.3416e-4, rel=1e-3, abs=0.0)
         dominant = next(r for r in roots if r.dominant)
         assert dominant.m == ms[2]
         assert classify_phase(0.0, 0.5 + 3e-9).dominant_m == dominant.m
