@@ -5,9 +5,11 @@ finite-dimensional sufficient statistics (the matched-filter output is
 Gaussian with known moments), never by waveform discretization.  Streams
 are counter-based: each block of 4096 samples draws from its own Philox
 counter block, and a worker takes one contiguous span of blocks and works
-through it a chunk of blocks at a time with in-place numpy arithmetic, so
-serial and parallel execution produce identical bits.  Every estimate
-ships with batch-means error bars and a heavy-tail diagnostic: near the
+through it a chunk of blocks at a time (a ragged last block is a chunk of
+its own) with in-place numpy arithmetic, so serial and parallel execution
+produce identical bits.  Every estimate ships with batch-means error bars,
+from one rule that cuts every block at the batch edges (a batch's sample
+count comes from its edges), and a heavy-tail diagnostic: near the
 critical risk factor the empirical moment is dominated by rare samples
 and the error bars stop being trustworthy, so runs above 80 percent of
 the known threshold are refused outright.  ``divergence_threshold`` gives
@@ -35,7 +37,7 @@ import math
 import operator
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .closed_forms import (
@@ -203,13 +205,14 @@ def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple
 
     Block b draws from counter block b: m normals for the parameter, then m
     for the observation noise when the estimator sees the observation (nb-ml
-    draws only its m noise normals).  The blocks are processed _CHUNK at a
-    time as rows of buffers the span owns, with every arithmetic step in
-    place and in the order the per-block formulas fix, so the chunking
-    changes no bits.  A block's batch pieces are one (batch, log-sum-exp,
-    count) per batch it touches: its own log-sum-exp when it lies inside
-    one batch, a log-sum-exp of its slice per batch when it straddles edges
-    (at n = 1000 a single block covers all 20 batches).
+    draws only its m noise normals).  A chunk is up to _CHUNK full blocks,
+    or the ragged last block alone, so its rows share one width: every
+    arithmetic step runs in place on ``[:k, :width]`` views of buffers the
+    span owns, in the order the per-block formulas fix, and the chunking
+    changes no bits.  One rule cuts each block at the batch edges into
+    (batch, log-sum-exp) pieces: inside one batch the block is one piece,
+    its row's own log-sum-exp; a block that straddles edges gives one piece
+    per slice (at n = 1000 a single block covers all 20 batches).
     """
     import numpy as np
 
@@ -229,30 +232,23 @@ def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple
 
         gen, reset = _block_stream(run.master_seed)
         shape = (min(_CHUNK, len(blocks)), _BLOCK)
-        # every row is drawn in full or, in a ragged last block, zeroed past its
-        # samples, so no uninitialized value meets the arithmetic
         draws, work = np.empty(shape), np.empty(shape)
         noise = np.empty(shape) if two_draws else None
+        full = min(blocks.stop, n // _BLOCK)      # the blocks before it hold _BLOCK samples
+        cuts = sorted({*range(blocks.start, full, _CHUNK), full, blocks.stop})
         results = []
-        for first in range(blocks.start, blocks.stop, _CHUNK):
-            chunk = range(first, min(first + _CHUNK, blocks.stop))
-            k = len(chunk)
-            sizes = [min(_BLOCK, n - b * _BLOCK) for b in chunk]
-            ragged = int(sizes[-1] < _BLOCK)
-            for r, (b, m) in enumerate(zip(chunk, sizes)):
-                reset(b)
-                gen.standard_normal(out=draws[r, :m])
+        for first, stop in zip(cuts, cuts[1:]):
+            k, width = stop - first, min(_BLOCK, n - first * _BLOCK)
+            for r in range(k):
+                reset(first + r)
+                gen.standard_normal(out=draws[r, :width])
                 if two_draws:
-                    gen.standard_normal(out=noise[r, :m])
-                if m < _BLOCK:
-                    draws[r, m:] = 0.0
-                    if two_draws:
-                        noise[r, m:] = 0.0
+                    gen.standard_normal(out=noise[r, :width])
 
-            x = draws[:k]
+            x = draws[:k, :width]
             np.multiply(x, scale, out=x)
             if two_draws:        # error = coef (theta es + noise) - theta
-                z, stat = noise[:k], work[:k]
+                z, stat = noise[:k, :width], work[:k, :width]
                 np.multiply(z, noise_scale, out=z)
                 np.multiply(x, run.es, out=stat)
                 np.add(stat, z, out=stat)
@@ -260,46 +256,27 @@ def _span_stats(run: MCRun, blocks: range, batch_edges: list[int]) -> list[tuple
                 np.subtract(stat, x, out=stat)
                 x, log_terms = stat, z
             else:
-                log_terms = work[:k]
+                log_terms = work[:k, :width]
             np.multiply(x, alpha, out=log_terms)
             np.multiply(log_terms, x, out=log_terms)
 
-            # straddling pieces and the ragged row come from the log terms, before
-            # the in-place exp; a ragged row keeps logsumexp on its own slice,
-            # since zero padding would change the pairwise sum
-            pieces = []
-            for r, (b, m) in enumerate(zip(chunk, sizes)):
-                start = b * _BLOCK
-                stop = start + m
+            # each block's first batch and, if it straddles edges, the
+            # (batch, log-sum-exp) of each slice, taken before the in-place exp
+            split = []
+            for r, start in enumerate(range(first * _BLOCK, stop * _BLOCK, _BLOCK)):
                 j = bisect_right(batch_edges, start) - 1
-                if stop <= batch_edges[j + 1]:
-                    pieces.append(j)     # inside batch j: its piece is the block's own value
-                    continue
-                per_batch, lo = [], start
-                while lo < stop:
-                    hi = min(stop, batch_edges[j + 1])
-                    per_batch.append((j, logsumexp(log_terms[r, lo - start:hi - start]), hi - lo))
-                    lo, j = hi, j + 1
-                pieces.append(per_batch)
-            if ragged:
-                row = log_terms[k - 1, :sizes[-1]]
-                tail = (logsumexp(row), float(np.max(row)))
+                inside = batch_edges[j + 1:bisect_left(batch_edges, start + width)]
+                bounds = [0, *(e - start for e in inside), width]
+                split.append((j, [(j + i, logsumexp(log_terms[r, lo:hi]))
+                                  for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+                              if inside else []))
 
-            full = log_terms[:k - ragged]
-            maxes = full.max(axis=1)
-            np.subtract(full, maxes[:, None], out=full)
-            np.exp(full, out=full)
-            sums = full.sum(axis=1).tolist()
-            maxes = maxes.tolist()
-            for r, (m, per_batch) in enumerate(zip(sizes, pieces)):
-                if r < k - ragged:
-                    mx = maxes[r]
-                    lse = mx + math.log(sums[r]) if math.isfinite(mx) else mx
-                else:
-                    lse, mx = tail
-                if isinstance(per_batch, int):
-                    per_batch = [(per_batch, lse, m)]
-                results.append((lse, mx, per_batch))
+            maxes = log_terms.max(axis=1)
+            np.subtract(log_terms, maxes[:, None], out=log_terms)
+            np.exp(log_terms, out=log_terms)
+            for (j, pieces), mx, s in zip(split, maxes.tolist(), log_terms.sum(axis=1).tolist()):
+                lse = mx + math.log(s) if math.isfinite(mx) else mx
+                results.append((lse, mx, pieces or [(j, lse)]))
         return results
 
 
@@ -315,8 +292,8 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
     counters into chunk buffers of its own, and the blocks are reduced in
     index order by log-sum-exp.
     The batch means come from contiguous slices of each block, cut at the
-    batch edges.  Threads pay because the draws and the chunk arithmetic
-    run in numpy without the GIL.
+    batch edges, over the sample counts those edges give.  Threads pay
+    because the draws and the chunk arithmetic run in numpy without the GIL.
     """
     import numpy as np
 
@@ -335,17 +312,14 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
                            _spans(n_blocks, workers))
 
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite lambda_hat is the error
-        total_lse = -math.inf
-        max_log = -math.inf
+        total_lse = max_log = -math.inf
         batch_lse = np.full(_N_BATCHES, -math.inf)
-        batch_n = np.zeros(_N_BATCHES, dtype=int)
         for results in per_span:
-            for lse, mx, per_batch in results:   # fixed block order keeps bits stable
+            for lse, mx, pieces in results:   # fixed block order keeps bits stable
                 total_lse = np.logaddexp(total_lse, lse)
                 max_log = max(max_log, mx)
-                for j, blse, cnt in per_batch:
+                for j, blse in pieces:
                     batch_lse[j] = np.logaddexp(batch_lse[j], blse)
-                    batch_n[j] += cnt
 
         lambda_hat = float(total_lse - math.log(n))
         if not lambda_hat <= LOG_FLOAT_MAX:   # NaN, +inf, or an exp that overflows
@@ -354,7 +328,7 @@ def mc_lambda(run: MCRun, workers: int = 1) -> MCResult:
                 "the sampled moment cannot be represented"
             )
         mean = math.exp(lambda_hat)
-        batch_means = np.exp(batch_lse - np.log(batch_n))
+        batch_means = np.exp(batch_lse - np.log(np.diff(batch_edges)))
         se_mean = float(np.std(batch_means, ddof=1) / math.sqrt(_N_BATCHES))
         se = se_mean / mean
         max_share = float(math.exp(max_log - total_lse))

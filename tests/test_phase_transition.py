@@ -21,7 +21,7 @@ from riskbounds import (
     magnetization_roots,
 )
 
-from riskbounds._curve import _candidates, _certified, _estimator_point, _saddle
+from riskbounds.phase_transition import _candidates, _certified, _estimator_point, _saddle
 
 from oracles import (
     exponent_closed_form,
@@ -266,10 +266,14 @@ class TestBernoulliBayesExponent:
             bernoulli_bayes_exponent(3.0, n_q=0)
 
     def test_q_grid_minimum(self):
+        # the grid's two ends are the fewest points; one point is a DomainError,
+        # never the ZeroDivisionError of a linspace step over n_q - 1 = 0
         with pytest.raises(DomainError) as info:
-            bernoulli_bayes_exponent(3.0, n_q=100)
-        assert str(info.value) == "the q grid must have at least 101 points"
-        bernoulli_bayes_exponent(3.0, n_q=101)
+            bernoulli_bayes_exponent(3.0, n_q=1)
+        assert str(info.value) == "the q grid must have at least 2 points"
+        _, q_grid, curve = bernoulli_bayes_exponent(3.0, n_q=2)
+        _, _, full = bernoulli_bayes_exponent(3.0)
+        assert q_grid == (0.0, 1.0) and curve == (full[0], full[-1])
 
     def test_returned_arrays_are_not_shared_between_calls(self):
         # tuples of floats: a caller cannot mutate what it or a later call gets back

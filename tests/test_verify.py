@@ -154,9 +154,13 @@ class TestMcLambda:
     @example(n=8 * 4096 + 1, workers=5, name="phase-trivial/zero")
     @example(n=123_457, workers=5, name="lin-gauss/zero")
     @example(n=123_457, workers=2, name="lin-gauss/cond-mean/es0")
+    @example(n=4096 + 1, workers=2, name="lin-gauss/cond-mean")
+    @example(n=9 * 4096 + 5, workers=1, name="phase-trivial/zero")
     def test_any_worker_count_gives_the_serial_bits(self, n, workers, name):
         # spans cut the blocks anywhere, chunks end anywhere and the last
-        # block may be ragged; none of it may move a bit or raise a warning
+        # block may be ragged; none of it may move a bit or raise a warning.
+        # 4096 + 1 on 2 workers: the second span holds only the ragged block;
+        # 9 * 4096 + 5: a chunk of 8, a one-block chunk, then the ragged chunk
         run = MCRun(n_samples=n, **_PINNED_RUNS[name])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
