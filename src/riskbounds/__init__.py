@@ -25,8 +25,8 @@ _EXPORTS = {
             "linear_gaussian_min_lambda", "NuTradeoff", "nu_bound", "phase_bound_large_sigma",
             "scalar_linear_bound", "scalar_ml_lambda", "tilted_prior_bound",
             "ww_rect_delay_bound")),
-        ("core", ("GridDensity",)),
-        ("divergences", ("binary_divergence", "renyi_gaussian_linear", "tilt_prior")),
+        ("divergences", (
+            "GridDensity", "binary_divergence", "renyi_gaussian_linear", "tilt_prior")),
         ("bayes_bounds", ("alpha_c_estimate", "alpha_c_upper", "lpcb_bound", "lpcb_sweep")),
         ("delay_design", (
             "DelayDesignProblem", "Waveform", "raised_cosine_pulse", "raised_cosine_reference",
@@ -45,7 +45,7 @@ _EXPORTS = {
     for name in names
 }
 
-_SUBMODULES = {*_EXPORTS.values(), "cli"}
+_SUBMODULES = {*_EXPORTS.values(), "core", "cli"}
 
 __all__ = sorted(_EXPORTS)
 

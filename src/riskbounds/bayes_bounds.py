@@ -29,10 +29,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .closed_forms import BoundValue, LinearGaussianModel, classify
+from .closed_forms import BoundValue, LinearGaussianModel, classify, divergence_onset
 from .closed_forms import tilted_prior_bound  # noqa: F401  (perfbench/tracer.py LAYERS)
-from .core import GridDensity, _maximize_batch, divergence_onset
-from .divergences import renyi_gaussian_linear
+from .core import _maximize_batch
+from .divergences import GridDensity, renyi_gaussian_linear
 from .errors import DomainError
 
 __all__ = [

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 from .errors import DomainError, RiskBoundsError
 
 if TYPE_CHECKING:
-    from .core import GridDensity
+    from .divergences import GridDensity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -218,7 +218,7 @@ def _load_csv(path: str, kind: str):
 def _load_prior(args) -> GridDensity:
     import numpy as np
 
-    from .core import GridDensity
+    from .divergences import GridDensity
 
     text = args.prior
     if text.startswith("gaussian:"):

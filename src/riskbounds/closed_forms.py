@@ -21,25 +21,27 @@ the one kernel ``_gaussian_moment(x) = -0.5 log1p(-x)``, +inf for x >= 1.
 Every range check here is written NaN-first (``not alpha > 0``), so a
 NaN input is a ``DomainError``, never a NaN labelled ``ok``.
 
-The package's 1-D searches live here too, as plain-Python loops on float
-brackets: ``golden_section_max``, the one golden-section search, and
-``maximize_scalar``, a coarse sweep polished by it.  They take floats
-only and serve the delay, nonlinear and profile searches; the lpcb
-split search runs ``core``'s batched numpy form for one alpha or many,
-with the same result per bracket.  ``_linspace``, numpy's ``linspace`` formula on floats,
-spaces the CLI's linear sweeps, the estimator curve's q grid and the
-sweep of ``maximize_scalar``; ``_logspace`` spaces their log-spaced ones.
+Every plain-Python search of the package lives here too, on float
+brackets: ``golden_section_max``, ``maximize_scalar`` (a coarse sweep
+polished by it), the profile ``coordinate_descent_max`` (one
+``maximize_scalar`` nested in another) and the bisection
+``divergence_onset``; ``core`` runs the first two on arrays of brackets
+for the lpcb split search.  ``_linspace``, numpy's ``linspace`` formula on
+floats, spaces the CLI's linear sweeps, the estimator curve's q grid and
+the sweep of ``maximize_scalar``; ``_logspace`` spaces the log-spaced ones.
 
-The module imports only ``math``, ``bisect``, ``sys``, ``typing`` and
-``errors`` (``_logspace`` imports numpy for ``np.exp``, the joint
-``nu_bound`` search ``core``), and it defines no
-dataclass: ``BoundValue`` is a ``NamedTuple``, the other classes use
-``__slots__``, so loading it costs no ``dataclasses`` or ``inspect``
-import.  The CLI families built on it (``bayes-linear``, ``bayes-phase``,
-``bayes-ww``, ``nonbayes-linear`` and ``nonbayes-nonlinear``),
-``phase estimator`` and ``verify bernoulli-exact`` run without numpy;
-``_interp``, numpy's ``interp`` formula on floats, reads the estimator
-curve at the counts k/n of ``verify bernoulli-exact --estimator optimal``.
+Of the package the module imports only ``errors``, so runtime imports
+point one way, ``errors`` <- ``closed_forms`` <- ``core`` <-
+``divergences`` <- the bound families; otherwise it imports ``math``,
+``bisect``, ``sys`` and ``typing`` (``_logspace`` imports numpy for
+``np.exp``).  It defines no dataclass: ``BoundValue`` is a ``NamedTuple``,
+the other classes use ``__slots__``, so loading it costs no
+``dataclasses`` or ``inspect`` import.  The CLI families built on it
+(``bayes-linear``, ``bayes-phase``, ``bayes-ww``, ``nonbayes-linear`` and
+``nonbayes-nonlinear``), ``phase estimator`` and ``verify
+bernoulli-exact`` run without numpy; ``_interp``, numpy's ``interp``
+formula on floats, reads the estimator curve at the counts k/n of
+``verify bernoulli-exact --estimator optimal``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .errors import DomainError
 
 if TYPE_CHECKING:
-    from .core import GridDensity
+    from .divergences import GridDensity
 
 __all__ = [
     "STATUS_OK",
@@ -73,6 +75,8 @@ __all__ = [
     "nu_bound",
     "golden_section_max",
     "maximize_scalar",
+    "coordinate_descent_max",
+    "divergence_onset",
 ]
 
 # BoundValue.status values
@@ -363,12 +367,11 @@ def nu_bound(
     nu = 1 makes the reference equal the pulse at maximal derivative
     energy.  An omitted parameter is maximized over: beta in [1e-3, 50] on
     a log scale, and with nu omitted the (nu, beta) pair jointly by
-    ``core.coordinate_descent_max``, a profile whose outer search over beta
+    ``coordinate_descent_max``, a profile whose outer search over beta
     reads at each beta the best nu in [0, 1] (a given beta is then not
-    used; this search alone imports ``core``).  Only beta moves the
-    tilt: the prior caches its tilt scalars (``prior.tilt_terms``), so the
-    nu passes and every revisited beta cost scalar arithmetic, not a new
-    tilt.  A bound that is -inf for every beta reports beta = nan.
+    used).  Only beta moves the tilt: the prior caches its tilt scalars
+    (``prior.tilt_terms``), so the nu passes and every revisited beta cost
+    scalar arithmetic, not a new tilt.  A bound that is -inf for every beta reports beta = nan.
 
     The prior must already be restricted to the valid delay window; edge
     effects of delays near the observation horizon are the caller's
@@ -391,8 +394,6 @@ def nu_bound(
             return -math.inf
 
     if nu is None:
-        from .core import coordinate_descent_max   # at call time: core loads numpy
-
         nu_star, beta_star, val = coordinate_descent_max(value_at, (0.0, 1.0), _BETA_BRACKET)
         return classify(val, {"nu": nu_star, "beta": beta_star})
     if beta is None:
@@ -494,6 +495,60 @@ def maximize_scalar(
     if fxp < fx:
         return x, float(fx), n_eval
     return xp, fxp, n_eval
+
+
+def coordinate_descent_max(
+    f: Callable[[float, float], float],
+    bounds_x: tuple[float, float],
+    bounds_y: tuple[float, float],
+) -> tuple[float, float, float]:
+    """Maximize f(x, y) as a profile: y outer on a log scale, x inner on a linear scale.
+
+    The outer ``maximize_scalar`` over y (bounds_y must be positive) reads
+    at each y the value of an inner ``maximize_scalar`` over x, each a
+    33-point sweep and its golden polish.  The inner sweep sees every basin
+    of x that its 33 points separate, so no start is drawn and the result
+    is a function of f alone.  Returns (x, y, value): the inner argmax at
+    the outer argmax, or (nan, nan, -inf) when f is -inf everywhere.
+    """
+    def inner(y: float) -> tuple[float, float, int]:
+        return maximize_scalar(lambda u: f(u, y), *bounds_x, coarse=33)
+
+    y, val, _ = maximize_scalar(lambda v: inner(v)[1], *bounds_y, log_spaced=True, coarse=33)
+    if val == -math.inf:
+        return (math.nan, math.nan, -math.inf)
+    x, val, _ = inner(y)
+    return x, y, val
+
+
+def divergence_onset(
+    is_divergent: Callable[[float], bool],
+    lo: float,
+    hi_start: float,
+    *,
+    tol: float = 1e-4,
+    hi_cap: float = 1e9,
+) -> float:
+    """Smallest alpha at which ``is_divergent`` flips, found by bisection.
+
+    Expands the upper probe geometrically first; returns +inf when no
+    divergence is found below ``hi_cap``.
+    """
+    hi = hi_start
+    while not is_divergent(hi):
+        hi *= 2.0
+        if hi > hi_cap:
+            return math.inf
+    lo = float(lo)
+    if is_divergent(lo):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if is_divergent(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _linspace(start: float, stop: float, n: int) -> list[float]:

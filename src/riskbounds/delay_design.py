@@ -51,8 +51,12 @@ class Waveform:
             raise GridError("waveform needs matching 1-D time and value arrays")
         if t.size < 2:
             raise GridError("waveform needs at least two samples")
+        if not np.isfinite(t).all():
+            raise GridError("time grid must be finite")
         if np.any(np.diff(t) <= 0):
             raise GridError("time grid must be strictly increasing")
+        if not np.isfinite(v).all():
+            raise DomainError("waveform values must be finite")
         object.__setattr__(self, "t", _read_only(t))
         object.__setattr__(self, "values", _read_only(v))
 
@@ -75,7 +79,7 @@ class DelayDesignProblem:
     lambda_mult: float
 
     def __post_init__(self):
-        if self.lambda_mult <= 0:
+        if not self.lambda_mult > 0:
             raise DomainError("lambda_mult must be positive")
         if self.x.t.size < 64:
             raise DomainError("grid resolution must be at least 64 points")
@@ -128,24 +132,32 @@ def solve_reference_ode(problem: DelayDesignProblem) -> Waveform:
     second[0] = 2.0 * s[1] - 2.0 * s[0]
     second[-1] = 2.0 * s[-2] - 2.0 * s[-1]
     residual = np.max(np.abs(s - second / (lam * h * h) - x))
-    if residual > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(x)))):
+    if not residual <= _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(x)))):
         raise ConditioningError(f"discrete residual {residual:.3g} exceeds tolerance")
     return Waveform(t, s)
 
 
 def raised_cosine_pulse(ex: float, t: np.ndarray, omega0: float) -> Waveform:
     """Pulse sqrt(2 ex / 3 T) (1 - cos(omega0 t)); needs omega0 T = k pi."""
+    if not (0.0 < ex < math.inf and 0.0 < omega0 < math.inf):
+        raise DomainError("ex and omega0 must be positive and finite")
     t = np.asarray(t, dtype=float)
     t_horizon = float(t[-1] - t[0])
+    if not 0.0 < t_horizon < math.inf:
+        raise GridError("time grid must be finite and increasing")
     k = omega0 * t_horizon / math.pi
-    if abs(k - round(k)) > 1e-9:
+    if not (k < math.inf and abs(k - round(k)) <= 1e-9):
         raise DomainError("omega0 * T must be a multiple of pi for this pulse")
     amp = math.sqrt(2.0 * ex / (3.0 * t_horizon))
+    if not 2.0 * amp < math.inf:
+        raise DomainError("pulse amplitude is beyond float range")
     return Waveform(t, amp * (1.0 - np.cos(omega0 * (t - t[0]))))
 
 
 def raised_cosine_reference(ex: float, t: np.ndarray, omega0: float, lam: float) -> Waveform:
     """Analytic reference for the raised-cosine pulse: 1 - nu cos(omega0 t)."""
+    if not 0.0 < lam < math.inf:
+        raise DomainError("lam must be positive and finite")
     pulse = raised_cosine_pulse(ex, t, omega0)
     nu = lam / (lam + omega0 ** 2)
     amp = math.sqrt(2.0 * ex / (3.0 * pulse.duration))

@@ -1,15 +1,14 @@
-"""Closed-form information measures shared by every bound family.
+"""Closed-form information measures, and the grid prior with its power tilt.
 
 Covers the binary divergence, the Renyi divergence between a nonlinear
 signal model and a linear-Gaussian reference (through the log of the
-Gaussian quadratic-exponential moment), and the two numbers of a power
-tilt Q_beta of a prior that the bounds read: its Fisher information and
-its divergence from the prior.  ``tilt_prior`` computes that pair; the
-bounds read it through ``GridDensity.tilt_terms``, which calls it once per
-(prior, beta) however often an optimizer revisits it.
-
-All returns are extended reals: a legitimately divergent quantity comes
-back as ``+inf`` rather than raising.
+Gaussian quadratic-exponential moment), and the grid prior
+``GridDensity`` with the two numbers of its power tilt Q_beta that the
+bounds read: the Fisher information and the divergence from the prior.
+``tilt_prior`` computes that pair; the bounds read it through
+``GridDensity.tilt_terms``, which calls it once per (prior, beta) however
+often an optimizer revisits it.  All returns are extended reals: a
+legitimately divergent quantity comes back as ``+inf`` rather than raising.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ import math
 
 import numpy as np
 
-from .core import GridDensity, logsumexp
-from .errors import DomainError
+from .core import _read_only, _trapezoid, logsumexp
+from .errors import DomainError, GridError
 
 __all__ = [
+    "GridDensity",
     "binary_divergence",
     "renyi_gaussian_linear",
     "tilt_prior",
@@ -96,7 +96,8 @@ def renyi_gaussian_linear(
     a = np.asarray(order, dtype=float)
     if not (a > 1.0).all():
         raise DomainError("Renyi order must satisfy a > 1")
-    if sigma2 <= 0 or sigma2_q <= 0 or n0 <= 0 or es < 0 or ex < 0 or t_horizon <= 0:
+    if not (sigma2 > 0 and sigma2_q > 0 and n0 > 0 and es >= 0 and ex >= 0 and t_horizon > 0
+            and not math.isnan(q_const)):
         raise DomainError("model parameters out of range")
     with np.errstate(over="ignore", invalid="ignore"):   # numpy warns where a huge order overflows
         r = _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon)
@@ -125,6 +126,106 @@ def _renyi(a, sigma2, sigma2_q, es, ex, n0, q_const, t_horizon):
     # terms that overflowed, and reads +inf, the side that only loosens a
     # bound that subtracts it
     return np.where(renyi > -math.inf, renyi, math.inf)
+
+
+class GridDensity:
+    """A probability density on a strictly increasing 1-D grid.
+
+    The constructor validates copies of theta and density, divides the
+    density by its trapezoid integral and sets, read-only, all a power
+    tilt reads: trapezoid ``weights``, the log density shifted by its
+    peak, ``log_shift = ln(p / peak)`` and ``log_peak = ln peak`` (0 at the
+    peak, -inf where the density is 0 or its ratio to the peak underflows),
+    the indices of the first and last grid points where ``log_shift`` is
+    finite (``support_ends``), the slope of ``log_shift`` on each grid
+    segment between them (``log_slope = np.diff(log_shift) / np.diff(theta)``
+    over the support, see ``tilt_prior``), the larger ``log_shift`` at the
+    two support ends (``log_edge``), the ``has_hole`` flag for a zero
+    between them (zeros outside them, at one grid end or both, are
+    padding), and the empty memo of ``tilt_terms``.  Assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __slots__ = ("theta", "density", "weights", "log_shift", "log_peak", "log_slope",
+                 "support_ends", "log_edge", "has_hole", "_tilts")
+
+    def __init__(self, theta, density):
+        th = np.array(theta, dtype=float)
+        if th.ndim != 1:
+            raise GridError("density needs matching 1-D grids")
+        if th.size < 8:
+            raise GridError("density grid too coarse")
+        if not np.isfinite(th).all():
+            raise GridError("theta grid must be finite")
+        dx = np.diff(th)
+        if np.any(dx <= 0):
+            raise GridError("theta grid must be strictly increasing")
+        p = np.array(density, dtype=float)
+        if p.shape != th.shape:
+            raise GridError("density needs matching 1-D grids")
+        if not np.isfinite(p).all():
+            raise DomainError("density must be finite")
+        if np.any(p < 0):
+            raise DomainError("density must be nonnegative")
+        with np.errstate(over="ignore"):   # an inf integral or quotient is reported below
+            z = _trapezoid(p, dx)
+            if not 0.0 < z < math.inf:
+                raise DomainError(f"density integrates to {z:.6g} and cannot be normalized")
+            p /= z
+        if not np.isfinite(p).all():   # z is subnormal on a grid with subnormal spacings
+            raise DomainError("density must be finite")
+        w = np.empty_like(th)
+        w[1:-1] = 0.5 * (th[2:] - th[:-2])
+        w[0] = 0.5 * (th[1] - th[0])
+        w[-1] = 0.5 * (th[-1] - th[-2])
+        peak = float(np.max(p))
+        # ln(p / peak), not ln p - ln peak: next to the peak, where ln p moves
+        # least between grid points, a log near 0 keeps the digits that a log
+        # near ln peak rounds away, and a tilt's information is read from them
+        with np.errstate(divide="ignore"):
+            log_shift = np.log(p / peak)
+        log_peak = math.log(peak)
+        # never empty (the peak itself); p / peak below the smallest float is 0
+        nz = np.flatnonzero(log_shift > -math.inf)
+        first, last = int(nz[0]), int(nz[-1])
+        # a hole's -inf makes inf or NaN here (every tilt of it is rejected), and a
+        # subnormal spacing may overflow a slope to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_slope = np.diff(log_shift[first:last + 1]) / dx[first:last]
+        fields = dict(theta=_read_only(th), density=_read_only(p), weights=_read_only(w),
+                      log_shift=_read_only(log_shift), log_peak=log_peak,
+                      log_slope=_read_only(log_slope), support_ends=(first, last),
+                      log_edge=float(max(log_shift[first], log_shift[last])),
+                      has_hole=nz.size != last - first + 1, _tilts={})
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a GridDensity is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a GridDensity is read-only")
+
+    def tilt_terms(self, beta: float) -> tuple[float, float]:
+        """``tilt_prior(self, beta)``, tilted once per beta.
+
+        A hit returns the very floats the first tilt computed; a rejected
+        tilt raises a fresh ``DomainError`` with its message on every call.
+        The memo holds no array.  Threads sharing a prior may race on a
+        missing beta; both compute and store the same floats.
+        """
+        memo = self._tilts
+        beta = float(beta)
+        terms = memo.get(beta)
+        if terms is None:
+            try:
+                terms = tilt_prior(self, beta)
+            except DomainError as exc:
+                terms = str(exc)
+            memo[beta] = terms
+        if isinstance(terms, str):
+            raise DomainError(terms)
+        return terms
 
 
 def tilt_prior(base: GridDensity, beta: float) -> tuple[float, float]:

@@ -60,7 +60,7 @@ class VectorLinearModel:
             raise DomainError("gamma must be symmetric")
         if not np.allclose(np.diag(g), 1.0, atol=1e-9):
             raise DomainError("gamma must have unit diagonal")
-        if es <= 0 or n0 <= 0:
+        if not (es > 0 and n0 > 0):
             raise DomainError("need es > 0 and n0 > 0")
         eigvals = np.linalg.eigvalsh(g)
         if eigvals[0] <= 0:
@@ -93,7 +93,7 @@ class CorrelationProfile:
 
     def __init__(self, ex: float, theta_range: tuple[float, float],
                  rho_fn: Callable[[float, float], float]):
-        if ex <= 0:
+        if not ex > 0:
             raise DomainError("ex must be positive")
         if not theta_range[0] < theta_range[1]:
             raise DomainError("theta_range needs lo < hi")
@@ -105,18 +105,25 @@ class CorrelationProfile:
         return math.isinf(self.theta_range[0]) and math.isinf(self.theta_range[1])
 
 
+def _quad_form(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
+    """a' inv(gamma) a of a finite alpha_vec of the model's dimension."""
+    import numpy as np
+
+    a = np.asarray(alpha_vec, dtype=float)
+    if a.shape != (model.k,):
+        raise DomainError("alpha_vec dimension mismatch")
+    if not np.isfinite(a).all():
+        raise DomainError("alpha_vec must be finite")
+    return float(a @ model.gamma_inv() @ a)
+
+
 def vector_linear_bound(model: VectorLinearModel, alpha_vec: np.ndarray) -> BoundValue:
     """Directional bound n0 a' inv(gamma) a / (2 es) inside the critical ellipsoid.
 
     Finite strictly inside a' inv(gamma) a < es/n0; +inf on the contour
     and outside, which is where no estimator's tail can keep up.
     """
-    import numpy as np
-
-    a = np.asarray(alpha_vec, dtype=float)
-    if a.shape != (model.k,):
-        raise DomainError("alpha_vec dimension mismatch")
-    quad = float(a @ model.gamma_inv() @ a)
+    quad = _quad_form(model, alpha_vec)
     threshold = model.es / model.n0
     diag = dict(_META, quad_form=quad, threshold=threshold)
     if quad >= threshold and quad > 0.0:
@@ -130,12 +137,7 @@ def vector_ml_lambda(model: VectorLinearModel, alpha_vec: np.ndarray) -> float:
     The determinant form -0.5 ln|I - (n0/es) a a' inv(gamma)| collapses to
     the scalar form by the rank-one determinant identity.
     """
-    import numpy as np
-
-    a = np.asarray(alpha_vec, dtype=float)
-    if a.shape != (model.k,):
-        raise DomainError("alpha_vec dimension mismatch")
-    return _gaussian_moment(model.n0 / model.es * float(a @ model.gamma_inv() @ a))
+    return _gaussian_moment(model.n0 / model.es * _quad_form(model, alpha_vec))
 
 
 def nonlinear_bound(
@@ -159,7 +161,7 @@ def nonlinear_bound(
     which grows without bound as theta_tilde runs off, whatever the size
     of alpha or theta.
     """
-    if alpha <= 0 or n0 <= 0:
+    if not (alpha > 0 and n0 > 0):
         raise DomainError("alpha and n0 must be positive")
     floor = float(l_nb)
     if not math.isfinite(floor):

@@ -399,8 +399,12 @@ class TestPriorCeiling:
         (("window", 1.0, 7.0, 4097), 0.35, 0.28211538565895483),
         # 0.6019894783 against C = 0.6019863590
         (("window", 1.0, 10.0, 8193), 0.35, 0.3),
+        # 0.0528140998 against C = 0.0525957888, at an edge ratio of 7.0e-4: the
+        # first small-alpha row, inside the gate
+        (("window", 1.0, 4.0, 4097), 0.05, 0.9076),
     ], ids=["gaussian:1.0,8,4097", "gaussian:1.0", "gaussian:1.0,6,4097-alpha0.3",
-            "gaussian:1.0,7,4097-alpha0.35", "gaussian:1.0-alpha0.35"])
+            "gaussian:1.0,7,4097-alpha0.35", "gaussian:1.0-alpha0.35",
+            "gaussian:1.0,4,4097-alpha0.05"])
     def test_decaying_window_overshoot_near_the_gate(self, spec, alpha, beta):
         _assert_below_ceiling(spec, alpha, beta, es=0.0, nu=0.0, joint=False)
 

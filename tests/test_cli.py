@@ -513,6 +513,42 @@ def test_every_name_imported_from_a_sibling_is_read(monkeypatch):
     assert unread == []
 
 
+def _runtime_sibling_modules(tree: ast.Module) -> set[str]:
+    """The siblings a module imports at run time, top-level or at call time.
+
+    An ``if TYPE_CHECKING:`` block runs only under a type checker, so its
+    imports (its ``else`` branch aside) are skipped.
+    """
+    siblings, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            siblings.update([node.module] if node.module else [a.name for a in node.names])
+        todo += ast.iter_child_nodes(node)
+    return siblings
+
+
+def test_sibling_imports_have_no_cycle():
+    # imports point one way, errors <- closed_forms <- core <- divergences <-
+    # the families, so no module needs a call-time import to break a cycle
+    graph = {module: _runtime_sibling_modules(tree) for module, tree in _modules().items()}
+    reach = {}
+    for module in graph:
+        seen, todo = set(), list(graph[module])
+        while todo:
+            other = todo.pop()
+            if other not in seen:
+                seen.add(other)
+                todo += graph.get(other, ())
+        reach[module] = seen
+    cycles = {module: sorted(other for other in seen if module in reach[other])
+              for module, seen in reach.items() if module in seen}
+    assert cycles == {}
+
+
 def _numpy_random_reads(tree: ast.Module) -> list[int]:
     """Lines of a module that read numpy's random: an import of it, or ``np.random``."""
     numpy_names = {alias.asname or alias.name for node in ast.walk(tree)

@@ -7,16 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskbounds import DomainError, GridDensity, GridError, Waveform
-from riskbounds.closed_forms import classify, golden_section_max
-from riskbounds.core import (
-    _golden_section_batch,
-    _maximize_batch,
-    _trapezoid,
-    divergence_onset,
-    logsumexp,
-    maximize_scalar,
+from riskbounds import (
+    DelayDesignProblem,
+    DomainError,
+    GridDensity,
+    GridError,
+    VectorLinearModel,
+    Waveform,
+    raised_cosine_pulse,
+    raised_cosine_reference,
+    renyi_gaussian_linear,
+    solve_reference_ode,
+    vector_linear_bound,
+    vector_ml_lambda,
 )
+from riskbounds.closed_forms import classify, divergence_onset, golden_section_max, maximize_scalar
+from riskbounds.core import _golden_section_batch, _maximize_batch, _trapezoid, logsumexp
 
 
 class TestWaveform:
@@ -41,6 +47,54 @@ class TestWaveform:
             Waveform(np.array([0.0, 1.0]), np.zeros(3))
         with pytest.raises(GridError):
             Waveform(np.array([0.0]), np.array([1.0]))
+
+
+_T = np.linspace(0.0, 1.0, 128)
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: vector_linear_bound(VectorLinearModel(np.eye(2), _NAN, 1.0), [0.1, 0.1]),
+                 "need es > 0", id="vector-es"),
+    pytest.param(lambda: vector_linear_bound(VectorLinearModel(np.eye(2), 1.0, 1.0), [_NAN, 0.1]),
+                 "alpha_vec must be finite", id="vector-alpha"),
+    pytest.param(lambda: vector_ml_lambda(VectorLinearModel(np.eye(2), 1.0, _NAN), [0.1, 0.1]),
+                 "need es > 0", id="vector-ml-n0"),
+    pytest.param(lambda: vector_ml_lambda(VectorLinearModel(np.eye(2), 1.0, 1.0), [0.1, _INF]),
+                 "alpha_vec must be finite", id="vector-ml-alpha"),
+    pytest.param(lambda: renyi_gaussian_linear(2.0, sigma2=_NAN, sigma2_q=1, es=0, ex=1, n0=1),
+                 "out of range", id="renyi-sigma2"),
+    pytest.param(lambda: renyi_gaussian_linear(2.0, sigma2=1, sigma2_q=1, es=0, ex=_NAN, n0=1),
+                 "out of range", id="renyi-ex"),
+    pytest.param(lambda: solve_reference_ode(DelayDesignProblem(Waveform(_T, np.sin(_T)), _NAN)),
+                 "lambda_mult must be positive", id="ode-lambda"),
+    pytest.param(lambda: Waveform(np.r_[_T[:-1], _NAN], np.sin(_T)), "time grid must be finite",
+                 id="waveform-t-nan"),
+    pytest.param(lambda: Waveform(np.r_[_T[:-1], _INF], np.sin(_T)), "time grid must be finite",
+                 id="waveform-t-inf"),
+    pytest.param(lambda: Waveform(_T, np.r_[np.sin(_T[:-1]), _NAN]),
+                 "waveform values must be finite", id="waveform-values"),
+    pytest.param(lambda: raised_cosine_pulse(-1.0, _T, math.pi), "ex and omega0 must be positive",
+                 id="pulse-ex-negative"),
+    pytest.param(lambda: raised_cosine_pulse(_INF, _T, math.pi), "ex and omega0 must be positive",
+                 id="pulse-ex-inf"),
+    pytest.param(lambda: raised_cosine_pulse(1.0, _T, _NAN), "ex and omega0 must be positive",
+                 id="pulse-omega0"),
+    pytest.param(lambda: raised_cosine_pulse(1e308, _T, math.pi), "amplitude is beyond float range",
+                 id="pulse-amplitude"),
+    pytest.param(lambda: raised_cosine_pulse(1.0, 10.0 * _T, 1e308), "multiple of pi",
+                 id="pulse-omega0-T"),
+    pytest.param(lambda: raised_cosine_pulse(1.0, np.r_[_T[:-1], _NAN], math.pi),
+                 "time grid must be finite", id="pulse-t"),
+    pytest.param(lambda: raised_cosine_reference(1.0, _T, math.pi, _NAN),
+                 "lam must be positive", id="reference-lam"),
+])
+def test_numpy_modules_reject_nan_first(call, error):
+    # each range check is written NaN-first (not x > 0, isfinite), so a NaN
+    # or an infinite input is a DomainError, never a NaN or inf result, a
+    # numpy warning or a bare ValueError
+    with pytest.raises(DomainError, match=error):
+        call()
 
 
 class TestGridDensity:

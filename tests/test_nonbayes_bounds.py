@@ -18,7 +18,7 @@ from riskbounds import (
     vector_linear_bound,
     vector_ml_lambda,
 )
-from riskbounds.core import divergence_onset
+from riskbounds.closed_forms import divergence_onset
 
 from oracles import critical_radius
 
